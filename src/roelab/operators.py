@@ -299,18 +299,6 @@ class BlockOperator:
         keep = base.dist <= R
         return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
 
-    def band_parts(self) -> list[tuple[float, "BlockOperator"]]:
-        """Decompose T = sum_k D_k with D_k carrying the blocks at distance exactly k."""
-        base = self._same_base()
-        parts = []
-        for k in base.realized_distances():
-            keep = base.dist == k
-            part = BlockOperator(
-                self.source, self.target, self.matrix * self._block_mask_to_coords(keep)
-            )
-            parts.append((float(k), part))
-        return parts
-
     def supported_mask(self, f_values: np.ndarray, R: float) -> "BlockOperator":
         """Keep only blocks (y, x) with d(f(x), y) <= R in the target metric."""
         f_values = np.asarray(f_values, dtype=np.int64)

@@ -1,8 +1,12 @@
-"""Quasi-locality: exact enumeration against a naive all-subsets oracle."""
+"""Quasi-locality: exact enumeration against a naive all-subsets oracle,
+and the screened local search against a plain greedy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from roelab import locality
+from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
@@ -185,3 +189,89 @@ def test_supported_distance_upper_vanishes_on_support():
     assert supported_distance_upper(T, f, 0.0) <= 1e-15
     assert supported_distance_upper(T, identity_map(X), 1.0) <= 1e-15
     assert supported_distance_upper(T, identity_map(X), 0.0) > 0.5
+
+
+def reference_grow(T, R, B, A, frob):
+    """The local-search greedy without screening: every candidate move, in
+    order of (-Frobenius mass, side, point), gets a sequential corner_norm
+    call, and the first strict improvement wins."""
+    base = T.source.base
+    value = T.corner_norm(B, A)
+    while True:
+        moves = []
+        for y in range(base.n):
+            if y not in B and all(base.dist[y, a] > R for a in A):
+                moves.append((float(np.sum(frob[y, A] ** 2)), "B", y))
+        for x in range(base.n):
+            if x not in A and all(base.dist[x, b] > R for b in B):
+                moves.append((float(np.sum(frob[B, x] ** 2)), "A", x))
+        moves.sort(key=lambda m: (-m[0], m[1], m[2]))
+        for _, side, p in moves:
+            cand = T.corner_norm(B + [p], A) if side == "B" else T.corner_norm(B, A + [p])
+            if cand > value + locality._WITNESS_TOL:
+                (B if side == "B" else A).append(p)
+                value = cand
+                break
+        else:
+            return value, B, A
+
+
+def _search_input(seed: int, kind: str):
+    """A random graph space with 1-3 dimensional fibers, a radius, and an
+    operator of the given kind: "dense" random; "sparse", banded to R + 1
+    so that most separated blocks, and so most restarts, are zero;
+    "unitary", a coordinate permutation times band noise, whose corners
+    saturate at 1; "faint", a coordinate permutation plus entries of size
+    3e-6, whose moves improve saturated corners by about 1e-11, near the
+    acceptance tolerance."""
+    rng = np.random.default_rng(seed)
+    X = random_graph_space(rng, int(rng.integers(10, 25)), extra_edges=int(rng.integers(0, 4)))
+    fib = random_fibered(rng, X, max_dim=3)
+    R = float(rng.integers(0, max(1, int(X.diameter) - 1)))
+    if kind == "dense":
+        T = random_operator(rng, fib, fib)
+    elif kind == "sparse":
+        T = random_operator(rng, fib, fib).band_truncate(R + 1)
+    else:
+        perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
+        if kind == "unitary":
+            T = perm @ random_band_unitary(fib, 1.0, int(rng.integers(0, 3)), seed)
+        else:
+            T = perm + 3e-6 * random_operator(rng, fib, fib)
+    return T, R
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "faint"]))
+def test_screened_search_matches_plain_greedy(seed, kind):
+    T, R = _search_input(seed, kind)
+    frob = T.block_frobenius()
+    pairs = locality._separated_block_pairs(T, R)
+    if len(pairs) == 0:
+        return
+    best = locality._best_singleton(T, R)[1]  # None when every separated block is zero
+    starts = [best] if best is not None else []
+    starts += [(int(y), int(x)) for y, x in pairs[np.random.default_rng(seed).integers(0, len(pairs), 8)]]
+    for y, x in starts:
+        assert locality._grow_pair(T, R, [y], [x], frob) == reference_grow(T, R, [y], [x], frob)
+    screened = locality._search_violation(T, R, restarts=8, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locality, "_grow_pair", reference_grow)
+        plain = locality._search_violation(T, R, restarts=8, seed=seed)
+    assert screened.violation_lower == plain.violation_lower
+    assert screened.witness == plain.witness
+
+
+def test_bounds_upper_at_most_norm_on_reflection_cover():
+    # the band-tail bound sum_{k > R} ||D_k|| exceeds 60 on this unitary
+    U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
+    report = quasi_locality_violation(U, 3.0, mode="bounds")
+    assert report.violation_lower <= report.violation_upper
+    assert report.violation_upper <= U.norm() + 1e-12
+
+
+def test_window_upper_at_most_norm_on_fibered_cover():
+    U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
+    for R in (0.0, 1.0, 2.0, 3.0):
+        lower, upper = approximability_window(U, R)
+        assert lower <= upper <= U.norm() + 1e-12

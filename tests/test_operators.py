@@ -215,20 +215,6 @@ def test_band_truncate_error_nonincreasing(rng):
         assert T.band_truncate(R).propagation() <= R
 
 
-def test_band_parts_recompose(rng):
-    X = random_graph_space(rng, 6, extra_edges=2)
-    fib = random_fibered(rng, X)
-    T = random_operator(rng, fib, fib)
-    parts = T.band_parts()
-    total = np.zeros_like(T.matrix)
-    for dist, part in parts:
-        mask = part.nonzero_block_mask(tol=0.0)
-        ys, xs = np.nonzero(mask)
-        assert all(X.dist[x, y] == dist for y, x in zip(ys, xs))
-        total = total + part.matrix
-    assert np.allclose(total, T.matrix)
-
-
 def test_unitarity_residual():
     fib = FiberedSpace.uniform(path_space(4), 2)
     assert identity_operator(fib).unitarity_residual() <= 1e-15
