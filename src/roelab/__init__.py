@@ -40,7 +40,7 @@ from .locality import (
     quasi_locality_violation,
     supported_distance_upper,
 )
-from .concentration import ConcentrationWitness, concentration_witness, corner_profile
+from .concentration import ConcentrationWitness, concentration_witness
 from .extraction import (
     ExtractionReport,
     MinimalRadiusError,
@@ -56,7 +56,6 @@ from .covering import (
     UpgradeResult,
     covering_unitary,
     outer_roundtrip,
-    supported_approximation_curve,
     upgrade_trick,
 )
 from .fixtures import (
@@ -91,11 +90,11 @@ __all__ = [
     "greedy_signs", "brute_force_signs", "rademacher_average",
     "LocalityReport", "quasi_locality_violation", "approximability_window",
     "supported_distance_upper",
-    "ConcentrationWitness", "concentration_witness", "corner_profile",
+    "ConcentrationWitness", "concentration_witness",
     "ExtractionReport", "MinimalRadiusError", "corner_norm_table",
     "minimal_radius", "extract_map", "extract_pair", "footprint_control",
     "CoveringPlan", "UpgradeResult", "OuterReport", "covering_unitary",
-    "supported_approximation_curve", "upgrade_trick", "outer_roundtrip",
+    "upgrade_trick", "outer_roundtrip",
     "hadamard_fixture", "reflection_map", "halving_map", "doubling_map",
     "standard_pair", "noisy_covering_unitary",
     "read_operator", "write_operator", "operator_to_json", "operator_from_json",

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BlockOperator, spectral_norm
+from .extraction import corner_norm_table
+from .operators import BlockOperator, check_unitary, spectral_norm
 from .signs import greedy_signs
 
-__all__ = ["ConcentrationWitness", "corner_profile", "concentration_witness"]
+__all__ = ["ConcentrationWitness", "concentration_witness"]
 
-UNITARITY_TOL = 1e-9
 _SLACK = 1e-9
-# corner norms of a unitary this close to 1 are 1 up to SVD rounding; the
+# corner norms of a unitary this close to 1 are 1 up to rounding; the
 # sqrt in the bound would otherwise amplify the last ulp into 1e-8 noise
 _UNIT_SNAP = 1e-12
 
@@ -53,25 +53,6 @@ class ConcentrationWitness:
         }
 
 
-def check_unitary(U: BlockOperator, tol: float = UNITARITY_TOL) -> float:
-    residual = U.unitarity_residual()
-    if residual > tol:
-        raise ValueError(f"operator is not unitary: residual {residual:.3g} > {tol:g}")
-    return residual
-
-
-def corner_profile(U: BlockOperator, y: int, R: float) -> np.ndarray:
-    """||chi_B U chi_x|| for every source point x, with B = ball(y, R)."""
-    check_unitary(U)
-    B = U.target.base.ball(y, R)
-    rows = U.target.coords_of(B)
-    off = U.source.offsets
-    out = np.zeros(U.source.base.n)
-    for x in range(U.source.base.n):
-        out[x] = spectral_norm(U.matrix[np.ix_(rows, np.arange(off[x], off[x + 1]))])
-    return out
-
-
 def concentration_witness(
     U: BlockOperator, y: int, R: float, h_index: int | None = 0
 ) -> ConcentrationWitness:
@@ -94,8 +75,7 @@ def concentration_witness(
     if not 0 <= h_index < target.fiber_dims[y]:
         raise ValueError(f"h_index {h_index} out of range for fiber dimension {target.fiber_dims[y]}")
 
-    profile = corner_profile(U, y, R)
-    delta = float(profile.max())
+    delta = float(corner_norm_table(U, R)[y].max())
     if delta > 1.0 - _UNIT_SNAP:
         delta = 1.0
 

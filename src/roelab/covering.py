@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import PointMap, greedy_net, voronoi_partition
-from .operators import BlockOperator, FiberedSpace, spectral_norm
+from .operators import BlockOperator, FiberedSpace, check_unitary, spectral_norm
 from .extraction import ExtractionReport, extract_pair
-from .concentration import check_unitary
 from .locality import approximability_window
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "UpgradeResult",
     "OuterReport",
     "covering_unitary",
-    "supported_approximation_curve",
     "upgrade_trick",
     "outer_roundtrip",
 ]
@@ -162,13 +160,6 @@ def covering_unitary(
         spill=spill,
     )
     return U, plan
-
-
-def supported_approximation_curve(U: BlockOperator, f: PointMap, R_list) -> list[tuple[float, float]]:
-    """Distance upper bounds to f-supported operators, per radius."""
-    from .locality import supported_distance_upper
-
-    return [(float(R), supported_distance_upper(U, f, float(R))) for R in R_list]
 
 
 @dataclass
@@ -372,7 +363,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     as R grows is the desk-scale content of the outer-automorphism
     statement.
     """
-    check_unitary(U)
+    residual_U = check_unitary(U)
     if U.source != U.target:
         raise ValueError("outer roundtrip needs an operator on a single fibered space")
     extraction = extract_pair(U, delta)
@@ -391,7 +382,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
         extraction=extraction,
         plan=plan,
         windows=windows,
-        residual_U=float(U.unitarity_residual()),
+        residual_U=float(residual_U),
         residual_W=float(W.unitarity_residual()),
         residual_UWs=float(UWs.unitarity_residual()),
     )

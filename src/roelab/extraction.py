@@ -5,7 +5,9 @@ some mass of the corners ||chi_{ball(y, R)} U chi_x|| at specific source
 points once R is large enough.  Thresholding at delta picks the map
 g(y) = argmax_x of that corner norm; running the same construction on U*
 gives the partner map f, and the pair is certified as a coarse
-equivalence by direct measurement.
+equivalence by direct measurement.  `corner_norm_table` is the one
+kernel for these norms: concentration witnesses and `footprint_control`
+read it as well.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
-from .operators import BlockOperator
-from .concentration import check_unitary
+from .operators import BlockOperator, check_unitary
 
 __all__ = [
     "ExtractionReport",
@@ -169,21 +170,9 @@ def footprint_control(U: BlockOperator, delta: float, r: float) -> float:
         raise ValueError("delta must be > 0")
     if r < 0:
         raise ValueError("r must be >= 0")
-    sbase, tbase = U.source.base, U.target.base
-    toff = U.target.offsets
+    tbase = U.target.base
     worst = 0.0
-    for x in range(sbase.n):
-        cols = U.source.coords_of(sbase.ball(x, r))
-        sub = U.matrix[:, cols]
-        hits = []
-        for y in range(tbase.n):
-            rows = sub[toff[y] : toff[y + 1]]
-            gram = rows @ rows.conj().T
-            top = float(np.linalg.eigvalsh(gram)[-1]) if gram.shape[0] > 1 else float(
-                np.real(gram[0, 0])
-            )
-            if np.sqrt(max(top, 0.0)) >= delta:
-                hits.append(y)
-        if hits:
-            worst = max(worst, tbase.subset_diameter(hits))
+    # row x of the adjoint's table holds ||chi_y U chi_ball(x, r)|| for every y
+    for hits in corner_norm_table(U.adjoint(), r) >= delta:
+        worst = max(worst, tbase.subset_diameter(np.flatnonzero(hits)))
     return float(worst)

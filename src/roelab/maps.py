@@ -86,8 +86,17 @@ class PointMap:
         return float(spread[close].max())
 
     def modulus_profile(self) -> list[tuple[float, float]]:
-        """(r, modulus(r)) at each realized source distance r."""
-        return [(float(r), self.modulus(float(r))) for r in self.source.realized_distances()]
+        """(r, modulus(r)) at each realized source distance r.
+
+        One pass: the largest spread among pairs at exactly each distance,
+        then a running maximum over the sorted distances.
+        """
+        radii, slot = np.unique(self.source.dist, return_inverse=True)
+        spread = self.target.dist[np.ix_(self.values, self.values)]
+        top = np.zeros(radii.size)
+        np.maximum.at(top, slot.ravel(), spread.ravel())
+        top = np.maximum.accumulate(top)
+        return [(float(r), float(m)) for r, m in zip(radii, top)]
 
     def to_json(self) -> dict:
         return {"source": self.source.to_json(), "target": self.target.to_json(),

@@ -26,6 +26,7 @@ __all__ = [
     "BlockOperator",
     "NormCertificate",
     "PowerIterationError",
+    "check_unitary",
     "indicator",
     "identity_operator",
     "operator_norm",
@@ -35,6 +36,7 @@ __all__ = [
 
 PROPAGATION_TOL = 1e-12
 SVD_EXACT_LIMIT = 64
+UNITARITY_TOL = 1e-9
 
 
 class FiberedSpace:
@@ -67,10 +69,7 @@ class FiberedSpace:
 
     def coords_of(self, points) -> np.ndarray:
         """Global coordinate indices of the fibers over a point set."""
-        points = validate_points(points, self.base.n)
-        if points.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([np.arange(self.offsets[x], self.offsets[x + 1]) for x in points])
+        return np.flatnonzero(self.coord_mask(points))
 
     def coord_mask(self, points) -> np.ndarray:
         points = validate_points(points, self.base.n)
@@ -130,44 +129,6 @@ class PowerIterationError(RuntimeError):
         self.iterations = iterations
 
 
-def _norm_certificate(mat: np.ndarray, tol: float, fallback: bool = True) -> NormCertificate:
-    rows, cols = mat.shape
-    if max(rows, cols) <= SVD_EXACT_LIMIT:
-        _, svals, vh = np.linalg.svd(mat)
-        sigma = float(svals[0])
-        v = vh[0].conj()
-        resid = float(np.linalg.norm(mat.conj().T @ (mat @ v) - sigma**2 * v))
-        return NormCertificate(sigma, v, resid, "svd")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-    v /= np.linalg.norm(v)
-    budget = 10 * max(rows, cols)
-    sigma_sq = 0.0
-    resid = np.inf
-    for it in range(1, budget + 1):
-        w = mat @ v
-        sigma_sq = float(np.real(np.vdot(w, w)))  # = <v, T*Tv> for unit v
-        z = mat.conj().T @ w
-        resid = float(np.linalg.norm(z - sigma_sq * v))
-        if sigma_sq == 0.0:
-            if not mat.any():
-                return NormCertificate(0.0, v, 0.0, "power", it)
-            v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-            v /= np.linalg.norm(v)
-            continue
-        if resid <= tol * sigma_sq:
-            return NormCertificate(float(np.sqrt(sigma_sq)), v, resid, "power", it)
-        v = z / np.linalg.norm(z)
-    if not fallback:
-        raise PowerIterationError(float(np.sqrt(max(sigma_sq, 0.0))), resid, budget)
-    # near-degenerate top of the spectrum; settle it exactly
-    _, svals, vh = np.linalg.svd(mat)
-    sigma = float(svals[0])
-    v = vh[0].conj()
-    resid = float(np.linalg.norm(mat.conj().T @ (mat @ v) - sigma**2 * v))
-    return NormCertificate(sigma, v, resid, "svd", budget)
-
-
 class BlockOperator:
     """A complex linear map between two fibered spaces, stored dense.
 
@@ -185,8 +146,9 @@ class BlockOperator:
             raise ValueError("operator entries must be finite")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.matrix = matrix  # a private copy, so the cached residual stays valid
         self.matrix.setflags(write=False)
+        self._residual = None
 
     @classmethod
     def from_blocks(cls, source: FiberedSpace, target: FiberedSpace, blocks: dict) -> "BlockOperator":
@@ -204,7 +166,9 @@ class BlockOperator:
         return self.matrix[self.target.slice_of(y), self.source.slice_of(x)]
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.target, self.source, self.matrix.conj().T)
+        adj = BlockOperator(self.target, self.source, self.matrix.conj().T)
+        adj._residual = self._residual  # the residual is symmetric under adjoints
+        return adj
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
@@ -308,10 +272,15 @@ class BlockOperator:
         return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
 
     def unitarity_residual(self) -> float:
-        """max(||T*T - I||, ||TT* - I||); 0 exactly for permutation matrices."""
-        left = self.matrix.conj().T @ self.matrix - np.eye(self.source.total_dim)
-        right = self.matrix @ self.matrix.conj().T - np.eye(self.target.total_dim)
-        return max(spectral_norm(left), spectral_norm(right))
+        """max(||T*T - I||, ||TT* - I||); 0 exactly for permutation matrices.
+
+        Computed once per operator and stored.
+        """
+        if self._residual is None:
+            left = self.matrix.conj().T @ self.matrix - np.eye(self.source.total_dim)
+            right = self.matrix @ self.matrix.conj().T - np.eye(self.target.total_dim)
+            self._residual = max(spectral_norm(left), spectral_norm(right))
+        return self._residual
 
     def __repr__(self):
         return (
@@ -319,6 +288,14 @@ class BlockOperator:
             f"{self.target.base.n}x{self.target.fiber_dims.max()}, "
             f"total {self.matrix.shape[1]} -> {self.matrix.shape[0]})"
         )
+
+
+def check_unitary(U: BlockOperator, tol: float = UNITARITY_TOL) -> float:
+    """U's unitarity residual; ValueError when it exceeds tol."""
+    residual = U.unitarity_residual()
+    if residual > tol:
+        raise ValueError(f"operator is not unitary: residual {residual:.3g} > {tol:g}")
+    return residual
 
 
 def indicator(space: FiberedSpace, A) -> BlockOperator:
@@ -344,7 +321,38 @@ def operator_norm(T: BlockOperator, tol: float = 1e-9, fallback: bool = True) ->
     """
     if tol <= 0:
         raise ValueError("norm tolerance must be > 0")
-    return _norm_certificate(T.matrix, tol, fallback)
+    mat = T.matrix
+    rows, cols = mat.shape
+    iterations = 0
+    if max(rows, cols) > SVD_EXACT_LIMIT:
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+        v /= np.linalg.norm(v)
+        iterations = 10 * max(rows, cols)
+        sigma_sq = 0.0
+        resid = np.inf
+        for it in range(1, iterations + 1):
+            w = mat @ v
+            sigma_sq = float(np.real(np.vdot(w, w)))  # = <v, T*Tv> for unit v
+            z = mat.conj().T @ w
+            resid = float(np.linalg.norm(z - sigma_sq * v))
+            if sigma_sq == 0.0:
+                if not mat.any():
+                    return NormCertificate(0.0, v, 0.0, "power", it)
+                v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+                v /= np.linalg.norm(v)
+                continue
+            if resid <= tol * sigma_sq:
+                return NormCertificate(float(np.sqrt(sigma_sq)), v, resid, "power", it)
+            v = z / np.linalg.norm(z)
+        if not fallback:
+            raise PowerIterationError(float(np.sqrt(max(sigma_sq, 0.0))), resid, iterations)
+    # exact, or the near-degenerate top of the spectrum stalled the iteration
+    _, svals, vh = np.linalg.svd(mat)
+    sigma = float(svals[0])
+    v = vh[0].conj()
+    resid = float(np.linalg.norm(mat.conj().T @ (mat @ v) - sigma**2 * v))
+    return NormCertificate(sigma, v, resid, "svd", iterations)
 
 
 def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -> BlockOperator:

@@ -44,10 +44,21 @@ MAGIC = b"ROELAB1"
 _FLAG_RECTANGULAR = 1
 
 
-def _block_stream(op: BlockOperator):
-    for y in range(op.target.base.n):
-        for x in range(op.source.base.n):
-            yield op.block(y, x)
+def _payload_index(target: FiberedSpace, source: FiberedSpace) -> np.ndarray:
+    """Payload position of every matrix entry, as a (target, source) array.
+
+    Blocks are laid out y outer, x inner, each row-major: block (y, x)
+    starts at offset_y * total_source + d_y * offset_x.
+    """
+    y, x = target.coord_point, source.coord_point
+    row_in_block = np.arange(target.total_dim) - target.offsets[y]
+    col_in_block = np.arange(source.total_dim) - source.offsets[x]
+    return (
+        (target.offsets[y] * source.total_dim)[:, None]
+        + target.fiber_dims[y][:, None] * source.offsets[x][None, :]
+        + row_in_block[:, None] * source.fiber_dims[x][None, :]
+        + col_in_block[None, :]
+    )
 
 
 def write_operator(path, op: BlockOperator) -> None:
@@ -60,11 +71,11 @@ def write_operator(path, op: BlockOperator) -> None:
         if rectangular:
             fh.write(struct.pack("<I", op.source.base.n))
             fh.write(np.asarray(op.source.fiber_dims, dtype="<u4").tobytes())
-        for blk in _block_stream(op):
-            pairs = np.empty(blk.shape + (2,), dtype="<f8")
-            pairs[..., 0] = blk.real
-            pairs[..., 1] = blk.imag
-            fh.write(pairs.tobytes())
+        pairs = np.empty((op.matrix.size, 2), dtype="<f8")
+        index = _payload_index(op.target, op.source)
+        pairs[index, 0] = op.matrix.real
+        pairs[index, 1] = op.matrix.imag
+        fh.write(pairs.tobytes())
 
 
 def read_operator(
@@ -112,17 +123,7 @@ def read_operator(
             f"payload holds {payload.size // 2} entries, expected {expected}"
         )
     flat = payload[0::2] + 1j * payload[1::2]
-    mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
-    cursor = 0
-    for y in range(target.base.n):
-        dy = int(target.fiber_dims[y])
-        for x in range(source.base.n):
-            dx = int(source.fiber_dims[x])
-            mat[target.slice_of(y), source.slice_of(x)] = flat[
-                cursor : cursor + dy * dx
-            ].reshape(dy, dx)
-            cursor += dy * dx
-    return BlockOperator(source, target, mat)
+    return BlockOperator(source, target, flat[_payload_index(target, source)])
 
 
 def operator_to_json(op: BlockOperator) -> dict:
@@ -162,13 +163,8 @@ def load_map(path) -> PointMap:
 
 
 def save_map(path, f: PointMap) -> None:
-    data = {
-        "source": f.source.to_json(),
-        "target": f.target.to_json(),
-        "table": [int(v) for v in f.values],
-    }
     with open(path, "w") as fh:
-        fh.write(report_bytes(data).decode())
+        fh.write(report_bytes(f.to_json()).decode())
 
 
 def report_bytes(data: dict) -> bytes:

@@ -18,10 +18,14 @@ import numpy as np
 
 from roelab.cli import main as cli_main
 from roelab.concentration import concentration_witness
-from roelab.covering import covering_unitary, supported_approximation_curve, upgrade_trick
+from roelab.covering import covering_unitary, upgrade_trick
 from roelab.extraction import MinimalRadiusError, extract_pair
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
-from roelab.locality import quasi_locality_violation, approximability_window
+from roelab.locality import (
+    approximability_window,
+    quasi_locality_violation,
+    supported_distance_upper,
+)
 from roelab.maps import certify_equivalence, closeness, identity_map
 from roelab.operators import (
     BlockOperator,
@@ -307,7 +311,7 @@ def run_criterion_5():
             V = random_band_unitary(FiberedSpace.uniform(h.source, 1), 2.0, 1, seed)
             R_star = float(plan.support_radius + V.propagation())
             grid = sorted({float(r) for r in np.arange(0.0, R_star + 1.0)} | {R_star})
-            curve = supported_approximation_curve(U, h, grid)
+            curve = [(R, supported_distance_upper(U, h, R)) for R in grid]
             vals = [v for _, v in curve]
             if len(vals) > 1:
                 max_increase = max(max_increase, max(b - a for a, b in zip(vals, vals[1:])))

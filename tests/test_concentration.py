@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from roelab.concentration import concentration_witness, corner_profile
+from roelab.concentration import concentration_witness
+from roelab.extraction import corner_norm_table
 from roelab.fixtures import hadamard_fixture
 from roelab.operators import FiberedSpace, identity_operator, indicator, random_band_unitary
 from roelab.spaces import path_space
@@ -13,7 +14,7 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 def test_hadamard_corner_profile():
     _, U = hadamard_fixture()
-    profile = corner_profile(U, 0, 2.0)
+    profile = corner_norm_table(U, 2.0)[0]
     assert profile == pytest.approx([INV_SQRT2, INV_SQRT2], abs=1e-12)
 
 

@@ -6,10 +6,10 @@ import pytest
 from roelab.covering import (
     covering_unitary,
     outer_roundtrip,
-    supported_approximation_curve,
     upgrade_trick,
 )
 from roelab.fixtures import noisy_covering_unitary, reflection_map
+from roelab.locality import supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.spaces import path_space
@@ -88,7 +88,7 @@ def test_cover_rejects_mismatched_target_total():
 def test_curve_hits_zero_at_support_radius():
     f = halving_map_10()
     U, plan = covering_unitary(f, FiberedSpace.uniform(f.source, 1))
-    curve = supported_approximation_curve(U, f, [plan.support_radius, 2.0])
+    curve = [(R, supported_distance_upper(U, f, R)) for R in [plan.support_radius, 2.0]]
     assert curve[0][1] == 0.0
     assert curve[1][1] == 0.0
 
@@ -96,7 +96,7 @@ def test_curve_hits_zero_at_support_radius():
 def test_curve_nonincreasing_and_closes_after_noise():
     U, h, plan = noisy_covering_unitary("reflection", 10, seed=4, noise_radius=2.0, layers=1)
     radii = [0.0, 1.0, 2.0, 3.0, 5.0, 9.0]
-    curve = supported_approximation_curve(U, h, radii)
+    curve = [(R, supported_distance_upper(U, h, R)) for R in radii]
     values = [e for _, e in curve]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     # noise propagation is at most 2, so the curve closes by support radius + 2
@@ -108,7 +108,8 @@ def test_curve_nonincreasing_and_closes_after_noise():
 
 def test_curve_stays_large_for_uncorrelated_unitary():
     U = dft_operator(10)
-    curve = supported_approximation_curve(U, reflection_map(10), [0.0, 3.0, 6.0, 9.0])
+    h = reflection_map(10)
+    curve = [(R, supported_distance_upper(U, h, R)) for R in [0.0, 3.0, 6.0, 9.0]]
     assert curve[0][1] > 1.0
     assert curve[2][1] > 0.3  # still far from supported at two thirds of the diameter
     assert curve[3][1] <= 1e-12  # the diameter supports everything

@@ -11,8 +11,11 @@ from roelab.extraction import (
     footprint_control,
     minimal_radius,
 )
+from roelab import operators
+from roelab.concentration import concentration_witness
+from roelab.covering import outer_roundtrip, upgrade_trick
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
-from roelab.maps import closeness
+from roelab.maps import closeness, identity_map
 from roelab.operators import FiberedSpace, random_band_unitary
 from roelab.spaces import path_space
 
@@ -113,3 +116,50 @@ def test_minimal_radius_error_reports_worst_point():
     assert err.y == 3
     assert err.best_norm == 0.42
     assert "0.9" in str(err)
+
+
+def test_footprint_control_matches_direct_corners(rng):
+    for _ in range(4):
+        X = random_graph_space(rng, 8, extra_edges=2)
+        fib = random_fibered(rng, X, max_dim=2)
+        U = random_band_unitary(fib, 2.0, 2, seed=int(rng.integers(0, 1000)))
+        for delta in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for r in (0.0, 1.0, 2.0):
+                worst = 0.0
+                for x in range(X.n):
+                    ball = X.ball(x, r)
+                    hits = [y for y in range(X.n) if U.corner_norm([y], ball) >= delta]
+                    worst = max(worst, X.subset_diameter(hits))
+                assert footprint_control(U, delta, r) == worst
+
+
+ENTRIES = {
+    "extract_pair": lambda T: extract_pair(T, 0.5),
+    "minimal_radius": lambda T: minimal_radius(T, 0.5),
+    "extract_map": lambda T: extract_map(T, 0.5, 0.0),
+    "concentration_witness": lambda T: concentration_witness(T, 0, 1.0),
+    "upgrade_trick": lambda T: upgrade_trick(T, identity_map(T.source.base), [(0, 1)], 0.5),
+    "outer_roundtrip": lambda T: outer_roundtrip(T, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_public_entries_reject_non_unitary(entry):
+    U, _, _ = noisy_covering_unitary("reflection", 8, seed=0)
+    with pytest.raises(ValueError, match="unitar"):
+        ENTRIES[entry](2 * U)
+
+
+def test_extract_pair_checks_unitarity_once(monkeypatch):
+    U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
+    calls = []
+    original = operators.spectral_norm
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return original(mat)
+
+    monkeypatch.setattr(operators, "spectral_norm", counting)
+    extract_pair(U, 0.5)
+    # one residual: ||U*U - I|| and ||UU* - I||, shared by U* through adjoint()
+    assert len(calls) == 2

@@ -49,6 +49,16 @@ def test_modulus_monotone(rng):
         assert all(a <= b for a, b in zip(prof, prof[1:]))
 
 
+def test_modulus_profile_equals_direct_modulus(rng):
+    for _ in range(20):
+        n_x, n_y = rng.integers(1, 12, size=2)
+        X = random_graph_space(rng, int(n_x), extra_edges=int(rng.integers(0, 4)))
+        Y = random_graph_space(rng, int(n_y), extra_edges=int(rng.integers(0, 4)))
+        f = PointMap(X, Y, rng.integers(0, n_y, size=n_x))
+        expected = [(float(r), f.modulus(float(r))) for r in X.realized_distances()]
+        assert f.modulus_profile() == expected
+
+
 def test_closeness_basics():
     X = path_space(7)
     f = identity_map(X)

@@ -92,6 +92,34 @@ def test_binary_layout_matches_declaration(rng, tmp_path):
         assert np.array_equal(blk, T.block(y, x))
 
 
+def block_walk_bytes(T):
+    """The declared layout written block by block, y outer, x inner."""
+    rectangular = T.source != T.target
+    out = [b"ROELAB1", struct.pack("<B", 1 if rectangular else 0)]
+    sides = (T.target, T.source) if rectangular else (T.target,)
+    for side in sides:
+        out.append(struct.pack(f"<I{side.base.n}I", side.base.n, *side.fiber_dims))
+    for y in range(T.target.base.n):
+        for x in range(T.source.base.n):
+            for entry in T.block(y, x).ravel():
+                out.append(struct.pack("<dd", entry.real, entry.imag))
+    return b"".join(out)
+
+
+def test_written_bytes_equal_block_walk(rng, tmp_path):
+    path = tmp_path / "walk.bin"
+    for n_t, n_s in ((6, 6), (5, 3), (4, 7)):
+        Y = random_graph_space(rng, n_t, extra_edges=1)
+        X = Y if n_s == n_t else random_graph_space(rng, n_s, extra_edges=1)
+        tgt = random_fibered(rng, Y, max_dim=2)
+        src = tgt if X is Y else random_fibered(rng, X, max_dim=2)
+        T = random_operator(rng, src, tgt)
+        write_operator(path, T)
+        assert path.read_bytes() == block_walk_bytes(T)
+        back = read_operator(path, Y, None if X is Y else X)
+        assert (back.matrix == T.matrix).all()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMINE" + b"\x00" * 64)
