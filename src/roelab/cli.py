@@ -4,18 +4,16 @@ Each subcommand loads its inputs, runs one analysis, and writes a JSON
 report of the form {scenario, versions, results, timings}.  Reports are
 deterministic byte for byte except for the timings field; sweeps also
 emit CSV.  Errors exit with code 2 and a structured error JSON on
-stdout.  The ROELAB_THREADS environment variable caps sweep parallelism;
-per-seed runs are independent, so the thread count never changes values.
+stdout.  Each `_cmd_*` returns its (scenario, results) pair, and `main`
+times it and writes the report.  Every setting is a command-line
+argument; nothing is read from the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -33,18 +31,11 @@ from .serialize import load_map, load_space, read_operator, report_bytes, write_
 __all__ = ["main"]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ROELAB_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
-
-
 def _versions() -> dict:
     return {"roelab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _emit(args, scenario: dict, results: dict, elapsed: float) -> None:
+def _emit(out: str | None, scenario: dict, results: dict, elapsed: float) -> None:
     report = {
         "scenario": scenario,
         "versions": _versions(),
@@ -52,10 +43,10 @@ def _emit(args, scenario: dict, results: dict, elapsed: float) -> None:
         "timings": {"elapsed_s": elapsed},
     }
     payload = report_bytes(report)
-    if args.out:
-        with open(args.out, "wb") as fh:
+    if out:
+        with open(out, "wb") as fh:
             fh.write(payload)
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     else:
         sys.stdout.write(payload.decode())
 
@@ -66,14 +57,12 @@ def _load_unitary(args):
     return read_operator(args.unitary, target, source)
 
 
-def _cmd_extract(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_extract(args) -> tuple[dict, dict]:
     U = _load_unitary(args)
     report = extract_pair(U, args.delta)
     scenario = {"kind": "extract", "unitary": args.unitary, "space": args.space,
                 "source_space": args.source_space, "delta": args.delta}
-    _emit(args, scenario, report.to_json(), time.perf_counter() - t0)
-    return 0
+    return scenario, report.to_json()
 
 
 def _parse_fibers(spec: str, n: int) -> np.ndarray:
@@ -85,8 +74,7 @@ def _parse_fibers(spec: str, n: int) -> np.ndarray:
     return np.array([int(p) for p in parts])
 
 
-def _cmd_cover(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_cover(args) -> tuple[dict, dict]:
     f = load_map(args.map)
     source = FiberedSpace(f.source, _parse_fibers(args.fibers, f.source.n))
     U, plan = covering_unitary(f, source, separation=args.separation)
@@ -99,30 +87,25 @@ def _cmd_cover(args) -> int:
     }
     scenario = {"kind": "cover", "map": args.map, "fibers": args.fibers,
                 "separation": args.separation, "save_unitary": args.save_unitary}
-    _emit(args, scenario, results, time.perf_counter() - t0)
-    return 0
+    return scenario, results
 
 
-def _cmd_witness(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_witness(args) -> tuple[dict, dict]:
     U = _load_unitary(args)
     h_index = None if args.sweep_h else args.h_index
     witness = concentration_witness(U, args.y, args.radius, h_index)
     scenario = {"kind": "witness", "unitary": args.unitary, "space": args.space,
                 "source_space": args.source_space, "y": args.y, "radius": args.radius,
                 "h_index": h_index}
-    _emit(args, scenario, witness.to_json(), time.perf_counter() - t0)
-    return 0
+    return scenario, witness.to_json()
 
 
-def _cmd_ql(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ql(args) -> tuple[dict, dict]:
     U = _load_unitary(args)
     report = quasi_locality_violation(U, args.radius, mode=args.mode, seed=args.seed)
     scenario = {"kind": "quasi-locality", "unitary": args.unitary, "space": args.space,
                 "radius": args.radius, "mode": args.mode, "seed": args.seed}
-    _emit(args, scenario, report.to_json(), time.perf_counter() - t0)
-    return 0
+    return scenario, report.to_json()
 
 
 def _parse_grid(raw: str | None):
@@ -131,14 +114,12 @@ def _parse_grid(raw: str | None):
     return [float(v) for v in raw.split(",") if v.strip()]
 
 
-def _cmd_outer(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_outer(args) -> tuple[dict, dict]:
     U = _load_unitary(args)
     report = outer_roundtrip(U, args.delta, _parse_grid(args.radius_grid))
     scenario = {"kind": "outer", "unitary": args.unitary, "space": args.space,
                 "delta": args.delta, "radius_grid": args.radius_grid}
-    _emit(args, scenario, report.to_json(), time.perf_counter() - t0)
-    return 0
+    return scenario, report.to_json()
 
 
 def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
@@ -154,24 +135,11 @@ def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, d
     }
 
 
-def _cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    seeds = list(range(args.seeds))
-    workers = _thread_count()
-    if workers == 1:
-        rows = [
-            _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
-            for s in seeds
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda s: _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta),
-                    seeds,
-                )
-            )
-    rows.sort(key=lambda r: r["seed"])
+def _cmd_sweep(args) -> tuple[dict, dict]:
+    rows = [
+        _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
+        for s in range(args.seeds)
+    ]
     scenario = {"kind": "roundtrip-sweep", "h": args.h, "n": args.n,
                 "noise_radius": args.noise_radius, "layers": args.layers,
                 "seeds": args.seeds, "delta": args.delta}
@@ -184,8 +152,7 @@ def _cmd_sweep(args) -> int:
         ]
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit(args, scenario, {"rows": rows}, time.perf_counter() - t0)
-    return 0
+    return scenario, {"rows": rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,12 +219,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        scenario, results = args.func(args)
+        _emit(args.out, scenario, results, time.perf_counter() - t0)
     except Exception as exc:  # structured error contract for scripts
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(report_bytes(error).decode())
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -67,18 +67,21 @@ def concentration_witness(
     target = U.target
     if not 0 <= y < target.base.n:
         raise ValueError(f"point {y} out of range [0, {target.base.n})")
-    if h_index is None:
-        witnesses = [
-            concentration_witness(U, y, R, h) for h in range(int(target.fiber_dims[y]))
-        ]
-        return max(witnesses, key=lambda w: (w.certificate, -w.h_index))
-    if not 0 <= h_index < target.fiber_dims[y]:
+    if h_index is not None and not 0 <= h_index < target.fiber_dims[y]:
         raise ValueError(f"h_index {h_index} out of range for fiber dimension {target.fiber_dims[y]}")
 
     delta = float(corner_norm_table(U, R)[y].max())
     if delta > 1.0 - _UNIT_SNAP:
         delta = 1.0
+    fiber = range(int(target.fiber_dims[y])) if h_index is None else [h_index]
+    witnesses = [_witness(U, y, R, h, delta) for h in fiber]
+    return max(witnesses, key=lambda w: (w.certificate, -w.h_index))
 
+
+def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> ConcentrationWitness:
+    """The witness for probe vector U*(delta_y (x) e_h), given delta = max_x
+    ||chi_B U chi_x|| (which does not depend on h)."""
+    target = U.target
     probe = int(target.offsets[y]) + int(h_index)
     v = U.matrix[probe].conj()  # = U* applied to the probe basis vector
     mass = np.add.reduceat(np.abs(v) ** 2, U.source.offsets[:-1])

@@ -186,9 +186,12 @@ def greedy_net(space: FiniteMetricSpace, s: float) -> np.ndarray:
     if s < 0:
         raise ValueError("net separation must be >= 0")
     kept: list[int] = []
+    covered = np.zeros(space.n, dtype=bool)
     for x in range(space.n):
-        if all(space.dist[x, y] > s for y in kept):
+        if not covered[x]:
             kept.append(x)
+            # covered unless strictly farther than s, so a NaN s covers every point
+            covered |= ~(space.dist[x] > s)
     return np.array(kept, dtype=np.int64)
 
 

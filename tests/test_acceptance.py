@@ -1,9 +1,10 @@
 """Acceptance gate: nine numbered criteria, one printed line each.
 
 Every criterion is computed by a pure run_criterion_N() returning a
-JSON-serializable results dict; the final criterion reruns the others
-and checks the serialized results are byte-identical, including across
-thread-count settings.  Timings stay outside the results dicts.
+JSON-serializable results dict; the final criterion reruns each of the
+others once, checks the serialized results are byte-identical to the
+first run, and does the same for two CLI sweeps.  Timings stay outside
+the results dicts.
 """
 
 import hashlib
@@ -12,7 +13,6 @@ import os
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,27 +43,12 @@ from test_locality import naive_violation
 _CACHE = {}
 
 
-@contextmanager
-def _thread_env(threads):
-    old = os.environ.get("ROELAB_THREADS")
-    os.environ["ROELAB_THREADS"] = str(threads)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("ROELAB_THREADS", None)
-        else:
-            os.environ["ROELAB_THREADS"] = old
-
-
-def run_cached(num, threads=1):
-    key = (num, threads)
-    if key not in _CACHE:
-        with _thread_env(threads):
-            t0 = time.perf_counter()
-            results = RUNNERS[num]()
-            _CACHE[key] = (results, time.perf_counter() - t0)
-    return _CACHE[key]
+def run_cached(num):
+    if num not in _CACHE:
+        t0 = time.perf_counter()
+        results = RUNNERS[num]()
+        _CACHE[num] = (results, time.perf_counter() - t0)
+    return _CACHE[num]
 
 
 def _finish(capfd, num, failures, elapsed, summary):
@@ -524,13 +509,12 @@ def test_criterion_8(capfd):
             f"{results['window_operators']} windows ordered")
 
 
-# -- 9: byte-identical reruns, including across thread counts --------------
+# -- 9: byte-identical reruns ----------------------------------------------
 
-def _sweep_bytes(threads, out_dir):
-    out = os.path.join(out_dir, f"sweep_{threads}.json")
-    with _thread_env(threads):
-        code = cli_main(["sweep", "--h", "reflection", "--n", "10",
-                         "--seeds", "6", "--out", out])
+def _sweep_bytes(out_dir, tag):
+    out = os.path.join(out_dir, f"sweep_{tag}.json")
+    code = cli_main(["sweep", "--h", "reflection", "--n", "10",
+                     "--seeds", "6", "--out", out])
     assert code == 0
     data = json.loads(open(out).read())
     data.pop("timings", None)
@@ -540,36 +524,27 @@ def _sweep_bytes(threads, out_dir):
 def run_criterion_9():
     criteria = {}
     for num in range(1, 9):
-        r1, _ = run_cached(num, threads=1)
-        r8, _ = run_cached(num, threads=8)
-        b1 = report_bytes(r1)
+        first = report_bytes(run_cached(num)[0])
         criteria[str(num)] = {
-            "sha256": hashlib.sha256(b1).hexdigest(),
-            "threads_match": b1 == report_bytes(r8),
+            "sha256": hashlib.sha256(first).hexdigest(),
+            "rerun_match": report_bytes(RUNNERS[num]()) == first,
         }
-    rerun_match = {}
-    for num in (1, 4, 6, 8):
-        fresh = report_bytes(RUNNERS[num]())
-        rerun_match[str(num)] = fresh == report_bytes(run_cached(num, threads=1)[0])
     with tempfile.TemporaryDirectory() as td:
-        cli_match = _sweep_bytes(1, td) == _sweep_bytes(8, td)
-    return {"criteria": criteria, "rerun_match": rerun_match, "cli_sweep_match": cli_match}
+        cli_match = _sweep_bytes(td, "a") == _sweep_bytes(td, "b")
+    return {"criteria": criteria, "cli_sweep_match": cli_match}
 
 
 def test_criterion_9(capfd):
     results, elapsed = run_cached(9)
     failures = []
     for num, entry in results["criteria"].items():
-        if not entry["threads_match"]:
-            failures.append(f"criterion {num} differs across thread counts")
-    for num, ok in results["rerun_match"].items():
-        if not ok:
+        if not entry["rerun_match"]:
             failures.append(f"criterion {num} differs across two runs")
     if not results["cli_sweep_match"]:
-        failures.append("CLI sweep differs across thread counts")
+        failures.append("CLI sweep differs across two runs")
     _finish(capfd, 9, failures, elapsed,
-            f"8 criteria byte-identical across thread counts 1 and 8, "
-            f"{len(results['rerun_match'])} fresh reruns identical, CLI sweep stable")
+            f"{len(results['criteria'])} criteria byte-identical on a fresh rerun, "
+            f"CLI sweep byte-identical across two runs")
 
 
 RUNNERS = {

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against files on disk."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -119,27 +120,54 @@ def test_sweep_writes_rows_and_csv(tmp_path):
     assert lines[0].startswith("seed,R,")
 
 
-def test_sweep_deterministic_across_threads(tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("ROELAB_THREADS", threads)
-        out = tmp_path / f"sweep_{threads}.json"
-        code = run(["sweep", "--h", "reflection", "--n", "8", "--seeds", "4",
-                    "--out", str(out)])
-        assert code == 0
-        outputs.append(read_without_timings(out))
-    assert outputs[0] == outputs[1]
-
-
-def test_repeated_run_identical_apart_from_timings(hadamard_files, tmp_path):
+@pytest.fixture
+def command_argv(hadamard_files, tmp_path):
+    """Valid argv, without --out, for each of the six subcommands."""
     space, unitary = hadamard_files
+    f = PointMap(path_space(10), path_space(5), [i // 2 for i in range(10)])
+    map_path = tmp_path / "halving.json"
+    save_map(map_path, f)
+    on_unitary = ["--unitary", unitary, "--space", space]
+    return {
+        "extract": ["extract"] + on_unitary,
+        "cover": ["cover", "--map", str(map_path)],
+        "witness": ["witness"] + on_unitary + ["--y", "0", "--radius", "2"],
+        "ql": ["ql"] + on_unitary + ["--radius", "1"],
+        "outer": ["outer"] + on_unitary,
+        "sweep": ["sweep", "--h", "reflection", "--n", "8", "--seeds", "4"],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_repeated_run_identical_apart_from_timings(command, command_argv, tmp_path):
     reports = []
     for tag in ("a", "b"):
-        out = tmp_path / f"extract_{tag}.json"
-        assert run(["extract", "--unitary", unitary, "--space", space,
-                    "--out", str(out)]) == 0
+        out = tmp_path / f"{command}_{tag}.json"
+        assert run(command_argv[command] + ["--out", str(out)]) == 0
         reports.append(read_without_timings(out))
     assert reports[0] == reports[1]
+
+
+def test_sweep_starts_no_thread(command_argv, tmp_path, monkeypatch):
+    argv = command_argv["sweep"]
+    expected = tmp_path / "expected.json"
+    assert run(argv + ["--out", str(expected)]) == 0
+
+    def refuse(self):
+        raise RuntimeError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "sweep.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert read_without_timings(out) == read_without_timings(expected)
+
+
+@pytest.mark.parametrize("command", ["extract", "cover", "witness", "ql", "outer", "sweep"])
+def test_unwritable_out_exits_2(command, command_argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(command_argv[command] + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "FileNotFoundError"
 
 
 def test_malformed_space_exits_2(tmp_path, capsys):

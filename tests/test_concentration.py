@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roelab import concentration
 from roelab.concentration import concentration_witness
 from roelab.extraction import corner_norm_table
 from roelab.fixtures import hadamard_fixture
@@ -94,6 +95,20 @@ def test_h_index_sweep_takes_best_fiber_vector(rng):
     per_h = [concentration_witness(U, 2, 2.0, h_index=h) for h in range(3)]
     assert best.certificate == max(w.certificate for w in per_h)
     assert best.h_index == per_h[int(np.argmax([w.certificate for w in per_h]))].h_index
+
+
+def test_h_index_sweep_builds_one_corner_table(monkeypatch):
+    fib = FiberedSpace.uniform(path_space(8), 3)
+    U = random_band_unitary(fib, 2.0, 1, seed=2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return corner_norm_table(*args, **kwargs)
+
+    monkeypatch.setattr(concentration, "corner_norm_table", counted)
+    concentration_witness(U, 2, 2.0, h_index=None)
+    assert len(calls) == 1
 
 
 def test_rejects_non_unitary(rng):

@@ -158,6 +158,24 @@ def test_greedy_net_separated_and_dominating(rng):
             assert min(X.dist[x, c] for c in net) <= s
 
 
+def _scan_net(X, s):
+    """Reference greedy net: keep x when every kept point lies farther than s."""
+    kept = []
+    for x in range(X.n):
+        if all(X.dist[x, y] > s for y in kept):
+            kept.append(x)
+    return kept
+
+
+def test_greedy_net_equals_pairwise_scan(rng):
+    for _ in range(40):
+        X = random_graph_space(rng, int(rng.integers(1, 30)), extra_edges=int(rng.integers(0, 8)))
+        for s in [0.0] + [float(d) for d in X.realized_distances()]:
+            assert list(greedy_net(X, s)) == _scan_net(X, s)
+    X = path_space(6)
+    assert list(greedy_net(X, float("nan"))) == _scan_net(X, float("nan")) == [0]
+
+
 def test_voronoi_examples():
     X = path_space(7)
     singletons = voronoi_partition(X, list(range(7)))
