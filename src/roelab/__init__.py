@@ -26,7 +26,6 @@ from .operators import (
     BlockOperator,
     FiberedSpace,
     NormCertificate,
-    PowerIterationError,
     identity_operator,
     indicator,
     operator_norm,
@@ -69,8 +68,6 @@ from .fixtures import (
 from .serialize import (
     load_map,
     load_space,
-    operator_from_json,
-    operator_to_json,
     read_operator,
     report_bytes,
     save_map,
@@ -84,7 +81,7 @@ __all__ = [
     "FiniteMetricSpace", "from_edge_list", "path_space",
     "PointMap", "EquivalenceReport", "identity_map", "closeness", "compose",
     "certify_equivalence", "greedy_net", "voronoi_partition",
-    "FiberedSpace", "BlockOperator", "NormCertificate", "PowerIterationError",
+    "FiberedSpace", "BlockOperator", "NormCertificate",
     "indicator", "identity_operator", "operator_norm", "spectral_norm",
     "random_band_unitary",
     "greedy_signs", "brute_force_signs", "rademacher_average",
@@ -97,7 +94,7 @@ __all__ = [
     "upgrade_trick", "outer_roundtrip",
     "hadamard_fixture", "reflection_map", "halving_map", "doubling_map",
     "standard_pair", "noisy_covering_unitary",
-    "read_operator", "write_operator", "operator_to_json", "operator_from_json",
+    "read_operator", "write_operator",
     "load_space", "save_space", "load_map", "save_map",
     "report_bytes", "write_report",
 ]

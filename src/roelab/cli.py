@@ -26,7 +26,7 @@ from .fixtures import noisy_covering_unitary
 from .locality import quasi_locality_violation
 from .maps import closeness
 from .operators import FiberedSpace
-from .serialize import load_map, load_space, read_operator, report_bytes, write_operator
+from .serialize import load_map, load_space, read_operator, report_bytes, write_operator, write_report
 
 __all__ = ["main"]
 
@@ -42,13 +42,11 @@ def _emit(out: str | None, scenario: dict, results: dict, elapsed: float) -> Non
         "results": results,
         "timings": {"elapsed_s": elapsed},
     }
-    payload = report_bytes(report)
     if out:
-        with open(out, "wb") as fh:
-            fh.write(payload)
+        write_report(out, report)
         print(f"wrote {out}")
     else:
-        sys.stdout.write(payload.decode())
+        sys.stdout.write(report_bytes(report).decode())
 
 
 def _load_unitary(args):
@@ -129,9 +127,8 @@ def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, d
         "seed": seed,
         "R": report.R,
         "closeness_f_h": closeness(report.f, h),
-        "closeness_fg": report.closeness_fg,
-        "closeness_gf": report.closeness_gf,
-        "verdict": report.equivalence.verdict,
+        "closeness_fg": report.equivalence.closeness_fg,
+        "closeness_gf": report.equivalence.closeness_gf,
     }
 
 
@@ -144,10 +141,10 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
                 "noise_radius": args.noise_radius, "layers": args.layers,
                 "seeds": args.seeds, "delta": args.delta}
     if args.csv:
-        header = "seed,R,closeness_f_h,closeness_fg,closeness_gf,verdict"
+        header = "seed,R,closeness_f_h,closeness_fg,closeness_gf"
         lines = [header] + [
             f"{r['seed']},{r['R']:.17g},{r['closeness_f_h']:.17g},"
-            f"{r['closeness_fg']:.17g},{r['closeness_gf']:.17g},{int(r['verdict'])}"
+            f"{r['closeness_fg']:.17g},{r['closeness_gf']:.17g}"
             for r in rows
         ]
         with open(args.csv, "w") as fh:

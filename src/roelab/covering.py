@@ -102,7 +102,7 @@ def covering_unitary(
     """
     if f.source != source.base:
         raise ValueError("the fibered source must sit over the map's source space")
-    if separation < 0:
+    if not separation >= 0:
         raise ValueError("separation must be >= 0")
     Y = f.target
     s_used, net = _injective_net(f, separation)
@@ -182,12 +182,12 @@ class UpgradeResult:
         }
 
 
-def _orthonormal_columns(mat: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
+def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, empty for (numerically) zero input."""
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    rank = int(np.sum(s > _RANK_TOL * max(s[0], 1.0)))
     return u[:, :rank]
 
 

@@ -52,14 +52,6 @@ class ExtractionReport:
     witness_f: np.ndarray  # per-x corner norm at f(x), all > delta
     equivalence: EquivalenceReport
 
-    @property
-    def closeness_fg(self) -> float:
-        return self.equivalence.closeness_fg
-
-    @property
-    def closeness_gf(self) -> float:
-        return self.equivalence.closeness_gf
-
     def to_json(self) -> dict:
         return {
             "delta": self.delta,
@@ -79,7 +71,7 @@ def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
     fiber accumulate through one mask multiplication, then a batched
     eigenvalue call takes the per-block spectral norms.
     """
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be >= 0")
     tbase, sbase = U.target.base, U.source.base
     ball_rows = (tbase.dist <= R)[:, U.target.coord_point]  # (n_y, target coords)
@@ -168,7 +160,7 @@ def footprint_control(U: BlockOperator, delta: float, r: float) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be >= 0")
     tbase = U.target.base
     worst = 0.0

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 16
+SEARCH_RESTARTS = 50
 _WITNESS_TOL = 1e-12
 # rounding allowance of a screened squared corner norm per unit of its Gram
 # trace; the trace is at least the top eigenvalue, and the gap between the
@@ -255,34 +256,30 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int) -> L
 
 
 def quasi_locality_violation(
-    T: BlockOperator,
-    R: float,
-    mode: str = "exact",
-    limit: int = EXACT_LIMIT,
-    restarts: int = 50,
-    seed: int = 0,
+    T: BlockOperator, R: float, mode: str = "exact", seed: int = 0
 ) -> LocalityReport:
     """sup ||chi_B T chi_A|| over point sets with d(A, B) > R.
 
     mode "exact" enumerates closed candidate sets (base size at most
-    `limit`); mode "bounds" returns the window [local-search lower,
+    EXACT_LIMIT); mode "bounds" returns the window [local-search lower,
     min(||T - T_R||, ||T||)], with T_R the truncation of T to the band of
-    width R.  The report's witness attains violation_lower.
+    width R, from SEARCH_RESTARTS seeded restarts.  The report's witness
+    attains violation_lower.
     """
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
-    if R < 0:
+    if not R >= 0:
         raise ValueError("separation radius must be >= 0")
     if mode == "exact":
-        if base.n > limit:
+        if base.n > EXACT_LIMIT:
             raise ValueError(
-                f"exact enumeration limited to {limit} points (space has {base.n}); "
+                f"exact enumeration limited to {EXACT_LIMIT} points (space has {base.n}); "
                 "use mode='bounds'"
             )
         return _exact_violation(T, R)
     if mode == "bounds":
-        return _search_violation(T, R, restarts, seed)
+        return _search_violation(T, R, SEARCH_RESTARTS, seed)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 
@@ -310,6 +307,6 @@ def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
     """
     if f.source != T.source.base or f.target != T.target.base:
         raise ValueError("map must go from the operator's source base to its target base")
-    if R < 0:
+    if not R >= 0:
         raise ValueError("support radius must be >= 0")
     return (T - T.supported_mask(f.values, R)).norm()

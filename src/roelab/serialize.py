@@ -30,8 +30,6 @@ __all__ = [
     "MAGIC",
     "write_operator",
     "read_operator",
-    "operator_to_json",
-    "operator_from_json",
     "load_space",
     "save_space",
     "load_map",
@@ -126,32 +124,13 @@ def read_operator(
     return BlockOperator(source, target, flat[_payload_index(target, source)])
 
 
-def operator_to_json(op: BlockOperator) -> dict:
-    return {
-        "target_space": op.target.base.to_json(),
-        "target_dims": [int(d) for d in op.target.fiber_dims],
-        "source_space": op.source.base.to_json(),
-        "source_dims": [int(d) for d in op.source.fiber_dims],
-        "re": op.matrix.real.tolist(),
-        "im": op.matrix.imag.tolist(),
-    }
-
-
-def operator_from_json(data: dict) -> BlockOperator:
-    target = FiberedSpace(FiniteMetricSpace.from_json(data["target_space"]), data["target_dims"])
-    source = FiberedSpace(FiniteMetricSpace.from_json(data["source_space"]), data["source_dims"])
-    mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    return BlockOperator(source, target, mat)
-
-
 def load_space(path) -> FiniteMetricSpace:
     with open(path) as fh:
         return FiniteMetricSpace.from_json(json.load(fh))
 
 
 def save_space(path, space: FiniteMetricSpace) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_bytes(space.to_json()).decode())
+    write_report(path, space.to_json())
 
 
 def load_map(path) -> PointMap:
@@ -163,15 +142,18 @@ def load_map(path) -> PointMap:
 
 
 def save_map(path, f: PointMap) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_bytes(f.to_json()).decode())
+    write_report(path, f.to_json())
 
 
 def report_bytes(data: dict) -> bytes:
-    """Canonical JSON bytes: sorted keys, fixed indentation, trailing newline."""
-    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+    """Canonical JSON bytes: sorted keys, fixed indentation, trailing newline.
+
+    ValueError on a NaN or infinite number, which JSON cannot represent.
+    """
+    return (json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def write_report(path, data: dict) -> None:
+    payload = report_bytes(data)  # before opening, so a rejected report leaves no file
     with open(path, "wb") as fh:
-        fh.write(report_bytes(data))
+        fh.write(payload)

@@ -82,21 +82,18 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def points(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
-
     def ball(self, x: int, R: float) -> np.ndarray:
         """Closed ball: all points at distance <= R from x."""
         if not 0 <= x < self.n:
             raise ValueError(f"point {x} out of range [0, {self.n})")
-        if R < 0:
+        if not R >= 0:
             raise ValueError("ball radius must be >= 0")
         return np.flatnonzero(self.dist[x] <= R).astype(np.int64)
 
     def neighborhood(self, A, R: float) -> np.ndarray:
         """Union of closed R-balls around the points of A."""
         A = validate_points(A, self.n)
-        if R < 0:
+        if not R >= 0:
             raise ValueError("neighborhood radius must be >= 0")
         if A.size == 0:
             return A
@@ -105,7 +102,7 @@ class FiniteMetricSpace:
 
     def growth_profile(self, R: float) -> int:
         """Largest closed-R-ball cardinality over all centers."""
-        if R < 0:
+        if not R >= 0:
             raise ValueError("radius must be >= 0")
         return int((self.dist <= R).sum(axis=1).max())
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from roelab.cli import main
-from roelab.fixtures import hadamard_fixture
+from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
 from roelab.maps import PointMap
 from roelab.operators import FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes, save_map, save_space, write_operator
@@ -114,10 +114,13 @@ def test_sweep_writes_rows_and_csv(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())["results"]["rows"]
     assert [r["seed"] for r in rows] == [0, 1, 2]
-    assert all(r["verdict"] for r in rows)
+    for r in rows:
+        # closeness(f, h) <= omega_h(R + layers * noise radius) + support radius of the cover
+        _, h, plan = noisy_covering_unitary("identity", 8, r["seed"], 2.0, 1)
+        assert r["closeness_f_h"] <= h.modulus(r["R"] + 2.0) + plan.support_radius
     lines = csv.read_text().strip().split("\n")
     assert len(lines) == 4
-    assert lines[0].startswith("seed,R,")
+    assert lines[0] == "seed,R,closeness_f_h,closeness_fg,closeness_gf"
 
 
 @pytest.fixture
@@ -168,6 +171,22 @@ def test_unwritable_out_exits_2(command, command_argv, tmp_path, capsys):
     assert run(command_argv[command] + ["--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("ql", ["--radius", "nan"], id="ql-nan"),
+    pytest.param("ql", ["--radius", "nan", "--mode", "bounds"], id="ql-bounds-nan"),
+    pytest.param("ql", ["--radius", "inf"], id="ql-inf"),
+    pytest.param("witness", ["--radius", "nan"], id="witness-nan"),
+    pytest.param("outer", ["--radius-grid", "0,nan"], id="outer-nan"),
+    pytest.param("sweep", ["--noise-radius", "nan"], id="sweep-nan"),
+    pytest.param("cover", ["--separation", "nan"], id="cover-nan"),
+])
+def test_non_finite_argument_exits_2(command, extra, command_argv, capsys):
+    # the later flag overrides the valid value in command_argv
+    assert run(command_argv[command] + extra) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ValueError"
 
 
 def test_malformed_space_exits_2(tmp_path, capsys):

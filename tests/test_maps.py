@@ -96,7 +96,6 @@ def test_certify_identity_pair():
     rep = certify_equivalence(identity_map(X), identity_map(X))
     assert rep.closeness_fg == 0
     assert rep.closeness_gf == 0
-    assert rep.verdict
 
 
 def test_certify_halving_doubling():
@@ -105,7 +104,6 @@ def test_certify_halving_doubling():
     rep = certify_equivalence(f, g)
     assert rep.closeness_fg == 0
     assert rep.closeness_gf == 1
-    assert rep.verdict
 
 
 def test_certify_constant_map_still_reports():
@@ -116,7 +114,6 @@ def test_certify_constant_map_still_reports():
     rep = certify_equivalence(f, g)
     assert np.isfinite(rep.closeness_fg)
     assert np.isfinite(rep.closeness_gf)
-    assert rep.verdict  # finite closeness on finite spaces
 
 
 def test_certify_rejects_mismatched_ends():

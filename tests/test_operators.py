@@ -6,7 +6,6 @@ import pytest
 from roelab.operators import (
     BlockOperator,
     FiberedSpace,
-    PowerIterationError,
     identity_operator,
     indicator,
     operator_norm,
@@ -147,10 +146,6 @@ def test_corner_matches_submatrix(rng):
     B, A = [0, 2], [1, 4]
     sub = T.matrix[np.ix_(fib.coords_of(B), fib.coords_of(A))]
     assert T.corner_norm(B, A) == pytest.approx(spectral_norm(sub), abs=1e-14)
-    # corner() keeps ambient shape: zero outside the kept rows/columns
-    full = T.corner(B, A)
-    assert full.matrix.shape == T.matrix.shape
-    assert np.allclose(full.matrix[np.ix_(fib.coords_of(B), fib.coords_of(A))], sub)
 
 
 def test_operator_norm_matches_full_svd(rng):
@@ -168,7 +163,7 @@ def test_operator_norm_certifies_large_blocks(rng):
     X = random_graph_space(rng, 20, extra_edges=4)
     fib = FiberedSpace.uniform(X, 4)  # total 80 forces iterative route
     T = random_operator(rng, fib, fib)
-    cert = operator_norm(T, tol=1e-9)
+    cert = operator_norm(T)
     oracle = np.linalg.svd(T.matrix, compute_uv=False)[0]
     assert cert.method == "power"
     assert cert.residual <= 1e-9 * cert.value**2
@@ -176,13 +171,6 @@ def test_operator_norm_certifies_large_blocks(rng):
     # the certificate vector actually witnesses the value
     witness = np.linalg.norm(T.matrix @ cert.vector) / np.linalg.norm(cert.vector)
     assert witness == pytest.approx(cert.value, rel=1e-7)
-
-
-def test_power_iteration_error_carries_estimate():
-    err = PowerIterationError(1.5, 0.2, 40)
-    assert err.best_estimate == 1.5
-    assert err.residual == 0.2
-    assert "40" in str(err)
 
 
 def test_power_stall_falls_back_to_exact():
@@ -197,10 +185,6 @@ def test_power_stall_falls_back_to_exact():
     assert cert.method == "svd"
     assert cert.iterations == 700
     assert cert.value == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(PowerIterationError) as exc:
-        operator_norm(T, fallback=False)
-    assert exc.value.best_estimate == pytest.approx(1.0, abs=1e-4)
-    assert exc.value.iterations == 700
 
 
 def test_band_truncate_error_nonincreasing(rng):
@@ -257,6 +241,6 @@ def test_supported_mask_structural(rng):
     T = random_operator(rng, fib, fib)
     f_values = np.array([min(i + 1, 5) for i in range(6)])
     kept = T.supported_mask(f_values, 1.0)
-    mask = kept.nonzero_block_mask(tol=0.0)
+    mask = kept.block_frobenius() > 0.0
     ys, xs = np.nonzero(mask)
     assert all(X.dist[f_values[x], y] <= 1.0 for y, x in zip(ys, xs))

@@ -1,6 +1,7 @@
-"""Package surface: every exported name resolves, and nothing is
-configured through the environment."""
+"""Package surface: every exported name resolves, no module imports a
+name it never uses, and nothing is configured through the environment."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -11,6 +12,34 @@ def test_all_exports_resolve():
     missing = [name for name in roelab.__all__ if not hasattr(roelab, name)]
     assert missing == []
     assert len(set(roelab.__all__)) == len(roelab.__all__)
+
+
+def test_no_unused_imports():
+    # the lint step: an imported name must be used in its module or re-exported
+    package = Path(roelab.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = {elt.value for elt in node.value.elts}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and name not in exported
+        ]
+    assert unused == []
 
 
 def test_no_module_reads_the_environment():
