@@ -229,7 +229,7 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
     check_unitary(U)
     if f.source != U.source.base or f.target != U.target.base:
         raise ValueError("map must go from the operator's source base to its target base")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
 
     src = U.source

@@ -158,7 +158,7 @@ def footprint_control(U: BlockOperator, delta: float, r: float) -> float:
     Empty footprints contribute 0.  Nonincreasing in delta, nondecreasing
     in r.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be > 0")
     if not r >= 0:
         raise ValueError("r must be >= 0")

@@ -89,25 +89,34 @@ class FiberedSpace:
         return f"FiberedSpace(n={self.base.n}, total_dim={self.total_dim})"
 
 
-def spectral_norm(mat) -> float:
+def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
     Rectangular inputs go through the Gram matrix of the smaller side when
-    that side is small, which is the common corner-norm shape here.
+    that side is small, which is the common corner-norm shape here.  A
+    (k, rows, cols) stack of equal-shape matrices gives the array of its k
+    values from one batched call, each bit for bit the value of its own
+    matrix: the branch depends on the shape only, and the batched matmul
+    and LAPACK calls run the per-matrix routine on every matrix.
     """
     mat = np.asarray(mat)
+    rows, cols = mat.shape[-2:]
     if mat.size == 0:
-        return 0.0
-    if min(mat.shape) == 1:
-        return float(np.linalg.norm(mat))
-    if min(mat.shape) <= 48 and max(mat.shape) > 2 * min(mat.shape):
-        if mat.shape[0] <= mat.shape[1]:
-            gram = mat @ mat.conj().T
-        else:
-            gram = mat.conj().T @ mat
-        top = np.linalg.eigvalsh(gram)[-1]
-        return float(np.sqrt(max(top, 0.0)))
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
+    if min(rows, cols) == 1:
+        if mat.ndim == 2:
+            return float(np.linalg.norm(mat))
+        # one call per matrix: a batched norm(axis=...) rounds differently
+        return np.array([np.linalg.norm(m) for m in mat])
+    if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols):
+        adj = mat.conj().swapaxes(-1, -2)
+        gram = mat @ adj if rows <= cols else adj @ mat
+        eigs = np.linalg.eigvalsh(gram)
+        if mat.ndim == 2:
+            return float(np.sqrt(max(eigs[-1], 0.0)))
+        return np.sqrt(np.where(eigs[:, -1] < 0.0, 0.0, eigs[:, -1]))  # max(top, 0.0) per matrix
+    tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return float(tops) if mat.ndim == 2 else tops
 
 
 @dataclass

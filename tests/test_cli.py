@@ -91,6 +91,20 @@ def test_ql_banded_unitary(tmp_path):
     assert results["exact"] is True
 
 
+def test_ql_exact_above_limit_exits_2(tmp_path, capsys):
+    X = path_space(17)
+    V = random_band_unitary(FiberedSpace.uniform(X, 1), 1.0, 1, seed=0)
+    space, unitary = tmp_path / "space.json", tmp_path / "V.bin"
+    save_space(space, X)
+    write_operator(unitary, V)
+    code = run(["ql", "--unitary", str(unitary), "--space", str(space),
+                "--radius", "1", "--mode", "exact"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError"
+    assert "limited to 16 points" in err["message"] and "mode='bounds'" in err["message"]
+
+
 def test_outer_roundtrip_cli(tmp_path):
     X = path_space(8)
     fib = FiberedSpace.uniform(X, 1)

@@ -108,6 +108,14 @@ def test_footprint_control_identity_is_zero():
     assert footprint_control(identity_operator(fib), 0.5, 0.0) == 0.0
 
 
+def test_nan_thresholds_raise():
+    U, h, _ = noisy_covering_unitary("identity", 8, 0)
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        footprint_control(U, float("nan"), 1.0)
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        upgrade_trick(U, h, [(0, 1)], float("nan"))
+
+
 def test_minimal_radius_error_reports_worst_point():
     err = MinimalRadiusError(3, 0.42, 0.9)
     assert err.y == 3

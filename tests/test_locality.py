@@ -1,5 +1,8 @@
-"""Quasi-locality: exact enumeration against a naive all-subsets oracle,
-and the screened local search against a plain greedy."""
+"""Quasi-locality: exact enumeration against a naive all-subsets oracle
+and against a per-candidate loop, and the screened local search against a
+plain greedy."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from roelab import locality
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
-from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
+from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, spectral_norm
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
@@ -74,6 +77,110 @@ def test_exact_matches_naive_oracle(rng):
         assert report.exact
         assert report.violation_lower == pytest.approx(report.violation_upper, abs=1e-15)
         assert report.violation_lower == pytest.approx(naive_violation(T, R), abs=1e-12)
+
+
+def reference_exact(T, R):
+    """The exact enumeration as a per-candidate loop: one corner_norm call
+    per closed candidate set, in ascending bitmask order, keeping the
+    first strict maximum."""
+    base = T.source.base
+    n = base.n
+    full = (1 << n) - 1
+    near = [0] * n
+    for x in range(n):
+        for x2 in np.flatnonzero(base.dist[x] <= R):
+            near[x] |= 1 << int(x2)
+    nbhd = np.zeros(1 << n, dtype=np.uint32)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        nbhd[mask] = nbhd[mask ^ low] | near[low.bit_length() - 1]
+    allowed = np.uint32(full) & ~nbhd[1:]
+    closures = np.uint32(full) & ~nbhd[allowed[allowed != 0]]
+    best_value, best_pair = 0.0, None
+    for b_mask in np.unique(closures):
+        b_mask = int(b_mask)
+        a_mask = int(np.uint32(full) & ~nbhd[b_mask])
+        if b_mask == 0 or a_mask == 0:
+            continue
+        B = [i for i in range(n) if b_mask >> i & 1]
+        A = [i for i in range(n) if a_mask >> i & 1]
+        value = T.corner_norm(B, A)
+        if value > best_value:
+            best_value, best_pair = value, (A, B)
+    witness = None
+    if best_pair is not None and best_value > locality._WITNESS_TOL:
+        A, B = best_pair
+        witness = locality._prune_witness(T, B, A, best_value)
+    return locality.LocalityReport(float(R), best_value, best_value, True, witness)
+
+
+def _branch(shape):
+    rows, cols = shape
+    if min(rows, cols) == 1:
+        return "vector"
+    return "gram" if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols) else "svd"
+
+
+def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in range(16):
+        X = random_graph_space(rng, int(rng.integers(3, 13)), extra_edges=int(rng.integers(0, 4)))
+        source = random_fibered(rng, X, max_dim=3)
+        target = random_fibered(rng, X, max_dim=3) if k % 3 == 0 else source
+        T = random_operator(rng, source, target)
+        if k % 4 == 1:
+            T = T.band_truncate(1.0)
+        cases.append((T, float(rng.integers(0, min(3, int(X.diameter))))))
+        if k < 2:
+            cases.append((T, X.diameter + 1.0))  # no separated pair
+    X = random_graph_space(rng, 10, extra_edges=2)
+    fib = random_fibered(rng, X, max_dim=3)
+    zero = 0 * random_operator(rng, fib, fib)
+    # a coordinate permutation ties many corners at exactly 1, so the
+    # first maximum decides the witness
+    perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
+    cases += [(zero, 0.0), (zero, 1.0), (perm, 0.0), (perm, 1.0)]
+    X = random_graph_space(rng, 16, extra_edges=3)
+    fib = random_fibered(rng, X, max_dim=2)
+    cases.append((random_operator(rng, fib, fib), 1.0))
+
+    branches = set()
+
+    def spy(mat):
+        branches.add(_branch(mat.shape[-2:]))
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(locality, "spectral_norm", spy)
+    for T, R in cases:
+        assert quasi_locality_violation(T, R).to_json() == reference_exact(T, R).to_json()
+    assert branches == {"vector", "gram", "svd"}
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (6, 1), (3, 8), (9, 2), (4, 4), (5, 9)])
+def test_spectral_norm_of_a_stack_is_bitwise_per_matrix(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal((6,) + shape) + 1j * rng.standard_normal((6,) + shape)
+    stack[2] = 0.0
+    stack[4] *= 1e-160  # squares near the bottom of the float range
+    values = spectral_norm(stack)
+    assert values.shape == (6,)
+    assert values.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
+
+
+def test_exact_enumeration_memory_stays_bounded():
+    # R = 0 on 16 points makes every proper subset a candidate; the largest
+    # equal-shape group alone is C(16, 8) corners of 16 x 16 complex entries,
+    # 53 MB if gathered at once
+    fib = FiberedSpace.uniform(path_space(16), 2)
+    V = random_band_unitary(fib, 2.0, 1, seed=3)
+    tracemalloc.start()
+    try:
+        quasi_locality_violation(V, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_banded_operator_reports_zero(rng):

@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, no module imports a
-name it never uses, and nothing is configured through the environment."""
+name it never uses, no private definition is left without a caller, and
+nothing is configured through the environment."""
 
 import ast
 import re
@@ -40,6 +41,29 @@ def test_no_unused_imports():
             if name not in used and name not in exported
         ]
     assert unused == []
+
+
+def test_private_definitions_are_referenced():
+    # the lint step for dead code: a module-level _function or _Class must be
+    # named somewhere in the package besides its own definition
+    package = Path(roelab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
 
 
 def test_no_module_reads_the_environment():
