@@ -121,12 +121,14 @@ def _cmd_outer(args) -> tuple[dict, dict]:
 
 
 def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
-    U, h, _ = noisy_covering_unitary(kind, n, seed, noise_radius, layers)
+    U, h, plan = noisy_covering_unitary(kind, n, seed, noise_radius, layers)
     report = extract_pair(U, delta)
     return {
         "seed": seed,
         "R": report.R,
         "closeness_f_h": closeness(report.f, h),
+        # closeness(f, h) is at most omega_h(R + layers * noise radius) + support radius
+        "budget": h.modulus(report.R + layers * noise_radius) + plan.support_radius,
         "closeness_fg": report.equivalence.closeness_fg,
         "closeness_gf": report.equivalence.closeness_gf,
     }
@@ -141,10 +143,10 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
                 "noise_radius": args.noise_radius, "layers": args.layers,
                 "seeds": args.seeds, "delta": args.delta}
     if args.csv:
-        header = "seed,R,closeness_f_h,closeness_fg,closeness_gf"
+        header = "seed,R,closeness_f_h,closeness_fg,closeness_gf,budget"
         lines = [header] + [
             f"{r['seed']},{r['R']:.17g},{r['closeness_f_h']:.17g},"
-            f"{r['closeness_fg']:.17g},{r['closeness_gf']:.17g}"
+            f"{r['closeness_fg']:.17g},{r['closeness_gf']:.17g},{r['budget']:.17g}"
             for r in rows
         ]
         with open(args.csv, "w") as fh:

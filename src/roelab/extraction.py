@@ -5,9 +5,15 @@ some mass of the corners ||chi_{ball(y, R)} U chi_x|| at specific source
 points once R is large enough.  Thresholding at delta picks the map
 g(y) = argmax_x of that corner norm; running the same construction on U*
 gives the partner map f, and the pair is certified as a coarse
-equivalence by direct measurement.  `corner_norm_table` is the one
-kernel for these norms: concentration witnesses and `footprint_control`
-read it as well.
+equivalence by direct measurement (the quantitative scheme of
+Spakula-Willett, "On rigidity of Roe algebras", Adv. Math. 249, 2013).
+
+`corner_norm_table` is the one kernel for these norms, batched over the
+source points of each fiber dimension; concentration witnesses and
+`footprint_control` read it as well.  Corners within 1e-12 of a row's
+maximum count as tied and go to the smallest index, so the extracted
+maps do not depend on the order in which the kernel sums.  The radius
+search returns the table it stopped at, and `extract_pair` reuses it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ __all__ = [
     "extract_pair",
     "footprint_control",
 ]
+
+# corners this close to their row maximum are tied up to rounding
+_TIE_TOL = 1e-12
+# bytes per chunk of the d-dim Gram stacks in `corner_norm_table`
+_GRAM_STACK_BYTES = 2 << 20
 
 
 class MinimalRadiusError(RuntimeError):
@@ -67,60 +78,87 @@ class ExtractionReport:
 def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
     """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||.
 
-    Vectorized over y: restricted Gram matrices of each point's column
-    fiber accumulate through one mask multiplication, then a batched
-    eigenvalue call takes the per-block spectral norms.
+    The ball mask is cast to float once, and the source points are taken
+    in groups of equal fiber dimension: 1-dim fibers in one matrix
+    product of the mask with the squared column moduli, d-dim fibers in
+    one Gram product of the mask with the per-point column outer products
+    and one batched eigenvalue call.  The d-dim stacks are built in chunks
+    of source points of at most `_GRAM_STACK_BYTES` each.  Entries equal
+    the per-point computation up to summation order (a few ulps).
     """
     if not R >= 0:
         raise ValueError("radius must be >= 0")
-    tbase, sbase = U.target.base, U.source.base
-    ball_rows = (tbase.dist <= R)[:, U.target.coord_point]  # (n_y, target coords)
-    out = np.zeros((tbase.n, sbase.n))
-    for x in range(sbase.n):
-        sl = U.source.slice_of(x)
-        cols = U.matrix[:, sl]
-        if cols.shape[1] == 1:
-            out[:, x] = np.sqrt(ball_rows @ (np.abs(cols[:, 0]) ** 2))
-        else:
-            prods = np.einsum("ra,rb->rab", cols.conj(), cols)
-            grams = np.tensordot(ball_rows.astype(float), prods, axes=(1, 0))
-            eigs = np.linalg.eigvalsh(grams)
-            out[:, x] = np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    tbase, source = U.target.base, U.source
+    ball = (tbase.dist <= R)[:, U.target.coord_point].astype(float)  # (n_y, target coords)
+    out = np.zeros((tbase.n, source.base.n))
+    for d in np.unique(source.fiber_dims):
+        points = np.flatnonzero(source.fiber_dims == d)
+        if d == 1:
+            cols = U.matrix[:, source.offsets[points]]
+            out[:, points] = np.sqrt(ball @ (cols.real**2 + cols.imag**2))
+            continue
+        per_point = max(ball.shape) * d * d * 16  # bytes of one point's Gram stack
+        step = max(1, _GRAM_STACK_BYTES // per_point)
+        for chunk in np.array_split(points, -(-points.size // step)):
+            idx = source.offsets[chunk][:, None] + np.arange(d)
+            cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
+            prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
+            # a real product on the interleaved (re, im) pairs: the mask is real
+            grams = (ball @ prods.reshape(len(prods), -1).view(float)).view(complex)
+            eigs = np.linalg.eigvalsh(grams.reshape(tbase.n, chunk.size, d, d))
+            out[:, chunk] = np.sqrt(np.maximum(eigs[..., -1], 0.0))
     return out
 
 
-def minimal_radius(U: BlockOperator, delta: float) -> float:
-    """Smallest realized radius R with max_x ||chi_{ball(y,R)} U chi_x|| > delta
-    for every target point y.
+def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row y, the smallest x whose corner is within `_TIE_TOL` of the
+    row maximum, and that corner.  Corners equal up to rounding thus tie
+    to the smallest index, whatever order the kernel summed in."""
+    top = table.max(axis=1, keepdims=True)
+    values = np.argmax(table >= top - _TIE_TOL, axis=1)
+    return values, table[np.arange(table.shape[0]), values]
 
-    For delta < 1 this always exists on a finite space: at R = diameter
-    the ball is everything and ||U chi_x|| = 1.  The error branch guards
+
+def minimal_radius(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
+    """Smallest realized radius R at which every target point y has a
+    thresholded corner ||chi_{ball(y,R)} U chi_x|| > delta, together with
+    the corner table at that R.
+
+    The test reads the same witness `extract_map` picks (the tie rule of
+    `_threshold`), so the map at the returned R always exists.  For
+    delta < 1 such an R exists on a finite space: at R = diameter the
+    ball is everything and ||U chi_x|| = 1.  The error branch guards
     against numerically degenerate inputs anyway.
     """
     check_unitary(U)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    best = None
+    witness = None
     for R in U.target.base.realized_distances():
-        best = corner_norm_table(U, float(R)).max(axis=1)
-        if (best > delta).all():
-            return float(R)
-    worst = int(np.argmin(best))
-    raise MinimalRadiusError(worst, float(best[worst]), delta)
+        table = corner_norm_table(U, float(R))
+        _, witness = _threshold(table)
+        if (witness > delta).all():
+            return float(R), table
+    worst = int(np.argmin(witness))
+    raise MinimalRadiusError(worst, float(witness[worst]), delta)
 
 
 def extract_map(U: BlockOperator, delta: float, R: float) -> tuple[PointMap, np.ndarray]:
     """The thresholded argmax map g(y) = argmax_x ||chi_{ball(y,R)} U chi_x||.
 
-    Ties resolve to the smallest source index.  Returns the map Y -> X
-    together with the witnessed corner norms, which must all exceed delta.
+    Corners within `_TIE_TOL` (1e-12) of the row maximum count as tied,
+    and ties resolve to the smallest source index.  Returns the map
+    Y -> X together with the witnessed corner norms, which must all
+    exceed delta.
     """
     check_unitary(U)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    table = corner_norm_table(U, R)
-    values = np.argmax(table, axis=1)  # first maximum = smallest index
-    witness = table[np.arange(table.shape[0]), values]
+    return _map_from_table(U, corner_norm_table(U, R), delta, R)
+
+
+def _map_from_table(U: BlockOperator, table: np.ndarray, delta: float, R: float):
+    values, witness = _threshold(table)
     failing = np.flatnonzero(witness <= delta)
     if failing.size:
         raise ValueError(
@@ -135,11 +173,20 @@ def extract_pair(U: BlockOperator, delta: float = 0.5) -> ExtractionReport:
 
     R is the larger of the minimal admissible radii for U and U*, so the
     same radius serves both directions; g comes from U, f from U*, and
-    the equivalence is certified by direct measurement.
+    the equivalence is certified by direct measurement.  Each direction
+    reuses the table its radius search ended on; only a direction whose
+    own radius is below R builds one more table, at R.
     """
-    R = max(minimal_radius(U, delta), minimal_radius(U.adjoint(), delta))
-    g, witness_g = extract_map(U, delta, R)
-    f, witness_f = extract_map(U.adjoint(), delta, R)
+    R_g, table_g = minimal_radius(U, delta)
+    Ustar = U.adjoint()  # after the check, so U* shares U's residual
+    R_f, table_f = minimal_radius(Ustar, delta)
+    R = max(R_g, R_f)
+    if R_g < R:
+        table_g = corner_norm_table(U, R)
+    if R_f < R:
+        table_f = corner_norm_table(Ustar, R)
+    g, witness_g = _map_from_table(U, table_g, delta, R)
+    f, witness_f = _map_from_table(Ustar, table_f, delta, R)
     return ExtractionReport(
         delta=float(delta),
         R=float(R),

@@ -165,15 +165,14 @@ def greedy_net(space: FiniteMetricSpace, s: float) -> np.ndarray:
     within s of some kept point, since a skipped point was within s of an
     earlier one.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("net separation must be >= 0")
     kept: list[int] = []
     covered = np.zeros(space.n, dtype=bool)
     for x in range(space.n):
         if not covered[x]:
             kept.append(x)
-            # covered unless strictly farther than s, so a NaN s covers every point
-            covered |= ~(space.dist[x] > s)
+            covered |= space.dist[x] <= s
     return np.array(kept, dtype=np.int64)
 
 

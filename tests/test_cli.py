@@ -131,10 +131,12 @@ def test_sweep_writes_rows_and_csv(tmp_path):
     for r in rows:
         # closeness(f, h) <= omega_h(R + layers * noise radius) + support radius of the cover
         _, h, plan = noisy_covering_unitary("identity", 8, r["seed"], 2.0, 1)
-        assert r["closeness_f_h"] <= h.modulus(r["R"] + 2.0) + plan.support_radius
+        assert r["budget"] == h.modulus(r["R"] + 2.0) + plan.support_radius
+        assert r["closeness_f_h"] <= r["budget"]
     lines = csv.read_text().strip().split("\n")
     assert len(lines) == 4
-    assert lines[0] == "seed,R,closeness_f_h,closeness_fg,closeness_gf"
+    assert lines[0] == "seed,R,closeness_f_h,closeness_fg,closeness_gf,budget"
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == [r["budget"] for r in rows]
 
 
 @pytest.fixture

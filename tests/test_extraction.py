@@ -1,8 +1,13 @@
-"""Extraction of coarse maps from unitaries via corner-norm thresholds."""
+"""Extraction of coarse maps from unitaries via corner-norm thresholds,
+and the batched corner kernel against a per-point loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from roelab import extraction
 from roelab.extraction import (
     MinimalRadiusError,
     corner_norm_table,
@@ -13,18 +18,38 @@ from roelab.extraction import (
 )
 from roelab import operators
 from roelab.concentration import concentration_witness
-from roelab.covering import outer_roundtrip, upgrade_trick
+from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
 from roelab.maps import closeness, identity_map
 from roelab.operators import FiberedSpace, random_band_unitary
 from roelab.spaces import path_space
 
-from conftest import random_fibered, random_graph_space
+from conftest import random_fibered, random_graph_space, random_operator
+
+
+def reference_table(U, R):
+    """The corner table as a per-point loop: one column of the table per
+    source point, from that point's columns alone."""
+    tbase, sbase = U.target.base, U.source.base
+    ball_rows = (tbase.dist <= R)[:, U.target.coord_point]
+    out = np.zeros((tbase.n, sbase.n))
+    for x in range(sbase.n):
+        cols = U.matrix[:, U.source.slice_of(x)]
+        if cols.shape[1] == 1:
+            out[:, x] = np.sqrt(ball_rows @ (np.abs(cols[:, 0]) ** 2))
+        else:
+            prods = np.einsum("ra,rb->rab", cols.conj(), cols)
+            grams = np.tensordot(ball_rows.astype(float), prods, axes=(1, 0))
+            eigs = np.linalg.eigvalsh(grams)
+            out[:, x] = np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    return out
 
 
 def test_hadamard_minimal_radius():
     _, U = hadamard_fixture()
-    assert minimal_radius(U, 0.5) == 0.0
+    R, table = minimal_radius(U, 0.5)
+    assert R == 0.0
+    assert table == pytest.approx(np.full((2, 2), 1 / np.sqrt(2)), abs=1e-15)
 
 
 def test_hadamard_tie_breaks_to_smallest_index():
@@ -43,7 +68,7 @@ def test_extract_map_requires_threshold_met():
 
 def test_minimal_radius_nondecreasing_in_delta():
     U = random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 4.0, 5, seed=2)
-    radii = [minimal_radius(U, d) for d in (0.3, 0.5, 0.7, 0.9)]
+    radii = [minimal_radius(U, d)[0] for d in (0.3, 0.5, 0.7, 0.9)]
     assert radii == [0.0, 1.0, 2.0, 6.0]
     assert all(a <= b for a, b in zip(radii, radii[1:]))
 
@@ -58,6 +83,114 @@ def test_corner_norm_table_matches_direct_corners(rng):
             ball = X.ball(y, R)
             for x in range(X.n):
                 assert table[y, x] == pytest.approx(U.corner_norm(ball, [x]), abs=1e-12)
+
+
+def test_corner_norm_table_matches_reference_loop(rng):
+    cases = []
+    for _ in range(6):
+        X = random_graph_space(rng, int(rng.integers(5, 12)), extra_edges=int(rng.integers(0, 4)))
+        fib = random_fibered(rng, X, max_dim=3)
+        U = random_band_unitary(fib, 2.0, 2, seed=int(rng.integers(0, 1000)))
+        T = random_operator(rng, fib, random_fibered(rng, X, max_dim=3))
+        cases += [U, T * (1 / T.norm())]  # corners at most 1, like a unitary's
+    h, _ = standard_pair("halving", 6)
+    W, _ = covering_unitary(h, FiberedSpace(h.source, rng.integers(1, 3, size=h.source.n)))
+    cases += [W, W.adjoint()]  # 1-2 dim fibers onto 2-4 dim ones, and back
+    for T in cases:
+        for R in [0.0] + [float(r) for r in T.target.base.realized_distances()]:
+            assert corner_norm_table(T, R) == pytest.approx(reference_table(T, R), abs=1e-15)
+
+
+def test_corner_norm_table_memory_stays_bounded():
+    rng = np.random.default_rng(5)
+    fib = FiberedSpace.uniform(path_space(400), 2)
+    T = random_operator(rng, fib, fib)
+    tracemalloc.start()
+    try:
+        corner_norm_table(T, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # unchunked, the Gram stacks alone take 47.6 MiB
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), max_dim=st.integers(1, 3))
+def test_corner_tables_nondecreasing_in_radius(seed, n, max_dim):
+    # what makes a table at a smaller admissible radius safe to reuse:
+    # growing the ball only adds positive semidefinite terms to each Gram
+    rng = np.random.default_rng(seed)
+    X = random_graph_space(rng, n, extra_edges=int(rng.integers(0, 3)))
+    T = random_operator(rng, random_fibered(rng, X, max_dim), random_fibered(rng, X, max_dim))
+    radii = [0.0] + [float(r) for r in X.realized_distances()]
+    tables = [corner_norm_table(T, R) for R in radii]
+    for small, large in zip(tables, tables[1:]):
+        assert (large >= small - 1e-12 * np.maximum(small, 1.0)).all()
+
+
+def _extract_inputs():
+    """The `extract` benchmark's shapes (4 layers of radius-2 noise) at
+    four noise seeds, then the 150 inputs of acceptance criterion 3."""
+    for seed in range(4):
+        for kind, n in (("reflection", 200), ("halving", 112)):
+            yield noisy_covering_unitary(kind, n, seed, 2.0, 4)[0], 0.7
+    for kind, n in (("identity", 30), ("reflection", 30), ("halving", 15)):
+        for seed in range(50):
+            yield noisy_covering_unitary(kind, n, seed, 2.0, 1)[0], 0.5
+
+
+def _decisions(U, delta):
+    try:
+        data = extract_pair(U, delta).to_json()
+    except MinimalRadiusError as err:
+        return ("error", err.y)
+    return {key: data[key] for key in ("R", "f", "g", "equivalence")}
+
+
+def test_tie_rule_makes_decisions_kernel_independent(monkeypatch):
+    inputs = list(_extract_inputs())
+    batched = [_decisions(U, delta) for U, delta in inputs]
+    monkeypatch.setattr(extraction, "corner_norm_table", reference_table)
+    looped = [_decisions(U, delta) for U, delta in inputs]
+    assert batched == looped
+
+
+def test_exact_ties_go_to_the_smallest_index():
+    # past R = 2 a ball holds the whole support of many columns, so their
+    # corners are 1 in exact arithmetic and differ only by rounding
+    U, _, _ = noisy_covering_unitary("halving", 8, 0, 1.0, 1)
+    for R in (2.0, 3.0):
+        tied = np.abs(reference_table(U, R) - 1.0) <= 1e-12
+        assert (tied.sum(axis=1) >= 2).all()
+        g, witness = extract_map(U, 0.5, R)
+        assert list(g.values) == list(np.argmax(tied, axis=1))
+        assert witness == pytest.approx(np.ones(U.target.base.n), abs=1e-12)
+
+
+def _radius_and_scan_length(T, delta):
+    R = minimal_radius(T, delta)[0]
+    return R, [float(r) for r in T.target.base.realized_distances()].index(R) + 1
+
+
+def test_extract_pair_reuses_the_admissible_tables():
+    cases = [(noisy_covering_unitary(kind, n, seed, 2.0, 4)[0], 0.7)
+             for kind, n in (("reflection", 40), ("halving", 24)) for seed in range(3)]
+    cases.append((random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 4.0, 5, seed=2), 0.7))
+    for U, delta in cases:
+        R_g, scanned_g = _radius_and_scan_length(U, delta)
+        R_f, scanned_f = _radius_and_scan_length(U.adjoint(), delta)
+        built = []
+        original = extraction.corner_norm_table
+
+        def counted(T, R):
+            built.append(R)
+            return original(T, R)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extraction, "corner_norm_table", counted)
+            report = extract_pair(U, delta)
+        assert report.R == max(R_g, R_f)
+        assert len(built) == scanned_g + scanned_f + (R_g != R_f)
 
 
 def test_extract_pair_identity_noise_only():

@@ -169,8 +169,8 @@ def test_greedy_net_equals_pairwise_scan(rng):
         X = random_graph_space(rng, int(rng.integers(1, 30)), extra_edges=int(rng.integers(0, 8)))
         for s in [0.0] + [float(d) for d in X.realized_distances()]:
             assert list(greedy_net(X, s)) == _scan_net(X, s)
-    X = path_space(6)
-    assert list(greedy_net(X, float("nan"))) == _scan_net(X, float("nan")) == [0]
+    with pytest.raises(ValueError, match="separation"):
+        greedy_net(path_space(6), float("nan"))  # the net [0] would not dominate
 
 
 def test_voronoi_examples():
