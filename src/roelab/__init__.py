@@ -25,10 +25,8 @@ from .maps import (
 from .operators import (
     BlockOperator,
     FiberedSpace,
-    NormCertificate,
     identity_operator,
     indicator,
-    operator_norm,
     random_band_unitary,
     spectral_norm,
 )
@@ -81,8 +79,7 @@ __all__ = [
     "FiniteMetricSpace", "from_edge_list", "path_space",
     "PointMap", "EquivalenceReport", "identity_map", "closeness", "compose",
     "certify_equivalence", "greedy_net", "voronoi_partition",
-    "FiberedSpace", "BlockOperator", "NormCertificate",
-    "indicator", "identity_operator", "operator_norm", "spectral_norm",
+    "FiberedSpace", "BlockOperator", "indicator", "identity_operator", "spectral_norm",
     "random_band_unitary",
     "greedy_signs", "brute_force_signs", "rademacher_average",
     "LocalityReport", "quasi_locality_violation", "approximability_window",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .maps import PointMap, greedy_net, voronoi_partition
 from .operators import BlockOperator, FiberedSpace, check_unitary, spectral_norm
-from .extraction import ExtractionReport, extract_pair
+from .extraction import ExtractionReport, _corner_norms, extract_pair
 from .locality import approximability_window
 
 __all__ = [
@@ -204,13 +204,8 @@ def _support_radius_for(U: BlockOperator, f: PointMap, epsilon: float) -> float:
     for every source point x."""
     tbase = U.target.base
     for R in tbase.realized_distances():
-        worst = 0.0
-        for x in range(U.source.base.n):
-            outside = np.flatnonzero(tbase.dist[f.values[x]] > R)
-            worst = max(worst, U.corner_norm(outside, [x]))
-            if worst > epsilon:
-                break
-        if worst <= epsilon:
+        # row x masks the complement of ball(f(x), R), so the diagonal holds x's corner
+        if np.diagonal(_corner_norms(U, tbase.dist[f.values] > R)).max() <= epsilon:
             return float(R)
     return float(tbase.diameter)
 

@@ -76,9 +76,17 @@ class ExtractionReport:
 
 
 def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
-    """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||.
+    """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||."""
+    if not R >= 0:
+        raise ValueError("radius must be >= 0")
+    return _corner_norms(U, U.target.base.dist <= R)
 
-    The ball mask is cast to float once, and the source points are taken
+
+def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
+    """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
+    given by the rows of a boolean (k, n_target) mask.
+
+    The mask is cast to float once, and the source points are taken
     in groups of equal fiber dimension: 1-dim fibers in one matrix
     product of the mask with the squared column moduli, d-dim fibers in
     one Gram product of the mask with the per-point column outer products
@@ -86,26 +94,24 @@ def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
     of source points of at most `_GRAM_STACK_BYTES` each.  Entries equal
     the per-point computation up to summation order (a few ulps).
     """
-    if not R >= 0:
-        raise ValueError("radius must be >= 0")
-    tbase, source = U.target.base, U.source
-    ball = (tbase.dist <= R)[:, U.target.coord_point].astype(float)  # (n_y, target coords)
-    out = np.zeros((tbase.n, source.base.n))
+    source = U.source
+    mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
+    out = np.zeros((len(rows), source.base.n))
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
         if d == 1:
             cols = U.matrix[:, source.offsets[points]]
-            out[:, points] = np.sqrt(ball @ (cols.real**2 + cols.imag**2))
+            out[:, points] = np.sqrt(mask @ (cols.real**2 + cols.imag**2))
             continue
-        per_point = max(ball.shape) * d * d * 16  # bytes of one point's Gram stack
+        per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
         step = max(1, _GRAM_STACK_BYTES // per_point)
         for chunk in np.array_split(points, -(-points.size // step)):
             idx = source.offsets[chunk][:, None] + np.arange(d)
             cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
             prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
             # a real product on the interleaved (re, im) pairs: the mask is real
-            grams = (ball @ prods.reshape(len(prods), -1).view(float)).view(complex)
-            eigs = np.linalg.eigvalsh(grams.reshape(tbase.n, chunk.size, d, d))
+            grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
+            eigs = np.linalg.eigvalsh(grams.reshape(len(rows), chunk.size, d, d))
             out[:, chunk] = np.sqrt(np.maximum(eigs[..., -1], 0.0))
     return out
 

@@ -35,34 +35,36 @@ def hadamard_fixture() -> tuple[FiberedSpace, BlockOperator]:
 
 
 def reflection_map(n: int) -> PointMap:
-    space = path_space(n)
-    return PointMap(space, space, np.arange(n)[::-1].copy())
+    return standard_pair("reflection", n)[0]
 
 
 def halving_map(n: int) -> PointMap:
     """path_space(2n) -> path_space(n), i -> floor(i / 2)."""
-    return PointMap(path_space(2 * n), path_space(n), np.arange(2 * n) // 2)
+    return standard_pair("halving", n)[0]
 
 
 def doubling_map(n: int) -> PointMap:
     """path_space(n) -> path_space(2n), j -> 2j; coarse partner of halving."""
-    return PointMap(path_space(n), path_space(2 * n), 2 * np.arange(n))
+    return standard_pair("halving", n)[1]
 
 
 def standard_pair(kind: str, n: int) -> tuple[PointMap, PointMap]:
     """A named coarse equivalence (h, partner) on path spaces.
 
-    identity and reflection act on path_space(n); halving collapses
-    path_space(2n) onto path_space(n) with doubling as partner.
+    identity and reflection act on path_space(n) and are their own partners;
+    halving collapses path_space(2n) onto path_space(n) with doubling as
+    partner, and the two maps share both spaces.
     """
     if kind == "identity":
         h = identity_map(path_space(n))
         return h, h
     if kind == "reflection":
-        h = reflection_map(n)
-        return h, reflection_map(n)
+        space = path_space(n)
+        h = PointMap(space, space, np.arange(n)[::-1])
+        return h, h
     if kind == "halving":
-        return halving_map(n), doubling_map(n)
+        fine, coarse = path_space(2 * n), path_space(n)
+        return PointMap(fine, coarse, np.arange(2 * n) // 2), PointMap(coarse, fine, 2 * np.arange(n))
     raise ValueError(f"unknown map kind {kind!r}; expected identity, reflection, or halving")
 
 

@@ -294,7 +294,7 @@ def quasi_locality_violation(
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 
-def approximability_window(T: BlockOperator, R: float, seed: int = 0) -> tuple[float, float]:
+def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     """Window [lower, upper] around the distance from T to the set of
     operators with propagation <= R.
 
@@ -304,7 +304,7 @@ def approximability_window(T: BlockOperator, R: float, seed: int = 0) -> tuple[f
     is used when the space is small enough.
     """
     if T.source.base.n > EXACT_LIMIT:
-        report = quasi_locality_violation(T, R, mode="bounds", seed=seed)
+        report = quasi_locality_violation(T, R, mode="bounds")
         return report.violation_lower, report.violation_upper
     lower = quasi_locality_violation(T, R, mode="exact").violation_lower
     return lower, max(_truncation_upper(T, R), lower)

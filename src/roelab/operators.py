@@ -7,18 +7,13 @@ T[y][x] of shape d_y x d_x.  Band structure (propagation, truncation,
 corners) is always expressed at the block level, so exact zero blocks
 play the role of absent blocks.
 
-Norms: `operator_norm` takes a full SVD up to total dimension 64 and
-power iteration above that.  The power route's residual certificate
-||T*Tv - s^2 v|| <= POWER_TOL * s^2 shows that s = ||Tv|| is a lower
-bound on ||T|| lying near *some* singular value; it does not show that
-s is the largest one.  Internal helpers use exact dense decompositions
-throughout, which is affordable at the few-hundred-dimension scale this
-library targets.
+Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
+and every reported norm is exact.  Its route depends on the shape only:
+a vector norm when one side has size 1, the smaller side's Gram matrix
+when that side is at most 48 and under half the other, else a full SVD.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +22,14 @@ from .spaces import FiniteMetricSpace, validate_points
 __all__ = [
     "FiberedSpace",
     "BlockOperator",
-    "NormCertificate",
     "check_unitary",
     "indicator",
     "identity_operator",
-    "operator_norm",
     "random_band_unitary",
     "spectral_norm",
 ]
 
 PROPAGATION_TOL = 1e-12
-SVD_EXACT_LIMIT = 64
-POWER_TOL = 1e-9
 UNITARITY_TOL = 1e-9
 
 
@@ -89,6 +80,15 @@ class FiberedSpace:
         return f"FiberedSpace(n={self.base.n}, total_dim={self.total_dim})"
 
 
+def _norm_route(rows: int, cols: int) -> str:
+    """The route of `spectral_norm` for a rows x cols matrix: vector, gram or svd."""
+    if min(rows, cols) == 1:
+        return "vector"
+    if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols):
+        return "gram"
+    return "svd"
+
+
 def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
@@ -103,12 +103,13 @@ def spectral_norm(mat):
     rows, cols = mat.shape[-2:]
     if mat.size == 0:
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
-    if min(rows, cols) == 1:
+    route = _norm_route(rows, cols)
+    if route == "vector":
         if mat.ndim == 2:
             return float(np.linalg.norm(mat))
         # one call per matrix: a batched norm(axis=...) rounds differently
         return np.array([np.linalg.norm(m) for m in mat])
-    if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols):
+    if route == "gram":
         adj = mat.conj().swapaxes(-1, -2)
         gram = mat @ adj if rows <= cols else adj @ mat
         eigs = np.linalg.eigvalsh(gram)
@@ -117,18 +118,6 @@ def spectral_norm(mat):
         return np.sqrt(np.where(eigs[:, -1] < 0.0, 0.0, eigs[:, -1]))  # max(top, 0.0) per matrix
     tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
     return float(tops) if mat.ndim == 2 else tops
-
-
-@dataclass
-class NormCertificate:
-    value: float
-    # unit vector v with ||Tv|| = value; on the power route also
-    # ||T*Tv - value^2 v|| <= POWER_TOL * value^2, so value is a lower bound
-    # on ||T|| near some singular value, not certified to be the largest
-    vector: np.ndarray
-    residual: float
-    method: str  # "svd" | "power"
-    iterations: int = 0
 
 
 class BlockOperator:
@@ -296,48 +285,6 @@ def indicator(space: FiberedSpace, A) -> BlockOperator:
 
 def identity_operator(space: FiberedSpace) -> BlockOperator:
     return BlockOperator(space, space, np.eye(space.total_dim, dtype=complex))
-
-
-def operator_norm(T: BlockOperator) -> NormCertificate:
-    """Largest singular value of T with a witness vector.
-
-    Full SVD whenever the total dimension is at most 64; otherwise power
-    iteration on T*T, stopped by the residual test ||T*Tv - s^2 v|| <=
-    POWER_TOL * s^2 within an iteration budget of 10x the total dimension.
-    That test certifies s = ||Tv|| as a lower bound on ||T|| close to some
-    singular value of T, not that s is the largest one.  When the budget
-    runs out (nearly tied top singular values stall the relative residual)
-    the value is settled by a full decomposition and the certificate
-    reports method "svd".
-    """
-    mat = T.matrix
-    rows, cols = mat.shape
-    iterations = 0
-    if max(rows, cols) > SVD_EXACT_LIMIT:
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-        v /= np.linalg.norm(v)
-        iterations = 10 * max(rows, cols)
-        for it in range(1, iterations + 1):
-            w = mat @ v
-            sigma_sq = float(np.real(np.vdot(w, w)))  # = <v, T*Tv> for unit v
-            z = mat.conj().T @ w
-            resid = float(np.linalg.norm(z - sigma_sq * v))
-            if sigma_sq == 0.0:
-                if not mat.any():
-                    return NormCertificate(0.0, v, 0.0, "power", it)
-                v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-                v /= np.linalg.norm(v)
-                continue
-            if resid <= POWER_TOL * sigma_sq:
-                return NormCertificate(float(np.sqrt(sigma_sq)), v, resid, "power", it)
-            v = z / np.linalg.norm(z)
-    # exact, or the near-degenerate top of the spectrum stalled the iteration
-    _, svals, vh = np.linalg.svd(mat)
-    sigma = float(svals[0])
-    v = vh[0].conj()
-    resid = float(np.linalg.norm(mat.conj().T @ (mat @ v) - sigma**2 * v))
-    return NormCertificate(sigma, v, resid, "svd", iterations)
 
 
 def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -> BlockOperator:

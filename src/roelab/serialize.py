@@ -102,24 +102,27 @@ def read_operator(
             raise ValueError(f"file records {n} points, supplied space has {base.n}")
         dims = np.frombuffer(raw, dtype="<u4", count=n, offset=nonlocal_pos).astype(np.int64)
         nonlocal_pos += 4 * n
-        return FiberedSpace(base, dims), nonlocal_pos
+        return dims, nonlocal_pos
 
-    target, pos = read_dims(target_base, pos)
+    dims_t, pos = read_dims(target_base, pos)
     if rectangular:
         if source_base is None:
             raise ValueError("rectangular operator file needs an explicit source space")
-        source, pos = read_dims(source_base, pos)
+        dims_s, pos = read_dims(source_base, pos)
     else:
         if source_base is not None and source_base != target_base:
             raise ValueError("square operator file, but a different source space was supplied")
-        source = target
+        dims_s = dims_t
 
-    expected = target.total_dim * source.total_dim
+    # checked before the fibered spaces allocate for the claimed dimensions
+    expected = int(dims_t.sum()) * int(dims_s.sum())
     payload = np.frombuffer(raw, dtype="<f8", offset=pos)
     if payload.size != 2 * expected:
         raise ValueError(
             f"payload holds {payload.size // 2} entries, expected {expected}"
         )
+    target = FiberedSpace(target_base, dims_t)
+    source = FiberedSpace(source_base, dims_s) if rectangular else target
     flat = payload[0::2] + 1j * payload[1::2]
     return BlockOperator(source, target, flat[_payload_index(target, source)])
 

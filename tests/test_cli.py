@@ -1,6 +1,7 @@
 """End-to-end CLI runs against files on disk."""
 
 import json
+import struct
 import threading
 
 import numpy as np
@@ -215,6 +216,18 @@ def test_malformed_space_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ValueError"
     assert "symmetr" in err["error"]["message"] or "metric" in err["error"]["message"]
+
+
+def test_oversized_header_exits_2(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    save_space(space, path_space(1))
+    unitary = tmp_path / "huge.bin"
+    unitary.write_bytes(b"ROELAB1\x00" + struct.pack("<II", 1, 1 << 22))
+    code = run(["extract", "--unitary", str(unitary), "--space", str(space)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ValueError"
+    assert "payload" in err["error"]["message"]
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -8,15 +8,32 @@ from roelab.covering import (
     outer_roundtrip,
     upgrade_trick,
 )
-from roelab.fixtures import noisy_covering_unitary, reflection_map
+from roelab.fixtures import noisy_covering_unitary, reflection_map, standard_pair
 from roelab.locality import supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.spaces import path_space
 
+from conftest import random_fibered, random_graph_space
+
 
 def halving_map_10():
     return PointMap(path_space(10), path_space(5), [i // 2 for i in range(10)])
+
+
+def reference_support_radius(U, f, epsilon):
+    """The support radius as a per-point corner_norm loop."""
+    tbase = U.target.base
+    for R in tbase.realized_distances():
+        worst = 0.0
+        for x in range(U.source.base.n):
+            outside = np.flatnonzero(tbase.dist[f.values[x]] > R)
+            worst = max(worst, U.corner_norm(outside, [x]))
+            if worst > epsilon:
+                break
+        if worst <= epsilon:
+            return float(R)
+    return float(tbase.diameter)
 
 
 def dft_operator(n, fiber_dim=1):
@@ -169,6 +186,30 @@ def test_upgrade_spread_unitary_with_room_meets_epsilon():
     mask = res.t.block_frobenius() > 1e-12
     ys, xs = np.nonzero(mask)
     assert all(X.dist[x, y] <= res.R for y, x in zip(ys, xs))
+
+
+def test_upgrade_radius_matches_per_point_loop(rng):
+    cases = []
+    for seed in range(8):
+        X = random_graph_space(rng, int(rng.integers(5, 12)), extra_edges=int(rng.integers(0, 4)))
+        U = random_band_unitary(random_fibered(rng, X), 1.0, int(rng.integers(1, 4)), seed)
+        cases.append((U, PointMap(X, X, rng.integers(0, X.n, size=X.n))))
+        cases.append((U, identity_map(X)))
+    for kind in ("identity", "reflection", "halving"):
+        for seed in range(3):
+            U, h, _ = noisy_covering_unitary(kind, 6, seed, layers=2)
+            cases.append((U, h))
+    for U, f in cases:
+        for eps in (0.05, 0.2, 0.5, 0.9):
+            assert upgrade_trick(U, f, [], eps).R == reference_support_radius(U, f, eps)
+
+
+def test_standard_pairs_share_their_spaces():
+    h, partner = standard_pair("halving", 4)
+    assert h.source is partner.target and h.target is partner.source
+    h, partner = standard_pair("reflection", 5)
+    assert h is partner
+    assert list(h.values) == [4, 3, 2, 1, 0]
 
 
 def test_upgrade_rejects_duplicate_points():

@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, no module imports a
-name it never uses, no private definition is left without a caller, and
-nothing is configured through the environment."""
+name it never uses, no private definition or module-level name is left
+without a reader, and nothing is configured through the environment."""
 
 import ast
 import re
@@ -43,26 +43,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_private_definitions_are_referenced():
     # the lint step for dead code: a module-level _function or _Class must be
-    # named somewhere in the package besides its own definition
+    # named somewhere in the package besides its own definition, and a
+    # module-level assigned name (a constant, say) must be read somewhere in
+    # the package or be listed in its module's __all__
     package = Path(roelab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    unreferenced = [
-        f"{name}:{node.lineno} {node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and node.name not in referenced
-    ]
+    unreferenced = []
+    for name, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and node.name not in referenced:
+                    unreferenced.append(f"{name}:{node.lineno} {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                unreferenced += [
+                    f"{name}:{node.lineno} {target.id}"
+                    for target in _assigned_names(node)
+                    if not (target.id.startswith("__") and target.id.endswith("__"))
+                    and target.id not in referenced
+                    and target.id not in exported
+                ]
     assert unreferenced == []
 
 

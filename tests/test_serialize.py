@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ def test_truncated_payload_rejected(rng, tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="payload"):
         read_operator(path, path_space(3))
+
+
+def test_oversized_header_rejected_before_allocating(tmp_path):
+    # one point with a 2^22-dim fiber and no payload: building its
+    # coordinate arrays alone would take 32 MiB
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"ROELAB1\x00" + struct.pack("<II", 1, 1 << 22))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="payload"):
+            read_operator(path, path_space(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_square_file_with_foreign_source_rejected(rng, tmp_path):
