@@ -4,9 +4,10 @@ Each subcommand loads its inputs, runs one analysis, and writes a JSON
 report of the form {scenario, versions, results, timings}.  Reports are
 deterministic byte for byte except for the timings field; sweeps also
 emit CSV.  Errors exit with code 2 and a structured error JSON on
-stdout.  Each `_cmd_*` returns its (scenario, results) pair, and `main`
-times it and writes the report.  Every setting is a command-line
-argument; nothing is read from the environment.
+stdout.  Each `_cmd_*` returns its results; `main` times it and writes
+the report, whose scenario is the subcommand as `kind` plus every parsed
+argument except `--out`.  Every setting is a command-line argument;
+nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -51,16 +52,12 @@ def _emit(out: str | None, scenario: dict, results: dict, elapsed: float) -> Non
 
 def _load_unitary(args):
     target = load_space(args.space)
-    source = load_space(args.source_space) if getattr(args, "source_space", None) else None
+    source = load_space(args.source_space) if args.source_space else None
     return read_operator(args.unitary, target, source)
 
 
-def _cmd_extract(args) -> tuple[dict, dict]:
-    U = _load_unitary(args)
-    report = extract_pair(U, args.delta)
-    scenario = {"kind": "extract", "unitary": args.unitary, "space": args.space,
-                "source_space": args.source_space, "delta": args.delta}
-    return scenario, report.to_json()
+def _cmd_extract(args) -> dict:
+    return extract_pair(_load_unitary(args), args.delta).to_json()
 
 
 def _parse_fibers(spec: str, n: int) -> np.ndarray:
@@ -72,38 +69,27 @@ def _parse_fibers(spec: str, n: int) -> np.ndarray:
     return np.array([int(p) for p in parts])
 
 
-def _cmd_cover(args) -> tuple[dict, dict]:
+def _cmd_cover(args) -> dict:
     f = load_map(args.map)
     source = FiberedSpace(f.source, _parse_fibers(args.fibers, f.source.n))
     U, plan = covering_unitary(f, source, separation=args.separation)
     if args.save_unitary:
         write_operator(args.save_unitary, U)
-    results = {
+    return {
         "plan": plan.to_json(),
         "unitarity_residual": U.unitarity_residual(),
         "support_radius": plan.support_radius,
     }
-    scenario = {"kind": "cover", "map": args.map, "fibers": args.fibers,
-                "separation": args.separation, "save_unitary": args.save_unitary}
-    return scenario, results
 
 
-def _cmd_witness(args) -> tuple[dict, dict]:
-    U = _load_unitary(args)
+def _cmd_witness(args) -> dict:
     h_index = None if args.sweep_h else args.h_index
-    witness = concentration_witness(U, args.y, args.radius, h_index)
-    scenario = {"kind": "witness", "unitary": args.unitary, "space": args.space,
-                "source_space": args.source_space, "y": args.y, "radius": args.radius,
-                "h_index": h_index}
-    return scenario, witness.to_json()
+    return concentration_witness(_load_unitary(args), args.y, args.radius, h_index).to_json()
 
 
-def _cmd_ql(args) -> tuple[dict, dict]:
+def _cmd_ql(args) -> dict:
     U = _load_unitary(args)
-    report = quasi_locality_violation(U, args.radius, mode=args.mode, seed=args.seed)
-    scenario = {"kind": "quasi-locality", "unitary": args.unitary, "space": args.space,
-                "radius": args.radius, "mode": args.mode, "seed": args.seed}
-    return scenario, report.to_json()
+    return quasi_locality_violation(U, args.radius, mode=args.mode, seed=args.seed).to_json()
 
 
 def _parse_grid(raw: str | None):
@@ -112,12 +98,9 @@ def _parse_grid(raw: str | None):
     return [float(v) for v in raw.split(",") if v.strip()]
 
 
-def _cmd_outer(args) -> tuple[dict, dict]:
+def _cmd_outer(args) -> dict:
     U = _load_unitary(args)
-    report = outer_roundtrip(U, args.delta, _parse_grid(args.radius_grid))
-    scenario = {"kind": "outer", "unitary": args.unitary, "space": args.space,
-                "delta": args.delta, "radius_grid": args.radius_grid}
-    return scenario, report.to_json()
+    return outer_roundtrip(U, args.delta, _parse_grid(args.radius_grid)).to_json()
 
 
 def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
@@ -134,14 +117,11 @@ def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, d
     }
 
 
-def _cmd_sweep(args) -> tuple[dict, dict]:
+def _cmd_sweep(args) -> dict:
     rows = [
         _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
         for s in range(args.seeds)
     ]
-    scenario = {"kind": "roundtrip-sweep", "h": args.h, "n": args.n,
-                "noise_radius": args.noise_radius, "layers": args.layers,
-                "seeds": args.seeds, "delta": args.delta}
     if args.csv:
         header = "seed,R,closeness_f_h,closeness_fg,closeness_gf,budget"
         lines = [header] + [
@@ -151,7 +131,7 @@ def _cmd_sweep(args) -> tuple[dict, dict]:
         ]
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    return scenario, {"rows": rows}
+    return {"rows": rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,8 +200,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        scenario, results = args.func(args)
-        _emit(args.out, scenario, results, time.perf_counter() - t0)
+        results = args.func(args)
+        settings = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+        _emit(args.out, {"kind": args.command, **settings}, results, time.perf_counter() - t0)
     except Exception as exc:  # structured error contract for scripts
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(report_bytes(error).decode())

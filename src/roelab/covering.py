@@ -169,7 +169,7 @@ class UpgradeResult:
     error: float  # ||t - UVp||
     R: float
     epsilon: float
-    ortho_residual: float  # largest pairwise product norm among discarded terms
+    ortho_residual: float  # largest ||d_i* d_j|| over pairs of discarded terms
     points: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -315,8 +315,8 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
     ortho = 0.0
     for i in range(len(discarded)):
         for j in range(i + 1, len(discarded)):
+            # only d_i* d_j can be nonzero: d_i d_j* pairs disjoint column blocks
             ortho = max(ortho, spectral_norm(discarded[i].conj().T @ discarded[j]))
-            ortho = max(ortho, spectral_norm(discarded[i] @ discarded[j].conj().T))
     error = spectral_norm(t_mat - uvp)
     return UpgradeResult(
         V=V,

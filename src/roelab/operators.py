@@ -9,8 +9,12 @@ play the role of absent blocks.
 
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
 and every reported norm is exact.  Its route depends on the shape only:
-a vector norm when one side has size 1, the smaller side's Gram matrix
-when that side is at most 48 and under half the other, else a full SVD.
+a full SVD for a square matrix, the top eigenvalue of the smaller side's
+Gram matrix for a rectangular one.  The square inputs are unitarity
+residuals and differences T - T_R, where the SVD is the cheaper of the
+two; the rectangular ones are corners, often stacked, where one batched
+Gram eigenvalue call is.  Operator entries stay below 1e150 in modulus,
+so the squares in a Gram product cannot overflow.
 """
 
 from __future__ import annotations
@@ -81,42 +85,36 @@ class FiberedSpace:
 
 
 def _norm_route(rows: int, cols: int) -> str:
-    """The route of `spectral_norm` for a rows x cols matrix: vector, gram or svd."""
-    if min(rows, cols) == 1:
-        return "vector"
-    if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols):
-        return "gram"
-    return "svd"
+    """The route of `spectral_norm` for a rows x cols matrix: svd or gram."""
+    return "svd" if rows == cols else "gram"
 
 
 def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
-    Rectangular inputs go through the Gram matrix of the smaller side when
-    that side is small, which is the common corner-norm shape here.  A
-    (k, rows, cols) stack of equal-shape matrices gives the array of its k
-    values from one batched call, each bit for bit the value of its own
-    matrix: the branch depends on the shape only, and the batched matmul
-    and LAPACK calls run the per-matrix routine on every matrix.
+    A square matrix gets a full SVD.  A rectangular one, a vector
+    included, gets the square root of the top eigenvalue of its smaller
+    side's Gram matrix.  The rule follows the measured traffic: the
+    square inputs (unitarity residuals, T - T_R) are sparse residuals on
+    which the SVD is faster, and the rectangular ones are corners, mostly
+    in stacks, on which one batched eigenvalue call is faster; a single
+    vector pays a few microseconds for it.
+
+    A (k, rows, cols) stack of equal-shape matrices gives the array of
+    its k values from one batched call, each bit for bit the value of its
+    own matrix: the route depends on the shape only, and the batched
+    matmul and LAPACK calls run the per-matrix routine on every matrix.
     """
     mat = np.asarray(mat)
     rows, cols = mat.shape[-2:]
     if mat.size == 0:
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
-    route = _norm_route(rows, cols)
-    if route == "vector":
-        if mat.ndim == 2:
-            return float(np.linalg.norm(mat))
-        # one call per matrix: a batched norm(axis=...) rounds differently
-        return np.array([np.linalg.norm(m) for m in mat])
-    if route == "gram":
+    if _norm_route(rows, cols) == "svd":
+        tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    else:
         adj = mat.conj().swapaxes(-1, -2)
-        gram = mat @ adj if rows <= cols else adj @ mat
-        eigs = np.linalg.eigvalsh(gram)
-        if mat.ndim == 2:
-            return float(np.sqrt(max(eigs[-1], 0.0)))
-        return np.sqrt(np.where(eigs[:, -1] < 0.0, 0.0, eigs[:, -1]))  # max(top, 0.0) per matrix
-    tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
+        top = np.linalg.eigvalsh(mat @ adj if rows < cols else adj @ mat)[..., -1]
+        tops = np.sqrt(np.where(top < 0.0, 0.0, top))  # max(top, 0.0) per matrix
     return float(tops) if mat.ndim == 2 else tops
 
 
@@ -133,8 +131,9 @@ class BlockOperator:
         expected = (target.total_dim, source.total_dim)
         if matrix.shape != expected:
             raise ValueError(f"matrix shape {matrix.shape} does not match fibers {expected}")
-        if not np.isfinite(matrix.view(float)).all():
-            raise ValueError("operator entries must be finite")
+        # NaN fails this test too; below 1e150, squares in Gram products cannot overflow
+        if not np.abs(matrix.view(float)).max(initial=0.0) < 1e150:
+            raise ValueError("operator entries must be finite and below 1e150 in modulus")
         self.source = source
         self.target = target
         self.matrix = matrix  # a private copy, so the cached residual stays valid

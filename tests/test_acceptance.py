@@ -460,7 +460,7 @@ def test_criterion_7(capfd):
 def run_criterion_8():
     rng = np.random.default_rng(2608)
     max_diff = 0.0
-    routes = {"vector": 0, "gram": 0, "svd": 0}
+    routes = {"gram": 0, "svd": 0}
     for k in range(500):
         lo, hi = ((1, 13) if k % 2 else (30, 111))
         m, n = (int(v) for v in rng.integers(lo, hi, size=2))

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from roelab.cli import main
+from roelab.cli import _build_parser, main
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
 from roelab.maps import PointMap
 from roelab.operators import FiberedSpace, random_band_unitary
@@ -158,6 +158,16 @@ def command_argv(hadamard_files, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", ["extract", "cover", "witness", "ql", "outer", "sweep"])
+def test_scenario_records_every_parsed_argument(command, command_argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(command_argv[command] + ["--out", str(out)]) == 0
+    parsed = vars(_build_parser().parse_args(command_argv[command]))
+    scenario = json.loads(out.read_text())["scenario"]
+    assert set(scenario) == set(parsed) - {"func", "command", "out"} | {"kind"}
+    assert scenario["kind"] == command
+
+
 @pytest.mark.parametrize("command", ["extract", "sweep"])
 def test_repeated_run_identical_apart_from_timings(command, command_argv, tmp_path):
     reports = []
@@ -216,6 +226,39 @@ def test_malformed_space_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ValueError"
     assert "symmetr" in err["error"]["message"] or "metric" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("space_json", [
+    pytest.param('{"n": 2, "dist": [[0, NaN], [NaN, 0]]}', id="dist-nan"),
+    pytest.param('{"n": 2, "dist": [[0, Infinity], [Infinity, 0]]}', id="dist-inf"),
+    pytest.param('{"n": 2, "edges": [[0, NaN]]}', id="edges-nan"),
+])
+def test_non_finite_space_exits_2(space_json, hadamard_files, tmp_path, capsys):
+    _, unitary = hadamard_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(space_json)
+    assert run(["extract", "--unitary", unitary, "--space", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("ql", ["--radius", "0"], id="ql"),
+    pytest.param("extract", [], id="extract"),
+])
+def test_huge_entries_exit_2(command, extra, tmp_path, capsys):
+    X = path_space(4)
+    V = random_band_unitary(FiberedSpace.uniform(X, 1), 1.0, 1, seed=0)
+    space, unitary = tmp_path / "space.json", tmp_path / "V.bin"
+    save_space(space, X)
+    write_operator(unitary, V)
+    raw = unitary.read_bytes()
+    header = len(raw) - 16 * V.matrix.size
+    unitary.write_bytes(raw[:header] + (np.frombuffer(raw, "<f8", offset=header) * 1e160).tobytes())
+    assert run([command, "--unitary", str(unitary), "--space", str(space)] + extra) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "operator entries must be finite and below 1e150 in modulus"}
 
 
 def test_oversized_header_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roelab import locality
+from roelab import locality, operators
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
@@ -114,13 +114,6 @@ def reference_exact(T, R):
     return locality.LocalityReport(float(R), best_value, best_value, True, witness)
 
 
-def _branch(shape):
-    rows, cols = shape
-    if min(rows, cols) == 1:
-        return "vector"
-    return "gram" if min(rows, cols) <= 48 and max(rows, cols) > 2 * min(rows, cols) else "svd"
-
-
 def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
     rng = np.random.default_rng(7)
     cases = []
@@ -148,13 +141,13 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
     branches = set()
 
     def spy(mat):
-        branches.add(_branch(mat.shape[-2:]))
+        branches.add(operators._norm_route(*mat.shape[-2:]))
         return spectral_norm(mat)
 
     monkeypatch.setattr(locality, "spectral_norm", spy)
     for T, R in cases:
         assert quasi_locality_violation(T, R).to_json() == reference_exact(T, R).to_json()
-    assert branches == {"vector", "gram", "svd"}
+    assert branches == {"gram", "svd"}
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (6, 1), (3, 8), (9, 2), (4, 4), (5, 9)])

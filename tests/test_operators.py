@@ -38,6 +38,20 @@ def test_fibered_space_rejects_zero_dims():
         FiberedSpace(path_space(2), [1, 0])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e150, -1e150j, 1e160])
+def test_operator_rejects_entries_at_or_above_1e150(entry):
+    fib = FiberedSpace(path_space(2), [1, 2])
+    mat = np.eye(3, dtype=complex)
+    mat[1, 2] = entry
+    with pytest.raises(ValueError, match="finite and below 1e150 in modulus"):
+        BlockOperator(fib, fib, mat)
+    mat[1, 2] = 0.9999e150 + 0.9999e150j  # each part below the limit
+    T = BlockOperator(fib, fib, mat)
+    assert T.norm() > 1e150
+    # a 2 x 3 corner, so the Gram route: its entries stay finite
+    assert T.corner_norm([1], [0, 1]) == pytest.approx(T.norm(), rel=1e-12)
+
+
 def test_from_blocks_absent_means_zero():
     fib = FiberedSpace(path_space(3), [1, 2, 1])
     T = BlockOperator.from_blocks(fib, fib, {(0, 1): np.ones((1, 2))})

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
-without a reader, and nothing is configured through the environment."""
+without a reader, nothing is configured through the environment, and
+every norm goes through `operators.spectral_norm`."""
 
 import ast
 import re
@@ -94,3 +95,15 @@ def test_no_module_reads_the_environment():
         if re.search(r"os\.environ|getenv", path.read_text())
     ]
     assert readers == []
+
+
+def test_norms_are_taken_only_in_operators():
+    # the one norm path: no module but operators.py computes a norm by itself
+    package = Path(roelab.__file__).parent
+    pattern = re.compile(r"linalg\.norm\b|svd\([^()]*compute_uv\s*=\s*False")
+    takers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py" and pattern.search(path.read_text())
+    ]
+    assert takers == []
