@@ -23,10 +23,10 @@ from . import __version__
 from .concentration import concentration_witness
 from .covering import covering_unitary, outer_roundtrip
 from .extraction import extract_pair
-from .fixtures import noisy_covering_unitary
+from .fixtures import standard_pair
 from .locality import quasi_locality_violation
 from .maps import closeness
-from .operators import FiberedSpace
+from .operators import FiberedSpace, random_band_unitary
 from .serialize import load_map, load_space, read_operator, report_bytes, write_operator, write_report
 
 __all__ = ["main"]
@@ -103,8 +103,8 @@ def _cmd_outer(args) -> dict:
     return outer_roundtrip(U, args.delta, _parse_grid(args.radius_grid)).to_json()
 
 
-def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
-    U, h, plan = noisy_covering_unitary(kind, n, seed, noise_radius, layers)
+def _sweep_one(h, W, plan, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
+    U = W @ random_band_unitary(W.source, noise_radius, layers, seed)
     report = extract_pair(U, delta)
     return {
         "seed": seed,
@@ -118,8 +118,11 @@ def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, d
 
 
 def _cmd_sweep(args) -> dict:
+    # only the band noise depends on the seed: h and its cover W are shared
+    h, _ = standard_pair(args.h, args.n)
+    W, plan = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
     rows = [
-        _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
+        _sweep_one(h, W, plan, s, args.noise_radius, args.layers, args.delta)
         for s in range(args.seeds)
     ]
     if args.csv:

@@ -47,7 +47,7 @@ class MinimalRadiusError(RuntimeError):
     def __init__(self, y: int, best_norm: float, delta: float):
         super().__init__(
             f"no admissible radius: at full diameter the best corner norm at "
-            f"point {y} is {best_norm:.6g} <= delta = {delta:g}"
+            f"point {y} is {best_norm!r} <= delta = {delta!r}"
         )
         self.y = y
         self.best_norm = best_norm

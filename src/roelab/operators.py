@@ -292,7 +292,10 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     Each layer pairs up basis vectors sitting at points within distance R
     (pairs disjoint within the layer) and applies an independent random
     SU(2) rotation to every pair; unpaired vectors get a random phase.
-    Deterministic for a fixed seed.
+    The pairing loop only draws: each layer's rotations are applied after
+    it in one batched (k, 2, 2) @ (k, 2, n) product and its phases in one
+    row-scaled multiply, which is exact because the pairs and lone
+    vectors of a layer are disjoint.  Deterministic for a fixed seed.
     """
     if not R >= 0:
         raise ValueError("band radius must be >= 0")
@@ -305,6 +308,7 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     for _ in range(layers):
         order = rng.permutation(n_coords)
         used = np.zeros(n_coords, dtype=bool)
+        pairs, rotations, lone, phases = [], [], [], []
         for p in order:
             if used[p]:
                 continue
@@ -312,15 +316,21 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
             near = ~used & (space.base.dist[pt[p], pt] <= R)
             candidates = np.flatnonzero(near)
             if candidates.size == 0:
-                mat[p, :] *= np.exp(2j * np.pi * rng.random())
+                lone.append(p)
+                phases.append(np.exp(2j * np.pi * rng.random()))
                 continue
-            q = int(rng.choice(candidates))
+            q = int(candidates[rng.integers(candidates.size)])
             used[q] = True
             theta = rng.random() * 2 * np.pi
             alpha = rng.random() * 2 * np.pi
             beta = rng.random() * 2 * np.pi
             a = np.cos(theta) * np.exp(1j * alpha)
             b = np.sin(theta) * np.exp(1j * beta)
-            g = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-            mat[[p, q], :] = g @ mat[[p, q], :]
+            pairs.append((p, q))
+            rotations.append([[a, -np.conj(b)], [b, np.conj(a)]])
+        if pairs:
+            pq = np.array(pairs)
+            mat[pq] = np.array(rotations) @ mat[pq]
+        if lone:
+            mat[lone] *= np.array(phases)[:, None]
     return BlockOperator(space, space, mat)

@@ -191,7 +191,15 @@ def run_criterion_3():
             "closeness_max": float(max(values)) if values else None,
             "closeness_median": float(np.median(values)) if values else None,
         }
-    return {"kinds": kinds}
+    # deep noise and a high threshold: every seed's radius search passes R = 0
+    search = {"R": [], "closeness": [], "budgets": []}
+    for seed in range(8):
+        U, h, plan = noisy_covering_unitary("halving", 40, seed, 2.0, 8)
+        rep = extract_pair(U, 0.9)
+        search["R"].append(float(rep.R))
+        search["closeness"].append(float(closeness(rep.f, h)))
+        search["budgets"].append(h.modulus(rep.R + 8 * 2.0) + plan.support_radius)
+    return {"kinds": kinds, "radius_search": search}
 
 
 def test_criterion_3(capfd):
@@ -211,6 +219,13 @@ def test_criterion_3(capfd):
             failures.append(
                 f"{kind}: closeness max {data['closeness_max']} exceeds "
                 f"2x median {data['closeness_median']}")
+    search = results["radius_search"]
+    if min(search["R"]) < 1:
+        failures.append(f"deep-noise halving: radius search stopped at R = {search['R']}")
+    over = [seed for seed, (c, b) in enumerate(zip(search["closeness"], search["budgets"]))
+            if not c <= b]
+    if over:
+        failures.append(f"deep-noise halving: closeness(f, h) over budget at seeds {over}")
     if elapsed >= 180.0:
         failures.append(f"runtime {elapsed:.1f}s over the 3min budget")
     spread = ", ".join(
@@ -219,7 +234,8 @@ def test_criterion_3(capfd):
     slack = max(c - b for d in results["kinds"].values()
                 for c, b in zip(d["closeness"], d["budgets"]))
     _finish(capfd, 3, failures, elapsed,
-            f"150 extractions: {spread}; largest closeness - budget {slack}")
+            f"150 extractions: {spread}; largest closeness - budget {slack}; "
+            f"deep-noise halving at R = {sorted(set(search['R']))}")
 
 
 # -- 4: covering unitaries are exactly supported and compose ---------------

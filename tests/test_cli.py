@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from roelab.cli import _build_parser, main
+from roelab.extraction import extract_pair
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
-from roelab.maps import PointMap
+from roelab.maps import PointMap, closeness
 from roelab.operators import FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes, save_map, save_space, write_operator
 from roelab.spaces import path_space
@@ -138,6 +139,29 @@ def test_sweep_writes_rows_and_csv(tmp_path):
     assert len(lines) == 4
     assert lines[0] == "seed,R,closeness_f_h,closeness_fg,closeness_gf,budget"
     assert [float(line.split(",")[-1]) for line in lines[1:]] == [r["budget"] for r in rows]
+
+
+@pytest.mark.parametrize("kind, n, layers, seeds", [("halving", 40, 2, 4), ("reflection", 12, 1, 3)])
+def test_sweep_rows_match_a_cover_built_per_seed(kind, n, layers, seeds, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--h", kind, "--n", str(n), "--layers", str(layers),
+                "--seeds", str(seeds), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["rows"]
+    assert len(rows) == seeds
+    for seed, row in enumerate(rows):
+        U, h, plan = noisy_covering_unitary(kind, n, seed, 2.0, layers)
+        rep = extract_pair(U, 0.5)
+        expected = {
+            "seed": seed,
+            "R": rep.R,
+            "closeness_f_h": closeness(rep.f, h),
+            "budget": h.modulus(rep.R + layers * 2.0) + plan.support_radius,
+            "closeness_fg": rep.equivalence.closeness_fg,
+            "closeness_gf": rep.equivalence.closeness_gf,
+        }
+        assert row.keys() == expected.keys()
+        for key in expected:
+            assert row[key] == expected[key], key
 
 
 @pytest.fixture

@@ -248,3 +248,18 @@ def test_outer_roundtrip_respects_radius_grid():
     U, _, _ = noisy_covering_unitary("identity", 8, seed=7)
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 2.0, 4.0])
     assert [r for r, _, _ in rep.windows] == [0.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outer_roundtrip_spilled_cover(seed):
+    # reflection swaps 1-dim and 2-dim fibers, so no block of f's cover balances
+    fib = FiberedSpace(path_space(12), [1 + (i % 2) for i in range(12)])
+    W, _ = covering_unitary(reflection_map(12), fib, target=fib)
+    rep = outer_roundtrip(W @ random_band_unitary(fib, 2.0, 1, seed), 0.5)
+    plan, f = rep.plan, rep.extraction.f
+    assert plan.spill
+    src_pts = fib.coord_point
+    tgt_pts = plan.target.coord_point[plan.assignment]
+    assert plan.support_radius == fib.base.dist[f.values[src_pts], tgt_pts].max()
+    assert rep.residual_W == 0
+    assert rep.residual_UWs <= 1e-9

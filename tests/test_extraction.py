@@ -256,6 +256,16 @@ def test_minimal_radius_error_reports_worst_point():
     assert "0.9" in str(err)
 
 
+def test_minimal_radius_error_tells_near_one_numbers_apart():
+    # a cover scaled just below unitarity: every corner stays below 1 - 2.5e-10
+    U = noisy_covering_unitary("reflection", 20, 0)[0] * (1 - 2.5e-10)
+    assert extract_pair(U, 1 - 1e-9).R == 2.0
+    with pytest.raises(MinimalRadiusError) as info:
+        extract_pair(U, 1 - 1e-10)
+    best, delta = str(info.value).split(" is ")[1].split(" <= delta = ")
+    assert float(best) == info.value.best_norm < float(delta) == 1 - 1e-10
+
+
 def test_footprint_control_matches_direct_corners(rng):
     for _ in range(4):
         X = random_graph_space(rng, 8, extra_edges=2)

@@ -191,6 +191,59 @@ def test_random_band_unitary_contract(rng):
         assert V.propagation() <= layers * R
 
 
+def _band_unitary_oracle(space, R, layers, seed):
+    """random_band_unitary as a per-pair loop that rotates each pair as it
+    is drawn."""
+    rng = np.random.default_rng(seed)
+    n_coords = space.total_dim
+    pt = space.coord_point
+    mat = np.eye(n_coords, dtype=complex)
+    for _ in range(layers):
+        order = rng.permutation(n_coords)
+        used = np.zeros(n_coords, dtype=bool)
+        for p in order:
+            if used[p]:
+                continue
+            used[p] = True
+            candidates = np.flatnonzero(~used & (space.base.dist[pt[p], pt] <= R))
+            if candidates.size == 0:
+                mat[p, :] *= np.exp(2j * np.pi * rng.random())
+                continue
+            q = int(rng.choice(candidates))
+            used[q] = True
+            theta = rng.random() * 2 * np.pi
+            alpha = rng.random() * 2 * np.pi
+            beta = rng.random() * 2 * np.pi
+            a = np.cos(theta) * np.exp(1j * alpha)
+            b = np.sin(theta) * np.exp(1j * beta)
+            g = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+            mat[[p, q], :] = g @ mat[[p, q], :]
+    return mat
+
+
+def _band_cases(rng):
+    seed = 0
+    for dim in (1, 2):
+        for R, layers in ((0.0, 2), (1.5, 0), (1.5, 1), (2.0, 2), (2.5, 4)):
+            for n in (12, 40):
+                yield FiberedSpace.uniform(path_space(n), dim), R, layers, seed
+                seed += 1
+    for _ in range(20):
+        fib = random_fibered(rng, random_graph_space(rng, 14, extra_edges=3))
+        yield fib, float(rng.integers(0, 4)), int(rng.integers(1, 4)), seed
+        seed += 1
+
+
+def test_random_band_unitary_matches_per_pair_oracle(rng):
+    cases = list(_band_cases(rng))
+    assert len({seed for *_, seed in cases}) >= 40
+    for fib, R, layers, seed in cases:
+        got = random_band_unitary(fib, R, layers, seed).matrix
+        want = _band_unitary_oracle(fib, R, layers, seed)
+        assert np.array_equal(got.real, want.real), (R, layers, seed)
+        assert np.array_equal(got.imag, want.imag), (R, layers, seed)
+
+
 def test_spectral_norm_matches_lapack(rng):
     for shape in [(1, 5), (5, 1), (7, 7), (12, 3), (3, 12), (60, 9)]:
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
