@@ -30,7 +30,7 @@ from .operators import (
     random_band_unitary,
     spectral_norm,
 )
-from .signs import brute_force_signs, greedy_signs, rademacher_average
+from .signs import greedy_signs
 from .locality import (
     LocalityReport,
     approximability_window,
@@ -81,7 +81,7 @@ __all__ = [
     "certify_equivalence", "greedy_net", "voronoi_partition",
     "FiberedSpace", "BlockOperator", "indicator", "identity_operator", "spectral_norm",
     "random_band_unitary",
-    "greedy_signs", "brute_force_signs", "rademacher_average",
+    "greedy_signs",
     "LocalityReport", "quasi_locality_violation", "approximability_window",
     "supported_distance_upper",
     "ConcentrationWitness", "concentration_witness",

@@ -10,6 +10,8 @@ of exactly 1/2 against the guaranteed 0.5 * sqrt(1 - 1/2) ~ 0.35355.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .maps import PointMap, identity_map
@@ -80,10 +82,19 @@ def noisy_covering_unitary(
     with a seeded random band unitary on the source side.
 
     Returns (U, h, plan).  The halving kind uses one-dimensional source
-    fibers so the reconciled target carries two-dimensional fibers.
+    fibers so the reconciled target carries two-dimensional fibers.  The
+    cover is built once per (kind, n, fiber_dim): calls that differ only
+    in the noise share h, plan and W.
     """
-    h, _ = standard_pair(kind, n)
-    source = FiberedSpace.uniform(h.source, fiber_dim)
-    W, plan = covering_unitary(h, source)
-    V = random_band_unitary(source, noise_radius, layers, seed)
+    h, W, plan = _cover(kind, n, fiber_dim)
+    V = random_band_unitary(W.source, noise_radius, layers, seed)
     return W @ V, h, plan
+
+
+@functools.lru_cache(maxsize=32)
+def _cover(kind: str, n: int, fiber_dim: int):
+    """(h, W, plan) for the named map; shared by every seed, since only
+    the band noise depends on it."""
+    h, _ = standard_pair(kind, n)
+    W, plan = covering_unitary(h, FiberedSpace.uniform(h.source, fiber_dim))
+    return h, W, plan

@@ -136,8 +136,9 @@ class BlockOperator:
             raise ValueError("operator entries must be finite and below 1e150 in modulus")
         self.source = source
         self.target = target
-        self.matrix = matrix  # a private copy, so the cached residual stays valid
+        self.matrix = matrix  # a private copy, so the cached norm and residual stay valid
         self.matrix.setflags(write=False)
+        self._norm = None
         self._residual = None
 
     @classmethod
@@ -187,7 +188,10 @@ class BlockOperator:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return spectral_norm(self.matrix)
+        """Spectral norm, computed once per operator and stored."""
+        if self._norm is None:
+            self._norm = spectral_norm(self.matrix)
+        return self._norm
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array."""

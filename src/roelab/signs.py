@@ -3,8 +3,7 @@
 The underlying identity: averaging ||sum_k e_k v_k||^2 over independent
 uniform signs e_k gives exactly sum_k ||v_k||^2, so some sign pattern
 reaches at least that value.  `greedy_signs` derandomizes the average by
-conditional expectations; `brute_force_signs` and `rademacher_average`
-enumerate all patterns and serve as oracles.
+conditional expectations.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignSelection", "greedy_signs", "brute_force_signs", "rademacher_average"]
-
-BRUTE_FORCE_LIMIT = 20
+__all__ = ["SignSelection", "greedy_signs"]
 
 
 @dataclass
@@ -61,57 +58,3 @@ def greedy_signs(vectors) -> SignSelection:
         running = running + signs[k] * mat[k]
     achieved = float(np.real(np.vdot(running, running)))
     return SignSelection(signs, achieved, target)
-
-
-_CHUNK = 1 << 14
-
-
-def _pattern_chunk(start: int, stop: int, m: int) -> np.ndarray:
-    """Rows start..stop-1 of the +/-1 pattern table, in an enumeration
-    where row 0 is all +1 and the last coordinate flips fastest."""
-    codes = np.arange(start, stop, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return 1 - 2 * bits.astype(np.int64)
-
-
-def brute_force_signs(vectors) -> SignSelection:
-    """Global maximum of ||sum e_k v_k||^2 over all sign patterns.
-
-    Ties resolve to the earliest pattern in enumeration order (all-plus
-    first).  Refuses families larger than 20 vectors; enumeration runs in
-    fixed-size chunks to bound memory.
-    """
-    mat = _stack(vectors)
-    m = mat.shape[0]
-    if m > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force over 2^{m} sign patterns refused (limit {BRUTE_FORCE_LIMIT})")
-    target = float(np.sum(np.abs(mat) ** 2))
-    if m == 0:
-        return SignSelection(np.zeros(0, dtype=np.int64), 0.0, 0.0)
-    best_value = -1.0
-    best_pattern = None
-    for start in range(0, 2**m, _CHUNK):
-        patterns = _pattern_chunk(start, min(start + _CHUNK, 2**m), m)
-        sums = patterns.astype(complex) @ mat
-        values = np.sum(np.abs(sums) ** 2, axis=1)
-        k = int(np.argmax(values))  # first maximizer within the chunk
-        if values[k] > best_value:  # strict: keeps the earliest across chunks
-            best_value = float(values[k])
-            best_pattern = patterns[k].copy()
-    return SignSelection(best_pattern, best_value, target)
-
-
-def rademacher_average(vectors) -> float:
-    """Exact average of ||sum e_k v_k||^2 over all 2^m sign patterns."""
-    mat = _stack(vectors)
-    m = mat.shape[0]
-    if m > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"exact average over 2^{m} sign patterns refused (limit {BRUTE_FORCE_LIMIT})")
-    if m == 0:
-        return 0.0
-    total = 0.0
-    for start in range(0, 2**m, _CHUNK):
-        patterns = _pattern_chunk(start, min(start + _CHUNK, 2**m), m)
-        sums = patterns.astype(complex) @ mat
-        total += float(np.sum(np.abs(sums) ** 2))
-    return total / 2**m

@@ -1,9 +1,12 @@
 """Finite metric spaces with explicit distance matrices.
 
 Points are the integers ``0..n-1``.  Distances are nonnegative reals,
-validated for symmetry and the triangle inequality at construction time;
-graph metrics built from edge lists are exact integers.  Spaces are
-immutable after construction and safe to share between threads.
+validated for symmetry and the triangle inequality at construction time.
+A matrix that equals the hop metric of its own unit-distance graph (every
+path space, every edge-list space) is a metric by that equality alone, so
+one shortest-path pass certifies it; any other matrix goes through the
+O(n^3) triangle loop.  Spaces are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -31,6 +34,25 @@ def validate_points(points, n: int) -> np.ndarray:
     return arr
 
 
+def _is_graph_metric(dist: np.ndarray) -> bool:
+    """True when dist is the hop metric of the graph joining points at
+    distance exactly 1.  Such a matrix is a metric: its entries are small
+    integers, so every d(i,k) + d(k,j) - d(i,j) is exact and >= 0."""
+    hops = shortest_path(csr_matrix(dist == 1.0), method="D", unweighted=True)
+    return np.array_equal(hops, dist)
+
+
+def _triangle_violation(dist: np.ndarray):
+    """The first (i, j, k) with d(i,j) > d(i,k) + d(k,j) + _TRIANGLE_TOL,
+    scanning k in order and (i, j) row-major; None if there is none."""
+    for k in range(dist.shape[0]):
+        slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
+        if (slack < -_TRIANGLE_TOL).any():
+            i, j = np.argwhere(slack < -_TRIANGLE_TOL)[0]
+            return int(i), int(j), k
+    return None
+
+
 class FiniteMetricSpace:
     """A finite metric space given by a symmetric distance matrix.
 
@@ -38,8 +60,9 @@ class FiniteMetricSpace:
     ----------
     dist : (n, n) array_like
         Symmetric matrix of nonnegative distances with zero diagonal.
-        The triangle inequality is checked on construction (O(n^3), fine
-        at the few-hundred-point scale this library targets).
+        The triangle inequality is checked on construction: a graph metric
+        is certified by one shortest-path pass, and any other matrix is
+        checked triangle by triangle in O(n^3).
     """
 
     def __init__(self, dist):
@@ -59,10 +82,10 @@ class FiniteMetricSpace:
         if (off <= 0).any():
             i, j = np.argwhere(off <= 0)[0]
             raise ValueError(f"distinct points must have positive distance: d({i},{j}) <= 0")
-        for k in range(n):
-            slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
-            if (slack < -_TRIANGLE_TOL).any():
-                i, j = np.argwhere(slack < -_TRIANGLE_TOL)[0]
+        if not _is_graph_metric(dist):
+            bad = _triangle_violation(dist)
+            if bad is not None:
+                i, j, k = bad
                 raise ValueError(
                     f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
                 )

@@ -34,10 +34,11 @@ from roelab.operators import (
     random_band_unitary,
 )
 from roelab.serialize import report_bytes
-from roelab.signs import brute_force_signs, greedy_signs, rademacher_average
+from roelab.signs import greedy_signs
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
+from sign_oracles import brute_force_signs, rademacher_average
 from test_locality import naive_violation
 
 _CACHE = {}

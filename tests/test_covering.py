@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roelab import operators
 from roelab.covering import (
     covering_unitary,
     outer_roundtrip,
@@ -248,6 +249,30 @@ def test_outer_roundtrip_respects_radius_grid():
     U, _, _ = noisy_covering_unitary("identity", 8, seed=7)
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 2.0, 4.0])
     assert [r for r, _, _ in rep.windows] == [0.0, 2.0, 4.0]
+
+
+def test_outer_roundtrip_takes_each_norm_once(monkeypatch):
+    # ||UW*|| bounds every grid radius's window; it is taken once, not per radius
+    taken = []
+    real = operators.spectral_norm
+    monkeypatch.setattr(operators, "spectral_norm", lambda mat: taken.append(mat) or real(mat))
+    U, _, _ = noisy_covering_unitary("reflection", 10, seed=2)
+    rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 4.0])
+    assert len(rep.windows) == 4
+    assert len({id(mat) for mat in taken}) == len(taken)
+
+
+def test_noisy_covering_unitary_matches_a_cover_built_per_call():
+    for kind, n, fiber_dim in [("identity", 8, 1), ("reflection", 12, 2), ("halving", 10, 1)]:
+        h, _ = standard_pair(kind, n)
+        source = FiberedSpace.uniform(h.source, fiber_dim)
+        W, plan = covering_unitary(h, source)
+        for seed in range(3):
+            V = random_band_unitary(source, 2.0, 2, seed)
+            U, h_cached, plan_cached = noisy_covering_unitary(kind, n, seed, 2.0, 2, fiber_dim)
+            assert np.array_equal(U.matrix, (W @ V).matrix)
+            assert np.array_equal(h_cached.values, h.values)
+            assert plan_cached.to_json() == plan.to_json()
 
 
 @pytest.mark.parametrize("seed", range(4))

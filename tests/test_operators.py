@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roelab import operators
 from roelab.operators import (
     BlockOperator,
     FiberedSpace,
@@ -178,6 +179,18 @@ def test_unitarity_residual():
     assert identity_operator(fib).unitarity_residual() <= 1e-15
     T = identity_operator(fib) * 2.0
     assert T.unitarity_residual() > 1
+
+
+def test_norm_is_taken_once_per_operator(monkeypatch, rng):
+    fib = random_fibered(rng, random_graph_space(rng, 6, extra_edges=2))
+    T = random_operator(rng, fib, fib)
+    taken = []
+    monkeypatch.setattr(operators, "spectral_norm", lambda mat: taken.append(mat) or spectral_norm(mat))
+    value = T.norm()
+    assert T.norm() == value == spectral_norm(T.matrix)
+    assert len(taken) == 1
+    assert T.adjoint().norm() == spectral_norm(T.matrix.conj().T)
+    assert len(taken) == 2  # an adjoint takes its own norm
 
 
 def test_random_band_unitary_contract(rng):

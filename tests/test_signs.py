@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from roelab.signs import brute_force_signs, greedy_signs, rademacher_average
+from roelab.signs import greedy_signs
+
+from sign_oracles import brute_force_signs, rademacher_average
 
 
 def random_family(rng, n, dim):

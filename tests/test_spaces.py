@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from roelab import spaces
 from roelab.spaces import FiniteMetricSpace, from_edge_list, path_space
 
-from conftest import random_graph_space
+from conftest import cycle_space, grid_space, random_graph_space, tree_space
 
 
 def test_path_space_single_point():
@@ -157,8 +158,9 @@ def test_validation_rejects_bad_matrices():
         FiniteMetricSpace([[0, 0], [0, 0]])  # zero off-diagonal
     with pytest.raises(ValueError):
         FiniteMetricSpace([[0, -1], [-1, 0]])  # negative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         FiniteMetricSpace([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle fails
+    assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
 
 
 def test_json_roundtrip_both_forms():
@@ -166,3 +168,91 @@ def test_json_roundtrip_both_forms():
     assert FiniteMetricSpace.from_json(X.to_json()) == X
     Y = FiniteMetricSpace.from_json({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
     assert Y.dist[0, 2] == 2
+
+
+def _loop_verdict(dist):
+    """Reference: the full triangle loop, with the construction's
+    tolerance and message; returns the message, or None."""
+    for k in range(dist.shape[0]):
+        slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
+        if (slack < -1e-9).any():
+            i, j = np.argwhere(slack < -1e-9)[0]
+            return f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+    return None
+
+
+def _verdict(dist):
+    try:
+        FiniteMetricSpace(dist)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_graph_metrics_skip_the_triangle_loop(monkeypatch, rng):
+    def refuse(dist):
+        raise AssertionError("a graph metric reached the triangle loop")
+
+    monkeypatch.setattr(spaces, "_triangle_violation", refuse)
+    assert path_space(300).diameter == 299
+    assert grid_space(rng, 15, 15).diameter == 28
+    assert cycle_space(rng, 40).diameter == 20
+    assert tree_space(rng, 60).n == 60
+    assert random_graph_space(rng, 50, extra_edges=20).n == 50
+    assert FiniteMetricSpace.from_json(path_space(30).to_json()) == path_space(30)
+    with pytest.raises(AssertionError):
+        FiniteMetricSpace(path_space(5).dist * 2)  # not a hop metric: the loop runs
+
+
+def _perturbations(rng, dist):
+    """Seeded variants of a metric: one symmetric entry +1, one entry -1
+    where it stays positive, and the whole matrix scaled by 0.5 and by 2."""
+    n = dist.shape[0]
+    i, j = rng.choice(n, size=2, replace=False)
+    up = dist.copy()
+    up[i, j] = up[j, i] = dist[i, j] + 1
+    yield up
+    big = np.argwhere(np.triu(dist >= 2))
+    if big.size:
+        i, j = big[rng.integers(len(big))]
+        down = dist.copy()
+        down[i, j] = down[j, i] = dist[i, j] - 1
+        yield down
+    yield dist * 0.5
+    yield dist * 2.0
+
+
+def test_construction_agrees_with_the_triangle_loop(rng):
+    bases = []
+    for _ in range(6):
+        bases += [
+            path_space(int(rng.integers(2, 12))).dist,
+            cycle_space(rng, int(rng.integers(3, 12))).dist,
+            grid_space(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5))).dist,
+            tree_space(rng, int(rng.integers(2, 14))).dist,
+            random_graph_space(rng, int(rng.integers(2, 14)), extra_edges=3).dist,
+        ]
+        pts = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 4))))
+        bases.append(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=-1)))
+    certified = accepted = rejected = 0
+    for base in bases:
+        for dist in [base, *_perturbations(rng, base)]:
+            expected = _loop_verdict(dist)
+            assert _verdict(dist) == expected
+            certified += spaces._is_graph_metric(dist)
+            accepted += expected is None
+            rejected += expected is not None
+    assert certified > 0 and accepted > certified and rejected > 0
+
+
+def test_small_integer_matrices_agree_with_the_triangle_loop(rng):
+    certified = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        upper = np.triu(rng.integers(1, 5, size=(n, n)), 1).astype(float)
+        dist = upper + upper.T
+        if spaces._is_graph_metric(dist):
+            certified += 1
+            assert _loop_verdict(dist) is None
+        assert _verdict(dist) == _loop_verdict(dist)
+    assert certified > 100
