@@ -89,7 +89,7 @@ def _cmd_witness(args) -> dict:
 
 def _cmd_ql(args) -> dict:
     U = _load_unitary(args)
-    return quasi_locality_violation(U, args.radius, mode=args.mode, seed=args.seed).to_json()
+    return quasi_locality_violation(U, args.radius, mode=args.mode).to_json()
 
 
 def _parse_grid(raw: str | None):
@@ -177,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common_unitary(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--mode", choices=["exact", "bounds"], default="exact")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ql)
 
     p = sub.add_parser("outer", help="outer-automorphism roundtrip decomposition")

@@ -15,6 +15,8 @@ propagation-zero unitary V and an operator t supported within R of f
 with ||t - UVp|| <= epsilon: the fiber rotations V_i are chosen
 inductively so the discarded far corners become pairwise orthogonal, and
 the error collapses to the largest single corner instead of the sum.
+UVp lives on the columns over p's points, so the step works on column
+slabs over those points; only its outputs V and t are N x N.
 
 `outer_roundtrip` is the automorphism-level composite: extract f from U,
 cover it by W, and certify that UW* is close to banded by recording its
@@ -23,7 +25,7 @@ approximability window over a radius grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +172,7 @@ class UpgradeResult:
     R: float
     epsilon: float
     ortho_residual: float  # largest ||d_i* d_j|| over pairs of discarded terms
-    points: list = field(default_factory=list)
+    points: list
 
     def to_json(self) -> dict:
         return {
@@ -220,6 +222,10 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
     x_i to hold dim E_i plus the trace of the previously discarded
     corners; the error message reports the minimal sufficient dimension
     when it does not.
+
+    UVp is zero outside the columns over the x_i, so every intermediate
+    value is a slab of N rows (N the total fiber dimension) by the
+    columns over one x_i; only V and t are built as N x N matrices.
     """
     check_unitary(U)
     if f.source != U.source.base or f.target != U.target.base:
@@ -249,78 +255,49 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
 
     R = _support_radius_for(U, f, epsilon)
     tbase = U.target.base
-
-    # inductive fiber rotations: V_i(E_i) must avoid the fiber footprint of
-    # the spans F_i built from the earlier discarded corners
-    v_blocks: dict[int, np.ndarray] = {}
-    f_columns: list[tuple[int, np.ndarray]] = []  # (owner index j, U(x_j (x) V_j)E_j columns)
-    outside_mask = []
-    for x_i, _ in spec:
-        outside = tbase.dist[f.values[x_i]] > R
-        outside_mask.append(outside[U.target.coord_point])
+    outside_mask = [(tbase.dist[f.values[x_i]] > R)[U.target.coord_point] for x_i, _ in spec]
+    v_mat = np.eye(src.total_dim, dtype=complex)
+    t_mat = np.zeros((U.target.total_dim, src.total_dim), dtype=complex)
+    f_columns = []  # F_j = U(x_j (x) V_j)E_j, target rows by k_j columns
+    discarded = []  # d_j: the rows of UVp's slab over x_j outside ball(f(x_j), R)
     for i, (x_i, E_i) in enumerate(spec):
-        d = int(src.fiber_dims[x_i])
-        spans = []
-        for j, cols in f_columns:
-            both = outside_mask[i] & outside_mask[j]
-            spans.append(U.matrix.conj().T @ (cols * both[:, None]))
         sl = src.slice_of(x_i)
-        if spans:
-            local = np.concatenate(spans, axis=1)[sl]
-            G = _orthonormal_columns(local)
-        else:
-            G = np.zeros((d, 0), dtype=complex)
+        d = int(src.fiber_dims[x_i])
         k = E_i.shape[1]
+        # V_i(E_i) must avoid the fiber footprint G of the earlier discarded corners
+        U_i = U.matrix[:, sl]
+        spans = [
+            U_i.conj().T @ (F_j * (outside_mask[i] & outside_mask[j])[:, None])
+            for j, F_j in enumerate(f_columns)
+        ]
+        G = _orthonormal_columns(np.concatenate(spans, axis=1)) if spans else np.zeros((d, 0))
         if k + G.shape[1] > d:
             raise ValueError(
                 f"fiber at point {x_i} too small: need dimension >= {k + G.shape[1]} "
                 f"(rank {k} plus footprint {G.shape[1]}), have {d}"
             )
-        avoid_comp = _complement(G, d)
-        W = avoid_comp[:, :k]
+        W = _complement(G, d)[:, :k]
         # [W | complement of W] and [E_i | complement of E_i] are both
         # orthonormal bases, so V_i below is unitary and sends E_i into
         # the span of W, away from G
-        E_comp = _complement(E_i, d)
-        W_comp = _complement(W, d)
-        V_i = W @ E_i.conj().T + W_comp @ E_comp.conj().T
-        v_blocks[x_i] = V_i
-        lifted = np.zeros((src.total_dim, k), dtype=complex)
-        lifted[sl] = V_i @ E_i
-        f_columns.append((i, U.matrix @ lifted))
-
-    v_mat = np.eye(src.total_dim, dtype=complex)
-    for x_i, V_i in v_blocks.items():
-        sl = src.slice_of(x_i)
+        V_i = W @ E_i.conj().T + _complement(W, d) @ _complement(E_i, d).conj().T
         v_mat[sl, sl] = V_i
-    V = BlockOperator(src, src, v_mat)
-
-    p_mat = np.zeros((src.total_dim, src.total_dim), dtype=complex)
-    for x_i, E_i in spec:
-        sl = src.slice_of(x_i)
-        p_mat[sl, sl] = E_i @ E_i.conj().T
-    uvp = U.matrix @ (v_mat @ p_mat)
-
-    t_mat = np.zeros_like(uvp)
-    discarded = []
-    for i, (x_i, _) in enumerate(spec):
-        sl = src.slice_of(x_i)
-        inside = ~outside_mask[i]
-        t_mat[:, sl] = uvp[:, sl] * inside[:, None]
-        term = np.zeros_like(uvp)
-        term[:, sl] = uvp[:, sl] * outside_mask[i][:, None]
-        discarded.append(term)
-    t = BlockOperator(src, U.target, t_mat)
+        F_i = U_i @ (V_i @ E_i)
+        f_columns.append(F_i)
+        uvp_i = F_i @ E_i.conj().T
+        t_mat[:, sl] = uvp_i * ~outside_mask[i][:, None]
+        discarded.append(uvp_i * outside_mask[i][:, None])
 
     ortho = 0.0
     for i in range(len(discarded)):
         for j in range(i + 1, len(discarded)):
             # only d_i* d_j can be nonzero: d_i d_j* pairs disjoint column blocks
             ortho = max(ortho, spectral_norm(discarded[i].conj().T @ discarded[j]))
-    error = spectral_norm(t_mat - uvp)
+    # t - UVp is -d_i on the columns over x_i and zero elsewhere
+    error = spectral_norm(np.concatenate(discarded, axis=1)) if discarded else 0.0
     return UpgradeResult(
-        V=V,
-        t=t,
+        V=BlockOperator(src, src, v_mat),
+        t=BlockOperator(src, U.target, t_mat),
         error=float(error),
         R=R,
         epsilon=float(epsilon),

@@ -266,9 +266,7 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int) -> L
     return LocalityReport(float(R), best_value, max(upper, best_value), False, witness)
 
 
-def quasi_locality_violation(
-    T: BlockOperator, R: float, mode: str = "exact", seed: int = 0
-) -> LocalityReport:
+def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") -> LocalityReport:
     """sup ||chi_B T chi_A|| over point sets with d(A, B) > R.
 
     mode "exact" enumerates closed candidate sets (base size at most
@@ -290,7 +288,7 @@ def quasi_locality_violation(
             )
         return _exact_violation(T, R)
     if mode == "bounds":
-        return _search_violation(T, R, SEARCH_RESTARTS, seed)
+        return _search_violation(T, R, SEARCH_RESTARTS, 0)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 

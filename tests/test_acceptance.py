@@ -540,7 +540,8 @@ def _sweep_bytes(out_dir, tag):
     code = cli_main(["sweep", "--h", "reflection", "--n", "10",
                      "--seeds", "6", "--out", out])
     assert code == 0
-    data = json.loads(open(out).read())
+    with open(out) as fh:
+        data = json.load(fh)
     data.pop("timings", None)
     return report_bytes(data)
 

@@ -31,7 +31,8 @@ def run(argv):
 
 
 def read_without_timings(path):
-    data = json.loads(open(path).read())
+    with open(path) as fh:
+        data = json.load(fh)
     data.pop("timings", None)
     return report_bytes(data)
 

@@ -1,10 +1,15 @@
 """Covering unitaries, supported approximation, the upgrade step, outer roundtrip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from roelab import operators
 from roelab.covering import (
+    _complement,
+    _orthonormal_columns,
+    _support_radius_for,
     covering_unitary,
     outer_roundtrip,
     upgrade_trick,
@@ -35,6 +40,64 @@ def reference_support_radius(U, f, epsilon):
         if worst <= epsilon:
             return float(R)
     return float(tbase.diameter)
+
+
+def reference_upgrade_trick(U, f, p_spec, epsilon):
+    """The upgrade step on dense N x N matrices: p, Vp, UVp and every
+    discarded term d_i as full matrices.  Returns (V, t, error, R, ortho)."""
+    src = U.source
+    spec = []
+    for x_i, E in sorted(p_spec, key=lambda item: int(item[0])):
+        d = int(src.fiber_dims[x_i])
+        if isinstance(E, (int, np.integer)):
+            E = np.eye(d, dtype=complex)[:, :E]
+        spec.append((int(x_i), np.asarray(E, dtype=complex)))
+    R = _support_radius_for(U, f, epsilon)
+    tbase = U.target.base
+    outside_mask = [(tbase.dist[f.values[x]] > R)[U.target.coord_point] for x, _ in spec]
+    v_mat = np.eye(src.total_dim, dtype=complex)
+    f_columns = []
+    for i, (x_i, E_i) in enumerate(spec):
+        d = int(src.fiber_dims[x_i])
+        sl = src.slice_of(x_i)
+        spans = [
+            U.matrix.conj().T @ (cols * (outside_mask[i] & outside_mask[j])[:, None])
+            for j, cols in enumerate(f_columns)
+        ]
+        if spans:
+            G = _orthonormal_columns(np.concatenate(spans, axis=1)[sl])
+        else:
+            G = np.zeros((d, 0), dtype=complex)
+        k = E_i.shape[1]
+        if k + G.shape[1] > d:
+            raise ValueError(
+                f"fiber at point {x_i} too small: need dimension >= {k + G.shape[1]} "
+                f"(rank {k} plus footprint {G.shape[1]}), have {d}"
+            )
+        W = _complement(G, d)[:, :k]
+        V_i = W @ E_i.conj().T + _complement(W, d) @ _complement(E_i, d).conj().T
+        v_mat[sl, sl] = V_i
+        lifted = np.zeros((src.total_dim, k), dtype=complex)
+        lifted[sl] = V_i @ E_i
+        f_columns.append(U.matrix @ lifted)
+    p_mat = np.zeros((src.total_dim, src.total_dim), dtype=complex)
+    for x_i, E_i in spec:
+        sl = src.slice_of(x_i)
+        p_mat[sl, sl] = E_i @ E_i.conj().T
+    uvp = U.matrix @ (v_mat @ p_mat)
+    t_mat = np.zeros_like(uvp)
+    discarded = []
+    for i, (x_i, _) in enumerate(spec):
+        sl = src.slice_of(x_i)
+        t_mat[:, sl] = uvp[:, sl] * ~outside_mask[i][:, None]
+        term = np.zeros_like(uvp)
+        term[:, sl] = uvp[:, sl] * outside_mask[i][:, None]
+        discarded.append(term)
+    ortho = 0.0
+    for i in range(len(discarded)):
+        for j in range(i + 1, len(discarded)):
+            ortho = max(ortho, operators.spectral_norm(discarded[i].conj().T @ discarded[j]))
+    return v_mat, t_mat, operators.spectral_norm(t_mat - uvp), R, ortho
 
 
 def dft_operator(n, fiber_dim=1):
@@ -217,6 +280,100 @@ def test_upgrade_rejects_duplicate_points():
     U = dft_operator(6, fiber_dim=2)
     with pytest.raises(ValueError, match="distinct"):
         upgrade_trick(U, identity_map(path_space(6)), [(2, 1), (2, 1)], 0.9)
+
+
+def _unit_column(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return (v / np.linalg.norm(v))[:, None]
+
+
+def test_upgrade_matches_dense_reference(rng):
+    counts = {"feasible": 0, "error": 0, "ortho": 0, "infeasible": 0}
+    for case in range(40):
+        X = random_graph_space(rng, int(rng.integers(4, 16)), extra_edges=int(rng.integers(0, 4)))
+        fib = FiberedSpace(X, rng.integers(2, 5, size=X.n))
+        if case % 2:
+            U = random_band_unitary(fib, 1.0, int(rng.integers(1, 3)), case)
+        else:
+            N = fib.total_dim
+            q, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+            U = BlockOperator(fib, fib, q)
+        f = identity_map(X) if case % 3 == 0 else PointMap(X, X, rng.integers(0, X.n, size=X.n))
+        points = rng.choice(X.n, size=int(rng.integers(1, min(X.n, 5) + 1)), replace=False)
+        p_spec = [
+            (int(x), 1 if rng.random() < 0.5 else _unit_column(rng, int(fib.fiber_dims[x])))
+            for x in points
+        ]
+        for eps in (0.05, 0.3, 0.9):
+            try:
+                V, t, error, R, ortho = reference_upgrade_trick(U, f, p_spec, eps)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    upgrade_trick(U, f, p_spec, eps)
+                assert str(raised.value) == str(exc)
+                counts["infeasible"] += 1
+                continue
+            res = upgrade_trick(U, f, p_spec, eps)
+            assert res.R == R
+            assert np.abs(res.V.matrix - V).max() <= 1e-14
+            assert np.abs(res.t.matrix - t).max() <= 1e-14
+            assert abs(res.error - error) <= 1e-14
+            assert abs(res.ortho_residual - ortho) <= 1e-14
+            counts["feasible"] += 1
+            counts["error"] += error > 0
+            counts["ortho"] += ortho > 0
+    # the comparison reaches lossy, overlapping and infeasible cases
+    assert counts["feasible"] >= 100
+    assert min(counts.values()) > 0, counts
+
+
+def test_upgrade_builds_no_dense_scratch():
+    X = path_space(60)
+    U = random_band_unitary(FiberedSpace.uniform(X, 3), 2.0, 2, seed=1)
+    p_spec = [(x, 1) for x in range(0, 60, 4)]
+    tracemalloc.start()
+    try:
+        upgrade_trick(U, identity_map(X), p_spec, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V and t are 0.5 MiB each at N = 180; the dense N x N terms peaked at 11.5 MiB
+    assert peak < 5 * 2**20
+
+
+def test_upgrade_accepts_orthonormal_columns(rng):
+    U = dft_operator(6, fiber_dim=3)
+    f = identity_map(path_space(6))
+    by_rank = upgrade_trick(U, f, [(1, 2), (4, 1)], 0.9)
+    by_basis = upgrade_trick(U, f, [(1, np.eye(3)[:, :2]), (4, np.eye(3)[:, :1])], 0.9)
+    assert np.array_equal(by_rank.V.matrix, by_basis.V.matrix)
+    assert np.array_equal(by_rank.t.matrix, by_basis.t.matrix)
+    E = _unit_column(rng, 3)
+    res = upgrade_trick(U, f, [(1, E), (4, _unit_column(rng, 3))], 0.9)
+    assert res.error <= 0.9
+    assert res.V.unitarity_residual() <= 1e-12
+    assert res.V.propagation() == 0.0
+    # t keeps the near columns of UVp over point 1, which sees only E
+    sl = U.source.slice_of(1)
+    V_1 = res.V.matrix[sl, sl]
+    uvp = U.matrix[:, sl] @ V_1 @ E @ E.conj().T
+    near = U.target.coord_mask(np.flatnonzero(path_space(6).dist[1] <= res.R))
+    assert np.allclose(res.t.matrix[:, sl], uvp * near[:, None], atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "E, message",
+    [
+        (0, "rank 0 out of range for fiber dimension 2 at point 3"),
+        (3, "rank 3 out of range for fiber dimension 2 at point 3"),
+        (np.eye(3)[:, :1], "basis at point 3 must have 2 rows"),
+        (np.ones((2, 1)), "basis columns at point 3 are not orthonormal"),
+    ],
+)
+def test_upgrade_rejects_malformed_fiber_spec(E, message):
+    U = dft_operator(6, fiber_dim=2)
+    with pytest.raises(ValueError, match=message):
+        upgrade_trick(U, identity_map(path_space(6)), [(3, E)], 0.9)
 
 
 def test_outer_roundtrip_on_noisy_automorphism():

@@ -77,6 +77,26 @@ def test_rectangular_roundtrip(rng, tmp_path):
         read_operator(path, Y)
 
 
+@pytest.mark.parametrize("rectangular", [False, True])
+def test_roundtrip_keeps_every_bit(rectangular, tmp_path):
+    # signed zeros in either part, the smallest subnormal, the largest magnitudes
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e149, -1e149, 1.0]
+    X, Y = path_space(4), path_space(3)
+    tgt = FiberedSpace(Y, [1, 3, 3])
+    src = FiberedSpace(X, [2, 1, 3, 2]) if rectangular else tgt
+    # set the parts directly: re + 1j * im would already turn -0.0 into 0.0
+    values = np.empty(len(parts) ** 2, dtype=complex)
+    values.real, values.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+    mat = np.resize(values, (tgt.total_dim, src.total_dim))
+    T = BlockOperator(src, tgt, mat)
+    for part in (T.matrix.real, T.matrix.imag):
+        assert np.signbit(part[part == 0.0]).any()  # -0.0 survives construction
+    path = tmp_path / "edge.bin"
+    write_operator(path, T)
+    back = read_operator(path, Y, X if rectangular else None)
+    assert back.matrix.tobytes() == T.matrix.tobytes()
+
+
 def test_binary_layout_matches_declaration(rng, tmp_path):
     X, Y = path_space(3), path_space(2)
     src = FiberedSpace(X, [1, 2, 1])
