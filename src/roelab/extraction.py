@@ -89,10 +89,12 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     The mask is cast to float once, and the source points are taken
     in groups of equal fiber dimension: 1-dim fibers in one matrix
     product of the mask with the squared column moduli, d-dim fibers in
-    one Gram product of the mask with the per-point column outer products
-    and one batched eigenvalue call.  The d-dim stacks are built in chunks
-    of source points of at most `_GRAM_STACK_BYTES` each.  Entries equal
-    the per-point computation up to summation order (a few ulps).
+    one Gram product of the mask with the per-point column outer products.
+    The top eigenvalue of each 2 x 2 Gram comes in closed form
+    (`_top_eig_2x2`); for d >= 3 it comes from one batched eigenvalue
+    call.  The d-dim stacks are built in chunks of source points of at
+    most `_GRAM_STACK_BYTES` each.  Entries equal the per-point
+    computation up to summation order (a few ulps).
     """
     source = U.source
     mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
@@ -111,9 +113,24 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
             prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
             # a real product on the interleaved (re, im) pairs: the mask is real
             grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
-            eigs = np.linalg.eigvalsh(grams.reshape(len(rows), chunk.size, d, d))
-            out[:, chunk] = np.sqrt(np.maximum(eigs[..., -1], 0.0))
+            grams = grams.reshape(len(rows), chunk.size, d, d)
+            if d == 2:
+                top = _top_eig_2x2(grams)
+            else:
+                top = np.linalg.eigvalsh(grams)[..., -1]
+            out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
     return out
+
+
+def _top_eig_2x2(grams: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]] in a
+    (..., 2, 2) stack, read from the lower triangle as `eigvalsh` reads
+    it: (a + c)/2 + hypot((a - c)/2, |b|).  The Grams are positive
+    semidefinite, so a, c >= 0 and both terms are >= 0: the sum has no
+    cancellation and stays within a few ulps of the LAPACK value."""
+    a = grams[..., 0, 0].real
+    c = grams[..., 1, 1].real
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(grams[..., 1, 0]))
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

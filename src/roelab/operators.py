@@ -10,11 +10,13 @@ play the role of absent blocks.
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
 and every reported norm is exact.  Its route depends on the shape only:
 a full SVD for a square matrix, the top eigenvalue of the smaller side's
-Gram matrix for a rectangular one.  The square inputs are unitarity
-residuals and differences T - T_R, where the SVD is the cheaper of the
-two; the rectangular ones are corners, often stacked, where one batched
-Gram eigenvalue call is.  Operator entries stay below 1e150 in modulus,
-so the squares in a Gram product cannot overflow.
+Gram matrix for a rectangular one.  The square inputs are differences
+T - T_R and fiber blocks, where the SVD is the cheaper of the two; the
+rectangular ones are corners, often stacked, where one batched Gram
+eigenvalue call is.  The unitarity residual takes no norm: it reads the
+spectrum of one Hermitian matrix G - I, with G the Gram matrix on the
+smaller side.  Operator entries stay below 1e150 in modulus, so the
+squares in a Gram product cannot overflow.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def spectral_norm(mat):
     A square matrix gets a full SVD.  A rectangular one, a vector
     included, gets the square root of the top eigenvalue of its smaller
     side's Gram matrix.  The rule follows the measured traffic: the
-    square inputs (unitarity residuals, T - T_R) are sparse residuals on
+    square inputs (T - T_R, fiber blocks) are sparse differences on
     which the SVD is faster, and the rectangular ones are corners, mostly
     in stacks, on which one batched eigenvalue call is faster; a single
     vector pays a few microseconds for it.
@@ -256,12 +258,23 @@ class BlockOperator:
     def unitarity_residual(self) -> float:
         """max(||T*T - I||, ||TT* - I||); 0 exactly for permutation matrices.
 
-        Computed once per operator and stored.
+        One Hermitian eigenvalue call gives it.  G is the Gram matrix on
+        the smaller side (T*T when T is square), and the residual is the
+        largest |eigenvalue| of G - I.  For square T, T*T and TT* have the
+        same spectrum, so the two norms agree.  Otherwise the larger Gram
+        matrix has G's eigenvalues plus zeros, and each zero contributes
+        |0 - 1| = 1, so the residual is max(||G - I||, 1).  I is subtracted
+        before the decomposition, which keeps the absolute error near
+        eps * ||G - I|| rather than eps * ||G||.  Computed once per operator
+        and stored.
         """
         if self._residual is None:
-            left = self.matrix.conj().T @ self.matrix - np.eye(self.source.total_dim)
-            right = self.matrix @ self.matrix.conj().T - np.eye(self.target.total_dim)
-            self._residual = max(spectral_norm(left), spectral_norm(right))
+            mat = self.matrix
+            rows, cols = mat.shape
+            gram = mat.conj().T @ mat if cols <= rows else mat @ mat.conj().T
+            gram[np.diag_indices_from(gram)] -= 1.0  # before the decomposition
+            residual = float(np.abs(np.linalg.eigvalsh(gram)).max())
+            self._residual = residual if rows == cols else max(residual, 1.0)
         return self._residual
 
     def __repr__(self):

@@ -115,14 +115,14 @@ def read_operator(
 
     # checked before the fibered spaces allocate for the claimed dimensions
     expected = int(dims_t.sum()) * int(dims_s.sum())
-    payload = np.frombuffer(raw, dtype="<f8", offset=pos)
-    if payload.size != 2 * expected:
+    if len(raw) - pos != 16 * expected:  # by bytes, so a cut inside a float64 counts too
         raise ValueError(
-            f"payload holds {payload.size // 2} entries, expected {expected}"
+            f"payload holds {len(raw) - pos} bytes, expected {16 * expected} "
+            f"({expected} complex entries)"
         )
     target = FiberedSpace(target_base, dims_t)
     source = FiberedSpace(source_base, dims_s) if rectangular else target
-    flat = payload.view("<c16")  # a sum re + 1j * im would turn -0.0 parts into +0.0
+    flat = np.frombuffer(raw, dtype="<c16", offset=pos)  # re + 1j * im would turn -0.0 into +0.0
     return BlockOperator(source, target, flat[_payload_index(target, source)])
 
 

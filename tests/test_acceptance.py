@@ -1,10 +1,10 @@
-"""Acceptance gate: nine numbered criteria, one printed line each.
+"""Acceptance gate: ten numbered criteria, one printed line each.
 
 Every criterion is computed by a pure run_criterion_N() returning a
-JSON-serializable results dict; the final criterion reruns each of the
-others once, checks the serialized results are byte-identical to the
-first run, and does the same for two CLI sweeps.  Timings stay outside
-the results dicts.
+JSON-serializable results dict; criterion 9 reruns each of the others
+once, checks the serialized results are byte-identical to the first run,
+and does the same for two CLI sweeps.  Timings stay outside the results
+dicts.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from roelab.locality import (
     quasi_locality_violation,
     supported_distance_upper,
 )
-from roelab.maps import closeness, identity_map
+from roelab.maps import closeness, compose, identity_map
 from roelab.operators import (
     BlockOperator,
     FiberedSpace,
@@ -548,7 +548,7 @@ def _sweep_bytes(out_dir, tag):
 
 def run_criterion_9():
     criteria = {}
-    for num in range(1, 9):
+    for num in [n for n in RUNNERS if n != 9]:
         first = report_bytes(run_cached(num)[0])
         criteria[str(num)] = {
             "sha256": hashlib.sha256(first).hexdigest(),
@@ -572,6 +572,79 @@ def test_criterion_9(capfd):
             f"CLI sweep byte-identical across two runs")
 
 
+# -- 10: the group law, U -> f_U is a homomorphism up to closeness ---------
+
+_GROUP_SEEDS, _GROUP_LAYERS, _GROUP_NOISE = 12, 2, 2.0
+
+
+def run_criterion_10():
+    """f_{U1 U2} against f_{U1} o f_{U2}, for U2 a noisy halving cover
+    path(80) -> path(40) and U1 a noisy reflection cover of the 2-dim
+    fibered path(40), each U_i = W_i V_i with W_i covering h_i within its
+    support radius s_i and V_i band noise of propagation p_i (layers times
+    noise radius).
+
+    Criterion 3's per-map budget is B_i(R) = omega_{h_i}(R + p_i) + s_i:
+    chi_y U_i chi_{ball(x, R)} vanishes unless d(y, h_i(x)) <= B_i(R), and
+    the extracted f_{U_i}(x) has a nonzero corner there, so
+    closeness(f_{U_i}, h_i) <= B_i(R_i) at U_i's extraction radius R_i.
+    The triangle inequality then gives, with h = h1 o h2 and R_12 the
+    radius of U1 U2:
+
+    * closeness(f_{U1 U2}, h) <= B_1(B_2(R_12)): U2 takes ball(x, R_12)
+      into ball(h2(x), B_2(R_12)), and U1 takes that ball into
+      ball(h(x), B_1(B_2(R_12))).
+    * closeness(h, f_{U1} o f_{U2}) <= omega_{h1}(B_2(R_2)) + B_1(R_1),
+      through h1 o f_{U2}: d(h1 h2 x, h1 f2 x) <= omega_{h1}(d(h2 x, f2 x))
+      and d(h1 z, f1 z) <= B_1(R_1) at z = f2(x).
+
+    The budget is the sum.  The same test on a wrong composite, f_{U2}
+    with the reflection left out, must fail: its closeness to f_{U1 U2}
+    is near the diameter of path(40).
+    """
+    rows = []
+    for seed in range(_GROUP_SEEDS):
+        U2, h2, plan2 = noisy_covering_unitary("halving", 40, seed, _GROUP_NOISE, _GROUP_LAYERS)
+        U1, h1, plan1 = noisy_covering_unitary(
+            "reflection", 40, 100 + seed, _GROUP_NOISE, _GROUP_LAYERS, fiber_dim=2)
+        rep1, rep2, rep12 = (extract_pair(U, 0.5) for U in (U1, U2, U1 @ U2))
+
+        def B1(R):
+            return h1.modulus(R + _GROUP_LAYERS * _GROUP_NOISE) + plan1.support_radius
+
+        def B2(R):
+            return h2.modulus(R + _GROUP_LAYERS * _GROUP_NOISE) + plan2.support_radius
+
+        budget = B1(B2(rep12.R)) + h1.modulus(B2(rep2.R)) + B1(rep1.R)
+        rows.append({
+            "R": [rep1.R, rep2.R, rep12.R],
+            "budget": float(budget),
+            "closeness": float(closeness(rep12.f, compose(rep1.f, rep2.f))),
+            "wrong_closeness": float(closeness(rep12.f, rep2.f)),
+        })
+    return {"rows": rows}
+
+
+def test_criterion_10(capfd):
+    results, elapsed = run_cached(10)
+    rows = results["rows"]
+    failures = []
+    over = [seed for seed, row in enumerate(rows) if not row["closeness"] <= row["budget"]]
+    if over:
+        failures.append(f"closeness(f_U1U2, f_U1 o f_U2) over budget at seeds {over}")
+    passed_wrong = [seed for seed, row in enumerate(rows)
+                    if row["wrong_closeness"] <= row["budget"]]
+    if passed_wrong:
+        failures.append(f"the wrong composite f_U2 passes at seeds {passed_wrong}")
+    if elapsed >= 60.0:
+        failures.append(f"runtime {elapsed:.1f}s over the 1min budget")
+    values = [row["closeness"] for row in rows]
+    _finish(capfd, 10, failures, elapsed,
+            f"{len(rows)} products: closeness {min(values)}-{max(values)}, budgets "
+            f"{min(r['budget'] for r in rows)}-{max(r['budget'] for r in rows)}, wrong composite "
+            f"{min(r['wrong_closeness'] for r in rows)}-{max(r['wrong_closeness'] for r in rows)}")
+
+
 RUNNERS = {
     1: run_criterion_1,
     2: run_criterion_2,
@@ -582,4 +655,5 @@ RUNNERS = {
     7: run_criterion_7,
     8: run_criterion_8,
     9: run_criterion_9,
+    10: run_criterion_10,
 }

@@ -286,6 +286,18 @@ def test_huge_entries_exit_2(command, extra, tmp_path, capsys):
                    "message": "operator entries must be finite and below 1e150 in modulus"}
 
 
+def test_payload_cut_inside_a_float_exits_2(tmp_path, capsys):
+    X = path_space(3)
+    space, unitary = tmp_path / "space.json", tmp_path / "V.bin"
+    save_space(space, X)
+    write_operator(unitary, random_band_unitary(FiberedSpace.uniform(X, 2), 1.0, 1, seed=0))
+    unitary.write_bytes(unitary.read_bytes()[:-3])
+    assert run(["extract", "--unitary", str(unitary), "--space", str(space)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "payload holds 573 bytes, expected 576 (36 complex entries)"}
+
+
 def test_oversized_header_exits_2(tmp_path, capsys):
     space = tmp_path / "space.json"
     save_space(space, path_space(1))

@@ -21,7 +21,7 @@ from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
 from roelab.maps import closeness, identity_map
-from roelab.operators import FiberedSpace, random_band_unitary
+from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
@@ -99,6 +99,63 @@ def test_corner_norm_table_matches_reference_loop(rng):
     for T in cases:
         for R in [0.0] + [float(r) for r in T.target.base.realized_distances()]:
             assert corner_norm_table(T, R) == pytest.approx(reference_table(T, R), abs=1e-15)
+
+
+def _edge_operators(rng):
+    """Operators on one path space with mixed 1-, 2- and 3-dim fibers whose
+    2-dim Grams [[a, conj(b)], [b, c]] hit the closed form's edge cases."""
+    fib = FiberedSpace(path_space(7), [2, 1, 3, 2, 2, 1, 2])
+    T = random_operator(rng, fib, fib).matrix
+    T = T / np.abs(T.view(float)).max()  # real and imaginary parts at most 1
+    zero = T.copy()
+    zero[:, fib.slice_of(0)] = 0.0  # corners exactly 0 for a 2-, 3- and 1-dim point
+    zero[:, fib.slice_of(2)] = 0.0
+    zero[:, fib.slice_of(5)] = 0.0
+    diagonal = np.diag(rng.uniform(0.1, 1.0, fib.total_dim)).astype(complex)  # b = 0
+    equal = T.copy()  # a == c bit for bit: |conj(z)|^2 and |iz|^2 are |z|^2
+    rank_one = T.copy()
+    for x in np.flatnonzero(fib.fiber_dims == 2):
+        first, second = fib.slice_of(x).start, fib.slice_of(x).start + 1
+        equal[:, second] = T[:, first].conj()
+        rank_one[:, second] = 1j * T[:, first]
+    ops = [BlockOperator(fib, fib, m) for m in (T, zero, diagonal, equal, rank_one)]
+    return ops + [BlockOperator(fib, fib, T * scale) for scale in (9e148, 1e-140)]
+
+
+def _within_ulps(got, want, ulps=8):
+    return (np.abs(got - want) <= ulps * np.finfo(float).eps * np.abs(want)).all()
+
+
+def test_two_dim_closed_form_at_the_edges(rng):
+    ops = _edge_operators(rng)
+    for U in ops:
+        X = U.source.base
+        for R in (0.0, 1.0, 3.0, 6.0):
+            table = corner_norm_table(U, R)
+            assert _within_ulps(table, reference_table(U, R)), R
+            direct = [[U.corner_norm(X.ball(y, R), [x]) for x in range(X.n)] for y in range(X.n)]
+            assert _within_ulps(table, np.array(direct)), R
+    T, zero = ops[:2]
+    assert (corner_norm_table(zero, 2.0)[:, [0, 2, 5]] == 0.0).all()
+    assert (corner_norm_table(T, 2.0) > 0.0).all()
+
+
+def test_only_fibers_of_dim_three_and_up_reach_eigvalsh(monkeypatch, rng):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mat):
+        shapes.append(np.shape(mat)[-2:])
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    mixed, *_ = _edge_operators(rng)
+    corner_norm_table(mixed, 1.0)
+    assert shapes == [(3, 3)]
+    shapes.clear()
+    fib = FiberedSpace(path_space(5), [1, 2, 2, 1, 2])
+    corner_norm_table(random_operator(rng, fib, fib), 1.0)
+    assert shapes == []
 
 
 def test_corner_norm_table_memory_stays_bounded():
@@ -300,14 +357,19 @@ def test_public_entries_reject_non_unitary(entry):
 
 def test_extract_pair_checks_unitarity_once(monkeypatch):
     U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
-    calls = []
-    original = operators.spectral_norm
+    decompositions = []
+    eigvalsh = np.linalg.eigvalsh
 
     def counting(mat):
-        calls.append(np.shape(mat))
-        return original(mat)
+        decompositions.append(np.shape(mat))
+        return eigvalsh(mat)
 
-    monkeypatch.setattr(operators, "spectral_norm", counting)
+    def no_norm(mat):
+        raise AssertionError("the unitarity check takes no spectral_norm")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(operators, "spectral_norm", no_norm)
     extract_pair(U, 0.5)
-    # one residual: ||U*U - I|| and ||UU* - I||, shared by U* through adjoint()
-    assert len(calls) == 2
+    # one Hermitian decomposition of U*U - I, shared by U* through adjoint();
+    # the 1-dim fibers' corner tables take none
+    assert decompositions == [U.matrix.shape]

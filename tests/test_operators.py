@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from roelab import operators
+from roelab.covering import covering_unitary
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.operators import (
     BlockOperator,
     FiberedSpace,
+    check_unitary,
     identity_operator,
     indicator,
     random_band_unitary,
@@ -174,11 +177,67 @@ def test_band_truncate_error_nonincreasing(rng):
         assert T.band_truncate(R).propagation() <= R
 
 
-def test_unitarity_residual():
-    fib = FiberedSpace.uniform(path_space(4), 2)
-    assert identity_operator(fib).unitarity_residual() <= 1e-15
-    T = identity_operator(fib) * 2.0
-    assert T.unitarity_residual() > 1
+def reference_residual(T):
+    """max(||T*T - I||, ||TT* - I||) from two Gram products and two full
+    SVDs, one per side."""
+    mat = T.matrix
+    left = mat.conj().T @ mat - np.eye(mat.shape[1])
+    right = mat @ mat.conj().T - np.eye(mat.shape[0])
+    return max(np.linalg.svd(side, compute_uv=False)[0] for side in (left, right))
+
+
+def _residual_cases(rng):
+    cases = []
+    for dim in (1, 2, 3):
+        fib = FiberedSpace.uniform(path_space(12), dim)
+        cases += [random_band_unitary(fib, 2.0, layers, seed=dim + 10 * layers) for layers in (1, 4)]
+    cases.append(random_band_unitary(random_fibered(rng, random_graph_space(rng, 10, 3)), 2.0, 3, 7))
+    for kind, n in (("reflection", 20), ("halving", 10)):
+        for fiber_dim in (1, 2):
+            cases.append(noisy_covering_unitary(kind, n, seed=3, layers=2, fiber_dim=fiber_dim)[0])
+        h, _ = standard_pair(kind, n)
+        source = FiberedSpace(h.source, rng.integers(1, 3, size=h.source.n))
+        W, _ = covering_unitary(h, source)
+        cases.append(W @ random_band_unitary(source, 2.0, 4, seed=5))
+    for U in list(cases):  # near-unitaries
+        noise = rng.standard_normal(U.matrix.shape) + 1j * rng.standard_normal(U.matrix.shape)
+        cases.append(BlockOperator(U.source, U.target, U.matrix + 1e-6 * noise))
+    for _ in range(4):  # rectangular, at norms above and below 1
+        X = random_graph_space(rng, int(rng.integers(3, 8)), 1)
+        source, target = random_fibered(rng, X), random_fibered(rng, X)
+        if source.total_dim != target.total_dim:
+            T = random_operator(rng, source, target)
+            cases += [T, T * (0.5 / T.norm())]
+    return cases
+
+
+def test_unitarity_residual_matches_two_svds(rng):
+    for T in _residual_cases(rng):
+        assert T.unitarity_residual() == pytest.approx(reference_residual(T), rel=1e-14, abs=1e-14)
+
+
+def test_unitarity_residual(rng):
+    fib = FiberedSpace(path_space(4), [1, 2, 3, 1])
+    assert identity_operator(fib).unitarity_residual() == 0.0
+    assert (identity_operator(fib) * 2.0).unitarity_residual() == 3.0  # ||4I - I||
+    for kind, n in (("identity", 9), ("reflection", 9), ("halving", 9)):
+        h, _ = standard_pair(kind, n)
+        W, _ = covering_unitary(h, FiberedSpace(h.source, rng.integers(1, 4, size=h.source.n)))
+        assert W.unitarity_residual() == 0.0
+        assert BlockOperator(W.target, W.source, W.matrix.conj().T).unitarity_residual() == 0.0
+
+
+def test_rectangular_isometry_has_residual_one(rng):
+    # T*T = I, but TT* - I has the eigenvalue -1 on the complement of the range
+    source, target = FiberedSpace.uniform(path_space(3), 1), FiberedSpace.uniform(path_space(3), 2)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    for mat in (np.eye(6)[:, ::2], q):
+        T = BlockOperator(source, target, mat)
+        assert T.unitarity_residual() == 1.0
+        assert BlockOperator(target, source, mat.conj().T).unitarity_residual() == 1.0
+        assert reference_residual(T) == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(T)
 
 
 def test_norm_is_taken_once_per_operator(monkeypatch, rng):

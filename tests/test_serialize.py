@@ -156,14 +156,19 @@ def test_point_count_mismatch_rejected(rng, tmp_path):
 
 
 def test_truncated_payload_rejected(rng, tmp_path):
+    # checked in bytes: a cut inside one float64 gets the same message as a
+    # whole missing entry, not numpy's "buffer size must be a multiple of
+    # element size"
     fib = FiberedSpace.uniform(path_space(3), 2)
     T = random_operator(rng, fib, fib)
     path = tmp_path / "trunc.bin"
     write_operator(path, T)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="payload"):
-        read_operator(path, path_space(3))
+    for cut, damaged in ((3, raw[:-3]), (16, raw[:-16]), (-1, raw + b"\x00")):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError) as err:
+            read_operator(path, path_space(3))
+        assert str(err.value) == f"payload holds {576 - cut} bytes, expected 576 (36 complex entries)"
 
 
 def test_oversized_header_rejected_before_allocating(tmp_path):
