@@ -90,10 +90,12 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     in groups of equal fiber dimension: 1-dim fibers in one matrix
     product of the mask with the squared column moduli, d-dim fibers in
     one Gram product of the mask with the per-point column outer products.
-    The top eigenvalue of each 2 x 2 Gram comes in closed form
-    (`_top_eig_2x2`); for d >= 3 it comes from one batched eigenvalue
-    call.  The d-dim stacks are built in chunks of source points of at
-    most `_GRAM_STACK_BYTES` each.  Entries equal the per-point
+    For d = 2 the top eigenvalue comes in closed form (`_top_eig_2x2`),
+    which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
+    columns c0, c1, so only those are built, as four real columns per
+    point; for d >= 3 it comes from one batched eigenvalue call.  The
+    d-dim stacks are built in chunks of source points of at most
+    `_GRAM_STACK_BYTES` each.  Entries equal the per-point
     computation up to summation order (a few ulps).
     """
     source = U.source
@@ -110,27 +112,30 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
         for chunk in np.array_split(points, -(-points.size // step)):
             idx = source.offsets[chunk][:, None] + np.arange(d)
             cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
-            prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
-            # a real product on the interleaved (re, im) pairs: the mask is real
-            grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
-            grams = grams.reshape(len(rows), chunk.size, d, d)
             if d == 2:
-                top = _top_eig_2x2(grams)
+                c0, c1 = cols[..., 0], cols[..., 1]
+                cross = c1.conj() * c0
+                parts = np.stack(
+                    (c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1
+                )  # (rows, k, 4)
+                sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
+                top = _top_eig_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
             else:
-                top = np.linalg.eigvalsh(grams)[..., -1]
+                prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
+                # a real product on the interleaved (re, im) pairs: the mask is real
+                grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
+                top = np.linalg.eigvalsh(grams.reshape(len(rows), chunk.size, d, d))[..., -1]
             out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
     return out
 
 
-def _top_eig_2x2(grams: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]] in a
-    (..., 2, 2) stack, read from the lower triangle as `eigvalsh` reads
-    it: (a + c)/2 + hypot((a - c)/2, |b|).  The Grams are positive
+def _top_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
+    diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
+    reads: (a + c)/2 + hypot((a - c)/2, b).  The Grams are positive
     semidefinite, so a, c >= 0 and both terms are >= 0: the sum has no
     cancellation and stays within a few ulps of the LAPACK value."""
-    a = grams[..., 0, 0].real
-    c = grams[..., 1, 1].real
-    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(grams[..., 1, 0]))
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roelab import locality, operators
+from roelab import fixtures, locality, operators
+from roelab.covering import covering_unitary
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
@@ -150,6 +151,83 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
     assert branches == {"gram", "svd"}
 
 
+def _block_sparse_input(seed: int):
+    """A block-sparse operator on a space of 4-14 points and a radius R in
+    0-3 that it violates, cycling through three kinds: a random operator
+    between different mixed fibers (dimension 1-3) truncated to a band
+    wider than R, a random band unitary with propagation above R, and a
+    noisy-cover product U W* = W V W* whose noise reaches beyond R."""
+    rng = np.random.default_rng(seed)
+    R = seed % 4
+    width = int(rng.integers(1, 3))  # noise radius, layer count or band beyond R
+    if seed % 3 == 2:
+        if seed % 2:
+            h = fixtures.reflection_map(int(rng.integers(4, 15)))
+        else:
+            h = fixtures.halving_map(int(rng.integers(4, 9)))
+        W, _ = covering_unitary(h, FiberedSpace(h.source, rng.integers(1, 3, size=h.source.n)))
+        V = random_band_unitary(W.source, float(width), R // width + 1, seed)
+        return (W @ V) @ W.adjoint(), float(R)
+    X = random_graph_space(rng, int(rng.integers(4, 15)), extra_edges=int(rng.integers(0, 4)))
+    source = random_fibered(rng, X, max_dim=3)
+    if seed % 3 == 1:
+        return random_band_unitary(source, float(width), R // width + 1, seed), float(R)
+    target = random_fibered(rng, X, max_dim=3)
+    return random_operator(rng, source, target).band_truncate(float(R + width)), float(R)
+
+
+def test_component_split_matches_reference_on_block_sparse_operators():
+    for seed in range(40):
+        T, R = _block_sparse_input(seed)
+        report, ref = quasi_locality_violation(T, R), reference_exact(T, R)
+        value = report.violation_lower
+        assert abs(value - ref.violation_lower) <= 4 * np.spacing(ref.violation_lower), seed
+        assert report.violation_upper == value
+        if report.witness is None:
+            assert value <= locality._WITNESS_TOL
+            continue
+        A, B = report.witness
+        X = T.source.base
+        assert X.set_distance(A, B) > R
+        assert abs(T.corner_norm(B, A) - value) <= 1e-12
+        for drop in range(len(B) if len(B) > 1 else 0):
+            assert T.corner_norm(B[:drop] + B[drop + 1 :], A) < value - 1e-12
+        for drop in range(len(A) if len(A) > 1 else 0):
+            assert T.corner_norm(B, A[:drop] + A[drop + 1 :]) < value - 1e-12
+
+
+def test_tiny_block_still_counts_as_nonzero():
+    # the squared Frobenius norm of the 1e-170 block underflows to 0
+    fib = FiberedSpace.uniform(path_space(2), 1)
+    T = BlockOperator(fib, fib, [[1.0, 0.0], [1e-170, 1.0]])
+    assert T.block_frobenius()[1, 0] == 0.0
+    report = quasi_locality_violation(T, 0.0)
+    assert report.violation_lower == 1e-170
+    assert report.to_json() == reference_exact(T, 0.0).to_json()
+
+
+def test_each_distinct_component_is_normed_once(monkeypatch):
+    count = [0]
+
+    def spy(mat):
+        count[0] += mat.shape[0] if mat.ndim == 3 else 1
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(locality, "spectral_norm", spy)
+    # R = 0 on 16 points: 65,534 candidates, whose corners share few
+    # distinct components on a band unitary
+    V = random_band_unitary(FiberedSpace.uniform(path_space(16), 2), 2.0, 1, seed=3)
+    quasi_locality_violation(V, 0.0)
+    assert count[0] <= 200
+    # a dense corner is one component: one norm per candidate
+    count[0] = 0
+    rng = np.random.default_rng(12)
+    fib = FiberedSpace.uniform(path_space(12), 2)
+    q, _ = np.linalg.qr(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+    quasi_locality_violation(BlockOperator(fib, fib, q), 0.0)
+    assert count[0] == 2**12 - 2
+
+
 @pytest.mark.parametrize("shape", [(1, 5), (6, 1), (3, 8), (9, 2), (4, 4), (5, 9)])
 def test_spectral_norm_of_a_stack_is_bitwise_per_matrix(shape):
     rng = np.random.default_rng(sum(shape))
@@ -162,18 +240,22 @@ def test_spectral_norm_of_a_stack_is_bitwise_per_matrix(shape):
 
 
 def test_exact_enumeration_memory_stays_bounded():
-    # R = 0 on 16 points makes every proper subset a candidate; the largest
-    # equal-shape group alone is C(16, 8) corners of 16 x 16 complex entries,
-    # 53 MB if gathered at once
+    # R = 0 on 16 points makes every proper subset a candidate.  A dense
+    # operator has one component per corner, so its largest equal-shape
+    # group alone is C(16, 8) corners of 16 x 16 complex entries, 53 MB if
+    # gathered at once; the band unitary's 65,534 corners split into
+    # 229,376 component labels, of which 62 are distinct
     fib = FiberedSpace.uniform(path_space(16), 2)
-    V = random_band_unitary(fib, 2.0, 1, seed=3)
-    tracemalloc.start()
-    try:
-        quasi_locality_violation(V, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    band = random_band_unitary(fib, 2.0, 1, seed=3)
+    dense = random_operator(np.random.default_rng(16), fib, fib)
+    for T in (band, dense):
+        tracemalloc.start()
+        try:
+            quasi_locality_violation(T, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def test_banded_operator_reports_zero(rng):
