@@ -28,9 +28,16 @@ same tie exactly, so the choice does not depend on rounding, and the
 pair is then pruned to a minimal one.
 
 Larger spaces get a certified window.  Its lower member is a seeded
-local search that grows separated pairs one point at a time; each round
-screens all candidate points with one batched eigenvalue call on their
-corner Gram matrices and confirms the survivors with exact corner norms.
+local search that grows separated pairs one point at a time.  Its
+restarts share one state built per call (the far relation d > R, the
+block Frobenius norms and their squares, the separated pairs, each
+coordinate's point).  A round keeps the masks of B, of A and of the
+points far from each up to date, ranks the candidate points by the
+Frobenius mass they add, screens them all at once on their corner Gram
+matrices (1 x 1 and 2 x 2 tops in closed form, larger ones in one
+batched eigenvalue call), and confirms the survivors in rank order with
+exact corner norms, whose coordinates come from the masks in the order
+`BlockOperator.corner_norm` uses.
 Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extraction import _top_eig_2x2
 from .maps import PointMap
 from .operators import BlockOperator, spectral_norm
 
@@ -201,25 +209,32 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
     return min((T - T.band_truncate(R)).norm(), T.norm())
 
 
-def _separated_block_pairs(T: BlockOperator, R: float) -> np.ndarray:
-    base = T.source.base
-    ys, xs = np.nonzero(base.dist > R)
-    return np.stack([ys, xs], axis=1)
+class _SearchState:
+    """What every restart of the local search shares, built once per call:
+    the separation relation, the block Frobenius norms and their squares,
+    the separated block pairs, and the point of each coordinate."""
+
+    def __init__(self, T: BlockOperator, R: float):
+        self.T = T
+        self.far = T.source.base.dist > R  # far[y, x]: d(y, x) > R; symmetric
+        self.frob = T.block_frobenius()
+        self.frob2 = self.frob**2
+        self.pairs = np.argwhere(self.far)  # separated (y, x), row-major
+        self.row_point = T.target.coord_point
+        self.col_point = T.source.coord_point
 
 
-def _best_singleton(T: BlockOperator, R: float):
+def _best_singleton(s: _SearchState):
     """Exact best separated singleton pair, prescreened by Frobenius norms."""
-    frob = T.block_frobenius()
-    pairs = _separated_block_pairs(T, R)
-    if pairs.size == 0:
+    if s.pairs.size == 0:
         return 0.0, None
-    order = np.argsort(-frob[pairs[:, 0], pairs[:, 1]], kind="stable")
+    order = np.argsort(-s.frob[s.far], kind="stable")
     best = 0.0
     best_pair = None
-    for y, x in pairs[order]:
-        if frob[y, x] <= best:
+    for y, x in s.pairs[order]:
+        if s.frob[y, x] <= best:
             break  # spectral <= Frobenius, nothing later can win
-        value = spectral_norm(T.block(y, x))
+        value = spectral_norm(s.T.block(y, x))
         if value > best:
             best = value
             best_pair = (int(y), int(x))
@@ -229,14 +244,24 @@ def _best_singleton(T: BlockOperator, R: float):
 def _screen(gram: np.ndarray, extra: np.ndarray, dims: np.ndarray):
     """Top eigenvalue and trace of gram + sum_r e_r e_r* for each candidate,
     where the rows e_r of `extra` come in consecutive segments of `dims`
-    rows, one segment per candidate; one batched eigvalsh call."""
+    rows, one segment per candidate.  A 1 x 1 Gram's top is its entry and
+    a 2 x 2 one's comes in closed form (`_top_eig_2x2`); larger ones take
+    one batched eigvalsh call."""
     outer = extra[:, :, None] * extra.conj()[:, None, :]
-    starts = np.concatenate(([0], np.cumsum(dims)[:-1]))
-    stack = gram + np.add.reduceat(outer, starts, axis=0)
-    return np.linalg.eigvalsh(stack)[:, -1], np.trace(stack, axis1=1, axis2=2).real
+    if extra.shape[0] != dims.size:  # some candidate fiber has dim >= 2
+        outer = np.add.reduceat(outer, np.concatenate(([0], np.cumsum(dims)[:-1])), axis=0)
+    stack = gram + outer
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    if gram.shape[0] == 1:
+        top = diag[:, 0]
+    elif gram.shape[0] == 2:
+        top = _top_eig_2x2(diag[:, 0], diag[:, 1], np.abs(stack[:, 1, 0]))
+    else:
+        top = np.linalg.eigvalsh(stack)[:, -1]
+    return top, diag.sum(axis=1)
 
 
-def _grow_pair(T: BlockOperator, R: float, B: list, A: list, frob: np.ndarray):
+def _grow_pair(s: _SearchState, B: list, A: list):
     """Greedy growth: keep adding single points (to either side) while the
     corner norm increases, preserving d(A, B) > R.
 
@@ -246,17 +271,27 @@ def _grow_pair(T: BlockOperator, R: float, B: list, A: list, frob: np.ndarray):
     without that test only when its screened squared norm, padded by
     _SCREEN_SLACK times its Gram trace to cover rounding in the screen and
     in the exact test, still cannot clear the bar.
+
+    The point masks of B and A and the masks of the points far from all
+    of A (candidates for B) and from all of B (candidates for A) are kept
+    up to date as points are accepted; corner coordinates are read off
+    them in ascending order, the order of `BlockOperator.corner_norm`.
     """
-    dist = T.source.base.dist
-    value = T.corner_norm(B, A)
-    for _ in range(2 * dist.shape[0]):
-        far_a = (dist[:, A] > R).all(axis=1)
-        far_a[B] = False
-        far_b = (dist[:, B] > R).all(axis=1)
-        far_b[A] = False
+    M = s.T.matrix
+    in_b = np.zeros(s.far.shape[0], dtype=bool)
+    in_b[B] = True
+    in_a = np.zeros(s.far.shape[1], dtype=bool)
+    in_a[A] = True
+    far_a = s.far[:, A].all(axis=1) & ~in_b
+    far_b = s.far[:, B].all(axis=1) & ~in_a
+    rows = np.flatnonzero(in_b[s.row_point])
+    cols = np.flatnonzero(in_a[s.col_point])
+    corner = M[rows[:, None], cols]
+    value = spectral_norm(corner)
+    for _ in range(2 * s.far.shape[0]):
         to_b, to_a = np.flatnonzero(far_a), np.flatnonzero(far_b)
         mass = np.concatenate(
-            ((frob[np.ix_(to_b, A)] ** 2).sum(axis=1), (frob.T[np.ix_(to_a, B)] ** 2).sum(axis=1))
+            (s.frob2[to_b[:, None], A].sum(axis=1), s.frob2.T[to_a[:, None], B].sum(axis=1))
         )
         side = np.concatenate((np.ones(to_b.size, dtype=np.int8), np.zeros(to_a.size, dtype=np.int8)))
         point = np.concatenate((to_b, to_a))
@@ -264,56 +299,61 @@ def _grow_pair(T: BlockOperator, R: float, B: list, A: list, frob: np.ndarray):
         # squared corner norm of each candidate: adding a point to B appends
         # its rows C, growing the column Gram by C*C; adding one to A appends
         # columns D, growing the row Gram by D D*
-        rows = T.target.coords_of(B)
-        cols = T.source.coords_of(A)
-        corner = T.matrix[np.ix_(rows, cols)]
         tops, traces = np.zeros(point.size), np.zeros(point.size)
         if to_b.size:
-            extra = T.matrix[np.ix_(T.target.coords_of(to_b), cols)].conj()
+            extra = M[np.flatnonzero(far_a[s.row_point])[:, None], cols].conj()
             tops[: to_b.size], traces[: to_b.size] = _screen(
-                corner.conj().T @ corner, extra, T.target.fiber_dims[to_b]
+                corner.conj().T @ corner, extra, s.T.target.fiber_dims[to_b]
             )
         if to_a.size:
-            extra = T.matrix[np.ix_(rows, T.source.coords_of(to_a))].T
+            extra = M[rows[:, None], np.flatnonzero(far_b[s.col_point])].T
             tops[to_b.size :], traces[to_b.size :] = _screen(
-                corner @ corner.conj().T, extra, T.source.fiber_dims[to_a]
+                corner @ corner.conj().T, extra, s.T.source.fiber_dims[to_a]
             )
         live = tops + _SCREEN_SLACK * traces > (value + _WITNESS_TOL) ** 2
-        accepted = False
-        for k in order:
-            if not live[k]:
-                continue
+        for k in order[live[order]]:
             p = int(point[k])
             if side[k]:
-                cand = T.corner_norm(B + [p], A)
+                in_b[p] = True
+                cand_rows, cand_cols = np.flatnonzero(in_b[s.row_point]), cols
+                in_b[p] = False
             else:
-                cand = T.corner_norm(B, A + [p])
+                in_a[p] = True
+                cand_rows, cand_cols = rows, np.flatnonzero(in_a[s.col_point])
+                in_a[p] = False
+            trial = M[cand_rows[:, None], cand_cols]
+            cand = spectral_norm(trial)
             if cand > value + _WITNESS_TOL:
-                (B if side[k] else A).append(p)
-                value = cand
-                accepted = True
                 break
-        if not accepted:
+        else:
             break
+        if side[k]:
+            B.append(p)
+            in_b[p], far_a[p] = True, False
+            far_b &= s.far[:, p]
+        else:
+            A.append(p)
+            in_a[p], far_b[p] = True, False
+            far_a &= s.far[:, p]
+        rows, cols, corner, value = cand_rows, cand_cols, trial, cand
     return value, B, A
 
 
 def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int) -> LocalityReport:
     upper = _truncation_upper(T, R)
-    frob = T.block_frobenius()
-    best, pair = _best_singleton(T, R)
+    state = _SearchState(T, R)
+    best, pair = _best_singleton(state)
     starts = []
     if pair is not None:
         starts.append(pair)
-    all_pairs = _separated_block_pairs(T, R)
     rng = np.random.default_rng(seed)
-    if all_pairs.shape[0] and restarts > 0:
-        picks = rng.integers(0, all_pairs.shape[0], size=restarts)
-        starts.extend((int(y), int(x)) for y, x in all_pairs[picks])
+    if state.pairs.shape[0] and restarts > 0:
+        picks = rng.integers(0, state.pairs.shape[0], size=restarts)
+        starts.extend((int(y), int(x)) for y, x in state.pairs[picks])
     best_value = 0.0
     best_sets = None
     for y, x in starts:
-        value, B, A = _grow_pair(T, R, [y], [x], frob)
+        value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
             best_value = value
             best_sets = (A, B)

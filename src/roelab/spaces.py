@@ -26,11 +26,21 @@ _TRIANGLE_TOL = 1e-9
 
 
 def validate_points(points, n: int) -> np.ndarray:
-    """Normalize a point collection to a sorted, unique int array in 0..n-1."""
-    arr = np.array(sorted({int(p) for p in points}), dtype=np.int64)
+    """Normalize a point collection to a sorted, unique int array in 0..n-1.
+
+    The checks run on the sorted array: its ends decide the range, and
+    neighbours that compare equal are the duplicates."""
+    if not isinstance(points, (np.ndarray, list, tuple)):
+        points = list(points)  # sets, ranges, generators
+    arr = np.array(points, dtype=np.int64).reshape(-1)  # a copy, sorted in place
+    arr.sort()
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        bad = arr[(arr < 0) | (arr >= n)]
+        bad = np.unique(arr[(arr < 0) | (arr >= n)])
         raise ValueError(f"point index out of range [0, {n}): {bad.tolist()}")
+    if arr.size > 1:
+        new = arr[1:] != arr[:-1]
+        if not new.all():
+            arr = arr[np.concatenate(([True], new))]
     return arr
 
 

@@ -94,6 +94,27 @@ def test_ql_banded_unitary(tmp_path):
     assert results["exact"] is True
 
 
+def test_one_parser_serves_every_call_of_a_process(command_argv, capsys):
+    # the parser is built once; no call, a rejected one included, may
+    # change what a later call reports
+    ql = command_argv["ql"] + ["--mode", "bounds"]
+    parser = _build_parser()
+
+    def results_of(argv):
+        assert run(argv) == 0
+        return report_bytes(json.loads(capsys.readouterr().out)["results"])
+
+    first = results_of(ql)
+    results_of(command_argv["extract"])
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the mode
+        run(["ql", "--radius", "1", "--mode", "sideways"])
+    assert exc.value.code == 2
+    assert run(ql + ["--radius", "nan"]) == 2
+    capsys.readouterr()
+    assert results_of(ql) == first
+    assert _build_parser() is parser
+
+
 def test_ql_exact_above_limit_exits_2(tmp_path, capsys):
     X = path_space(17)
     V = random_band_unitary(FiberedSpace.uniform(X, 1), 1.0, 1, seed=0)

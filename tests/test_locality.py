@@ -423,29 +423,80 @@ def _search_input(seed: int, kind: str):
     return T, R
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "faint"]))
-def test_screened_search_matches_plain_greedy(seed, kind):
-    T, R = _search_input(seed, kind)
-    frob = T.block_frobenius()
-    pairs = locality._separated_block_pairs(T, R)
-    if len(pairs) == 0:
+def _assert_search_matches_reference(T, R, restarts, seed):
+    """Every start of the screened search grows as reference_grow does, and
+    the search reports the same lower value and witness with either."""
+    state = locality._SearchState(T, R)
+    if len(state.pairs) == 0:
         return
-    best = locality._best_singleton(T, R)[1]  # None when every separated block is zero
+    frob = T.block_frobenius()
+    best = locality._best_singleton(state)[1]  # None when every separated block is zero
     starts = [best] if best is not None else []
-    starts += [(int(y), int(x)) for y, x in pairs[np.random.default_rng(seed).integers(0, len(pairs), 8)]]
+    picks = np.random.default_rng(seed).integers(0, len(state.pairs), 8)
+    starts += [(int(y), int(x)) for y, x in state.pairs[picks]]
     for y, x in starts:
-        assert locality._grow_pair(T, R, [y], [x], frob) == reference_grow(T, R, [y], [x], frob)
-    screened = locality._search_violation(T, R, restarts=8, seed=seed)
+        assert locality._grow_pair(state, [y], [x]) == reference_grow(T, R, [y], [x], frob)
+    screened = locality._search_violation(T, R, restarts=restarts, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(locality, "_grow_pair", reference_grow)
-        plain = locality._search_violation(T, R, restarts=8, seed=seed)
+        mp.setattr(locality, "_grow_pair", lambda s, B, A: reference_grow(s.T, R, B, A, frob))
+        plain = locality._search_violation(T, R, restarts=restarts, seed=seed)
     assert screened.violation_lower == plain.violation_lower
     assert screened.witness == plain.witness
 
 
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "faint"]))
+def test_screened_search_matches_plain_greedy(seed, kind):
+    T, R = _search_input(seed, kind)
+    _assert_search_matches_reference(T, R, 8, seed)
+
+
+@pytest.mark.parametrize("kind", ["band", "reflection"])
+def test_screened_search_matches_plain_greedy_on_a_60_point_path(kind):
+    # mixed 1- and 2-dim fibers: the screened Grams start at 1 x 1 or 2 x 2
+    # (closed form) and grow past them (eigvalsh), and the candidates'
+    # row segments have uneven lengths
+    rng = np.random.default_rng(60)
+    fib = FiberedSpace(path_space(60), rng.integers(1, 3, size=60))
+    if kind == "band":
+        T = random_band_unitary(fib, 1.0, 4, seed=11)
+    else:
+        W, _ = covering_unitary(fixtures.reflection_map(60), fib)
+        T = W @ random_band_unitary(fib, 2.0, 1, seed=12)
+    assert set(T.target.fiber_dims) == set(T.source.fiber_dims) == {1, 2}
+    _assert_search_matches_reference(T, 3.0, 6, 5)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("spread", ["plain", "near-degenerate", "1e12 range", "mixed scales"])
+def test_closed_form_screen_within_slack_of_eigvalsh(m, spread):
+    # the screen takes 1 x 1 and 2 x 2 tops without eigvalsh; skipping a
+    # candidate stays sound while they lie within _SCREEN_SLACK * trace of
+    # eigvalsh's top on the same positive semidefinite matrix
+    rng = np.random.default_rng(m)
+    k = 300
+    dims = rng.integers(1, 4, size=k)
+    C = rng.standard_normal((m + 1, m)) + 1j * rng.standard_normal((m + 1, m))
+    extra = rng.standard_normal((dims.sum(), m)) + 1j * rng.standard_normal((dims.sum(), m))
+    if spread == "near-degenerate":  # 2 I plus a part of relative size 1e-10
+        C, extra = np.sqrt(2.0) * np.eye(m + 1, m), 1e-5 * extra
+    elif spread == "1e12 range":  # between the eigenvalues, or Gram against rows
+        C, extra = (C * [1e3, 1e-3], extra * [1e3, 1e-3]) if m == 2 else (1e3 * C, 1e-3 * extra)
+    elif spread == "mixed scales":
+        extra *= np.repeat(10.0 ** rng.uniform(-3, 3, size=k), dims)[:, None]
+    gram = C.conj().T @ C
+    for d in (dims, np.ones(dims.sum(), dtype=np.int64)):  # with and without reduceat
+        tops, traces = locality._screen(gram, extra, d)
+        owner = np.repeat(np.arange(d.size), d)
+        stacks = np.array([gram + extra[owner == i].T @ extra[owner == i].conj() for i in range(d.size)])
+        exact = np.linalg.eigvalsh(stacks)[:, -1]
+        assert np.all(np.abs(tops - exact) <= locality._SCREEN_SLACK * traces)
+        assert np.allclose(traces, np.trace(stacks, axis1=1, axis2=2).real, rtol=1e-12, atol=0)
+
+
 def test_bounds_upper_at_most_norm_on_reflection_cover():
-    # the band-tail bound sum_{k > R} ||D_k|| exceeds 60 on this unitary
+    # a reflection lives far from the diagonal: here ||U - U_R|| is about
+    # 1.15 while ||U|| is 1, so the upper member must take the norm
     U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
     report = quasi_locality_violation(U, 3.0, mode="bounds")
     assert report.violation_lower <= report.violation_upper

@@ -15,7 +15,7 @@ from roelab.operators import (
     random_band_unitary,
     spectral_norm,
 )
-from roelab.spaces import path_space
+from roelab.spaces import path_space, validate_points
 
 from conftest import random_fibered, random_graph_space, random_operator
 
@@ -35,6 +35,41 @@ def test_fibered_space_layout():
     assert fib.slice_of(1) == slice(2, 3)
     assert list(fib.coords_of([0, 2])) == [0, 1, 3, 4, 5]
     assert list(fib.coord_point) == [0, 0, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("points, expected", [
+    pytest.param([2, 0, 2, 1, 0], [0, 1, 2], id="duplicates"),
+    pytest.param(np.array([3, 1], dtype=np.int32), [1, 3], id="int32-array"),
+    pytest.param(np.array([2, 2, 0], dtype=np.uint8), [0, 2], id="uint8-array"),
+    pytest.param([np.int64(3), np.intp(0)], [0, 3], id="numpy-scalars"),
+    pytest.param({3, 0}, [0, 3], id="set"),
+    pytest.param(range(2), [0, 1], id="range"),
+    pytest.param([], [], id="empty-list"),
+    pytest.param(np.array([], dtype=np.int64), [], id="empty-array"),
+])
+def test_points_normalize_sorted_and_unique(points, expected):
+    arr = validate_points(points, 4)
+    assert arr.dtype == np.int64 and arr.tolist() == expected
+    fib = FiberedSpace(path_space(4), [2, 1, 1, 3])
+    assert fib.coord_mask(points).tolist() == [p in expected for p in fib.coord_point]
+    assert fib.coords_of(points).tolist() == [c for c, p in enumerate(fib.coord_point) if p in expected]
+
+
+@pytest.mark.parametrize("points, bad", [
+    pytest.param([0, -1], "[-1]", id="negative"),
+    pytest.param([4, 1], "[4]", id="n"),
+    pytest.param(np.array([5, -2, 5, 0, -2]), "[-2, 5]", id="both-ends-repeated"),
+])
+def test_points_out_of_range_rejected(points, bad):
+    message = f"point index out of range [0, 4): {bad}"
+    with pytest.raises(ValueError) as err:
+        validate_points(points, 4)
+    assert str(err.value) == message
+    fib = FiberedSpace.uniform(path_space(4), 2)
+    for call in (fib.coord_mask, fib.coords_of):
+        with pytest.raises(ValueError) as err:
+            call(points)
+        assert str(err.value) == message
 
 
 def test_fibered_space_rejects_zero_dims():
