@@ -1,5 +1,10 @@
 """File formats: binary block operators, JSON spaces, maps, and reports.
 
+A space is written by ``FiniteMetricSpace.to_json``: a graph metric as
+its edge list ``{"n", "edges"}``, any other space as its matrix
+``{"n", "dist"}``.  Both forms are read, and a map embeds its source and
+target spaces in the same way.
+
 Binary operator layout (all integers little-endian uint32, floats
 little-endian float64):
 
@@ -138,6 +143,9 @@ def save_space(path, space: FiniteMetricSpace) -> None:
 def load_map(path) -> PointMap:
     with open(path) as fh:
         data = json.load(fh)
+    for key in ("source", "target", "table"):
+        if key not in data:
+            raise ValueError(f"map JSON is missing {key!r}")
     source = FiniteMetricSpace.from_json(data["source"])
     target = FiniteMetricSpace.from_json(data["target"])
     return PointMap(source, target, data["table"])

@@ -5,11 +5,20 @@ validated for symmetry and the triangle inequality at construction time.
 A matrix that equals the hop metric of its own unit-distance graph (every
 path space, every edge-list space) is a metric by that equality alone, so
 one shortest-path pass certifies it; any other matrix goes through the
-O(n^3) triangle loop.  Spaces are immutable after construction and safe
-to share between threads.
+O(n^3) triangle loop.  An edge-list space is a hop metric by
+construction, so its one shortest-path pass both builds and certifies it.
+Spaces are immutable after construction and safe to share between
+threads.
+
+JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
+i < j at distance 1 in row-major order, and any other space as
+``{"n", "dist"}``; both forms are read.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -92,16 +101,22 @@ class FiniteMetricSpace:
         if (off <= 0).any():
             i, j = np.argwhere(off <= 0)[0]
             raise ValueError(f"distinct points must have positive distance: d({i},{j}) <= 0")
-        if not _is_graph_metric(dist):
+        graph_metric = _is_graph_metric(dist)
+        if not graph_metric:
             bad = _triangle_violation(dist)
             if bad is not None:
                 i, j, k = bad
                 raise ValueError(
                     f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
                 )
+        self._freeze(dist, graph_metric)
+
+    def _freeze(self, dist: np.ndarray, graph_metric: bool) -> None:
+        """Freeze a checked distance matrix into this space."""
         dist.setflags(write=False)
         self.dist = dist
-        self.n = n
+        self.n = dist.shape[0]
+        self._graph_metric = graph_metric
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
@@ -163,17 +178,25 @@ class FiniteMetricSpace:
         return np.unique(self.dist)
 
     def to_json(self) -> dict:
+        """``{"n", "edges"}`` for a graph metric, ``{"n", "dist"}`` otherwise."""
+        if self._graph_metric:
+            return {"n": self.n, "edges": np.argwhere(np.triu(self.dist == 1.0, 1)).tolist()}
         return {"n": self.n, "dist": self.dist.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
+        if "n" not in data:
+            raise ValueError("space JSON is missing 'n'")
+        n = data["n"]
+        if not isinstance(n, Integral) or isinstance(n, bool):
+            raise ValueError(f"space JSON: 'n' must be an integer, got {n!r}")
         if "dist" in data:
             space = cls(data["dist"])
-            if space.n != int(data["n"]):
+            if space.n != n:
                 raise ValueError("space JSON: 'n' does not match 'dist' shape")
             return space
         if "edges" in data:
-            return from_edge_list(int(data["n"]), data["edges"])
+            return from_edge_list(n, data["edges"])
         raise ValueError("space JSON needs either a 'dist' matrix or an 'edges' list")
 
 
@@ -185,22 +208,68 @@ def path_space(n: int) -> FiniteMetricSpace:
     return FiniteMetricSpace(np.abs(idx[:, None] - idx[None, :]).astype(float))
 
 
+def _edge_array(edges) -> np.ndarray:
+    """The edges as an (m, 2) integer array.  Each edge must be a pair of
+    integers; a float or bool endpoint is refused, never truncated."""
+    if not isinstance(edges, np.ndarray):
+        try:
+            edges = list(edges)
+        except TypeError:  # null or a bare number where the list should be
+            raise ValueError(f"edges must be a list of point pairs, got {edges!r}") from None
+    if len(edges) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # edges of different lengths
+        arr = None
+    ok = arr is not None and arr.shape == (len(edges), 2) and arr.dtype.kind in "iu"
+    if ok and not isinstance(edges, np.ndarray):
+        # numpy turns [True, 2] into [1, 2]; only the element types tell
+        ok = not {bool, np.bool_} & set(map(type, chain.from_iterable(edges)))
+    if not ok:
+        bad = _first_bad_edge(edges)
+        raise ValueError(f"every edge must be a pair of integer points, got {bad}")
+    return arr
+
+
+def _first_bad_edge(edges) -> str:
+    """The first edge that is not a pair of integers, for an error message."""
+    for e in edges:
+        try:
+            pair = len(e) == 2
+        except TypeError:  # a bare number
+            return repr(e)
+        if not (pair and all(isinstance(v, Integral) and not isinstance(v, bool) for v in e)):
+            return repr(e.tolist() if isinstance(e, np.ndarray) else e)
+    return repr(edges)
+
+
 def from_edge_list(n: int, edges) -> FiniteMetricSpace:
-    """Unweighted shortest-path metric of a connected graph on n nodes."""
+    """Unweighted shortest-path metric of a connected graph on n nodes.
+
+    The one shortest-path pass that builds the metric also certifies it:
+    a hop metric is a metric, so the constructor's checks are skipped."""
     if n < 1:
         raise ValueError("from_edge_list needs n >= 1")
-    rows, cols = [], []
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range [0, {n})")
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        rows += [i, j]
-        cols += [j, i]
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist = shortest_path(adj, method="D", directed=False, unweighted=True)
+    arr = _edge_array(edges)
+    outside = ((arr < 0) | (arr >= n)).any(axis=1)
+    if outside.any():
+        i, j = arr[outside.argmax()]
+        raise ValueError(f"edge ({i},{j}) out of range [0, {n})")
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        raise ValueError(f"self-loop at node {arr[loops.argmax(), 0]} is not allowed")
+    # the symmetric adjacency in CSR form, built directly: both directions
+    # of every edge, sorted stably by row (a repeated edge is harmless)
+    ends = np.concatenate((arr, arr[:, ::-1])).astype(np.int64, copy=False)
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
+    adj = csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(n, n))
+    dist = shortest_path(adj, method="D", unweighted=True)
     if not np.isfinite(dist).all():
         i, j = np.argwhere(~np.isfinite(dist))[0]
         raise ValueError(f"graph is disconnected: no path between {i} and {j}")
-    return FiniteMetricSpace(dist)
+    space = FiniteMetricSpace.__new__(FiniteMetricSpace)
+    space._freeze(dist, graph_metric=True)
+    return space

@@ -274,6 +274,48 @@ def test_malformed_space_exits_2(tmp_path, capsys):
     assert "symmetr" in err["error"]["message"] or "metric" in err["error"]["message"]
 
 
+def test_space_with_float_point_count_exits_2(hadamard_files, tmp_path, capsys):
+    _, unitary = hadamard_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3.5, "edges": [[0, 1], [1, 2]]}))
+    assert run(["extract", "--unitary", unitary, "--space", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": {"type": "ValueError",
+                             "message": "space JSON: 'n' must be an integer, got 3.5"}}
+
+
+EXTRACT = ["extract", "--delta", "0.7"]
+QL_BOUNDS = ["ql", "--mode", "bounds", "--radius", "3"]
+
+
+@pytest.mark.parametrize("kind, n, commands", [
+    pytest.param("reflection", 20, [EXTRACT, QL_BOUNDS], id="reflection"),
+    pytest.param("halving", 10, [EXTRACT], id="halving"),  # ql needs one base space
+])
+def test_results_equal_from_dist_and_edges_space_files(kind, n, commands, tmp_path, capsys):
+    # the form of a space file is a storage choice: results are byte-equal
+    U, _, _ = noisy_covering_unitary(kind, n, 3, 2.0, 2)
+    unitary = tmp_path / "U.bin"
+    write_operator(unitary, U)
+    sides = [("--space", U.target.base)]
+    if U.source != U.target:
+        sides.append(("--source-space", U.source.base))
+    argv = {"dist": ["--unitary", str(unitary)], "edges": ["--unitary", str(unitary)]}
+    for flag, base in sides:
+        old, new = tmp_path / f"dist{flag}.json", tmp_path / f"edges{flag}.json"
+        old.write_text(json.dumps({"n": base.n, "dist": base.dist.tolist()}))
+        save_space(new, base)
+        assert "edges" in json.loads(new.read_text())
+        argv["dist"] += [flag, str(old)]
+        argv["edges"] += [flag, str(new)]
+    for command in commands:
+        results = []
+        for form in ("dist", "edges"):
+            assert run(command[:1] + argv[form] + command[1:]) == 0
+            results.append(report_bytes(json.loads(capsys.readouterr().out)["results"]))
+        assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("space_json", [
     pytest.param('{"n": 2, "dist": [[0, NaN], [NaN, 0]]}', id="dist-nan"),
     pytest.param('{"n": 2, "dist": [[0, Infinity], [Infinity, 0]]}', id="dist-inf"),

@@ -19,7 +19,7 @@ from roelab.serialize import (
     write_operator,
     write_report,
 )
-from roelab.spaces import path_space
+from roelab.spaces import FiniteMetricSpace, path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
 
@@ -195,11 +195,19 @@ def test_square_file_with_foreign_source_rejected(rng, tmp_path):
         read_operator(path, path_space(3), path_space(4))
 
 
-def test_space_save_load(tmp_path):
-    X = path_space(7)
+def test_space_save_load(rng, tmp_path):
     path = tmp_path / "space.json"
-    save_space(path, X)
-    assert load_space(path) == X
+    for X in (path_space(1), path_space(7), random_graph_space(rng, 12, extra_edges=5)):
+        save_space(path, X)
+        assert sorted(json.loads(path.read_text())) == ["edges", "n"]
+        assert load_space(path) == X
+        # the same space written the old way, as its full matrix
+        path.write_text(json.dumps({"n": X.n, "dist": X.dist.tolist()}))
+        assert load_space(path) == X
+    scaled = FiniteMetricSpace(path_space(4).dist * 2)
+    save_space(path, scaled)
+    assert json.loads(path.read_text()) == {"n": 4, "dist": scaled.dist.tolist()}
+    assert load_space(path) == scaled
     edges = tmp_path / "edges.json"
     edges.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
     Y = load_space(edges)
@@ -210,6 +218,9 @@ def test_map_save_load(tmp_path):
     f = PointMap(path_space(6), path_space(3), [i // 2 for i in range(6)])
     path = tmp_path / "map.json"
     save_map(path, f)
+    data = json.loads(path.read_text())
+    assert data["source"] == {"n": 6, "edges": [[k, k + 1] for k in range(5)]}
+    assert data["target"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
     back = load_map(path)
     assert back == f
 

@@ -1,9 +1,14 @@
 """Metric substrate: construction, balls, neighborhoods, growth."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from roelab import spaces
+from roelab.maps import PointMap
+from roelab.serialize import load_map, load_space
 from roelab.spaces import FiniteMetricSpace, from_edge_list, path_space
 
 from conftest import cycle_space, grid_space, random_graph_space, tree_space
@@ -163,11 +168,107 @@ def test_validation_rejects_bad_matrices():
     assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
 
 
-def test_json_roundtrip_both_forms():
-    X = path_space(6)
-    assert FiniteMetricSpace.from_json(X.to_json()) == X
+def _unit_pairs(dist):
+    """Reference: the pairs i < j at distance exactly 1, row-major."""
+    n = dist.shape[0]
+    return [[i, j] for i in range(n) for j in range(i + 1, n) if dist[i, j] == 1.0]
+
+
+def test_json_roundtrip_both_forms(rng):
+    graphs = [path_space(1), path_space(6), cycle_space(rng, 9), tree_space(rng, 12),
+              grid_space(rng, 3, 4), random_graph_space(rng, 15, extra_edges=6)]
+    for X in graphs:
+        data = X.to_json()
+        assert sorted(data) == ["edges", "n"] and data["n"] == X.n
+        assert data["edges"] == _unit_pairs(X.dist)
+        back = FiniteMetricSpace.from_json(data)
+        assert back == X and back.dist.tobytes() == X.dist.tobytes()
+        # a graph space written the old way, as its matrix, still loads
+        assert FiniteMetricSpace.from_json({"n": X.n, "dist": X.dist.tolist()}) == X
+    assert path_space(1).to_json() == {"n": 1, "edges": []}
+    weighted = FiniteMetricSpace([[0, 1, 1.5], [1, 0, 2], [1.5, 2, 0]])
+    for X in (FiniteMetricSpace(path_space(5).dist * 2), weighted):
+        data = X.to_json()
+        assert data == {"n": X.n, "dist": X.dist.tolist()}
+        assert FiniteMetricSpace.from_json(data) == X
     Y = FiniteMetricSpace.from_json({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
     assert Y.dist[0, 2] == 2
+    assert Y.to_json()["edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"n": 3.5, "edges": [[0, 1], [1, 2]]}, "'n' must be an integer", id="n-float"),
+    pytest.param({"n": 2.9, "dist": [[0, 1], [1, 0]]}, "'n' must be an integer", id="n-float-dist"),
+    pytest.param({"n": True, "edges": []}, "'n' must be an integer", id="n-bool"),
+    pytest.param({"edges": [[0, 1]]}, "missing 'n'", id="n-missing"),
+    pytest.param({"n": 3, "edges": [[0.7, 1], [1, 2]]}, "pair of integer points", id="edge-float"),
+    pytest.param({"n": 3, "edges": [[0, 1], [1.0, 2.0]]}, "pair of integer points",
+                 id="edge-integral-float"),
+    pytest.param({"n": 3, "edges": [[0, 1], [True, 2]]}, "pair of integer points",
+                 id="edge-bool"),
+    pytest.param({"n": 3, "edges": [[0, 1], [1, 2, 99]]}, "pair of integer points",
+                 id="edge-three-entries"),
+    pytest.param({"n": 3, "edges": [[0, 1, 2], [1, 2, 0]]}, "pair of integer points",
+                 id="edges-all-triples"),
+    pytest.param({"n": 3, "edges": [[0, 1], [2]]}, "pair of integer points", id="edge-one-entry"),
+    pytest.param({"n": 3, "edges": [[0, 1], 2]}, "pair of integer points", id="edge-bare-number"),
+    pytest.param({"n": 3, "edges": [[0, 1], [1, 3]]}, r"edge \(1,3\) out of range", id="edge-range"),
+    pytest.param({"n": 3, "edges": [[0, 1], [2, 2]]}, "self-loop at node 2", id="edge-self-loop"),
+    pytest.param({"n": 3, "edges": None}, "list of point pairs", id="edges-null"),
+    pytest.param({"n": 3, "edges": 5}, "list of point pairs", id="edges-number"),
+    pytest.param({"n": 3, "dist": [[0, 1], [1, 0]]}, "does not match", id="n-shape"),
+    pytest.param({"n": 3}, "either a 'dist' matrix or an 'edges' list", id="no-metric"),
+])
+def test_malformed_space_json_rejected(data, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteMetricSpace.from_json(data)
+
+
+def test_edge_list_names_the_bad_edge():
+    with pytest.raises(ValueError) as info:
+        from_edge_list(3, [(0, 1), (1, 2, 99)])
+    assert str(info.value) == "every edge must be a pair of integer points, got (1, 2, 99)"
+    with pytest.raises(ValueError, match=r"got \[0\.7, 1\]"):
+        from_edge_list(3, [[0.7, 1], [1, 2]])
+    # integer arrays and generators are edge lists too
+    assert from_edge_list(3, np.array([[0, 1], [1, 2]], dtype=np.uint8)) == path_space(3)
+    assert from_edge_list(3, ((k, k + 1) for k in range(2))) == path_space(3)
+    assert from_edge_list(1, np.empty((0, 2), dtype=np.int64)) == path_space(1)
+    with pytest.raises(ValueError, match="pair of integer points"):
+        from_edge_list(3, np.array([[0, 1], [1, 2]], dtype=float))
+
+
+@pytest.mark.parametrize("key", ["source", "target", "table"])
+def test_map_json_missing_key_named(key, tmp_path):
+    data = PointMap(path_space(4), path_space(2), [0, 0, 1, 1]).to_json()
+    del data[key]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"map JSON is missing '{key}'"):
+        load_map(path)
+
+
+def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "shortest_path", counting)
+    X = path_space(30)
+    assert len(calls) == 1  # a matrix handed to the constructor is certified
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"n": 30, "edges": [[k, k + 1] for k in range(29)]}))
+    calls.clear()
+    assert load_space(path) == X
+    assert len(calls) == 1
+    calls.clear()
+    # a matrix that is not a hop metric still reaches the triangle loop
+    with pytest.raises(ValueError) as info:
+        FiniteMetricSpace([[0, 2, 5], [2, 0, 2], [5, 2, 0]])
+    assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
+    assert len(calls) == 1
 
 
 def _loop_verdict(dist):
