@@ -82,14 +82,13 @@ class PointMap:
     def modulus_profile(self) -> list[tuple[float, float]]:
         """(r, modulus(r)) at each realized source distance r.
 
-        One pass: the largest spread among pairs at exactly each distance,
-        then a running maximum over the sorted distances.
+        One pass over the source's stored distance levels: the largest
+        spread among pairs at exactly each distance, then a running
+        maximum over the sorted distances.
         """
-        radii, slot = np.unique(self.source.dist, return_inverse=True)
-        spread = self.target.dist[np.ix_(self.values, self.values)]
-        top = np.zeros(radii.size)
-        np.maximum.at(top, slot.ravel(), spread.ravel())
-        top = np.maximum.accumulate(top)
+        radii, order, starts = self.source.distance_levels()
+        spread = self.target.dist[np.ix_(self.values, self.values)].ravel()
+        top = np.maximum.accumulate(np.maximum.reduceat(spread[order], starts))
         return [(float(r), float(m)) for r, m in zip(radii, top)]
 
     def to_json(self) -> dict:

@@ -309,10 +309,21 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     Each layer pairs up basis vectors sitting at points within distance R
     (pairs disjoint within the layer) and applies an independent random
     SU(2) rotation to every pair; unpaired vectors get a random phase.
-    The pairing loop only draws: each layer's rotations are applied after
-    it in one batched (k, 2, 2) @ (k, 2, n) product and its phases in one
+    Deterministic for a fixed seed.
+
+    Draw order, which keeps every seeded matrix (and so every `sweep`
+    row) byte-stable: per layer, one ``rng.permutation`` of the
+    coordinates; then, for each coordinate p of it not yet used, either
+    ``rng.integers(k)`` picking its partner among the k unused
+    coordinates within R of p's point, in ascending index order,
+    followed by three ``rng.random()`` (theta, alpha, beta), or, when
+    k = 0, one ``rng.random()`` for p's phase.
+
+    The pairing loop runs on Python lists and only draws; each layer's
+    rotations and phases are built from the draws in one vectorised pass
+    and applied in one batched (k, 2, 2) @ (k, 2, n) product and one
     row-scaled multiply, which is exact because the pairs and lone
-    vectors of a layer are disjoint.  Deterministic for a fixed seed.
+    vectors of a layer are disjoint.
     """
     if not R >= 0:
         raise ValueError("band radius must be >= 0")
@@ -321,33 +332,35 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     rng = np.random.default_rng(seed)
     n_coords = space.total_dim
     pt = space.coord_point
+    # near[p]: the coordinates within R of p's point, ascending (p included)
+    rows, cols = np.nonzero(space.base.dist[np.ix_(pt, pt)] <= R)
+    ends = np.cumsum(np.bincount(rows, minlength=n_coords)).tolist()
+    cols = cols.tolist()
+    near = [cols[start:end] for start, end in zip([0] + ends, ends)]
     mat = np.eye(n_coords, dtype=complex)
     for _ in range(layers):
-        order = rng.permutation(n_coords)
-        used = np.zeros(n_coords, dtype=bool)
-        pairs, rotations, lone, phases = [], [], [], []
-        for p in order:
+        used = [False] * n_coords
+        pairs, angles, lone, turns = [], [], [], []
+        for p in rng.permutation(n_coords).tolist():
             if used[p]:
                 continue
             used[p] = True
-            near = ~used & (space.base.dist[pt[p], pt] <= R)
-            candidates = np.flatnonzero(near)
-            if candidates.size == 0:
+            candidates = [c for c in near[p] if not used[c]]
+            if not candidates:
                 lone.append(p)
-                phases.append(np.exp(2j * np.pi * rng.random()))
+                turns.append(rng.random())
                 continue
-            q = int(candidates[rng.integers(candidates.size)])
+            q = candidates[rng.integers(len(candidates))]
             used[q] = True
-            theta = rng.random() * 2 * np.pi
-            alpha = rng.random() * 2 * np.pi
-            beta = rng.random() * 2 * np.pi
+            pairs.append((p, q))
+            angles.append((rng.random(), rng.random(), rng.random()))
+        if pairs:
+            theta, alpha, beta = np.array(angles).T * 2 * np.pi
             a = np.cos(theta) * np.exp(1j * alpha)
             b = np.sin(theta) * np.exp(1j * beta)
-            pairs.append((p, q))
-            rotations.append([[a, -np.conj(b)], [b, np.conj(a)]])
-        if pairs:
+            rotations = np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(-1, 2, 2)
             pq = np.array(pairs)
-            mat[pq] = np.array(rotations) @ mat[pq]
+            mat[pq] = rotations @ mat[pq]
         if lone:
-            mat[lone] *= np.array(phases)[:, None]
+            mat[lone] *= np.exp(2j * np.pi * np.array(turns))[:, None]
     return BlockOperator(space, space, mat)

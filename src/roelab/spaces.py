@@ -2,13 +2,17 @@
 
 Points are the integers ``0..n-1``.  Distances are nonnegative reals,
 validated for symmetry and the triangle inequality at construction time.
-A matrix that equals the hop metric of its own unit-distance graph (every
-path space, every edge-list space) is a metric by that equality alone, so
-one shortest-path pass certifies it; any other matrix goes through the
-O(n^3) triangle loop.  An edge-list space is a hop metric by
-construction, so its one shortest-path pass both builds and certifies it.
+A matrix that equals the hop metric of its own unit-distance graph is a
+metric by that equality alone, so one shortest-path pass certifies it;
+any other matrix goes through the O(n^3) triangle loop.  An edge-list
+space is a hop metric by construction, so its one shortest-path pass
+both builds and certifies it, and a path space's |i - j| matrix is
+frozen with no pass at all.
 Spaces are immutable after construction and safe to share between
-threads.
+threads.  A space's distance levels (its sorted realized distances,
+and the matrix entries grouped by level) are computed once, on first
+use, and stored read-only; two threads that race on the first use
+compute the same arrays, so sharing stays safe.
 
 JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
 i < j at distance 1 in row-major order, and any other space as
@@ -97,6 +101,7 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be symmetric")
         if np.diagonal(dist).any():
             raise ValueError("diagonal of distance matrix must be zero")
+        np.fill_diagonal(dist, 0.0)  # -0.0 passes the test above; store +0.0
         off = dist + np.eye(n)
         if (off <= 0).any():
             i, j = np.argwhere(off <= 0)[0]
@@ -117,6 +122,7 @@ class FiniteMetricSpace:
         self.dist = dist
         self.n = dist.shape[0]
         self._graph_metric = graph_metric
+        self._levels = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
@@ -174,8 +180,23 @@ class FiniteMetricSpace:
         return float(self.dist[np.ix_(A, A)].max())
 
     def realized_distances(self) -> np.ndarray:
-        """Sorted unique distances occurring in the space (starts with 0)."""
-        return np.unique(self.dist)
+        """Sorted unique distances occurring in the space (starts with 0),
+        as a read-only array."""
+        return self.distance_levels()[0]
+
+    def distance_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(radii, order, starts): the sorted unique distances, the flat
+        indices of ``dist`` grouped by level (stable, row-major within a
+        level), and where each level's group starts in ``order``.
+        Computed once per space, on first use, and read-only."""
+        if self._levels is None:
+            radii, counts = np.unique(self.dist, return_counts=True)
+            order = np.argsort(self.dist, axis=None, kind="stable")
+            starts = np.cumsum(counts) - counts
+            for arr in (radii, order, starts):
+                arr.setflags(write=False)
+            self._levels = radii, order, starts
+        return self._levels
 
     def to_json(self) -> dict:
         """``{"n", "edges"}`` for a graph metric, ``{"n", "dist"}`` otherwise."""
@@ -205,7 +226,16 @@ def path_space(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise ValueError("path_space needs n >= 1")
     idx = np.arange(n)
-    return FiniteMetricSpace(np.abs(idx[:, None] - idx[None, :]).astype(float))
+    # a hop metric by construction, so no certifying pass
+    return _trusted(np.abs(idx[:, None] - idx[None, :]).astype(float))
+
+
+def _trusted(dist: np.ndarray) -> FiniteMetricSpace:
+    """A graph-metric space from a matrix known to be a hop metric, frozen
+    without the constructor's checks."""
+    space = FiniteMetricSpace.__new__(FiniteMetricSpace)
+    space._freeze(dist, graph_metric=True)
+    return space
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -270,6 +300,4 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     if not np.isfinite(dist).all():
         i, j = np.argwhere(~np.isfinite(dist))[0]
         raise ValueError(f"graph is disconnected: no path between {i} and {j}")
-    space = FiniteMetricSpace.__new__(FiniteMetricSpace)
-    space._freeze(dist, graph_metric=True)
-    return space
+    return _trusted(dist)

@@ -1,5 +1,7 @@
 """Coarse map calculus: moduli, closeness, equivalence, nets, partitions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from roelab.maps import (
     identity_map,
     voronoi_partition,
 )
-from roelab.spaces import path_space
+from roelab.spaces import FiniteMetricSpace, path_space
 
 from conftest import random_graph_space
 
@@ -49,14 +51,29 @@ def test_modulus_monotone(rng):
         assert all(a <= b for a, b in zip(prof, prof[1:]))
 
 
+def _line_space(rng, n):
+    """Points at random real positions on a line: a non-graph metric whose
+    distances are distinct floats."""
+    x = np.sort(rng.random(n)) * 10
+    return FiniteMetricSpace(np.abs(x[:, None] - x[None, :]))
+
+
 def test_modulus_profile_equals_direct_modulus(rng):
+    pairs = []
     for _ in range(20):
         n_x, n_y = rng.integers(1, 12, size=2)
         X = random_graph_space(rng, int(n_x), extra_edges=int(rng.integers(0, 4)))
         Y = random_graph_space(rng, int(n_y), extra_edges=int(rng.integers(0, 4)))
-        f = PointMap(X, Y, rng.integers(0, n_y, size=n_x))
+        pairs.append((X, Y))
+    scaled = FiniteMetricSpace(path_space(7).dist * 0.3)
+    pairs += [(scaled, scaled), (scaled, path_space(4)), (path_space(9), scaled)]
+    lines = [_line_space(rng, n) for n in (1, 2, 8, 11)]
+    assert lines[-1].realized_distances().size == 11 * 10 // 2 + 1  # distinct float levels
+    pairs += [(line, _line_space(rng, 6)) for line in lines]
+    for X, Y in pairs:
+        f = PointMap(X, Y, rng.integers(0, Y.n, size=X.n))
         expected = [(float(r), f.modulus(float(r))) for r in X.realized_distances()]
-        assert f.modulus_profile() == expected
+        assert json.dumps(f.modulus_profile()) == json.dumps(expected)
 
 
 def test_closeness_basics():

@@ -339,6 +339,18 @@ def _band_cases(rng):
         fib = random_fibered(rng, random_graph_space(rng, 14, extra_edges=3))
         yield fib, float(rng.integers(0, 4)), int(rng.integers(1, 4)), seed
         seed += 1
+    # R at and above the diameter: every coordinate is near every other
+    for n, R in ((12, 11.0), (12, 50.0), (40, 39.0)):
+        for dim in (1, 3):
+            yield FiberedSpace.uniform(path_space(n), dim), R, 3, seed
+            seed += 1
+    for R, layers in ((0.0, 2), (1.5, 1), (2.5, 4)):
+        yield FiberedSpace.uniform(path_space(25), 3), R, layers, seed
+        seed += 1
+    # one point with one 3-dim fiber: the pairing runs inside the fiber
+    for R, layers in ((0.0, 1), (0.0, 4), (3.0, 2)):
+        yield FiberedSpace(path_space(1), [3]), R, layers, seed
+        seed += 1
 
 
 def test_random_band_unitary_matches_per_pair_oracle(rng):

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
 without a reader, nothing is configured through the environment, and
-every norm goes through `operators.spectral_norm`."""
+every norm goes through `operators.spectral_norm` and every set of
+distance levels through `spaces`."""
 
 import ast
 import re
@@ -105,5 +106,18 @@ def test_norms_are_taken_only_in_operators():
         path.name
         for path in sorted(package.glob("*.py"))
         if path.name != "operators.py" and pattern.search(path.read_text())
+    ]
+    assert takers == []
+
+
+def test_distance_levels_are_taken_only_in_spaces():
+    # one home of distance levels: a space computes and stores its own, so
+    # no module but spaces.py runs np.unique over a distance matrix
+    package = Path(roelab.__file__).parent
+    pattern = re.compile(r"np\.unique\([^()]*\.dist\b")
+    takers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spaces.py" and pattern.search(path.read_text())
     ]
     assert takers == []

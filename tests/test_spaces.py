@@ -256,7 +256,7 @@ def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
         return shortest_path(*args, **kwargs)
 
     monkeypatch.setattr(spaces, "shortest_path", counting)
-    X = path_space(30)
+    X = FiniteMetricSpace(np.abs(np.subtract.outer(np.arange(30), np.arange(30))))
     assert len(calls) == 1  # a matrix handed to the constructor is certified
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"n": 30, "edges": [[k, k + 1] for k in range(29)]}))
@@ -269,6 +269,63 @@ def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
         FiniteMetricSpace([[0, 2, 5], [2, 0, 2], [5, 2, 0]])
     assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
     assert len(calls) == 1
+
+
+def test_path_space_takes_no_shortest_path_pass(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "shortest_path", counting)
+    for n in (1, 2, 13, 40):
+        X = path_space(n)
+        assert calls == []  # |i - j| is a hop metric by construction
+        idx = np.arange(n)
+        assert np.array_equal(X.dist, np.abs(idx[:, None] - idx[None, :]).astype(float))
+        assert X.dist.dtype == float and not X.dist.flags.writeable
+        assert X.to_json() == {"n": n, "edges": [[k, k + 1] for k in range(n - 1)]}
+        assert X == from_edge_list(n, [(k, k + 1) for k in range(n - 1)])
+        calls.clear()
+
+
+def test_distance_levels_computed_once(monkeypatch):
+    X, Y = path_space(9), path_space(4)
+    f = PointMap(X, Y, [min(x // 2, 3) for x in range(9)])
+    g = PointMap(X, X, list(range(9))[::-1])
+    calls = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    first = f.modulus_profile()
+    for _ in range(3):
+        assert list(X.realized_distances()) == list(range(9))
+        assert f.modulus_profile() == first
+        assert [r for r, _ in g.modulus_profile()] == list(range(9))
+    assert len(calls) == 1  # X's levels, once; Y's are never asked for
+
+
+def test_distance_levels_are_read_only():
+    X = FiniteMetricSpace(path_space(5).dist * 0.3)
+    radii, order, starts = X.distance_levels()
+    assert X.realized_distances() is radii
+    for arr in (radii, order, starts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert np.array_equal(X.dist.ravel()[order], np.repeat(radii, np.diff(np.append(starts, 25))))
+    assert np.array_equal(radii, np.unique(X.dist))
+
+
+def test_negative_zero_diagonal_is_stored_as_zero():
+    X = FiniteMetricSpace([[-0.0, 1.0], [1.0, -0.0]])
+    assert not np.signbit(X.dist).any()
+    prof = PointMap(X, X, [0, 0]).modulus_profile()
+    assert json.dumps(prof) == "[[0.0, 0.0], [1.0, 0.0]]"
 
 
 def _loop_verdict(dist):
