@@ -42,7 +42,9 @@ Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
 never exceed T.  Both also bound the distance from T to the operators
-with propagation <= R, since T_R and 0 are such operators.
+with propagation <= R, since T_R and 0 are such operators.  ||T|| is
+taken only when ||T - T_R|| is not clearly below T's largest column
+norm, a lower bound of ||T||.
 """
 
 from __future__ import annotations
@@ -205,8 +207,14 @@ def _exact_violation(T: BlockOperator, R: float) -> LocalityReport:
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
     """min(||T - T_R||, ||T||): bounds both the violation at R and the
-    distance from T to the operators with propagation <= R."""
-    return min((T - T.band_truncate(R)).norm(), T.norm())
+    distance from T to the operators with propagation <= R.
+
+    ||T|| is taken only when ||T - T_R|| is not clearly below a lower
+    bound of ||T||; the 1e-12 margin keeps rounding from flipping the min."""
+    tail = (T - T.band_truncate(R)).norm()
+    if tail < (1 - 1e-12) * T.norm_lower_bound():
+        return tail
+    return min(tail, T.norm())
 
 
 class _SearchState:

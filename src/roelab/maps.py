@@ -34,21 +34,32 @@ class PointMap:
     ----------
     source, target : FiniteMetricSpace
     values : sequence of int
-        ``values[x]`` is the target point assigned to source point x.
+        ``values[x]`` is the target point assigned to source point x.  An
+        integer array is taken as it is; a sequence is checked value by
+        value, because numpy reads a bool among ints as 0 or 1.  Bool and
+        float values are refused, not truncated.
     """
 
     def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, values):
-        values = np.array([int(v) for v in values], dtype=np.int64)
-        if values.shape != (source.n,):
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            bad = [] if values.dtype.kind in "iu" else values.ravel()[:1].tolist()
+        else:
+            values = list(values)
+            bad = [v for v in values
+                   if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"map values must be integers, got {bad[0]!r}")
+        table = np.asarray(values)  # an empty table reads as float64, and passes
+        if table.shape != (source.n,):
             raise ValueError(
-                f"map needs one value per source point: expected {source.n}, got {values.size}"
+                f"map needs one value per source point: expected {source.n}, got {table.size}"
             )
-        if values.size and (values.min() < 0 or values.max() >= target.n):
-            bad = values[(values < 0) | (values >= target.n)]
+        if table.size and (table.min() < 0 or table.max() >= target.n):
+            bad = table[(table < 0) | (table >= target.n)]
             raise ValueError(f"map value out of range [0, {target.n}): {bad.tolist()}")
         self.source = source
         self.target = target
-        self.values = values
+        self.values = table.astype(np.int64)  # a private copy, frozen below
         self.values.setflags(write=False)
 
     def __call__(self, x: int) -> int:

@@ -15,8 +15,10 @@ T - T_R and fiber blocks, where the SVD is the cheaper of the two; the
 rectangular ones are corners, often stacked, where one batched Gram
 eigenvalue call is.  The unitarity residual takes no norm: it reads the
 spectrum of one Hermitian matrix G - I, with G the Gram matrix on the
-smaller side.  Operator entries stay below 1e150 in modulus, so the
-squares in a Gram product cannot overflow.
+smaller side.  The unitarity check decides on the Frobenius norm of the
+same G - I first, an upper bound of the residual, and decomposes only
+when that bound cannot decide.  Operator entries stay below 1e150 in
+modulus, so the squares in a Gram product cannot overflow.
 """
 
 from __future__ import annotations
@@ -142,6 +144,7 @@ class BlockOperator:
         self.matrix.setflags(write=False)
         self._norm = None
         self._residual = None
+        self._unitary = None  # outcome of the unitarity check, once decided
 
     @classmethod
     def from_blocks(cls, source: FiberedSpace, target: FiberedSpace, blocks: dict) -> "BlockOperator":
@@ -160,7 +163,9 @@ class BlockOperator:
 
     def adjoint(self) -> "BlockOperator":
         adj = BlockOperator(self.target, self.source, self.matrix.conj().T)
-        adj._residual = self._residual  # the residual is symmetric under adjoints
+        # the residual, and for square T the Frobenius bound, are symmetric under adjoints
+        adj._residual = self._residual
+        adj._unitary = self._unitary
         return adj
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
@@ -194,6 +199,11 @@ class BlockOperator:
         if self._norm is None:
             self._norm = spectral_norm(self.matrix)
         return self._norm
+
+    def norm_lower_bound(self) -> float:
+        """T's largest column norm max_j ||T e_j||, a lower bound of
+        ||T|| that takes no decomposition; 0 for an empty matrix."""
+        return float(np.linalg.norm(self.matrix, axis=0).max(initial=0.0))
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array."""
@@ -255,27 +265,54 @@ class BlockOperator:
         keep = self.target.base.dist[:, f_values] <= R  # (n_target, n_source)
         return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
 
+    def _gram_minus_identity(self) -> np.ndarray:
+        """G - I, with G the Gram matrix on the smaller side (T*T when T is
+        square).  I is subtracted before any norm or decomposition, which
+        keeps the absolute error near eps * ||G - I|| rather than
+        eps * ||G||."""
+        mat = self.matrix
+        rows, cols = mat.shape
+        gram = mat.conj().T @ mat if cols <= rows else mat @ mat.conj().T
+        gram[np.diag_indices_from(gram)] -= 1.0
+        return gram
+
     def unitarity_residual(self) -> float:
         """max(||T*T - I||, ||TT* - I||); 0 exactly for permutation matrices.
 
-        One Hermitian eigenvalue call gives it.  G is the Gram matrix on
-        the smaller side (T*T when T is square), and the residual is the
-        largest |eigenvalue| of G - I.  For square T, T*T and TT* have the
-        same spectrum, so the two norms agree.  Otherwise the larger Gram
-        matrix has G's eigenvalues plus zeros, and each zero contributes
-        |0 - 1| = 1, so the residual is max(||G - I||, 1).  I is subtracted
-        before the decomposition, which keeps the absolute error near
-        eps * ||G - I|| rather than eps * ||G||.  Computed once per operator
-        and stored.
+        One Hermitian eigenvalue call gives it: the residual is the
+        largest |eigenvalue| of G - I, with G the Gram matrix on the
+        smaller side.  For square T, T*T and TT* have the same spectrum,
+        so the two norms agree.  Otherwise the larger Gram matrix has G's
+        eigenvalues plus zeros, and each zero contributes |0 - 1| = 1, so
+        the residual is max(||G - I||, 1).  This is the exact value every
+        report prints; `check_unitary` computes it only when a Frobenius
+        bound cannot decide.  Computed once per operator and stored.
         """
         if self._residual is None:
-            mat = self.matrix
-            rows, cols = mat.shape
-            gram = mat.conj().T @ mat if cols <= rows else mat @ mat.conj().T
-            gram[np.diag_indices_from(gram)] -= 1.0  # before the decomposition
-            residual = float(np.abs(np.linalg.eigvalsh(gram)).max())
+            rows, cols = self.matrix.shape
+            residual = float(np.abs(np.linalg.eigvalsh(self._gram_minus_identity())).max())
             self._residual = residual if rows == cols else max(residual, 1.0)
         return self._residual
+
+    def _is_unitary(self) -> bool:
+        """Whether the unitarity residual is at most UNITARITY_TOL.
+
+        A stored residual decides first.  Otherwise, for square T,
+        ||G - I|| <= ||G - I||_F, so a Frobenius norm at most the
+        tolerance passes without a decomposition.  Every other case (a
+        bound above the tolerance, an inf or NaN bound, a rectangular T,
+        whose residual is at least 1) takes the exact residual.  Decided
+        once per operator and stored.
+        """
+        if self._unitary is None:
+            rows, cols = self.matrix.shape
+            if self._residual is None and rows == cols:
+                gram = self._gram_minus_identity()
+                if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
+                    self._unitary = True
+                    return True
+            self._unitary = self.unitarity_residual() <= UNITARITY_TOL
+        return self._unitary
 
     def __repr__(self):
         return (
@@ -285,12 +322,16 @@ class BlockOperator:
         )
 
 
-def check_unitary(U: BlockOperator) -> float:
-    """U's unitarity residual; ValueError when it exceeds UNITARITY_TOL."""
-    residual = U.unitarity_residual()
-    if residual > UNITARITY_TOL:
+def check_unitary(U: BlockOperator) -> None:
+    """ValueError when U's unitarity residual exceeds UNITARITY_TOL.
+
+    Passes on ||G - I||_F <= UNITARITY_TOL (G the Gram matrix of U)
+    without a decomposition; otherwise the exact `unitarity_residual`
+    decides and is the number the error message reports.
+    """
+    if not U._is_unitary():
+        residual = U.unitarity_residual()
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
-    return residual
 
 
 def indicator(space: FiberedSpace, A) -> BlockOperator:

@@ -284,6 +284,18 @@ def test_space_with_float_point_count_exits_2(hadamard_files, tmp_path, capsys):
                              "message": "space JSON: 'n' must be an integer, got 3.5"}}
 
 
+def test_map_with_float_table_exits_2(tmp_path, capsys):
+    # a table entry of 0.7 used to load as 0, silently a different map
+    data = PointMap(path_space(4), path_space(2), [0, 0, 1, 1]).to_json()
+    data["table"][1] = 0.7
+    bad = tmp_path / "bad_map.json"
+    bad.write_text(json.dumps(data))
+    assert run(["cover", "--map", str(bad), "--fibers", "1"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": {"type": "ValueError",
+                             "message": "map values must be integers, got 0.7"}}
+
+
 EXTRACT = ["extract", "--delta", "0.7"]
 QL_BOUNDS = ["ql", "--mode", "bounds", "--radius", "3"]
 

@@ -355,8 +355,9 @@ def test_public_entries_reject_non_unitary(entry):
         ENTRIES[entry](2 * U)
 
 
-def test_extract_pair_checks_unitarity_once(monkeypatch):
-    U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
+def _spy_decompositions(monkeypatch):
+    """The shapes of every np.linalg.eigvalsh call from here on; any
+    spectral_norm call fails the test."""
     decompositions = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -369,7 +370,36 @@ def test_extract_pair_checks_unitarity_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(operators, "spectral_norm", no_norm)
+    return decompositions
+
+
+def test_extract_pair_checks_unitarity_once(monkeypatch):
+    U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
+    decompositions = _spy_decompositions(monkeypatch)
     extract_pair(U, 0.5)
-    # one Hermitian decomposition of U*U - I, shared by U* through adjoint();
-    # the 1-dim fibers' corner tables take none
+    # ||U*U - I||_F is far below the tolerance, so U passes without a
+    # decomposition and U* inherits the outcome through adjoint(); the
+    # 1-dim fibers' corner tables take none either
+    assert decompositions == []
+
+
+def test_unitarity_check_decomposes_when_the_bound_cannot_decide(monkeypatch):
+    h, _ = standard_pair("reflection", 12)
+    W, _ = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
+    U = W * (1 + 4e-10)  # U*U - I = (8e-10) I: residual below 1e-9, Frobenius bound above
+    gram = U.matrix.conj().T @ U.matrix - np.eye(12)
+    assert np.linalg.norm(gram) > 1e-9
+    decompositions = _spy_decompositions(monkeypatch)
+    extract_pair(U, 0.5)
+    assert decompositions == [U.matrix.shape]
+    assert U.unitarity_residual() == pytest.approx(8e-10, rel=1e-6)
+
+
+def test_unitarity_check_still_refuses_with_the_exact_residual(monkeypatch):
+    h, _ = standard_pair("reflection", 12)
+    W, _ = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
+    U = W * (1 + 1e-9)  # residual about 2e-9
+    decompositions = _spy_decompositions(monkeypatch)
+    with pytest.raises(ValueError, match=r"not unitary: residual 2e-09 > 1e-09"):
+        extract_pair(U, 0.5)
     assert decompositions == [U.matrix.shape]

@@ -508,3 +508,20 @@ def test_window_upper_at_most_norm_on_fibered_cover():
     for R in (0.0, 1.0, 2.0, 3.0):
         lower, upper = approximability_window(U, R)
         assert lower <= upper <= U.norm() + 1e-12
+
+
+@pytest.mark.parametrize("kind, norms_taken", [("band", 1), ("reflection", 2)])
+def test_truncation_upper_takes_the_norm_only_when_it_can_matter(monkeypatch, kind, norms_taken):
+    # a band unitary's tail is far below its unit column norms, so ||T||
+    # cannot win the min; a reflection cover's tail is above 1, so it must
+    if kind == "band":
+        T = random_band_unitary(FiberedSpace.uniform(path_space(40), 1), 1.0, 4, seed=3)
+    else:
+        T, _, _ = noisy_covering_unitary("reflection", 40, 0, 2.0, 1)
+    tail = spectral_norm((T - T.band_truncate(3.0)).matrix)
+    expected = min(tail, spectral_norm(T.matrix))
+    taken = []
+    monkeypatch.setattr(operators, "spectral_norm", lambda mat: taken.append(mat) or spectral_norm(mat))
+    assert locality._truncation_upper(T, 3.0) == expected
+    assert len(taken) == norms_taken
+    assert (tail < 1.0) == (kind == "band")

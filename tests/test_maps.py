@@ -1,6 +1,7 @@
 """Coarse map calculus: moduli, closeness, equivalence, nets, partitions."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,6 +233,60 @@ def test_point_map_validation():
         PointMap(X, Y, [0, 1, 2])  # not total
     with pytest.raises(ValueError):
         PointMap(X, Y, [0, 1, 2, 3])  # out of target range
+
+
+@pytest.mark.parametrize("values, named", [
+    ([0.7, 1.9, True], "0.7"),
+    ([0, 1, True], "True"),
+    ([0, np.True_, 2], "np.True_"),
+    ([0, 1, 2.0], "2.0"),
+    (np.array([0.0, 1.0, 2.0]), "0.0"),
+    (np.array([True, False, True]), "True"),
+    (["0", 1, 2], "'0'"),
+])
+def test_point_map_refuses_bool_and_float_values(values, named):
+    # int() would truncate these into a wrong map: 0.7 -> 0, 1.9 -> 1, True -> 1
+    with pytest.raises(ValueError, match=f"map values must be integers, got {named}$"):
+        PointMap(path_space(3), path_space(3), values)
+
+
+@pytest.mark.parametrize("values", [
+    [2, 0, 1],
+    (2, 0, 1),
+    range(2, -1, -1),
+    [np.int32(2), np.int64(0), 1],
+    np.array([2, 0, 1], dtype=np.uint8),
+    np.array([2, 0, 1], dtype=object),
+])
+def test_point_map_takes_integer_tables(values):
+    f = PointMap(path_space(3), path_space(3), values)
+    assert f.values.dtype == np.int64
+    assert f.values.tolist() == list(values)
+    assert not f.values.flags.writeable
+
+
+def test_point_map_copies_an_integer_array():
+    table = np.array([2, 0, 1])
+    f = PointMap(path_space(3), path_space(3), table)
+    table[0] = 0  # the caller's array stays writable and does not reach the map
+    assert f.values.tolist() == [2, 0, 1]
+
+
+def test_point_map_keeps_length_and_range_messages():
+    with pytest.raises(ValueError, match=r"expected 4, got 3$"):
+        PointMap(path_space(4), path_space(3), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match=r"out of range \[0, 3\): \[3, -1\]$"):
+        PointMap(path_space(4), path_space(3), [0, 3, 1, -1])
+    with pytest.raises(ValueError, match=r"out of range \[0, 3\): \[1180591620717411303424\]$"):
+        PointMap(path_space(4), path_space(3), [0, 1, 2**70, 2])
+
+
+def test_point_map_accepts_an_empty_table_for_a_point_free_source():
+    # no FiniteMetricSpace has 0 points, but the map itself reads only n
+    empty = SimpleNamespace(n=0)
+    for values in ([], np.array([]), np.zeros(0, dtype=np.int64)):
+        f = PointMap(empty, path_space(3), values)
+        assert f.values.shape == (0,) and f.values.dtype == np.int64
 
 
 def test_map_json_shape():

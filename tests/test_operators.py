@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from roelab import operators
 from roelab.covering import covering_unitary
 from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.operators import (
+    UNITARITY_TOL,
     BlockOperator,
     FiberedSpace,
     check_unitary,
@@ -273,6 +275,36 @@ def test_rectangular_isometry_has_residual_one(rng):
         assert reference_residual(T) == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(ValueError, match="not unitary"):
             check_unitary(T)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), log_eps=st.floats(-12.0, -8.0), rectangular=st.booleans())
+def test_check_unitary_decides_as_the_exact_residual(seed, log_eps, rectangular):
+    # (1 + eps) U has residual about 2 eps and Frobenius bound about
+    # 2 eps sqrt(N), so draws land on both sides of the tolerance and in
+    # the band where only the exact residual can decide
+    rng = np.random.default_rng(seed)
+    X = random_graph_space(rng, int(rng.integers(2, 10)), extra_edges=2)
+    source = random_fibered(rng, X)
+    if rectangular:
+        dims = source.fiber_dims.copy()
+        dims[0] += int(rng.integers(1, 3))
+        target = FiberedSpace(X, dims)
+        q, _ = np.linalg.qr(rng.standard_normal((target.total_dim, source.total_dim))
+                            + 1j * rng.standard_normal((target.total_dim, source.total_dim)))
+        U = BlockOperator(source, target, q)
+        if rng.random() < 0.5:
+            U = U.adjoint()
+    else:
+        U = random_band_unitary(source, 1.0, int(rng.integers(1, 4)), seed)
+    U = U * (1 + 10.0**log_eps)
+    residual = reference_residual(U)
+    assume(abs(residual - UNITARITY_TOL) > 1e-14)  # closer, rounding may decide
+    if residual <= UNITARITY_TOL:
+        check_unitary(U)
+    else:
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(U)
 
 
 def test_norm_is_taken_once_per_operator(monkeypatch, rng):
