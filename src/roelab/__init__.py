@@ -55,14 +55,7 @@ from .covering import (
     outer_roundtrip,
     upgrade_trick,
 )
-from .fixtures import (
-    doubling_map,
-    hadamard_fixture,
-    halving_map,
-    noisy_covering_unitary,
-    reflection_map,
-    standard_pair,
-)
+from .fixtures import hadamard_fixture, halving_map, noisy_covering_unitary, standard_pair
 from .serialize import (
     load_map,
     load_space,
@@ -89,8 +82,7 @@ __all__ = [
     "minimal_radius", "extract_map", "extract_pair", "footprint_control",
     "CoveringPlan", "UpgradeResult", "OuterReport", "covering_unitary",
     "upgrade_trick", "outer_roundtrip",
-    "hadamard_fixture", "reflection_map", "halving_map", "doubling_map",
-    "standard_pair", "noisy_covering_unitary",
+    "hadamard_fixture", "halving_map", "standard_pair", "noisy_covering_unitary",
     "read_operator", "write_operator",
     "load_space", "save_space", "load_map", "save_map",
     "report_bytes", "write_report",

@@ -85,7 +85,8 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
     probe = int(target.offsets[y]) + int(h_index)
     v = U.matrix[probe].conj()  # = U* applied to the probe basis vector
     mass = np.add.reduceat(np.abs(v) ** 2, U.source.offsets[:-1])
-    assert abs(float(mass.sum()) - 1.0) <= _SLACK, "probe vector lost normalization"
+    if not abs(float(mass.sum()) - 1.0) <= _SLACK:
+        raise RuntimeError("probe vector lost normalization")
 
     B = target.base.ball(y, R)
     off_ball = ~target.coord_mask(B)
@@ -99,10 +100,12 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
     # the hypothesis' inequality, instance-checked for every x:
     # ||(1-chi_B) U chi_x v||^2 >= (1 - delta^2) ||chi_x v||^2
     gap = np.sum(np.abs(family) ** 2, axis=1) - (1 - delta**2) * mass
-    assert gap.min() >= -_SLACK, "per-point corner inequality failed"
+    if not gap.min() >= -_SLACK:
+        raise RuntimeError("per-point corner inequality failed")
 
     selection = greedy_signs(list(family))
-    assert selection.achieved >= (1 - delta**2) - _SLACK, "sign selection fell short"
+    if not selection.achieved >= (1 - delta**2) - _SLACK:
+        raise RuntimeError("sign selection fell short")
 
     sets = {
         +1: np.flatnonzero(selection.signs == 1),
@@ -128,8 +131,8 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
 
     bound = 0.5 * float(np.sqrt(max(1.0 - delta**2, 0.0)))
     degenerate = not_B.size == 0
-    if not degenerate:
-        assert certificate >= bound - _SLACK, "certificate fell below the guaranteed bound"
+    if not degenerate and not certificate >= bound - _SLACK:
+        raise RuntimeError("certificate fell below the guaranteed bound")
     return ConcentrationWitness(
         y=int(y),
         R=float(R),

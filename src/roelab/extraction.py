@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
-from .operators import BlockOperator, check_unitary
+from .operators import BlockOperator, _top_eig_2x2, check_unitary, gram_top
 
 __all__ = [
     "ExtractionReport",
@@ -93,7 +93,7 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     For d = 2 the top eigenvalue comes in closed form (`_top_eig_2x2`),
     which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
     columns c0, c1, so only those are built, as four real columns per
-    point; for d >= 3 it comes from one batched eigenvalue call.  The
+    point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
     d-dim stacks are built in chunks of source points of at most
     `_GRAM_STACK_BYTES` each.  Entries equal the per-point
     computation up to summation order (a few ulps).
@@ -124,18 +124,9 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
                 prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
                 # a real product on the interleaved (re, im) pairs: the mask is real
                 grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
-                top = np.linalg.eigvalsh(grams.reshape(len(rows), chunk.size, d, d))[..., -1]
+                top = gram_top(grams.reshape(len(rows), chunk.size, d, d))
             out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
     return out
-
-
-def _top_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
-    diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
-    reads: (a + c)/2 + hypot((a - c)/2, b).  The Grams are positive
-    semidefinite, so a, c >= 0 and both terms are >= 0: the sum has no
-    cancellation and stays within a few ulps of the LAPACK value."""
-    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,7 @@ from .covering import covering_unitary
 
 __all__ = [
     "hadamard_fixture",
-    "reflection_map",
     "halving_map",
-    "doubling_map",
     "standard_pair",
     "noisy_covering_unitary",
 ]
@@ -36,18 +34,9 @@ def hadamard_fixture() -> tuple[FiberedSpace, BlockOperator]:
     return fibered, BlockOperator(fibered, fibered, mat)
 
 
-def reflection_map(n: int) -> PointMap:
-    return standard_pair("reflection", n)[0]
-
-
 def halving_map(n: int) -> PointMap:
     """path_space(2n) -> path_space(n), i -> floor(i / 2)."""
     return standard_pair("halving", n)[0]
-
-
-def doubling_map(n: int) -> PointMap:
-    """path_space(n) -> path_space(2n), j -> 2j; coarse partner of halving."""
-    return standard_pair("halving", n)[1]
 
 
 def standard_pair(kind: str, n: int) -> tuple[PointMap, PointMap]:

@@ -22,10 +22,9 @@ shape into (k, rows, cols) stacks of at most _STACK_BYTES bytes, one
 spectral_norm call per stack.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (62 norms instead of 65,534 corners for a 16-point band unitary at
-R = 0).  The witness is the first candidate in ascending bitmask order
-that attains the maximum; candidates whose largest component is the
-same tie exactly, so the choice does not depend on rounding, and the
-pair is then pruned to a minimal one.
+R = 0).  The attaining pair is the first candidate in ascending bitmask
+order that reaches the maximum; candidates whose largest component is
+the same tie exactly, so the choice does not depend on rounding.
 
 Larger spaces get a certified window.  Its lower member is a seeded
 local search that grows separated pairs one point at a time.  Its
@@ -34,8 +33,7 @@ block Frobenius norms and their squares, the separated pairs, each
 coordinate's point).  A round keeps the masks of B, of A and of the
 points far from each up to date, ranks the candidate points by the
 Frobenius mass they add, screens them all at once on their corner Gram
-matrices (1 x 1 and 2 x 2 tops in closed form, larger ones in one
-batched eigenvalue call), and confirms the survivors in rank order with
+matrices (`gram_top`), and confirms the survivors in rank order with
 exact corner norms, whose coordinates come from the masks in the order
 `BlockOperator.corner_norm` uses.
 Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
@@ -45,6 +43,11 @@ never exceed T.  Both also bound the distance from T to the operators
 with propagation <= R, since T_R and 0 are such operators.  ||T|| is
 taken only when ||T - T_R|| is not clearly below T's largest column
 norm, a lower bound of ||T||.
+
+Both algorithms return a value and the unpruned pair (B, A) attaining
+it.  `quasi_locality_violation` is the one place that prunes the pair to
+a minimal witness and builds a report; `approximability_window` keeps
+the numbers only.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import _top_eig_2x2
 from .maps import PointMap
-from .operators import BlockOperator, spectral_norm
+from .operators import BlockOperator, gram_top, spectral_norm
 
 __all__ = [
     "LocalityReport",
@@ -150,7 +152,9 @@ def _components(b_masks, a_masks, cols_of, rows_of):
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
-def _exact_violation(T: BlockOperator, R: float) -> LocalityReport:
+def _exact_violation(T: BlockOperator, R: float):
+    """The exact violation and the first candidate (B, A) attaining it,
+    unpruned; (0.0, None) when no corner is nonzero."""
     base = T.source.base
     n = base.n
     full = np.uint32((1 << n) - 1)
@@ -194,15 +198,12 @@ def _exact_violation(T: BlockOperator, R: float) -> LocalityReport:
     np.maximum.at(values, owner, norms[inverse])
 
     # the first maximum in ascending mask order, as a strict-> scan finds it
-    best_value, witness = 0.0, None
-    if values.size and values.max() > 0:
-        k = int(np.argmax(values))
-        best_value = float(values[k])
-        if best_value > _WITNESS_TOL:
-            B = list(np.flatnonzero(b_masks[k] & weights))
-            A = list(np.flatnonzero(a_masks[k] & weights))
-            witness = _prune_witness(T, B, A, best_value)
-    return LocalityReport(float(R), best_value, best_value, True, witness)
+    if values.size == 0 or not values.max() > 0:
+        return 0.0, None
+    k = int(np.argmax(values))
+    B = list(np.flatnonzero(b_masks[k] & weights))
+    A = list(np.flatnonzero(a_masks[k] & weights))
+    return float(values[k]), (B, A)
 
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
@@ -250,23 +251,14 @@ def _best_singleton(s: _SearchState):
 
 
 def _screen(gram: np.ndarray, extra: np.ndarray, dims: np.ndarray):
-    """Top eigenvalue and trace of gram + sum_r e_r e_r* for each candidate,
-    where the rows e_r of `extra` come in consecutive segments of `dims`
-    rows, one segment per candidate.  A 1 x 1 Gram's top is its entry and
-    a 2 x 2 one's comes in closed form (`_top_eig_2x2`); larger ones take
-    one batched eigvalsh call."""
+    """Top eigenvalue (`gram_top`) and trace of gram + sum_r e_r e_r* for
+    each candidate, where the rows e_r of `extra` come in consecutive
+    segments of `dims` rows, one segment per candidate."""
     outer = extra[:, :, None] * extra.conj()[:, None, :]
     if extra.shape[0] != dims.size:  # some candidate fiber has dim >= 2
         outer = np.add.reduceat(outer, np.concatenate(([0], np.cumsum(dims)[:-1])), axis=0)
     stack = gram + outer
-    diag = np.diagonal(stack, axis1=1, axis2=2).real
-    if gram.shape[0] == 1:
-        top = diag[:, 0]
-    elif gram.shape[0] == 2:
-        top = _top_eig_2x2(diag[:, 0], diag[:, 1], np.abs(stack[:, 1, 0]))
-    else:
-        top = np.linalg.eigvalsh(stack)[:, -1]
-    return top, diag.sum(axis=1)
+    return gram_top(stack), np.diagonal(stack, axis1=1, axis2=2).real.sum(axis=1)
 
 
 def _grow_pair(s: _SearchState, B: list, A: list):
@@ -347,46 +339,29 @@ def _grow_pair(s: _SearchState, B: list, A: list):
     return value, B, A
 
 
-def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int) -> LocalityReport:
-    upper = _truncation_upper(T, R)
+def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int):
+    """Best corner norm the local search reaches from the best separated
+    singleton and `restarts` seeded pairs, with its unpruned pair (B, A);
+    (0.0, None) when no start leaves 0."""
     state = _SearchState(T, R)
-    best, pair = _best_singleton(state)
-    starts = []
-    if pair is not None:
-        starts.append(pair)
+    pair = _best_singleton(state)[1]
+    starts = [] if pair is None else [pair]
     rng = np.random.default_rng(seed)
     if state.pairs.shape[0] and restarts > 0:
         picks = rng.integers(0, state.pairs.shape[0], size=restarts)
         starts.extend((int(y), int(x)) for y, x in state.pairs[picks])
-    best_value = 0.0
-    best_sets = None
+    best_value, best_sets = 0.0, None
     for y, x in starts:
         value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
-            best_value = value
-            best_sets = (A, B)
-    witness = None
-    if best_sets is not None and best_value > _WITNESS_TOL:
-        A, B = best_sets
-        witness = _prune_witness(T, B, A, best_value)
-    # best_value is an achieved corner norm, so it is always a valid lower
-    # bound; the max() guards the upper member against float dust only
-    return LocalityReport(float(R), best_value, max(upper, best_value), False, witness)
+            best_value, best_sets = value, (B, A)
+    return best_value, best_sets
 
 
-def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") -> LocalityReport:
-    """sup ||chi_B T chi_A|| over point sets with d(A, B) > R.
-
-    mode "exact" enumerates closed candidate sets (base size at most
-    EXACT_LIMIT) and takes each corner's norm as the largest norm of its
-    components, the connected pieces of its nonzero-block graph, norming
-    each distinct component once; its witness is the first candidate in
-    ascending bitmask order attaining the maximum (candidates sharing the
-    top component tie exactly), pruned to a minimal pair.  Mode "bounds"
-    returns the window [local-search lower, min(||T - T_R||, ||T||)], with
-    T_R the truncation of T to the band of width R, from SEARCH_RESTARTS
-    seeded restarts.  The report's witness attains violation_lower.
-    """
+def _violation(T: BlockOperator, R: float, mode: str):
+    """(value, (B, A) or None) of the named mode, after the checks both
+    public entry points share: one base space, R >= 0, a known mode, and
+    at most EXACT_LIMIT points in exact mode."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -404,19 +379,42 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 
+def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") -> LocalityReport:
+    """sup ||chi_B T chi_A|| over point sets with d(A, B) > R.
+
+    mode "exact" enumerates closed candidate sets (base size at most
+    EXACT_LIMIT) and takes each corner's norm as the largest norm of its
+    components, the connected pieces of its nonzero-block graph, norming
+    each distinct component once; its pair is the first candidate in
+    ascending bitmask order attaining the maximum (candidates sharing the
+    top component tie exactly).  Mode "bounds" returns the window
+    [local-search lower, min(||T - T_R||, ||T||)], with T_R the truncation
+    of T to the band of width R, from SEARCH_RESTARTS seeded restarts.
+    Only here is the pair pruned to a minimal witness, which attains
+    violation_lower.
+    """
+    value, sets = _violation(T, R, mode)
+    exact = mode == "exact"
+    # value is an achieved corner norm, so it is always a valid lower bound;
+    # the max() guards the upper member against float dust only
+    upper = value if exact else max(_truncation_upper(T, R), value)
+    witness = None
+    if sets is not None and value > _WITNESS_TOL:
+        witness = _prune_witness(T, *sets, value)
+    return LocalityReport(float(R), value, upper, exact, witness)
+
+
 def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     """Window [lower, upper] around the distance from T to the set of
     operators with propagation <= R.
 
     Any violation value is a lower bound (corners over separated pairs
-    vanish on banded operators); the upper bound is min(||T - T_R||, ||T||),
-    since both the band truncation T_R and 0 are banded.  Exact violation
-    is used when the space is small enough.
+    vanish on banded operators): the exact one up to EXACT_LIMIT points,
+    the local search's above.  The upper bound is min(||T - T_R||, ||T||),
+    since both the band truncation T_R and 0 are banded.  Only numbers
+    are computed: no report is built and no witness pruned.
     """
-    if T.source.base.n > EXACT_LIMIT:
-        report = quasi_locality_violation(T, R, mode="bounds")
-        return report.violation_lower, report.violation_upper
-    lower = quasi_locality_violation(T, R, mode="exact").violation_lower
+    lower = _violation(T, R, "exact" if T.source.base.n <= EXACT_LIMIT else "bounds")[0]
     return lower, max(_truncation_upper(T, R), lower)
 
 

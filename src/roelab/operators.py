@@ -17,8 +17,10 @@ eigenvalue call is.  The unitarity residual takes no norm: it reads the
 spectrum of one Hermitian matrix G - I, with G the Gram matrix on the
 smaller side.  The unitarity check decides on the Frobenius norm of the
 same G - I first, an upper bound of the residual, and decomposes only
-when that bound cannot decide.  Operator entries stay below 1e150 in
-modulus, so the squares in a Gram product cannot overflow.
+when that bound cannot decide.  Corner kernels that build their own
+Gram stacks take the tops through `gram_top`, in closed form for d < 3.
+Operator entries stay below 1e150 in modulus, so the squares in a Gram
+product cannot overflow.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "FiberedSpace",
     "BlockOperator",
     "check_unitary",
+    "gram_top",
     "indicator",
     "identity_operator",
     "random_band_unitary",
@@ -120,6 +123,28 @@ def spectral_norm(mat):
         top = np.linalg.eigvalsh(mat @ adj if rows < cols else adj @ mat)[..., -1]
         tops = np.sqrt(np.where(top < 0.0, 0.0, top))  # max(top, 0.0) per matrix
     return float(tops) if mat.ndim == 2 else tops
+
+
+def _top_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
+    diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
+    reads: (a + c)/2 + hypot((a - c)/2, b).  The Grams are positive
+    semidefinite, so a, c >= 0 and both terms are >= 0: the sum has no
+    cancellation and stays within a few ulps of the LAPACK value."""
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+
+
+def gram_top(stack: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Gram matrix of a (..., d, d) stack: the
+    entry for d = 1, `_top_eig_2x2` of the diagonal and lower entry for
+    d = 2, one batched `eigvalsh` for d >= 3.  `spectral_norm` keeps its
+    own `eigvalsh` route, so its values do not move."""
+    d = stack.shape[-1]
+    if d == 1:
+        return stack[..., 0, 0].real
+    if d == 2:
+        return _top_eig_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
+    return np.linalg.eigvalsh(stack)[..., -1]
 
 
 class BlockOperator:

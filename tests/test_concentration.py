@@ -1,5 +1,7 @@
 """Concentration witnesses: the far-corner certificate from sign selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,14 @@ def test_rejects_bad_fiber_index():
     _, U = hadamard_fixture()
     with pytest.raises(ValueError):
         concentration_witness(U, 0, 1.0, h_index=5)
+
+
+def test_sign_selection_shortfall_raises(monkeypatch):
+    # the certificate's checks raise, so `python -O` cannot strip them
+    _, U = hadamard_fixture()
+    real = concentration.greedy_signs
+    monkeypatch.setattr(
+        concentration, "greedy_signs", lambda vectors: dataclasses.replace(real(vectors), achieved=0.0)
+    )
+    with pytest.raises(RuntimeError, match="sign selection fell short"):
+        concentration_witness(U, 0, 2.0)

@@ -14,7 +14,7 @@ from roelab.covering import (
     outer_roundtrip,
     upgrade_trick,
 )
-from roelab.fixtures import noisy_covering_unitary, reflection_map, standard_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.locality import supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
@@ -189,7 +189,7 @@ def test_curve_nonincreasing_and_closes_after_noise():
 
 def test_curve_stays_large_for_uncorrelated_unitary():
     U = dft_operator(10)
-    h = reflection_map(10)
+    h = standard_pair("reflection", 10)[0]
     curve = [(R, supported_distance_upper(U, h, R)) for R in [0.0, 3.0, 6.0, 9.0]]
     assert curve[0][1] > 1.0
     assert curve[2][1] > 0.3  # still far from supported at two thirds of the diameter
@@ -436,7 +436,7 @@ def test_noisy_covering_unitary_matches_a_cover_built_per_call():
 def test_outer_roundtrip_spilled_cover(seed):
     # reflection swaps 1-dim and 2-dim fibers, so no block of f's cover balances
     fib = FiberedSpace(path_space(12), [1 + (i % 2) for i in range(12)])
-    W, _ = covering_unitary(reflection_map(12), fib, target=fib)
+    W, _ = covering_unitary(standard_pair("reflection", 12)[0], fib, target=fib)
     rep = outer_roundtrip(W @ random_band_unitary(fib, 2.0, 1, seed), 0.5)
     plan, f = rep.plan, rep.extraction.f
     assert plan.spill

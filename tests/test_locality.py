@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roelab import fixtures, locality, operators
-from roelab.covering import covering_unitary
+from roelab.covering import covering_unitary, outer_roundtrip
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
@@ -162,7 +162,7 @@ def _block_sparse_input(seed: int):
     width = int(rng.integers(1, 3))  # noise radius, layer count or band beyond R
     if seed % 3 == 2:
         if seed % 2:
-            h = fixtures.reflection_map(int(rng.integers(4, 15)))
+            h = fixtures.standard_pair("reflection", int(rng.integers(4, 15)))[0]
         else:
             h = fixtures.halving_map(int(rng.integers(4, 9)))
         W, _ = covering_unitary(h, FiberedSpace(h.source, rng.integers(1, 3, size=h.source.n)))
@@ -425,7 +425,8 @@ def _search_input(seed: int, kind: str):
 
 def _assert_search_matches_reference(T, R, restarts, seed):
     """Every start of the screened search grows as reference_grow does, and
-    the search reports the same lower value and witness with either."""
+    the search returns the same value and unpruned pair (B, A) with
+    either; the pruned witness depends on nothing else."""
     state = locality._SearchState(T, R)
     if len(state.pairs) == 0:
         return
@@ -440,8 +441,7 @@ def _assert_search_matches_reference(T, R, restarts, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(locality, "_grow_pair", lambda s, B, A: reference_grow(s.T, R, B, A, frob))
         plain = locality._search_violation(T, R, restarts=restarts, seed=seed)
-    assert screened.violation_lower == plain.violation_lower
-    assert screened.witness == plain.witness
+    assert screened == plain
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -461,7 +461,7 @@ def test_screened_search_matches_plain_greedy_on_a_60_point_path(kind):
     if kind == "band":
         T = random_band_unitary(fib, 1.0, 4, seed=11)
     else:
-        W, _ = covering_unitary(fixtures.reflection_map(60), fib)
+        W, _ = covering_unitary(fixtures.standard_pair("reflection", 60)[0], fib)
         T = W @ random_band_unitary(fib, 2.0, 1, seed=12)
     assert set(T.target.fiber_dims) == set(T.source.fiber_dims) == {1, 2}
     _assert_search_matches_reference(T, 3.0, 6, 5)
@@ -508,6 +508,24 @@ def test_window_upper_at_most_norm_on_fibered_cover():
     for R in (0.0, 1.0, 2.0, 3.0):
         lower, upper = approximability_window(U, R)
         assert lower <= upper <= U.norm() + 1e-12
+
+
+def test_window_prunes_no_witness(monkeypatch):
+    # the window keeps two numbers; only quasi_locality_violation prunes a
+    # witness, the one caller of corner_norm in this module
+    calls = []
+    real = BlockOperator.corner_norm
+    monkeypatch.setattr(BlockOperator, "corner_norm", lambda T, B, A: calls.append(1) or real(T, B, A))
+    U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
+    rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
+    assert any(lower > locality._WITNESS_TOL for _, lower, _ in rep.windows)
+    band = random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 1.0, 3, seed=4)
+    window = approximability_window(band, 1.0)  # 20 points: the bounds side
+    assert window[0] > locality._WITNESS_TOL
+    assert calls == []
+    report = quasi_locality_violation(band, 1.0, mode="bounds")
+    assert window == (report.violation_lower, report.violation_upper)
+    assert report.witness is not None and calls
 
 
 @pytest.mark.parametrize("kind, norms_taken", [("band", 1), ("reflection", 2)])

@@ -1,8 +1,8 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
-without a reader, nothing is configured through the environment, and
-every norm goes through `operators.spectral_norm` and every set of
-distance levels through `spaces`."""
+without a reader, nothing is configured through the environment, no
+check is an `assert`, and every norm and Gram top goes through
+`operators` and every set of distance levels through `spaces`."""
 
 import ast
 import re
@@ -99,15 +99,31 @@ def test_no_module_reads_the_environment():
 
 
 def test_norms_are_taken_only_in_operators():
-    # the one norm path: no module but operators.py computes a norm by itself
+    # the one norm path: no module but operators.py computes a norm or a
+    # Hermitian top eigenvalue by itself (`spectral_norm`, `gram_top`)
     package = Path(roelab.__file__).parent
-    pattern = re.compile(r"linalg\.norm\b|svd\([^()]*compute_uv\s*=\s*False")
+    pattern = re.compile(r"linalg\.(norm|eigvalsh)\b|svd\([^()]*compute_uv\s*=\s*False")
     takers = [
-        path.name
+        f"{path.name}:{lineno}"
         for path in sorted(package.glob("*.py"))
-        if path.name != "operators.py" and pattern.search(path.read_text())
+        if path.name != "operators.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
     ]
     assert takers == []
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so a check the package relies
+    # on raises an exception instead
+    package = Path(roelab.__file__).parent
+    asserts = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_distance_levels_are_taken_only_in_spaces():
