@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
-from .operators import BlockOperator, _top_eig_2x2, check_unitary, gram_top
+from .operators import BlockOperator, check_unitary, gram_top, gram_top_2x2
 
 __all__ = [
     "ExtractionReport",
@@ -90,7 +90,7 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     in groups of equal fiber dimension: 1-dim fibers in one matrix
     product of the mask with the squared column moduli, d-dim fibers in
     one Gram product of the mask with the per-point column outer products.
-    For d = 2 the top eigenvalue comes in closed form (`_top_eig_2x2`),
+    For d = 2 the top eigenvalue comes in closed form (`gram_top_2x2`),
     which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
     columns c0, c1, so only those are built, as four real columns per
     point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
@@ -119,7 +119,7 @@ def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
                     (c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1
                 )  # (rows, k, 4)
                 sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
-                top = _top_eig_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
+                top = gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
             else:
                 prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
                 # a real product on the interleaved (re, im) pairs: the mask is real

@@ -34,6 +34,7 @@ __all__ = [
     "BlockOperator",
     "check_unitary",
     "gram_top",
+    "gram_top_2x2",
     "indicator",
     "identity_operator",
     "random_band_unitary",
@@ -125,7 +126,7 @@ def spectral_norm(mat):
     return float(tops) if mat.ndim == 2 else tops
 
 
-def _top_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
     diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
     reads: (a + c)/2 + hypot((a - c)/2, b).  The Grams are positive
@@ -136,14 +137,14 @@ def _top_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_top(stack: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Gram matrix of a (..., d, d) stack: the
-    entry for d = 1, `_top_eig_2x2` of the diagonal and lower entry for
+    entry for d = 1, `gram_top_2x2` of the diagonal and lower entry for
     d = 2, one batched `eigvalsh` for d >= 3.  `spectral_norm` keeps its
     own `eigvalsh` route, so its values do not move."""
     d = stack.shape[-1]
     if d == 1:
         return stack[..., 0, 0].real
     if d == 2:
-        return _top_eig_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
+        return gram_top_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
     return np.linalg.eigvalsh(stack)[..., -1]
 
 

@@ -98,19 +98,31 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+_NORM_TAKER = re.compile(r"linalg\.(norm|eigvalsh)\b|svd\([^()]*compute_uv\s*=\s*False")
+
+
+def _norm_takers(name, text):
+    # matched over the whole text, so a call wrapped over lines is found;
+    # each match is reported at the line where it starts
+    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _NORM_TAKER.finditer(text)]
+
+
 def test_norms_are_taken_only_in_operators():
     # the one norm path: no module but operators.py computes a norm or a
     # Hermitian top eigenvalue by itself (`spectral_norm`, `gram_top`)
     package = Path(roelab.__file__).parent
-    pattern = re.compile(r"linalg\.(norm|eigvalsh)\b|svd\([^()]*compute_uv\s*=\s*False")
     takers = [
-        f"{path.name}:{lineno}"
+        taker
         for path in sorted(package.glob("*.py"))
         if path.name != "operators.py"
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.search(line)
+        for taker in _norm_takers(path.name, path.read_text())
     ]
     assert takers == []
+
+
+def test_norm_lint_finds_calls_wrapped_over_lines():
+    text = "x = 1\ntop = np.linalg.svd(\n    mat, compute_uv=False\n)[0]\ne = np.linalg.eigvalsh(g)\n"
+    assert _norm_takers("m.py", text) == ["m.py:2", "m.py:5"]
 
 
 def test_no_assert_statements():
