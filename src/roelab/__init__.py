@@ -26,7 +26,6 @@ from .operators import (
     BlockOperator,
     FiberedSpace,
     identity_operator,
-    indicator,
     random_band_unitary,
     spectral_norm,
 )
@@ -44,7 +43,6 @@ from .extraction import (
     corner_norm_table,
     extract_map,
     extract_pair,
-    footprint_control,
     minimal_radius,
 )
 from .covering import (
@@ -72,14 +70,14 @@ __all__ = [
     "FiniteMetricSpace", "from_edge_list", "path_space",
     "PointMap", "EquivalenceReport", "identity_map", "closeness", "compose",
     "certify_equivalence", "greedy_net", "voronoi_partition",
-    "FiberedSpace", "BlockOperator", "indicator", "identity_operator", "spectral_norm",
+    "FiberedSpace", "BlockOperator", "identity_operator", "spectral_norm",
     "random_band_unitary",
     "greedy_signs",
     "LocalityReport", "quasi_locality_violation", "approximability_window",
     "supported_distance_upper",
     "ConcentrationWitness", "concentration_witness",
     "ExtractionReport", "MinimalRadiusError", "corner_norm_table",
-    "minimal_radius", "extract_map", "extract_pair", "footprint_control",
+    "minimal_radius", "extract_map", "extract_pair",
     "CoveringPlan", "UpgradeResult", "OuterReport", "covering_unitary",
     "upgrade_trick", "outer_roundtrip",
     "hadamard_fixture", "halving_map", "standard_pair", "noisy_covering_unitary",

@@ -4,10 +4,14 @@ Each subcommand loads its inputs, runs one analysis, and writes a JSON
 report of the form {scenario, versions, results, timings}.  Reports are
 deterministic byte for byte except for the timings field; sweeps also
 emit CSV.  Errors exit with code 2 and a structured error JSON on
-stdout.  Each `_cmd_*` returns its results; `main` times it and writes
-the report, whose scenario is the subcommand as `kind` plus every parsed
-argument except `--out`.  Every setting is a command-line argument;
-nothing is read from the environment.
+stdout, {"error": {"type", "message"}}.  That holds for arguments the
+parser rejects (an unknown subcommand, a missing or mistyped option, an
+unknown choice) and for vacuous or malformed lists (`--seeds` below 1,
+an empty item in `--radius-grid` or `--fibers`) too; only `--help` and
+`--version` print and exit 0.  Each `_cmd_*` returns its results; `main`
+times it and writes the report, whose scenario is the subcommand as
+`kind` plus every parsed argument except `--out`.  Every setting is a
+command-line argument; nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from . import __version__
 from .concentration import concentration_witness
 from .covering import covering_unitary, outer_roundtrip
 from .extraction import extract_pair
-from .fixtures import standard_pair
+from .fixtures import noisy_covering_unitary
 from .locality import quasi_locality_violation
 from .maps import closeness
-from .operators import FiberedSpace, random_band_unitary
+from .operators import FiberedSpace
 from .serialize import load_map, load_space, read_operator, report_bytes, write_operator, write_report
 
 __all__ = ["main"]
@@ -61,8 +65,17 @@ def _cmd_extract(args) -> dict:
     return extract_pair(_load_unitary(args), args.delta).to_json()
 
 
+def _parse_list(raw: str, option: str) -> list[str]:
+    """The comma-separated items of an option; an empty item is refused,
+    not dropped, so a list cannot shrink or vanish unnoticed."""
+    parts = raw.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"{option} has an empty item: {raw!r}")
+    return parts
+
+
 def _parse_fibers(spec: str, n: int) -> np.ndarray:
-    parts = [p for p in spec.split(",") if p.strip()]
+    parts = _parse_list(spec, "--fibers")
     if len(parts) == 1:
         return np.full(n, int(parts[0]))
     if len(parts) != n:
@@ -94,18 +107,18 @@ def _cmd_ql(args) -> dict:
 
 
 def _parse_grid(raw: str | None):
-    if not raw:
+    if raw is None:
         return None
-    return [float(v) for v in raw.split(",") if v.strip()]
+    return [float(v) for v in _parse_list(raw, "--radius-grid")]
 
 
 def _cmd_outer(args) -> dict:
-    U = _load_unitary(args)
-    return outer_roundtrip(U, args.delta, _parse_grid(args.radius_grid)).to_json()
+    grid = _parse_grid(args.radius_grid)  # a malformed grid is refused before any file is read
+    return outer_roundtrip(_load_unitary(args), args.delta, grid).to_json()
 
 
-def _sweep_one(h, W, plan, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
-    U = W @ random_band_unitary(W.source, noise_radius, layers, seed)
+def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
+    U, h, plan = noisy_covering_unitary(kind, n, seed, noise_radius, layers)
     report = extract_pair(U, delta)
     return {
         "seed": seed,
@@ -119,11 +132,10 @@ def _sweep_one(h, W, plan, seed: int, noise_radius: float, layers: int, delta: f
 
 
 def _cmd_sweep(args) -> dict:
-    # only the band noise depends on the seed: h and its cover W are shared
-    h, _ = standard_pair(args.h, args.n)
-    W, plan = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = [
-        _sweep_one(h, W, plan, s, args.noise_radius, args.layers, args.delta)
+        _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
         for s in range(args.seeds)
     ]
     if args.csv:
@@ -138,11 +150,20 @@ def _cmd_sweep(args) -> dict:
     return {"rows": rows}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise instead of printing usage and exiting,
+    so `main` reports them as the structured error.  Subparsers are built
+    from the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (building it takes
     about 2 ms); parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roelab",
         description="Quantitative coarse geometry of block operators on finite metric spaces",
     )
@@ -203,9 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         results = args.func(args)
         settings = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
         _emit(args.out, {"kind": args.command, **settings}, results, time.perf_counter() - t0)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap, greedy_net, voronoi_partition
-from .operators import BlockOperator, FiberedSpace, check_unitary, spectral_norm
-from .extraction import ExtractionReport, _corner_norms, extract_pair
+from .operators import BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm
+from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
 
 __all__ = [
@@ -172,16 +172,6 @@ class UpgradeResult:
     R: float
     epsilon: float
     ortho_residual: float  # largest ||d_i* d_j|| over pairs of discarded terms
-    points: list
-
-    def to_json(self) -> dict:
-        return {
-            "R": self.R,
-            "epsilon": self.epsilon,
-            "error": self.error,
-            "ortho_residual": self.ortho_residual,
-            "points": [int(x) for x in self.points],
-        }
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -207,7 +197,7 @@ def _support_radius_for(U: BlockOperator, f: PointMap, epsilon: float) -> float:
     tbase = U.target.base
     for R in tbase.realized_distances():
         # row x masks the complement of ball(f(x), R), so the diagonal holds x's corner
-        if np.diagonal(_corner_norms(U, tbase.dist[f.values] > R)).max() <= epsilon:
+        if np.diagonal(corner_norms(U, tbase.dist[f.values] > R)).max() <= epsilon:
             return float(R)
     return float(tbase.diameter)
 
@@ -249,8 +239,7 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
             if spectral_norm(E.conj().T @ E - np.eye(E.shape[1])) > 1e-9:
                 raise ValueError(f"basis columns at point {x_i} are not orthonormal")
         spec.append((x_i, E))
-    points = [x for x, _ in spec]
-    if len(set(points)) != len(points):
+    if len({x for x, _ in spec}) != len(spec):
         raise ValueError("p_spec points must be distinct")
 
     R = _support_radius_for(U, f, epsilon)
@@ -302,7 +291,6 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
         R=R,
         epsilon=float(epsilon),
         ortho_residual=float(ortho),
-        points=points,
     )
 
 

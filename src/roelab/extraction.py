@@ -8,12 +8,13 @@ gives the partner map f, and the pair is certified as a coarse
 equivalence by direct measurement (the quantitative scheme of
 Spakula-Willett, "On rigidity of Roe algebras", Adv. Math. 249, 2013).
 
-`corner_norm_table` is the one kernel for these norms, batched over the
-source points of each fiber dimension; concentration witnesses and
-`footprint_control` read it as well.  Corners within 1e-12 of a row's
-maximum count as tied and go to the smallest index, so the extracted
-maps do not depend on the order in which the kernel sums.  The radius
-search returns the table it stopped at, and `extract_pair` reuses it.
+`corner_norm_table` is the corner kernel of operators.py
+(`corner_norms`, batched over the source points of each fiber dimension)
+at the ball masks; concentration witnesses read it as well.  Corners
+within 1e-12 of a row's maximum count as tied and go to the smallest
+index, so the extracted maps do not depend on the order in which the
+kernel sums.  The radius search returns the table it stopped at, and
+`extract_pair` reuses it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
-from .operators import BlockOperator, check_unitary, gram_top, gram_top_2x2
+from .operators import BlockOperator, check_unitary, corner_norms
 
 __all__ = [
     "ExtractionReport",
@@ -32,13 +33,10 @@ __all__ = [
     "minimal_radius",
     "extract_map",
     "extract_pair",
-    "footprint_control",
 ]
 
 # corners this close to their row maximum are tied up to rounding
 _TIE_TOL = 1e-12
-# bytes per chunk of the d-dim Gram stacks in `corner_norm_table`
-_GRAM_STACK_BYTES = 2 << 20
 
 
 class MinimalRadiusError(RuntimeError):
@@ -76,57 +74,11 @@ class ExtractionReport:
 
 
 def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
-    """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||."""
+    """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||:
+    `operators.corner_norms` at the ball masks."""
     if not R >= 0:
         raise ValueError("radius must be >= 0")
-    return _corner_norms(U, U.target.base.dist <= R)
-
-
-def _corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
-    """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
-    given by the rows of a boolean (k, n_target) mask.
-
-    The mask is cast to float once, and the source points are taken
-    in groups of equal fiber dimension: 1-dim fibers in one matrix
-    product of the mask with the squared column moduli, d-dim fibers in
-    one Gram product of the mask with the per-point column outer products.
-    For d = 2 the top eigenvalue comes in closed form (`gram_top_2x2`),
-    which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
-    columns c0, c1, so only those are built, as four real columns per
-    point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
-    d-dim stacks are built in chunks of source points of at most
-    `_GRAM_STACK_BYTES` each.  Entries equal the per-point
-    computation up to summation order (a few ulps).
-    """
-    source = U.source
-    mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
-    out = np.zeros((len(rows), source.base.n))
-    for d in np.unique(source.fiber_dims):
-        points = np.flatnonzero(source.fiber_dims == d)
-        if d == 1:
-            cols = U.matrix[:, source.offsets[points]]
-            out[:, points] = np.sqrt(mask @ (cols.real**2 + cols.imag**2))
-            continue
-        per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
-        step = max(1, _GRAM_STACK_BYTES // per_point)
-        for chunk in np.array_split(points, -(-points.size // step)):
-            idx = source.offsets[chunk][:, None] + np.arange(d)
-            cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
-            if d == 2:
-                c0, c1 = cols[..., 0], cols[..., 1]
-                cross = c1.conj() * c0
-                parts = np.stack(
-                    (c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1
-                )  # (rows, k, 4)
-                sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
-                top = gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
-            else:
-                prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
-                # a real product on the interleaved (re, im) pairs: the mask is real
-                grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
-                top = gram_top(grams.reshape(len(rows), chunk.size, d, d))
-            out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
-    return out
+    return corner_norms(U, U.target.base.dist <= R)
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,22 +167,3 @@ def extract_pair(U: BlockOperator, delta: float = 0.5) -> ExtractionReport:
         witness_f=witness_f,
         equivalence=certify_equivalence(f, g),
     )
-
-
-def footprint_control(U: BlockOperator, delta: float, r: float) -> float:
-    """Measured control radius: over all radius-r balls A in the source,
-    the largest diameter of {y : ||chi_y U chi_A|| >= delta}.
-
-    Empty footprints contribute 0.  Nonincreasing in delta, nondecreasing
-    in r.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be > 0")
-    if not r >= 0:
-        raise ValueError("r must be >= 0")
-    tbase = U.target.base
-    worst = 0.0
-    # row x of the adjoint's table holds ||chi_y U chi_ball(x, r)|| for every y
-    for hits in corner_norm_table(U.adjoint(), r) >= delta:
-        worst = max(worst, tbase.subset_diameter(np.flatnonzero(hits)))
-    return float(worst)

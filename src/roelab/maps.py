@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, integer_array
 
 __all__ = [
     "PointMap",
@@ -34,22 +34,13 @@ class PointMap:
     ----------
     source, target : FiniteMetricSpace
     values : sequence of int
-        ``values[x]`` is the target point assigned to source point x.  An
-        integer array is taken as it is; a sequence is checked value by
-        value, because numpy reads a bool among ints as 0 or 1.  Bool and
-        float values are refused, not truncated.
+        ``values[x]`` is the target point assigned to source point x.
+        Bool and float values are refused, not truncated
+        (`spaces.integer_array`).
     """
 
     def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, values):
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            bad = [] if values.dtype.kind in "iu" else values.ravel()[:1].tolist()
-        else:
-            values = list(values)
-            bad = [v for v in values
-                   if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
-        if bad:
-            raise ValueError(f"map values must be integers, got {bad[0]!r}")
-        table = np.asarray(values)  # an empty table reads as float64, and passes
+        table = integer_array(values, "map values")  # an empty table reads as float64, and passes
         if table.shape != (source.n,):
             raise ValueError(
                 f"map needs one value per source point: expected {source.n}, got {table.size}"

@@ -17,8 +17,15 @@ eigenvalue call is.  The unitarity residual takes no norm: it reads the
 spectrum of one Hermitian matrix G - I, with G the Gram matrix on the
 smaller side.  The unitarity check decides on the Frobenius norm of the
 same G - I first, an upper bound of the residual, and decomposes only
-when that bound cannot decide.  Corner kernels that build their own
-Gram stacks take the tops through `gram_top`, in closed form for d < 3.
+when that bound cannot decide.
+
+Corners: `corner_norms` is the one masked corner kernel.  It gives
+||chi_B U chi_x|| for every source point x and every target point set B
+of a boolean mask, from batched Gram stacks; `extraction.corner_norm_table`
+is this kernel at ball masks.  It and the quasi-locality screen build
+their own Gram stacks and take the tops through `gram_top`, in closed
+form for d < 3.
+
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
 """
@@ -27,15 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, validate_points
+from .spaces import FiniteMetricSpace, integer_array, validate_points
 
 __all__ = [
     "FiberedSpace",
     "BlockOperator",
     "check_unitary",
+    "corner_norms",
     "gram_top",
-    "gram_top_2x2",
-    "indicator",
     "identity_operator",
     "random_band_unitary",
     "spectral_norm",
@@ -43,13 +49,19 @@ __all__ = [
 
 PROPAGATION_TOL = 1e-12
 UNITARITY_TOL = 1e-9
+# bytes per chunk of the d-dim Gram stacks in `corner_norms`
+_GRAM_STACK_BYTES = 2 << 20
 
 
 class FiberedSpace:
-    """A finite metric space with a fiber dimension at every point."""
+    """A finite metric space with a fiber dimension at every point.
+
+    Fiber dimensions are integers >= 1; bool and float values are
+    refused, not truncated (`spaces.integer_array`).
+    """
 
     def __init__(self, base: FiniteMetricSpace, fiber_dims):
-        dims = np.array([int(d) for d in fiber_dims], dtype=np.int64)
+        dims = integer_array(fiber_dims, "fiber dimensions").astype(np.int64)
         if dims.shape != (base.n,):
             raise ValueError(
                 f"need one fiber dimension per point: expected {base.n}, got {dims.size}"
@@ -68,7 +80,7 @@ class FiberedSpace:
 
     @classmethod
     def uniform(cls, base: FiniteMetricSpace, dim: int) -> "FiberedSpace":
-        return cls(base, np.full(base.n, int(dim)))
+        return cls(base, np.full(base.n, dim))
 
     def slice_of(self, x: int) -> slice:
         return slice(int(self.offsets[x]), int(self.offsets[x + 1]))
@@ -126,7 +138,7 @@ def spectral_norm(mat):
     return float(tops) if mat.ndim == 2 else tops
 
 
-def gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
     diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
     reads: (a + c)/2 + hypot((a - c)/2, b).  The Grams are positive
@@ -137,14 +149,14 @@ def gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_top(stack: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Gram matrix of a (..., d, d) stack: the
-    entry for d = 1, `gram_top_2x2` of the diagonal and lower entry for
+    entry for d = 1, `_gram_top_2x2` of the diagonal and lower entry for
     d = 2, one batched `eigvalsh` for d >= 3.  `spectral_norm` keeps its
     own `eigvalsh` route, so its values do not move."""
     d = stack.shape[-1]
     if d == 1:
         return stack[..., 0, 0].real
     if d == 2:
-        return gram_top_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
+        return _gram_top_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
     return np.linalg.eigvalsh(stack)[..., -1]
 
 
@@ -360,10 +372,51 @@ def check_unitary(U: BlockOperator) -> None:
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
 
-def indicator(space: FiberedSpace, A) -> BlockOperator:
-    """Orthogonal projection onto the fibers over A (diagonal 0/1 blocks)."""
-    mask = space.coord_mask(A)
-    return BlockOperator(space, space, np.diag(mask.astype(complex)))
+def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
+    """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
+    given by the rows of a boolean (k, n_target) mask.
+
+    The mask is cast to float once, and the source points are taken
+    in groups of equal fiber dimension: 1-dim fibers in one matrix
+    product of the mask with the squared column moduli, d-dim fibers in
+    one Gram product of the mask with the per-point column outer products.
+    For d = 2 the top eigenvalue comes in closed form (`_gram_top_2x2`),
+    which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
+    columns c0, c1, so only those are built, as four real columns per
+    point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
+    d-dim stacks are built in chunks of source points of at most
+    `_GRAM_STACK_BYTES` each.  Entries equal the per-point
+    computation up to summation order (a few ulps).
+    """
+    source = U.source
+    mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
+    out = np.zeros((len(rows), source.base.n))
+    for d in np.unique(source.fiber_dims):
+        points = np.flatnonzero(source.fiber_dims == d)
+        if d == 1:
+            cols = U.matrix[:, source.offsets[points]]
+            out[:, points] = np.sqrt(mask @ (cols.real**2 + cols.imag**2))
+            continue
+        per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
+        step = max(1, _GRAM_STACK_BYTES // per_point)
+        for chunk in np.array_split(points, -(-points.size // step)):
+            idx = source.offsets[chunk][:, None] + np.arange(d)
+            cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
+            if d == 2:
+                c0, c1 = cols[..., 0], cols[..., 1]
+                cross = c1.conj() * c0
+                parts = np.stack(
+                    (c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1
+                )  # (rows, k, 4)
+                sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
+                top = _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
+            else:
+                prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
+                # a real product on the interleaved (re, im) pairs: the mask is real
+                grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
+                top = gram_top(grams.reshape(len(rows), chunk.size, d, d))
+            out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
+    return out
 
 
 def identity_operator(space: FiberedSpace) -> BlockOperator:

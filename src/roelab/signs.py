@@ -21,13 +21,6 @@ class SignSelection:
     achieved: float  # ||sum_k signs[k] v_k||^2
     target: float  # sum_k ||v_k||^2
 
-    def to_json(self) -> dict:
-        return {
-            "signs": [int(s) for s in self.signs],
-            "achieved": self.achieved,
-            "target": self.target,
-        }
-
 
 def _stack(vectors) -> np.ndarray:
     mats = [np.asarray(v, dtype=complex).ravel() for v in vectors]

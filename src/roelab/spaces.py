@@ -33,6 +33,7 @@ __all__ = [
     "path_space",
     "from_edge_list",
     "validate_points",
+    "integer_array",
 ]
 
 _TRIANGLE_TOL = 1e-9
@@ -55,6 +56,25 @@ def validate_points(points, n: int) -> np.ndarray:
         if not new.all():
             arr = arr[np.concatenate(([True], new))]
     return arr
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """The values as an array, refused unless every one is an integer.
+
+    An integer numpy array is taken as it is; a sequence is checked value
+    by value, because numpy reads a bool among ints as 0 or 1.  Bool and
+    float values are refused, not truncated: the error names `what` and
+    the first bad value.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        bad = [] if values.dtype.kind in "iu" else values.ravel()[:1].tolist()
+    else:
+        values = list(values)
+        bad = [v for v in values
+               if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
+    if bad:
+        raise ValueError(f"{what} must be integers, got {bad[0]!r}")
+    return np.asarray(values)
 
 
 def _is_graph_metric(dist: np.ndarray) -> bool:

@@ -60,6 +60,12 @@ def random_fibered(rng, space: FiniteMetricSpace, max_dim: int = 3) -> FiberedSp
     return FiberedSpace(space, rng.integers(1, max_dim + 1, size=space.n))
 
 
+def indicator(space: FiberedSpace, A) -> BlockOperator:
+    """Orthogonal projection onto the fibers over A (diagonal 0/1 blocks)."""
+    mask = space.coord_mask(A)
+    return BlockOperator(space, space, np.diag(mask.astype(complex)))
+
+
 def random_operator(rng, source: FiberedSpace, target: FiberedSpace) -> BlockOperator:
     shape = (target.total_dim, source.total_dim)
     mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

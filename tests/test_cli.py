@@ -106,9 +106,7 @@ def test_one_parser_serves_every_call_of_a_process(command_argv, capsys):
 
     first = results_of(ql)
     results_of(command_argv["extract"])
-    with pytest.raises(SystemExit) as exc:  # argparse rejects the mode
-        run(["ql", "--radius", "1", "--mode", "sideways"])
-    assert exc.value.code == 2
+    assert run(["ql", "--radius", "1", "--mode", "sideways"]) == 2  # the parser rejects the mode
     assert run(ql + ["--radius", "nan"]) == 2
     capsys.readouterr()
     assert results_of(ql) == first
@@ -254,12 +252,44 @@ def test_unwritable_out_exits_2(command, command_argv, tmp_path, capsys):
     pytest.param("outer", ["--radius-grid", "0,nan"], id="outer-nan"),
     pytest.param("sweep", ["--noise-radius", "nan"], id="sweep-nan"),
     pytest.param("cover", ["--separation", "nan"], id="cover-nan"),
+    # vacuous or malformed lists: no seeds, no radii, an empty item
+    pytest.param("sweep", ["--seeds", "0"], id="sweep-no-seeds"),
+    pytest.param("sweep", ["--seeds", "-3"], id="sweep-negative-seeds"),
+    pytest.param("outer", ["--radius-grid", ","], id="outer-empty-grid"),
+    pytest.param("outer", ["--radius-grid", "0,,3"], id="outer-empty-radius"),
+    pytest.param("cover", ["--fibers", "1,,1,1,1,1,1,1,1,1,1"], id="cover-empty-fiber"),
 ])
 def test_non_finite_argument_exits_2(command, extra, command_argv, capsys):
     # the later flag overrides the valid value in command_argv
     assert run(command_argv[command] + extra) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["ql", "--radius", "abc"], "invalid float value: 'abc'", id="mistyped"),
+    pytest.param(["ql"], "required: --unitary, --space, --radius", id="missing"),
+    pytest.param(["ql", "--radius", "1", "--mode", "sideways"], "invalid choice: 'sideways'", id="choice"),
+    pytest.param(["sideways"], "invalid choice: 'sideways'", id="subcommand"),
+    pytest.param([], "required: command", id="no-subcommand"),
+    pytest.param(["sweep", "--bogus"], "unrecognized arguments: --bogus", id="unknown-option"),
+])
+def test_parse_error_exits_2(argv, message, capsys):
+    # the parser's own errors keep the structured error contract
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "ArgumentError"
+    assert message in err["message"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([flag])
+    assert exc.value.code == 0
+    assert "roelab" in capsys.readouterr().out
 
 
 def test_malformed_space_exits_2(tmp_path, capsys):

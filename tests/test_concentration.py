@@ -9,8 +9,10 @@ from roelab import concentration
 from roelab.concentration import concentration_witness
 from roelab.extraction import corner_norm_table
 from roelab.fixtures import hadamard_fixture
-from roelab.operators import FiberedSpace, identity_operator, indicator, random_band_unitary
+from roelab.operators import FiberedSpace, identity_operator, random_band_unitary
 from roelab.spaces import path_space
+
+from conftest import indicator
 
 INV_SQRT2 = 1 / np.sqrt(2)
 

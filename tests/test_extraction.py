@@ -13,7 +13,6 @@ from roelab.extraction import (
     corner_norm_table,
     extract_map,
     extract_pair,
-    footprint_control,
     minimal_radius,
 )
 from roelab import operators
@@ -283,25 +282,8 @@ def test_extraction_report_json_roundtrips_values():
     assert set(data["equivalence"]) == {"modulus_f", "modulus_g", "closeness_fg", "closeness_gf"}
 
 
-def test_footprint_control_stays_small_for_thin_noise():
-    X = path_space(16)
-    fib = FiberedSpace.uniform(X, 1)
-    for seed in range(8):
-        U = random_band_unitary(fib, 2.0, 1, seed=seed)
-        assert footprint_control(U, 0.1, 0.0) <= 4.0
-
-
-def test_footprint_control_identity_is_zero():
-    from roelab.operators import identity_operator
-
-    fib = FiberedSpace.uniform(path_space(6), 2)
-    assert footprint_control(identity_operator(fib), 0.5, 0.0) == 0.0
-
-
 def test_nan_thresholds_raise():
     U, h, _ = noisy_covering_unitary("identity", 8, 0)
-    with pytest.raises(ValueError, match="delta must be > 0"):
-        footprint_control(U, float("nan"), 1.0)
     with pytest.raises(ValueError, match="epsilon must be > 0"):
         upgrade_trick(U, h, [(0, 1)], float("nan"))
 
@@ -321,21 +303,6 @@ def test_minimal_radius_error_tells_near_one_numbers_apart():
         extract_pair(U, 1 - 1e-10)
     best, delta = str(info.value).split(" is ")[1].split(" <= delta = ")
     assert float(best) == info.value.best_norm < float(delta) == 1 - 1e-10
-
-
-def test_footprint_control_matches_direct_corners(rng):
-    for _ in range(4):
-        X = random_graph_space(rng, 8, extra_edges=2)
-        fib = random_fibered(rng, X, max_dim=2)
-        U = random_band_unitary(fib, 2.0, 2, seed=int(rng.integers(0, 1000)))
-        for delta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for r in (0.0, 1.0, 2.0):
-                worst = 0.0
-                for x in range(X.n):
-                    ball = X.ball(x, r)
-                    hits = [y for y in range(X.n) if U.corner_norm([y], ball) >= delta]
-                    worst = max(worst, X.subset_diameter(hits))
-                assert footprint_control(U, delta, r) == worst
 
 
 ENTRIES = {

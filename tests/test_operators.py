@@ -13,13 +13,12 @@ from roelab.operators import (
     FiberedSpace,
     check_unitary,
     identity_operator,
-    indicator,
     random_band_unitary,
     spectral_norm,
 )
 from roelab.spaces import path_space, validate_points
 
-from conftest import random_fibered, random_graph_space, random_operator
+from conftest import indicator, random_fibered, random_graph_space, random_operator
 
 
 def shift_operator(n):
@@ -77,6 +76,21 @@ def test_points_out_of_range_rejected(points, bad):
 def test_fibered_space_rejects_zero_dims():
     with pytest.raises(ValueError):
         FiberedSpace(path_space(2), [1, 0])
+
+
+def test_fibered_space_refuses_bool_and_float_dims():
+    # these used to truncate to [1 2 1] and to 2s; PointMap refuses them the same way
+    X = path_space(3)
+    for dims, bad in [([1.5, 2, 1], "1.5"), ([True, 2, 1], "True"), (np.array([1.0, 2.0, 1.0]), "1.0")]:
+        with pytest.raises(ValueError, match=f"^fiber dimensions must be integers, got {bad}$"):
+            FiberedSpace(X, dims)
+    for dim, bad in [(2.7, "2.7"), (True, "True")]:
+        with pytest.raises(ValueError, match=f"^fiber dimensions must be integers, got {bad}$"):
+            FiberedSpace.uniform(X, dim)
+    # integer arrays of any width pass as they are, integer sequences value by value
+    for dims in (np.array([1, 2, 1], dtype="<u4"), [np.int64(1), 2, 1], (1, 2, 1)):
+        assert FiberedSpace(X, dims).fiber_dims.tolist() == [1, 2, 1]
+    assert FiberedSpace.uniform(X, np.int32(2)).fiber_dims.tolist() == [2, 2, 2]
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e150, -1e150j, 1e160])

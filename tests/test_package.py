@@ -1,8 +1,9 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
-without a reader, nothing is configured through the environment, no
-check is an `assert`, and every norm and Gram top goes through
-`operators` and every set of distance levels through `spaces`."""
+without a reader, no module imports another's private name, nothing is
+configured through the environment, no check is an `assert`, and every
+norm and Gram top goes through `operators` and every set of distance
+levels through `spaces`."""
 
 import ast
 import re
@@ -123,6 +124,40 @@ def test_norms_are_taken_only_in_operators():
 def test_norm_lint_finds_calls_wrapped_over_lines():
     text = "x = 1\ntop = np.linalg.svd(\n    mat, compute_uv=False\n)[0]\ne = np.linalg.eigvalsh(g)\n"
     assert _norm_takers("m.py", text) == ["m.py:2", "m.py:5"]
+
+
+def _private_imports(name, text):
+    # read from the syntax tree, so an import wrapped over lines is found
+    # like any other; reported at the line where the import starts
+    return [
+        f"{name}:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    # one home per kernel: a name another module needs is public there
+    package = Path(roelab.__file__).parent
+    importers = [
+        importer
+        for path in sorted(package.rglob("*.py"))
+        for importer in _private_imports(str(path.relative_to(package)), path.read_text())
+    ]
+    assert importers == []
+
+
+def test_private_import_lint_finds_imports_wrapped_over_lines():
+    text = (
+        "from __future__ import annotations\n"
+        "from .operators import (\n    BlockOperator,\n    _gram_top_2x2,\n)\n"
+        "from .extraction import corner_norm_table, _TIE_TOL\n"
+        "from numpy import _globals\n"
+        "from . import __version__\n"
+    )
+    assert _private_imports("m.py", text) == ["m.py:2 _gram_top_2x2", "m.py:6 _TIE_TOL"]
 
 
 def test_no_assert_statements():
