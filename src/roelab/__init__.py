@@ -32,6 +32,7 @@ from .operators import (
 from .signs import greedy_signs
 from .locality import (
     LocalityReport,
+    Witness,
     approximability_window,
     quasi_locality_violation,
     supported_distance_upper,
@@ -73,7 +74,7 @@ __all__ = [
     "FiberedSpace", "BlockOperator", "identity_operator", "spectral_norm",
     "random_band_unitary",
     "greedy_signs",
-    "LocalityReport", "quasi_locality_violation", "approximability_window",
+    "LocalityReport", "Witness", "quasi_locality_violation", "approximability_window",
     "supported_distance_upper",
     "ConcentrationWitness", "concentration_witness",
     "ExtractionReport", "MinimalRadiusError", "corner_norm_table",

@@ -8,10 +8,12 @@ stdout, {"error": {"type", "message"}}.  That holds for arguments the
 parser rejects (an unknown subcommand, a missing or mistyped option, an
 unknown choice) and for vacuous or malformed lists (`--seeds` below 1,
 an empty item in `--radius-grid` or `--fibers`) too; only `--help` and
-`--version` print and exit 0.  Each `_cmd_*` returns its results; `main`
-times it and writes the report, whose scenario is the subcommand as
-`kind` plus every parsed argument except `--out`.  Every setting is a
-command-line argument; nothing is read from the environment.
+`--version` print and exit 0.  Each `_cmd_*` returns its results as
+report objects (a report dataclass, or a dict of them), and `main` times
+it and writes the report through `serialize.report_bytes`, with the
+subcommand as `kind` plus every parsed argument except `--out` as its
+scenario.  Every setting is a command-line argument; nothing is read
+from the environment.
 """
 
 from __future__ import annotations
@@ -37,32 +39,14 @@ from .serialize import load_map, load_space, read_operator, report_bytes, write_
 __all__ = ["main"]
 
 
-def _versions() -> dict:
-    return {"roelab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _emit(out: str | None, scenario: dict, results: dict, elapsed: float) -> None:
-    report = {
-        "scenario": scenario,
-        "versions": _versions(),
-        "results": results,
-        "timings": {"elapsed_s": elapsed},
-    }
-    if out:
-        write_report(out, report)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(report_bytes(report).decode())
-
-
 def _load_unitary(args):
     target = load_space(args.space)
     source = load_space(args.source_space) if args.source_space else None
     return read_operator(args.unitary, target, source)
 
 
-def _cmd_extract(args) -> dict:
-    return extract_pair(_load_unitary(args), args.delta).to_json()
+def _cmd_extract(args):
+    return extract_pair(_load_unitary(args), args.delta)
 
 
 def _parse_list(raw: str, option: str) -> list[str]:
@@ -90,20 +74,19 @@ def _cmd_cover(args) -> dict:
     if args.save_unitary:
         write_operator(args.save_unitary, U)
     return {
-        "plan": plan.to_json(),
+        "plan": plan,
         "unitarity_residual": U.unitarity_residual(),
         "support_radius": plan.support_radius,
     }
 
 
-def _cmd_witness(args) -> dict:
+def _cmd_witness(args):
     h_index = None if args.sweep_h else args.h_index
-    return concentration_witness(_load_unitary(args), args.y, args.radius, h_index).to_json()
+    return concentration_witness(_load_unitary(args), args.y, args.radius, h_index)
 
 
-def _cmd_ql(args) -> dict:
-    U = _load_unitary(args)
-    return quasi_locality_violation(U, args.radius, mode=args.mode).to_json()
+def _cmd_ql(args):
+    return quasi_locality_violation(_load_unitary(args), args.radius, mode=args.mode)
 
 
 def _parse_grid(raw: str | None):
@@ -112,9 +95,9 @@ def _parse_grid(raw: str | None):
     return [float(v) for v in _parse_list(raw, "--radius-grid")]
 
 
-def _cmd_outer(args) -> dict:
+def _cmd_outer(args):
     grid = _parse_grid(args.radius_grid)  # a malformed grid is refused before any file is read
-    return outer_roundtrip(_load_unitary(args), args.delta, grid).to_json()
+    return outer_roundtrip(_load_unitary(args), args.delta, grid)
 
 
 def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
@@ -229,7 +212,17 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         results = args.func(args)
         settings = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
-        _emit(args.out, {"kind": args.command, **settings}, results, time.perf_counter() - t0)
+        report = {
+            "scenario": {"kind": args.command, **settings},
+            "versions": {"roelab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+            "results": results,
+            "timings": {"elapsed_s": time.perf_counter() - t0},
+        }
+        if args.out:
+            write_report(args.out, report)
+            print(f"wrote {args.out}")
+        else:
+            sys.stdout.write(report_bytes(report).decode())
     except Exception as exc:  # structured error contract for scripts
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(report_bytes(error).decode())

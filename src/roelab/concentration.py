@@ -18,6 +18,7 @@ import numpy as np
 from .extraction import corner_norm_table
 from .operators import BlockOperator, check_unitary, spectral_norm
 from .signs import greedy_signs
+from .spaces import validate_point
 
 __all__ = ["ConcentrationWitness", "concentration_witness"]
 
@@ -39,19 +40,6 @@ class ConcentrationWitness:
     h_index: int
     degenerate: bool  # B swallowed all of Y, so no separated pair exists
 
-    def to_json(self) -> dict:
-        return {
-            "y": int(self.y),
-            "R": self.R,
-            "delta_actual": self.delta_actual,
-            "A": [int(a) for a in self.A],
-            "certificate": self.certificate,
-            "bound": self.bound,
-            "signs": [int(s) for s in self.signs],
-            "h_index": int(self.h_index),
-            "degenerate": self.degenerate,
-        }
-
 
 def concentration_witness(
     U: BlockOperator, y: int, R: float, h_index: int | None = 0
@@ -65,10 +53,9 @@ def concentration_witness(
     """
     check_unitary(U)
     target = U.target
-    if not 0 <= y < target.base.n:
-        raise ValueError(f"point {y} out of range [0, {target.base.n})")
-    if h_index is not None and not 0 <= h_index < target.fiber_dims[y]:
-        raise ValueError(f"h_index {h_index} out of range for fiber dimension {target.fiber_dims[y]}")
+    y = validate_point(y, target.base.n)
+    if h_index is not None:
+        h_index = validate_point(h_index, int(target.fiber_dims[y]), "h_index")
 
     delta = float(corner_norm_table(U, R)[y].max())
     if delta > 1.0 - _UNIT_SNAP:
@@ -82,7 +69,7 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
     """The witness for probe vector U*(delta_y (x) e_h), given delta = max_x
     ||chi_B U chi_x|| (which does not depend on h)."""
     target = U.target
-    probe = int(target.offsets[y]) + int(h_index)
+    probe = int(target.offsets[y]) + h_index
     v = U.matrix[probe].conj()  # = U* applied to the probe basis vector
     mass = np.add.reduceat(np.abs(v) ** 2, U.source.offsets[:-1])
     if not abs(float(mass.sum()) - 1.0) <= _SLACK:
@@ -134,13 +121,13 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
     if not degenerate and not certificate >= bound - _SLACK:
         raise RuntimeError("certificate fell below the guaranteed bound")
     return ConcentrationWitness(
-        y=int(y),
+        y=y,
         R=float(R),
         delta_actual=delta,
         A=tuple(int(a) for a in A),
         certificate=float(certificate),
         bound=bound,
         signs=selection.signs,
-        h_index=int(h_index),
+        h_index=h_index,
         degenerate=bool(degenerate),
     )

@@ -33,6 +33,7 @@ from .maps import PointMap, greedy_net, voronoi_partition
 from .operators import BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm
 from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
+from .spaces import validate_point
 
 __all__ = [
     "CoveringPlan",
@@ -54,20 +55,8 @@ class CoveringPlan:
     target_blocks: list
     assignment: np.ndarray  # global target coordinate for each source coordinate
     support_radius: float  # max d(f(x), y) over matched coordinates
-    target: FiberedSpace
+    target_fiber_dims: np.ndarray  # of the unitary's target, which holds the space
     spill: bool  # block totals were not balanced; matching crossed blocks
-
-    def to_json(self) -> dict:
-        return {
-            "net": [int(x) for x in self.net],
-            "separation": self.separation,
-            "source_blocks": [[int(x) for x in blk] for blk in self.source_blocks],
-            "target_blocks": [[int(y) for y in blk] for blk in self.target_blocks],
-            "assignment": [int(t) for t in self.assignment],
-            "support_radius": self.support_radius,
-            "target_fiber_dims": [int(d) for d in self.target.fiber_dims],
-            "spill": self.spill,
-        }
 
 
 def _injective_net(f: PointMap, separation: float):
@@ -158,7 +147,7 @@ def covering_unitary(
         target_blocks=target_blocks,
         assignment=assignment,
         support_radius=support_radius,
-        target=target,
+        target_fiber_dims=target.fiber_dims,
         spill=spill,
     )
     return U, plan
@@ -225,9 +214,11 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
 
     src = U.source
     spec = []
-    for x_i, E in sorted(p_spec, key=lambda item: int(item[0])):
-        x_i = int(x_i)
+    for x_i, E in p_spec:
+        x_i = validate_point(x_i, src.base.n)
         d = int(src.fiber_dims[x_i])
+        if isinstance(E, (bool, np.bool_)):
+            raise ValueError(f"rank at point {x_i} must be an integer, got {E!r}")
         if isinstance(E, (int, np.integer)):
             if not 1 <= E <= d:
                 raise ValueError(f"rank {E} out of range for fiber dimension {d} at point {x_i}")
@@ -239,6 +230,7 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
             if spectral_norm(E.conj().T @ E - np.eye(E.shape[1])) > 1e-9:
                 raise ValueError(f"basis columns at point {x_i} are not orthonormal")
         spec.append((x_i, E))
+    spec.sort(key=lambda item: item[0])
     if len({x for x, _ in spec}) != len(spec):
         raise ValueError("p_spec points must be distinct")
 
@@ -302,16 +294,6 @@ class OuterReport:
     residual_U: float
     residual_W: float
     residual_UWs: float
-
-    def to_json(self) -> dict:
-        return {
-            "extraction": self.extraction.to_json(),
-            "plan": self.plan.to_json(),
-            "windows": [[R, lo, hi] for R, lo, hi in self.windows],
-            "residual_U": self.residual_U,
-            "residual_W": self.residual_W,
-            "residual_UWs": self.residual_UWs,
-        }
 
 
 def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> OuterReport:

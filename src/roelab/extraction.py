@@ -61,17 +61,6 @@ class ExtractionReport:
     witness_f: np.ndarray  # per-x corner norm at f(x), all > delta
     equivalence: EquivalenceReport
 
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "R": self.R,
-            "g": [int(v) for v in self.g.values],
-            "f": [int(v) for v in self.f.values],
-            "witness_g": [float(w) for w in self.witness_g],
-            "witness_f": [float(w) for w in self.witness_f],
-            "equivalence": self.equivalence.to_json(),
-        }
-
 
 def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
     """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||:

@@ -61,6 +61,7 @@ from .operators import BlockOperator, gram_top, spectral_norm
 
 __all__ = [
     "LocalityReport",
+    "Witness",
     "quasi_locality_violation",
     "approximability_window",
     "supported_distance_upper",
@@ -80,26 +81,23 @@ _STACK_BYTES = 1 << 18
 
 
 @dataclass
+class Witness:
+    """A minimal separated pair attaining the violation: d(A, B) > R."""
+
+    A: tuple  # source points
+    B: tuple  # target points
+
+
+@dataclass
 class LocalityReport:
     R: float
     violation_lower: float
     violation_upper: float
     exact: bool
-    witness: tuple | None = None  # (A, B) point tuples attaining violation_lower
-
-    def to_json(self) -> dict:
-        return {
-            "R": self.R,
-            "violation_lower": self.violation_lower,
-            "violation_upper": self.violation_upper,
-            "exact": self.exact,
-            "witness": None
-            if self.witness is None
-            else {"A": [int(a) for a in self.witness[0]], "B": [int(b) for b in self.witness[1]]},
-        }
+    witness: Witness | None = None  # attains violation_lower
 
 
-def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> tuple:
+def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> Witness:
     """Shrink an attaining pair to a minimal one, dropping points in
     ascending index order while the corner norm stays at the value."""
     B, A = sorted(B), sorted(A)
@@ -109,7 +107,7 @@ def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> tuple:
     for p in list(A):
         if len(A) > 1 and T.corner_norm(B, [q for q in A if q != p]) >= value - _WITNESS_TOL:
             A.remove(p)
-    return tuple(A), tuple(B)
+    return Witness(tuple(int(a) for a in A), tuple(int(b) for b in B))
 
 
 def _mask_table(rel: np.ndarray) -> np.ndarray:

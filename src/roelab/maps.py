@@ -133,14 +133,6 @@ class EquivalenceReport:
     closeness_fg: float
     closeness_gf: float
 
-    def to_json(self) -> dict:
-        return {
-            "modulus_f": [[r, m] for r, m in self.modulus_f],
-            "modulus_g": [[r, m] for r, m in self.modulus_g],
-            "closeness_fg": self.closeness_fg,
-            "closeness_gf": self.closeness_gf,
-        }
-
 
 def certify_equivalence(f: PointMap, g: PointMap) -> EquivalenceReport:
     """Measure how close (f, g) is to a coarse equivalence pair.

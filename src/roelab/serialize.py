@@ -18,13 +18,22 @@ little-endian float64):
 The metric itself is not stored; readers supply the base space(s), and
 the fiber dimensions recorded in the file must match their point counts.
 Writing is bit-exact: reading back yields the identical matrix, signed
-zeros included.
+zeros included.  A file that ends inside the header or the payload is
+refused with a message saying where.
+
+Reports: `report_bytes` encodes a report dataclass as the dict of its
+fields by name, so a field's name is its report key.  A map inside a
+report is its table (``[0, 0, 1]``, not the file form with embedded
+spaces), numpy arrays and scalars become lists and numbers, and a
+`witness` is ``{"A", "B"}`` or null.  Anything else json does not know
+is a TypeError.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -94,20 +103,23 @@ def read_operator(
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise ValueError(f"not a {MAGIC.decode()} file: bad magic {raw[:7]!r}")
-    pos = len(MAGIC)
-    (flags,) = struct.unpack_from("<B", raw, pos)
-    pos += 1
-    rectangular = bool(flags & _FLAG_RECTANGULAR)
 
-    def read_dims(base: FiniteMetricSpace, nonlocal_pos):
-        (n,) = struct.unpack_from("<I", raw, nonlocal_pos)
-        nonlocal_pos += 4
+    def need(end: int) -> None:
+        if len(raw) < end:  # before each read, so a cut file gets this message, not struct's
+            raise ValueError(f"operator file ends inside its header ({len(raw)} bytes)")
+
+    def read_dims(base: FiniteMetricSpace, start: int):
+        need(start + 4)
+        (n,) = struct.unpack_from("<I", raw, start)
         if n != base.n:
             raise ValueError(f"file records {n} points, supplied space has {base.n}")
-        dims = np.frombuffer(raw, dtype="<u4", count=n, offset=nonlocal_pos).astype(np.int64)
-        nonlocal_pos += 4 * n
-        return dims, nonlocal_pos
+        end = start + 4 + 4 * n
+        need(end)
+        return np.frombuffer(raw, dtype="<u4", count=n, offset=start + 4).astype(np.int64), end
 
+    need(len(MAGIC) + 1)
+    rectangular = bool(raw[len(MAGIC)] & _FLAG_RECTANGULAR)
+    pos = len(MAGIC) + 1
     dims_t, pos = read_dims(target_base, pos)
     if rectangular:
         if source_base is None:
@@ -155,15 +167,41 @@ def save_map(path, f: PointMap) -> None:
     write_report(path, f.to_json())
 
 
-def report_bytes(data: dict) -> bytes:
-    """Canonical JSON bytes: sorted keys, fixed indentation, trailing newline.
+def _plain(value):
+    """A report value in the types json walks: a dataclass as the dict of
+    its fields, a map as its table, an array or numpy scalar as a list or
+    number.  Lists are left to json, which walks lists of floats natively."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, PointMap):
+        return value.values.tolist()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
-    ValueError on a NaN or infinite number, which JSON cannot represent.
+
+def _array_in_list(value):
+    """json's fallback, for arrays inside lists (a plan's blocks)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def report_bytes(data) -> bytes:
+    """Canonical JSON bytes of a report (a dict or a report dataclass):
+    sorted keys, fixed indentation, trailing newline.
+
+    ValueError on a NaN or infinite number, which JSON cannot represent;
+    TypeError on an object that is not a report value (module docstring).
     """
-    return (json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    text = json.dumps(_plain(data), sort_keys=True, indent=2, allow_nan=False,
+                      default=_array_in_list)
+    return (text + "\n").encode()
 
 
-def write_report(path, data: dict) -> None:
+def write_report(path, data) -> None:
     payload = report_bytes(data)  # before opening, so a rejected report leaves no file
     with open(path, "wb") as fh:
         fh.write(payload)

@@ -33,6 +33,7 @@ __all__ = [
     "path_space",
     "from_edge_list",
     "validate_points",
+    "validate_point",
     "integer_array",
 ]
 
@@ -42,11 +43,13 @@ _TRIANGLE_TOL = 1e-9
 def validate_points(points, n: int) -> np.ndarray:
     """Normalize a point collection to a sorted, unique int array in 0..n-1.
 
-    The checks run on the sorted array: its ends decide the range, and
-    neighbours that compare equal are the duplicates."""
+    Bool and float points are refused, not truncated (`integer_array`).
+    The range and duplicate checks run on the sorted array: its ends
+    decide the range, and neighbours that compare equal are the
+    duplicates."""
     if not isinstance(points, (np.ndarray, list, tuple)):
         points = list(points)  # sets, ranges, generators
-    arr = np.array(points, dtype=np.int64).reshape(-1)  # a copy, sorted in place
+    arr = integer_array(points, "points").astype(np.int64).reshape(-1)  # a copy, sorted in place
     arr.sort()
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         bad = np.unique(arr[(arr < 0) | (arr >= n)])
@@ -56,6 +59,21 @@ def validate_points(points, n: int) -> np.ndarray:
         if not new.all():
             arr = arr[np.concatenate(([True], new))]
     return arr
+
+
+def _is_integer(value) -> bool:
+    # a bool is an int to Python, and numpy reads it as 0 or 1
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def validate_point(x, n: int, what: str = "point") -> int:
+    """One integer in 0..n-1, by the rule of `integer_array`: a bool or a
+    float is refused, and the error names the value."""
+    if not _is_integer(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    if not 0 <= x < n:
+        raise ValueError(f"{what} {x} out of range [0, {n})")
+    return int(x)
 
 
 def integer_array(values, what: str) -> np.ndarray:
@@ -70,8 +88,7 @@ def integer_array(values, what: str) -> np.ndarray:
         bad = [] if values.dtype.kind in "iu" else values.ravel()[:1].tolist()
     else:
         values = list(values)
-        bad = [v for v in values
-               if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))]
+        bad = [v for v in values if not _is_integer(v)]
     if bad:
         raise ValueError(f"{what} must be integers, got {bad[0]!r}")
     return np.asarray(values)
@@ -158,8 +175,7 @@ class FiniteMetricSpace:
 
     def ball(self, x: int, R: float) -> np.ndarray:
         """Closed ball: all points at distance <= R from x."""
-        if not 0 <= x < self.n:
-            raise ValueError(f"point {x} out of range [0, {self.n})")
+        x = validate_point(x, self.n)
         if not R >= 0:
             raise ValueError("ball radius must be >= 0")
         return np.flatnonzero(self.dist[x] <= R).astype(np.int64)

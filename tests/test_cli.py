@@ -212,6 +212,44 @@ def test_scenario_records_every_parsed_argument(command, command_argv, tmp_path)
     assert scenario["kind"] == command
 
 
+_EQUIVALENCE = {"modulus_f", "modulus_g", "closeness_fg", "closeness_gf"}
+_EXTRACTION = {"delta", "R", "g", "f", "witness_g", "witness_f", "equivalence"}
+_PLAN = {"net", "separation", "source_blocks", "target_blocks", "assignment",
+         "support_radius", "target_fiber_dims", "spill"}
+# per subcommand: the keys of `results`, and of each object nested in it by key
+_REPORT_KEYS = {
+    "extract": (_EXTRACTION, {"equivalence": _EQUIVALENCE}),
+    "cover": ({"plan", "unitarity_residual", "support_radius"}, {"plan": _PLAN}),
+    "witness": ({"y", "R", "delta_actual", "A", "certificate", "bound", "signs", "h_index",
+                 "degenerate"}, {}),
+    "ql": ({"R", "violation_lower", "violation_upper", "exact", "witness"}, {"witness": {"A", "B"}}),
+    "outer": ({"extraction", "plan", "windows", "residual_U", "residual_W", "residual_UWs"},
+              {"extraction": _EXTRACTION, "equivalence": _EQUIVALENCE, "plan": _PLAN}),
+    "sweep": ({"rows"}, {}),
+}
+
+
+def _nested_objects(data):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield key, value
+            yield from _nested_objects(value)
+
+
+@pytest.mark.parametrize("command", ["extract", "cover", "witness", "ql", "outer", "sweep"])
+def test_report_keys(command, command_argv, capsys):
+    # a report key is its dataclass field's name, so renaming a field
+    # would rename the key; these are the keys reports have always had
+    assert run(command_argv[command]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    keys, nested = _REPORT_KEYS[command]
+    assert set(results) == keys
+    assert {key: set(value) for key, value in _nested_objects(results)} == nested
+    if command == "sweep":
+        assert {frozenset(row) for row in results["rows"]} == {frozenset(
+            {"seed", "R", "closeness_f_h", "budget", "closeness_fg", "closeness_gf"})}
+
+
 @pytest.mark.parametrize("command", ["extract", "sweep"])
 def test_repeated_run_identical_apart_from_timings(command, command_argv, tmp_path):
     reports = []

@@ -123,9 +123,20 @@ def test_rejects_non_unitary(rng):
 
 
 def test_rejects_bad_fiber_index():
+    # a bool or float point or index used to run as its truncation or fail
+    # inside numpy
     _, U = hadamard_fixture()
-    with pytest.raises(ValueError):
-        concentration_witness(U, 0, 1.0, h_index=5)
+    for y, h_index, message in [
+        (0, 5, "h_index 5 out of range [0, 1)"),
+        (0, True, "h_index must be an integer, got True"),
+        (0, 0.0, "h_index must be an integer, got 0.0"),
+        (True, 0, "point must be an integer, got True"),
+        (1.5, 0, "point must be an integer, got 1.5"),
+        (2, 0, "point 2 out of range [0, 2)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            concentration_witness(U, y, 1.0, h_index=h_index)
+        assert str(err.value) == message
 
 
 def test_sign_selection_shortfall_raises(monkeypatch):

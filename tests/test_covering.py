@@ -18,6 +18,7 @@ from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.locality import supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
+from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space
@@ -154,7 +155,7 @@ def test_cover_with_declared_target_space():
     U, plan = covering_unitary(f, src, target=src)
     assert U.source == src and U.target == src
     assert U.unitarity_residual() <= 1e-12
-    assert plan.target is not None
+    assert np.array_equal(plan.target_fiber_dims, src.fiber_dims)
 
 
 def test_cover_rejects_mismatched_target_total():
@@ -368,12 +369,27 @@ def test_upgrade_accepts_orthonormal_columns(rng):
         (3, "rank 3 out of range for fiber dimension 2 at point 3"),
         (np.eye(3)[:, :1], "basis at point 3 must have 2 rows"),
         (np.ones((2, 1)), "basis columns at point 3 are not orthonormal"),
+        (True, "rank at point 3 must be an integer, got True"),
     ],
 )
 def test_upgrade_rejects_malformed_fiber_spec(E, message):
     U = dft_operator(6, fiber_dim=2)
     with pytest.raises(ValueError, match=message):
         upgrade_trick(U, identity_map(path_space(6)), [(3, E)], 0.9)
+
+
+@pytest.mark.parametrize("x, message", [
+    (0.7, "point must be an integer, got 0.7"),
+    (True, "point must be an integer, got True"),
+    (99, "point 99 out of range [0, 6)"),
+    (-1, "point -1 out of range [0, 6)"),
+])
+def test_upgrade_rejects_malformed_points(x, message):
+    # these used to run as point 0 or 1, or fail inside numpy
+    U = dft_operator(6, fiber_dim=2)
+    with pytest.raises(ValueError) as err:
+        upgrade_trick(U, identity_map(path_space(6)), [(2, 1), (x, 1)], 0.9)
+    assert str(err.value) == message
 
 
 def test_outer_roundtrip_on_noisy_automorphism():
@@ -429,7 +445,7 @@ def test_noisy_covering_unitary_matches_a_cover_built_per_call():
             U, h_cached, plan_cached = noisy_covering_unitary(kind, n, seed, 2.0, 2, fiber_dim)
             assert np.array_equal(U.matrix, (W @ V).matrix)
             assert np.array_equal(h_cached.values, h.values)
-            assert plan_cached.to_json() == plan.to_json()
+            assert report_bytes(plan_cached) == report_bytes(plan)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -441,7 +457,7 @@ def test_outer_roundtrip_spilled_cover(seed):
     plan, f = rep.plan, rep.extraction.f
     assert plan.spill
     src_pts = fib.coord_point
-    tgt_pts = plan.target.coord_point[plan.assignment]
+    tgt_pts = fib.coord_point[plan.assignment]
     assert plan.support_radius == fib.base.dist[f.values[src_pts], tgt_pts].max()
     assert rep.residual_W == 0
     assert rep.residual_UWs <= 1e-9

@@ -1,6 +1,7 @@
 """Extraction of coarse maps from unitaries via corner-norm thresholds,
 and the batched corner kernel against a per-point loop."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
 from roelab.maps import closeness, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
+from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
@@ -197,7 +199,7 @@ def _extract_inputs():
 
 def _decisions(U, delta):
     try:
-        data = extract_pair(U, delta).to_json()
+        data = json.loads(report_bytes(extract_pair(U, delta)))
     except MinimalRadiusError as err:
         return ("error", err.y)
     return {key: data[key] for key in ("R", "f", "g", "equivalence")}
@@ -275,7 +277,7 @@ def test_extract_pair_halving_gives_equivalence():
 def test_extraction_report_json_roundtrips_values():
     U, _, _ = noisy_covering_unitary("identity", 8, seed=3)
     report = extract_pair(U, 0.5)
-    data = report.to_json()
+    data = json.loads(report_bytes(report))
     assert data["delta"] == 0.5
     assert data["R"] == report.R
     assert data["g"] == [int(v) for v in report.g.values]

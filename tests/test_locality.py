@@ -14,6 +14,7 @@ from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, spectral_norm
+from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
@@ -147,7 +148,7 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
 
     monkeypatch.setattr(locality, "spectral_norm", spy)
     for T, R in cases:
-        assert quasi_locality_violation(T, R).to_json() == reference_exact(T, R).to_json()
+        assert report_bytes(quasi_locality_violation(T, R)) == report_bytes(reference_exact(T, R))
     assert branches == {"gram", "svd"}
 
 
@@ -186,7 +187,7 @@ def test_component_split_matches_reference_on_block_sparse_operators():
         if report.witness is None:
             assert value <= locality._WITNESS_TOL
             continue
-        A, B = report.witness
+        A, B = report.witness.A, report.witness.B
         X = T.source.base
         assert X.set_distance(A, B) > R
         assert abs(T.corner_norm(B, A) - value) <= 1e-12
@@ -203,7 +204,7 @@ def test_tiny_block_still_counts_as_nonzero():
     assert T.block_frobenius()[1, 0] == 0.0
     report = quasi_locality_violation(T, 0.0)
     assert report.violation_lower == 1e-170
-    assert report.to_json() == reference_exact(T, 0.0).to_json()
+    assert report_bytes(report) == report_bytes(reference_exact(T, 0.0))
 
 
 def test_each_distinct_component_is_normed_once(monkeypatch):
@@ -277,7 +278,7 @@ def test_witness_reproduces_value_and_is_minimal(rng):
         if report.witness is None:
             assert report.violation_lower == 0.0
             continue
-        A, B = report.witness
+        A, B = report.witness.A, report.witness.B
         assert X.set_distance(A, B) > 1.0
         assert T.corner_norm(B, A) == pytest.approx(report.violation_lower, abs=1e-12)
         for drop in range(len(B)):
@@ -310,7 +311,7 @@ def test_bounds_mode_brackets_exact(rng):
         assert bounds.violation_lower <= exact + 1e-12
         assert exact <= bounds.violation_upper + 1e-12
         if bounds.witness is not None:
-            A, B = bounds.witness
+            A, B = bounds.witness.A, bounds.witness.B
             assert T.corner_norm(B, A) == pytest.approx(bounds.violation_lower, abs=1e-12)
 
 

@@ -1,9 +1,9 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
 without a reader, no module imports another's private name, nothing is
-configured through the environment, no check is an `assert`, and every
-norm and Gram top goes through `operators` and every set of distance
-levels through `spaces`."""
+configured through the environment, no check is an `assert`, every
+norm and Gram top goes through `operators`, every set of distance
+levels through `spaces`, and every JSON text through `serialize`."""
 
 import ast
 import re
@@ -124,6 +124,77 @@ def test_norms_are_taken_only_in_operators():
 def test_norm_lint_finds_calls_wrapped_over_lines():
     text = "x = 1\ntop = np.linalg.svd(\n    mat, compute_uv=False\n)[0]\ne = np.linalg.eigvalsh(g)\n"
     assert _norm_takers("m.py", text) == ["m.py:2", "m.py:5"]
+
+
+def _json_writers(name, text):
+    # read from the syntax tree, so a call wrapped over lines is found
+    # like any other; `from json import dumps` counts as a call
+    tree = ast.parse(text)
+    calls = [
+        f"{name}:{node.lineno} json.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+    imports = [
+        f"{name}:{node.lineno} json.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in ("dump", "dumps")
+    ]
+    return calls + imports
+
+
+def _dataclass_serializers(name, text):
+    # a report is its dataclass's fields: none writes its own JSON
+    def is_dataclass(decorator):
+        decorator = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+    return [
+        f"{name}:{item.lineno} {node.name}.to_json"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "to_json"
+    ]
+
+
+def test_reports_are_encoded_only_in_serialize():
+    # one encoder: `serialize.report_bytes` turns report dataclasses into
+    # JSON; the file forms of spaces and maps (`to_json` on plain classes)
+    # are dicts that it writes
+    package = Path(roelab.__file__).parent
+    writers, serializers = [], []
+    for path in sorted(package.rglob("*.py")):
+        name, text = str(path.relative_to(package)), path.read_text()
+        if name != "serialize.py":
+            writers += _json_writers(name, text)
+        serializers += _dataclass_serializers(name, text)
+    assert writers == []
+    assert serializers == []
+
+
+def test_encoder_lint_finds_calls_wrapped_over_lines():
+    text = (
+        "import json\n"
+        "from json import dumps as d\n"
+        "from dataclasses import dataclass\n"
+        "text = json.dumps(\n    data, indent=2\n)\n"
+        "json.dump(data, fh)\n"
+        "json.loads(text)\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    x: int\n"
+        "    def to_json(self):\n"
+        "        return {'x': self.x}\n"
+        "class Space:\n"
+        "    def to_json(self):\n"
+        "        return {}\n"
+    )
+    assert _json_writers("m.py", text) == ["m.py:4 json.dumps", "m.py:7 json.dump", "m.py:2 json.dumps"]
+    assert _dataclass_serializers("m.py", text) == ["m.py:12 Report.to_json"]
 
 
 def _private_imports(name, text):

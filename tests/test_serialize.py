@@ -1,5 +1,6 @@
 """File formats: binary operators, JSON spaces and maps, reports."""
 
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -164,11 +165,18 @@ def test_truncated_payload_rejected(rng, tmp_path):
     path = tmp_path / "trunc.bin"
     write_operator(path, T)
     raw = path.read_bytes()
-    for cut, damaged in ((3, raw[:-3]), (16, raw[:-16]), (-1, raw + b"\x00")):
+    payload = [(raw[:-3], 573), (raw[:-16], 560), (raw + b"\x00", 577)]
+    cases = [(damaged, f"payload holds {size} bytes, expected 576 (36 complex entries)")
+             for damaged, size in payload]
+    # a cut inside the header: right after the magic, inside the point
+    # count, inside the fiber dimensions
+    cases += [(raw[:end], f"operator file ends inside its header ({end} bytes)")
+              for end in (7, 9, 14)]
+    for damaged, message in cases:
         path.write_bytes(damaged)
         with pytest.raises(ValueError) as err:
             read_operator(path, path_space(3))
-        assert str(err.value) == f"payload holds {576 - cut} bytes, expected 576 (36 complex entries)"
+        assert str(err.value) == message
 
 
 def test_oversized_header_rejected_before_allocating(tmp_path):
@@ -238,6 +246,45 @@ def test_write_report(tmp_path):
     path = tmp_path / "report.json"
     write_report(path, {"value": 3})
     assert json.loads(path.read_text()) == {"value": 3}
+
+
+def test_report_bytes_encodes_dataclass_fields():
+    # a report is its fields by name: a map as its table, arrays (nested in
+    # lists too) as lists, numpy scalars as numbers, a nested report as a dict
+    @dataclasses.dataclass
+    class Inner:
+        A: tuple
+        flag: np.bool_
+
+    @dataclasses.dataclass
+    class Report:
+        f: PointMap
+        blocks: list
+        count: np.int64
+        inner: Inner
+        windows: list
+
+    f = PointMap(path_space(3), path_space(2), [0, 1, 1])
+    report = Report(f, [np.array([0, 2]), np.array([1])], np.int64(7),
+                    Inner((1, 2), np.bool_(True)), [(0.5, 1.0)])
+    assert json.loads(report_bytes(report)) == {
+        "f": [0, 1, 1], "blocks": [[0, 2], [1]], "count": 7,
+        "inner": {"A": [1, 2], "flag": True}, "windows": [[0.5, 1.0]],
+    }
+    # nested in an envelope dict, it encodes as its parsed dict does
+    parsed = json.loads(report_bytes(report))
+    assert report_bytes({"results": report}) == report_bytes({"results": parsed})
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(FiberedSpace.uniform(path_space(2), 1), id="fibered-space"),
+    pytest.param([path_space(2)], id="space-in-list"),
+    pytest.param({1, 2}, id="set"),
+])
+def test_report_bytes_refuses_unknown_objects(value):
+    # as json's own fallback does: no object is written by its repr
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        report_bytes({"results": {"x": value}})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

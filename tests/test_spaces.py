@@ -8,8 +8,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from roelab import spaces
 from roelab.maps import PointMap
+from roelab.operators import FiberedSpace, identity_operator
 from roelab.serialize import load_map, load_space
-from roelab.spaces import FiniteMetricSpace, from_edge_list, path_space
+from roelab.spaces import FiniteMetricSpace, from_edge_list, path_space, validate_points
 
 from conftest import cycle_space, grid_space, random_graph_space, tree_space
 
@@ -80,8 +81,42 @@ def test_ball_four_cycle():
 
 
 def test_ball_out_of_range():
-    with pytest.raises(ValueError):
-        path_space(3).ball(5, 1)
+    # a bool used to index dist as a mask, a float raised numpy's IndexError
+    for x, message in [
+        (5, "point 5 out of range [0, 3)"),
+        (-1, "point -1 out of range [0, 3)"),
+        (True, "point must be an integer, got True"),
+        (2.5, "point must be an integer, got 2.5"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            path_space(3).ball(x, 1)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("points, bad", [
+    pytest.param([0.7, 2.9], "0.7", id="floats"),
+    pytest.param([2, 1.0], "1.0", id="integral-float"),
+    pytest.param([True], "True", id="bool"),
+    pytest.param([3, np.float64(1.9)], "np.float64(1.9)", id="numpy-float"),
+    pytest.param(np.array([0.0, 2.0]), "0.0", id="float-array"),
+    pytest.param(np.array([False, True]), "False", id="bool-array"),
+])
+def test_points_refuse_bools_and_floats(points, bad):
+    # these used to truncate: [0.7, 2.9] read as [0, 2] and [True] as [1]
+    message = f"points must be integers, got {bad}"
+    X = path_space(5)
+    U = identity_operator(FiberedSpace.uniform(X, 2))
+    calls = [
+        lambda: validate_points(points, 5),
+        lambda: X.neighborhood(points, 0),
+        lambda: X.set_distance(points, [4]),
+        lambda: U.corner_norm(points, [3]),
+        lambda: U.corner_norm([3], points),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_ball_monotone_in_radius(rng):
