@@ -59,12 +59,8 @@ def _parse_list(raw: str, option: str) -> list[str]:
 
 
 def _parse_fibers(spec: str, n: int) -> np.ndarray:
-    parts = _parse_list(spec, "--fibers")
-    if len(parts) == 1:
-        return np.full(n, int(parts[0]))
-    if len(parts) != n:
-        raise ValueError(f"fiber spec lists {len(parts)} dims for {n} points")
-    return np.array([int(p) for p in parts])
+    dims = [int(p) for p in _parse_list(spec, "--fibers")]
+    return np.full(n, dims[0]) if len(dims) == 1 else np.array(dims)  # FiberedSpace checks the count
 
 
 def _cmd_cover(args) -> dict:
@@ -80,8 +76,13 @@ def _cmd_cover(args) -> dict:
     }
 
 
+def _h_index(raw: str):
+    """--h-index: a fiber basis index, or ``all`` to try every one."""
+    return raw if raw == "all" else int(raw)
+
+
 def _cmd_witness(args):
-    h_index = None if args.sweep_h else args.h_index
+    h_index = None if args.h_index == "all" else args.h_index
     return concentration_witness(_load_unitary(args), args.y, args.radius, h_index)
 
 
@@ -122,12 +123,8 @@ def _cmd_sweep(args) -> dict:
         for s in range(args.seeds)
     ]
     if args.csv:
-        header = "seed,R,closeness_f_h,closeness_fg,closeness_gf,budget"
-        lines = [header] + [
-            f"{r['seed']},{r['R']:.17g},{r['closeness_f_h']:.17g},"
-            f"{r['closeness_fg']:.17g},{r['closeness_gf']:.17g},{r['budget']:.17g}"
-            for r in rows
-        ]
+        keys = ("seed", "R", "closeness_f_h", "closeness_fg", "closeness_gf", "budget")
+        lines = [",".join(keys)] + [",".join(format(r[k], ".17g") for k in keys) for r in rows]
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return {"rows": rows}
@@ -177,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common_unitary(p)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--h-index", type=int, default=0)
-    p.add_argument("--sweep-h", action="store_true", help="try every fiber basis vector at y")
+    p.add_argument("--h-index", type=_h_index, default=0,
+                   help="fiber basis vector at y, or 'all' to try every one")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("ql", help="quasi-locality violation of an operator")

@@ -33,7 +33,7 @@ from .maps import PointMap, greedy_net, voronoi_partition
 from .operators import BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm
 from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
-from .spaces import validate_point
+from .spaces import is_integer, validate_point
 
 __all__ = [
     "CoveringPlan",
@@ -217,9 +217,9 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
     for x_i, E in p_spec:
         x_i = validate_point(x_i, src.base.n)
         d = int(src.fiber_dims[x_i])
-        if isinstance(E, (bool, np.bool_)):
-            raise ValueError(f"rank at point {x_i} must be an integer, got {E!r}")
-        if isinstance(E, (int, np.integer)):
+        if np.ndim(E) == 0:  # a rank, not a basis
+            if not is_integer(E):
+                raise ValueError(f"rank at point {x_i} must be an integer, got {E!r}")
             if not 1 <= E <= d:
                 raise ValueError(f"rank {E} out of range for fiber dimension {d} at point {x_i}")
             E = np.eye(d, dtype=complex)[:, : int(E)]

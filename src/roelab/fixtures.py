@@ -54,7 +54,7 @@ def standard_pair(kind: str, n: int) -> tuple[PointMap, PointMap]:
         h = PointMap(space, space, np.arange(n)[::-1])
         return h, h
     if kind == "halving":
-        fine, coarse = path_space(2 * n), path_space(n)
+        coarse, fine = path_space(n), path_space(2 * n)  # a malformed n is named as given
         return PointMap(fine, coarse, np.arange(2 * n) // 2), PointMap(coarse, fine, 2 * np.arange(n))
     raise ValueError(f"unknown map kind {kind!r}; expected identity, reflection, or halving")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, integer_array
+from .spaces import FiniteMetricSpace, check_range, integer_array, validate_point
 
 __all__ = [
     "PointMap",
@@ -34,9 +34,7 @@ class PointMap:
     ----------
     source, target : FiniteMetricSpace
     values : sequence of int
-        ``values[x]`` is the target point assigned to source point x.
-        Bool and float values are refused, not truncated
-        (`spaces.integer_array`).
+        ``values[x]``, a point of the target, is the image of source point x.
     """
 
     def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, values):
@@ -45,16 +43,14 @@ class PointMap:
             raise ValueError(
                 f"map needs one value per source point: expected {source.n}, got {table.size}"
             )
-        if table.size and (table.min() < 0 or table.max() >= target.n):
-            bad = table[(table < 0) | (table >= target.n)]
-            raise ValueError(f"map value out of range [0, {target.n}): {bad.tolist()}")
+        check_range(table, target.n, "map value")
         self.source = source
         self.target = target
         self.values = table.astype(np.int64)  # a private copy, frozen below
         self.values.setflags(write=False)
 
     def __call__(self, x: int) -> int:
-        return int(self.values[x])
+        return int(self.values[validate_point(x, self.source.n)])
 
     def __eq__(self, other):
         if not isinstance(other, PointMap):
@@ -176,13 +172,12 @@ def voronoi_partition(space: FiniteMetricSpace, centers) -> list[np.ndarray]:
     were given; the cells are disjoint and cover the space, and each center
     lies in its own cell.
     """
-    centers = np.array([int(c) for c in centers], dtype=np.int64)
-    if centers.size == 0:
-        raise ValueError("voronoi_partition needs at least one center")
+    centers = integer_array(centers, "centers").astype(np.int64)
+    if centers.ndim != 1 or centers.size == 0:
+        raise ValueError(f"voronoi centers must be a nonempty list, got {centers.tolist()}")
     if centers.size != np.unique(centers).size:
         raise ValueError("voronoi centers must be distinct")
-    if centers.min() < 0 or centers.max() >= space.n:
-        raise ValueError(f"center out of range [0, {space.n})")
+    check_range(centers, space.n, "center")
     # Scan rows in ascending center-point order so the first minimum found
     # belongs to the smallest center index, regardless of the given order.
     order = np.argsort(centers)

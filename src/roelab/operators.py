@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, integer_array, validate_points
+from .maps import PointMap
+from .spaces import FiniteMetricSpace, integer_array, is_integer, validate_point, validate_points
 
 __all__ = [
     "FiberedSpace",
@@ -56,8 +57,7 @@ _GRAM_STACK_BYTES = 2 << 20
 class FiberedSpace:
     """A finite metric space with a fiber dimension at every point.
 
-    Fiber dimensions are integers >= 1; bool and float values are
-    refused, not truncated (`spaces.integer_array`).
+    Fiber dimensions are integers >= 1, by the integer rule of `spaces`.
     """
 
     def __init__(self, base: FiniteMetricSpace, fiber_dims):
@@ -83,6 +83,7 @@ class FiberedSpace:
         return cls(base, np.full(base.n, dim))
 
     def slice_of(self, x: int) -> slice:
+        x = validate_point(x, self.base.n)
         return slice(int(self.offsets[x]), int(self.offsets[x + 1]))
 
     def coords_of(self, points) -> np.ndarray:
@@ -189,11 +190,12 @@ class BlockOperator:
         """Assemble from a {(y, x): d_y x d_x array} dict; absent blocks are zero."""
         mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
         for (y, x), blk in blocks.items():
+            rows, cols = target.slice_of(y), source.slice_of(x)  # checks the points first
             blk = np.asarray(blk, dtype=complex)
-            shape = (int(target.fiber_dims[y]), int(source.fiber_dims[x]))
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
             if blk.shape != shape:
                 raise ValueError(f"block ({y},{x}) has shape {blk.shape}, expected {shape}")
-            mat[target.slice_of(y), source.slice_of(x)] = blk
+            mat[rows, cols] = blk
         return cls(source, target, mat)
 
     def block(self, y: int, x: int) -> np.ndarray:
@@ -297,10 +299,8 @@ class BlockOperator:
 
     def supported_mask(self, f_values: np.ndarray, R: float) -> "BlockOperator":
         """Keep only blocks (y, x) with d(f(x), y) <= R in the target metric."""
-        f_values = np.asarray(f_values, dtype=np.int64)
-        if f_values.shape != (self.source.base.n,):
-            raise ValueError("need one f-value per source point")
-        keep = self.target.base.dist[:, f_values] <= R  # (n_target, n_source)
+        f = PointMap(self.source.base, self.target.base, f_values)  # checks the table
+        keep = self.target.base.dist[:, f.values] <= R  # (n_target, n_source)
         return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
 
     def _gram_minus_identity(self) -> np.ndarray:
@@ -447,8 +447,8 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     """
     if not R >= 0:
         raise ValueError("band radius must be >= 0")
-    if layers < 0:
-        raise ValueError("layer count must be >= 0")
+    if not (is_integer(layers) and layers >= 0):
+        raise ValueError(f"layer count must be an integer >= 0, got {layers!r}")
     rng = np.random.default_rng(seed)
     n_coords = space.total_dim
     pt = space.coord_point

@@ -2,8 +2,8 @@
 
 A space is written by ``FiniteMetricSpace.to_json``: a graph metric as
 its edge list ``{"n", "edges"}``, any other space as its matrix
-``{"n", "dist"}``.  Both forms are read, and a map embeds its source and
-target spaces in the same way.
+``{"n", "dist"}``.  A space is read from an object with exactly one of
+the two, and a map object embeds its source and target spaces the same way.
 
 Binary operator layout (all integers little-endian uint32, floats
 little-endian float64):
@@ -155,6 +155,8 @@ def save_space(path, space: FiniteMetricSpace) -> None:
 def load_map(path) -> PointMap:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"map JSON must be an object, got {data!r}")
     for key in ("source", "target", "table"):
         if key not in data:
             raise ValueError(f"map JSON is missing {key!r}")

@@ -14,15 +14,21 @@ and the matrix entries grouped by level) are computed once, on first
 use, and stored read-only; two threads that race on the first use
 compute the same arrays, so sharing stays safe.
 
+Integers: an integer is an ``int`` or ``np.integer`` but not a bool, and
+a point of an n-point space is such an integer in ``0..n-1``.  Every
+point, index, count and rank in the package is checked by `is_integer`
+and `check_range`: nothing is truncated or wrapped, and the error names
+the value.
+
 JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
 i < j at distance 1 in row-major order, and any other space as
-``{"n", "dist"}``; both forms are read.
+``{"n", "dist"}``; a space is read from an object with exactly one of
+the two.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,25 +41,36 @@ __all__ = [
     "validate_points",
     "validate_point",
     "integer_array",
+    "is_integer",
+    "check_range",
 ]
 
 _TRIANGLE_TOL = 1e-9
 
 
+def is_integer(value) -> bool:
+    """An int or np.integer, not a bool (an int to Python, 0 or 1 to numpy)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_range(values: np.ndarray, n: int, what: str) -> None:
+    """Refuse values outside 0..n-1, naming each once, in the order given."""
+    outside = (values < 0) | (values >= n)
+    if outside.any():
+        bad = list(dict.fromkeys(values[outside].tolist()))
+        raise ValueError(f"{what} out of range [0, {n}): {bad}")
+
+
 def validate_points(points, n: int) -> np.ndarray:
     """Normalize a point collection to a sorted, unique int array in 0..n-1.
 
-    Bool and float points are refused, not truncated (`integer_array`).
-    The range and duplicate checks run on the sorted array: its ends
-    decide the range, and neighbours that compare equal are the
-    duplicates."""
-    if not isinstance(points, (np.ndarray, list, tuple)):
-        points = list(points)  # sets, ranges, generators
+    The range and duplicate checks run on the sorted array: its ends decide
+    the range, `check_range` names the bad points in ascending order, and
+    neighbours that compare equal are the duplicates."""
     arr = integer_array(points, "points").astype(np.int64).reshape(-1)  # a copy, sorted in place
     arr.sort()
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        bad = np.unique(arr[(arr < 0) | (arr >= n)])
-        raise ValueError(f"point index out of range [0, {n}): {bad.tolist()}")
+        check_range(arr, n, "point index")
     if arr.size > 1:
         new = arr[1:] != arr[:-1]
         if not new.all():
@@ -61,15 +78,9 @@ def validate_points(points, n: int) -> np.ndarray:
     return arr
 
 
-def _is_integer(value) -> bool:
-    # a bool is an int to Python, and numpy reads it as 0 or 1
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def validate_point(x, n: int, what: str = "point") -> int:
-    """One integer in 0..n-1, by the rule of `integer_array`: a bool or a
-    float is refused, and the error names the value."""
-    if not _is_integer(x):
+    """One integer in 0..n-1, named `what` in the error."""
+    if not is_integer(x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     if not 0 <= x < n:
         raise ValueError(f"{what} {x} out of range [0, {n})")
@@ -77,18 +88,14 @@ def validate_point(x, n: int, what: str = "point") -> int:
 
 
 def integer_array(values, what: str) -> np.ndarray:
-    """The values as an array, refused unless every one is an integer.
-
-    An integer numpy array is taken as it is; a sequence is checked value
-    by value, because numpy reads a bool among ints as 0 or 1.  Bool and
-    float values are refused, not truncated: the error names `what` and
-    the first bad value.
-    """
+    """The values as an array, refused unless every one is an integer; the
+    error names the first bad value.  An integer numpy array is taken as it
+    is, a sequence is checked value by value (numpy reads True as 1)."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         bad = [] if values.dtype.kind in "iu" else values.ravel()[:1].tolist()
     else:
         values = list(values)
-        bad = [v for v in values if not _is_integer(v)]
+        bad = [v for v in values if not is_integer(v)]
     if bad:
         raise ValueError(f"{what} must be integers, got {bad[0]!r}")
     return np.asarray(values)
@@ -242,25 +249,27 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMetricSpace":
+        if not isinstance(data, dict):
+            raise ValueError(f"space JSON must be an object, got {data!r}")
         if "n" not in data:
             raise ValueError("space JSON is missing 'n'")
         n = data["n"]
-        if not isinstance(n, Integral) or isinstance(n, bool):
+        if not is_integer(n):
             raise ValueError(f"space JSON: 'n' must be an integer, got {n!r}")
-        if "dist" in data:
-            space = cls(data["dist"])
-            if space.n != n:
-                raise ValueError("space JSON: 'n' does not match 'dist' shape")
-            return space
+        if ("dist" in data) == ("edges" in data):
+            raise ValueError("space JSON needs either a 'dist' matrix or an 'edges' list, not both")
         if "edges" in data:
             return from_edge_list(n, data["edges"])
-        raise ValueError("space JSON needs either a 'dist' matrix or an 'edges' list")
+        space = cls(data["dist"])
+        if space.n != n:
+            raise ValueError("space JSON: 'n' does not match 'dist' shape")
+        return space
 
 
 def path_space(n: int) -> FiniteMetricSpace:
     """The path 0 - 1 - ... - (n-1) with d(i, j) = |i - j|."""
-    if n < 1:
-        raise ValueError("path_space needs n >= 1")
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"path_space needs an integer n >= 1, got {n!r}")
     idx = np.arange(n)
     # a hop metric by construction, so no certifying pass
     return _trusted(np.abs(idx[:, None] - idx[None, :]).astype(float))
@@ -301,12 +310,9 @@ def _edge_array(edges) -> np.ndarray:
 def _first_bad_edge(edges) -> str:
     """The first edge that is not a pair of integers, for an error message."""
     for e in edges:
-        try:
-            pair = len(e) == 2
-        except TypeError:  # a bare number
+        e = e.tolist() if isinstance(e, np.ndarray) else e
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_integer, e))):
             return repr(e)
-        if not (pair and all(isinstance(v, Integral) and not isinstance(v, bool) for v in e)):
-            return repr(e.tolist() if isinstance(e, np.ndarray) else e)
     return repr(edges)
 
 
@@ -315,8 +321,8 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
 
     The one shortest-path pass that builds the metric also certifies it:
     a hop metric is a metric, so the constructor's checks are skipped."""
-    if n < 1:
-        raise ValueError("from_edge_list needs n >= 1")
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"from_edge_list needs an integer n >= 1, got {n!r}")
     arr = _edge_array(edges)
     outside = ((arr < 0) | (arr >= n)).any(axis=1)
     if outside.any():

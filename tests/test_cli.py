@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from roelab.cli import _build_parser, main
+from roelab.concentration import concentration_witness
 from roelab.extraction import extract_pair
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
 from roelab.maps import PointMap, closeness
@@ -61,6 +62,25 @@ def test_witness_hadamard(hadamard_files, tmp_path):
     assert results["delta_actual"] == pytest.approx(0.70711, abs=1e-5)
     assert results["certificate"] == pytest.approx(0.5, abs=1e-5)
     assert results["bound"] == pytest.approx(0.35355, abs=1e-5)
+
+
+def test_witness_h_index_all_tries_every_fiber_vector(tmp_path, capsys):
+    U, _, _ = noisy_covering_unitary("reflection", 6, 0, fiber_dim=2)
+    space, unitary = tmp_path / "space.json", tmp_path / "U.bin"
+    save_space(space, U.source.base)
+    write_operator(unitary, U)
+    on_unitary = ["witness", "--unitary", str(unitary), "--space", str(space), "--y", "0",
+                  "--radius", "0"]
+    assert run(on_unitary + ["--h-index", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = concentration_witness(U, 0, 0.0, None)
+    assert expected.h_index == 1  # the default index 0 gives a smaller certificate
+    assert report_bytes(report["results"]) == report_bytes(expected)
+    assert report["scenario"]["h_index"] == "all" and "sweep_h" not in report["scenario"]
+    assert run(on_unitary + ["--h-index", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == report["results"]
+    assert run(on_unitary + ["--h-index", "1.5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ArgumentError"
 
 
 def test_cover_halving_map(tmp_path):
@@ -350,6 +370,21 @@ def test_space_with_float_point_count_exits_2(hadamard_files, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err == {"error": {"type": "ValueError",
                              "message": "space JSON: 'n' must be an integer, got 3.5"}}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "space JSON must be an object, got 5"),
+    ('"n"', "space JSON must be an object, got 'n'"),
+    ('{"n": 2, "dist": [[0, 1], [1, 0]], "edges": [[0, 1]]}',
+     "space JSON needs either a 'dist' matrix or an 'edges' list, not both"),
+])
+def test_malformed_space_file_exits_2(text, message, hadamard_files, tmp_path, capsys):
+    _, unitary = hadamard_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["extract", "--unitary", unitary, "--space", str(bad)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError", "message": message}
 
 
 def test_map_with_float_table_exits_2(tmp_path, capsys):

@@ -378,6 +378,15 @@ def test_upgrade_rejects_malformed_fiber_spec(E, message):
         upgrade_trick(U, identity_map(path_space(6)), [(3, E)], 0.9)
 
 
+@pytest.mark.parametrize("E", [1.5, np.float64(1.0), "1"])
+def test_upgrade_refuses_non_integer_ranks(E):
+    # these used to be refused as "basis at point 3 must have 2 rows"
+    U = dft_operator(6, fiber_dim=2)
+    with pytest.raises(ValueError) as err:
+        upgrade_trick(U, identity_map(path_space(6)), [(3, E)], 0.9)
+    assert str(err.value) == f"rank at point 3 must be an integer, got {E!r}"
+
+
 @pytest.mark.parametrize("x, message", [
     (0.7, "point must be an integer, got 0.7"),
     (True, "point must be an integer, got True"),

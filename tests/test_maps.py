@@ -218,6 +218,22 @@ def test_voronoi_partition_properties(rng):
                 assert c == min(winners)
 
 
+@pytest.mark.parametrize("centers, message", [
+    # these used to give the cells of centers 0 and 3, and of 1 and 3
+    ([0.7, 3], "centers must be integers, got 0.7"),
+    ([True, 3], "centers must be integers, got True"),
+    (np.array([0.0, 3.0]), "centers must be integers, got 0.0"),
+    ([9, 3, -1], r"center out of range \[0, 5\): \[9, -1\]"),
+    # a 2-d array used to give cells of points outside the space
+    (np.array([[0, 3], [1, 4]]),
+     r"voronoi centers must be a nonempty list, got \[\[0, 3\], \[1, 4\]\]"),
+    ([], r"voronoi centers must be a nonempty list, got \[\]"),
+])
+def test_voronoi_refuses_malformed_centers(centers, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        voronoi_partition(path_space(5), centers)
+
+
 def test_voronoi_rejects_empty_or_repeated_centers():
     X = path_space(5)
     with pytest.raises(ValueError):
@@ -293,3 +309,24 @@ def test_map_json_shape():
     f = halving(4)
     data = f.to_json()
     assert data["table"] == [i // 2 for i in range(8)]
+
+
+def test_point_map_names_each_bad_value_once():
+    with pytest.raises(ValueError) as err:
+        PointMap(path_space(4), path_space(5), [5, 5, 1, -1])
+    assert str(err.value) == "map value out of range [0, 5): [5, -1]"
+
+
+@pytest.mark.parametrize("x, message", [
+    # -1 used to return the last point's image, and 1.0 and True to fail inside numpy
+    (-1, "point -1 out of range [0, 4)"),
+    (4, "point 4 out of range [0, 4)"),
+    (1.0, "point must be an integer, got 1.0"),
+    (True, "point must be an integer, got True"),
+])
+def test_point_map_call_refuses_bad_points(x, message):
+    f = PointMap(path_space(4), path_space(4), [3, 2, 1, 0])
+    assert [f(x) for x in (0, np.int64(1), np.uint8(3))] == [3, 2, 0]
+    with pytest.raises(ValueError) as err:
+        f(x)
+    assert str(err.value) == message

@@ -440,6 +440,31 @@ def test_block_frobenius_matches_naive(rng):
             assert table[y, x] == pytest.approx(np.linalg.norm(T.block(y, x)), abs=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    # these used to run as [0, 1, 2, 3, 4], as one layer, as an empty block, or fail inside numpy
+    pytest.param(lambda U: U.supported_mask(np.array([0.7, 1.2, 2, 3, 4]), 0),
+                 "map values must be integers, got 0.7", id="mask-float"),
+    pytest.param(lambda U: U.supported_mask([0, 1, 2, 3, 5], 0),
+                 r"map value out of range [0, 5): [5]", id="mask-range"),
+    pytest.param(lambda U: U.supported_mask([0, 1, 2], 0),
+                 "map needs one value per source point: expected 5, got 3", id="mask-length"),
+    pytest.param(lambda U: random_band_unitary(U.source, 1.0, True, 0),
+                 "layer count must be an integer >= 0, got True", id="layers-bool"),
+    pytest.param(lambda U: random_band_unitary(U.source, 1.0, 1.0, 0),
+                 "layer count must be an integer >= 0, got 1.0", id="layers-float"),
+    pytest.param(lambda U: U.block(-1, 0), "point -1 out of range [0, 5)", id="block-negative"),
+    pytest.param(lambda U: U.block(0, 1.0), "point must be an integer, got 1.0", id="block-float"),
+    pytest.param(lambda U: U.source.slice_of(5), "point 5 out of range [0, 5)", id="slice-n"),
+    pytest.param(lambda U: BlockOperator.from_blocks(U.source, U.source, {(1.0, 0): [[1]]}),
+                 "point must be an integer, got 1.0", id="from-blocks-float"),
+])
+def test_operator_entry_points_refuse_malformed_integers(call, message):
+    U, _, _ = noisy_covering_unitary("identity", 5, 0)
+    with pytest.raises(ValueError) as err:
+        call(U)
+    assert str(err.value) == message
+
+
 def test_supported_mask_structural(rng):
     X = path_space(6)
     fib = random_fibered(rng, X)

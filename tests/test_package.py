@@ -3,9 +3,12 @@ name it never uses, no private definition or module-level name is left
 without a reader, no module imports another's private name, nothing is
 configured through the environment, no check is an `assert`, every
 norm and Gram top goes through `operators`, every set of distance
-levels through `spaces`, and every JSON text through `serialize`."""
+levels and every integer check through `spaces`, every JSON text
+through `serialize`, and the README's quick start runs as printed."""
 
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -255,3 +258,46 @@ def test_distance_levels_are_taken_only_in_spaces():
         if path.name != "spaces.py" and pattern.search(path.read_text())
     ]
     assert takers == []
+
+
+# the integer predicate's parts and the range message: one home, in spaces.py
+_INTEGER_RULE = re.compile(r"Integral|np\.bool_|isinstance\([^)]*\bbool\b|out of range \[0,")
+
+
+def _integer_rules(name, text):
+    # matched over the whole text, like the norm lint
+    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _INTEGER_RULE.finditer(text)]
+
+
+def test_integers_are_checked_only_in_spaces():
+    # one integer rule: no module but spaces.py tests for bools or
+    # integers by itself or writes its own range message
+    package = Path(roelab.__file__).parent
+    rules = [
+        rule
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spaces.py"
+        for rule in _integer_rules(path.name, path.read_text())
+    ]
+    assert rules == []
+
+
+def test_integer_lint_finds_each_form():
+    text = (
+        "from numbers import Integral\n"
+        "ok = isinstance(E, (bool,\n    np.bool_))\n"
+        "ok = isinstance(n, int) and not isinstance(n, bool)\n"
+        "raise ValueError(f'value out of range [0, {n})')\n"
+        "ok = isinstance(x, int)  # a plain int test is not the rule\n"
+    )
+    assert _integer_rules("m.py", text) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
+
+
+def test_readme_quick_start_runs_as_printed():
+    readme = (Path(roelab.__file__).parents[2] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().split("\n") == ["0.0", "0.0", "1.0", ""]

@@ -10,7 +10,10 @@ from roelab import spaces
 from roelab.maps import PointMap
 from roelab.operators import FiberedSpace, identity_operator
 from roelab.serialize import load_map, load_space
-from roelab.spaces import FiniteMetricSpace, from_edge_list, path_space, validate_points
+from roelab.fixtures import standard_pair
+from roelab.spaces import (
+    FiniteMetricSpace, check_range, from_edge_list, is_integer, path_space, validate_points,
+)
 
 from conftest import cycle_space, grid_space, random_graph_space, tree_space
 
@@ -253,6 +256,14 @@ def test_json_roundtrip_both_forms(rng):
     pytest.param({"n": 3, "edges": 5}, "list of point pairs", id="edges-number"),
     pytest.param({"n": 3, "dist": [[0, 1], [1, 0]]}, "does not match", id="n-shape"),
     pytest.param({"n": 3}, "either a 'dist' matrix or an 'edges' list", id="no-metric"),
+    # both metrics used to load as the 'dist' one, ignoring the edges
+    pytest.param({"n": 3, "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "edges": [[0, 2], [2, 1]]},
+                 "either a 'dist' matrix or an 'edges' list, not both", id="dist-and-edges"),
+    # these used to fail with Python's own TypeError text
+    pytest.param(5, "space JSON must be an object, got 5$", id="not-an-object-number"),
+    pytest.param("n", "space JSON must be an object, got 'n'$", id="not-an-object-string"),
+    pytest.param([[0, 1], [1, 0]], r"must be an object, got \[\[0, 1\], \[1, 0\]\]$",
+                 id="not-an-object-list"),
 ])
 def test_malformed_space_json_rejected(data, message):
     with pytest.raises(ValueError, match=message):
@@ -273,13 +284,23 @@ def test_edge_list_names_the_bad_edge():
         from_edge_list(3, np.array([[0, 1], [1, 2]], dtype=float))
 
 
-@pytest.mark.parametrize("key", ["source", "target", "table"])
-def test_map_json_missing_key_named(key, tmp_path):
-    data = PointMap(path_space(4), path_space(2), [0, 0, 1, 1]).to_json()
-    del data[key]
+_MAP_JSON = PointMap(path_space(4), path_space(2), [0, 0, 1, 1]).to_json()
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({k: v for k, v in _MAP_JSON.items() if k != key}, f"map JSON is missing '{key}'",
+                 id=key)
+    for key in ("source", "target", "table")
+] + [
+    # a file that is not an object used to fail with Python's own TypeError text
+    pytest.param(5, "map JSON must be an object, got 5$", id="map-number"),
+    pytest.param({**_MAP_JSON, "source": 5}, "space JSON must be an object, got 5$",
+                 id="source-number"),
+])
+def test_map_json_missing_key_named(data, message, tmp_path):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=f"map JSON is missing '{key}'"):
+    with pytest.raises(ValueError, match=message):
         load_map(path)
 
 
@@ -449,3 +470,29 @@ def test_small_integer_matrices_agree_with_the_triangle_loop(rng):
             assert _loop_verdict(dist) is None
         assert _verdict(dist) == _loop_verdict(dist)
     assert certified > 100
+
+
+@pytest.mark.parametrize("build, message", [
+    # these used to build 3 points, 1 point, 3 points, or fail inside numpy
+    pytest.param(lambda: path_space(2.5), "path_space needs an integer n >= 1, got 2.5$",
+                 id="path-float"),
+    pytest.param(lambda: path_space(True), "path_space needs an integer n >= 1, got True$",
+                 id="path-bool"),
+    pytest.param(lambda: path_space(0), "path_space needs an integer n >= 1, got 0$", id="path-0"),
+    pytest.param(lambda: standard_pair("identity", 2.5), "got 2.5$", id="pair-identity"),
+    pytest.param(lambda: standard_pair("halving", 2.5), "got 2.5$", id="pair-halving"),
+    pytest.param(lambda: from_edge_list(3.0, [[0, 1], [1, 2]]),
+                 r"from_edge_list needs an integer n >= 1, got 3\.0$", id="edges-float-n"),
+])
+def test_point_counts_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integer_rule_and_range_check():
+    assert [is_integer(v) for v in (3, np.int8(3), np.uint64(3), -1)] == [True] * 4
+    assert not any(is_integer(v) for v in (True, np.True_, 3.0, np.float64(3), "3", None))
+    check_range(np.array([0, 4, 2]), 5, "point")
+    with pytest.raises(ValueError) as err:
+        check_range(np.array([5, 5, 1, -1, 7, -1]), 5, "point")
+    assert str(err.value) == "point out of range [0, 5): [5, -1, 7]"  # each once, in order
