@@ -33,7 +33,7 @@ from .maps import PointMap, greedy_net, voronoi_partition
 from .operators import BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm
 from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
-from .spaces import is_integer, validate_point
+from .spaces import check_radius, is_integer, is_real, validate_point
 
 __all__ = [
     "CoveringPlan",
@@ -66,7 +66,7 @@ def _injective_net(f: PointMap, separation: float):
     if not candidates or candidates[0] > separation:
         candidates = [separation] + candidates
     for s in candidates:
-        net = greedy_net(X, float(s))
+        net = greedy_net(X, s)
         images = f.values[net]
         if np.unique(images).size == net.size:
             return float(s), net
@@ -93,10 +93,8 @@ def covering_unitary(
     """
     if f.source != source.base:
         raise ValueError("the fibered source must sit over the map's source space")
-    if not separation >= 0:
-        raise ValueError("separation must be >= 0")
     Y = f.target
-    s_used, net = _injective_net(f, separation)
+    s_used, net = _injective_net(f, check_radius(separation, "separation"))
     source_blocks = voronoi_partition(f.source, net)
     image = f.values[net]
     target_blocks = voronoi_partition(Y, image)
@@ -209,8 +207,8 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
     check_unitary(U)
     if f.source != U.source.base or f.target != U.target.base:
         raise ValueError("map must go from the operator's source base to its target base")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not (is_real(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
 
     src = U.source
     spec = []
@@ -319,7 +317,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
         )
     windows = []
     for R in radius_grid:
-        lower, upper = approximability_window(UWs, float(R))
+        lower, upper = approximability_window(UWs, R)  # R as given: the window checks it
         windows.append((float(R), float(lower), float(upper)))
     return OuterReport(
         extraction=extraction,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
 from .operators import BlockOperator, check_unitary, corner_norms
+from .spaces import check_radius, is_real
 
 __all__ = [
     "ExtractionReport",
@@ -65,9 +66,14 @@ class ExtractionReport:
 def corner_norm_table(U: BlockOperator, R: float) -> np.ndarray:
     """(n_target, n_source) array of ||chi_{ball(y, R)} U chi_x||:
     `operators.corner_norms` at the ball masks."""
-    if not R >= 0:
-        raise ValueError("radius must be >= 0")
-    return corner_norms(U, U.target.base.dist <= R)
+    return corner_norms(U, U.target.base.dist <= check_radius(R, "radius"))
+
+
+def _check_delta(U: BlockOperator, delta) -> None:
+    """U is unitary and delta a real number in (0, 1), or ValueError."""
+    check_unitary(U)
+    if not (is_real(delta) and 0 < delta < 1):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,12 +96,10 @@ def minimal_radius(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
     ball is everything and ||U chi_x|| = 1.  The error branch guards
     against numerically degenerate inputs anyway.
     """
-    check_unitary(U)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(U, delta)
     witness = None
     for R in U.target.base.realized_distances():
-        table = corner_norm_table(U, float(R))
+        table = corner_norm_table(U, R)
         _, witness = _threshold(table)
         if (witness > delta).all():
             return float(R), table
@@ -111,9 +115,7 @@ def extract_map(U: BlockOperator, delta: float, R: float) -> tuple[PointMap, np.
     Y -> X together with the witnessed corner norms, which must all
     exceed delta.
     """
-    check_unitary(U)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(U, delta)
     return _map_from_table(U, corner_norm_table(U, R), delta, R)
 
 

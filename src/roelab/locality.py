@@ -18,7 +18,7 @@ exactly, from the entries (a block of 1e-170 counts; its squared
 Frobenius norm would not).  Every candidate's components are labelled
 at once by bitmask propagation over two 2^n reach tables; candidates
 share components, so only the distinct ones are normed, gathered by
-shape into (k, rows, cols) stacks of at most _STACK_BYTES bytes, one
+shape into (k, rows, cols) stacks of at most STACK_BYTES bytes, one
 spectral_norm call per stack.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (62 norms instead of 65,534 corners for a 16-point band unitary at
@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap
-from .operators import BlockOperator, gram_top, spectral_norm
+from .operators import STACK_BYTES, BlockOperator, gram_top, spectral_norm
+from .spaces import check_radius
 
 __all__ = [
     "LocalityReport",
@@ -75,9 +76,6 @@ _WITNESS_TOL = 1e-12
 # screened value and the exact corner norm squared stays below 6 eps per
 # unit of trace on random, sparse and saturated-unitary inputs
 _SCREEN_SLACK = 64 * np.finfo(float).eps
-# byte budget of one gathered stack of corners in the exact enumeration; it
-# caps the working set however many candidates share a corner shape
-_STACK_BYTES = 1 << 18
 
 
 @dataclass
@@ -178,14 +176,15 @@ def _exact_violation(T: BlockOperator, R: float):
     b_rows = ((comps[:, None] >> np.uint32(n)) & weights[T.target.coord_point]) != 0
     a_cols = (comps[:, None] & weights[T.source.coord_point]) != 0
 
-    # batched norms over the equal-shape components, in stacks of at most _STACK_BYTES
+    # batched norms over the equal-shape components, in stacks of at most STACK_BYTES; the
+    # budget caps the working set however many candidates share a corner shape
     n_rows, n_cols = b_rows.sum(axis=1), a_cols.sum(axis=1)
     key = n_rows * (T.source.total_dim + 1) + n_cols
     norms = np.zeros(key.size)
     for shape in np.unique(key):
         group = np.flatnonzero(key == shape)
         rows, cols = int(n_rows[group[0]]), int(n_cols[group[0]])
-        step = max(1, _STACK_BYTES // (rows * cols * T.matrix.itemsize))
+        step = max(1, STACK_BYTES // (rows * cols * T.matrix.itemsize))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             r = np.nonzero(b_rows[chunk])[1].reshape(-1, rows, 1)
@@ -363,8 +362,7 @@ def _violation(T: BlockOperator, R: float, mode: str):
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
-    if not R >= 0:
-        raise ValueError("separation radius must be >= 0")
+    R = check_radius(R, "separation radius")
     if mode == "exact":
         if base.n > EXACT_LIMIT:
             raise ValueError(
@@ -424,6 +422,4 @@ def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
     """
     if f.source != T.source.base or f.target != T.target.base:
         raise ValueError("map must go from the operator's source base to its target base")
-    if not R >= 0:
-        raise ValueError("support radius must be >= 0")
     return (T - T.supported_mask(f.values, R)).norm()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, check_range, integer_array, validate_point
+from .spaces import FiniteMetricSpace, check_radius, check_range, integer_array, validate_point
 
 __all__ = [
     "PointMap",
@@ -40,9 +40,8 @@ class PointMap:
     def __init__(self, source: FiniteMetricSpace, target: FiniteMetricSpace, values):
         table = integer_array(values, "map values")  # an empty table reads as float64, and passes
         if table.shape != (source.n,):
-            raise ValueError(
-                f"map needs one value per source point: expected {source.n}, got {table.size}"
-            )
+            got = table.size if table.ndim == 1 else f"shape {table.shape}"
+            raise ValueError(f"map needs one value per source point: expected {source.n}, got {got}")
         check_range(table, target.n, "map value")
         self.source = source
         self.target = target
@@ -71,9 +70,7 @@ class PointMap:
         is below the smallest positive source distance (only the diagonal
         pairs qualify).
         """
-        if not r >= 0:
-            raise ValueError("modulus scale must be >= 0")
-        close = self.source.dist <= r
+        close = self.source.dist <= check_radius(r, "modulus scale")
         spread = self.target.dist[np.ix_(self.values, self.values)]
         return float(spread[close].max())
 
@@ -154,8 +151,7 @@ def greedy_net(space: FiniteMetricSpace, s: float) -> np.ndarray:
     within s of some kept point, since a skipped point was within s of an
     earlier one.
     """
-    if not s >= 0:
-        raise ValueError("net separation must be >= 0")
+    s = check_radius(s, "net separation")
     kept: list[int] = []
     covered = np.zeros(space.n, dtype=bool)
     for x in range(space.n):

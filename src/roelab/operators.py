@@ -24,7 +24,9 @@ Corners: `corner_norms` is the one masked corner kernel.  It gives
 of a boolean mask, from batched Gram stacks; `extraction.corner_norm_table`
 is this kernel at ball masks.  It and the quasi-locality screen build
 their own Gram stacks and take the tops through `gram_top`, in closed
-form for d < 3.
+form for d < 3.  One byte budget, `STACK_BYTES` (2 MiB), caps each
+batched stack: the kernel's Gram chunks and the exact quasi-locality
+enumeration's stacks of equal-shape corners.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -35,7 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from .maps import PointMap
-from .spaces import FiniteMetricSpace, integer_array, is_integer, validate_point, validate_points
+from .spaces import (
+    FiniteMetricSpace, check_radius, integer_array, is_integer, validate_point, validate_points
+)
 
 __all__ = [
     "FiberedSpace",
@@ -50,8 +54,9 @@ __all__ = [
 
 PROPAGATION_TOL = 1e-12
 UNITARITY_TOL = 1e-9
-# bytes per chunk of the d-dim Gram stacks in `corner_norms`
-_GRAM_STACK_BYTES = 2 << 20
+# byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
+# corners in the exact quasi-locality enumeration); each matrix is normed alone
+STACK_BYTES = 2 << 20
 
 
 class FiberedSpace:
@@ -63,9 +68,8 @@ class FiberedSpace:
     def __init__(self, base: FiniteMetricSpace, fiber_dims):
         dims = integer_array(fiber_dims, "fiber dimensions").astype(np.int64)
         if dims.shape != (base.n,):
-            raise ValueError(
-                f"need one fiber dimension per point: expected {base.n}, got {dims.size}"
-            )
+            got = dims.size if dims.ndim == 1 else f"shape {dims.shape}"
+            raise ValueError(f"need one fiber dimension per point: expected {base.n}, got {got}")
         if (dims < 1).any():
             raise ValueError("all fiber dimensions must be >= 1")
         self.base = base
@@ -286,22 +290,17 @@ class BlockOperator:
             return 0.0
         return spectral_norm(self.matrix[np.ix_(rows, cols)])
 
-    def _block_mask_to_coords(self, keep: np.ndarray) -> np.ndarray:
-        return keep[np.ix_(self.target.coord_point, self.source.coord_point)]
-
     def band_truncate(self, R: float) -> "BlockOperator":
-        """Zero every block at base distance > R; result has propagation <= R."""
-        base = self._same_base()
-        if not R >= 0:
-            raise ValueError("band radius must be >= 0")
-        keep = base.dist <= R
-        return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
+        """Zero every block at base distance > R; result has propagation <= R.
+        This is `supported_mask` at the identity map."""
+        return self.supported_mask(np.arange(self._same_base().n), R)
 
     def supported_mask(self, f_values: np.ndarray, R: float) -> "BlockOperator":
         """Keep only blocks (y, x) with d(f(x), y) <= R in the target metric."""
         f = PointMap(self.source.base, self.target.base, f_values)  # checks the table
-        keep = self.target.base.dist[:, f.values] <= R  # (n_target, n_source)
-        return BlockOperator(self.source, self.target, self.matrix * self._block_mask_to_coords(keep))
+        keep = self.target.base.dist[:, f.values] <= check_radius(R, "support radius")
+        coords = keep[np.ix_(self.target.coord_point, self.source.coord_point)]
+        return BlockOperator(self.source, self.target, self.matrix * coords)
 
     def _gram_minus_identity(self) -> np.ndarray:
         """G - I, with G the Gram matrix on the smaller side (T*T when T is
@@ -332,26 +331,6 @@ class BlockOperator:
             self._residual = residual if rows == cols else max(residual, 1.0)
         return self._residual
 
-    def _is_unitary(self) -> bool:
-        """Whether the unitarity residual is at most UNITARITY_TOL.
-
-        A stored residual decides first.  Otherwise, for square T,
-        ||G - I|| <= ||G - I||_F, so a Frobenius norm at most the
-        tolerance passes without a decomposition.  Every other case (a
-        bound above the tolerance, an inf or NaN bound, a rectangular T,
-        whose residual is at least 1) takes the exact residual.  Decided
-        once per operator and stored.
-        """
-        if self._unitary is None:
-            rows, cols = self.matrix.shape
-            if self._residual is None and rows == cols:
-                gram = self._gram_minus_identity()
-                if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
-                    self._unitary = True
-                    return True
-            self._unitary = self.unitarity_residual() <= UNITARITY_TOL
-        return self._unitary
-
     def __repr__(self):
         return (
             f"BlockOperator({self.source.base.n}x{self.source.fiber_dims.max()} -> "
@@ -363,11 +342,22 @@ class BlockOperator:
 def check_unitary(U: BlockOperator) -> None:
     """ValueError when U's unitarity residual exceeds UNITARITY_TOL.
 
-    Passes on ||G - I||_F <= UNITARITY_TOL (G the Gram matrix of U)
-    without a decomposition; otherwise the exact `unitarity_residual`
-    decides and is the number the error message reports.
+    A stored residual decides first.  Otherwise, for square U,
+    ||G - I|| <= ||G - I||_F (G the Gram matrix of U), so a Frobenius
+    norm at most the tolerance passes without a decomposition.  Every
+    other case (a bound above the tolerance, an inf or NaN bound, a
+    rectangular U, whose residual is at least 1) takes the exact
+    `unitarity_residual`, which the error reports.  Decided once per
+    operator and stored; an adjoint shares the outcome.
     """
-    if not U._is_unitary():
+    if U._unitary is None:
+        rows, cols = U.matrix.shape
+        passes = False
+        if U._residual is None and rows == cols:
+            gram = U._gram_minus_identity()
+            passes = bool(np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL)
+        U._unitary = passes or U.unitarity_residual() <= UNITARITY_TOL
+    if not U._unitary:
         residual = U.unitarity_residual()
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
@@ -385,7 +375,7 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     columns c0, c1, so only those are built, as four real columns per
     point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
     d-dim stacks are built in chunks of source points of at most
-    `_GRAM_STACK_BYTES` each.  Entries equal the per-point
+    `STACK_BYTES` each.  Entries equal the per-point
     computation up to summation order (a few ulps).
     """
     source = U.source
@@ -398,7 +388,7 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
             out[:, points] = np.sqrt(mask @ (cols.real**2 + cols.imag**2))
             continue
         per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
-        step = max(1, _GRAM_STACK_BYTES // per_point)
+        step = max(1, STACK_BYTES // per_point)
         for chunk in np.array_split(points, -(-points.size // step)):
             idx = source.offsets[chunk][:, None] + np.arange(d)
             cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
@@ -445,10 +435,10 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     row-scaled multiply, which is exact because the pairs and lone
     vectors of a layer are disjoint.
     """
-    if not R >= 0:
-        raise ValueError("band radius must be >= 0")
-    if not (is_integer(layers) and layers >= 0):
-        raise ValueError(f"layer count must be an integer >= 0, got {layers!r}")
+    R = check_radius(R, "band radius")
+    for what, value in (("layer count", layers), ("seed", seed)):
+        if not (is_integer(value) and value >= 0):
+            raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
     rng = np.random.default_rng(seed)
     n_coords = space.total_dim
     pt = space.coord_point

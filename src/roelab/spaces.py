@@ -20,6 +20,12 @@ point, index, count and rank in the package is checked by `is_integer`
 and `check_range`: nothing is truncated or wrapped, and the error names
 the value.
 
+Reals: a real number is an ``int``, ``float``, ``np.integer`` or
+``np.floating`` but not a bool (`is_real`).  Every radius, separation and
+scale in the package is a real number >= 0, infinity included, checked by
+`check_radius`, whose error names the value (NaN, None, a bool, ...); a
+threshold, such as delta or epsilon, tests `is_real` and its own interval.
+
 JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
 i < j at distance 1 in row-major order, and any other space as
 ``{"n", "dist"}``; a space is read from an object with exactly one of
@@ -43,6 +49,8 @@ __all__ = [
     "integer_array",
     "is_integer",
     "check_range",
+    "is_real",
+    "check_radius",
 ]
 
 _TRIANGLE_TOL = 1e-9
@@ -59,6 +67,18 @@ def check_range(values: np.ndarray, n: int, what: str) -> None:
     if outside.any():
         bad = list(dict.fromkeys(values[outside].tolist()))
         raise ValueError(f"{what} out of range [0, {n}): {bad}")
+
+
+def is_real(value) -> bool:
+    """An int, float, np.integer or np.floating, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_radius(value, what: str) -> float:
+    """A real number >= 0 as a float, named `what` in the error."""
+    if not (is_real(value) and value >= 0):
+        raise ValueError(f"{what} must be a real number >= 0, got {value!r}")
+    return float(value)
 
 
 def validate_points(points, n: int) -> np.ndarray:
@@ -183,15 +203,13 @@ class FiniteMetricSpace:
     def ball(self, x: int, R: float) -> np.ndarray:
         """Closed ball: all points at distance <= R from x."""
         x = validate_point(x, self.n)
-        if not R >= 0:
-            raise ValueError("ball radius must be >= 0")
+        R = check_radius(R, "ball radius")
         return np.flatnonzero(self.dist[x] <= R).astype(np.int64)
 
     def neighborhood(self, A, R: float) -> np.ndarray:
         """Union of closed R-balls around the points of A."""
         A = validate_points(A, self.n)
-        if not R >= 0:
-            raise ValueError("neighborhood radius must be >= 0")
+        R = check_radius(R, "neighborhood radius")
         if A.size == 0:
             return A
         mask = (self.dist[A] <= R).any(axis=0)
@@ -199,8 +217,7 @@ class FiniteMetricSpace:
 
     def growth_profile(self, R: float) -> int:
         """Largest closed-R-ball cardinality over all centers."""
-        if not R >= 0:
-            raise ValueError("radius must be >= 0")
+        R = check_radius(R, "radius")
         return int((self.dist <= R).sum(axis=1).max())
 
     def set_distance(self, A, B) -> float:

@@ -324,6 +324,20 @@ def test_non_finite_argument_exits_2(command, extra, command_argv, capsys):
     assert err["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    pytest.param("ql", ["--radius", "-1"], "separation radius", id="ql"),
+    pytest.param("ql", ["--radius", "-1", "--mode", "bounds"], "separation radius", id="ql-bounds"),
+    pytest.param("witness", ["--radius", "-1"], "radius", id="witness"),
+    pytest.param("outer", ["--radius-grid", "0,-1"], "separation radius", id="outer"),
+    pytest.param("sweep", ["--noise-radius", "-1"], "band radius", id="sweep"),
+    pytest.param("cover", ["--separation", "-1"], "separation", id="cover"),
+])
+def test_negative_scale_exits_2_naming_it(command, extra, message, command_argv, capsys):
+    assert run(command_argv[command] + extra) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError", "message": f"{message} must be a real number >= 0, got -1.0"}
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["ql", "--radius", "abc"], "invalid float value: 'abc'", id="mistyped"),
     pytest.param(["ql"], "required: --unitary, --space, --radius", id="missing"),

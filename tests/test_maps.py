@@ -15,6 +15,7 @@ from roelab.maps import (
     identity_map,
     voronoi_partition,
 )
+from roelab.operators import FiberedSpace
 from roelab.spaces import FiniteMetricSpace, path_space
 
 from conftest import random_graph_space
@@ -295,6 +296,19 @@ def test_point_map_keeps_length_and_range_messages():
         PointMap(path_space(4), path_space(3), [0, 3, 1, -1])
     with pytest.raises(ValueError, match=r"out of range \[0, 3\): \[1180591620717411303424\]$"):
         PointMap(path_space(4), path_space(3), [0, 1, 2**70, 2])
+
+
+@pytest.mark.parametrize("build, message", [
+    # a 2-d table of the right size used to read "expected 3, got 3"
+    pytest.param(lambda X: PointMap(X, X, np.array([[0, 1, 2]])),
+                 "map needs one value per source point: expected 3, got shape (1, 3)", id="map"),
+    pytest.param(lambda X: FiberedSpace(X, np.array([[1, 1, 1]])),
+                 "need one fiber dimension per point: expected 3, got shape (1, 3)", id="fibers"),
+])
+def test_one_value_per_point_names_a_wrong_shape(build, message):
+    with pytest.raises(ValueError) as err:
+        build(path_space(3))
+    assert str(err.value) == message
 
 
 def test_point_map_accepts_an_empty_table_for_a_point_free_source():

@@ -474,3 +474,30 @@ def test_supported_mask_structural(rng):
     mask = kept.block_frobenius() > 0.0
     ys, xs = np.nonzero(mask)
     assert all(X.dist[f_values[x], y] <= 1.0 for y, x in zip(ys, xs))
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, -1])
+def test_seeds_follow_the_integer_rule(seed):
+    # a float used to fail inside numpy's SeedSequence, and True ran as seed 1
+    fib = FiberedSpace.uniform(path_space(4), 1)
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    for call in (lambda: random_band_unitary(fib, 1.0, 1, seed),
+                 lambda: noisy_covering_unitary("identity", 4, seed)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    assert np.array_equal(random_band_unitary(fib, 1.0, 1, np.uint8(3)).matrix,
+                          random_band_unitary(fib, 1.0, 1, 3).matrix)
+
+
+def test_band_truncate_keeps_exactly_the_blocks_within_R(rng):
+    X = random_graph_space(rng, 6, extra_edges=2)
+    source, target = random_fibered(rng, X), random_fibered(rng, X)
+    T = random_operator(rng, source, target)
+    for R in [0, 1, 1.5, 2.0, float("inf")]:
+        expected = np.zeros_like(T.matrix)
+        for y in range(X.n):
+            for x in range(X.n):
+                if X.dist[y, x] <= R:
+                    expected[target.slice_of(y), source.slice_of(x)] = T.block(y, x)
+        assert np.array_equal(T.band_truncate(R).matrix, expected)

@@ -3,8 +3,9 @@ name it never uses, no private definition or module-level name is left
 without a reader, no module imports another's private name, nothing is
 configured through the environment, no check is an `assert`, every
 norm and Gram top goes through `operators`, every set of distance
-levels and every integer check through `spaces`, every JSON text
-through `serialize`, and the README's quick start runs as printed."""
+levels, every integer check and every real-number check through
+`spaces`, every JSON text through `serialize`, and the README's quick
+start runs as printed."""
 
 import ast
 import contextlib
@@ -291,6 +292,39 @@ def test_integer_lint_finds_each_form():
         "ok = isinstance(x, int)  # a plain int test is not the rule\n"
     )
     assert _integer_rules("m.py", text) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
+
+
+# the real-number rule's comparisons and message: one home, in spaces.py
+_REAL_RULE = re.compile(r"not [A-Za-z_.]+ >=? 0|must be a real number")
+
+
+def _real_rules(name, text):
+    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _REAL_RULE.finditer(text)]
+
+
+def test_reals_are_checked_only_in_spaces():
+    # one real-number rule: no module but spaces.py compares a scale with 0
+    # by hand or writes the rule's message; the others call `check_radius`
+    # or test `is_real` with their own interval
+    package = Path(roelab.__file__).parent
+    rules = [
+        rule
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spaces.py"
+        for rule in _real_rules(path.name, path.read_text())
+    ]
+    assert rules == []
+
+
+def test_real_lint_finds_each_form():
+    text = (
+        "if not R >= 0:\n"
+        "if not self.eps > 0:\n"
+        "raise ValueError(f'scale must be a real number >= 0, got {r!r}')\n"
+        "if not (is_real(delta) and 0 < delta < 1):  # the predicate and an interval\n"
+        "if not values.max() > 0:  # a computed value, not an argument\n"
+    )
+    assert _real_rules("m.py", text) == ["m.py:1", "m.py:2", "m.py:3"]
 
 
 def test_readme_quick_start_runs_as_printed():

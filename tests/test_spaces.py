@@ -7,12 +7,17 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from roelab import spaces
-from roelab.maps import PointMap
-from roelab.operators import FiberedSpace, identity_operator
+from roelab.concentration import concentration_witness
+from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
+from roelab.extraction import extract_pair
+from roelab.locality import approximability_window, quasi_locality_violation
+from roelab.maps import PointMap, greedy_net, identity_map
+from roelab.operators import FiberedSpace, identity_operator, random_band_unitary
 from roelab.serialize import load_map, load_space
-from roelab.fixtures import standard_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.spaces import (
-    FiniteMetricSpace, check_range, from_edge_list, is_integer, path_space, validate_points,
+    FiniteMetricSpace, check_radius, check_range, from_edge_list, is_integer, is_real, path_space,
+    validate_points,
 )
 
 from conftest import cycle_space, grid_space, random_graph_space, tree_space
@@ -496,3 +501,69 @@ def test_integer_rule_and_range_check():
     with pytest.raises(ValueError) as err:
         check_range(np.array([5, 5, 1, -1, 7, -1]), 5, "point")
     assert str(err.value) == "point out of range [0, 5): [5, -1, 7]"  # each once, in order
+
+
+def test_real_rule_and_radius_check():
+    reals = (0, 2, 0.5, -1, np.int8(2), np.uint64(2), np.float32(0.5), float("inf"), float("nan"))
+    assert all(is_real(v) for v in reals)
+    assert not any(is_real(v) for v in (True, np.True_, None, "1", 1j, np.array([1.0]), [1.0]))
+    radii = [check_radius(v, "r") for v in (0, np.int64(2), np.float32(0.5), float("inf"))]
+    assert radii == [0.0, 2.0, 0.5, float("inf")]
+    assert {type(r) for r in radii} == {float}
+    for bad, shown in [(-1, "-1"), (float("nan"), "nan"), (True, "True"), (None, "None"),
+                       ("1", "'1'"), (-float("inf"), "-inf")]:
+        with pytest.raises(ValueError) as err:
+            check_radius(bad, "ball radius")
+        assert str(err.value) == f"ball radius must be a real number >= 0, got {shown}"
+
+
+def _real(what, shown):
+    return f"{what} must be a real number >= 0, got {shown}"
+
+
+@pytest.mark.parametrize("call, message", [
+    # these used to return the zero operator, run a bool as 1, or fail with
+    # Python's or numpy's own error
+    pytest.param(lambda X, fib, U, f: U.supported_mask(f.values, float("nan")),
+                 _real("support radius", "nan"), id="mask-nan"),
+    pytest.param(lambda X, fib, U, f: U.supported_mask(f.values, -1),
+                 _real("support radius", "-1"), id="mask-negative"),
+    pytest.param(lambda X, fib, U, f: X.ball(0, True), _real("ball radius", "True"), id="ball-bool"),
+    pytest.param(lambda X, fib, U, f: greedy_net(X, True),
+                 _real("net separation", "True"), id="net-bool"),
+    pytest.param(lambda X, fib, U, f: quasi_locality_violation(U, True),
+                 _real("separation radius", "True"), id="ql-bool"),
+    pytest.param(lambda X, fib, U, f: covering_unitary(f, fib, separation=True),
+                 _real("separation", "True"), id="cover-bool"),
+    pytest.param(lambda X, fib, U, f: U.band_truncate(True),
+                 _real("support radius", "True"), id="truncate-bool"),
+    pytest.param(lambda X, fib, U, f: random_band_unitary(fib, True, 1, 0),
+                 _real("band radius", "True"), id="band-unitary-bool"),
+    pytest.param(lambda X, fib, U, f: concentration_witness(U, 0, True),
+                 _real("radius", "True"), id="witness-bool"),
+    pytest.param(lambda X, fib, U, f: upgrade_trick(U, f, [(0, 1)], epsilon=True),
+                 "epsilon must be > 0, got True", id="upgrade-bool"),
+    pytest.param(lambda X, fib, U, f: outer_roundtrip(U, 0.5, [True]),
+                 _real("separation radius", "True"), id="outer-grid-bool"),
+    pytest.param(lambda X, fib, U, f: X.ball(0, None), _real("ball radius", "None"), id="ball-none"),
+    pytest.param(lambda X, fib, U, f: f.modulus(None),
+                 _real("modulus scale", "None"), id="modulus-none"),
+    pytest.param(lambda X, fib, U, f: approximability_window(U, None),
+                 _real("separation radius", "None"), id="window-none"),
+    pytest.param(lambda X, fib, U, f: covering_unitary(f, fib, separation=None),
+                 _real("separation", "None"), id="cover-none"),
+    pytest.param(lambda X, fib, U, f: noisy_covering_unitary("identity", 5, 0, noise_radius=None),
+                 _real("band radius", "None"), id="noise-radius-none"),
+    pytest.param(lambda X, fib, U, f: extract_pair(U, "0.5"),
+                 "delta must lie in (0, 1), got '0.5'", id="delta-string"),
+    pytest.param(lambda X, fib, U, f: outer_roundtrip(U, 0.5, [None]),
+                 _real("separation radius", "None"), id="outer-grid-none"),
+    pytest.param(lambda X, fib, U, f: X.ball(0, np.array([1.0, 2.0])),
+                 _real("ball radius", "array([1., 2.])"), id="ball-array"),
+])
+def test_scales_follow_the_real_rule(call, message):
+    X = path_space(5)
+    fib = FiberedSpace.uniform(X, 1)
+    with pytest.raises(ValueError) as err:
+        call(X, fib, random_band_unitary(fib, 1.0, 2, 0), identity_map(X))
+    assert str(err.value) == message
