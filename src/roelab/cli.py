@@ -67,13 +67,15 @@ def _cmd_cover(args) -> dict:
     f = load_map(args.map)
     source = FiberedSpace(f.source, _parse_fibers(args.fibers, f.source.n))
     U, plan = covering_unitary(f, source, separation=args.separation)
-    if args.save_unitary:
-        write_operator(args.save_unitary, U)
-    return {
+    results = {
         "plan": plan,
         "unitarity_residual": U.unitarity_residual(),
         "support_radius": plan.support_radius,
     }
+    report_bytes(results)  # a report JSON cannot hold is refused before the unitary is written
+    if args.save_unitary:
+        write_operator(args.save_unitary, U)
+    return results
 
 
 def _h_index(raw: str):

@@ -18,7 +18,7 @@ import numpy as np
 from .extraction import corner_norm_table
 from .operators import BlockOperator, check_unitary, spectral_norm
 from .signs import greedy_signs
-from .spaces import validate_point
+from .spaces import check_radius, validate_point
 
 __all__ = ["ConcentrationWitness", "concentration_witness"]
 
@@ -49,37 +49,38 @@ def concentration_witness(
     h_index selects the fiber basis vector at y used for the probe vector
     v = U*(delta_y (x) e_h); pass None to sweep all basis vectors and
     keep the witness with the largest certificate (ties to the smallest
-    index).
+    index).  Computed once per call, whatever h_index: delta from one
+    `corner_norm_table`, the coordinates off B = ball(y, R) from
+    ``dist[y] > R``, and U's rows over y.
     """
     check_unitary(U)
     target = U.target
     y = validate_point(y, target.base.n)
     if h_index is not None:
         h_index = validate_point(h_index, int(target.fiber_dims[y]), "h_index")
+    R = check_radius(R, "radius")
 
     delta = float(corner_norm_table(U, R)[y].max())
     if delta > 1.0 - _UNIT_SNAP:
         delta = 1.0
-    fiber = range(int(target.fiber_dims[y])) if h_index is None else [h_index]
-    witnesses = [_witness(U, y, R, h, delta) for h in fiber]
+    off_ball = (target.base.dist[y] > R)[target.coord_point]
+    y_rows = U.matrix[target.slice_of(y)]
+    fiber = range(y_rows.shape[0]) if h_index is None else [h_index]
+    witnesses = [_witness(U, y, R, h, delta, off_ball, y_rows) for h in fiber]
     return max(witnesses, key=lambda w: (w.certificate, -w.h_index))
 
 
-def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> ConcentrationWitness:
-    """The witness for probe vector U*(delta_y (x) e_h), given delta = max_x
-    ||chi_B U chi_x|| (which does not depend on h)."""
-    target = U.target
-    probe = int(target.offsets[y]) + h_index
-    v = U.matrix[probe].conj()  # = U* applied to the probe basis vector
+def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float,
+             off_ball: np.ndarray, y_rows: np.ndarray) -> ConcentrationWitness:
+    """The witness for probe vector v = U*(delta_y (x) e_h), given the
+    caller's delta, mask of the coordinates off B and rows of U over y."""
+    v = y_rows[h_index].conj()  # = U* applied to the probe basis vector
     mass = np.add.reduceat(np.abs(v) ** 2, U.source.offsets[:-1])
     if not abs(float(mass.sum()) - 1.0) <= _SLACK:
         raise RuntimeError("probe vector lost normalization")
 
-    B = target.base.ball(y, R)
-    off_ball = ~target.coord_mask(B)
-    n_src = U.source.base.n
-    family = np.zeros((n_src, target.total_dim), dtype=complex)
-    for x in range(n_src):
+    family = np.zeros((U.source.base.n, U.target.total_dim), dtype=complex)
+    for x in range(U.source.base.n):
         sl = U.source.slice_of(x)
         family[x] = U.matrix[:, sl] @ v[sl]
     family *= off_ball[None, :]
@@ -90,44 +91,24 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float) -> 
     if not gap.min() >= -_SLACK:
         raise RuntimeError("per-point corner inequality failed")
 
-    selection = greedy_signs(list(family))
+    selection = greedy_signs(family)
     if not selection.achieved >= (1 - delta**2) - _SLACK:
         raise RuntimeError("sign selection fell short")
 
-    sets = {
-        +1: np.flatnonzero(selection.signs == 1),
-        -1: np.flatnonzero(selection.signs == -1),
-    }
-    not_B = np.setdiff1d(np.arange(target.base.n), B)
-    rows = target.coords_of(not_B)
-    y_cols = np.arange(target.offsets[y], target.offsets[y + 1])
-
-    def corner_value(points) -> float:
-        if points.size == 0 or rows.size == 0:
-            return 0.0
-        cols = U.source.coords_of(points)
-        block = U.matrix[np.ix_(rows, cols)] @ U.matrix[np.ix_(y_cols, cols)].conj().T
-        return spectral_norm(block)
-
-    cert_plus = corner_value(sets[+1])
-    cert_minus = corner_value(sets[-1])
-    if cert_plus >= cert_minus:
-        A, certificate = sets[+1], cert_plus
-    else:
-        A, certificate = sets[-1], cert_minus
+    # ||chi_{Y \ B} U chi_A U* chi_y|| for A the plus and the minus set; an
+    # empty A or an empty Y \ B gives an all-zero or empty block, so 0.0
+    certified = []
+    for A in (np.flatnonzero(selection.signs == 1), np.flatnonzero(selection.signs == -1)):
+        cols = U.source.coords_of(A)
+        block = U.matrix[np.ix_(off_ball, cols)] @ y_rows[:, cols].conj().T
+        certified.append((spectral_norm(block), A))
+    certificate, A = max(certified, key=lambda c: c[0])  # a tie keeps the plus set
 
     bound = 0.5 * float(np.sqrt(max(1.0 - delta**2, 0.0)))
-    degenerate = not_B.size == 0
+    degenerate = not off_ball.any()
     if not degenerate and not certificate >= bound - _SLACK:
         raise RuntimeError("certificate fell below the guaranteed bound")
     return ConcentrationWitness(
-        y=y,
-        R=float(R),
-        delta_actual=delta,
-        A=tuple(int(a) for a in A),
-        certificate=float(certificate),
-        bound=bound,
-        signs=selection.signs,
-        h_index=h_index,
-        degenerate=bool(degenerate),
+        y=y, R=R, delta_actual=delta, A=tuple(int(a) for a in A), certificate=float(certificate),
+        bound=bound, signs=selection.signs, h_index=h_index, degenerate=degenerate,
     )

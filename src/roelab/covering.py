@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap, greedy_net, voronoi_partition
-from .operators import BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm
+from .operators import (
+    UNITARITY_TOL, BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm,
+)
 from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
 from .spaces import check_radius, is_integer, is_real, validate_point
@@ -112,7 +114,6 @@ def covering_unitary(
             dims_t[blk_y] = base_dim
             dims_t[blk_y[:rem]] += 1
         target = FiberedSpace(Y, dims_t)
-        spill = False
     else:
         if target.base != Y:
             raise ValueError("prescribed target space must sit over the map's target space")
@@ -121,13 +122,13 @@ def covering_unitary(
                 f"total dimensions must match to build a unitary: "
                 f"{source.total_dim} != {target.total_dim}"
             )
-        spill = any(
-            int(source.fiber_dims[bx].sum()) != int(target.fiber_dims[by].sum())
-            for bx, by in zip(source_blocks, target_blocks)
-        )
 
-    src_stream = np.concatenate([source.coords_of(blk) for blk in source_blocks])
-    tgt_stream = np.concatenate([target.coords_of(blk) for blk in target_blocks])
+    src_coords = [source.coords_of(blk) for blk in source_blocks]
+    tgt_coords = [target.coords_of(blk) for blk in target_blocks]
+    # a synthesized target balances every block, so only a prescribed one spills
+    spill = any(a.size != b.size for a, b in zip(src_coords, tgt_coords))
+    src_stream = np.concatenate(src_coords)
+    tgt_stream = np.concatenate(tgt_coords)
     assignment = np.zeros(source.total_dim, dtype=np.int64)
     assignment[src_stream] = tgt_stream
 
@@ -225,7 +226,7 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
             E = np.asarray(E, dtype=complex)
             if E.ndim != 2 or E.shape[0] != d:
                 raise ValueError(f"basis at point {x_i} must have {d} rows")
-            if spectral_norm(E.conj().T @ E - np.eye(E.shape[1])) > 1e-9:
+            if spectral_norm(E.conj().T @ E - np.eye(E.shape[1])) > UNITARITY_TOL:
                 raise ValueError(f"basis columns at point {x_i} are not orthonormal")
         spec.append((x_i, E))
     spec.sort(key=lambda item: item[0])

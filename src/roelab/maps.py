@@ -97,16 +97,16 @@ def identity_map(space: FiniteMetricSpace) -> PointMap:
 
 def closeness(f: PointMap, g: PointMap) -> float:
     """sup_x d(f(x), g(x)) for two maps with the same source and target."""
-    if f.source is not g.source and f.source != g.source:
+    if f.source != g.source:
         raise ValueError("closeness needs maps with the same source space")
-    if f.target is not g.target and f.target != g.target:
+    if f.target != g.target:
         raise ValueError("closeness needs maps with the same target space")
     return float(f.target.dist[f.values, g.values].max())
 
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """The composite g o f (apply f first)."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target != g.source:
         raise ValueError("compose: target of the inner map must equal source of the outer map")
     return PointMap(f.source, g.target, g.values[f.values])
 

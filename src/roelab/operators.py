@@ -286,8 +286,6 @@ class BlockOperator:
         """||chi_B T chi_A||, via the submatrix (padding zeros do not matter)."""
         rows = self.target.coords_of(B)
         cols = self.source.coords_of(A)
-        if rows.size == 0 or cols.size == 0:
-            return 0.0
         return spectral_norm(self.matrix[np.ix_(rows, cols)])
 
     def band_truncate(self, R: float) -> "BlockOperator":

@@ -23,7 +23,8 @@ the value.
 Reals: a real number is an ``int``, ``float``, ``np.integer`` or
 ``np.floating`` but not a bool (`is_real`).  Every radius, separation and
 scale in the package is a real number >= 0, infinity included, checked by
-`check_radius`, whose error names the value (NaN, None, a bool, ...); a
+`check_radius`, whose error names the value (NaN, None, a bool, ...); an
+int beyond the float range, such as ``10**400``, reads as infinity.  A
 threshold, such as delta or epsilon, tests `is_real` and its own interval.
 
 JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
@@ -34,6 +35,7 @@ the two.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 
 import numpy as np
@@ -75,10 +77,11 @@ def is_real(value) -> bool:
 
 
 def check_radius(value, what: str) -> float:
-    """A real number >= 0 as a float, named `what` in the error."""
+    """A real number >= 0 as a float (inf for an int beyond the float range),
+    named `what` in the error."""
     if not (is_real(value) and value >= 0):
         raise ValueError(f"{what} must be a real number >= 0, got {value!r}")
-    return float(value)
+    return np.inf if isinstance(value, int) and value > sys.float_info.max else float(value)
 
 
 def validate_points(points, n: int) -> np.ndarray:
@@ -191,7 +194,7 @@ class FiniteMetricSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.dist, other.dist)
+        return self is other or (self.n == other.n and np.array_equal(self.dist, other.dist))
 
     def __repr__(self):
         return f"FiniteMetricSpace(n={self.n}, diameter={self.diameter:g})"

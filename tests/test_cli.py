@@ -98,6 +98,22 @@ def test_cover_halving_map(tmp_path):
     assert saved.exists()
 
 
+def test_refused_cover_writes_no_unitary(tmp_path, capsys):
+    # the plan records separation inf, which JSON cannot hold: the run is
+    # refused before the unitary file is written
+    f = PointMap(path_space(6), path_space(3), [i // 2 for i in range(6)])
+    map_path = tmp_path / "halving.json"
+    save_map(map_path, f)
+    saved = tmp_path / "U.bin"
+    code = run(["cover", "--map", str(map_path), "--separation", "inf",
+                "--save-unitary", str(saved)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "Out of range float values are not JSON compliant: inf"}
+    assert not saved.exists()
+
+
 def test_ql_banded_unitary(tmp_path):
     X = path_space(8)
     fib = FiberedSpace.uniform(X, 1)

@@ -8,8 +8,9 @@ import pytest
 from roelab import concentration
 from roelab.concentration import concentration_witness
 from roelab.extraction import corner_norm_table
-from roelab.fixtures import hadamard_fixture
-from roelab.operators import FiberedSpace, identity_operator, random_band_unitary
+from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
+from roelab.operators import FiberedSpace, identity_operator, random_band_unitary, spectral_norm
+from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import indicator
@@ -148,3 +149,97 @@ def test_sign_selection_shortfall_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="sign selection fell short"):
         concentration_witness(U, 0, 2.0)
+
+
+def reference_witness(U, y, R, h_index=0):
+    """The witness as computed when every probe vector rebuilt the ball,
+    the off-ball coordinates (as a mask and as an index array) and y's
+    columns, and certified the two sign sets through a dict and a closure;
+    the instance checks, which do not change the values, are left out."""
+    delta = float(corner_norm_table(U, R)[y].max())
+    if delta > 1.0 - concentration._UNIT_SNAP:
+        delta = 1.0
+    fiber = range(int(U.target.fiber_dims[y])) if h_index is None else [h_index]
+    witnesses = [_reference_probe(U, y, R, h, delta) for h in fiber]
+    return max(witnesses, key=lambda w: (w.certificate, -w.h_index))
+
+
+def _reference_probe(U, y, R, h_index, delta):
+    target = U.target
+    v = U.matrix[int(target.offsets[y]) + h_index].conj()
+    B = target.base.ball(y, R)
+    off_ball = ~target.coord_mask(B)
+    n_src = U.source.base.n
+    family = np.zeros((n_src, target.total_dim), dtype=complex)
+    for x in range(n_src):
+        sl = U.source.slice_of(x)
+        family[x] = U.matrix[:, sl] @ v[sl]
+    family *= off_ball[None, :]
+    selection = concentration.greedy_signs(list(family))
+    sets = {
+        +1: np.flatnonzero(selection.signs == 1),
+        -1: np.flatnonzero(selection.signs == -1),
+    }
+    not_B = np.setdiff1d(np.arange(target.base.n), B)
+    rows = target.coords_of(not_B)
+    y_cols = np.arange(target.offsets[y], target.offsets[y + 1])
+
+    def corner_value(points) -> float:
+        if points.size == 0 or rows.size == 0:
+            return 0.0
+        cols = U.source.coords_of(points)
+        block = U.matrix[np.ix_(rows, cols)] @ U.matrix[np.ix_(y_cols, cols)].conj().T
+        return spectral_norm(block)
+
+    cert_plus = corner_value(sets[+1])
+    cert_minus = corner_value(sets[-1])
+    if cert_plus >= cert_minus:
+        A, certificate = sets[+1], cert_plus
+    else:
+        A, certificate = sets[-1], cert_minus
+    return concentration.ConcentrationWitness(
+        y=y,
+        R=float(R),
+        delta_actual=delta,
+        A=tuple(int(a) for a in A),
+        certificate=float(certificate),
+        bound=0.5 * float(np.sqrt(max(1.0 - delta**2, 0.0))),
+        signs=selection.signs,
+        h_index=h_index,
+        degenerate=bool(not_B.size == 0),
+    )
+
+
+def _witness_cases():
+    """Band unitaries on paths with mixed 1-3-dim fibers, and noisy covers
+    of the reflection (2-dim fibers) and the identity (3-dim fibers)."""
+    rng = np.random.default_rng(25)
+    for n in (6, 11, 17):
+        for seed in range(2):
+            fib = FiberedSpace(path_space(n), rng.integers(1, 4, size=n))
+            yield random_band_unitary(fib, 2.0, 2, seed=seed)
+    yield noisy_covering_unitary("reflection", 12, 3, fiber_dim=2)[0]
+    yield noisy_covering_unitary("identity", 9, 4, fiber_dim=3)[0]
+
+
+def test_witness_matches_reference():
+    # every y, R in {0, 1, 2, n} (a ball that swallows the space) and both
+    # h_index modes: the hoisted work leaves every witness byte-identical
+    degenerate = 0
+    for U in _witness_cases():
+        n = U.target.base.n
+        for y in range(n):
+            for R in (0, 1, 2, n):
+                for h_index in (None, 0):
+                    w = concentration_witness(U, y, R, h_index)
+                    assert report_bytes(w) == report_bytes(reference_witness(U, y, R, h_index))
+                    degenerate += w.degenerate
+    assert degenerate > 0
+
+
+def test_witness_ties_keep_the_plus_set():
+    # the ball swallows the space, so both sign sets certify 0.0
+    _, U = hadamard_fixture()
+    w = concentration_witness(U, 0, 3.0)
+    assert w.certificate == 0.0
+    assert w.A == tuple(int(a) for a in np.flatnonzero(w.signs == 1))

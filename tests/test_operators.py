@@ -216,6 +216,15 @@ def test_corner_matches_submatrix(rng):
     assert T.corner_norm(B, A) == pytest.approx(spectral_norm(sub), abs=1e-14)
 
 
+def test_corner_norm_of_an_empty_side_is_zero(rng):
+    # the empty corner is spectral_norm's 0.0 for an empty matrix, +0.0 exactly
+    fib = random_fibered(rng, random_graph_space(rng, 5, extra_edges=1))
+    T = random_operator(rng, fib, fib)
+    for B, A in [([], [0, 3]), ([1, 2], []), ([], [])]:
+        value = T.corner_norm(B, A)
+        assert type(value) is float and value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
 def test_band_truncate_error_nonincreasing(rng):
     X = random_graph_space(rng, 8, extra_edges=2)
     fib = random_fibered(rng, X)

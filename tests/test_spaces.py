@@ -58,6 +58,14 @@ def test_edge_list_path_matches_path_space():
     assert X == path_space(5)
 
 
+def test_space_equals_itself_without_comparing_matrices(monkeypatch):
+    # identity comes first, so maps, fibered spaces and operators built on
+    # one space compare without an n x n matrix comparison
+    X = path_space(5)
+    monkeypatch.setattr(spaces.np, "array_equal", lambda *args: pytest.fail("compared matrices"))
+    assert X == X and not X != X
+
+
 def test_edge_list_four_cycle():
     X = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert X.dist[0, 2] == 2
@@ -507,11 +515,13 @@ def test_real_rule_and_radius_check():
     reals = (0, 2, 0.5, -1, np.int8(2), np.uint64(2), np.float32(0.5), float("inf"), float("nan"))
     assert all(is_real(v) for v in reals)
     assert not any(is_real(v) for v in (True, np.True_, None, "1", 1j, np.array([1.0]), [1.0]))
-    radii = [check_radius(v, "r") for v in (0, np.int64(2), np.float32(0.5), float("inf"))]
-    assert radii == [0.0, 2.0, 0.5, float("inf")]
+    # an int beyond the float range reads as infinity
+    radii = [check_radius(v, "r") for v in (0, np.int64(2), np.float32(0.5), float("inf"), 10**400)]
+    assert radii == [0.0, 2.0, 0.5, float("inf"), float("inf")]
     assert {type(r) for r in radii} == {float}
+    assert path_space(3).ball(0, 10**400).tolist() == [0, 1, 2]
     for bad, shown in [(-1, "-1"), (float("nan"), "nan"), (True, "True"), (None, "None"),
-                       ("1", "'1'"), (-float("inf"), "-inf")]:
+                       ("1", "'1'"), (-float("inf"), "-inf"), (-10**400, repr(-10**400))]:
         with pytest.raises(ValueError) as err:
             check_radius(bad, "ball radius")
         assert str(err.value) == f"ball radius must be a real number >= 0, got {shown}"
