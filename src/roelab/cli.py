@@ -8,18 +8,24 @@ stdout, {"error": {"type", "message"}}.  That holds for arguments the
 parser rejects (an unknown subcommand, a missing or mistyped option, an
 unknown choice) and for vacuous or malformed lists (`--seeds` below 1,
 an empty item in `--radius-grid` or `--fibers`) too; only `--help` and
-`--version` print and exit 0.  Each `_cmd_*` returns its results as
-report objects (a report dataclass, or a dict of them), and `main` times
-it and writes the report through `serialize.report_bytes`, with the
-subcommand as `kind` plus every parsed argument except `--out` as its
-scenario.  Every setting is a command-line argument; nothing is read
-from the environment.
+`--version` print and exit 0.  Each `_cmd_*` writes nothing: it returns
+its results as report objects (a report dataclass, or a dict of them)
+and its side files (`cover --save-unitary`, `sweep --csv`) as writers
+by path.  `main` times it, encodes the whole report through
+`serialize.report_bytes`, with the subcommand as `kind` plus every
+parsed argument except `--out` as its scenario, and only then writes
+every file, `--out` included, each under a temporary name beside it;
+all are moved into place once every write has succeeded, so a refused
+run leaves no file.  Every setting is a command-line argument; nothing
+is read from the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 import time
 
@@ -34,7 +40,7 @@ from .fixtures import noisy_covering_unitary
 from .locality import quasi_locality_violation
 from .maps import closeness
 from .operators import FiberedSpace
-from .serialize import load_map, load_space, read_operator, report_bytes, write_operator, write_report
+from .serialize import load_map, load_space, read_operator, report_bytes, write_operator
 
 __all__ = ["main"]
 
@@ -45,8 +51,33 @@ def _load_unitary(args):
     return read_operator(args.unitary, target, source)
 
 
+def _write_bytes(path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _write_all(files: dict) -> None:
+    """Write each file of {path: writer} under a temporary name in its
+    own directory, then move them all into place; when any write fails,
+    none is moved and every temporary file is removed."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    try:
+        for path, write in files.items():
+            try:
+                write(temps[path])
+            except OSError as exc:
+                exc.filename = path  # the error names the file asked for
+                raise
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def _cmd_extract(args):
-    return extract_pair(_load_unitary(args), args.delta)
+    return extract_pair(_load_unitary(args), args.delta), {}
 
 
 def _parse_list(raw: str, option: str) -> list[str]:
@@ -63,7 +94,7 @@ def _parse_fibers(spec: str, n: int) -> np.ndarray:
     return np.full(n, dims[0]) if len(dims) == 1 else np.array(dims)  # FiberedSpace checks the count
 
 
-def _cmd_cover(args) -> dict:
+def _cmd_cover(args) -> tuple[dict, dict]:
     f = load_map(args.map)
     source = FiberedSpace(f.source, _parse_fibers(args.fibers, f.source.n))
     U, plan = covering_unitary(f, source, separation=args.separation)
@@ -72,10 +103,10 @@ def _cmd_cover(args) -> dict:
         "unitarity_residual": U.unitarity_residual(),
         "support_radius": plan.support_radius,
     }
-    report_bytes(results)  # a report JSON cannot hold is refused before the unitary is written
+    files = {}
     if args.save_unitary:
-        write_operator(args.save_unitary, U)
-    return results
+        files[args.save_unitary] = functools.partial(write_operator, op=U)
+    return results, files
 
 
 def _h_index(raw: str):
@@ -85,11 +116,11 @@ def _h_index(raw: str):
 
 def _cmd_witness(args):
     h_index = None if args.h_index == "all" else args.h_index
-    return concentration_witness(_load_unitary(args), args.y, args.radius, h_index)
+    return concentration_witness(_load_unitary(args), args.y, args.radius, h_index), {}
 
 
 def _cmd_ql(args):
-    return quasi_locality_violation(_load_unitary(args), args.radius, mode=args.mode)
+    return quasi_locality_violation(_load_unitary(args), args.radius, mode=args.mode), {}
 
 
 def _parse_grid(raw: str | None):
@@ -100,7 +131,7 @@ def _parse_grid(raw: str | None):
 
 def _cmd_outer(args):
     grid = _parse_grid(args.radius_grid)  # a malformed grid is refused before any file is read
-    return outer_roundtrip(_load_unitary(args), args.delta, grid)
+    return outer_roundtrip(_load_unitary(args), args.delta, grid), {}
 
 
 def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, delta: float) -> dict:
@@ -117,19 +148,19 @@ def _sweep_one(kind: str, n: int, seed: int, noise_radius: float, layers: int, d
     }
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args) -> tuple[dict, dict]:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = [
         _sweep_one(args.h, args.n, s, args.noise_radius, args.layers, args.delta)
         for s in range(args.seeds)
     ]
+    files = {}
     if args.csv:
         keys = ("seed", "R", "closeness_f_h", "closeness_fg", "closeness_gf", "budget")
         lines = [",".join(keys)] + [",".join(format(r[k], ".17g") for k in keys) for r in rows]
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return {"rows": rows}
+        files[args.csv] = functools.partial(_write_bytes, data=("\n".join(lines) + "\n").encode())
+    return {"rows": rows}, files
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,7 +240,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        results = args.func(args)
+        results, files = args.func(args)
         settings = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
         report = {
             "scenario": {"kind": args.command, **settings},
@@ -217,11 +248,14 @@ def main(argv=None) -> int:
             "results": results,
             "timings": {"elapsed_s": time.perf_counter() - t0},
         }
+        payload = report_bytes(report)  # a report JSON cannot hold is refused before any write
         if args.out:
-            write_report(args.out, report)
+            files[args.out] = functools.partial(_write_bytes, data=payload)
+        _write_all(files)
+        if args.out:
             print(f"wrote {args.out}")
         else:
-            sys.stdout.write(report_bytes(report).decode())
+            sys.stdout.write(payload.decode())
     except Exception as exc:  # structured error contract for scripts
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(report_bytes(error).decode())

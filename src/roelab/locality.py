@@ -26,7 +26,11 @@ R = 0).  The attaining pair is the first candidate in ascending bitmask
 order that reaches the maximum; candidates whose largest component is
 the same tie exactly, so the choice does not depend on rounding.
 
-Larger spaces get a certified window.  Its lower member is a seeded
+Larger spaces get a certified window.  The checks come first (one base
+space, R >= 0, a known mode), then the upper member, then the search for
+the lower member, which stops as soon as the best corner it has found
+reaches the upper member: the window is then closed, and a later restart
+could only exceed the bound by rounding.  The lower member is a seeded
 local search that grows separated pairs one point at a time.  Its
 restarts share one state built per call (the far relation d > R, the
 block Frobenius norms and their squares, the separated pairs, each
@@ -336,10 +340,14 @@ def _grow_pair(s: _SearchState, B: list, A: list):
     return value, B, A
 
 
-def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int):
+def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, upper: float = np.inf):
     """Best corner norm the local search reaches from the best separated
     singleton and `restarts` seeded pairs, with its unpruned pair (B, A);
-    (0.0, None) when no start leaves 0."""
+    (0.0, None) when no start leaves 0.
+
+    `upper` is a bound on the violation, the window's upper member.  Once
+    a start reaches it the window is closed, and the remaining starts are
+    skipped: they could only exceed it by rounding."""
     state = _SearchState(T, R)
     pair = _best_singleton(state)[1]
     starts = [] if pair is None else [pair]
@@ -352,13 +360,18 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int):
         value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
             best_value, best_sets = value, (B, A)
+            if best_value >= upper:
+                break
     return best_value, best_sets
 
 
 def _violation(T: BlockOperator, R: float, mode: str):
-    """(value, (B, A) or None) of the named mode, after the checks both
-    public entry points share: one base space, R >= 0, a known mode, and
-    at most EXACT_LIMIT points in exact mode."""
+    """(value, (B, A) or None, upper) of the named mode, after the checks
+    both public entry points share: one base space, R >= 0, a known mode,
+    and at most EXACT_LIMIT points in exact mode.  `upper` bounds the
+    violation: the value itself in exact mode, `_truncation_upper(T, R)`
+    in bounds mode, taken after the checks and before the search, which
+    stops once it reaches it."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -369,9 +382,11 @@ def _violation(T: BlockOperator, R: float, mode: str):
                 f"exact enumeration limited to {EXACT_LIMIT} points (space has {base.n}); "
                 "use mode='bounds'"
             )
-        return _exact_violation(T, R)
+        value, sets = _exact_violation(T, R)
+        return value, sets, value
     if mode == "bounds":
-        return _search_violation(T, R, SEARCH_RESTARTS, 0)
+        upper = _truncation_upper(T, R)
+        return (*_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 
@@ -385,19 +400,20 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     ascending bitmask order attaining the maximum (candidates sharing the
     top component tie exactly).  Mode "bounds" returns the window
     [local-search lower, min(||T - T_R||, ||T||)], with T_R the truncation
-    of T to the band of width R, from SEARCH_RESTARTS seeded restarts.
-    Only here is the pair pruned to a minimal witness, which attains
+    of T to the band of width R: after the input checks it takes the upper
+    member, then runs the search from the best separated singleton and
+    SEARCH_RESTARTS seeded restarts, skipping the rest once the best
+    corner reaches the upper member (a plain >=, no margin).  Only here
+    is the pair pruned to a minimal witness, which attains
     violation_lower.
     """
-    value, sets = _violation(T, R, mode)
-    exact = mode == "exact"
-    # value is an achieved corner norm, so it is always a valid lower bound;
-    # the max() guards the upper member against float dust only
-    upper = value if exact else max(_truncation_upper(T, R), value)
+    value, sets, upper = _violation(T, R, mode)
     witness = None
     if sets is not None and value > _WITNESS_TOL:
         witness = _prune_witness(T, *sets, value)
-    return LocalityReport(float(R), value, upper, exact, witness)
+    # value is an achieved corner norm, so it is always a valid lower bound;
+    # the max() guards the upper member against float dust only
+    return LocalityReport(float(R), value, max(upper, value), mode == "exact", witness)
 
 
 def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
@@ -407,11 +423,17 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     Any violation value is a lower bound (corners over separated pairs
     vanish on banded operators): the exact one up to EXACT_LIMIT points,
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
-    since both the band truncation T_R and 0 are banded.  Only numbers
-    are computed: no report is built and no witness pruned.
+    since both the band truncation T_R and 0 are banded.  The input checks
+    come first; above EXACT_LIMIT the upper bound is taken next and the
+    search stops once it reaches it, while the exact side takes it after
+    the enumeration.  Only numbers are computed: no report is built and
+    no witness pruned.
     """
-    lower = _violation(T, R, "exact" if T.source.base.n <= EXACT_LIMIT else "bounds")[0]
-    return lower, max(_truncation_upper(T, R), lower)
+    exact = T.source.base.n <= EXACT_LIMIT
+    lower, _, upper = _violation(T, R, "exact" if exact else "bounds")
+    if exact:  # the exact violation bounds the violation only, not the distance
+        upper = _truncation_upper(T, R)
+    return lower, max(upper, lower)
 
 
 def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:

@@ -9,8 +9,9 @@ import pytest
 
 from roelab.cli import _build_parser, main
 from roelab.concentration import concentration_witness
+from roelab.covering import covering_unitary
 from roelab.extraction import extract_pair
-from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
+from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
 from roelab.maps import PointMap, closeness
 from roelab.operators import FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes, save_map, save_space, write_operator
@@ -524,3 +525,46 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # the scenario records noise_radius inf, which JSON cannot hold
+    pytest.param(["sweep", "--h", "identity", "--n", "4", "--seeds", "1", "--noise-radius", "inf",
+                  "--csv", "{dir}/s.csv"],
+                 {"type": "ValueError", "message": "Out of range float values are not JSON compliant: inf"},
+                 id="sweep-csv"),
+    pytest.param(["cover", "--map", "{dir}/map.json", "--save-unitary", "{dir}/U.bin",
+                  "--out", "{dir}/missing/r.json"],
+                 {"type": "FileNotFoundError",
+                  "message": "[Errno 2] No such file or directory: '{dir}/missing/r.json'"},
+                 id="cover-unwritable-out"),
+    pytest.param(["sweep", "--h", "identity", "--n", "4", "--seeds", "1", "--csv", "{dir}/missing/s.csv",
+                  "--out", "{dir}/r.json"],
+                 {"type": "FileNotFoundError",
+                  "message": "[Errno 2] No such file or directory: '{dir}/missing/s.csv'"},
+                 id="sweep-unwritable-csv"),
+])
+def test_refused_run_leaves_no_file(argv, error, tmp_path, capsys):
+    save_map(tmp_path / "map.json", standard_pair("identity", 4)[0])
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {k: v.format(dir=tmp_path) for k, v in error.items()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json"]
+
+
+def test_side_files_keep_their_bytes(tmp_path):
+    f = standard_pair("reflection", 8)[0]
+    save_map(tmp_path / "map.json", f)
+    assert run(["cover", "--map", str(tmp_path / "map.json"), "--fibers", "2",
+                "--save-unitary", str(tmp_path / "U.bin"), "--out", str(tmp_path / "cover.json")]) == 0
+    write_operator(tmp_path / "expected.bin", covering_unitary(f, FiberedSpace.uniform(f.source, 2))[0])
+    assert (tmp_path / "U.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
+    assert run(["sweep", "--h", "reflection", "--n", "8", "--seeds", "3",
+                "--csv", str(tmp_path / "s.csv"), "--out", str(tmp_path / "sweep.json")]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())["results"]["rows"]
+    keys = ("seed", "R", "closeness_f_h", "closeness_fg", "closeness_gf", "budget")
+    expected = ",".join(keys) + "\n" + "".join(
+        ",".join(format(row[k], ".17g") for k in keys) + "\n" for row in rows)
+    assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "U.bin", "cover.json", "expected.bin", "map.json", "s.csv", "sweep.json"]

@@ -17,7 +17,14 @@ from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, s
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
-from conftest import random_fibered, random_graph_space, random_operator
+from conftest import (
+    cycle_space,
+    grid_space,
+    random_fibered,
+    random_graph_space,
+    random_operator,
+    tree_space,
+)
 
 
 def naive_violation(T, R):
@@ -544,3 +551,115 @@ def test_truncation_upper_takes_the_norm_only_when_it_can_matter(monkeypatch, ki
     assert locality._truncation_upper(T, 3.0) == expected
     assert len(taken) == norms_taken
     assert (tail < 1.0) == (kind == "band")
+
+
+def _assert_stop_rule_sound(T, R, restarts, seed):
+    """The search stopped at the window's upper member returns what the
+    full search does, or a value that reaches the upper member and is at
+    most the full search's; either way its pair attains its value."""
+    upper = locality._truncation_upper(T, R)
+    early = locality._search_violation(T, R, restarts, seed, upper)
+    full = locality._search_violation(T, R, restarts, seed, np.inf)
+    assert early == full or upper <= early[0] <= full[0]
+    if early[1] is not None:
+        assert T.corner_norm(*early[1]) == early[0]
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "faint"]))
+def test_stop_rule_matches_full_search(seed, kind):
+    T, R = _search_input(seed, kind)
+    _assert_stop_rule_sound(T, R, 8, seed)
+
+
+@pytest.mark.parametrize("kind", ["band", "reflection"])
+def test_stop_rule_matches_full_search_on_a_60_point_path(kind):
+    rng = np.random.default_rng(60)
+    fib = FiberedSpace(path_space(60), rng.integers(1, 3, size=60))
+    if kind == "band":
+        T = random_band_unitary(fib, 1.0, 4, seed=11)
+    else:
+        W, _ = covering_unitary(fixtures.standard_pair("reflection", 60)[0], fib)
+        T = W @ random_band_unitary(fib, 2.0, 1, seed=12)
+    for R in (1.0, 3.0):
+        _assert_stop_rule_sound(T, R, locality.SEARCH_RESTARTS, 0)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["cycle", "grid", "tree", "graph"]),
+    kind=st.sampled_from(["dense", "band", "permuted band"]),
+)
+def test_stop_rule_matches_full_search_on_graph_spaces(seed, shape, kind):
+    rng = np.random.default_rng(seed)
+    X = {
+        "cycle": lambda: cycle_space(rng, int(rng.integers(3, 30))),
+        "grid": lambda: grid_space(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6))),
+        "tree": lambda: tree_space(rng, int(rng.integers(2, 30))),
+        "graph": lambda: random_graph_space(rng, int(rng.integers(2, 30)), int(rng.integers(0, 4))),
+    }[shape]()
+    fib = random_fibered(rng, X, max_dim=2)
+    if kind == "dense":
+        T = random_operator(rng, fib, fib)
+    else:
+        T = random_band_unitary(fib, 1.0, int(rng.integers(1, 4)), seed)
+        if kind == "permuted band":  # far from banded: corners saturate at 1
+            T = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)]) @ T
+    R = float(rng.integers(0, max(1, int(X.diameter))))
+    _assert_stop_rule_sound(T, R, 8, seed)
+
+
+def _count_grows(monkeypatch):
+    grows = []
+    real = locality._grow_pair
+    monkeypatch.setattr(locality, "_grow_pair", lambda s, B, A: grows.append(1) or real(s, B, A))
+    return grows
+
+
+def test_closed_window_skips_the_remaining_restarts(monkeypatch):
+    U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
+    grows = _count_grows(monkeypatch)
+    report = quasi_locality_violation(U, 3.0, mode="bounds")
+    assert report.violation_lower == report.violation_upper
+    assert 0 < len(grows) < locality.SEARCH_RESTARTS + 1
+
+
+def test_open_window_runs_every_restart(monkeypatch):
+    rng = np.random.default_rng(0)
+    fib = FiberedSpace.uniform(path_space(30), 1)
+    T = random_operator(rng, fib, fib)
+    grows = _count_grows(monkeypatch)
+    report = quasi_locality_violation(T, 2.0, mode="bounds")
+    assert report.violation_lower < 0.9 * report.violation_upper
+    assert len(grows) == locality.SEARCH_RESTARTS + 1
+
+
+def _two_base_operator():
+    source, target = FiberedSpace.uniform(path_space(20), 1), FiberedSpace.uniform(path_space(10), 1)
+    return BlockOperator(source, target, np.ones((10, 20), dtype=complex))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda T: quasi_locality_violation(T, -1.0, mode="bounds"),
+                 "separation radius must be a real number >= 0, got -1.0", id="bounds-negative-R"),
+    pytest.param(lambda T: quasi_locality_violation(T, 1.0, mode="sideways"),
+                 "unknown mode 'sideways'; expected 'exact' or 'bounds'", id="unknown-mode"),
+    pytest.param(lambda T: quasi_locality_violation(_two_base_operator(), 1.0, mode="bounds"),
+                 "quasi-locality needs an operator over a single base space", id="bounds-two-bases"),
+    pytest.param(lambda T: approximability_window(T, -1.0),
+                 "separation radius must be a real number >= 0, got -1.0", id="window-negative-R"),
+    pytest.param(lambda T: approximability_window(_two_base_operator(), 1.0),
+                 "quasi-locality needs an operator over a single base space", id="window-two-bases"),
+])
+def test_refused_call_takes_no_norm(monkeypatch, call, message):
+    # the checks come before the window's upper member, whose band
+    # truncation would otherwise refuse a negative R under another name
+    T = random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 1.0, 2, seed=0)
+    norms = []
+    monkeypatch.setattr(operators, "spectral_norm", lambda mat: norms.append(1) or spectral_norm(mat))
+    monkeypatch.setattr(locality, "spectral_norm", lambda mat: norms.append(1) or spectral_norm(mat))
+    with pytest.raises(ValueError) as err:
+        call(T)
+    assert str(err.value) == message
+    assert norms == []
