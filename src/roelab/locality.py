@@ -8,7 +8,9 @@ it suffices to enumerate sets B that are closed under
 
     B  |->  X \\ N_R(X \\ N_R(B)),
 
-which shrinks the candidate list far below 2^n.  Each corner is split
+which shrinks the candidate list far below 2^n; the closed sets are
+marked in a 2^n boolean table, so they come out in ascending bitmask
+order without sorting or hashing.  Each corner is split
 before anything is decomposed.  A row block of B with no nonzero block
 into A, or a column block of A with none from B, does not change the
 singular values, and what is left is block-diagonal over the connected
@@ -23,14 +25,20 @@ spectral_norm call per stack.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (62 norms instead of 65,534 corners for a 16-point band unitary at
 R = 0).  The attaining pair is the first candidate in ascending bitmask
-order that reaches the maximum; candidates whose largest component is
-the same tie exactly, so the choice does not depend on rounding.
+order that reaches the maximum, the lowest one holding a component that
+attains it; candidates whose largest component is the same tie exactly,
+so the choice does not depend on rounding.
 
 Larger spaces get a certified window.  The checks come first (one base
 space, R >= 0, a known mode), then the upper member, then the search for
-the lower member, which stops as soon as the best corner it has found
-reaches the upper member: the window is then closed, and a later restart
-could only exceed the bound by rounding.  The lower member is a seeded
+the lower member.  An upper member of exactly 0 (T banded at R) skips the
+search: the SVD resolves any nonzero entry, so every separated corner is
+0.  Otherwise the search stops as soon as the best corner v it has found
+satisfies v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
+1e-12 that also guards the upper member's own min: every corner is at
+most the violation, which is at most the upper member, so a skipped
+start could raise the lower member by at most the margin plus rounding.
+The lower member is still a corner that was found.  It is a seeded
 local search that grows separated pairs one point at a time.  Its
 restarts share one state built per call (the far relation d > R, the
 block Frobenius norms and their squares, the separated pairs, each
@@ -75,6 +83,9 @@ __all__ = [
 EXACT_LIMIT = 16
 SEARCH_RESTARTS = 50
 _WITNESS_TOL = 1e-12
+# relative rounding margin of a comparison between two separately rounded
+# norms: an SVD value is accurate to a few ulps, far inside it
+_ROUNDING_MARGIN = 1e-12
 # rounding allowance of a screened squared corner norm per unit of its Gram
 # trace; the trace is at least the top eigenvalue, and the gap between the
 # screened value and the exact corner norm squared stays below 6 eps per
@@ -162,8 +173,9 @@ def _exact_violation(T: BlockOperator, R: float):
     nbhd = _mask_table(base.dist <= R)  # nbhd[mask] is the bitmask of N_R(mask)
 
     allowed = full & ~nbhd[1:]  # largest A for each nonempty B
-    closures = full & ~nbhd[allowed[allowed != 0]]  # closed B with the same A
-    b_masks = np.unique(closures)
+    closed = np.zeros(1 << n, dtype=bool)  # the closed B with the same A, in ascending order
+    closed[full & ~nbhd[allowed[allowed != 0]]] = True
+    b_masks = np.flatnonzero(closed).astype(np.uint32)
     a_masks = full & ~nbhd[b_masks]
     live = (b_masks != 0) & (a_masks != 0)
     b_masks, a_masks = b_masks[live], a_masks[live]
@@ -194,17 +206,16 @@ def _exact_violation(T: BlockOperator, R: float):
             r = np.nonzero(b_rows[chunk])[1].reshape(-1, rows, 1)
             c = np.nonzero(a_cols[chunk])[1].reshape(-1, 1, cols)
             norms[chunk] = spectral_norm(T.matrix[r, c])
-    # a corner is block-diagonal over its components, so its norm is their max
-    values = np.zeros(b_masks.size)
-    np.maximum.at(values, owner, norms[inverse])
-
-    # the first maximum in ascending mask order, as a strict-> scan finds it
-    if values.size == 0 or not values.max() > 0:
+    # a corner is block-diagonal over its components, so its norm is their
+    # max; the first maximum in ascending mask order, as a strict-> scan
+    # finds it, is the lowest candidate holding a component that attains it
+    top = norms.max(initial=0.0)  # entries are finite, so norms are finite and >= 0
+    if top == 0.0:
         return 0.0, None
-    k = int(np.argmax(values))
+    k = int(owner[norms[inverse] == top].min())
     B = list(np.flatnonzero(b_masks[k] & weights))
     A = list(np.flatnonzero(a_masks[k] & weights))
-    return float(values[k]), (B, A)
+    return float(top), (B, A)
 
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
@@ -212,9 +223,9 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
     distance from T to the operators with propagation <= R.
 
     ||T|| is taken only when ||T - T_R|| is not clearly below a lower
-    bound of ||T||; the 1e-12 margin keeps rounding from flipping the min."""
+    bound of ||T||; _ROUNDING_MARGIN keeps rounding from flipping the min."""
     tail = (T - T.band_truncate(R)).norm()
-    if tail < (1 - 1e-12) * T.norm_lower_bound():
+    if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail
     return min(tail, T.norm())
 
@@ -346,8 +357,10 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
     (0.0, None) when no start leaves 0.
 
     `upper` is a bound on the violation, the window's upper member.  Once
-    a start reaches it the window is closed, and the remaining starts are
-    skipped: they could only exceed it by rounding."""
+    a start reaches (1 - _ROUNDING_MARGIN) * upper the window is closed up
+    to rounding, and the remaining starts are skipped: every corner is at
+    most the violation, so they could raise the value by at most the
+    margin plus rounding."""
     state = _SearchState(T, R)
     pair = _best_singleton(state)[1]
     starts = [] if pair is None else [pair]
@@ -360,7 +373,7 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
         value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
             best_value, best_sets = value, (B, A)
-            if best_value >= upper:
+            if best_value >= (1 - _ROUNDING_MARGIN) * upper:
                 break
     return best_value, best_sets
 
@@ -371,7 +384,8 @@ def _violation(T: BlockOperator, R: float, mode: str):
     and at most EXACT_LIMIT points in exact mode.  `upper` bounds the
     violation: the value itself in exact mode, `_truncation_upper(T, R)`
     in bounds mode, taken after the checks and before the search, which
-    stops once it reaches it."""
+    is skipped when it is 0 and otherwise stops once it reaches it up to
+    _ROUNDING_MARGIN."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -386,6 +400,8 @@ def _violation(T: BlockOperator, R: float, mode: str):
         return value, sets, value
     if mode == "bounds":
         upper = _truncation_upper(T, R)
+        if upper == 0.0:  # the SVD resolves any nonzero entry: every separated corner is 0
+            return 0.0, None, 0.0
         return (*_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
@@ -403,7 +419,8 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     of T to the band of width R: after the input checks it takes the upper
     member, then runs the search from the best separated singleton and
     SEARCH_RESTARTS seeded restarts, skipping the rest once the best
-    corner reaches the upper member (a plain >=, no margin).  Only here
+    corner reaches the upper member up to the relative rounding margin
+    1e-12 (no search at all when the upper member is 0).  Only here
     is the pair pruned to a minimal witness, which attains
     violation_lower.
     """
@@ -425,9 +442,10 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
     since both the band truncation T_R and 0 are banded.  The input checks
     come first; above EXACT_LIMIT the upper bound is taken next and the
-    search stops once it reaches it, while the exact side takes it after
-    the enumeration.  Only numbers are computed: no report is built and
-    no witness pruned.
+    search stops once it reaches it up to the relative rounding margin
+    1e-12 (or is skipped when it is 0), while the exact side takes it
+    after the enumeration.  Only numbers are computed: no report is built
+    and no witness pruned.
     """
     exact = T.source.base.n <= EXACT_LIMIT
     lower, _, upper = _violation(T, R, "exact" if exact else "bounds")

@@ -555,12 +555,14 @@ def test_truncation_upper_takes_the_norm_only_when_it_can_matter(monkeypatch, ki
 
 def _assert_stop_rule_sound(T, R, restarts, seed):
     """The search stopped at the window's upper member returns what the
-    full search does, or a value that reaches the upper member and is at
-    most the full search's; either way its pair attains its value."""
+    full search does, or a value that reaches the upper member up to the
+    rounding margin and is at most the full search's; either way its pair
+    attains its value."""
     upper = locality._truncation_upper(T, R)
     early = locality._search_violation(T, R, restarts, seed, upper)
     full = locality._search_violation(T, R, restarts, seed, np.inf)
-    assert early == full or upper <= early[0] <= full[0]
+    margin = locality._ROUNDING_MARGIN
+    assert early == full or (1 - margin) * upper <= early[0] <= full[0]
     if early[1] is not None:
         assert T.corner_norm(*early[1]) == early[0]
 
@@ -621,8 +623,44 @@ def test_closed_window_skips_the_remaining_restarts(monkeypatch):
     U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
     grows = _count_grows(monkeypatch)
     report = quasi_locality_violation(U, 3.0, mode="bounds")
-    assert report.violation_lower == report.violation_upper
-    assert 0 < len(grows) < locality.SEARCH_RESTARTS + 1
+    assert report.violation_lower >= (1 - locality._ROUNDING_MARGIN) * report.violation_upper
+    assert len(grows) == 1
+
+
+def test_window_closed_up_to_rounding_stops_after_the_first_start(monkeypatch):
+    # every start's best corner stays an ulp or two below the upper member
+    # (||U|| = 1.0000000000000007 with one BLAS thread), which a plain >=
+    # never reaches; the upper member itself is unchanged
+    U, _, _ = noisy_covering_unitary("reflection", 120, 1, 2.0, 1)
+    tail = spectral_norm((U - U.band_truncate(3.0)).matrix)
+    grows = _count_grows(monkeypatch)
+    report = quasi_locality_violation(U, 3.0, mode="bounds")
+    assert len(grows) == 1
+    assert report.violation_upper == min(tail, spectral_norm(U.matrix))
+    assert (1 - locality._ROUNDING_MARGIN) * report.violation_upper <= report.violation_lower
+    assert report.violation_lower < report.violation_upper
+
+
+@pytest.mark.parametrize("R", [4.0, 6.0])
+def test_banded_operator_skips_the_search(monkeypatch, R):
+    # propagation 4: the upper member ||T - T_R|| is exactly 0
+    T = random_band_unitary(FiberedSpace.uniform(path_space(150), 1), 1.0, 4, seed=3)
+    grows = _count_grows(monkeypatch)
+    report = quasi_locality_violation(T, R, mode="bounds")
+    assert (report.violation_lower, report.violation_upper, report.witness) == (0.0, 0.0, None)
+    assert grows == []
+
+
+def test_tiniest_tail_still_runs_the_search(monkeypatch):
+    # one separated entry of 5e-324: the upper member reads it, so it is not 0
+    fib = FiberedSpace.uniform(path_space(20), 1)
+    matrix = np.eye(20, dtype=complex)
+    matrix[0, 19] = 5e-324
+    T = BlockOperator(fib, fib, matrix)
+    grows = _count_grows(monkeypatch)
+    report = quasi_locality_violation(T, 3.0, mode="bounds")
+    assert report.violation_upper == 5e-324
+    assert grows
 
 
 def test_open_window_runs_every_restart(monkeypatch):
