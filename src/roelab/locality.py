@@ -17,17 +17,21 @@ singular values, and what is left is block-diagonal over the connected
 components of the bipartite graph of nonzero blocks, so ||chi_B T chi_A||
 is the largest norm among its components.  Nonzero blocks are read
 exactly, from the entries (a block of 1e-170 counts; its squared
-Frobenius norm would not).  Every candidate's components are labelled
-at once by bitmask propagation over two 2^n reach tables; candidates
-share components, so only the distinct ones are normed, gathered by
-shape into (k, rows, cols) stacks of at most STACK_BYTES bytes, one
+Frobenius norm would not), once per operator
+(`BlockOperator.nonzero_blocks`), so a radius grid reads one table.
+Every candidate's components are labelled at once by bitmask
+propagation over two 2^n reach tables; candidates share components, so
+only the distinct ones are normed, deduplicated by one `np.unique` of
+their (rows, cols) keys without an inverse map, and gathered by shape
+into (k, rows, cols) stacks of at most STACK_BYTES bytes, one
 spectral_norm call per stack.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (62 norms instead of 65,534 corners for a 16-point band unitary at
 R = 0).  The attaining pair is the first candidate in ascending bitmask
 order that reaches the maximum, the lowest one holding a component that
-attains it; candidates whose largest component is the same tie exactly,
-so the choice does not depend on rounding.
+attains it, read as the smallest owner of a key among the top
+components; candidates whose largest component is the same tie
+exactly, so the choice does not depend on rounding.
 
 Larger spaces get a certified window.  The checks come first (one base
 space, R >= 0, a known mode), then the upper member, then the search for
@@ -52,7 +56,9 @@ Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
 never exceed T.  Both also bound the distance from T to the operators
-with propagation <= R, since T_R and 0 are such operators.  ||T|| is
+with propagation <= R, since T_R and 0 are such operators.  T - T_R is
+built as one operator from T's matrix, without T_R or a map, and
+`supported_distance_upper` builds its tail the same way.  ||T|| is
 taken only when ||T - T_R|| is not clearly below T's largest column
 norm, a lower bound of ||T||.
 
@@ -180,15 +186,13 @@ def _exact_violation(T: BlockOperator, R: float):
     live = (b_masks != 0) & (a_masks != 0)
     b_masks, a_masks = b_masks[live], a_masks[live]
 
-    # blocks that hold a nonzero entry, decided on the entries themselves:
-    # squared Frobenius norms underflow to 0 below about 1e-154
-    nonzero = np.logical_or.reduceat(T.matrix != 0, T.target.offsets[:-1], axis=0)
-    nonzero = np.logical_or.reduceat(nonzero, T.source.offsets[:-1], axis=1)
+    nonzero = T.nonzero_blocks()
     owner, comp_rows, comp_cols = _components(
         b_masks, a_masks, _mask_table(nonzero), _mask_table(nonzero.T)
     )
     # candidates share components: each distinct one is normed once
-    comps, inverse = np.unique(comp_rows << np.uint32(n) | comp_cols, return_inverse=True)
+    keys = comp_rows << np.uint32(n) | comp_cols
+    comps = np.unique(keys)
     b_rows = ((comps[:, None] >> np.uint32(n)) & weights[T.target.coord_point]) != 0
     a_cols = (comps[:, None] & weights[T.source.coord_point]) != 0
 
@@ -212,10 +216,21 @@ def _exact_violation(T: BlockOperator, R: float):
     top = norms.max(initial=0.0)  # entries are finite, so norms are finite and >= 0
     if top == 0.0:
         return 0.0, None
-    k = int(owner[norms[inverse] == top].min())
+    k = int(owner[np.isin(keys, comps[norms == top])].min())
     B = list(np.flatnonzero(b_masks[k] & weights))
     A = list(np.flatnonzero(a_masks[k] & weights))
     return float(top), (B, A)
+
+
+def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
+    """||T - T_keep||, with T_keep the blocks (y, x) of T where keep[y, x]
+    holds and zero blocks elsewhere.  One operator is built, the tail;
+    its matrix is M - M * mask, the arithmetic of `supported_mask` and
+    the operator difference, so every entry, signed zeros included, is
+    that of T - T_keep.  (A copy `np.where(~mask, M, 0)` differs in the
+    sign of a zero real part, which moves the SVD by an ulp now and then.)"""
+    mask = keep[np.ix_(T.target.coord_point, T.source.coord_point)]
+    return BlockOperator(T.source, T.target, T.matrix - T.matrix * mask).norm()
 
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
@@ -223,8 +238,12 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
     distance from T to the operators with propagation <= R.
 
     ||T|| is taken only when ||T - T_R|| is not clearly below a lower
-    bound of ||T||; _ROUNDING_MARGIN keeps rounding from flipping the min."""
-    tail = (T - T.band_truncate(R)).norm()
+    bound of ||T||; _ROUNDING_MARGIN keeps rounding from flipping the min.
+    Both are full SVDs, whose last bits depend on the BLAS thread count
+    (a 120-point reflection cover reads 1.0000000000000007 with one
+    thread and 1.0000000000000004 with two), so a bounds report is
+    byte-stable at a fixed thread count."""
+    tail = _tail_norm(T, T.source.base.dist <= R)
     if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail
     return min(tail, T.norm())
@@ -462,4 +481,4 @@ def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
     """
     if f.source != T.source.base or f.target != T.target.base:
         raise ValueError("map must go from the operator's source base to its target base")
-    return (T - T.supported_mask(f.values, R)).norm()
+    return _tail_norm(T, T.target.base.dist[:, f.values] <= check_radius(R, "support radius"))

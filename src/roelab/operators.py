@@ -26,7 +26,11 @@ is this kernel at ball masks.  It and the quasi-locality screen build
 their own Gram stacks and take the tops through `gram_top`, in closed
 form for d < 3.  One byte budget, `STACK_BYTES` (2 MiB), caps each
 batched stack: the kernel's Gram chunks and the exact quasi-locality
-enumeration's stacks of equal-shape corners.
+enumeration's stacks of equal-shape corners.  The kernel's column parts
+do not depend on the mask: the d = 1 parts and the single-stack d = 2
+parts are kept on the operator, so a radius scan gathers them once.
+Like the nonzero-block table of the exact enumeration
+(`BlockOperator.nonzero_blocks`), they are never handed to an adjoint.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -188,6 +192,9 @@ class BlockOperator:
         self._norm = None
         self._residual = None
         self._unitary = None  # outcome of the unitarity check, once decided
+        # per-operator tables that do not depend on a radius; an adjoint starts without them
+        self._nonzero_blocks = None
+        self._corner_parts = {}  # fiber dimension -> `_corner_parts` of its whole group
 
     @classmethod
     def from_blocks(cls, source: FiberedSpace, target: FiberedSpace, blocks: dict) -> "BlockOperator":
@@ -248,6 +255,18 @@ class BlockOperator:
         """T's largest column norm max_j ||T e_j||, a lower bound of
         ||T|| that takes no decomposition; 0 for an empty matrix."""
         return float(np.linalg.norm(self.matrix, axis=0).max(initial=0.0))
+
+    def nonzero_blocks(self) -> np.ndarray:
+        """(n_target, n_source) boolean array, True where block (y, x)
+        holds a nonzero entry.  Decided on the entries themselves: a block
+        of 1e-170 counts, though its squared Frobenius norm underflows to
+        0.  Computed once per operator and stored, read-only."""
+        if self._nonzero_blocks is None:
+            nonzero = np.logical_or.reduceat(self.matrix != 0, self.target.offsets[:-1], axis=0)
+            nonzero = np.logical_or.reduceat(nonzero, self.source.offsets[:-1], axis=1)
+            nonzero.setflags(write=False)
+            self._nonzero_blocks = nonzero
+        return self._nonzero_blocks
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array."""
@@ -360,6 +379,34 @@ def check_unitary(U: BlockOperator) -> None:
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
 
+def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
+    """What `corner_norms` multiplies its mask into for source points of
+    fiber dimension d, gathered with `np.take`: the squared column moduli
+    (rows, k) for d = 1, the four real columns |c0|^2, |c1|^2, Re and Im
+    of conj(c1) c0 as (rows, k, 4) for d = 2, the column outer products
+    (rows, k, d, d) for d >= 3.  None of it depends on the mask."""
+    offsets = U.source.offsets[points]
+    if d == 1:
+        cols = np.take(U.matrix, offsets, axis=1)
+        return cols.real**2 + cols.imag**2
+    cols = np.take(U.matrix, offsets[:, None] + np.arange(d), axis=1)  # (rows, k, d)
+    if d == 2:
+        c0, c1 = cols[..., 0], cols[..., 1]
+        cross = c1.conj() * c0
+        return np.stack((c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1)
+    return cols.conj()[..., :, None] * cols[..., None, :]  # C order
+
+
+def _kept_corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
+    """`_corner_parts` of U's whole group of fiber dimension d, built on
+    first use and kept on U, read-only."""
+    if d not in U._corner_parts:
+        parts = _corner_parts(U, points, d)
+        parts.setflags(write=False)
+        U._corner_parts[d] = parts
+    return U._corner_parts[d]
+
+
 def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
     given by the rows of a boolean (k, n_target) mask.
@@ -375,6 +422,11 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     d-dim stacks are built in chunks of source points of at most
     `STACK_BYTES` each.  Entries equal the per-point
     computation up to summation order (a few ulps).
+
+    The column parts (`_corner_parts`) do not depend on the mask, so a
+    radius scan builds them once: the d = 1 parts, and the d = 2 parts
+    of a group that fits one chunk (at most 1 MiB), are kept on U.
+    Chunked groups and d >= 3 are rebuilt per call, chunk by chunk.
     """
     source = U.source
     mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
@@ -382,26 +434,22 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
         if d == 1:
-            cols = U.matrix[:, source.offsets[points]]
-            out[:, points] = np.sqrt(mask @ (cols.real**2 + cols.imag**2))
+            out[:, points] = np.sqrt(mask @ _kept_corner_parts(U, points, d))
             continue
         per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
         step = max(1, STACK_BYTES // per_point)
-        for chunk in np.array_split(points, -(-points.size // step)):
-            idx = source.offsets[chunk][:, None] + np.arange(d)
-            cols = np.ascontiguousarray(U.matrix[:, idx])  # (rows, k, d)
+        chunks = np.array_split(points, -(-points.size // step))
+        for chunk in chunks:
+            if d == 2 and len(chunks) == 1:
+                parts = _kept_corner_parts(U, chunk, d)
+            else:
+                parts = _corner_parts(U, chunk, d)
             if d == 2:
-                c0, c1 = cols[..., 0], cols[..., 1]
-                cross = c1.conj() * c0
-                parts = np.stack(
-                    (c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1
-                )  # (rows, k, 4)
                 sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
                 top = _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
             else:
-                prods = cols.conj()[..., :, None] * cols[..., None, :]  # (rows, k, d, d), C order
                 # a real product on the interleaved (re, im) pairs: the mask is real
-                grams = (mask @ prods.reshape(len(prods), -1).view(float)).view(complex)
+                grams = (mask @ parts.reshape(len(parts), -1).view(float)).view(complex)
                 top = gram_top(grams.reshape(len(rows), chunk.size, d, d))
             out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
     return out

@@ -372,3 +372,24 @@ def test_unitarity_check_still_refuses_with_the_exact_residual(monkeypatch):
     with pytest.raises(ValueError, match=r"not unitary: residual 2e-09 > 1e-09"):
         extract_pair(U, 0.5)
     assert decompositions == [U.matrix.shape]
+
+
+@pytest.mark.parametrize("dims", ["1", "2", "3", "mixed"])
+def test_tables_of_a_radius_scan_equal_a_fresh_operators(dims):
+    # the column parts kept on an operator give the tables a fresh operator
+    # computes, at every radius of a scan in either direction, and a mask
+    # tall enough to split a kept group into chunks rebuilds it chunk by chunk
+    rng = np.random.default_rng(int(dims) if dims.isdigit() else 4)
+    X = random_graph_space(rng, 10, extra_edges=2)
+    if dims == "mixed":  # every dimension 1, 2, 3 at least three times
+        source = FiberedSpace(X, rng.permutation(np.arange(X.n) % 3 + 1))
+    else:
+        source = FiberedSpace.uniform(X, int(dims))
+    U = random_operator(rng, source, random_fibered(rng, X, 3))
+    radii = [0.0, *X.realized_distances()]
+    for R in radii + radii[::-1]:
+        fresh = BlockOperator(U.source, U.target, U.matrix)
+        assert corner_norm_table(U, R).tobytes() == corner_norm_table(fresh, R).tobytes()
+    tall = rng.random((5000, X.n)) < 0.5
+    fresh = BlockOperator(U.source, U.target, U.matrix)
+    assert operators.corner_norms(U, tall).tobytes() == operators.corner_norms(fresh, tall).tobytes()

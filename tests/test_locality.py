@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from roelab import fixtures, locality, operators
 from roelab.covering import covering_unitary, outer_roundtrip
+from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
@@ -701,3 +702,151 @@ def test_refused_call_takes_no_norm(monkeypatch, call, message):
         call(T)
     assert str(err.value) == message
     assert norms == []
+
+
+def _signed_zero_operator(rng, X, square):
+    """A random operator on a mixed fibration of X (into another one unless
+    square) with entries of -0.0 (in either part and in both) and 5e-324
+    sprinkled in.  A -0.0 real part beside a negative imaginary one is
+    where a masked copy `np.where(~mask, M, 0)` would differ from M - M *
+    mask: there the difference keeps -0.0, and a square tail's SVD then
+    reflects the other way."""
+    source = random_fibered(rng, X, max_dim=3)
+    T = random_operator(rng, source, source if square else random_fibered(rng, X, max_dim=3))
+    mat = np.array(T.matrix)
+    pick = rng.random(mat.shape)
+    mat.real[pick < 0.5] = -0.0
+    mat.imag[(pick > 0.4) & (pick < 0.6)] = -0.0
+    mat[(pick > 0.6) & (pick < 0.7)] = complex(5e-324, -5e-324)
+    mat[(pick > 0.7) & (pick < 0.75)] = complex(-0.0, -0.0)
+    return BlockOperator(T.source, T.target, mat)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "grid", "tree", "graph"])
+def test_tails_equal_the_operator_differences_bit_for_bit(shape):
+    # the tail is built as one operator, M - M * mask; the difference of
+    # two operators, T - T_R or T - M_R(T), is what it replaces
+    rng = np.random.default_rng(len(shape))
+    X = {
+        "cycle": lambda: cycle_space(rng, 9),
+        "grid": lambda: grid_space(rng, 3, 4),
+        "tree": lambda: tree_space(rng, 10),
+        "graph": lambda: random_graph_space(rng, 9, extra_edges=2),
+    }[shape]()
+    for square in (True, True, True, True, False):
+        T = _signed_zero_operator(rng, X, square)
+        f = PointMap(X, X, rng.integers(0, X.n, size=X.n))
+        for R in (0.0, 1.0, 2.0, 5.0, X.diameter):
+            tail = (T - T.band_truncate(R)).norm()
+            expected = tail if tail < (1 - locality._ROUNDING_MARGIN) * T.norm_lower_bound() else min(tail, T.norm())
+            assert locality._truncation_upper(T, R) == expected
+            assert supported_distance_upper(T, f, R) == (T - T.supported_mask(f.values, R)).norm()
+
+
+def reference_owner_rule(T, R):
+    """The exact violation with the owner rule of an inverse map: every
+    component label is mapped back to its distinct component through
+    `np.unique(..., return_inverse=True)`, and the pair is that of the
+    smallest owner of a label whose component attains the maximum.  The
+    blocks are tested entry by entry and each distinct component is normed
+    alone.  Returns (value, (B, A) or None, number of attaining candidates)."""
+    base = T.source.base
+    n = base.n
+    full = np.uint32((1 << n) - 1)
+    weights = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    nbhd = locality._mask_table(base.dist <= R)
+    allowed = full & ~nbhd[1:]
+    closed = np.zeros(1 << n, dtype=bool)
+    closed[full & ~nbhd[allowed[allowed != 0]]] = True
+    b_masks = np.flatnonzero(closed).astype(np.uint32)
+    a_masks = full & ~nbhd[b_masks]
+    live = (b_masks != 0) & (a_masks != 0)
+    b_masks, a_masks = b_masks[live], a_masks[live]
+    nonzero = np.array([[(T.block(y, x) != 0).any() for x in range(n)] for y in range(n)])
+    owner, rows, cols = locality._components(
+        b_masks, a_masks, locality._mask_table(nonzero), locality._mask_table(nonzero.T)
+    )
+    comps, inverse = np.unique(rows << np.uint32(n) | cols, return_inverse=True)
+
+    def points(mask):
+        return [int(p) for p in np.flatnonzero(mask & weights)]
+
+    norms = np.array([
+        spectral_norm(T.matrix[np.ix_(T.target.coords_of(points(c >> np.uint32(n))), T.source.coords_of(points(c)))])
+        for c in comps
+    ])
+    top = norms.max(initial=0.0)
+    if top == 0.0:
+        return 0.0, None, 0
+    attaining = owner[norms[inverse] == top]
+    k = int(attaining.min())
+    return float(top), (points(b_masks[k]), points(a_masks[k])), np.unique(attaining).size
+
+
+def _tie_heavy_operators():
+    for kind in ("identity", "reflection"):
+        for n in (8, 12, 16):
+            for layers in (0, 1):
+                yield noisy_covering_unitary(kind, n, n, 2.0, layers, fiber_dim=2)[0]
+    yield random_band_unitary(FiberedSpace.uniform(path_space(16), 2), 2.0, 1, seed=3)
+    rng = np.random.default_rng(16)
+    fib = random_fibered(rng, random_graph_space(rng, 10, extra_edges=2), max_dim=2)
+    yield BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
+
+
+def test_witness_is_the_lowest_owner_of_a_top_component():
+    tied = cases = 0
+    for T in _tie_heavy_operators():
+        for R in (0.0, 1.0, 2.0, 3.0):
+            value, sets = locality._exact_violation(T, R)
+            ref_value, ref_sets, attaining = reference_owner_rule(T, R)
+            assert value == ref_value
+            assert (None if sets is None else tuple(list(map(int, s)) for s in sets)) == ref_sets
+            cases += 1
+            tied += attaining > 1
+    assert cases == 4 * 14 and tied >= cases // 2  # most inputs tie
+
+
+def test_adjoint_inherits_no_table():
+    # T's nonzero-block table and corner parts describe T, not T*: the
+    # adjoint of a used operator reads like a fresh T*
+    rng = np.random.default_rng(31)
+    X = random_graph_space(rng, 9, extra_edges=2)
+    T = random_operator(rng, random_fibered(rng, X, max_dim=3), random_fibered(rng, X, max_dim=3))
+    blocks = rng.random((X.n, X.n)) < 0.4  # a block pattern unlike its transpose
+    assert not np.array_equal(blocks, blocks.T)
+    T = BlockOperator(T.source, T.target, T.matrix * blocks[np.ix_(T.target.coord_point, T.source.coord_point)])
+    radii = [0.0, 1.0, 2.0, 3.0]
+    for R in radii:
+        locality._exact_violation(T, R)
+        corner_norm_table(T, R)
+    adj = T.adjoint()
+    fresh = BlockOperator(T.target, T.source, T.matrix.conj().T)
+    for R in radii:
+        assert locality._exact_violation(adj, R) == locality._exact_violation(fresh, R)
+        assert corner_norm_table(adj, R).tobytes() == corner_norm_table(fresh, R).tobytes()
+    assert np.array_equal(adj.nonzero_blocks(), fresh.nonzero_blocks())
+
+
+def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
+    calls = []
+
+    class Counting:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def reduceat(self, *args, **kwargs):
+            calls.append(1)
+            return self.ufunc.reduceat(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+    monkeypatch.setattr(np, "logical_or", Counting(np.logical_or))
+    U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
+    report = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
+    assert len(report.windows) == 4
+    assert len(calls) == 2  # one table of UW*: a reduction over rows, then over columns

@@ -235,6 +235,82 @@ def test_private_import_lint_finds_imports_wrapped_over_lines():
     assert _private_imports("m.py", text) == ["m.py:2 _gram_top_2x2", "m.py:6 _TIE_TOL"]
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_attribute_homes(trees):
+    """Each private name with the modules that define it: a def or class
+    of that name anywhere, an assignment through self or cls, or an
+    assignment at module or class level."""
+    homes = {}
+    for name, tree in trees.items():
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        defined = [
+            node.id
+            for scope in scopes
+            for node in scope.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for node in _assigned_names(node)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif (
+                isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            ):
+                defined.append(node.attr)
+        for attr in filter(_is_private, defined):
+            homes.setdefault(attr, set()).add(name)
+    return homes
+
+
+def _foreign_private_attributes(texts):
+    # `name._attr` with name other than self or cls, where _attr is defined
+    # in some module of the package but not in this one
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    homes = _private_attribute_homes(trees)
+    return sorted(
+        (name, node.lineno, f"{node.value.id}.{node.attr}")
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id not in ("self", "cls") and _is_private(node.attr)
+        and name not in homes.get(node.attr, {name})
+    )
+
+
+def test_no_module_touches_another_modules_private_attributes():
+    # what a module keeps on its objects (cached norms, residuals, tables)
+    # stays behind that module's own functions and methods
+    package = Path(roelab.__file__).parent
+    texts = {str(path.relative_to(package)): path.read_text() for path in sorted(package.rglob("*.py"))}
+    assert _foreign_private_attributes(texts) == []
+
+
+def test_private_attribute_lint_finds_a_foreign_access():
+    texts = {
+        "a.py": (
+            "class A:\n"
+            "    def __init__(self):\n"
+            "        self._cache = {}\n"
+            "    def _build(self):\n"
+            "        return self._cache\n"
+            "def use(a):\n"
+            "    return a._cache, a._build()\n"
+        ),
+        "b.py": (
+            "def peek(a):\n"
+            "    a._cache.clear()\n"
+            "    return (\n        a._build(), a._local, a.__class__, a._nowhere\n    )\n"
+            "class B:\n"
+            "    _local = 1\n"
+        ),
+    }
+    assert _foreign_private_attributes(texts) == [("b.py", 2, "a._cache"), ("b.py", 4, "a._build")]
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check the package relies
     # on raises an exception instead
