@@ -13,11 +13,12 @@ its results as report objects (a report dataclass, or a dict of them)
 and its side files (`cover --save-unitary`, `sweep --csv`) as writers
 by path.  `main` times it, encodes the whole report through
 `serialize.report_bytes`, with the subcommand as `kind` plus every
-parsed argument except `--out` as its scenario, and only then writes
-every file, `--out` included, each under a temporary name beside it;
-all are moved into place once every write has succeeded, so a refused
-run leaves no file.  Every setting is a command-line argument; nothing
-is read from the environment.
+parsed argument except `--out` as its scenario, refuses two outputs
+that resolve to one path, and only then writes every file, `--out`
+included, each under a temporary name beside it; all are moved into
+place once every write has succeeded, so a refused run leaves no file.
+Every setting is a command-line argument; nothing is read from the
+environment.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ def _write_all(files: dict) -> None:
         for temp in temps.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
+
+
+def _check_distinct(paths) -> None:
+    """Refuse two outputs that name one file, `./X` and `X` included:
+    the second writer would replace the first."""
+    seen = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs name the same file: {seen[real]!r} and {path!r}")
+        seen[real] = path
 
 
 def _cmd_extract(args):
@@ -249,6 +261,7 @@ def main(argv=None) -> int:
             "timings": {"elapsed_s": time.perf_counter() - t0},
         }
         payload = report_bytes(report)  # a report JSON cannot hold is refused before any write
+        _check_distinct([*files, args.out] if args.out else files)
         if args.out:
             files[args.out] = functools.partial(_write_bytes, data=payload)
         _write_all(files)

@@ -30,7 +30,9 @@ enumeration's stacks of equal-shape corners.  The kernel's column parts
 do not depend on the mask: the d = 1 parts and the single-stack d = 2
 parts are kept on the operator, so a radius scan gathers them once.
 Like the nonzero-block table of the exact enumeration
-(`BlockOperator.nonzero_blocks`), they are never handed to an adjoint.
+(`BlockOperator.nonzero_blocks`) and its two reach tables
+(`BlockOperator.reach_tables`, built by `mask_table`), they are never
+handed to an adjoint.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -52,6 +54,7 @@ __all__ = [
     "corner_norms",
     "gram_top",
     "identity_operator",
+    "mask_table",
     "random_band_unitary",
     "spectral_norm",
 ]
@@ -194,6 +197,7 @@ class BlockOperator:
         self._unitary = None  # outcome of the unitarity check, once decided
         # per-operator tables that do not depend on a radius; an adjoint starts without them
         self._nonzero_blocks = None
+        self._reach_tables = None
         self._corner_parts = {}  # fiber dimension -> `_corner_parts` of its whole group
 
     @classmethod
@@ -267,6 +271,20 @@ class BlockOperator:
             nonzero.setflags(write=False)
             self._nonzero_blocks = nonzero
         return self._nonzero_blocks
+
+    def reach_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols_of, rows_of), the `mask_table`s of `nonzero_blocks` and of
+        its transpose: cols_of[rows] is the bitmask of the source points
+        that a target point of the bitmask rows reaches by a nonzero
+        block, rows_of[cols] the converse.  Computed once per operator and
+        stored, read-only."""
+        if self._reach_tables is None:
+            nonzero = self.nonzero_blocks()
+            tables = (mask_table(nonzero), mask_table(nonzero.T))
+            for table in tables:
+                table.setflags(write=False)
+            self._reach_tables = tables
+        return self._reach_tables
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array."""
@@ -354,6 +372,18 @@ class BlockOperator:
             f"{self.target.base.n}x{self.target.fiber_dims.max()}, "
             f"total {self.matrix.shape[1]} -> {self.matrix.shape[0]})"
         )
+
+
+def mask_table(rel: np.ndarray) -> np.ndarray:
+    """table[mask] is the bitmask of {j : rel[i, j] for some i in mask}, for
+    every mask below 2^n, n = rel.shape[0]: a mask in [2^i, 2^(i+1)) is
+    point i together with a mask below 2^i."""
+    bits = np.uint32(1) << np.arange(rel.shape[1], dtype=np.uint32)
+    row = np.where(rel, bits, np.uint32(0)).sum(axis=1, dtype=np.uint32)
+    table = np.zeros(1 << rel.shape[0], dtype=np.uint32)
+    for i in range(rel.shape[0]):
+        table[1 << i : 1 << (i + 1)] = table[: 1 << i] | row[i]
+    return table
 
 
 def check_unitary(U: BlockOperator) -> None:

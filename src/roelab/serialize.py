@@ -21,17 +21,19 @@ Writing is bit-exact: reading back yields the identical matrix, signed
 zeros included.  A file that ends inside the header or the payload is
 refused with a message saying where.
 
-Reports: `report_bytes` encodes a report dataclass as the dict of its
-fields by name, so a field's name is its report key.  A map inside a
-report is its table (``[0, 0, 1]``, not the file form with embedded
-spaces), numpy arrays and scalars become lists and numbers, and a
-`witness` is ``{"A", "B"}`` or null.  Anything else json does not know
-is a TypeError.
+Reports: `report_bytes` encodes a report as one line of JSON with
+sorted keys; space and map files go through it too (`write_report`).
+A report dataclass is the dict of its fields by name, so a field's name
+is its report key.  A map inside a report is its table (``[0, 0, 1]``,
+not the file form with embedded spaces), numpy arrays and scalars
+become lists and numbers, and a `witness` is ``{"A", "B"}`` or null.
+Anything else json does not know is a TypeError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import fields, is_dataclass
 
@@ -191,15 +193,41 @@ def _array_in_list(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _first_non_finite(value):
+    """The first NaN or infinity in `_plain` output, in json's order
+    (sorted keys, arrays inside lists read as lists), or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else value
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    elif isinstance(value, dict):
+        value = [value[key] for key in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            found = _first_non_finite(item)
+            if found is not None:
+                return found
+    return None
+
+
 def report_bytes(data) -> bytes:
     """Canonical JSON bytes of a report (a dict or a report dataclass):
-    sorted keys, fixed indentation, trailing newline.
+    sorted keys, one line, trailing newline.  Without indentation json
+    takes its C encoder.
 
-    ValueError on a NaN or infinite number, which JSON cannot represent;
-    TypeError on an object that is not a report value (module docstring).
+    ValueError on a NaN or infinite number, which JSON cannot represent,
+    ending with the number (": inf"); TypeError on an object that is not
+    a report value (module docstring).
     """
-    text = json.dumps(_plain(data), sort_keys=True, indent=2, allow_nan=False,
-                      default=_array_in_list)
+    plain = _plain(data)
+    try:
+        text = json.dumps(plain, sort_keys=True, allow_nan=False, default=_array_in_list)
+    except ValueError as exc:
+        # the C encoder's message leaves out the number; walked on refusal only
+        found = _first_non_finite(plain)
+        if found is None:
+            raise
+        raise ValueError(f"Out of range float values are not JSON compliant: {found!r}") from exc
     return (text + "\n").encode()
 
 

@@ -287,6 +287,14 @@ def test_report_keys(command, command_argv, capsys):
             {"seed", "R", "closeness_f_h", "budget", "closeness_fg", "closeness_gf"})}
 
 
+@pytest.mark.parametrize("command", ["extract", "cover", "witness", "ql", "outer", "sweep"])
+def test_report_is_one_line_and_reencodes_to_itself(command, command_argv, capsys):
+    assert run(command_argv[command]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.endswith(b"\n") and out.count(b"\n") == 1
+    assert report_bytes(json.loads(out)) == out
+
+
 @pytest.mark.parametrize("command", ["extract", "sweep"])
 def test_repeated_run_identical_apart_from_timings(command, command_argv, tmp_path):
     reports = []
@@ -568,3 +576,25 @@ def test_side_files_keep_their_bytes(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == expected.encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "U.bin", "cover.json", "expected.bin", "map.json", "s.csv", "sweep.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--h", "identity", "--n", "4", "--seeds", "1", "--csv", "same.out",
+                  "--out", "same.out"], id="sweep-csv"),
+    pytest.param(["sweep", "--h", "identity", "--n", "4", "--seeds", "1", "--csv", "./same.out",
+                  "--out", "same.out"], id="sweep-csv-dot"),
+    pytest.param(["cover", "--map", "map.json", "--save-unitary", "same.out", "--out", "same.out"],
+                 id="cover-unitary"),
+    pytest.param(["cover", "--map", "map.json", "--save-unitary", "same.out",
+                  "--out", "sub/../same.out"], id="cover-unitary-dotdot"),
+])
+def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    save_map(tmp_path / "map.json", standard_pair("identity", 4)[0])
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    side = argv[argv.index("--out") - 1]
+    assert err == {"type": "ValueError",
+                   "message": f"two outputs name the same file: {side!r} and {argv[-1]!r}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "sub"]

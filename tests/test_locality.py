@@ -14,7 +14,7 @@ from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
-from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, spectral_norm
+from roelab.operators import BlockOperator, FiberedSpace, mask_table, random_band_unitary, spectral_norm
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
@@ -754,7 +754,7 @@ def reference_owner_rule(T, R):
     n = base.n
     full = np.uint32((1 << n) - 1)
     weights = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    nbhd = locality._mask_table(base.dist <= R)
+    nbhd = mask_table(base.dist <= R)
     allowed = full & ~nbhd[1:]
     closed = np.zeros(1 << n, dtype=bool)
     closed[full & ~nbhd[allowed[allowed != 0]]] = True
@@ -764,7 +764,7 @@ def reference_owner_rule(T, R):
     b_masks, a_masks = b_masks[live], a_masks[live]
     nonzero = np.array([[(T.block(y, x) != 0).any() for x in range(n)] for y in range(n)])
     owner, rows, cols = locality._components(
-        b_masks, a_masks, locality._mask_table(nonzero), locality._mask_table(nonzero.T)
+        b_masks, a_masks, mask_table(nonzero), mask_table(nonzero.T)
     )
     comps, inverse = np.unique(rows << np.uint32(n) | cols, return_inverse=True)
 
@@ -826,6 +826,8 @@ def test_adjoint_inherits_no_table():
         assert locality._exact_violation(adj, R) == locality._exact_violation(fresh, R)
         assert corner_norm_table(adj, R).tobytes() == corner_norm_table(fresh, R).tobytes()
     assert np.array_equal(adj.nonzero_blocks(), fresh.nonzero_blocks())
+    for table, expected in zip(adj.reach_tables(), fresh.reach_tables()):
+        assert np.array_equal(table, expected)
 
 
 def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
@@ -850,3 +852,16 @@ def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
     report = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
     assert len(report.windows) == 4
     assert len(calls) == 2  # one table of UW*: a reduction over rows, then over columns
+
+
+def test_outer_grid_builds_the_reach_tables_once(monkeypatch):
+    # the two reach tables depend on the operator only; the neighborhood
+    # table depends on R and is built at every radius
+    reach, nbhd = [], []
+    monkeypatch.setattr(operators, "mask_table", lambda rel: reach.append(1) or mask_table(rel))
+    monkeypatch.setattr(locality, "mask_table", lambda rel: nbhd.append(1) or mask_table(rel))
+    U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
+    report = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
+    assert len(report.windows) == 4
+    assert len(reach) == 2  # the nonzero-block table of UW* and its transpose
+    assert len(nbhd) == 4

@@ -8,6 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from roelab import serialize
+from roelab.covering import covering_unitary
+from roelab.fixtures import standard_pair
 from roelab.maps import PointMap
 from roelab.operators import BlockOperator, FiberedSpace
 from roelab.serialize import (
@@ -296,3 +299,30 @@ def test_report_bytes_rejects_non_finite(value, tmp_path):
     with pytest.raises(ValueError):
         write_report(path, {"x": value})
     assert not path.exists()
+
+
+@dataclasses.dataclass
+class _Values:
+    values: list
+
+
+@pytest.mark.parametrize("data, number", [
+    pytest.param({"results": _Values([1.0, float("inf")])}, "inf", id="list-in-dataclass"),
+    pytest.param({"a": 1.0, "b": float("nan")}, "nan", id="dict-value"),
+    pytest.param({"blocks": [np.array([0.5]), np.array([1.0, -np.inf])]}, "-inf", id="array-in-list"),
+    pytest.param({"b": float("inf"), "a": [float("nan")]}, "nan", id="first-by-sorted-key"),
+])
+def test_refusal_names_the_first_non_finite_number(data, number):
+    with pytest.raises(ValueError) as refused:
+        report_bytes(data)
+    assert str(refused.value) == f"Out of range float values are not JSON compliant: {number}"
+
+
+def test_plan_report_is_json_without_indentation():
+    # a plan's blocks are arrays inside lists, reached through json's fallback
+    f = standard_pair("halving", 4)[0]
+    plan = covering_unitary(f, FiberedSpace.uniform(f.source, 2))[1]
+    assert any(isinstance(block, np.ndarray) for block in plan.source_blocks)
+    expected = json.dumps(serialize._plain(plan), sort_keys=True, allow_nan=False,
+                          default=lambda value: value.tolist()) + "\n"
+    assert report_bytes(plan) == expected.encode()
