@@ -17,12 +17,11 @@ singular values, and what is left is block-diagonal over the connected
 components of the bipartite graph of nonzero blocks, so ||chi_B T chi_A||
 is the largest norm among its components.  Nonzero blocks are read
 exactly, from the entries (a block of 1e-170 counts; its squared
-Frobenius norm would not), once per operator
-(`BlockOperator.nonzero_blocks`), so a radius grid reads one table.
-Every candidate's components are labelled at once by bitmask
-propagation over the operator's two 2^n reach tables
-(`BlockOperator.reach_tables`), built once per operator as well;
-candidates share components, so
+Frobenius norm would not).  Every candidate's components are labelled
+at once by bitmask propagation over the operator's two 2^n reach tables
+(`_reach_tables`, from the nonzero blocks by `_mask_table`), which depend
+on the operator only: they are kept on it (`BlockOperator.derived`), so a
+radius grid builds them once.  Candidates share components, so
 only the distinct ones are normed, deduplicated by one `np.unique` of
 their (rows, cols) keys without an inverse map, and gathered by shape
 into (k, rows, cols) stacks of at most STACK_BYTES bytes, one
@@ -77,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap
-from .operators import STACK_BYTES, BlockOperator, gram_top, mask_table, spectral_norm
+from .operators import STACK_BYTES, BlockOperator, gram_top, spectral_norm
 from .spaces import check_radius
 
 __all__ = [
@@ -131,6 +130,28 @@ def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> Witness:
     return Witness(tuple(int(a) for a in A), tuple(int(b) for b in B))
 
 
+def _mask_table(rel: np.ndarray) -> np.ndarray:
+    """table[mask] is the bitmask of {j : rel[i, j] for some i in mask}, for
+    every mask below 2^n, n = rel.shape[0]: a mask in [2^i, 2^(i+1)) is
+    point i together with a mask below 2^i."""
+    bits = np.uint32(1) << np.arange(rel.shape[1], dtype=np.uint32)
+    row = np.where(rel, bits, np.uint32(0)).sum(axis=1, dtype=np.uint32)
+    table = np.zeros(1 << rel.shape[0], dtype=np.uint32)
+    for i in range(rel.shape[0]):
+        table[1 << i : 1 << (i + 1)] = table[: 1 << i] | row[i]
+    return table
+
+
+def _reach_tables(T: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(cols_of, rows_of): cols_of[rows] is the bitmask of the source points
+    that a target point of the bitmask rows reaches by a nonzero block,
+    rows_of[cols] the converse.  A block is nonzero when one of its
+    entries is: a block of 1e-170 counts."""
+    nonzero = np.logical_or.reduceat(T.matrix != 0, T.target.offsets[:-1], axis=0)
+    nonzero = np.logical_or.reduceat(nonzero, T.source.offsets[:-1], axis=1)
+    return _mask_table(nonzero), _mask_table(nonzero.T)
+
+
 def _components(b_masks, a_masks, cols_of, rows_of):
     """Connected components of the nonzero-block graph of every corner
     B x A, as (owner, rows, cols): component rows and columns as point
@@ -166,7 +187,7 @@ def _exact_violation(T: BlockOperator, R: float):
     n = base.n
     full = np.uint32((1 << n) - 1)
     weights = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    nbhd = mask_table(base.dist <= R)  # nbhd[mask] is the bitmask of N_R(mask)
+    nbhd = _mask_table(base.dist <= R)  # nbhd[mask] is the bitmask of N_R(mask)
 
     allowed = full & ~nbhd[1:]  # largest A for each nonempty B
     closed = np.zeros(1 << n, dtype=bool)  # the closed B with the same A, in ascending order
@@ -176,7 +197,7 @@ def _exact_violation(T: BlockOperator, R: float):
     live = (b_masks != 0) & (a_masks != 0)
     b_masks, a_masks = b_masks[live], a_masks[live]
 
-    owner, comp_rows, comp_cols = _components(b_masks, a_masks, *T.reach_tables())
+    owner, comp_rows, comp_cols = _components(b_masks, a_masks, *T.derived(_reach_tables))
     # candidates share components: each distinct one is normed once
     keys = comp_rows << np.uint32(n) | comp_cols
     comps = np.unique(keys)

@@ -27,12 +27,15 @@ their own Gram stacks and take the tops through `gram_top`, in closed
 form for d < 3.  One byte budget, `STACK_BYTES` (2 MiB), caps each
 batched stack: the kernel's Gram chunks and the exact quasi-locality
 enumeration's stacks of equal-shape corners.  The kernel's column parts
-do not depend on the mask: the d = 1 parts and the single-stack d = 2
-parts are kept on the operator, so a radius scan gathers them once.
-Like the nonzero-block table of the exact enumeration
-(`BlockOperator.nonzero_blocks`) and its two reach tables
-(`BlockOperator.reach_tables`, built by `mask_table`), they are never
-handed to an adjoint.
+do not depend on the mask: the d = 1 parts and the parts of a group
+that fits one stack are kept on the operator, so a radius scan gathers
+them once.
+
+What is derived from an operator alone is kept on it by one accessor,
+`BlockOperator.derived`: the norm, the unitarity residual and outcome,
+the corner parts, and the exact quasi-locality enumeration's tables
+(built in `locality`).  An adjoint inherits only the residual and the
+unitarity outcome, which are the same for T and T*.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -54,7 +57,6 @@ __all__ = [
     "corner_norms",
     "gram_top",
     "identity_operator",
-    "mask_table",
     "random_band_unitary",
     "spectral_norm",
 ]
@@ -190,15 +192,9 @@ class BlockOperator:
             raise ValueError("operator entries must be finite and below 1e150 in modulus")
         self.source = source
         self.target = target
-        self.matrix = matrix  # a private copy, so the cached norm and residual stay valid
+        self.matrix = matrix  # a private copy, so what `derived` keeps stays valid
         self.matrix.setflags(write=False)
-        self._norm = None
-        self._residual = None
-        self._unitary = None  # outcome of the unitarity check, once decided
-        # per-operator tables that do not depend on a radius; an adjoint starts without them
-        self._nonzero_blocks = None
-        self._reach_tables = None
-        self._corner_parts = {}  # fiber dimension -> `_corner_parts` of its whole group
+        self._derived = {}  # (build, *args) -> build(self, *args)
 
     @classmethod
     def from_blocks(cls, source: FiberedSpace, target: FiberedSpace, blocks: dict) -> "BlockOperator":
@@ -219,9 +215,22 @@ class BlockOperator:
     def adjoint(self) -> "BlockOperator":
         adj = BlockOperator(self.target, self.source, self.matrix.conj().T)
         # the residual, and for square T the Frobenius bound, are symmetric under adjoints
-        adj._residual = self._residual
-        adj._unitary = self._unitary
+        adj._derived = {key: value for key, value in self._derived.items() if key[0] in _ADJOINT_INVARIANT}
         return adj
+
+    def derived(self, build, *args):
+        """build(self, *args), computed on first use for each (build, args)
+        and kept on the operator; an array in it, or in a tuple it returns,
+        is made read-only.  `build` is a module-level function and the
+        value depends on the operator alone, never on a radius or a mask."""
+        key = (build, *args)
+        if key not in self._derived:
+            value = build(self, *args)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            self._derived[key] = value
+        return self._derived[key]
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
@@ -251,40 +260,12 @@ class BlockOperator:
 
     def norm(self) -> float:
         """Spectral norm, computed once per operator and stored."""
-        if self._norm is None:
-            self._norm = spectral_norm(self.matrix)
-        return self._norm
+        return self.derived(_norm)
 
     def norm_lower_bound(self) -> float:
         """T's largest column norm max_j ||T e_j||, a lower bound of
         ||T|| that takes no decomposition; 0 for an empty matrix."""
         return float(np.linalg.norm(self.matrix, axis=0).max(initial=0.0))
-
-    def nonzero_blocks(self) -> np.ndarray:
-        """(n_target, n_source) boolean array, True where block (y, x)
-        holds a nonzero entry.  Decided on the entries themselves: a block
-        of 1e-170 counts, though its squared Frobenius norm underflows to
-        0.  Computed once per operator and stored, read-only."""
-        if self._nonzero_blocks is None:
-            nonzero = np.logical_or.reduceat(self.matrix != 0, self.target.offsets[:-1], axis=0)
-            nonzero = np.logical_or.reduceat(nonzero, self.source.offsets[:-1], axis=1)
-            nonzero.setflags(write=False)
-            self._nonzero_blocks = nonzero
-        return self._nonzero_blocks
-
-    def reach_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols_of, rows_of), the `mask_table`s of `nonzero_blocks` and of
-        its transpose: cols_of[rows] is the bitmask of the source points
-        that a target point of the bitmask rows reaches by a nonzero
-        block, rows_of[cols] the converse.  Computed once per operator and
-        stored, read-only."""
-        if self._reach_tables is None:
-            nonzero = self.nonzero_blocks()
-            tables = (mask_table(nonzero), mask_table(nonzero.T))
-            for table in tables:
-                table.setflags(write=False)
-            self._reach_tables = tables
-        return self._reach_tables
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array."""
@@ -360,11 +341,7 @@ class BlockOperator:
         report prints; `check_unitary` computes it only when a Frobenius
         bound cannot decide.  Computed once per operator and stored.
         """
-        if self._residual is None:
-            rows, cols = self.matrix.shape
-            residual = float(np.abs(np.linalg.eigvalsh(self._gram_minus_identity())).max())
-            self._residual = residual if rows == cols else max(residual, 1.0)
-        return self._residual
+        return self.derived(_residual)
 
     def __repr__(self):
         return (
@@ -374,16 +351,28 @@ class BlockOperator:
         )
 
 
-def mask_table(rel: np.ndarray) -> np.ndarray:
-    """table[mask] is the bitmask of {j : rel[i, j] for some i in mask}, for
-    every mask below 2^n, n = rel.shape[0]: a mask in [2^i, 2^(i+1)) is
-    point i together with a mask below 2^i."""
-    bits = np.uint32(1) << np.arange(rel.shape[1], dtype=np.uint32)
-    row = np.where(rel, bits, np.uint32(0)).sum(axis=1, dtype=np.uint32)
-    table = np.zeros(1 << rel.shape[0], dtype=np.uint32)
-    for i in range(rel.shape[0]):
-        table[1 << i : 1 << (i + 1)] = table[: 1 << i] | row[i]
-    return table
+def _norm(T: BlockOperator) -> float:
+    return spectral_norm(T.matrix)
+
+
+def _residual(T: BlockOperator) -> float:
+    rows, cols = T.matrix.shape
+    residual = float(np.abs(np.linalg.eigvalsh(T._gram_minus_identity())).max())
+    return residual if rows == cols else max(residual, 1.0)
+
+
+def _unitary(U: BlockOperator) -> bool:
+    """Outcome of `check_unitary`: the Frobenius bound for a square U
+    whose residual is not stored yet, the exact residual otherwise."""
+    if U.matrix.shape[0] == U.matrix.shape[1] and (_residual,) not in U._derived:
+        gram = U._gram_minus_identity()
+        if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
+            return True
+    return U.unitarity_residual() <= UNITARITY_TOL
+
+
+# what an adjoint inherits: T and T* have the same residual and unitarity outcome
+_ADJOINT_INVARIANT = (_residual, _unitary)
 
 
 def check_unitary(U: BlockOperator) -> None:
@@ -397,14 +386,7 @@ def check_unitary(U: BlockOperator) -> None:
     `unitarity_residual`, which the error reports.  Decided once per
     operator and stored; an adjoint shares the outcome.
     """
-    if U._unitary is None:
-        rows, cols = U.matrix.shape
-        passes = False
-        if U._residual is None and rows == cols:
-            gram = U._gram_minus_identity()
-            passes = bool(np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL)
-        U._unitary = passes or U.unitarity_residual() <= UNITARITY_TOL
-    if not U._unitary:
+    if not U.derived(_unitary):
         residual = U.unitarity_residual()
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
@@ -427,14 +409,9 @@ def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
     return cols.conj()[..., :, None] * cols[..., None, :]  # C order
 
 
-def _kept_corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
-    """`_corner_parts` of U's whole group of fiber dimension d, built on
-    first use and kept on U, read-only."""
-    if d not in U._corner_parts:
-        parts = _corner_parts(U, points, d)
-        parts.setflags(write=False)
-        U._corner_parts[d] = parts
-    return U._corner_parts[d]
+def _group_parts(U: BlockOperator, d: int) -> np.ndarray:
+    """`_corner_parts` of U's whole group of fiber dimension d."""
+    return _corner_parts(U, np.flatnonzero(U.source.fiber_dims == d), d)
 
 
 def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
@@ -454,9 +431,9 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     computation up to summation order (a few ulps).
 
     The column parts (`_corner_parts`) do not depend on the mask, so a
-    radius scan builds them once: the d = 1 parts, and the d = 2 parts
-    of a group that fits one chunk (at most 1 MiB), are kept on U.
-    Chunked groups and d >= 3 are rebuilt per call, chunk by chunk.
+    radius scan builds them once: the d = 1 parts, and the parts of a
+    group that fits one chunk, are kept on U (`BlockOperator.derived`).
+    Chunked groups are rebuilt per call, chunk by chunk.
     """
     source = U.source
     mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
@@ -464,16 +441,13 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
         if d == 1:
-            out[:, points] = np.sqrt(mask @ _kept_corner_parts(U, points, d))
+            out[:, points] = np.sqrt(mask @ U.derived(_group_parts, d))
             continue
         per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
         step = max(1, STACK_BYTES // per_point)
         chunks = np.array_split(points, -(-points.size // step))
         for chunk in chunks:
-            if d == 2 and len(chunks) == 1:
-                parts = _kept_corner_parts(U, chunk, d)
-            else:
-                parts = _corner_parts(U, chunk, d)
+            parts = U.derived(_group_parts, d) if len(chunks) == 1 else _corner_parts(U, chunk, d)
             if d == 2:
                 sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
                 top = _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))

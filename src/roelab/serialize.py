@@ -9,7 +9,8 @@ Binary operator layout (all integers little-endian uint32, floats
 little-endian float64):
 
     bytes 0..6   magic "ROELAB1"
-    byte  7      flags; bit 0 set means source and target differ
+    byte  7      flags; bit 0 set means source and target differ, and
+                 no other bit may be set
     uint32       n_target, then n_target fiber dimensions
     [uint32      n_source, then n_source fiber dimensions]   (flag bit 0)
     payload      blocks in row-major point order (y outer, x inner), each
@@ -19,7 +20,8 @@ The metric itself is not stored; readers supply the base space(s), and
 the fiber dimensions recorded in the file must match their point counts.
 Writing is bit-exact: reading back yields the identical matrix, signed
 zeros included.  A file that ends inside the header or the payload is
-refused with a message saying where.
+refused with a message saying where, and one whose flags byte sets any
+bit but bit 0 with a message naming the byte.
 
 Reports: `report_bytes` encodes a report as one line of JSON with
 sorted keys; space and map files go through it too (`write_report`).
@@ -33,7 +35,6 @@ Anything else json does not know is a TypeError.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import fields, is_dataclass
 
@@ -120,7 +121,10 @@ def read_operator(
         return np.frombuffer(raw, dtype="<u4", count=n, offset=start + 4).astype(np.int64), end
 
     need(len(MAGIC) + 1)
-    rectangular = bool(raw[len(MAGIC)] & _FLAG_RECTANGULAR)
+    flags = raw[len(MAGIC)]
+    if flags & ~_FLAG_RECTANGULAR:
+        raise ValueError(f"unknown flag bits in operator file: flags byte {flags:#04x}")
+    rectangular = bool(flags & _FLAG_RECTANGULAR)
     pos = len(MAGIC) + 1
     dims_t, pos = read_dims(target_base, pos)
     if rectangular:
@@ -193,23 +197,6 @@ def _array_in_list(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _first_non_finite(value):
-    """The first NaN or infinity in `_plain` output, in json's order
-    (sorted keys, arrays inside lists read as lists), or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else value
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    elif isinstance(value, dict):
-        value = [value[key] for key in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            found = _first_non_finite(item)
-            if found is not None:
-                return found
-    return None
-
-
 def report_bytes(data) -> bytes:
     """Canonical JSON bytes of a report (a dict or a report dataclass):
     sorted keys, one line, trailing newline.  Without indentation json
@@ -222,12 +209,11 @@ def report_bytes(data) -> bytes:
     plain = _plain(data)
     try:
         text = json.dumps(plain, sort_keys=True, allow_nan=False, default=_array_in_list)
-    except ValueError as exc:
-        # the C encoder's message leaves out the number; walked on refusal only
-        found = _first_non_finite(plain)
-        if found is None:
-            raise
-        raise ValueError(f"Out of range float values are not JSON compliant: {found!r}") from exc
+    except ValueError:
+        # the C encoder's message leaves out the number; json's pure-Python
+        # encoder, taken on refusal only, names the first one in key order
+        "".join(json.JSONEncoder(sort_keys=True, allow_nan=False, default=_array_in_list).iterencode(plain))
+        raise
     return (text + "\n").encode()
 
 

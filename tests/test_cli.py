@@ -515,6 +515,19 @@ def test_payload_cut_inside_a_float_exits_2(tmp_path, capsys):
                    "message": "payload holds 573 bytes, expected 576 (36 complex entries)"}
 
 
+def test_unknown_flag_bits_exit_2(tmp_path, capsys):
+    X = path_space(3)
+    space, unitary = tmp_path / "space.json", tmp_path / "V.bin"
+    save_space(space, X)
+    write_operator(unitary, random_band_unitary(FiberedSpace.uniform(X, 1), 1.0, 1, seed=0))
+    raw = unitary.read_bytes()
+    unitary.write_bytes(raw[:7] + b"\x82" + raw[8:])
+    assert run(["extract", "--unitary", str(unitary), "--space", str(space)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "unknown flag bits in operator file: flags byte 0x82"}
+
+
 def test_oversized_header_exits_2(tmp_path, capsys):
     space = tmp_path / "space.json"
     save_space(space, path_space(1))

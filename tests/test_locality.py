@@ -14,7 +14,7 @@ from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary
 from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
 from roelab.maps import PointMap, identity_map
-from roelab.operators import BlockOperator, FiberedSpace, mask_table, random_band_unitary, spectral_norm
+from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, spectral_norm
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
@@ -754,7 +754,7 @@ def reference_owner_rule(T, R):
     n = base.n
     full = np.uint32((1 << n) - 1)
     weights = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    nbhd = mask_table(base.dist <= R)
+    nbhd = locality._mask_table(base.dist <= R)
     allowed = full & ~nbhd[1:]
     closed = np.zeros(1 << n, dtype=bool)
     closed[full & ~nbhd[allowed[allowed != 0]]] = True
@@ -764,7 +764,7 @@ def reference_owner_rule(T, R):
     b_masks, a_masks = b_masks[live], a_masks[live]
     nonzero = np.array([[(T.block(y, x) != 0).any() for x in range(n)] for y in range(n)])
     owner, rows, cols = locality._components(
-        b_masks, a_masks, mask_table(nonzero), mask_table(nonzero.T)
+        b_masks, a_masks, locality._mask_table(nonzero), locality._mask_table(nonzero.T)
     )
     comps, inverse = np.unique(rows << np.uint32(n) | cols, return_inverse=True)
 
@@ -808,7 +808,7 @@ def test_witness_is_the_lowest_owner_of_a_top_component():
 
 
 def test_adjoint_inherits_no_table():
-    # T's nonzero-block table and corner parts describe T, not T*: the
+    # T's reach tables and corner parts describe T, not T*: the
     # adjoint of a used operator reads like a fresh T*
     rng = np.random.default_rng(31)
     X = random_graph_space(rng, 9, extra_edges=2)
@@ -825,9 +825,9 @@ def test_adjoint_inherits_no_table():
     for R in radii:
         assert locality._exact_violation(adj, R) == locality._exact_violation(fresh, R)
         assert corner_norm_table(adj, R).tobytes() == corner_norm_table(fresh, R).tobytes()
-    assert np.array_equal(adj.nonzero_blocks(), fresh.nonzero_blocks())
-    for table, expected in zip(adj.reach_tables(), fresh.reach_tables()):
-        assert np.array_equal(table, expected)
+    for tables in (adj.derived(locality._reach_tables), locality._reach_tables(adj)):
+        for table, expected in zip(tables, locality._reach_tables(fresh)):
+            assert np.array_equal(table, expected)
 
 
 def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
@@ -856,12 +856,27 @@ def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
 
 def test_outer_grid_builds_the_reach_tables_once(monkeypatch):
     # the two reach tables depend on the operator only; the neighborhood
-    # table depends on R and is built at every radius
-    reach, nbhd = [], []
-    monkeypatch.setattr(operators, "mask_table", lambda rel: reach.append(1) or mask_table(rel))
-    monkeypatch.setattr(locality, "mask_table", lambda rel: nbhd.append(1) or mask_table(rel))
+    # table depends on R and is built at every radius; the reach builder's
+    # own two `_mask_table` calls are not neighborhood tables
+    reach, nbhd, inside = [], [], []
+    build_reach, build_table = locality._reach_tables, locality._mask_table
+
+    def counting_reach(T):
+        reach.append(1)
+        inside.append(1)
+        tables = build_reach(T)
+        inside.pop()
+        return tables
+
+    def counting_table(rel):
+        if not inside:
+            nbhd.append(1)
+        return build_table(rel)
+
+    monkeypatch.setattr(locality, "_reach_tables", counting_reach)
+    monkeypatch.setattr(locality, "_mask_table", counting_table)
     U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
     report = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
     assert len(report.windows) == 4
-    assert len(reach) == 2  # the nonzero-block table of UW* and its transpose
+    assert len(reach) == 1  # the reach tables of UW*
     assert len(nbhd) == 4

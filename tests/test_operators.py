@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from roelab import operators
+from roelab import locality, operators
 from roelab.covering import covering_unitary
+from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.operators import (
     UNITARITY_TOL,
@@ -340,6 +341,72 @@ def test_norm_is_taken_once_per_operator(monkeypatch, rng):
     assert len(taken) == 1
     assert T.adjoint().norm() == spectral_norm(T.matrix.conj().T)
     assert len(taken) == 2  # an adjoint takes its own norm
+
+
+def _slots(op):
+    """What an operator keeps besides its spaces, its matrix and the
+    `derived` store: nothing, or a cache outside the store."""
+    return sorted(set(vars(op)) - {"source", "target", "matrix", "_derived"})
+
+
+def _kept_builders(op):
+    return {key[0] for key in vars(op)["_derived"]}
+
+
+def _first_column(T):
+    return T.matrix[:, 0].copy()
+
+
+def _column_pair(T, j):
+    return T.matrix[:, j].copy(), T.matrix[:, j + 1].copy()
+
+
+def test_operator_state_goes_through_derived(rng):
+    # the next per-operator cache is a `derived` builder, not a new slot
+    X = random_graph_space(rng, 9, extra_edges=2)
+    U = random_band_unitary(FiberedSpace(X, np.arange(X.n) % 3 + 1), 1.0, 2, seed=5)
+    assert _slots(U) == []
+    U.norm()
+    U.unitarity_residual()
+    check_unitary(U)
+    for R in (0.0, 1.0, 2.0):
+        corner_norm_table(U, R)
+        locality._exact_violation(U, R)
+    assert _slots(U) == []
+    assert _kept_builders(U) == {
+        operators._norm, operators._residual, operators._unitary,
+        operators._group_parts, locality._reach_tables,
+    }
+    values = vars(U)["_derived"].values()
+    arrays = [part for value in values for part in (value if isinstance(value, tuple) else (value,))
+              if isinstance(part, np.ndarray)]
+    assert len(arrays) == 3 + 2  # corner parts of the groups d = 1, 2, 3; two reach tables
+    assert not any(array.flags.writeable for array in arrays)
+    # an adjoint carries the residual and the unitarity outcome, no norm, no table
+    adj = U.adjoint()
+    assert _slots(adj) == []
+    assert _kept_builders(adj) == {operators._residual, operators._unitary}
+
+
+def test_derived_builds_once_per_builder_and_arguments(rng):
+    fib = random_fibered(rng, random_graph_space(rng, 4))
+    T = random_operator(rng, fib, fib)
+    column = T.derived(_first_column)
+    assert T.derived(_first_column) is column and not column.flags.writeable
+    pair = T.derived(_column_pair, 0)
+    assert T.derived(_column_pair, 0) is pair and T.derived(_column_pair, 1) is not pair
+    assert not any(part.flags.writeable for part in pair + T.derived(_column_pair, 1))
+    assert np.array_equal(T.derived(_column_pair, 1)[0], T.matrix[:, 1])
+
+
+def test_slot_guard_finds_a_planted_cache(rng):
+    class Planted(BlockOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._foo = None
+
+    fib = random_fibered(rng, random_graph_space(rng, 3))
+    assert _slots(Planted(fib, fib, np.eye(fib.total_dim))) == ["_foo"]
 
 
 def test_random_band_unitary_contract(rng):

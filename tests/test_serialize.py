@@ -182,6 +182,21 @@ def test_truncated_payload_rejected(rng, tmp_path):
         assert str(err.value) == message
 
 
+def test_unknown_flag_bits_rejected(tmp_path):
+    # only bit 0 (rectangular) has a meaning; 0x82 once read as a square operator
+    fib = FiberedSpace.uniform(path_space(3), 1)
+    path = tmp_path / "flags.bin"
+    write_operator(path, BlockOperator(fib, fib, np.eye(3)))
+    raw = path.read_bytes()
+    for flags in (0x82, 0x02, 0x80, 0xFF):
+        path.write_bytes(raw[:7] + bytes([flags]) + raw[8:])
+        with pytest.raises(ValueError) as err:
+            read_operator(path, path_space(3), path_space(3))
+        assert str(err.value) == f"unknown flag bits in operator file: flags byte {flags:#04x}"
+    path.write_bytes(raw)
+    assert np.array_equal(read_operator(path, path_space(3)).matrix, np.eye(3))
+
+
 def test_oversized_header_rejected_before_allocating(tmp_path):
     # one point with a 2^22-dim fiber and no payload: building its
     # coordinate arrays alone would take 32 MiB
