@@ -23,9 +23,10 @@ at once by bitmask propagation over the operator's two 2^n reach tables
 on the operator only: they are kept on it (`BlockOperator.derived`), so a
 radius grid builds them once.  Candidates share components, so
 only the distinct ones are normed, deduplicated by one `np.unique` of
-their (rows, cols) keys without an inverse map, and gathered by shape
-into (k, rows, cols) stacks of at most STACK_BYTES bytes, one
-spectral_norm call per stack.  A dense operator has one component per
+their (rows, cols) keys without an inverse map, and handed as
+coordinate masks to `operators.masked_corner_norms`, which norms them
+in equal-shape stacks under the byte budget of batched stacks that
+operators.py keeps.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (62 norms instead of 65,534 corners for a 16-point band unitary at
 R = 0).  The attaining pair is the first candidate in ascending bitmask
@@ -37,9 +38,10 @@ exactly, so the choice does not depend on rounding.
 Larger spaces get a certified window.  The checks come first (one base
 space, R >= 0, a known mode), then the upper member, then the search for
 the lower member.  An upper member of exactly 0 (T banded at R) skips the
-search: the SVD resolves any nonzero entry, so every separated corner is
-0.  Otherwise the search stops as soon as the best corner v it has found
-satisfies v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
+search: `spectral_norm` resolves any nonzero entry (a Gram top below
+2^-900 takes the SVD), so every separated corner is 0.  Otherwise the
+search stops as soon as the best corner v it has found satisfies
+v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
 1e-12 that also guards the upper member's own min: every corner is at
 most the violation, which is at most the upper member, so a skipped
 start could raise the lower member by at most the margin plus rounding.
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap
-from .operators import STACK_BYTES, BlockOperator, gram_top, spectral_norm
+from .operators import BlockOperator, gram_top, masked_corner_norms, spectral_norm
 from .spaces import check_radius
 
 __all__ = [
@@ -204,20 +206,7 @@ def _exact_violation(T: BlockOperator, R: float):
     b_rows = ((comps[:, None] >> np.uint32(n)) & weights[T.target.coord_point]) != 0
     a_cols = (comps[:, None] & weights[T.source.coord_point]) != 0
 
-    # batched norms over the equal-shape components, in stacks of at most STACK_BYTES; the
-    # budget caps the working set however many candidates share a corner shape
-    n_rows, n_cols = b_rows.sum(axis=1), a_cols.sum(axis=1)
-    key = n_rows * (T.source.total_dim + 1) + n_cols
-    norms = np.zeros(key.size)
-    for shape in np.unique(key):
-        group = np.flatnonzero(key == shape)
-        rows, cols = int(n_rows[group[0]]), int(n_cols[group[0]])
-        step = max(1, STACK_BYTES // (rows * cols * T.matrix.itemsize))
-        for start in range(0, group.size, step):
-            chunk = group[start : start + step]
-            r = np.nonzero(b_rows[chunk])[1].reshape(-1, rows, 1)
-            c = np.nonzero(a_cols[chunk])[1].reshape(-1, 1, cols)
-            norms[chunk] = spectral_norm(T.matrix[r, c])
+    norms = masked_corner_norms(T.matrix, b_rows, a_cols)
     # a corner is block-diagonal over its components, so its norm is their
     # max; the first maximum in ascending mask order, as a strict-> scan
     # finds it, is the lowest candidate holding a component that attains it
@@ -427,7 +416,7 @@ def _violation(T: BlockOperator, R: float, mode: str):
         return value, sets, value
     if mode == "bounds":
         upper = _truncation_upper(T, R)
-        if upper == 0.0:  # the SVD resolves any nonzero entry: every separated corner is 0
+        if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
             return 0.0, None, 0.0
         return (*_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")

@@ -8,28 +8,26 @@ corners) is always expressed at the block level, so exact zero blocks
 play the role of absent blocks.
 
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
-and every reported norm is exact.  Its route depends on the shape only:
-a full SVD for a square matrix, the top eigenvalue of the smaller side's
-Gram matrix for a rectangular one.  The square inputs are differences
-T - T_R and fiber blocks, where the SVD is the cheaper of the two; the
-rectangular ones are corners, often stacked, where one batched Gram
-eigenvalue call is.  The unitarity residual takes no norm: it reads the
-spectrum of one Hermitian matrix G - I, with G the Gram matrix on the
-smaller side.  The unitarity check decides on the Frobenius norm of the
-same G - I first, an upper bound of the residual, and decomposes only
-when that bound cannot decide.
+and every reported norm is exact: a full SVD for a square matrix (the
+differences T - T_R, fiber blocks), the square root of `gram_top` of
+the smaller side's Gram matrix for a rectangular one (corners, often
+stacked), or the SVD when that top is below 2^-900, where the squares
+may have underflowed.  The unitarity residual takes no norm: it reads
+the spectrum of one Hermitian matrix G - I, with G the Gram matrix on
+the smaller side.  The unitarity check decides on the Frobenius norm of
+the same G - I first, an upper bound of the residual, and decomposes
+only when that bound cannot decide.
 
-Corners: `corner_norms` is the one masked corner kernel.  It gives
+Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
-of a boolean mask, from batched Gram stacks; `extraction.corner_norm_table`
-is this kernel at ball masks.  It and the quasi-locality screen build
-their own Gram stacks and take the tops through `gram_top`, in closed
-form for d < 3.  One byte budget, `STACK_BYTES` (2 MiB), caps each
-batched stack: the kernel's Gram chunks and the exact quasi-locality
-enumeration's stacks of equal-shape corners.  The kernel's column parts
-do not depend on the mask: the d = 1 parts and the parts of a group
-that fits one stack are kept on the operator, so a radius scan gathers
-them once.
+of a boolean mask (`extraction.corner_norm_table` at ball masks) from
+d^2 real column parts per point of fiber dimension d.  Every Gram top,
+there, in `spectral_norm` and in the quasi-locality screen, comes from
+`gram_top`.  `masked_corner_norms` norms the exact enumeration's
+corners.  One byte budget, `STACK_BYTES` (2 MiB), caps each batched
+stack of both, and no other module names it.  The column parts do not
+depend on the mask: those of a group that fits one chunk are kept on
+the operator, so a radius scan gathers them once.
 
 What is derived from an operator alone is kept on it by one accessor,
 `BlockOperator.derived`: the norm, the unitarity residual and outcome,
@@ -57,6 +55,7 @@ __all__ = [
     "corner_norms",
     "gram_top",
     "identity_operator",
+    "masked_corner_norms",
     "random_band_unitary",
     "spectral_norm",
 ]
@@ -64,7 +63,7 @@ __all__ = [
 PROPAGATION_TOL = 1e-12
 UNITARITY_TOL = 1e-9
 # byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
-# corners in the exact quasi-locality enumeration); each matrix is normed alone
+# corners of `masked_corner_norms`); each matrix is normed alone
 STACK_BYTES = 2 << 20
 
 
@@ -118,40 +117,6 @@ class FiberedSpace:
         return f"FiberedSpace(n={self.base.n}, total_dim={self.total_dim})"
 
 
-def _norm_route(rows: int, cols: int) -> str:
-    """The route of `spectral_norm` for a rows x cols matrix: svd or gram."""
-    return "svd" if rows == cols else "gram"
-
-
-def spectral_norm(mat):
-    """Largest singular value, computed exactly with dense linear algebra.
-
-    A square matrix gets a full SVD.  A rectangular one, a vector
-    included, gets the square root of the top eigenvalue of its smaller
-    side's Gram matrix.  The rule follows the measured traffic: the
-    square inputs (T - T_R, fiber blocks) are sparse differences on
-    which the SVD is faster, and the rectangular ones are corners, mostly
-    in stacks, on which one batched eigenvalue call is faster; a single
-    vector pays a few microseconds for it.
-
-    A (k, rows, cols) stack of equal-shape matrices gives the array of
-    its k values from one batched call, each bit for bit the value of its
-    own matrix: the route depends on the shape only, and the batched
-    matmul and LAPACK calls run the per-matrix routine on every matrix.
-    """
-    mat = np.asarray(mat)
-    rows, cols = mat.shape[-2:]
-    if mat.size == 0:
-        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
-    if _norm_route(rows, cols) == "svd":
-        tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
-    else:
-        adj = mat.conj().swapaxes(-1, -2)
-        top = np.linalg.eigvalsh(mat @ adj if rows < cols else adj @ mat)[..., -1]
-        tops = np.sqrt(np.where(top < 0.0, 0.0, top))  # max(top, 0.0) per matrix
-    return float(tops) if mat.ndim == 2 else tops
-
-
 def _gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Hermitian [[a, conj(b)], [b, c]], given its
     diagonal a, c and the modulus b of its lower entry, which `eigvalsh`
@@ -164,14 +129,46 @@ def _gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gram_top(stack: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Gram matrix of a (..., d, d) stack: the
     entry for d = 1, `_gram_top_2x2` of the diagonal and lower entry for
-    d = 2, one batched `eigvalsh` for d >= 3.  `spectral_norm` keeps its
-    own `eigvalsh` route, so its values do not move."""
+    d = 2, one batched `eigvalsh` for d >= 3."""
     d = stack.shape[-1]
     if d == 1:
         return stack[..., 0, 0].real
     if d == 2:
         return _gram_top_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real, np.abs(stack[..., 1, 0]))
     return np.linalg.eigvalsh(stack)[..., -1]
+
+
+def spectral_norm(mat):
+    """Largest singular value, computed exactly with dense linear algebra.
+
+    A square matrix gets a full SVD.  A rectangular one, a vector
+    included, gets the square root of `gram_top` of its smaller side's
+    Gram matrix, or the SVD when that top is below 2^-900, where the
+    squares may have underflowed (a block of 1e-170 has a Gram of 0).
+    The rule follows the measured traffic: the square inputs are sparse
+    differences, faster by SVD, and the rectangular ones mostly stacked
+    corners, faster by one batched Gram product.
+
+    A (k, rows, cols) stack of equal-shape matrices gives the array of
+    its k values from one batched call, each bit for bit the value of its
+    own matrix: the route depends on the shape and on the matrix's own
+    Gram top only, and the batched matmul and LAPACK calls run the
+    per-matrix routine on every matrix.
+    """
+    mat = np.asarray(mat)
+    rows, cols = mat.shape[-2:]
+    if mat.size == 0:
+        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
+    if rows == cols:
+        tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    else:
+        adj = mat.conj().swapaxes(-1, -2)
+        grams = gram_top(mat @ adj if rows < cols else adj @ mat)
+        tops = np.array(np.sqrt(np.maximum(grams, 0.0)))  # 0-d for one matrix
+        tiny = grams < 2.0**-900
+        if tiny.any():
+            tops[tiny] = np.linalg.svd(mat[tiny], compute_uv=False)[..., 0]
+    return float(tops) if mat.ndim == 2 else tops
 
 
 class BlockOperator:
@@ -393,20 +390,29 @@ def check_unitary(U: BlockOperator) -> None:
 
 def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
     """What `corner_norms` multiplies its mask into for source points of
-    fiber dimension d, gathered with `np.take`: the squared column moduli
-    (rows, k) for d = 1, the four real columns |c0|^2, |c1|^2, Re and Im
-    of conj(c1) c0 as (rows, k, 4) for d = 2, the column outer products
-    (rows, k, d, d) for d >= 3.  None of it depends on the mask."""
-    offsets = U.source.offsets[points]
+    fiber dimension d, gathered with `np.take`: (rows, k, d * d), the
+    |c_i|^2 of the point's columns c_i, then Re and then Im of
+    conj(c_i) c_j for i > j in `np.tril_indices` order."""
+    cols = np.take(U.matrix, U.source.offsets[points][:, None] + np.arange(d), axis=1)  # (rows, k, d)
+    cross = [cols[..., i, None].conj() * cols[..., :i] for i in range(1, d)]  # conj(c_i) c_j, j < i
+    parts = [cols.real**2 + cols.imag**2] + [c.real for c in cross] + [c.imag for c in cross]
+    return np.concatenate(parts, axis=-1)
+
+
+def _parts_top(sums: np.ndarray, d: int) -> np.ndarray:
+    """Top eigenvalue of each Gram matrix from its d^2 real parts in the
+    order of `_corner_parts`: the entry for d = 1, `_gram_top_2x2` for
+    d = 2, `gram_top` of the lower triangle (what `eigvalsh` reads),
+    clipped at 0, for d >= 3."""
     if d == 1:
-        cols = np.take(U.matrix, offsets, axis=1)
-        return cols.real**2 + cols.imag**2
-    cols = np.take(U.matrix, offsets[:, None] + np.arange(d), axis=1)  # (rows, k, d)
+        return sums[..., 0]
     if d == 2:
-        c0, c1 = cols[..., 0], cols[..., 1]
-        cross = c1.conj() * c0
-        return np.stack((c0.real**2 + c0.imag**2, c1.real**2 + c1.imag**2, cross.real, cross.imag), axis=-1)
-    return cols.conj()[..., :, None] * cols[..., None, :]  # C order
+        return _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
+    i, j = np.tril_indices(d, -1)
+    gram = np.zeros(sums.shape[:-1] + (d, d), dtype=complex)
+    gram[..., np.arange(d), np.arange(d)] = sums[..., :d]
+    gram[..., i, j] = sums[..., d : d + i.size] + 1j * sums[..., d + i.size :]
+    return np.maximum(gram_top(gram), 0.0)  # eigvalsh may dip below 0
 
 
 def _group_parts(U: BlockOperator, d: int) -> np.ndarray:
@@ -418,45 +424,47 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
     given by the rows of a boolean (k, n_target) mask.
 
-    The mask is cast to float once, and the source points are taken
-    in groups of equal fiber dimension: 1-dim fibers in one matrix
-    product of the mask with the squared column moduli, d-dim fibers in
-    one Gram product of the mask with the per-point column outer products.
-    For d = 2 the top eigenvalue comes in closed form (`_gram_top_2x2`),
-    which reads only |c0|^2, |c1|^2 and conj(c1) c0 of the point's
-    columns c0, c1, so only those are built, as four real columns per
-    point; for d >= 3 it comes from `gram_top` of the Gram stack.  The
-    d-dim stacks are built in chunks of source points of at most
-    `STACK_BYTES` each.  Entries equal the per-point
-    computation up to summation order (a few ulps).
-
-    The column parts (`_corner_parts`) do not depend on the mask, so a
-    radius scan builds them once: the d = 1 parts, and the parts of a
-    group that fits one chunk, are kept on U (`BlockOperator.derived`).
-    Chunked groups are rebuilt per call, chunk by chunk.
+    The mask is cast to float once.  Each group of source points of
+    fiber dimension d takes one real product of the mask with its column
+    parts (`_corner_parts`), the real parts of every corner's Gram
+    matrix, whose tops `_parts_top` reads.  Groups with d >= 2 go in
+    chunks of at most `STACK_BYTES`, at 16 d^2 bytes per mask row and
+    point; a d = 1 group stays whole, its product being no larger than
+    the table.  Entries equal the per-point computation up to summation
+    order (a few ulps).  A group that fits one chunk keeps its parts on U
+    (`BlockOperator.derived`), so a radius scan builds them once.
     """
     source = U.source
     mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
     out = np.zeros((len(rows), source.base.n))
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
-        if d == 1:
-            out[:, points] = np.sqrt(mask @ U.derived(_group_parts, d))
-            continue
-        per_point = max(mask.shape) * d * d * 16  # bytes of one point's Gram stack
-        step = max(1, STACK_BYTES // per_point)
-        chunks = np.array_split(points, -(-points.size // step))
+        step = max(1, STACK_BYTES // (max(mask.shape) * d * d * 16))
+        chunks = [points] if d == 1 else np.array_split(points, -(-points.size // step))
         for chunk in chunks:
             parts = U.derived(_group_parts, d) if len(chunks) == 1 else _corner_parts(U, chunk, d)
-            if d == 2:
-                sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, 4)
-                top = _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
-            else:
-                # a real product on the interleaved (re, im) pairs: the mask is real
-                grams = (mask @ parts.reshape(len(parts), -1).view(float)).view(complex)
-                top = gram_top(grams.reshape(len(rows), chunk.size, d, d))
-            out[:, chunk] = np.sqrt(np.maximum(top, 0.0))
+            sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, d * d)
+            out[:, chunk] = np.sqrt(_parts_top(sums, d))
     return out
+
+
+def masked_corner_norms(matrix: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
+    """`spectral_norm` of matrix[rows][:, cols] for each pair of boolean
+    coordinate masks, the rows of row_masks and col_masks, none of them
+    empty, from one call per equal-shape stack of at most `STACK_BYTES`."""
+    n_rows, n_cols = row_masks.sum(axis=1), col_masks.sum(axis=1)
+    key = n_rows * (matrix.shape[1] + 1) + n_cols
+    norms = np.zeros(key.size)
+    for shape in np.unique(key):
+        group = np.flatnonzero(key == shape)
+        rows, cols = int(n_rows[group[0]]), int(n_cols[group[0]])
+        step = max(1, STACK_BYTES // (rows * cols * matrix.itemsize))
+        for start in range(0, group.size, step):
+            chunk = group[start : start + step]
+            r = np.nonzero(row_masks[chunk])[1].reshape(-1, rows, 1)
+            c = np.nonzero(col_masks[chunk])[1].reshape(-1, 1, cols)
+            norms[chunk] = spectral_norm(matrix[r, c])
+    return norms
 
 
 def identity_operator(space: FiberedSpace) -> BlockOperator:

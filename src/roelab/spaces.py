@@ -40,7 +40,7 @@ from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = [
     "FiniteMetricSpace",
@@ -339,8 +339,9 @@ def _first_bad_edge(edges) -> str:
 def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     """Unweighted shortest-path metric of a connected graph on n nodes.
 
-    The one shortest-path pass that builds the metric also certifies it:
-    a hop metric is a metric, so the constructor's checks are skipped."""
+    A component pass refuses a disconnected graph in O(n + m).  The one
+    shortest-path pass that builds the metric also certifies it: a hop
+    metric is a metric, so the constructor's checks are skipped."""
     if not (is_integer(n) and n >= 1):
         raise ValueError(f"from_edge_list needs an integer n >= 1, got {n!r}")
     arr = _edge_array(edges)
@@ -358,8 +359,8 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
     adj = csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(n, n))
-    dist = shortest_path(adj, method="D", unweighted=True)
-    if not np.isfinite(dist).all():
-        i, j = np.argwhere(~np.isfinite(dist))[0]
-        raise ValueError(f"graph is disconnected: no path between {i} and {j}")
-    return _trusted(dist)
+    count, labels = connected_components(adj, directed=False)
+    if count > 1:  # name 0 and the smallest point outside its component
+        j = (labels != labels[0]).argmax()
+        raise ValueError(f"graph is disconnected: no path between 0 and {j}")
+    return _trusted(shortest_path(adj, method="D", unweighted=True))

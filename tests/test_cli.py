@@ -13,7 +13,7 @@ from roelab.covering import covering_unitary
 from roelab.extraction import extract_pair
 from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
 from roelab.maps import PointMap, closeness
-from roelab.operators import FiberedSpace, random_band_unitary
+from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes, save_map, save_space, write_operator
 from roelab.spaces import path_space
 
@@ -129,6 +129,24 @@ def test_ql_banded_unitary(tmp_path):
     results = json.loads(out.read_text())["results"]
     assert results["violation_lower"] <= 1e-12
     assert results["exact"] is True
+
+
+def test_ql_bounds_window_holds_an_entry_whose_square_underflows(tmp_path, capsys):
+    # fibers [1, 1, 1] into [2, 1, 1] differ, so the file has flag bit 0 set
+    source = FiberedSpace(path_space(3), [1, 1, 1])
+    target = FiberedSpace(path_space(3), [2, 1, 1])
+    T = BlockOperator(source, target, [[1, 0, 0], [0, 0, 0], [0, 1, 0], [1e-170, 0, 1]])
+    space, unitary = tmp_path / "space.json", tmp_path / "T.bin"
+    save_space(space, path_space(3))
+    write_operator(unitary, T)
+    assert unitary.read_bytes()[7] & 1
+    windows = {}
+    for mode in ("exact", "bounds"):
+        assert run(["ql", "--unitary", str(unitary), "--space", str(space), "--source-space",
+                    str(space), "--radius", "1", "--mode", mode]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        windows[mode] = (results["violation_lower"], results["violation_upper"])
+    assert windows == {"exact": (1e-170, 1e-170), "bounds": (1e-170, 1e-170)}
 
 
 def test_one_parser_serves_every_call_of_a_process(command_argv, capsys):

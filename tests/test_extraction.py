@@ -172,6 +172,19 @@ def test_corner_norm_table_memory_stays_bounded():
     assert peak < 16 * 2**20  # unchunked, the Gram stacks alone take 47.6 MiB
 
 
+def test_corner_norm_table_memory_stays_bounded_for_wide_fibers():
+    # 3-dim fibers take d^2 = 9 real parts per point, not 9 complex outer-product entries
+    fib = FiberedSpace.uniform(path_space(200), 3)
+    U = random_band_unitary(fib, 1.0, 2, 0)
+    tracemalloc.start()
+    try:
+        corner_norm_table(U, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20  # the complex outer products took 7.3 MiB
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), max_dim=st.integers(1, 3))
 def test_corner_tables_nondecreasing_in_radius(seed, n, max_dim):

@@ -151,10 +151,12 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
     branches = set()
 
     def spy(mat):
-        branches.add(operators._norm_route(*mat.shape[-2:]))
+        if mat.ndim == 3:  # the enumeration's stacks; pruning norms one corner at a time
+            rows, cols = mat.shape[-2:]
+            branches.add("svd" if rows == cols else "gram")
         return spectral_norm(mat)
 
-    monkeypatch.setattr(locality, "spectral_norm", spy)
+    monkeypatch.setattr(operators, "spectral_norm", spy)
     for T, R in cases:
         assert report_bytes(quasi_locality_violation(T, R)) == report_bytes(reference_exact(T, R))
     assert branches == {"gram", "svd"}
@@ -215,14 +217,31 @@ def test_tiny_block_still_counts_as_nonzero():
     assert report_bytes(report) == report_bytes(reference_exact(T, 0.0))
 
 
+def test_bounds_upper_member_resolves_entries_whose_squares_underflow():
+    # at R = 1 the one separated nonzero entry is 1e-170; the Gram of the
+    # 4 x 3 tail underflows to 0, and an upper member of 0 would skip the
+    # search and read below the exact violation
+    source = FiberedSpace(path_space(3), [1, 1, 1])
+    target = FiberedSpace(path_space(3), [2, 1, 1])
+    T = BlockOperator(source, target, [[1, 0, 0], [0, 0, 0], [0, 1, 0], [1e-170, 0, 1]])
+    exact = quasi_locality_violation(T, 1.0)
+    bounds = quasi_locality_violation(T, 1.0, mode="bounds")
+    assert exact.violation_lower == 1e-170
+    assert (bounds.violation_lower, bounds.violation_upper) == (1e-170, 1e-170)
+    assert approximability_window(T, 1.0) == (1e-170, 1e-170)
+    f = PointMap(T.source.base, T.target.base, [0, 1, 2])
+    assert supported_distance_upper(T, f, 1.0) == 1e-170
+
+
 def test_each_distinct_component_is_normed_once(monkeypatch):
     count = [0]
 
     def spy(mat):
-        count[0] += mat.shape[0] if mat.ndim == 3 else 1
+        if mat.ndim == 3:  # the enumeration's stacks; pruning norms one corner at a time
+            count[0] += mat.shape[0]
         return spectral_norm(mat)
 
-    monkeypatch.setattr(locality, "spectral_norm", spy)
+    monkeypatch.setattr(operators, "spectral_norm", spy)
     # R = 0 on 16 points: 65,534 candidates, whose corners share few
     # distinct components on a band unitary
     V = random_band_unitary(FiberedSpace.uniform(path_space(16), 2), 2.0, 1, seed=3)

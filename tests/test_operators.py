@@ -485,6 +485,24 @@ def test_random_band_unitary_matches_per_pair_oracle(rng):
         assert np.array_equal(got.imag, want.imag), (R, layers, seed)
 
 
+def test_rectangular_norm_with_underflowing_squares_takes_the_svd():
+    # the squares of 1e-165 underflow, so the Gram route would read 0 or
+    # lose the last digits; a Gram top below 2^-900 sends the matrix to the SVD
+    tiny = np.full((2, 3), 1e-165)
+    assert spectral_norm(tiny) == np.linalg.svd(tiny, compute_uv=False)[0]
+    assert spectral_norm(tiny) == pytest.approx(np.sqrt(6) * 1e-165, rel=1e-15)
+    assert spectral_norm(np.array([[1e-170], [0.0], [0.0]])) == 1e-170
+    # in a stack only the tiny matrices take the SVD, each bit for bit its own value
+    stack = np.stack([tiny, np.arange(6.0).reshape(2, 3), tiny * 1e10, np.zeros((2, 3))])
+    values = spectral_norm(stack)
+    assert values.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
+    assert values[0] > 0.0 and values[3] == 0.0
+    fib3, fib1 = FiberedSpace(path_space(1), [3]), FiberedSpace(path_space(1), [1])
+    assert BlockOperator(fib1, fib3, [[1e-170], [0.0], [1e-170]]).norm() == pytest.approx(
+        np.sqrt(2) * 1e-170, rel=1e-15
+    )
+
+
 def test_spectral_norm_matches_lapack(rng):
     for shape in [(1, 5), (5, 1), (7, 7), (12, 3), (3, 12), (60, 9)]:
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

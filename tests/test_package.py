@@ -130,6 +130,76 @@ def test_norm_lint_finds_calls_wrapped_over_lines():
     assert _norm_takers("m.py", text) == ["m.py:2", "m.py:5"]
 
 
+# the functions of operators.py that may call each decomposition
+_DECOMPOSITION_HOMES = {"eigvalsh": {"gram_top", "_residual"}, "svd": {"spectral_norm"}}
+
+
+def _stray_decompositions(name, text):
+    # an eigvalsh or singular-value call outside its home, reported at the
+    # line where it starts with the innermost function holding it
+    functions = [
+        (node.lineno, node.end_lineno, node.name)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    strays = []
+    for match in _NORM_TAKER.finditer(text):
+        kind = match.group(1) or "svd"
+        if kind not in _DECOMPOSITION_HOMES:
+            continue
+        line = text.count("\n", 0, match.start()) + 1
+        holders = [(start, fn) for start, end, fn in functions if start <= line <= end]
+        home = max(holders)[1] if holders else None
+        if home not in _DECOMPOSITION_HOMES[kind]:
+            strays.append(f"{name}:{line} {kind} in {home}")
+    return strays
+
+
+def test_each_decomposition_is_called_only_in_its_home():
+    # one Gram route: every Hermitian top goes through `gram_top` (the
+    # unitarity residual reads a whole spectrum), every SVD norm through
+    # `spectral_norm`
+    text = (Path(roelab.__file__).parent / "operators.py").read_text()
+    assert _stray_decompositions("operators.py", text) == []
+
+
+def test_decomposition_lint_finds_calls_outside_their_homes():
+    text = (
+        "def gram_top(s):\n    return np.linalg.eigvalsh(s)\n"
+        "def spectral_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
+        "def corner(m):\n    def inner(g):\n        return np.linalg.eigvalsh(g)\n"
+        "    return np.linalg.svd(m, compute_uv=False)\n"
+        "top = np.linalg.eigvalsh(x)\nn = np.linalg.norm(x)\n"
+    )
+    assert _stray_decompositions("m.py", text) == [
+        "m.py:8 eigvalsh in inner", "m.py:9 svd in corner", "m.py:10 eigvalsh in None"
+    ]
+
+
+_STACK_BUDGET = re.compile(r"\bSTACK_BYTES\b")
+
+
+def _budget_namers(name, text):
+    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _STACK_BUDGET.finditer(text)]
+
+
+def test_stack_budget_is_named_only_in_operators():
+    # every batched stack is built in operators.py, which owns its byte budget
+    package = Path(roelab.__file__).parent
+    namers = [
+        namer
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py"
+        for namer in _budget_namers(path.name, path.read_text())
+    ]
+    assert namers == []
+
+
+def test_budget_lint_finds_each_mention():
+    text = "from .operators import (\n    STACK_BYTES,\n)\nstep = MY_STACK_BYTES\nk = ops.STACK_BYTES // 8\n"
+    assert _budget_namers("m.py", text) == ["m.py:2", "m.py:5"]
+
+
 def _json_writers(name, text):
     # read from the syntax tree, so a call wrapped over lines is found
     # like any other; `from json import dumps` counts as a call

@@ -1,6 +1,7 @@
 """Metric substrate: construction, balls, neighborhoods, growth."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_edge_list_disconnected_names_pair():
     # components are {0,1} and {2,3}; the named pair must straddle them
     assert len(named) == 2
     assert (named[0] < 2) != (named[1] < 2)
+
+
+def test_large_edgeless_file_is_refused_before_the_distance_matrix(tmp_path):
+    # 200,000 points: the n x n distance matrix alone would take 298 GiB
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"n": 200_000, "edges": []}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^graph is disconnected: no path between 0 and 1$"):
+            load_space(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_edge_list_rejects_self_loop():
