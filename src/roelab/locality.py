@@ -51,10 +51,13 @@ restarts share one state built per call (the far relation d > R, the
 block Frobenius norms and their squares, the separated pairs, each
 coordinate's point).  A round keeps the masks of B, of A and of the
 points far from each up to date, ranks the candidate points by the
-Frobenius mass they add, screens them all at once on their corner Gram
-matrices (`gram_top`), and confirms the survivors in rank order with
-exact corner norms, whose coordinates come from the masks in the order
-`BlockOperator.corner_norm` uses.
+Frobenius mass they add, and norms the candidates of nonzero mass in
+rank order, corner coordinates read from the masks in the order
+`BlockOperator.corner_norm` uses.  A candidate of mass 0 adds only zero
+blocks (or entries whose squares underflow), so it cannot raise the
+corner by the accept margin, _WITNESS_TOL * max(1, corner), which scales
+with the corner so that rounding noise of a large operator is never a
+move; the rank order puts these candidates last.
 Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap
-from .operators import BlockOperator, gram_top, masked_corner_norms, spectral_norm
+from .operators import BlockOperator, masked_corner_norms, spectral_norm
 from .spaces import check_radius
 
 __all__ = [
@@ -95,11 +98,6 @@ _WITNESS_TOL = 1e-12
 # relative rounding margin of a comparison between two separately rounded
 # norms: an SVD value is accurate to a few ulps, far inside it
 _ROUNDING_MARGIN = 1e-12
-# rounding allowance of a screened squared corner norm per unit of its Gram
-# trace; the trace is at least the top eigenvalue, and the gap between the
-# screened value and the exact corner norm squared stays below 6 eps per
-# unit of trace on random, sparse and saturated-unitary inputs
-_SCREEN_SLACK = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -121,13 +119,15 @@ class LocalityReport:
 
 def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> Witness:
     """Shrink an attaining pair to a minimal one, dropping points in
-    ascending index order while the corner norm stays at the value."""
+    ascending index order while the corner norm stays at the value, up to
+    the margin _WITNESS_TOL * max(1, value)."""
     B, A = sorted(B), sorted(A)
+    floor = value - _WITNESS_TOL * max(1.0, value)
     for p in list(B):
-        if len(B) > 1 and T.corner_norm([q for q in B if q != p], A) >= value - _WITNESS_TOL:
+        if len(B) > 1 and T.corner_norm([q for q in B if q != p], A) >= floor:
             B.remove(p)
     for p in list(A):
-        if len(A) > 1 and T.corner_norm(B, [q for q in A if q != p]) >= value - _WITNESS_TOL:
+        if len(A) > 1 and T.corner_norm(B, [q for q in A if q != p]) >= floor:
             A.remove(p)
     return Witness(tuple(int(a) for a in A), tuple(int(b) for b in B))
 
@@ -278,27 +278,16 @@ def _best_singleton(s: _SearchState):
     return best, best_pair
 
 
-def _screen(gram: np.ndarray, extra: np.ndarray, dims: np.ndarray):
-    """Top eigenvalue (`gram_top`) and trace of gram + sum_r e_r e_r* for
-    each candidate, where the rows e_r of `extra` come in consecutive
-    segments of `dims` rows, one segment per candidate."""
-    outer = extra[:, :, None] * extra.conj()[:, None, :]
-    if extra.shape[0] != dims.size:  # some candidate fiber has dim >= 2
-        outer = np.add.reduceat(outer, np.concatenate(([0], np.cumsum(dims)[:-1])), axis=0)
-    stack = gram + outer
-    return gram_top(stack), np.diagonal(stack, axis1=1, axis2=2).real.sum(axis=1)
-
-
 def _grow_pair(s: _SearchState, B: list, A: list):
     """Greedy growth: keep adding single points (to either side) while the
     corner norm increases, preserving d(A, B) > R.
 
     Candidate additions are tried in descending order of the Frobenius
-    mass they would add, and the first strict improvement is taken; the
-    accept test always uses the true corner norm.  A candidate is skipped
-    without that test only when its screened squared norm, padded by
-    _SCREEN_SLACK times its Gram trace to cover rounding in the screen and
-    in the exact test, still cannot clear the bar.
+    mass they would add, and the first one whose corner norm exceeds the
+    current one by the margin _WITNESS_TOL * max(1, value) is taken.
+    Candidates of mass 0 come last and are not normed: they add only
+    zero blocks, or entries whose squares underflow, which cannot raise
+    the corner by the margin.
 
     The point masks of B and A and the masks of the points far from all
     of A (candidates for B) and from all of B (candidates for A) are kept
@@ -314,8 +303,7 @@ def _grow_pair(s: _SearchState, B: list, A: list):
     far_b = s.far[:, B].all(axis=1) & ~in_a
     rows = np.flatnonzero(in_b[s.row_point])
     cols = np.flatnonzero(in_a[s.col_point])
-    corner = M[rows[:, None], cols]
-    value = spectral_norm(corner)
+    value = spectral_norm(M[rows[:, None], cols])
     for _ in range(2 * s.far.shape[0]):
         to_b, to_a = np.flatnonzero(far_a), np.flatnonzero(far_b)
         mass = np.concatenate(
@@ -324,22 +312,8 @@ def _grow_pair(s: _SearchState, B: list, A: list):
         side = np.concatenate((np.ones(to_b.size, dtype=np.int8), np.zeros(to_a.size, dtype=np.int8)))
         point = np.concatenate((to_b, to_a))
         order = np.lexsort((point, side, -mass))  # (-mass, "A" < "B", point)
-        # squared corner norm of each candidate: adding a point to B appends
-        # its rows C, growing the column Gram by C*C; adding one to A appends
-        # columns D, growing the row Gram by D D*
-        tops, traces = np.zeros(point.size), np.zeros(point.size)
-        if to_b.size:
-            extra = M[np.flatnonzero(far_a[s.row_point])[:, None], cols].conj()
-            tops[: to_b.size], traces[: to_b.size] = _screen(
-                corner.conj().T @ corner, extra, s.T.target.fiber_dims[to_b]
-            )
-        if to_a.size:
-            extra = M[rows[:, None], np.flatnonzero(far_b[s.col_point])].T
-            tops[to_b.size :], traces[to_b.size :] = _screen(
-                corner @ corner.conj().T, extra, s.T.source.fiber_dims[to_a]
-            )
-        live = tops + _SCREEN_SLACK * traces > (value + _WITNESS_TOL) ** 2
-        for k in order[live[order]]:
+        bar = value + _WITNESS_TOL * max(1.0, value)
+        for k in order[: np.count_nonzero(mass)]:
             p = int(point[k])
             if side[k]:
                 in_b[p] = True
@@ -349,9 +323,8 @@ def _grow_pair(s: _SearchState, B: list, A: list):
                 in_a[p] = True
                 cand_rows, cand_cols = rows, np.flatnonzero(in_a[s.col_point])
                 in_a[p] = False
-            trial = M[cand_rows[:, None], cand_cols]
-            cand = spectral_norm(trial)
-            if cand > value + _WITNESS_TOL:
+            cand = spectral_norm(M[cand_rows[:, None], cand_cols])
+            if cand > bar:
                 break
         else:
             break
@@ -363,7 +336,7 @@ def _grow_pair(s: _SearchState, B: list, A: list):
             A.append(p)
             in_a[p], far_b[p] = True, False
             far_a &= s.far[:, p]
-        rows, cols, corner, value = cand_rows, cand_cols, trial, cand
+        rows, cols, value = cand_rows, cand_cols, cand
     return value, B, A
 
 

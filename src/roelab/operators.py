@@ -22,8 +22,8 @@ Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
 of a boolean mask (`extraction.corner_norm_table` at ball masks) from
 d^2 real column parts per point of fiber dimension d.  Every Gram top,
-there, in `spectral_norm` and in the quasi-locality screen, comes from
-`gram_top`.  `masked_corner_norms` norms the exact enumeration's
+there and in `spectral_norm`, comes from `gram_top`, which no other
+module names.  `masked_corner_norms` norms the exact enumeration's
 corners.  One byte budget, `STACK_BYTES` (2 MiB), caps each batched
 stack of both, and no other module names it.  The column parts do not
 depend on the mask: those of a group that fits one chunk are kept on

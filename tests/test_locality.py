@@ -1,6 +1,6 @@
 """Quasi-locality: exact enumeration against a naive all-subsets oracle
-and against a per-candidate loop, and the screened local search against a
-plain greedy."""
+and against a per-candidate loop, and the local search, which norms only
+candidates of nonzero Frobenius mass, against a plain greedy."""
 
 import tracemalloc
 
@@ -402,9 +402,10 @@ def test_supported_distance_upper_vanishes_on_support():
 
 
 def reference_grow(T, R, B, A, frob):
-    """The local-search greedy without screening: every candidate move, in
+    """The local-search greedy without skipping: every candidate move, in
     order of (-Frobenius mass, side, point), gets a sequential corner_norm
-    call, and the first strict improvement wins."""
+    call, and the first improvement by the margin
+    _WITNESS_TOL * max(1, value) wins."""
     base = T.source.base
     value = T.corner_norm(B, A)
     while True:
@@ -418,7 +419,7 @@ def reference_grow(T, R, B, A, frob):
         moves.sort(key=lambda m: (-m[0], m[1], m[2]))
         for _, side, p in moves:
             cand = T.corner_norm(B + [p], A) if side == "B" else T.corner_norm(B, A + [p])
-            if cand > value + locality._WITNESS_TOL:
+            if cand > value + locality._WITNESS_TOL * max(1.0, value):
                 (B if side == "B" else A).append(p)
                 value = cand
                 break
@@ -431,9 +432,10 @@ def _search_input(seed: int, kind: str):
     operator of the given kind: "dense" random; "sparse", banded to R + 1
     so that most separated blocks, and so most restarts, are zero;
     "unitary", a coordinate permutation times band noise, whose corners
-    saturate at 1; "faint", a coordinate permutation plus entries of size
-    3e-6, whose moves improve saturated corners by about 1e-11, near the
-    acceptance tolerance."""
+    saturate at 1; "scaled", 1e6 times the "unitary" operator, whose
+    rounding noise exceeds an absolute 1e-12; "faint", a coordinate
+    permutation plus entries of size 3e-6, whose moves improve saturated
+    corners by about 1e-11, near the acceptance tolerance."""
     rng = np.random.default_rng(seed)
     X = random_graph_space(rng, int(rng.integers(10, 25)), extra_edges=int(rng.integers(0, 4)))
     fib = random_fibered(rng, X, max_dim=3)
@@ -444,15 +446,16 @@ def _search_input(seed: int, kind: str):
         T = random_operator(rng, fib, fib).band_truncate(R + 1)
     else:
         perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
-        if kind == "unitary":
+        if kind in ("unitary", "scaled"):
             T = perm @ random_band_unitary(fib, 1.0, int(rng.integers(0, 3)), seed)
+            T = T * 1e6 if kind == "scaled" else T
         else:
             T = perm + 3e-6 * random_operator(rng, fib, fib)
     return T, R
 
 
 def _assert_search_matches_reference(T, R, restarts, seed):
-    """Every start of the screened search grows as reference_grow does, and
+    """Every start of the local search grows as reference_grow does, and
     the search returns the same value and unpruned pair (B, A) with
     either; the pruned witness depends on nothing else."""
     state = locality._SearchState(T, R)
@@ -465,15 +468,15 @@ def _assert_search_matches_reference(T, R, restarts, seed):
     starts += [(int(y), int(x)) for y, x in state.pairs[picks]]
     for y, x in starts:
         assert locality._grow_pair(state, [y], [x]) == reference_grow(T, R, [y], [x], frob)
-    screened = locality._search_violation(T, R, restarts=restarts, seed=seed)
+    found = locality._search_violation(T, R, restarts=restarts, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(locality, "_grow_pair", lambda s, B, A: reference_grow(s.T, R, B, A, frob))
         plain = locality._search_violation(T, R, restarts=restarts, seed=seed)
-    assert screened == plain
+    assert found == plain
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "faint"]))
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "scaled", "faint"]))
 def test_screened_search_matches_plain_greedy(seed, kind):
     T, R = _search_input(seed, kind)
     _assert_search_matches_reference(T, R, 8, seed)
@@ -481,9 +484,8 @@ def test_screened_search_matches_plain_greedy(seed, kind):
 
 @pytest.mark.parametrize("kind", ["band", "reflection"])
 def test_screened_search_matches_plain_greedy_on_a_60_point_path(kind):
-    # mixed 1- and 2-dim fibers: the screened Grams start at 1 x 1 or 2 x 2
-    # (closed form) and grow past them (eigvalsh), and the candidates'
-    # row segments have uneven lengths
+    # mixed 1- and 2-dim fibers: the corners start at 1 x 1 or 2 x 2 and
+    # grow past them, and the candidates add uneven numbers of rows
     rng = np.random.default_rng(60)
     fib = FiberedSpace(path_space(60), rng.integers(1, 3, size=60))
     if kind == "band":
@@ -495,31 +497,54 @@ def test_screened_search_matches_plain_greedy_on_a_60_point_path(kind):
     _assert_search_matches_reference(T, 3.0, 6, 5)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("spread", ["plain", "near-degenerate", "1e12 range", "mixed scales"])
-def test_closed_form_screen_within_slack_of_eigvalsh(m, spread):
-    # the screen takes 1 x 1 and 2 x 2 tops without eigvalsh; skipping a
-    # candidate stays sound while they lie within _SCREEN_SLACK * trace of
-    # eigvalsh's top on the same positive semidefinite matrix
-    rng = np.random.default_rng(m)
-    k = 300
-    dims = rng.integers(1, 4, size=k)
-    C = rng.standard_normal((m + 1, m)) + 1j * rng.standard_normal((m + 1, m))
-    extra = rng.standard_normal((dims.sum(), m)) + 1j * rng.standard_normal((dims.sum(), m))
-    if spread == "near-degenerate":  # 2 I plus a part of relative size 1e-10
-        C, extra = np.sqrt(2.0) * np.eye(m + 1, m), 1e-5 * extra
-    elif spread == "1e12 range":  # between the eigenvalues, or Gram against rows
-        C, extra = (C * [1e3, 1e-3], extra * [1e3, 1e-3]) if m == 2 else (1e3 * C, 1e-3 * extra)
-    elif spread == "mixed scales":
-        extra *= np.repeat(10.0 ** rng.uniform(-3, 3, size=k), dims)[:, None]
-    gram = C.conj().T @ C
-    for d in (dims, np.ones(dims.sum(), dtype=np.int64)):  # with and without reduceat
-        tops, traces = locality._screen(gram, extra, d)
-        owner = np.repeat(np.arange(d.size), d)
-        stacks = np.array([gram + extra[owner == i].T @ extra[owner == i].conj() for i in range(d.size)])
-        exact = np.linalg.eigvalsh(stacks)[:, -1]
-        assert np.all(np.abs(tops - exact) <= locality._SCREEN_SLACK * traces)
-        assert np.allclose(traces, np.trace(stacks, axis1=1, axis2=2).real, rtol=1e-12, atol=0)
+def _assert_no_point_drops(T, witness, value):
+    # the prune's own test: without any one point of a side of two or
+    # more, the corner falls below the margin
+    floor = value - locality._WITNESS_TOL * max(1.0, value)
+    B, A = list(witness.B), list(witness.A)
+    for p in B if len(B) > 1 else []:
+        assert T.corner_norm([q for q in B if q != p], A) < floor
+    for p in A if len(A) > 1 else []:
+        assert T.corner_norm(B, [q for q in A if q != p]) < floor
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
+def test_witness_margin_scales_with_the_operator(scale):
+    # the margin scales with the corner: an absolute 1e-12 would let the
+    # rounding noise of a 1e6 corner keep points that add only zero
+    # blocks, and the exact witness at 1e6 would read
+    # A = (0, 1, 2, 3, 4, 5, 6, 7, 11), B = (9,)
+    U = random_band_unitary(FiberedSpace.uniform(path_space(12), 2), 1.0, 3, 0)
+    report = quasi_locality_violation(U * scale, 1.0, "exact")
+    assert report.witness == locality.Witness(A=(7,), B=(9,))
+    _assert_no_point_drops(U * scale, report.witness, report.violation_lower)
+    # in bounds mode the search would accept such moves, growing the
+    # witness from 5 + 4 points to 11 + 10 and the lower member by 3 ulps
+    V = random_band_unitary(FiberedSpace.uniform(path_space(60), 2), 1.0, 3, 2)
+    unit = quasi_locality_violation(V, 0.0, "bounds")
+    report = quasi_locality_violation(V * scale, 0.0, "bounds")
+    assert report.witness == unit.witness
+    assert len(report.witness.A) + len(report.witness.B) == 9
+    _assert_no_point_drops(V * scale, report.witness, report.violation_lower)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_grow_norms_no_candidate_of_zero_mass(monkeypatch, scale):
+    # from the best singleton at R = 3 of a propagation-4 band unitary,
+    # every candidate adds only zero blocks: the grow takes the start's
+    # norm and no other (norming them would take 64 more at scale 1e6)
+    U = random_band_unitary(FiberedSpace.uniform(path_space(40), 1), 1.0, 4, 3) * scale
+    state = locality._SearchState(U, 3.0)
+    y, x = locality._best_singleton(state)[1]
+    far = U.source.base.dist > 3.0
+    assert not state.frob[far[:, x] & (np.arange(40) != y), x].any()
+    assert not state.frob[y, far[y] & (np.arange(40) != x)].any()
+    norms = []
+    monkeypatch.setattr(locality, "spectral_norm", lambda mat: norms.append(1) or spectral_norm(mat))
+    value, B, A = locality._grow_pair(state, [y], [x])
+    assert (B, A) == ([y], [x])
+    assert value == spectral_norm(U.block(y, x))
+    assert len(norms) == 1
 
 
 def test_bounds_upper_at_most_norm_on_reflection_cover():

@@ -200,6 +200,34 @@ def test_budget_lint_finds_each_mention():
     assert _budget_namers("m.py", text) == ["m.py:2", "m.py:5"]
 
 
+_GRAM_TOP = re.compile(r"\bgram_top\b")
+
+
+def _gram_top_namers(name, text):
+    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _GRAM_TOP.finditer(text)]
+
+
+def test_gram_top_is_named_only_in_operators():
+    # every Gram top comes from the corner kernel or `spectral_norm`: no
+    # other module builds Gram matrices of corners and reads their tops
+    package = Path(roelab.__file__).parent
+    namers = [
+        namer
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py"
+        for namer in _gram_top_namers(path.name, path.read_text())
+    ]
+    assert namers == []
+
+
+def test_gram_top_lint_finds_each_mention():
+    text = (
+        "from .operators import (\n    gram_top,\n)\n"
+        "t = _gram_top_2x2(a, c, b)\nu = my_gram_top(g)\nv = operators.gram_top(g)\n"
+    )
+    assert _gram_top_namers("m.py", text) == ["m.py:2", "m.py:6"]
+
+
 def _json_writers(name, text):
     # read from the syntax tree, so a call wrapped over lines is found
     # like any other; `from json import dumps` counts as a call
