@@ -38,8 +38,9 @@ exactly, so the choice does not depend on rounding.
 Larger spaces get a certified window.  The checks come first (one base
 space, R >= 0, a known mode), then the upper member, then the search for
 the lower member.  An upper member of exactly 0 (T banded at R) skips the
-search: `spectral_norm` resolves any nonzero entry (a Gram top below
-2^-900 takes the SVD), so every separated corner is 0.  Otherwise the
+search: `BlockOperator.norm()` resolves any nonzero entry, which lies in
+a component whose `spectral_norm` is nonzero (a Gram top below 2^-900
+takes the SVD), so every separated corner is 0.  Otherwise the
 search stops as soon as the best corner v it has found satisfies
 v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
 1e-12 that also guards the upper member's own min: every corner is at
@@ -66,7 +67,12 @@ with propagation <= R, since T_R and 0 are such operators.  T - T_R is
 built as one operator from T's matrix, without T_R or a map, and
 `supported_distance_upper` builds its tail the same way.  ||T|| is
 taken only when ||T - T_R|| is not clearly below T's largest column
-norm, a lower bound of ||T||.
+norm, a lower bound of ||T||.  Both are `BlockOperator.norm()`, the
+largest norm among the connected components of the operator's nonzero
+pattern, so neither decomposes the whole matrix of a block-sparse
+operator: on the benchmark inputs the band tails at R = 3 fall into 2-21
+components of 1 x 1 and the 120-point reflection covers and their tails
+into 65-67 of at most 2 x 2.
 
 Both algorithms return a value and the unpruned pair (B, A) attaining
 it.  `quasi_locality_violation` is the one place that prunes the pair to
@@ -236,10 +242,12 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
 
     ||T|| is taken only when ||T - T_R|| is not clearly below a lower
     bound of ||T||; _ROUNDING_MARGIN keeps rounding from flipping the min.
-    Both are full SVDs, whose last bits depend on the BLAS thread count
-    (a 120-point reflection cover reads 1.0000000000000007 with one
-    thread and 1.0000000000000004 with two), so a bounds report is
-    byte-stable at a fixed thread count."""
+    Both norm the components of their nonzero pattern (`BlockOperator.norm`).
+    Where those are far below the sizes OpenBLAS threads, the value does
+    not depend on the BLAS thread count: a 120-point reflection cover reads
+    1.0000000000000004 at R = 3 with one thread and with two.  A component
+    large enough to be decomposed by threads still rounds by the thread
+    count."""
     tail = _tail_norm(T, T.source.base.dist <= R)
     if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail

@@ -12,7 +12,15 @@ and every reported norm is exact: a full SVD for a square matrix (the
 differences T - T_R, fiber blocks), the square root of `gram_top` of
 the smaller side's Gram matrix for a rectangular one (corners, often
 stacked), or the SVD when that top is below 2^-900, where the squares
-may have underflowed.  The unitarity residual takes no norm: it reads
+may have underflowed.  A whole-operator norm (`T.norm()`, and so every
+tail norm of `locality`) is the largest norm among the connected
+components of the bipartite graph of T's nonzero entries: an all-zero
+matrix is 0 with no decomposition, and from `SPLIT_MIN` rows or columns
+on the components are labelled and normed as `masked_corner_norms`
+stacks, while a smaller, dense or one-component matrix takes
+`spectral_norm` whole.  A norm whose components all stay below the sizes
+OpenBLAS threads does not depend on the BLAS thread count.  The
+unitarity residual takes no norm: it reads
 the spectrum of one Hermitian matrix G - I, with G the Gram matrix on
 the smaller side.  The unitarity check decides on the Frobenius norm of
 the same G - I first, an upper bound of the residual, and decomposes
@@ -24,8 +32,9 @@ of a boolean mask (`extraction.corner_norm_table` at ball masks) from
 d^2 real column parts per point of fiber dimension d.  Every Gram top,
 there and in `spectral_norm`, comes from `gram_top`, which no other
 module names.  `masked_corner_norms` norms the exact enumeration's
-corners.  One byte budget, `STACK_BYTES` (2 MiB), caps each batched
-stack of both, and no other module names it.  The column parts do not
+corners and the components of a whole-operator norm.  One byte budget,
+`STACK_BYTES` (2 MiB), caps each batched stack of both, and no other
+module names it.  The column parts do not
 depend on the mask: those of a group that fits one chunk are kept on
 the operator, so a radius scan gathers them once.
 
@@ -42,6 +51,8 @@ product cannot overflow.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .maps import PointMap
 from .spaces import (
@@ -65,6 +76,26 @@ UNITARITY_TOL = 1e-9
 # byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
 # corners of `masked_corner_norms`); each matrix is normed alone
 STACK_BYTES = 2 << 20
+SPLIT_MIN = 96
+"""The size, in rows or columns whichever are more, from which
+`BlockOperator.norm()` labels the components of the nonzero pattern
+instead of norming the whole matrix.
+The labelling costs about 0.3 ms on these tails, which the full SVD
+outgrows between 64 and 80 coordinates; at 80 the two time ranges
+overlapped in one of three measurement rounds, at 96 in none.  Median
+times of the last round on the tails at R = 3 of noisy reflection covers
+(1 layer, noise radius 2, 1-dim fibers, seeds 0-2), one BLAS thread,
+2-core host:
+
+    coordinates   split          full SVD
+    26            337-389 us     92-96 us
+    64            497-508 us     467-478 us
+    80            551-573 us     713-903 us
+    96            617-636 us     1.1-1.5 ms
+    128           666-799 us     1.8-3.1 ms
+    200           774-958 us     5.0-7.5 ms
+    800           7.7-11 ms      367-431 ms
+"""
 
 
 class FiberedSpace:
@@ -256,7 +287,8 @@ class BlockOperator:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        """Spectral norm, computed once per operator and stored."""
+        """Spectral norm, the largest norm among the components of the
+        nonzero pattern (`_norm`); computed once per operator and stored."""
         return self.derived(_norm)
 
     def norm_lower_bound(self) -> float:
@@ -349,7 +381,35 @@ class BlockOperator:
 
 
 def _norm(T: BlockOperator) -> float:
-    return spectral_norm(T.matrix)
+    """||T||, the largest norm among the connected components of the
+    bipartite row/column graph of T's nonzero entries (the singular values
+    of a matrix are those of its components together).  An entry counts
+    when it is not exactly 0, so a 1e-170 entry does.  An all-zero matrix
+    is 0.0 with no decomposition.  Below `SPLIT_MIN` rows and columns, and
+    whenever a full row or column joins everything into one component (a
+    dense matrix, whose labelling would cost more than the check: 3.6 ms
+    on top of an 11.8 ms SVD for 1 - 2P on 256 points, P the projection
+    onto the constants), the whole matrix takes `spectral_norm`;
+    otherwise the components are labelled by `connected_components` and
+    normed by `masked_corner_norms`, and one component alone is again the
+    whole matrix's `spectral_norm`."""
+    mat = T.matrix
+    nonzero = mat != 0
+    if not nonzero.any():
+        return 0.0
+    if max(mat.shape) < SPLIT_MIN or nonzero.all(axis=0).any() or nonzero.all(axis=1).any():
+        return spectral_norm(mat)
+    rows, cols = np.nonzero(nonzero)
+    m, n = mat.shape
+    # rows are nodes 0..m-1 and columns m..m+n-1; np.nonzero lists the edges by row
+    indptr = np.searchsorted(rows, np.arange(m + n + 1))
+    graph = csr_matrix((np.ones(rows.size), cols + m, indptr), shape=(m + n, m + n))
+    labels = connected_components(graph, directed=False)[1]
+    comps = np.unique(labels[rows])  # zero rows and columns are components of their own
+    if comps.size == 1:
+        return spectral_norm(mat)
+    row_masks, col_masks = labels[:m] == comps[:, None], labels[m:] == comps[:, None]
+    return float(masked_corner_norms(mat, row_masks, col_masks).max())
 
 
 def _residual(T: BlockOperator) -> float:

@@ -1,12 +1,17 @@
 """End-to-end CLI runs against files on disk."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roelab
 from roelab.cli import _build_parser, main
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary
@@ -147,6 +152,29 @@ def test_ql_bounds_window_holds_an_entry_whose_square_underflows(tmp_path, capsy
         results = json.loads(capsys.readouterr().out)["results"]
         windows[mode] = (results["violation_lower"], results["violation_upper"])
     assert windows == {"exact": (1e-170, 1e-170), "bounds": (1e-170, 1e-170)}
+
+
+def test_ql_bounds_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # README's noisy 120-point reflection cover: its norms split into
+    # components too small for OpenBLAS to thread.  The test can only fail
+    # on a host with at least 2 cores: with one, both runs use one thread.
+    U, _, _ = noisy_covering_unitary("reflection", 120, 1, 2.0, 1)
+    space, unitary = tmp_path / "space.json", tmp_path / "U.bin"
+    save_space(space, U.source.base)
+    write_operator(unitary, U)
+    argv = ["ql", "--unitary", str(unitary), "--space", str(space), "--mode", "bounds", "--radius", "3"]
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from roelab.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        results.append(json.loads(done.stdout)["results"])
+    assert results[0] == results[1]
 
 
 def test_one_parser_serves_every_call_of_a_process(command_argv, capsys):

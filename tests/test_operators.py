@@ -524,6 +524,151 @@ def test_spectral_norm_matches_lapack(rng):
     assert T.norm() == pytest.approx(1.0, rel=1e-12)
 
 
+# -- whole-operator norms by components of the nonzero pattern ---------------
+
+ULP = np.finfo(float).eps
+
+
+def _svd_top(mat):
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def _tail_matrix(T, keep):
+    """The matrix of T - T_keep, as `locality._tail_norm` builds it."""
+    mask = keep[np.ix_(T.target.coord_point, T.source.coord_point)]
+    return T.matrix - T.matrix * mask
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    return calls
+
+
+def _split_operators():
+    """Operators of at least SPLIT_MIN coordinates whose nonzero pattern
+    falls apart, each with the keep masks of its tails at R = 0-3."""
+    cases = []
+    for kind, n in (("identity", 120), ("reflection", 120), ("halving", 60)):
+        for layers in (1, 2, 3):
+            U, h, _ = noisy_covering_unitary(kind, n, layers, 2.0, layers)
+            dist = U.target.base.dist[:, h.values]  # d(h(x), y), the support relation of h
+            cases.append((U, [dist <= R for R in range(4)]))
+    space = FiberedSpace.uniform(path_space(150), 1)
+    for seed in range(3):
+        V = random_band_unitary(space, 1.0, 4, seed)
+        cases.append((V, [space.base.dist <= R for R in range(4)]))
+    return cases
+
+
+def _components(mat):
+    """(rows, cols) masks of the connected components of the bipartite
+    graph of mat's nonzero entries, grown from each uncovered row."""
+    nonzero = mat != 0
+    covered = ~nonzero.any(axis=1)
+    comps = []
+    while not covered.all():
+        rows = np.zeros(mat.shape[0], dtype=bool)
+        rows[covered.argmin()] = True
+        while True:
+            cols = nonzero[rows].any(axis=0)
+            grown = nonzero[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        covered |= rows
+        comps.append((rows, cols))
+    return comps
+
+
+def _check_split(T, mat, value):
+    """value, the split norm of mat, is within 4 ulps of the largest full
+    SVD among mat's components, and agrees with the whole matrix's SVD.
+    That SVD is less accurate: it sits up to 8.4 ulps from 40-digit
+    values of these norms, where the split sits within 2."""
+    comps = _components(mat)
+    top = max((_svd_top(mat[np.ix_(rows, cols)]) for rows, cols in comps), default=0.0)
+    assert abs(value - top) <= 4 * ULP * top, (T, value, top)
+    assert value == pytest.approx(_svd_top(mat), rel=1e-14, abs=0.0)
+    return len(comps)
+
+
+def test_split_norms_agree_with_the_componentwise_svd(monkeypatch):
+    split = _counting(monkeypatch, operators, "masked_corner_norms")
+    counts = []
+    for T, keeps in _split_operators():
+        assert max(T.matrix.shape) >= operators.SPLIT_MIN
+        counts.append(_check_split(T, T.matrix, T.norm()))
+        for keep in keeps:
+            counts.append(_check_split(T, _tail_matrix(T, keep), locality._tail_norm(T, keep)))
+    assert len(split) == sum(count > 1 for count in counts) >= 30
+
+
+def test_split_norm_of_a_rectangular_operator_takes_the_gram_route(monkeypatch, rng):
+    # 3 x 2 blocks on the diagonal of path(40), every third point linked to
+    # the next: components of shapes 3 x 2 and 6 x 4, all rectangular
+    source, target = FiberedSpace.uniform(path_space(40), 2), FiberedSpace.uniform(path_space(40), 3)
+    blocks = {(x, x): rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for x in range(40)}
+    blocks.update({(x + 1, x): rng.standard_normal((3, 2)) for x in range(0, 39, 3)})
+    T = BlockOperator.from_blocks(source, target, blocks)
+    svd = _counting(monkeypatch, np.linalg, "svd")
+    value = T.norm()
+    assert svd == []  # no component is square
+    monkeypatch.undo()
+    assert _check_split(T, T.matrix, value) == 27
+
+
+def test_all_zero_tail_takes_no_decomposition(monkeypatch):
+    V = random_band_unitary(FiberedSpace.uniform(path_space(150), 1), 1.0, 4, 0)
+    svd, eigvalsh = _counting(monkeypatch, np.linalg, "svd"), _counting(monkeypatch, np.linalg, "eigvalsh")
+    assert locality._tail_norm(V, V.source.base.dist <= 4) == 0.0  # propagation <= 4
+    assert svd == [] and eigvalsh == []
+
+
+def test_split_norm_reads_the_smallest_entries():
+    fib = FiberedSpace.uniform(path_space(128), 1)
+    lone = np.zeros((128, 128), dtype=complex)
+    lone[3, 90] = 5e-324  # an upper member of 0 would skip the search
+    assert BlockOperator(fib, fib, lone).norm() == 5e-324
+    # a rectangular 1 x 2 component of 1e-170, whose Gram underflows, beside a 1 x 1 one
+    tiny = np.zeros((128, 128), dtype=complex)
+    tiny[5, [7, 8]] = 1e-170
+    tiny[40, 41] = 1e-200
+    assert BlockOperator(fib, fib, tiny).norm() == pytest.approx(np.sqrt(2) * 1e-170, rel=1e-15)
+
+
+def test_dense_operator_keeps_the_whole_matrix_norm():
+    # the ghost 1 - 2P, P the projection onto the constants, is one dense component
+    n = 128
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    ghost = BlockOperator(fib, fib, np.eye(n) - 2 * np.full((n, n), 1 / n))
+    assert ghost.norm() == spectral_norm(ghost.matrix)
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_truncation_upper_below_the_split_is_the_whole_matrix_arithmetic(n):
+    # the outer-exact inputs: 2-dim reflection covers of 16 and 26 coordinates
+    assert 2 * n < operators.SPLIT_MIN
+    for seed in range(4):
+        U = noisy_covering_unitary("reflection", n, seed, 2.0, 1, 2)[0]
+        for R in range(4):
+            tail = spectral_norm(_tail_matrix(U, U.source.base.dist <= R))
+            if tail < (1 - locality._ROUNDING_MARGIN) * U.norm_lower_bound():
+                want = tail
+            else:
+                want = min(tail, spectral_norm(U.matrix))
+            assert locality._truncation_upper(U, R) == want, (seed, R)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bounds_mode_never_decomposes_the_whole_band_tail(monkeypatch, seed):
+    V = random_band_unitary(FiberedSpace.uniform(path_space(150), 1), 1.0, 4, seed)
+    svd = _counting(monkeypatch, np.linalg, "svd")
+    locality.quasi_locality_violation(V, 3, "bounds")
+    assert svd and all(np.shape(mat)[-2:] != (150, 150) for mat in svd)
+
+
 def test_block_frobenius_matches_naive(rng):
     X = random_graph_space(rng, 5, extra_edges=1)
     fib = random_fibered(rng, X)
