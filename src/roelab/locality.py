@@ -38,9 +38,9 @@ exactly, so the choice does not depend on rounding.
 Larger spaces get a certified window.  The checks come first (one base
 space, R >= 0, a known mode), then the upper member, then the search for
 the lower member.  An upper member of exactly 0 (T banded at R) skips the
-search: `BlockOperator.norm()` resolves any nonzero entry, which lies in
-a component whose `spectral_norm` is nonzero (a Gram top below 2^-900
-takes the SVD), so every separated corner is 0.  Otherwise the
+search: `spectral_norm` resolves any nonzero entry, which lies in a
+component whose norm is nonzero (a Gram top below 2^-900 takes the
+SVD), so every separated corner is 0.  Otherwise the
 search stops as soon as the best corner v it has found satisfies
 v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
 1e-12 that also guards the upper member's own min: every corner is at
@@ -63,16 +63,14 @@ Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
 never exceed T.  Both also bound the distance from T to the operators
-with propagation <= R, since T_R and 0 are such operators.  T - T_R is
-built as one operator from T's matrix, without T_R or a map, and
-`supported_distance_upper` builds its tail the same way.  ||T|| is
-taken only when ||T - T_R|| is not clearly below T's largest column
-norm, a lower bound of ||T||.  Both are `BlockOperator.norm()`, the
-largest norm among the connected components of the operator's nonzero
-pattern, so neither decomposes the whole matrix of a block-sparse
-operator: on the benchmark inputs the band tails at R = 3 fall into 2-21
-components of 1 x 1 and the 120-point reflection covers and their tails
-into 65-67 of at most 2 x 2.
+with propagation <= R, since T_R and 0 are such operators.  The matrix
+of T - T_R is formed from T's, with no operator built, and so is
+`supported_distance_upper`'s tail.  ||T|| is taken only when
+||T - T_R|| is not clearly below T's largest column norm, a lower bound
+of ||T||.  `spectral_norm` splits both into the components of their
+nonzero pattern: on the benchmark inputs the band tails at R = 3 fall
+into 2-21 components of 1 x 1 and the 120-point reflection covers and
+their tails into 65-67 of at most 2 x 2.
 
 Both algorithms return a value and the unpruned pair (B, A) attaining
 it.  `quasi_locality_violation` is the one place that prunes the pair to
@@ -227,27 +225,27 @@ def _exact_violation(T: BlockOperator, R: float):
 
 def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
     """||T - T_keep||, with T_keep the blocks (y, x) of T where keep[y, x]
-    holds and zero blocks elsewhere.  One operator is built, the tail;
-    its matrix is M - M * mask, the arithmetic of `supported_mask` and
-    the operator difference, so every entry, signed zeros included, is
-    that of T - T_keep.  (A copy `np.where(~mask, M, 0)` differs in the
-    sign of a zero real part, which moves the SVD by an ulp now and then.)"""
+    holds and zero blocks elsewhere: `spectral_norm` of M - M * mask, the
+    arithmetic of `supported_mask` and the operator difference, so every
+    entry, signed zeros included, is that of T - T_keep.  (A copy
+    `np.where(~mask, M, 0)` differs in the sign of a zero real part,
+    which moves the SVD by an ulp now and then.)"""
     mask = keep[np.ix_(T.target.coord_point, T.source.coord_point)]
-    return BlockOperator(T.source, T.target, T.matrix - T.matrix * mask).norm()
+    return spectral_norm(T.matrix - T.matrix * mask)
 
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
     """min(||T - T_R||, ||T||): bounds both the violation at R and the
     distance from T to the operators with propagation <= R.
 
-    ||T|| is taken only when ||T - T_R|| is not clearly below a lower
-    bound of ||T||; _ROUNDING_MARGIN keeps rounding from flipping the min.
-    Both norm the components of their nonzero pattern (`BlockOperator.norm`).
-    Where those are far below the sizes OpenBLAS threads, the value does
-    not depend on the BLAS thread count: a 120-point reflection cover reads
-    1.0000000000000004 at R = 3 with one thread and with two.  A component
-    large enough to be decomposed by threads still rounds by the thread
-    count."""
+    ||T|| is taken only when ||T - T_R|| is not clearly below T's largest
+    column norm; _ROUNDING_MARGIN keeps rounding from flipping the min.
+    The branch pays on the `ql-bounds` band unitaries (path(150), 4
+    layers, the four of seed 3300): their tails read 0.22-0.85 against a
+    column norm of 1.0, so each skips a 0.9-1.4 ms ||T|| of 13-19
+    components.  The value does not depend on the BLAS thread count where
+    the components stay below the sizes OpenBLAS threads (a 120-point
+    reflection cover reads 1.0000000000000004 at R = 3 on 1 or 2 threads)."""
     tail = _tail_norm(T, T.source.base.dist <= R)
     if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail

@@ -8,23 +8,16 @@ corners) is always expressed at the block level, so exact zero blocks
 play the role of absent blocks.
 
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
-and every reported norm is exact: a full SVD for a square matrix (the
-differences T - T_R, fiber blocks), the square root of `gram_top` of
-the smaller side's Gram matrix for a rectangular one (corners, often
-stacked), or the SVD when that top is below 2^-900, where the squares
-may have underflowed.  A whole-operator norm (`T.norm()`, and so every
-tail norm of `locality`) is the largest norm among the connected
-components of the bipartite graph of T's nonzero entries: an all-zero
-matrix is 0 with no decomposition, and from `SPLIT_MIN` rows or columns
-on the components are labelled and normed as `masked_corner_norms`
-stacks, while a smaller, dense or one-component matrix takes
-`spectral_norm` whole.  A norm whose components all stay below the sizes
-OpenBLAS threads does not depend on the BLAS thread count.  The
-unitarity residual takes no norm: it reads
-the spectrum of one Hermitian matrix G - I, with G the Gram matrix on
-the smaller side.  The unitarity check decides on the Frobenius norm of
-the same G - I first, an upper bound of the residual, and decomposes
-only when that bound cannot decide.
+and every reported norm is exact.  From `SPLIT_MIN` rows and columns
+on, it is the largest norm among the components of the nonzero pattern;
+otherwise a square matrix (the differences T - T_R, fiber blocks) takes
+a full SVD and a rectangular one (corners, often stacked) the Gram
+route.  A norm whose components all stay below the sizes OpenBLAS
+threads does not depend on the BLAS thread count.  The unitarity
+residual takes no norm: it reads the spectrum of one Hermitian matrix
+G - I, with G the Gram matrix on the smaller side.  The unitarity check
+decides on the Frobenius norm of the same G - I first, an upper bound
+of the residual, and decomposes only when that bound cannot decide.
 
 Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
@@ -77,9 +70,8 @@ UNITARITY_TOL = 1e-9
 # corners of `masked_corner_norms`); each matrix is normed alone
 STACK_BYTES = 2 << 20
 SPLIT_MIN = 96
-"""The size, in rows or columns whichever are more, from which
-`BlockOperator.norm()` labels the components of the nonzero pattern
-instead of norming the whole matrix.
+"""The size of a matrix's smaller side from which `spectral_norm` labels
+the components of the nonzero pattern instead of norming it whole.
 The labelling costs about 0.3 ms on these tails, which the full SVD
 outgrows between 64 and 80 coordinates; at 80 the two time ranges
 overlapped in one of three measurement rounds, at 96 in none.  Median
@@ -95,6 +87,17 @@ times of the last round on the tails at R = 3 of noisy reflection covers
     128           666-799 us     1.8-3.1 ms
     200           774-958 us     5.0-7.5 ms
     800           7.7-11 ms      367-431 ms
+
+The route decomposes a matrix the size of its smaller side, so that side
+decides.  Rectangular matrices, same host:
+
+    matrix                    split      route
+    sparse 200 x 16 slab      503 us     46 us
+    120 x 80, 3 x 2 blocks    611 us     860 us
+    150 x 100, 3 x 2 blocks   655 us     1,443 us
+
+By the larger side, slabs (`upgrade_trick`'s error, concentration
+certificates) would split 10x slower; no workload has a 120 x 80 shape.
 """
 
 
@@ -172,24 +175,48 @@ def gram_top(stack: np.ndarray) -> np.ndarray:
 def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
-    A square matrix gets a full SVD.  A rectangular one, a vector
-    included, gets the square root of `gram_top` of its smaller side's
-    Gram matrix, or the SVD when that top is below 2^-900, where the
-    squares may have underflowed (a block of 1e-170 has a Gram of 0).
-    The rule follows the measured traffic: the square inputs are sparse
-    differences, faster by SVD, and the rectangular ones mostly stacked
-    corners, faster by one batched Gram product.
+    From `SPLIT_MIN` rows and columns on, an all-zero matrix is 0.0 with
+    no decomposition, and otherwise the components of the bipartite
+    row/column graph of the nonzero entries (an entry counts when it is
+    not exactly 0), whose singular values together are the matrix's, are
+    labelled by `connected_components` and normed by
+    `masked_corner_norms`; the largest is the norm.  A full row or column
+    makes one component and skips the labelling (3.6 ms on top of an
+    11.8 ms SVD for 1 - 2P on 256 points, P the projection onto the
+    constants); such a matrix, one component and every smaller matrix
+    take the route whole: a full SVD for a square matrix; for a rectangular one, a
+    1 x n or n x 1 matrix included, the square root of `gram_top` of its
+    smaller side's Gram matrix, or the SVD when that top is below 2^-900,
+    where the squares may have underflowed (a block of 1e-170 has a Gram
+    of 0).
 
-    A (k, rows, cols) stack of equal-shape matrices gives the array of
-    its k values from one batched call, each bit for bit the value of its
-    own matrix: the route depends on the shape and on the matrix's own
+    A (k, rows, cols) stack takes the route in one batched call, never
+    split: each of its k values is bit for bit what the route gives its
+    own matrix, since the route depends on the shape and the matrix's own
     Gram top only, and the batched matmul and LAPACK calls run the
-    per-matrix routine on every matrix.
+    per-matrix routine on every matrix.  Fewer than two axes is a
+    ValueError.
     """
     mat = np.asarray(mat)
+    if mat.ndim < 2:
+        raise ValueError(f"spectral_norm needs a matrix or a stack of matrices, got shape {mat.shape}")
     rows, cols = mat.shape[-2:]
     if mat.size == 0:
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
+    if min(rows, cols) >= SPLIT_MIN and mat.ndim == 2:
+        nonzero = mat != 0
+        if not nonzero.any():
+            return 0.0
+        if not (nonzero.all(axis=0).any() or nonzero.all(axis=1).any()):
+            r, c = np.nonzero(nonzero)
+            # rows are nodes 0..rows-1 and columns rows..rows+cols-1; np.nonzero lists the edges by row
+            indptr = np.searchsorted(r, np.arange(rows + cols + 1))
+            graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
+            labels = connected_components(graph, directed=False)[1]
+            comps = np.unique(labels[r])  # zero rows and columns are components of their own
+            if comps.size > 1:
+                row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
+                return float(masked_corner_norms(mat, row_masks, col_masks).max())
     if rows == cols:
         tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
     else:
@@ -287,8 +314,7 @@ class BlockOperator:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        """Spectral norm, the largest norm among the components of the
-        nonzero pattern (`_norm`); computed once per operator and stored."""
+        """`spectral_norm` of the matrix; computed once per operator and stored."""
         return self.derived(_norm)
 
     def norm_lower_bound(self) -> float:
@@ -368,7 +394,9 @@ class BlockOperator:
         eigenvalues plus zeros, and each zero contributes |0 - 1| = 1, so
         the residual is max(||G - I||, 1).  This is the exact value every
         report prints; `check_unitary` computes it only when a Frobenius
-        bound cannot decide.  Computed once per operator and stored.
+        bound cannot decide.  Computed once per operator and stored.  The
+        SVD of G - I would move 25 of the 63 `outer-exact` residuals (seeds
+        1-3, values near 2e-16) by up to 3.2 %, so it stays `eigvalsh`.
         """
         return self.derived(_residual)
 
@@ -381,35 +409,8 @@ class BlockOperator:
 
 
 def _norm(T: BlockOperator) -> float:
-    """||T||, the largest norm among the connected components of the
-    bipartite row/column graph of T's nonzero entries (the singular values
-    of a matrix are those of its components together).  An entry counts
-    when it is not exactly 0, so a 1e-170 entry does.  An all-zero matrix
-    is 0.0 with no decomposition.  Below `SPLIT_MIN` rows and columns, and
-    whenever a full row or column joins everything into one component (a
-    dense matrix, whose labelling would cost more than the check: 3.6 ms
-    on top of an 11.8 ms SVD for 1 - 2P on 256 points, P the projection
-    onto the constants), the whole matrix takes `spectral_norm`;
-    otherwise the components are labelled by `connected_components` and
-    normed by `masked_corner_norms`, and one component alone is again the
-    whole matrix's `spectral_norm`."""
-    mat = T.matrix
-    nonzero = mat != 0
-    if not nonzero.any():
-        return 0.0
-    if max(mat.shape) < SPLIT_MIN or nonzero.all(axis=0).any() or nonzero.all(axis=1).any():
-        return spectral_norm(mat)
-    rows, cols = np.nonzero(nonzero)
-    m, n = mat.shape
-    # rows are nodes 0..m-1 and columns m..m+n-1; np.nonzero lists the edges by row
-    indptr = np.searchsorted(rows, np.arange(m + n + 1))
-    graph = csr_matrix((np.ones(rows.size), cols + m, indptr), shape=(m + n, m + n))
-    labels = connected_components(graph, directed=False)[1]
-    comps = np.unique(labels[rows])  # zero rows and columns are components of their own
-    if comps.size == 1:
-        return spectral_norm(mat)
-    row_masks, col_masks = labels[:m] == comps[:, None], labels[m:] == comps[:, None]
-    return float(masked_corner_norms(mat, row_masks, col_masks).max())
+    """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`."""
+    return spectral_norm(T.matrix)
 
 
 def _residual(T: BlockOperator) -> float:

@@ -592,10 +592,25 @@ def test_truncation_upper_takes_the_norm_only_when_it_can_matter(monkeypatch, ki
     tail = spectral_norm((T - T.band_truncate(3.0)).matrix)
     expected = min(tail, spectral_norm(T.matrix))
     taken = []
-    monkeypatch.setattr(operators, "spectral_norm", lambda mat: taken.append(mat) or spectral_norm(mat))
+    # the tail is normed through locality's name, ||T|| through operators'
+    for module in (operators, locality):
+        monkeypatch.setattr(module, "spectral_norm", lambda mat: taken.append(mat) or spectral_norm(mat))
     assert locality._truncation_upper(T, 3.0) == expected
     assert len(taken) == norms_taken
     assert (tail < 1.0) == (kind == "band")
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_tail_norms_build_no_operator(monkeypatch, n):
+    # the tail is T's matrix with the band zeroed; its entries need no second check
+    T, h, _ = noisy_covering_unitary("reflection", n, 0, 2.0, 1)
+    built = []
+    init = BlockOperator.__init__
+    monkeypatch.setattr(BlockOperator, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for R in (0.0, 3.0):
+        locality._truncation_upper(T, R)
+        supported_distance_upper(T, h, R)
+    assert built == []
 
 
 def _assert_stop_rule_sound(T, R, restarts, seed):

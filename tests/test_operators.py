@@ -1,5 +1,7 @@
 """Block operators: propagation, corners, norms, band structure."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -598,25 +600,82 @@ def test_split_norms_agree_with_the_componentwise_svd(monkeypatch):
     split = _counting(monkeypatch, operators, "masked_corner_norms")
     counts = []
     for T, keeps in _split_operators():
-        assert max(T.matrix.shape) >= operators.SPLIT_MIN
+        assert min(T.matrix.shape) >= operators.SPLIT_MIN
         counts.append(_check_split(T, T.matrix, T.norm()))
         for keep in keeps:
             counts.append(_check_split(T, _tail_matrix(T, keep), locality._tail_norm(T, keep)))
     assert len(split) == sum(count > 1 for count in counts) >= 30
 
 
+def test_operator_norm_is_the_spectral_norm_of_its_matrix():
+    for T, _ in _split_operators():
+        assert np.float64(T.norm()).tobytes() == np.float64(spectral_norm(T.matrix)).tobytes()
+
+
+def _rectangular_blocks(rng, n):
+    """3 x 2 blocks on the diagonal of path(n), every third point linked
+    to the next: components of shapes 3 x 2 and 6 x 4, all rectangular."""
+    source, target = FiberedSpace.uniform(path_space(n), 2), FiberedSpace.uniform(path_space(n), 3)
+    blocks = {(x, x): rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for x in range(n)}
+    blocks.update({(x + 1, x): rng.standard_normal((3, 2)) for x in range(0, n - 1, 3)})
+    return BlockOperator.from_blocks(source, target, blocks)
+
+
 def test_split_norm_of_a_rectangular_operator_takes_the_gram_route(monkeypatch, rng):
-    # 3 x 2 blocks on the diagonal of path(40), every third point linked to
-    # the next: components of shapes 3 x 2 and 6 x 4, all rectangular
-    source, target = FiberedSpace.uniform(path_space(40), 2), FiberedSpace.uniform(path_space(40), 3)
-    blocks = {(x, x): rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for x in range(40)}
-    blocks.update({(x + 1, x): rng.standard_normal((3, 2)) for x in range(0, 39, 3)})
-    T = BlockOperator.from_blocks(source, target, blocks)
+    # 120 x 80: the smaller side is below SPLIT_MIN, so the whole matrix
+    # takes the Gram route, with no labelling and no SVD
+    T = _rectangular_blocks(rng, 40)
+    labelled = _counting(monkeypatch, operators, "connected_components")
     svd = _counting(monkeypatch, np.linalg, "svd")
     value = T.norm()
-    assert svd == []  # no component is square
+    assert labelled == [] and svd == []
     monkeypatch.undo()
     assert _check_split(T, T.matrix, value) == 27
+
+
+def test_rectangular_operator_splits_from_its_smaller_side(monkeypatch, rng):
+    # 150 x 100: the smaller side reaches SPLIT_MIN, so the components are
+    # labelled and normed, and none is square, so nothing takes the SVD
+    T = _rectangular_blocks(rng, 50)
+    labelled = _counting(monkeypatch, operators, "connected_components")
+    svd = _counting(monkeypatch, np.linalg, "svd")
+    value = T.norm()
+    assert len(labelled) == 1 and svd == []
+    monkeypatch.undo()
+    assert _check_split(T, T.matrix, value) == 33
+
+
+def test_slabs_and_columns_are_not_labelled(monkeypatch, rng):
+    # the shapes of upgrade_trick's error and of concentration
+    # certificates: a large side alone does not split
+    slab = np.zeros((200, 16), dtype=complex)
+    slab[rng.choice(200, 40, replace=False), rng.integers(0, 16, 40)] = rng.standard_normal(40)
+    U = noisy_covering_unitary("reflection", 200, 0, 2.0, 1)[0]
+    labelled = _counting(monkeypatch, operators, "connected_components")
+    values = [spectral_norm(slab), spectral_norm(U.matrix[:, [7]])]
+    assert labelled == []
+    assert values == pytest.approx([_svd_top(slab), _svd_top(U.matrix[:, [7]])], rel=1e-14)
+
+
+def test_stacks_match_the_matrices_the_split_leaves_whole(rng):
+    def check(stack):
+        want = np.array([spectral_norm(mat) for mat in stack])
+        assert spectral_norm(stack).tobytes() == want.tobytes()
+
+    for shape in [(3, 7, 7), (4, 5, 9), (2, 95, 95), (2, 95, 200), (2, 300, 95)]:
+        check(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # above SPLIT_MIN: dense (a full row), and one band component without a full row or column
+    dense = rng.standard_normal((3, 100, 120))
+    band = np.stack([np.diag(rng.standard_normal(100)) + np.diag(rng.standard_normal(99), 1) for _ in range(3)])
+    for stack in (dense, band.astype(complex)):
+        assert all(len(_components(mat)) == 1 for mat in stack)
+        check(stack)
+
+
+@pytest.mark.parametrize("mat", [np.ones(3), 2.0, np.zeros(0)])
+def test_spectral_norm_refuses_fewer_than_two_axes(mat):
+    with pytest.raises(ValueError, match=rf"got shape {re.escape(str(np.shape(mat)))}"):
+        spectral_norm(mat)
 
 
 def test_all_zero_tail_takes_no_decomposition(monkeypatch):

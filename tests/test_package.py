@@ -2,7 +2,8 @@
 name it never uses, no private definition or module-level name is left
 without a reader, no module imports another's private name, nothing is
 configured through the environment, no check is an `assert`, every
-norm and Gram top goes through `operators`, every set of distance
+norm and Gram top goes through `operators` and every split of a matrix
+into components through `spectral_norm`, every set of distance
 levels, every integer check and every real-number check through
 `spaces`, every JSON text through `serialize`, and the README's quick
 start runs as printed."""
@@ -134,33 +135,61 @@ def test_norm_lint_finds_calls_wrapped_over_lines():
 _DECOMPOSITION_HOMES = {"eigvalsh": {"gram_top", "_residual"}, "svd": {"spectral_norm"}}
 
 
-def _stray_decompositions(name, text):
-    # an eigvalsh or singular-value call outside its home, reported at the
-    # line where it starts with the innermost function holding it
+def _holder(text):
+    """The innermost function holding a line of text, or None."""
     functions = [
         (node.lineno, node.end_lineno, node.name)
         for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
+
+    def holder(line):
+        holders = [(start, fn) for start, end, fn in functions if start <= line <= end]
+        return max(holders)[1] if holders else None
+
+    return holder
+
+
+def _stray_decompositions(name, text):
+    # an eigvalsh or singular-value call outside its home, reported at the
+    # line where it starts with the innermost function holding it
+    holder = _holder(text)
     strays = []
     for match in _NORM_TAKER.finditer(text):
         kind = match.group(1) or "svd"
         if kind not in _DECOMPOSITION_HOMES:
             continue
         line = text.count("\n", 0, match.start()) + 1
-        holders = [(start, fn) for start, end, fn in functions if start <= line <= end]
-        home = max(holders)[1] if holders else None
+        home = holder(line)
         if home not in _DECOMPOSITION_HOMES[kind]:
             strays.append(f"{name}:{line} {kind} in {home}")
     return strays
 
 
+_LABELLING = re.compile(r"\bconnected_components\s*\(")
+
+
+def _component_labellers(module, text):
+    # module.function for every call that labels graph components
+    holder = _holder(text)
+    return [f"{module}.{holder(text.count(chr(10), 0, m.start()) + 1)}" for m in _LABELLING.finditer(text)]
+
+
 def test_each_decomposition_is_called_only_in_its_home():
     # one Gram route: every Hermitian top goes through `gram_top` (the
     # unitarity residual reads a whole spectrum), every SVD norm through
-    # `spectral_norm`
-    text = (Path(roelab.__file__).parent / "operators.py").read_text()
+    # `spectral_norm`; and one norm function: only `spectral_norm` splits a
+    # matrix into components, which elsewhere are labelled only to refuse
+    # a disconnected edge list
+    package = Path(roelab.__file__).parent
+    text = (package / "operators.py").read_text()
     assert _stray_decompositions("operators.py", text) == []
+    labellers = [
+        labeller
+        for path in sorted(package.glob("*.py"))
+        for labeller in _component_labellers(path.stem, path.read_text())
+    ]
+    assert labellers == ["operators.spectral_norm", "spaces.from_edge_list"]
 
 
 def test_decomposition_lint_finds_calls_outside_their_homes():
@@ -174,6 +203,13 @@ def test_decomposition_lint_finds_calls_outside_their_homes():
     assert _stray_decompositions("m.py", text) == [
         "m.py:8 eigvalsh in inner", "m.py:9 svd in corner", "m.py:10 eigvalsh in None"
     ]
+
+
+def test_labelling_lint_finds_a_call_planted_in_locality():
+    text = (Path(roelab.__file__).parent / "locality.py").read_text()
+    planted = text + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
+    assert _component_labellers("locality", text) == []
+    assert _component_labellers("locality", planted) == ["locality._planted"]
 
 
 _STACK_BUDGET = re.compile(r"\bSTACK_BYTES\b")
