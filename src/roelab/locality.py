@@ -48,12 +48,16 @@ most the violation, which is at most the upper member, so a skipped
 start could raise the lower member by at most the margin plus rounding.
 The lower member is still a corner that was found.  It is a seeded
 local search that grows separated pairs one point at a time.  Its
-restarts share one state built per call (the far relation d > R, the
-block Frobenius norms and their squares, the separated pairs, each
-coordinate's point).  A round keeps the masks of B, of A and of the
-points far from each up to date, ranks the candidate points by the
-Frobenius mass they add, and norms the candidates of nonzero mass in
-rank order, corner coordinates read from the masks in the order
+starts share one state built per call (the far relation d > R, the
+block Frobenius norms and their squares, each coordinate's point); no
+list of the separated pairs is built.  The best separated singleton
+ranks only the separated blocks of nonzero Frobenius norm, and the
+seeded restarts are drawn only when its grow leaves the window open,
+each located as the k-th separated pair in row-major order.  A round
+keeps the masks of B, of A and of the points far from each up to date,
+ranks the candidate points by the Frobenius mass they add, and norms
+the candidates of nonzero mass in rank order, corner coordinates read
+from the masks in the order
 `BlockOperator.corner_norm` uses.  A candidate of mass 0 adds only zero
 blocks (or entries whose squares underflow), so it cannot raise the
 corner by the accept margin, _WITNESS_TOL * max(1, corner), which scales
@@ -255,26 +259,31 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
 class _SearchState:
     """What every restart of the local search shares, built once per call:
     the separation relation, the block Frobenius norms and their squares,
-    the separated block pairs, and the point of each coordinate."""
+    and the point of each coordinate.  No list of separated pairs is
+    kept: the best singleton ranks the nonzero separated blocks only, and
+    a seeded restart is located in the relation when it is drawn."""
 
     def __init__(self, T: BlockOperator, R: float):
         self.T = T
         self.far = T.source.base.dist > R  # far[y, x]: d(y, x) > R; symmetric
         self.frob = T.block_frobenius()
         self.frob2 = self.frob**2
-        self.pairs = np.argwhere(self.far)  # separated (y, x), row-major
         self.row_point = T.target.coord_point
         self.col_point = T.source.coord_point
 
 
 def _best_singleton(s: _SearchState):
-    """Exact best separated singleton pair, prescreened by Frobenius norms."""
-    if s.pairs.size == 0:
-        return 0.0, None
-    order = np.argsort(-s.frob[s.far], kind="stable")
+    """Exact best separated singleton pair, prescreened by Frobenius norms.
+
+    Only the separated blocks of nonzero Frobenius norm are ranked, by
+    descending norm with ties in row-major order (a stable sort): spectral
+    <= Frobenius, so once the best value reaches a block's Frobenius norm
+    nothing later can win, and a zero block never can."""
+    nonzero = s.far & (s.frob > 0)
+    order = np.argsort(-s.frob[nonzero], kind="stable")
     best = 0.0
     best_pair = None
-    for y, x in s.pairs[order]:
+    for y, x in np.argwhere(nonzero)[order]:
         if s.frob[y, x] <= best:
             break  # spectral <= Frobenius, nothing later can win
         value = spectral_norm(s.T.block(y, x))
@@ -346,6 +355,21 @@ def _grow_pair(s: _SearchState, B: list, A: list):
     return value, B, A
 
 
+def _starts(s: _SearchState, restarts: int, seed: int):
+    """The search's starts, each made only when the one before it has been
+    grown: the best separated singleton, then `restarts` separated pairs
+    drawn at once by `default_rng(seed).integers(0, n_pairs, restarts)`,
+    pick k being the k-th separated pair (y, x) in row-major order."""
+    pair = _best_singleton(s)[1]
+    if pair is not None:
+        yield pair
+    before = np.concatenate(([0], np.cumsum(s.far.sum(axis=1))))  # pairs in the rows above y
+    if before[-1] and restarts > 0:
+        picks = np.random.default_rng(seed).integers(0, before[-1], size=restarts)
+        for k, y in zip(picks, np.searchsorted(before, picks, side="right") - 1):
+            yield int(y), int(np.flatnonzero(s.far[y])[k - before[y]])
+
+
 def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, upper: float = np.inf):
     """Best corner norm the local search reaches from the best separated
     singleton and `restarts` seeded pairs, with its unpruned pair (B, A);
@@ -355,16 +379,11 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
     a start reaches (1 - _ROUNDING_MARGIN) * upper the window is closed up
     to rounding, and the remaining starts are skipped: every corner is at
     most the violation, so they could raise the value by at most the
-    margin plus rounding."""
+    margin plus rounding.  The restarts are drawn only once a start has
+    left the window open."""
     state = _SearchState(T, R)
-    pair = _best_singleton(state)[1]
-    starts = [] if pair is None else [pair]
-    rng = np.random.default_rng(seed)
-    if state.pairs.shape[0] and restarts > 0:
-        picks = rng.integers(0, state.pairs.shape[0], size=restarts)
-        starts.extend((int(y), int(x)) for y, x in state.pairs[picks])
     best_value, best_sets = 0.0, None
-    for y, x in starts:
+    for y, x in _starts(state, restarts, seed):
         value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
             best_value, best_sets = value, (B, A)

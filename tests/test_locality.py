@@ -459,13 +459,14 @@ def _assert_search_matches_reference(T, R, restarts, seed):
     the search returns the same value and unpruned pair (B, A) with
     either; the pruned witness depends on nothing else."""
     state = locality._SearchState(T, R)
-    if len(state.pairs) == 0:
+    pairs = np.argwhere(state.far)
+    if len(pairs) == 0:
         return
     frob = T.block_frobenius()
     best = locality._best_singleton(state)[1]  # None when every separated block is zero
     starts = [best] if best is not None else []
-    picks = np.random.default_rng(seed).integers(0, len(state.pairs), 8)
-    starts += [(int(y), int(x)) for y, x in state.pairs[picks]]
+    picks = np.random.default_rng(seed).integers(0, len(pairs), 8)
+    starts += [(int(y), int(x)) for y, x in pairs[picks]]
     for y, x in starts:
         assert locality._grow_pair(state, [y], [x]) == reference_grow(T, R, [y], [x], frob)
     found = locality._search_violation(T, R, restarts=restarts, seed=seed)
@@ -495,6 +496,76 @@ def test_screened_search_matches_plain_greedy_on_a_60_point_path(kind):
         T = W @ random_band_unitary(fib, 2.0, 1, seed=12)
     assert set(T.target.fiber_dims) == set(T.source.fiber_dims) == {1, 2}
     _assert_search_matches_reference(T, 3.0, 6, 5)
+
+
+def eager_starts(T, R, restarts, seed):
+    """The start list of a search that indexes every separated pair: the
+    best singleton over all of them, ranked by argsort(-frob[far],
+    kind="stable"), then argwhere(far)[default_rng(seed).integers(0,
+    len, restarts)]."""
+    far = T.source.base.dist > R
+    frob = T.block_frobenius()
+    pairs = np.argwhere(far)
+    best, starts = 0.0, []
+    for y, x in pairs[np.argsort(-frob[far], kind="stable")]:
+        if frob[y, x] <= best:
+            break
+        value = spectral_norm(T.block(y, x))
+        if value > best:
+            best, starts = value, [(int(y), int(x))]
+    if len(pairs) and restarts > 0:
+        picks = np.random.default_rng(seed).integers(0, len(pairs), size=restarts)
+        starts += [(int(y), int(x)) for y, x in pairs[picks]]
+    return starts
+
+
+def _assert_starts_match_eager_list(T, R, restarts, seed):
+    # an open window (upper = inf) grows every start, in order
+    grown = []
+    real = locality._grow_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locality, "_grow_pair", lambda s, B, A: grown.append((B[0], A[0])) or real(s, B, A))
+        locality._search_violation(T, R, restarts, seed, np.inf)
+    assert grown == eager_starts(T, R, restarts, seed)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "scaled", "faint"]))
+def test_starts_match_the_eager_start_list(seed, kind):
+    T, R = _search_input(seed, kind)
+    _assert_starts_match_eager_list(T, R, 8, seed)
+
+
+def test_starts_match_the_eager_start_list_when_every_block_ties():
+    # a point permutation: every nonzero separated block has Frobenius
+    # norm 1, so the row-major order of the ties picks the singleton
+    rng = np.random.default_rng(30)
+    fib = FiberedSpace.uniform(path_space(30), 1)
+    T = BlockOperator(fib, fib, np.eye(30)[rng.permutation(30)])
+    far, frob = T.source.base.dist > 2.0, T.block_frobenius()
+    assert np.count_nonzero(frob[far]) > 1 and set(frob[far]) == {0.0, 1.0}
+    first = tuple(int(i) for i in np.argwhere(far & (frob > 0))[0])
+    assert locality._best_singleton(locality._SearchState(T, 2.0)) == (1.0, first)
+    for seed in range(4):
+        _assert_starts_match_eager_list(T, 2.0, locality.SEARCH_RESTARTS, seed)
+
+
+def test_search_keeps_no_index_of_the_separated_pairs(monkeypatch):
+    # 157,212 separated pairs: an argwhere index of them alone is 16 bytes
+    # each.  The block Frobenius norms are the operator's, made before the
+    # trace (building them squares the 800 x 800 matrix, a 10 MB
+    # transient the search does not control).
+    U, _, _ = noisy_covering_unitary("reflection", 400, 0, 2.0, 1, fiber_dim=2)
+    n_pairs = np.count_nonzero(U.source.base.dist > 3.0)
+    frob = U.block_frobenius()
+    monkeypatch.setattr(BlockOperator, "block_frobenius", lambda T: frob)
+    tracemalloc.start()
+    try:
+        locality._search_violation(U, 3.0, locality.SEARCH_RESTARTS, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n_pairs
 
 
 def _assert_no_point_drops(T, witness, value):
@@ -687,6 +758,23 @@ def test_closed_window_skips_the_remaining_restarts(monkeypatch):
     assert len(grows) == 1
 
 
+def _count_draws(monkeypatch):
+    draws = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args) or real(*args))
+    return draws
+
+
+def test_closed_window_draws_no_restarts(monkeypatch):
+    # the best singleton's grow closes the window, so no generator is made
+    U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
+    grows = _count_grows(monkeypatch)
+    draws = _count_draws(monkeypatch)
+    quasi_locality_violation(U, 3.0, mode="bounds")
+    assert len(grows) == 1
+    assert draws == []
+
+
 def test_window_closed_up_to_rounding_stops_after_the_first_start(monkeypatch):
     # every start's best corner stays an ulp or two below the upper member
     # (||U|| = 1.0000000000000007 with one BLAS thread), which a plain >=
@@ -728,9 +816,11 @@ def test_open_window_runs_every_restart(monkeypatch):
     fib = FiberedSpace.uniform(path_space(30), 1)
     T = random_operator(rng, fib, fib)
     grows = _count_grows(monkeypatch)
+    draws = _count_draws(monkeypatch)
     report = quasi_locality_violation(T, 2.0, mode="bounds")
     assert report.violation_lower < 0.9 * report.violation_upper
     assert len(grows) == locality.SEARCH_RESTARTS + 1
+    assert draws == [(0,)]
 
 
 def _two_base_operator():
