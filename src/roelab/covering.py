@@ -304,10 +304,10 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     as R grows is the desk-scale content of the outer-automorphism
     statement.
     """
-    residual_U = U.unitarity_residual()
-    check_unitary(U)  # decides on the residual just stored
     if U.source != U.target:
         raise ValueError("outer roundtrip needs an operator on a single fibered space")
+    residual_U = U.unitarity_residual()
+    check_unitary(U)  # decides on the residual just stored
     extraction = extract_pair(U, delta)
     W, plan = covering_unitary(extraction.f, U.source, target=U.source)
     UWs = U @ W.adjoint()

@@ -97,6 +97,11 @@ def minimal_radius(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
     against numerically degenerate inputs anyway.
     """
     _check_delta(U, delta)
+    return _radius_scan(U, delta)
+
+
+def _radius_scan(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
+    """`minimal_radius` on inputs already checked."""
     witness = None
     for R in U.target.base.realized_distances():
         table = corner_norm_table(U, R)
@@ -139,9 +144,10 @@ def extract_pair(U: BlockOperator, delta: float = 0.5) -> ExtractionReport:
     reuses the table its radius search ended on; only a direction whose
     own radius is below R builds one more table, at R.
     """
-    R_g, table_g = minimal_radius(U, delta)
-    Ustar = U.adjoint()  # after the check, so U* shares U's residual
-    R_f, table_f = minimal_radius(Ustar, delta)
+    _check_delta(U, delta)  # U* is unitary exactly when U is
+    R_g, table_g = _radius_scan(U, delta)
+    Ustar = U.adjoint()
+    R_f, table_f = _radius_scan(Ustar, delta)
     R = max(R_g, R_f)
     if R_g < R:
         table_g = corner_norm_table(U, R)

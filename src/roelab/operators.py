@@ -31,11 +31,12 @@ module names it.  The column parts do not
 depend on the mask: those of a group that fits one chunk are kept on
 the operator, so a radius scan gathers them once.
 
-What is derived from an operator alone is kept on it by one accessor,
-`BlockOperator.derived`: the norm, the unitarity residual and outcome,
-the corner parts, and the exact quasi-locality enumeration's tables
-(built in `locality`).  An adjoint inherits only the residual and the
-unitarity outcome, which are the same for T and T*.
+What is derived from an operator alone is computed once and kept on it
+by one accessor, `BlockOperator.derived`: the norm, the unitarity
+residual, the corner parts, and the exact quasi-locality enumeration's
+tables (built in `locality`); an adjoint starts with nothing.
+`check_unitary` keeps no outcome: `extract_pair` checks U once, and U*
+is unitary exactly when U is.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -71,33 +72,13 @@ UNITARITY_TOL = 1e-9
 STACK_BYTES = 2 << 20
 SPLIT_MIN = 96
 """The size of a matrix's smaller side from which `spectral_norm` labels
-the components of the nonzero pattern instead of norming it whole.
-The labelling costs about 0.3 ms on these tails, which the full SVD
-outgrows between 64 and 80 coordinates; at 80 the two time ranges
-overlapped in one of three measurement rounds, at 96 in none.  Median
-times of the last round on the tails at R = 3 of noisy reflection covers
-(1 layer, noise radius 2, 1-dim fibers, seeds 0-2), one BLAS thread,
-2-core host:
-
-    coordinates   split          full SVD
-    26            337-389 us     92-96 us
-    64            497-508 us     467-478 us
-    80            551-573 us     713-903 us
-    96            617-636 us     1.1-1.5 ms
-    128           666-799 us     1.8-3.1 ms
-    200           774-958 us     5.0-7.5 ms
-    800           7.7-11 ms      367-431 ms
-
-The route decomposes a matrix the size of its smaller side, so that side
-decides.  Rectangular matrices, same host:
-
-    matrix                    split      route
-    sparse 200 x 16 slab      503 us     46 us
-    120 x 80, 3 x 2 blocks    611 us     860 us
-    150 x 100, 3 x 2 blocks   655 us     1,443 us
-
-By the larger side, slabs (`upgrade_trick`'s error, concentration
-certificates) would split 10x slower; no workload has a 120 x 80 shape.
+the components of the nonzero pattern instead of norming it whole: below
+it, the labelling costs more than the whole route saves.  The route
+decomposes a matrix the size of its smaller side, so that side decides;
+by the larger side, slabs (`upgrade_trick`'s error, concentration
+certificates) would split at many times the cost of their route.  The
+timings are in CHANGES.md, in the entries "Whole-operator norms by
+components of the nonzero pattern" and "One norm function".
 """
 
 
@@ -181,14 +162,13 @@ def spectral_norm(mat):
     not exactly 0), whose singular values together are the matrix's, are
     labelled by `connected_components` and normed by
     `masked_corner_norms`; the largest is the norm.  A full row or column
-    makes one component and skips the labelling (3.6 ms on top of an
-    11.8 ms SVD for 1 - 2P on 256 points, P the projection onto the
-    constants); such a matrix, one component and every smaller matrix
-    take the route whole: a full SVD for a square matrix; for a rectangular one, a
-    1 x n or n x 1 matrix included, the square root of `gram_top` of its
-    smaller side's Gram matrix, or the SVD when that top is below 2^-900,
-    where the squares may have underflowed (a block of 1e-170 has a Gram
-    of 0).
+    makes one component and skips the labelling, which a dense matrix
+    would pay on top of its SVD; such a matrix, one component and every
+    smaller matrix take the route whole: a full SVD for a square matrix;
+    for a rectangular one, a 1 x n or n x 1 matrix included, the square
+    root of `gram_top` of its smaller side's Gram matrix, or the SVD
+    when that top is below 2^-900, where the squares may have
+    underflowed (a block of 1e-170 has a Gram of 0).
 
     A (k, rows, cols) stack takes the route in one batched call, never
     split: each of its k values is bit for bit what the route gives its
@@ -268,10 +248,7 @@ class BlockOperator:
         return self.matrix[self.target.slice_of(y), self.source.slice_of(x)]
 
     def adjoint(self) -> "BlockOperator":
-        adj = BlockOperator(self.target, self.source, self.matrix.conj().T)
-        # the residual, and for square T the Frobenius bound, are symmetric under adjoints
-        adj._derived = {key: value for key, value in self._derived.items() if key[0] in _ADJOINT_INVARIANT}
-        return adj
+        return BlockOperator(self.target, self.source, self.matrix.conj().T)
 
     def derived(self, build, *args):
         """build(self, *args), computed on first use for each (build, args)
@@ -323,11 +300,14 @@ class BlockOperator:
         return float(np.linalg.norm(self.matrix, axis=0).max(initial=0.0))
 
     def block_frobenius(self) -> np.ndarray:
-        """Per-block Frobenius norms as an (n_target, n_source) array."""
-        sq = np.abs(self.matrix) ** 2
+        """Per-block Frobenius norms as an (n_target, n_source) array.
+        The squared moduli are the one full-size float copy."""
+        sq = np.abs(self.matrix)
+        np.square(sq, out=sq)
         by_rows = np.add.reduceat(sq, self.target.offsets[:-1], axis=0)
+        del sq
         by_both = np.add.reduceat(by_rows, self.source.offsets[:-1], axis=1)
-        return np.sqrt(by_both)
+        return np.sqrt(by_both, out=by_both)
 
     def _same_base(self):
         if self.source.base != self.target.base:
@@ -394,9 +374,9 @@ class BlockOperator:
         eigenvalues plus zeros, and each zero contributes |0 - 1| = 1, so
         the residual is max(||G - I||, 1).  This is the exact value every
         report prints; `check_unitary` computes it only when a Frobenius
-        bound cannot decide.  Computed once per operator and stored.  The
-        SVD of G - I would move 25 of the 63 `outer-exact` residuals (seeds
-        1-3, values near 2e-16) by up to 3.2 %, so it stays `eigvalsh`.
+        bound cannot decide.  Computed once per operator and stored.  It
+        stays `eigvalsh`, since an SVD of G - I would move reported
+        residuals near 2e-16 (CHANGES.md, "One norm function").
         """
         return self.derived(_residual)
 
@@ -419,20 +399,6 @@ def _residual(T: BlockOperator) -> float:
     return residual if rows == cols else max(residual, 1.0)
 
 
-def _unitary(U: BlockOperator) -> bool:
-    """Outcome of `check_unitary`: the Frobenius bound for a square U
-    whose residual is not stored yet, the exact residual otherwise."""
-    if U.matrix.shape[0] == U.matrix.shape[1] and (_residual,) not in U._derived:
-        gram = U._gram_minus_identity()
-        if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
-            return True
-    return U.unitarity_residual() <= UNITARITY_TOL
-
-
-# what an adjoint inherits: T and T* have the same residual and unitarity outcome
-_ADJOINT_INVARIANT = (_residual, _unitary)
-
-
 def check_unitary(U: BlockOperator) -> None:
     """ValueError when U's unitarity residual exceeds UNITARITY_TOL.
 
@@ -441,11 +407,15 @@ def check_unitary(U: BlockOperator) -> None:
     norm at most the tolerance passes without a decomposition.  Every
     other case (a bound above the tolerance, an inf or NaN bound, a
     rectangular U, whose residual is at least 1) takes the exact
-    `unitarity_residual`, which the error reports.  Decided once per
-    operator and stored; an adjoint shares the outcome.
+    `unitarity_residual`, which the error reports.  The outcome is not
+    kept: a call chain checks its unitary once.
     """
-    if not U.derived(_unitary):
-        residual = U.unitarity_residual()
+    if U.matrix.shape[0] == U.matrix.shape[1] and (_residual,) not in U._derived:
+        gram = U._gram_minus_identity()
+        if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
+            return
+    residual = U.unitarity_residual()
+    if not residual <= UNITARITY_TOL:
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
 

@@ -360,8 +360,30 @@ def test_extract_pair_checks_unitarity_once(monkeypatch):
     decompositions = _spy_decompositions(monkeypatch)
     extract_pair(U, 0.5)
     # ||U*U - I||_F is far below the tolerance, so U passes without a
-    # decomposition and U* inherits the outcome through adjoint(); the
-    # 1-dim fibers' corner tables take none either
+    # decomposition; U* is not checked, being unitary exactly when U is;
+    # the 1-dim fibers' corner tables take no decomposition either
+    assert decompositions == []
+
+
+def test_each_call_chain_forms_one_gram_per_checked_operator(monkeypatch):
+    U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
+    formed, gram_minus_identity = [], BlockOperator._gram_minus_identity
+    monkeypatch.setattr(BlockOperator, "_gram_minus_identity", lambda T: formed.append(T) or gram_minus_identity(T))
+    extract_pair(U, 0.5)
+    assert formed == [U]
+    # outer: the residuals of U, W and UW*; extract_pair's check reads U's
+    fresh = BlockOperator(U.source, U.target, U.matrix)
+    formed.clear()
+    outer_roundtrip(fresh, 0.5)
+    assert len(formed) == 3 and sum(T is fresh for T in formed) == 1
+
+
+def test_outer_refuses_two_fibered_spaces_before_any_decomposition(monkeypatch):
+    X = path_space(3)
+    U = BlockOperator(FiberedSpace(X, [1, 2, 1]), FiberedSpace(X, [2, 1, 1]), np.eye(4))
+    decompositions = _spy_decompositions(monkeypatch)
+    with pytest.raises(ValueError, match="single fibered space"):
+        outer_roundtrip(U, 0.5)
     assert decompositions == []
 
 

@@ -454,6 +454,29 @@ def _search_input(seed: int, kind: str):
     return T, R
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse", "unitary", "scaled", "faint"])
+def test_block_frobenius_equals_squaring_the_moduli_whole(kind):
+    # squaring the moduli in place gives `np.abs(M) ** 2`, bit for bit
+    for seed in range(3):
+        T, _ = _search_input(seed, kind)
+        by_rows = np.add.reduceat(np.abs(T.matrix) ** 2, T.target.offsets[:-1], axis=0)
+        whole = np.sqrt(np.add.reduceat(by_rows, T.source.offsets[:-1], axis=1))
+        assert np.array_equal(T.block_frobenius(), whole)
+
+
+def test_block_frobenius_holds_one_full_size_copy():
+    # the squared moduli, plus half a copy of row sums over 2-dim fibers
+    U = noisy_covering_unitary("reflection", 400, 0, 2.0, 2, fiber_dim=2)[0]
+    size = U.matrix.shape[0]
+    tracemalloc.start()
+    try:
+        U.block_frobenius()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * size * size * 8
+
+
 def _assert_search_matches_reference(T, R, restarts, seed):
     """Every start of the local search grows as reference_grow does, and
     the search returns the same value and unpruned pair (B, A) with

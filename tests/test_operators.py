@@ -376,18 +376,24 @@ def test_operator_state_goes_through_derived(rng):
         locality._exact_violation(U, R)
     assert _slots(U) == []
     assert _kept_builders(U) == {
-        operators._norm, operators._residual, operators._unitary,
-        operators._group_parts, locality._reach_tables,
+        operators._norm, operators._residual, operators._group_parts, locality._reach_tables,
     }
     values = vars(U)["_derived"].values()
     arrays = [part for value in values for part in (value if isinstance(value, tuple) else (value,))
               if isinstance(part, np.ndarray)]
     assert len(arrays) == 3 + 2  # corner parts of the groups d = 1, 2, 3; two reach tables
     assert not any(array.flags.writeable for array in arrays)
-    # an adjoint carries the residual and the unitarity outcome, no norm, no table
+    # an adjoint starts with nothing, not even the residual it shares with U
     adj = U.adjoint()
     assert _slots(adj) == []
-    assert _kept_builders(adj) == {operators._residual, operators._unitary}
+    assert _kept_builders(adj) == set()
+
+
+def test_unitarity_check_keeps_no_outcome():
+    # a square unitary that passes on its Frobenius bound leaves nothing behind
+    U = random_band_unitary(FiberedSpace.uniform(path_space(9), 2), 1.0, 2, seed=5)
+    check_unitary(U)
+    assert _kept_builders(U) == set()
 
 
 def test_derived_builds_once_per_builder_and_arguments(rng):

@@ -445,6 +445,49 @@ def test_private_attribute_lint_finds_a_foreign_access():
     assert _foreign_private_attributes(texts) == [("b.py", 2, "a._cache"), ("b.py", 4, "a._build")]
 
 
+def _derived_store_uses(texts):
+    """Modules other than operators.py that name `_derived`, then every
+    store to the attribute outside `BlockOperator.__init__`, by line."""
+    uses = [name for name, text in texts.items() if name != "operators.py" and re.search(r"\b_derived\b", text)]
+    for name, text in texts.items():
+        tree = ast.parse(text)
+        init = {
+            node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "BlockOperator"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        uses += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_derived"
+            and isinstance(node.ctx, ast.Store) and node not in init
+        ]
+    return uses
+
+
+def test_derived_store_is_set_only_by_the_constructor():
+    # what is derived from an operator stays on that operator: nothing is
+    # copied into another one, an adjoint included
+    package = Path(roelab.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _derived_store_uses(texts) == []
+
+
+def test_derived_store_lint_finds_a_second_writer():
+    texts = {
+        "operators.py": (
+            "class BlockOperator:\n"
+            "    def __init__(self):\n"
+            "        self._derived = {}\n"
+            "    def adjoint(self):\n"
+            "        adj = BlockOperator()\n"
+            "        adj._derived = dict(self._derived)\n"
+            "        return adj\n"
+        ),
+        "locality.py": "def peek(T):\n    return getattr(T, '_derived')\n",
+    }
+    assert _derived_store_uses(texts) == ["locality.py", "operators.py:6"]
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check the package relies
     # on raises an exception instead
