@@ -49,12 +49,14 @@ __all__ = [
 _RANK_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoveringPlan:
+    """Read-only, arrays included: a cached plan is shared by its callers."""
+
     net: np.ndarray
     separation: float
-    source_blocks: list
-    target_blocks: list
+    source_blocks: tuple
+    target_blocks: tuple
     assignment: np.ndarray  # global target coordinate for each source coordinate
     support_radius: float  # max d(f(x), y) over matched coordinates
     target_fiber_dims: np.ndarray  # of the unitary's target, which holds the space
@@ -97,9 +99,9 @@ def covering_unitary(
         raise ValueError("the fibered source must sit over the map's source space")
     Y = f.target
     s_used, net = _injective_net(f, check_radius(separation, "separation"))
-    source_blocks = voronoi_partition(f.source, net)
+    source_blocks = tuple(voronoi_partition(f.source, net))
     image = f.values[net]
-    target_blocks = voronoi_partition(Y, image)
+    target_blocks = tuple(voronoi_partition(Y, image))
 
     if target is None:
         dims_t = np.zeros(Y.n, dtype=np.int64)
@@ -139,6 +141,8 @@ def covering_unitary(
     src_pts = source.coord_point
     tgt_pts = target.coord_point[assignment]
     support_radius = float(Y.dist[f.values[src_pts], tgt_pts].max())
+    for arr in (net, assignment, *source_blocks, *target_blocks):
+        arr.setflags(write=False)
     plan = CoveringPlan(
         net=net,
         separation=s_used,
@@ -307,8 +311,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     if U.source != U.target:
         raise ValueError("outer roundtrip needs an operator on a single fibered space")
     residual_U = U.unitarity_residual()
-    check_unitary(U)  # decides on the residual just stored
-    extraction = extract_pair(U, delta)
+    extraction = extract_pair(U, delta)  # checks U on the residual just stored
     W, plan = covering_unitary(extraction.f, U.source, target=U.source)
     UWs = U @ W.adjoint()
     if radius_grid is None:

@@ -73,7 +73,7 @@ def noisy_covering_unitary(
     Returns (U, h, plan).  The halving kind uses one-dimensional source
     fibers so the reconciled target carries two-dimensional fibers.  The
     cover is built once per (kind, n, fiber_dim): calls that differ only
-    in the noise share h, plan and W.
+    in the noise share h, plan and W, which are all read-only.
     """
     h, W, plan = _cover(kind, n, fiber_dim)
     V = random_band_unitary(W.source, noise_radius, layers, seed)

@@ -28,8 +28,8 @@ coordinate masks to `operators.masked_corner_norms`, which norms them
 in equal-shape stacks under the byte budget of batched stacks that
 operators.py keeps.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
-(62 norms instead of 65,534 corners for a 16-point band unitary at
-R = 0).  The attaining pair is the first candidate in ascending bitmask
+(counts in CHANGES.md, in the entry "Exact quasi-locality splits each
+corner").  The attaining pair is the first candidate in ascending bitmask
 order that reaches the maximum, the lowest one holding a component that
 attains it, read as the smallest owner of a key among the top
 components; candidates whose largest component is the same tie
@@ -72,9 +72,8 @@ of T - T_R is formed from T's, with no operator built, and so is
 `supported_distance_upper`'s tail.  ||T|| is taken only when
 ||T - T_R|| is not clearly below T's largest column norm, a lower bound
 of ||T||.  `spectral_norm` splits both into the components of their
-nonzero pattern: on the benchmark inputs the band tails at R = 3 fall
-into 2-21 components of 1 x 1 and the 120-point reflection covers and
-their tails into 65-67 of at most 2 x 2.
+nonzero pattern (CHANGES.md, "Whole-operator norms by components of the
+nonzero pattern" and "One norm function").
 
 Both algorithms return a value and the unpruned pair (B, A) attaining
 it.  `quasi_locality_violation` is the one place that prunes the pair to
@@ -244,12 +243,10 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
 
     ||T|| is taken only when ||T - T_R|| is not clearly below T's largest
     column norm; _ROUNDING_MARGIN keeps rounding from flipping the min.
-    The branch pays on the `ql-bounds` band unitaries (path(150), 4
-    layers, the four of seed 3300): their tails read 0.22-0.85 against a
-    column norm of 1.0, so each skips a 0.9-1.4 ms ||T|| of 13-19
-    components.  The value does not depend on the BLAS thread count where
-    the components stay below the sizes OpenBLAS threads (a 120-point
-    reflection cover reads 1.0000000000000004 at R = 3 on 1 or 2 threads)."""
+    A band unitary's tail lies below its unit column norms, so it skips
+    ||T|| (timings in CHANGES.md, "One norm function").  The value does
+    not depend on the BLAS thread count where the components stay below
+    the sizes OpenBLAS threads."""
     tail = _tail_norm(T, T.source.base.dist <= R)
     if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail

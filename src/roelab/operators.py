@@ -341,11 +341,6 @@ class BlockOperator:
         cols = self.source.coords_of(A)
         return spectral_norm(self.matrix[np.ix_(rows, cols)])
 
-    def band_truncate(self, R: float) -> "BlockOperator":
-        """Zero every block at base distance > R; result has propagation <= R.
-        This is `supported_mask` at the identity map."""
-        return self.supported_mask(np.arange(self._same_base().n), R)
-
     def supported_mask(self, f_values: np.ndarray, R: float) -> "BlockOperator":
         """Keep only blocks (y, x) with d(f(x), y) <= R in the target metric."""
         f = PointMap(self.source.base, self.target.base, f_values)  # checks the table

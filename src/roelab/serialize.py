@@ -25,11 +25,13 @@ bit but bit 0 with a message naming the byte.
 
 Reports: `report_bytes` encodes a report as one line of JSON with
 sorted keys; space and map files go through it too (`write_report`).
-A report dataclass is the dict of its fields by name, so a field's name
-is its report key.  A map inside a report is its table (``[0, 0, 1]``,
-not the file form with embedded spaces), numpy arrays and scalars
-become lists and numbers, and a `witness` is ``{"A", "B"}`` or null.
-Anything else json does not know is a TypeError.
+json walks the report itself and calls one hook, `_report_value`, for
+what it does not know; no Python walk comes first.  A report dataclass
+is the dict of its fields by name, so a field's name is its report key.
+A map inside a report is its table (``[0, 0, 1]``, not the file form
+with embedded spaces), numpy arrays and scalars become lists and
+numbers, and a `witness` is ``{"A", "B"}`` or null.  Anything else json
+does not know is a TypeError.
 """
 
 from __future__ import annotations
@@ -175,23 +177,14 @@ def save_map(path, f: PointMap) -> None:
     write_report(path, f.to_json())
 
 
-def _plain(value):
-    """A report value in the types json walks: a dataclass as the dict of
-    its fields, a map as its table, an array or numpy scalar as a list or
-    number.  Lists are left to json, which walks lists of floats natively."""
+def _report_value(value):
+    """json's hook for a value it does not walk itself: a dataclass as the
+    dict of its fields by name (one level; json walks what it returns), a
+    map as its table, an array or numpy scalar as a list or number."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, PointMap):
         return value.values.tolist()
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    return value
-
-
-def _array_in_list(value):
-    """json's fallback, for arrays inside lists (a plan's blocks)."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -206,13 +199,12 @@ def report_bytes(data) -> bytes:
     ending with the number (": inf"); TypeError on an object that is not
     a report value (module docstring).
     """
-    plain = _plain(data)
     try:
-        text = json.dumps(plain, sort_keys=True, allow_nan=False, default=_array_in_list)
+        text = json.dumps(data, sort_keys=True, allow_nan=False, default=_report_value)
     except ValueError:
         # the C encoder's message leaves out the number; json's pure-Python
         # encoder, taken on refusal only, names the first one in key order
-        "".join(json.JSONEncoder(sort_keys=True, allow_nan=False, default=_array_in_list).iterencode(plain))
+        "".join(json.JSONEncoder(sort_keys=True, allow_nan=False, default=_report_value).iterencode(data))
         raise
     return (text + "\n").encode()
 

@@ -1,5 +1,6 @@
 """Covering unitaries, supported approximation, the upgrade step, outer roundtrip."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,24 @@ def test_halving_cover_reconciles_fibers():
     assert plan.separation == 1.0  # smallest separation making f injective on the net
     assert plan.support_radius == 0.0
     assert list(plan.net) == [0, 2, 4, 6, 8]
+
+
+def test_cached_plan_is_read_only():
+    # calls that differ only in the noise share one plan, so no caller can
+    # change it under the next one
+    _, _, plan = noisy_covering_unitary("identity", 8, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.assignment[0] = 5
+    for block in (plan.net, *plan.source_blocks, *plan.target_blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 5
+    with pytest.raises(AttributeError):
+        plan.source_blocks.append("x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.support_radius = 9.0
+    _, _, later = noisy_covering_unitary("identity", 8, seed=1)
+    assert later is plan
+    assert later.assignment.tolist() == list(range(8)) and later.support_radius == 0.0
 
 
 def test_cover_is_structurally_supported():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roelab import extraction
+from roelab import covering, extraction
 from roelab.extraction import (
     MinimalRadiusError,
     corner_norm_table,
@@ -376,6 +376,18 @@ def test_each_call_chain_forms_one_gram_per_checked_operator(monkeypatch):
     formed.clear()
     outer_roundtrip(fresh, 0.5)
     assert len(formed) == 3 and sum(T is fresh for T in formed) == 1
+
+
+def test_outer_roundtrip_checks_unitarity_once(monkeypatch):
+    # outer stores U's residual for its report, and extract_pair's check
+    # decides on it: no second check of U, and W and UW* are only measured
+    checked = []
+    for module in (covering, extraction):
+        check = module.check_unitary
+        monkeypatch.setattr(module, "check_unitary", lambda T, check=check: checked.append(T) or check(T))
+    U, _, _ = noisy_covering_unitary("reflection", 12, seed=1)
+    outer_roundtrip(U, 0.5)
+    assert checked == [U]
 
 
 def test_outer_refuses_two_fibered_spaces_before_any_decomposition(monkeypatch):

@@ -133,7 +133,7 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
         target = random_fibered(rng, X, max_dim=3) if k % 3 == 0 else source
         T = random_operator(rng, source, target)
         if k % 4 == 1:
-            T = T.band_truncate(1.0)
+            T = T.supported_mask(np.arange(X.n), 1.0)
         cases.append((T, float(rng.integers(0, min(3, int(X.diameter))))))
         if k < 2:
             cases.append((T, X.diameter + 1.0))  # no separated pair
@@ -184,7 +184,7 @@ def _block_sparse_input(seed: int):
     if seed % 3 == 1:
         return random_band_unitary(source, float(width), R // width + 1, seed), float(R)
     target = random_fibered(rng, X, max_dim=3)
-    return random_operator(rng, source, target).band_truncate(float(R + width)), float(R)
+    return random_operator(rng, source, target).supported_mask(np.arange(X.n), float(R + width)), float(R)
 
 
 def test_component_split_matches_reference_on_block_sparse_operators():
@@ -289,7 +289,7 @@ def test_exact_enumeration_memory_stays_bounded():
 def test_banded_operator_reports_zero(rng):
     X = random_graph_space(rng, 8, extra_edges=2)
     fib = random_fibered(rng, X, max_dim=2)
-    T = random_operator(rng, fib, fib).band_truncate(2.0)
+    T = random_operator(rng, fib, fib).supported_mask(np.arange(X.n), 2.0)
     report = quasi_locality_violation(T, 2.0)
     assert report.violation_lower == 0.0
     assert report.violation_upper == 0.0
@@ -363,7 +363,7 @@ def test_window_lower_at_most_upper(rng):
 def test_window_closes_on_banded_operators(rng):
     X = random_graph_space(rng, 8, extra_edges=2)
     fib = random_fibered(rng, X, max_dim=2)
-    T = random_operator(rng, fib, fib).band_truncate(2.0)
+    T = random_operator(rng, fib, fib).supported_mask(np.arange(X.n), 2.0)
     lower, upper = approximability_window(T, 2.0)
     assert lower == 0.0
     assert upper == 0.0
@@ -375,7 +375,7 @@ def test_window_upper_is_truncation_error(rng):
     T = random_operator(rng, fib, fib)
     for R in (0.0, 2.0, 5.0):
         _, upper = approximability_window(T, R)
-        assert upper <= (T - T.band_truncate(R)).norm() + 1e-12
+        assert upper <= (T - T.supported_mask(np.arange(X.n), R)).norm() + 1e-12
 
 
 def test_quasi_local_band_unitary_decay(rng):
@@ -443,7 +443,7 @@ def _search_input(seed: int, kind: str):
     if kind == "dense":
         T = random_operator(rng, fib, fib)
     elif kind == "sparse":
-        T = random_operator(rng, fib, fib).band_truncate(R + 1)
+        T = random_operator(rng, fib, fib).supported_mask(np.arange(X.n), R + 1)
     else:
         perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
         if kind in ("unitary", "scaled"):
@@ -683,7 +683,7 @@ def test_truncation_upper_takes_the_norm_only_when_it_can_matter(monkeypatch, ki
         T = random_band_unitary(FiberedSpace.uniform(path_space(40), 1), 1.0, 4, seed=3)
     else:
         T, _, _ = noisy_covering_unitary("reflection", 40, 0, 2.0, 1)
-    tail = spectral_norm((T - T.band_truncate(3.0)).matrix)
+    tail = spectral_norm((T - T.supported_mask(np.arange(T.source.base.n), 3.0)).matrix)
     expected = min(tail, spectral_norm(T.matrix))
     taken = []
     # the tail is normed through locality's name, ||T|| through operators'
@@ -803,7 +803,7 @@ def test_window_closed_up_to_rounding_stops_after_the_first_start(monkeypatch):
     # (||U|| = 1.0000000000000007 with one BLAS thread), which a plain >=
     # never reaches; the upper member itself is unchanged
     U, _, _ = noisy_covering_unitary("reflection", 120, 1, 2.0, 1)
-    tail = spectral_norm((U - U.band_truncate(3.0)).matrix)
+    tail = spectral_norm((U - U.supported_mask(np.arange(U.source.base.n), 3.0)).matrix)
     grows = _count_grows(monkeypatch)
     report = quasi_locality_violation(U, 3.0, mode="bounds")
     assert len(grows) == 1
@@ -909,7 +909,7 @@ def test_tails_equal_the_operator_differences_bit_for_bit(shape):
         T = _signed_zero_operator(rng, X, square)
         f = PointMap(X, X, rng.integers(0, X.n, size=X.n))
         for R in (0.0, 1.0, 2.0, 5.0, X.diameter):
-            tail = (T - T.band_truncate(R)).norm()
+            tail = (T - T.supported_mask(np.arange(X.n), R)).norm()
             expected = tail if tail < (1 - locality._ROUNDING_MARGIN) * T.norm_lower_bound() else min(tail, T.norm())
             assert locality._truncation_upper(T, R) == expected
             assert supported_distance_upper(T, f, R) == (T - T.supported_mask(f.values, R)).norm()

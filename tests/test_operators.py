@@ -169,7 +169,7 @@ def test_propagation_matches_naive_block_scan(rng):
         T = random_operator(rng, fib, fib)
         # kill blocks beyond a random radius
         R = float(rng.integers(0, int(X.diameter) + 1))
-        T = T.band_truncate(R)
+        T = T.supported_mask(np.arange(X.n), R)
         naive = 0.0
         for y in range(X.n):
             for x in range(X.n):
@@ -233,11 +233,11 @@ def test_band_truncate_error_nonincreasing(rng):
     fib = random_fibered(rng, X)
     T = random_operator(rng, fib, fib)
     radii = [float(r) for r in X.realized_distances()]
-    errors = [(T - T.band_truncate(R)).norm() for R in radii]
+    errors = [(T - T.supported_mask(np.arange(X.n), R)).norm() for R in radii]
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] == 0.0  # truncation at the diameter keeps everything
     for R in radii:
-        assert T.band_truncate(R).propagation() <= R
+        assert T.supported_mask(np.arange(X.n), R).propagation() <= R
 
 
 def reference_residual(T):
@@ -804,4 +804,4 @@ def test_band_truncate_keeps_exactly_the_blocks_within_R(rng):
             for x in range(X.n):
                 if X.dist[y, x] <= R:
                     expected[target.slice_of(y), source.slice_of(x)] = T.block(y, x)
-        assert np.array_equal(T.band_truncate(R).matrix, expected)
+        assert np.array_equal(T.supported_mask(np.arange(X.n), R).matrix, expected)

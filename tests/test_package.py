@@ -5,8 +5,8 @@ configured through the environment, no check is an `assert`, every
 norm and Gram top goes through `operators` and every split of a matrix
 into components through `spectral_norm`, every set of distance
 levels, every integer check and every real-number check through
-`spaces`, every JSON text through `serialize`, and the README's quick
-start runs as printed."""
+`spaces`, every JSON text through `serialize` and every report value
+through its one hook, and the README's quick start runs as printed."""
 
 import ast
 import contextlib
@@ -333,6 +333,51 @@ def test_encoder_lint_finds_calls_wrapped_over_lines():
     )
     assert _json_writers("m.py", text) == ["m.py:4 json.dumps", "m.py:7 json.dump", "m.py:2 json.dumps"]
     assert _dataclass_serializers("m.py", text) == ["m.py:12 Report.to_json"]
+
+
+def _report_conversions(text):
+    """(encoders, strays) of serialize.py: the json encoder calls given
+    `default=_report_value`, by name, and every `.tolist` outside
+    `_report_value` or encoder call given another hook, by line."""
+    tree = ast.parse(text)
+    hook = {
+        node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_report_value"
+        for node in ast.walk(fn)
+    }
+    strays = [
+        f"{node.lineno} tolist" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "tolist" and node not in hook
+    ]
+    encoders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dumps", "JSONEncoder"):
+            hooked = any(k.arg == "default" and getattr(k.value, "id", None) == "_report_value" for k in node.keywords)
+            if hooked:
+                encoders.append(node.func.attr)
+            else:
+                strays.append(f"{node.lineno} {node.func.attr}")
+    return sorted(encoders), strays
+
+
+def test_report_values_are_converted_by_one_hook():
+    # json walks the report and calls `_report_value` for what it does not
+    # know, in the C encoder and in the encoder that names a refused number;
+    # no second walk converts values before or beside it
+    text = (Path(roelab.__file__).parent / "serialize.py").read_text()
+    assert _report_conversions(text) == (["JSONEncoder", "dumps"], [])
+
+
+def test_report_hook_lint_finds_a_second_conversion():
+    text = (
+        "def _plain(value):\n"
+        "    return value.tolist()\n"
+        "def _report_value(value):\n"
+        "    return value.tolist()\n"
+        "def report_bytes(data):\n"
+        "    json.JSONEncoder(default=_report_value).iterencode(_plain(data))\n"
+        "    return json.dumps(\n        _plain(data), default=lambda v: v.tolist()\n    )\n"
+    )
+    assert _report_conversions(text) == (["JSONEncoder"], ["2 tolist", "8 tolist", "7 dumps"])
 
 
 def _private_imports(name, text):

@@ -8,9 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roelab import serialize
-from roelab.covering import covering_unitary
-from roelab.fixtures import standard_pair
+from roelab import cli
+from roelab.concentration import concentration_witness
+from roelab.covering import covering_unitary, outer_roundtrip
+from roelab.extraction import extract_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
+from roelab.locality import quasi_locality_violation
 from roelab.maps import PointMap
 from roelab.operators import BlockOperator, FiberedSpace
 from roelab.serialize import (
@@ -325,6 +328,8 @@ class _Values:
     pytest.param({"results": _Values([1.0, float("inf")])}, "inf", id="list-in-dataclass"),
     pytest.param({"a": 1.0, "b": float("nan")}, "nan", id="dict-value"),
     pytest.param({"blocks": [np.array([0.5]), np.array([1.0, -np.inf])]}, "-inf", id="array-in-list"),
+    pytest.param({"results": _Values([np.array([0.5]), np.array([np.nan])])}, "nan",
+                 id="array-in-list-in-dataclass"),
     pytest.param({"b": float("inf"), "a": [float("nan")]}, "nan", id="first-by-sorted-key"),
 ])
 def test_refusal_names_the_first_non_finite_number(data, number):
@@ -333,11 +338,66 @@ def test_refusal_names_the_first_non_finite_number(data, number):
     assert str(refused.value) == f"Out of range float values are not JSON compliant: {number}"
 
 
+def _reference_plain(value):
+    """Reference walk of a report in Python: a dataclass as the dict of
+    its fields and a dict value by value, each walked again, a map as its
+    table, an array or numpy scalar as a list or number.  Lists are left
+    to json, which converts the arrays inside them through `default`."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _reference_plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _reference_plain(item) for key, item in value.items()}
+    if isinstance(value, PointMap):
+        return value.values.tolist()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def _reference_bytes(data):
+    text = json.dumps(_reference_plain(data), sort_keys=True, allow_nan=False,
+                      default=lambda value: value.tolist())  # arrays inside lists
+    return (text + "\n").encode()
+
+
 def test_plan_report_is_json_without_indentation():
-    # a plan's blocks are arrays inside lists, reached through json's fallback
+    # a plan's blocks are arrays inside a tuple, reached through json's hook
     f = standard_pair("halving", 4)[0]
     plan = covering_unitary(f, FiberedSpace.uniform(f.source, 2))[1]
     assert any(isinstance(block, np.ndarray) for block in plan.source_blocks)
-    expected = json.dumps(serialize._plain(plan), sort_keys=True, allow_nan=False,
-                          default=lambda value: value.tolist()) + "\n"
-    assert report_bytes(plan) == expected.encode()
+    assert report_bytes(plan) == _reference_bytes(plan)
+    assert b"\n" not in report_bytes(plan)[:-1]
+
+
+def _reflection(n=8, fiber_dim=1):
+    return noisy_covering_unitary("reflection", n, 0, 2.0, 1, fiber_dim=fiber_dim)[0]
+
+
+def _banded():
+    return noisy_covering_unitary("identity", 8, 0, 1.0, 1)[0]
+
+
+REPORTS = {
+    "ql-exact-witness": lambda: quasi_locality_violation(_reflection(), 1.0, mode="exact"),
+    "ql-exact-no-witness": lambda: quasi_locality_violation(_banded(), 7.0, mode="exact"),
+    "ql-bounds-witness": lambda: quasi_locality_violation(_reflection(), 1.0, mode="bounds"),
+    "ql-bounds-no-witness": lambda: quasi_locality_violation(_banded(), 7.0, mode="bounds"),
+    "extraction": lambda: extract_pair(_reflection(fiber_dim=2), 0.5),
+    "concentration": lambda: concentration_witness(_reflection(fiber_dim=2), 0, 1.0, None),
+    "plan": lambda: covering_unitary(standard_pair("halving", 4)[0],
+                                     FiberedSpace.uniform(path_space(8), 1))[1],
+    "outer": lambda: outer_roundtrip(_reflection(10, fiber_dim=2), 0.5),
+    "sweep-rows": lambda: {"rows": [cli._sweep_one("halving", 6, seed, 2.0, 2, 0.5) for seed in range(3)]},
+    "space-file": lambda: path_space(5).to_json(),
+    "matrix-space-file": lambda: FiniteMetricSpace([[0, 1.5], [1.5, 0]]).to_json(),
+    "map-file": lambda: standard_pair("halving", 3)[0].to_json(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes_equal_the_reference_walk(name):
+    report = REPORTS[name]()
+    if name.startswith("ql-"):
+        assert (report.witness is None) == name.endswith("no-witness")
+    for data in (report, {"results": report}):  # alone, and in the CLI's envelope
+        assert report_bytes(data) == _reference_bytes(data)

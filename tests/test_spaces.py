@@ -560,7 +560,7 @@ def _real(what, shown):
                  _real("separation radius", "True"), id="ql-bool"),
     pytest.param(lambda X, fib, U, f: covering_unitary(f, fib, separation=True),
                  _real("separation", "True"), id="cover-bool"),
-    pytest.param(lambda X, fib, U, f: U.band_truncate(True),
+    pytest.param(lambda X, fib, U, f: U.supported_mask(np.arange(X.n), True),
                  _real("support radius", "True"), id="truncate-bool"),
     pytest.param(lambda X, fib, U, f: random_band_unitary(fib, True, 1, 0),
                  _real("band radius", "True"), id="band-unitary-bool"),
