@@ -54,7 +54,7 @@ from .covering import (
     outer_roundtrip,
     upgrade_trick,
 )
-from .fixtures import hadamard_fixture, halving_map, noisy_covering_unitary, standard_pair
+from .fixtures import halving_map, noisy_covering_unitary, standard_pair
 from .serialize import (
     load_map,
     load_space,
@@ -81,7 +81,7 @@ __all__ = [
     "minimal_radius", "extract_map", "extract_pair",
     "CoveringPlan", "UpgradeResult", "OuterReport", "covering_unitary",
     "upgrade_trick", "outer_roundtrip",
-    "hadamard_fixture", "halving_map", "standard_pair", "noisy_covering_unitary",
+    "halving_map", "standard_pair", "noisy_covering_unitary",
     "read_operator", "write_operator",
     "load_space", "save_space", "load_map", "save_map",
     "report_bytes", "write_report",

@@ -186,8 +186,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (building it takes
-    about 2 ms); parsing leaves it unchanged."""
+    """The command-line parser, built once per process, since building it
+    is a measurable share of a small command (CHANGES.md, "`ql --mode
+    bounds` local search on one shared per-operator state"); parsing
+    leaves it unchanged."""
     parser = _Parser(
         prog="roelab",
         description="Quantitative coarse geometry of block operators on finite metric spaces",

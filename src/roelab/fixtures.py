@@ -1,12 +1,5 @@
-"""Bundled example inputs: the hand-checked 2-point fixture and the
-standard map families used throughout the tests and sweeps.
-
-The Hadamard fixture is small enough to verify by hand: two points at
-distance 3, one-dimensional fibers, U = (1/sqrt 2) [[1, 1], [1, -1]].
-With y = 0 and R = 2 the ball is {0}, both corners have norm 1/sqrt 2,
-and conjugating the indicator of either single point gives a far corner
-of exactly 1/2 against the guaranteed 0.5 * sqrt(1 - 1/2) ~ 0.35355.
-"""
+"""Bundled example inputs: the standard map families used throughout the
+tests and sweeps."""
 
 from __future__ import annotations
 
@@ -15,23 +8,15 @@ import functools
 import numpy as np
 
 from .maps import PointMap, identity_map
-from .operators import BlockOperator, FiberedSpace, random_band_unitary
-from .spaces import FiniteMetricSpace, path_space
+from .operators import FiberedSpace, random_band_unitary
+from .spaces import path_space
 from .covering import covering_unitary
 
 __all__ = [
-    "hadamard_fixture",
     "halving_map",
     "standard_pair",
     "noisy_covering_unitary",
 ]
-
-
-def hadamard_fixture() -> tuple[FiberedSpace, BlockOperator]:
-    space = FiniteMetricSpace([[0.0, 3.0], [3.0, 0.0]])
-    fibered = FiberedSpace.uniform(space, 1)
-    mat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return fibered, BlockOperator(fibered, fibered, mat)
 
 
 def halving_map(n: int) -> PointMap:

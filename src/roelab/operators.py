@@ -32,11 +32,11 @@ depend on the mask: those of a group that fits one chunk are kept on
 the operator, so a radius scan gathers them once.
 
 What is derived from an operator alone is computed once and kept on it
-by one accessor, `BlockOperator.derived`: the norm, the unitarity
-residual, the corner parts, and the exact quasi-locality enumeration's
-tables (built in `locality`); an adjoint starts with nothing.
-`check_unitary` keeps no outcome: `extract_pair` checks U once, and U*
-is unitary exactly when U is.
+by one accessor, `BlockOperator.derived`: the norm, its column-norm
+lower bound, the unitarity residual, the corner parts, and the exact
+quasi-locality enumeration's tables (built in `locality`); an adjoint
+starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
+checks U once, and U* is unitary exactly when U is.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -231,19 +231,6 @@ class BlockOperator:
         self.matrix.setflags(write=False)
         self._derived = {}  # (build, *args) -> build(self, *args)
 
-    @classmethod
-    def from_blocks(cls, source: FiberedSpace, target: FiberedSpace, blocks: dict) -> "BlockOperator":
-        """Assemble from a {(y, x): d_y x d_x array} dict; absent blocks are zero."""
-        mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
-        for (y, x), blk in blocks.items():
-            rows, cols = target.slice_of(y), source.slice_of(x)  # checks the points first
-            blk = np.asarray(blk, dtype=complex)
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            if blk.shape != shape:
-                raise ValueError(f"block ({y},{x}) has shape {blk.shape}, expected {shape}")
-            mat[rows, cols] = blk
-        return cls(source, target, mat)
-
     def block(self, y: int, x: int) -> np.ndarray:
         return self.matrix[self.target.slice_of(y), self.source.slice_of(x)]
 
@@ -296,8 +283,9 @@ class BlockOperator:
 
     def norm_lower_bound(self) -> float:
         """T's largest column norm max_j ||T e_j||, a lower bound of
-        ||T|| that takes no decomposition; 0 for an empty matrix."""
-        return float(np.linalg.norm(self.matrix, axis=0).max(initial=0.0))
+        ||T|| that takes no decomposition; 0 for an empty matrix.
+        Computed once per operator and stored."""
+        return self.derived(_column_norm_max)
 
     def block_frobenius(self) -> np.ndarray:
         """Per-block Frobenius norms as an (n_target, n_source) array.
@@ -386,6 +374,11 @@ class BlockOperator:
 def _norm(T: BlockOperator) -> float:
     """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`."""
     return spectral_norm(T.matrix)
+
+
+def _column_norm_max(T: BlockOperator) -> float:
+    """T's largest column norm, kept by `T.norm_lower_bound()` through `derived`."""
+    return float(np.linalg.norm(T.matrix, axis=0).max(initial=0.0))
 
 
 def _residual(T: BlockOperator) -> float:

@@ -203,45 +203,6 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def ball(self, x: int, R: float) -> np.ndarray:
-        """Closed ball: all points at distance <= R from x."""
-        x = validate_point(x, self.n)
-        R = check_radius(R, "ball radius")
-        return np.flatnonzero(self.dist[x] <= R).astype(np.int64)
-
-    def neighborhood(self, A, R: float) -> np.ndarray:
-        """Union of closed R-balls around the points of A."""
-        A = validate_points(A, self.n)
-        R = check_radius(R, "neighborhood radius")
-        if A.size == 0:
-            return A
-        mask = (self.dist[A] <= R).any(axis=0)
-        return np.flatnonzero(mask).astype(np.int64)
-
-    def growth_profile(self, R: float) -> int:
-        """Largest closed-R-ball cardinality over all centers."""
-        R = check_radius(R, "radius")
-        return int((self.dist <= R).sum(axis=1).max())
-
-    def set_distance(self, A, B) -> float:
-        """min d(a, b) over a in A, b in B; +inf when either set is empty.
-
-        The +inf convention makes "d(A, B) > R" vacuously true for empty
-        sets, which is what separated-pair suprema need.
-        """
-        A = validate_points(A, self.n)
-        B = validate_points(B, self.n)
-        if A.size == 0 or B.size == 0:
-            return float("inf")
-        return float(self.dist[np.ix_(A, B)].min())
-
-    def subset_diameter(self, A) -> float:
-        """max d(a, a') over a, a' in A; 0 for empty or singleton sets."""
-        A = validate_points(A, self.n)
-        if A.size <= 1:
-            return 0.0
-        return float(self.dist[np.ix_(A, A)].max())
-
     def realized_distances(self) -> np.ndarray:
         """Sorted unique distances occurring in the space (starts with 0),
         as a read-only array."""

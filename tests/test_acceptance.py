@@ -20,7 +20,7 @@ from roelab.cli import main as cli_main
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary, upgrade_trick
 from roelab.extraction import MinimalRadiusError, extract_pair
-from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.locality import (
     approximability_window,
     quasi_locality_violation,
@@ -37,6 +37,7 @@ from roelab.signs import greedy_signs
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
+from hadamard import hadamard_fixture
 from sign_oracles import brute_force_signs, rademacher_average
 from test_locality import naive_violation
 

@@ -16,11 +16,13 @@ from roelab.cli import _build_parser, main
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary
 from roelab.extraction import extract_pair
-from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.maps import PointMap, closeness
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes, save_map, save_space, write_operator
 from roelab.spaces import path_space
+
+from hadamard import hadamard_fixture
 
 
 @pytest.fixture

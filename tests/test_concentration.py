@@ -8,12 +8,13 @@ import pytest
 from roelab import concentration
 from roelab.concentration import concentration_witness
 from roelab.extraction import corner_norm_table
-from roelab.fixtures import hadamard_fixture, noisy_covering_unitary
+from roelab.fixtures import noisy_covering_unitary
 from roelab.operators import FiberedSpace, identity_operator, random_band_unitary, spectral_norm
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import indicator
+from hadamard import hadamard_fixture
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -40,7 +41,7 @@ def test_witness_certificate_recomputes_from_A(rng):
     U = random_band_unitary(fib, 2.0, 2, seed=11)
     w = concentration_witness(U, 4, 3.0)
     X = fib.base
-    not_B = np.setdiff1d(np.arange(X.n), X.ball(w.y, w.R))
+    not_B = np.setdiff1d(np.arange(X.n), np.flatnonzero(X.dist[w.y] <= w.R))
     product = indicator(fib, not_B) @ U @ indicator(fib, w.A) @ U.adjoint() @ indicator(fib, [w.y])
     assert product.norm() == pytest.approx(w.certificate, abs=1e-12)
 
@@ -167,7 +168,7 @@ def reference_witness(U, y, R, h_index=0):
 def _reference_probe(U, y, R, h_index, delta):
     target = U.target
     v = U.matrix[int(target.offsets[y]) + h_index].conj()
-    B = target.base.ball(y, R)
+    B = np.flatnonzero(target.base.dist[y] <= R)
     off_ball = ~target.coord_mask(B)
     n_src = U.source.base.n
     family = np.zeros((n_src, target.total_dim), dtype=complex)

@@ -463,6 +463,18 @@ def test_outer_roundtrip_takes_each_norm_once(monkeypatch):
     assert len({id(mat) for mat in taken}) == len(taken)
 
 
+def test_outer_roundtrip_takes_one_column_pass(monkeypatch):
+    # UW*'s largest column norm depends on UW* alone, so `derived` keeps it:
+    # the six radii of the default grid share one pass over its columns
+    passes = []
+    real = operators._column_norm_max
+    monkeypatch.setattr(operators, "_column_norm_max", lambda T: passes.append(T) or real(T))
+    U, _, _ = noisy_covering_unitary("reflection", 40, seed=1, fiber_dim=2)
+    rep = outer_roundtrip(U, 0.5)
+    assert len(rep.windows) == 6
+    assert len(passes) == 1
+
+
 def test_noisy_covering_unitary_matches_a_cover_built_per_call():
     for kind, n, fiber_dim in [("identity", 8, 1), ("reflection", 12, 2), ("halving", 10, 1)]:
         h, _ = standard_pair(kind, n)

@@ -19,13 +19,14 @@ from roelab.extraction import (
 from roelab import operators
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
-from roelab.fixtures import hadamard_fixture, noisy_covering_unitary, standard_pair
+from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.maps import closeness, identity_map
 from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
 from conftest import random_fibered, random_graph_space, random_operator
+from hadamard import hadamard_fixture
 
 
 def reference_table(U, R):
@@ -81,7 +82,7 @@ def test_corner_norm_table_matches_direct_corners(rng):
     for R in (0.0, 1.0, 2.0):
         table = corner_norm_table(U, R)
         for y in range(X.n):
-            ball = X.ball(y, R)
+            ball = np.flatnonzero(X.dist[y] <= R)
             for x in range(X.n):
                 assert table[y, x] == pytest.approx(U.corner_norm(ball, [x]), abs=1e-12)
 
@@ -134,7 +135,8 @@ def test_two_dim_closed_form_at_the_edges(rng):
         for R in (0.0, 1.0, 3.0, 6.0):
             table = corner_norm_table(U, R)
             assert _within_ulps(table, reference_table(U, R)), R
-            direct = [[U.corner_norm(X.ball(y, R), [x]) for x in range(X.n)] for y in range(X.n)]
+            balls = [np.flatnonzero(X.dist[y] <= R) for y in range(X.n)]
+            direct = [[U.corner_norm(ball, [x]) for x in range(X.n)] for ball in balls]
             assert _within_ulps(table, np.array(direct)), R
     T, zero = ops[:2]
     assert (corner_norm_table(zero, 2.0)[:, [0, 2, 5]] == 0.0).all()

@@ -1,12 +1,13 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
-without a reader, no module imports another's private name, nothing is
-configured through the environment, no check is an `assert`, every
-norm and Gram top goes through `operators` and every split of a matrix
-into components through `spectral_norm`, every set of distance
-levels, every integer check and every real-number check through
-`spaces`, every JSON text through `serialize` and every report value
-through its one hook, and the README's quick start runs as printed."""
+without a reader and no public one without a caller or a stated reason,
+no module imports another's private name, nothing is configured through
+the environment, no check is an `assert`, every norm and Gram top goes
+through `operators` and every split of a matrix into components through
+`spectral_norm`, every set of distance levels, every integer check and
+every real-number check through `spaces`, every JSON text through
+`serialize` and every report value through its one hook, and the
+README's quick start runs as printed."""
 
 import ast
 import contextlib
@@ -91,6 +92,80 @@ def test_private_definitions_are_referenced():
                     and target.id not in exported
                 ]
     assert unreferenced == []
+
+
+# public names that nothing in the package or the benchmark names, each with
+# the reason it stays
+_UNREACHED_BUT_KEPT = {
+    "BlockOperator.propagation": "acceptance criteria 4-5; ROADMAP item 11 gives it callers",
+    "supported_distance_upper": "acceptance criterion 5",
+    "upgrade_trick": "acceptance criterion 6, the paper's upgrade step",
+    "BlockOperator.supported_mask": "acceptance criteria 7-8; the tests' reference for `_tail_norm`",
+    "save_map": "writes the map file that `cover --map` reads",
+    "minimal_radius": "roebench traces it by name, and README documents it",
+}
+
+
+def _public_definitions(module, tree):
+    """(label, name, node, reference kinds) for every public module-level
+    function or class and every public non-dunder method of a public
+    class.  A method is reached as an attribute; a function or class as
+    a name or as an attribute of its module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name, node, (ast.Name, ast.Attribute)))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found.append((f"{node.name}.{item.name}", item.name, item, (ast.Attribute,)))
+    return found
+
+
+def _references(tree, kinds):
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and not isinstance(node.ctx, ast.Store):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+
+
+def _unreached_public_names(package_texts, caller_texts):
+    """Public definitions of the package's modules that no module of either
+    set names outside the definition itself, by module:line and name."""
+    trees = {name: ast.parse(text) for name, text in {**caller_texts, **package_texts}.items()}
+    unreached = []
+    for module in package_texts:
+        for label, name, node, kinds in _public_definitions(module, trees[module]):
+            named = sum(ref == name for tree in trees.values() for ref in _references(tree, kinds))
+            if named == sum(ref == name for ref in _references(node, kinds)):
+                unreached.append(f"{module}:{node.lineno} {label}")
+    return unreached
+
+
+def _package_and_benchmark_texts():
+    package = Path(roelab.__file__).parent
+    benchmark = package.parents[1] / "roebench"
+    return (
+        {path.name: path.read_text() for path in sorted(package.glob("*.py"))},
+        {f"roebench/{path.name}": path.read_text() for path in sorted(benchmark.glob("*.py"))},
+    )
+
+
+def test_public_names_are_reached():
+    # the public API is what the program calls: a public function, class
+    # or method that no module of the package or the benchmark names is
+    # dead code or a test helper, unless the allowlist says why it stays
+    unreached = _unreached_public_names(*_package_and_benchmark_texts())
+    assert sorted(label.split()[1] for label in unreached) == sorted(_UNREACHED_BUT_KEPT)
+
+
+def test_public_name_lint_finds_a_planted_method():
+    package_texts, benchmark_texts = _package_and_benchmark_texts()
+    text = package_texts["spaces.py"]
+    anchor = "    def realized_distances(self)"
+    planted = text.replace(anchor, "    def planted_size(self):\n        return self.n\n\n" + anchor)
+    before = _unreached_public_names({"spaces.py": text}, {**package_texts, **benchmark_texts})
+    after = _unreached_public_names({"spaces.py": planted}, {**package_texts, **benchmark_texts})
+    assert before == []
+    assert [label.split()[1] for label in after] == ["FiniteMetricSpace.planted_size"]
 
 
 def test_no_module_reads_the_environment():

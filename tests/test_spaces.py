@@ -1,4 +1,5 @@
-"""Metric substrate: construction, balls, neighborhoods, growth."""
+"""Metric substrate: construction, distance levels, JSON form, and the
+integer and real-number rules."""
 
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ from scipy.sparse.csgraph import shortest_path
 from roelab import spaces
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary, outer_roundtrip, upgrade_trick
-from roelab.extraction import extract_pair
+from roelab.extraction import corner_norm_table, extract_pair
 from roelab.locality import approximability_window, quasi_locality_violation
 from roelab.maps import PointMap, greedy_net, identity_map
 from roelab.operators import FiberedSpace, identity_operator, random_band_unitary
@@ -35,12 +36,6 @@ def test_path_space_distances():
     X = path_space(5)
     assert X.dist[0, 4] == 4
     assert X.dist[3, 1] == 2
-
-
-def test_path_space_growth_profile():
-    # ball(i, 2) on eight points peaks at five elements
-    assert path_space(8).growth_profile(2) == 5
-    assert path_space(9).growth_profile(3) == 7
 
 
 def test_path_space_rejects_zero():
@@ -100,30 +95,6 @@ def test_edge_list_rejects_self_loop():
         from_edge_list(3, [(0, 0), (0, 1), (1, 2)])
 
 
-def test_ball_basic():
-    X = path_space(5)
-    assert list(X.ball(2, 1)) == [1, 2, 3]
-    assert list(X.ball(3, 0)) == [3]
-
-
-def test_ball_four_cycle():
-    X = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert list(X.ball(0, 1)) == [0, 1, 3]
-
-
-def test_ball_out_of_range():
-    # a bool used to index dist as a mask, a float raised numpy's IndexError
-    for x, message in [
-        (5, "point 5 out of range [0, 3)"),
-        (-1, "point -1 out of range [0, 3)"),
-        (True, "point must be an integer, got True"),
-        (2.5, "point must be an integer, got 2.5"),
-    ]:
-        with pytest.raises(ValueError) as err:
-            path_space(3).ball(x, 1)
-        assert str(err.value) == message
-
-
 @pytest.mark.parametrize("points, bad", [
     pytest.param([0.7, 2.9], "0.7", id="floats"),
     pytest.param([2, 1.0], "1.0", id="integral-float"),
@@ -139,8 +110,7 @@ def test_points_refuse_bools_and_floats(points, bad):
     U = identity_operator(FiberedSpace.uniform(X, 2))
     calls = [
         lambda: validate_points(points, 5),
-        lambda: X.neighborhood(points, 0),
-        lambda: X.set_distance(points, [4]),
+        lambda: U.source.coords_of(points),
         lambda: U.corner_norm(points, [3]),
         lambda: U.corner_norm([3], points),
     ]
@@ -148,71 +118,6 @@ def test_points_refuse_bools_and_floats(points, bad):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
-
-
-def test_ball_monotone_in_radius(rng):
-    X = random_graph_space(rng, 12, extra_edges=4)
-    for x in range(X.n):
-        prev = set()
-        for R in range(int(X.diameter) + 1):
-            cur = set(X.ball(x, R))
-            assert prev <= cur
-            prev = cur
-
-
-def test_neighborhood_empty_and_basic():
-    X = path_space(6)
-    assert X.neighborhood([], 3).size == 0
-    assert list(X.neighborhood([2, 3], 1)) == [1, 2, 3, 4]
-
-
-def test_neighborhood_matches_union_of_balls(rng):
-    for _ in range(20):
-        X = random_graph_space(rng, 10, extra_edges=3)
-        A = rng.choice(X.n, size=rng.integers(1, 5), replace=False)
-        R = float(rng.integers(0, 4))
-        expect = set()
-        for a in A:
-            expect |= set(X.ball(int(a), R))
-        assert set(X.neighborhood(A, R)) == expect
-
-
-def test_growth_profile_edges():
-    assert path_space(7).growth_profile(0) == 1
-    K4 = from_edge_list(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert K4.growth_profile(1) == 4
-
-
-def test_growth_profile_monotone_saturates(rng):
-    for _ in range(10):
-        X = random_graph_space(rng, 9, extra_edges=2)
-        values = [X.growth_profile(R) for R in range(int(X.diameter) + 1)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-        assert X.growth_profile(X.diameter) == X.n
-
-
-def test_set_distance_separation_equivalence(rng):
-    # d(A,B) > R iff B misses the R-neighborhood of A, exhaustively on 5 points
-    X = random_graph_space(rng, 5, extra_edges=2)
-    subsets = [[i for i in range(5) if mask >> i & 1] for mask in range(32)]
-    for A in subsets:
-        for B in subsets:
-            for R in (0.0, 1.0, 2.0):
-                lhs = X.set_distance(A, B) > R
-                rhs = not (set(B) & set(X.neighborhood(A, R)))
-                assert lhs == rhs
-
-
-def test_set_distance_empty_is_infinite():
-    X = path_space(4)
-    assert X.set_distance([], [1]) == np.inf
-    assert X.set_distance([0], []) == np.inf
-
-
-def test_subset_diameter():
-    X = path_space(10)
-    assert X.subset_diameter([2, 5, 6]) == 4
-    assert X.subset_diameter([3]) == 0
 
 
 def test_realized_distances_sorted_unique():
@@ -534,7 +439,9 @@ def test_real_rule_and_radius_check():
     radii = [check_radius(v, "r") for v in (0, np.int64(2), np.float32(0.5), float("inf"), 10**400)]
     assert radii == [0.0, 2.0, 0.5, float("inf"), float("inf")]
     assert {type(r) for r in radii} == {float}
-    assert path_space(3).ball(0, 10**400).tolist() == [0, 1, 2]
+    # and a caller reads it so: every ball of radius 10**400 is the whole space
+    U = identity_operator(FiberedSpace.uniform(path_space(3), 1))
+    assert corner_norm_table(U, 10**400).tolist() == [[1.0] * 3] * 3
     for bad, shown in [(-1, "-1"), (float("nan"), "nan"), (True, "True"), (None, "None"),
                        ("1", "'1'"), (-float("inf"), "-inf"), (-10**400, repr(-10**400))]:
         with pytest.raises(ValueError) as err:
@@ -553,7 +460,7 @@ def _real(what, shown):
                  _real("support radius", "nan"), id="mask-nan"),
     pytest.param(lambda X, fib, U, f: U.supported_mask(f.values, -1),
                  _real("support radius", "-1"), id="mask-negative"),
-    pytest.param(lambda X, fib, U, f: X.ball(0, True), _real("ball radius", "True"), id="ball-bool"),
+    pytest.param(lambda X, fib, U, f: corner_norm_table(U, True), _real("radius", "True"), id="ball-bool"),
     pytest.param(lambda X, fib, U, f: greedy_net(X, True),
                  _real("net separation", "True"), id="net-bool"),
     pytest.param(lambda X, fib, U, f: quasi_locality_violation(U, True),
@@ -570,7 +477,7 @@ def _real(what, shown):
                  "epsilon must be > 0, got True", id="upgrade-bool"),
     pytest.param(lambda X, fib, U, f: outer_roundtrip(U, 0.5, [True]),
                  _real("separation radius", "True"), id="outer-grid-bool"),
-    pytest.param(lambda X, fib, U, f: X.ball(0, None), _real("ball radius", "None"), id="ball-none"),
+    pytest.param(lambda X, fib, U, f: corner_norm_table(U, None), _real("radius", "None"), id="ball-none"),
     pytest.param(lambda X, fib, U, f: f.modulus(None),
                  _real("modulus scale", "None"), id="modulus-none"),
     pytest.param(lambda X, fib, U, f: approximability_window(U, None),
@@ -583,8 +490,8 @@ def _real(what, shown):
                  "delta must lie in (0, 1), got '0.5'", id="delta-string"),
     pytest.param(lambda X, fib, U, f: outer_roundtrip(U, 0.5, [None]),
                  _real("separation radius", "None"), id="outer-grid-none"),
-    pytest.param(lambda X, fib, U, f: X.ball(0, np.array([1.0, 2.0])),
-                 _real("ball radius", "array([1., 2.])"), id="ball-array"),
+    pytest.param(lambda X, fib, U, f: corner_norm_table(U, np.array([1.0, 2.0])),
+                 _real("radius", "array([1., 2.])"), id="ball-array"),
 ])
 def test_scales_follow_the_real_rule(call, message):
     X = path_space(5)
