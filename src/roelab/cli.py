@@ -13,8 +13,9 @@ its results as report objects (a report dataclass, or a dict of them)
 and its side files (`cover --save-unitary`, `sweep --csv`) as writers
 by path.  `main` times it, encodes the whole report through
 `serialize.report_bytes`, with the subcommand as `kind` plus every
-parsed argument except `--out` as its scenario, refuses two outputs
-that resolve to one path, and only then writes every file, `--out`
+parsed argument except `--out` as its scenario, refuses an output
+that resolves to an input (`--unitary`, `--space`, `--source-space`,
+`--map`) or to another output, and only then writes every file, `--out`
 included, each under a temporary name beside it; all are moved into
 place once every write has succeeded, so a refused run leaves no file.
 Every setting is a command-line argument; nothing is read from the
@@ -77,12 +78,18 @@ def _write_all(files: dict) -> None:
                 os.remove(temp)
 
 
-def _check_distinct(paths) -> None:
-    """Refuse two outputs that name one file, `./X` and `X` included:
-    the second writer would replace the first."""
+def _check_distinct(outputs, inputs) -> None:
+    """Refuse an output that names an input or another output, `./X` and
+    `X` included: its writer would replace what was read or written.
+    With no output, no path is resolved."""
+    if not outputs:
+        return
+    read = {os.path.realpath(path): path for path in inputs}
     seen = {}
-    for path in paths:
+    for path in outputs:
         real = os.path.realpath(path)
+        if real in read:
+            raise ValueError(f"output {path!r} would replace the input {read[real]!r}")
         if real in seen:
             raise ValueError(f"two outputs name the same file: {seen[real]!r} and {path!r}")
         seen[real] = path
@@ -263,7 +270,8 @@ def main(argv=None) -> int:
             "timings": {"elapsed_s": time.perf_counter() - t0},
         }
         payload = report_bytes(report)  # a report JSON cannot hold is refused before any write
-        _check_distinct([*files, args.out] if args.out else files)
+        inputs = [getattr(args, key, None) for key in ("unitary", "space", "source_space", "map")]
+        _check_distinct([*files, args.out] if args.out else files, filter(None, inputs))
         if args.out:
             files[args.out] = functools.partial(_write_bytes, data=payload)
         _write_all(files)

@@ -288,14 +288,9 @@ class BlockOperator:
         return self.derived(_column_norm_max)
 
     def block_frobenius(self) -> np.ndarray:
-        """Per-block Frobenius norms as an (n_target, n_source) array.
-        The squared moduli are the one full-size float copy."""
-        sq = np.abs(self.matrix)
-        np.square(sq, out=sq)
-        by_rows = np.add.reduceat(sq, self.target.offsets[:-1], axis=0)
-        del sq
-        by_both = np.add.reduceat(by_rows, self.source.offsets[:-1], axis=1)
-        return np.sqrt(by_both, out=by_both)
+        """Per-block Frobenius norms as a read-only (n_target, n_source)
+        array; computed once per operator and stored."""
+        return self.derived(_block_frobenius)
 
     def _same_base(self):
         if self.source.base != self.target.base:
@@ -374,6 +369,17 @@ class BlockOperator:
 def _norm(T: BlockOperator) -> float:
     """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`."""
     return spectral_norm(T.matrix)
+
+
+def _block_frobenius(T: BlockOperator) -> np.ndarray:
+    """T's per-block Frobenius norms, kept by `T.block_frobenius()` through
+    `derived`.  The squared moduli are the one full-size float copy."""
+    sq = np.abs(T.matrix)
+    np.square(sq, out=sq)
+    by_rows = np.add.reduceat(sq, T.target.offsets[:-1], axis=0)
+    del sq
+    by_both = np.add.reduceat(by_rows, T.source.offsets[:-1], axis=1)
+    return np.sqrt(by_both, out=by_both)
 
 
 def _column_norm_max(T: BlockOperator) -> float:

@@ -26,6 +26,8 @@ scale in the package is a real number >= 0, infinity included, checked by
 `check_radius`, whose error names the value (NaN, None, a bool, ...); an
 int beyond the float range, such as ``10**400``, reads as infinity.  A
 threshold, such as delta or epsilon, tests `is_real` and its own interval.
+Every entry of a distance matrix is a real number too, checked before
+numpy reads it, so a bool or a string in a `dist` file is refused.
 
 JSON form: a graph metric is written as ``{"n", "edges"}``, the pairs
 i < j at distance 1 in row-major order, and any other space as
@@ -124,6 +126,24 @@ def integer_array(values, what: str) -> np.ndarray:
     return np.asarray(values)
 
 
+def _real_matrix(dist) -> np.ndarray:
+    """dist as a new float array, refused unless every entry is a real
+    number; the error names the first bad entry.  An int or float numpy
+    array is taken as it is; anything else is checked entry by entry, since
+    numpy reads True as 1 and "1" as 1.0.  Entries that are all ints and
+    floats, as in a JSON file, pass on their types alone."""
+    if not (isinstance(dist, np.ndarray) and dist.dtype.kind in "iuf"):
+        dist = np.array(dist, dtype=object)
+        if not set(map(type, dist.flat)) <= {int, float}:
+            bad = [value for value in dist.flat if not is_real(value)]
+            if bad:
+                raise ValueError(f"every distance must be a real number, got {bad[0]!r}")
+    try:
+        return dist.astype(float)
+    except OverflowError:  # an int beyond the float range reads as infinity, as a radius does
+        raise ValueError("distances must be finite") from None
+
+
 def _is_graph_metric(dist: np.ndarray) -> bool:
     """True when dist is the hop metric of the graph joining points at
     distance exactly 1.  Such a matrix is a metric: its entries are small
@@ -156,7 +176,7 @@ class FiniteMetricSpace:
     """
 
     def __init__(self, dist):
-        dist = np.array(dist, dtype=float)
+        dist = _real_matrix(dist)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
         n = dist.shape[0]
@@ -214,9 +234,10 @@ class FiniteMetricSpace:
         level), and where each level's group starts in ``order``.
         Computed once per space, on first use, and read-only."""
         if self._levels is None:
-            radii, counts = np.unique(self.dist, return_counts=True)
             order = np.argsort(self.dist, axis=None, kind="stable")
-            starts = np.cumsum(counts) - counts
+            entries = self.dist.ravel()[order]  # one sort: a level starts where the entry grows
+            starts = np.flatnonzero(np.concatenate(([True], entries[1:] != entries[:-1])))
+            radii = entries[starts]
             for arr in (radii, order, starts):
                 arr.setflags(write=False)
             self._levels = radii, order, starts

@@ -518,6 +518,21 @@ def test_results_equal_from_dist_and_edges_space_files(kind, n, commands, tmp_pa
         assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("space_json, bad", [
+    pytest.param({"n": 2, "dist": [[0, True], [True, 0]]}, "True", id="dist-bool"),
+    pytest.param({"n": 2, "dist": [["0", "1"], ["1", "0"]]}, "'0'", id="dist-string"),
+])
+def test_dist_entry_that_is_not_real_exits_2(space_json, bad, hadamard_files, tmp_path, capsys):
+    # both files used to load silently as the 2-point path
+    _, unitary = hadamard_files
+    space = tmp_path / "bad.json"
+    space.write_text(json.dumps(space_json))
+    assert run(["ql", "--unitary", unitary, "--space", str(space), "--radius", "1"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": {"type": "ValueError",
+                             "message": f"every distance must be a real number, got {bad}"}}
+
+
 @pytest.mark.parametrize("space_json", [
     pytest.param('{"n": 2, "dist": [[0, NaN], [NaN, 0]]}', id="dist-nan"),
     pytest.param('{"n": 2, "dist": [[0, Infinity], [Infinity, 0]]}', id="dist-inf"),
@@ -659,3 +674,27 @@ def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, ca
     assert err == {"type": "ValueError",
                    "message": f"two outputs name the same file: {side!r} and {argv[-1]!r}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "sub"]
+
+
+@pytest.mark.parametrize("argv, read", [
+    pytest.param(["extract", "--unitary", "U.bin", "--space", "space.json", "--out", "U.bin"], "U.bin",
+                 id="extract-out-unitary"),
+    pytest.param(["ql", "--unitary", "U.bin", "--space", "space.json", "--radius", "1",
+                  "--out", "./space.json"], "space.json", id="ql-out-space-dot"),
+    pytest.param(["extract", "--unitary", "U.bin", "--space", "space.json", "--source-space", "source.json",
+                  "--out", "sub/../source.json"], "source.json", id="extract-out-source-space"),
+    pytest.param(["cover", "--map", "map.json", "--save-unitary", "map.json"], "map.json",
+                 id="cover-unitary-map"),
+    pytest.param(["cover", "--map", "map.json", "--out", "map.json"], "map.json", id="cover-out-map"),
+])
+def test_output_naming_an_input_is_refused(argv, read, hadamard_files, tmp_path, monkeypatch, capsys):
+    # `extract --out U.bin` used to replace the operator file with the report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "source.json").write_bytes((tmp_path / "space.json").read_bytes())
+    save_map(tmp_path / "map.json", standard_pair("identity", 4)[0])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError", "message": f"output {argv[-1]!r} would replace the input {read!r}"}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before

@@ -477,6 +477,19 @@ def test_block_frobenius_holds_one_full_size_copy():
     assert peak <= 1.6 * size * size * 8
 
 
+def test_block_frobenius_is_built_once_per_operator(monkeypatch):
+    # the bounds search at every radius of the grid and `propagation` read
+    # the norms that UW* keeps
+    built = []
+    build = operators._block_frobenius
+    monkeypatch.setattr(operators, "_block_frobenius", lambda T: built.append(T) or build(T))
+    U = noisy_covering_unitary("reflection", 24, 0, 2.0, 2, 2)[0]
+    outer_roundtrip(U, radius_grid=[0, 1, 2, 3])
+    assert len(built) == 1
+    built[0].propagation()
+    assert len(built) == 1
+
+
 def _assert_search_matches_reference(T, R, restarts, seed):
     """Every start of the local search grows as reference_grow does, and
     the search returns the same value and unpruned pair (B, A) with

@@ -1,11 +1,11 @@
 """Package surface: every exported name resolves, no module imports a
 name it never uses, no private definition or module-level name is left
 without a reader and no public one without a caller or a stated reason,
-no module imports another's private name, nothing is configured through
-the environment, no check is an `assert`, every norm and Gram top goes
-through `operators` and every split of a matrix into components through
-`spectral_norm`, every set of distance levels, every integer check and
-every real-number check through `spaces`, every JSON text through
+no module imports another's private name, no check is an `assert`, every
+rule of the design contract (`_RULES`: no environment read, one norm
+path, one Gram route, one labeller, one stack budget, one home of
+distance levels, one integer rule and one real-number rule) matches only
+in its homes and every home holds it, every JSON text goes through
 `serialize` and every report value through its one hook, and the
 README's quick start runs as printed."""
 
@@ -15,7 +15,20 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import roelab
+
+_PACKAGE = Path(roelab.__file__).parent
+
+
+def _package_texts():
+    """{module: source text} for every module of the package, by dotted
+    name relative to the package (`operators`, `sub.module`)."""
+    return {
+        ".".join(path.relative_to(_PACKAGE).with_suffix("").parts): path.read_text()
+        for path in sorted(_PACKAGE.rglob("*.py"))
+    }
 
 
 def test_all_exports_resolve():
@@ -26,10 +39,9 @@ def test_all_exports_resolve():
 
 def test_no_unused_imports():
     # the lint step: an imported name must be used in its module or re-exported
-    package = Path(roelab.__file__).parent
     unused = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, text in _package_texts().items():
+        tree = ast.parse(text)
         imported = {}
         exported = set()
         for node in ast.walk(tree):
@@ -45,7 +57,7 @@ def test_no_unused_imports():
                 exported = {elt.value for elt in node.value.elts}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [
-            f"{path.name}:{line} {name}"
+            f"{module}:{line} {name}"
             for name, line in imported.items()
             if name not in used and name not in exported
         ]
@@ -62,8 +74,7 @@ def test_private_definitions_are_referenced():
     # named somewhere in the package besides its own definition, and a
     # module-level assigned name (a constant, say) must be read somewhere in
     # the package or be listed in its module's __all__
-    package = Path(roelab.__file__).parent
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in _package_texts().items()}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -140,74 +151,57 @@ def _unreached_public_names(package_texts, caller_texts):
     return unreached
 
 
-def _package_and_benchmark_texts():
-    package = Path(roelab.__file__).parent
-    benchmark = package.parents[1] / "roebench"
-    return (
-        {path.name: path.read_text() for path in sorted(package.glob("*.py"))},
-        {f"roebench/{path.name}": path.read_text() for path in sorted(benchmark.glob("*.py"))},
-    )
+def _benchmark_texts():
+    benchmark = _PACKAGE.parents[1] / "roebench"
+    return {f"roebench/{path.name}": path.read_text() for path in sorted(benchmark.glob("*.py"))}
 
 
 def test_public_names_are_reached():
     # the public API is what the program calls: a public function, class
     # or method that no module of the package or the benchmark names is
     # dead code or a test helper, unless the allowlist says why it stays
-    unreached = _unreached_public_names(*_package_and_benchmark_texts())
+    unreached = _unreached_public_names(_package_texts(), _benchmark_texts())
     assert sorted(label.split()[1] for label in unreached) == sorted(_UNREACHED_BUT_KEPT)
 
 
 def test_public_name_lint_finds_a_planted_method():
-    package_texts, benchmark_texts = _package_and_benchmark_texts()
-    text = package_texts["spaces.py"]
+    callers = {**_package_texts(), **_benchmark_texts()}
+    text = callers["spaces"]
     anchor = "    def realized_distances(self)"
     planted = text.replace(anchor, "    def planted_size(self):\n        return self.n\n\n" + anchor)
-    before = _unreached_public_names({"spaces.py": text}, {**package_texts, **benchmark_texts})
-    after = _unreached_public_names({"spaces.py": planted}, {**package_texts, **benchmark_texts})
-    assert before == []
+    assert _unreached_public_names({"spaces": text}, callers) == []
+    after = _unreached_public_names({"spaces": planted}, callers)
     assert [label.split()[1] for label in after] == ["FiniteMetricSpace.planted_size"]
 
 
-def test_no_module_reads_the_environment():
-    # configuration stays in command-line arguments, where a report's scenario can record it
-    package = Path(roelab.__file__).parent
-    readers = [
-        str(path.relative_to(package))
-        for path in sorted(package.rglob("*.py"))
-        if re.search(r"os\.environ|getenv", path.read_text())
-    ]
-    assert readers == []
-
-
-_NORM_TAKER = re.compile(r"linalg\.(norm|eigvalsh)\b|svd\([^()]*compute_uv\s*=\s*False")
-
-
-def _norm_takers(name, text):
-    # matched over the whole text, so a call wrapped over lines is found;
-    # each match is reported at the line where it starts
-    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _NORM_TAKER.finditer(text)]
-
-
-def test_norms_are_taken_only_in_operators():
-    # the one norm path: no module but operators.py computes a norm or a
-    # Hermitian top eigenvalue by itself (`spectral_norm`, `gram_top`)
-    package = Path(roelab.__file__).parent
-    takers = [
-        taker
-        for path in sorted(package.glob("*.py"))
-        if path.name != "operators.py"
-        for taker in _norm_takers(path.name, path.read_text())
-    ]
-    assert takers == []
-
-
-def test_norm_lint_finds_calls_wrapped_over_lines():
-    text = "x = 1\ntop = np.linalg.svd(\n    mat, compute_uv=False\n)[0]\ne = np.linalg.eigvalsh(g)\n"
-    assert _norm_takers("m.py", text) == ["m.py:2", "m.py:5"]
-
-
-# the functions of operators.py that may call each decomposition
-_DECOMPOSITION_HOMES = {"eigvalsh": {"gram_top", "_residual"}, "svd": {"spectral_norm"}}
+# The design contract, one rule a row: {rule: (pattern, homes)}.  A home
+# is a module (`operators`) or the innermost function holding a match
+# (`operators.gram_top`); the pattern may match nowhere else, and every
+# home must hold a match, so a home that loses its call is reported too.
+_RULES = {
+    # configuration is a command-line argument, which a report's scenario records
+    "environment": (r"os\.environ|getenv", ()),
+    # one norm path: only operators.py takes a norm or a Hermitian top eigenvalue
+    "norm": (r"linalg\.(norm|eigvalsh)\b|svd\([^()]*compute_uv\s*=\s*False", ("operators",)),
+    # one Gram route: every Hermitian top through `gram_top` (the unitarity
+    # residual reads a whole spectrum), every SVD norm through `spectral_norm`
+    "eigvalsh": (r"linalg\.eigvalsh\b", ("operators.gram_top", "operators._residual")),
+    "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators.spectral_norm",)),
+    # one labeller: `spectral_norm` splits a matrix into components, and
+    # `from_edge_list` labels them only to refuse a disconnected edge list
+    "labelling": (r"\bconnected_components\s*\(", ("operators.spectral_norm", "spaces.from_edge_list")),
+    # one stack budget: every batched stack is built in operators.py
+    "stack_budget": (r"\bSTACK_BYTES\b", ("operators",)),
+    # every Gram top comes from the corner kernel or `spectral_norm`
+    "gram_top": (r"\bgram_top\b", ("operators",)),
+    # a space computes and stores its own distance levels
+    "distance_levels": (r"np\.(unique|argsort)\([^()]*\.dist\b", ("spaces",)),
+    # one integer rule: bool and integer tests and the range message
+    "integer": (r"Integral|np\.bool_|isinstance\([^)]*\bbool\b|out of range \[0,", ("spaces",)),
+    # one real-number rule: a scale compared with 0 by hand, or the rule's
+    # message; other modules call `check_radius` or test `is_real` in their interval
+    "real": (r"not [A-Za-z_.]+ >=? 0|must be a real number", ("spaces",)),
+}
 
 
 def _holder(text):
@@ -225,118 +219,102 @@ def _holder(text):
     return holder
 
 
-def _stray_decompositions(name, text):
-    # an eigvalsh or singular-value call outside its home, reported at the
-    # line where it starts with the innermost function holding it
-    holder = _holder(text)
-    strays = []
-    for match in _NORM_TAKER.finditer(text):
-        kind = match.group(1) or "svd"
-        if kind not in _DECOMPOSITION_HOMES:
-            continue
-        line = text.count("\n", 0, match.start()) + 1
-        home = holder(line)
-        if home not in _DECOMPOSITION_HOMES[kind]:
-            strays.append(f"{name}:{line} {kind} in {home}")
-    return strays
+def _misplaced(rule, texts):
+    """(strays, idle homes) of a rule over {module: text}.  A stray is a
+    match outside the rule's homes, as `place:line` at the line where the
+    match starts, the place being the module or its innermost function
+    holding the match; matched over the whole text, so a call wrapped
+    over lines is found like any other.  An idle home holds no match."""
+    pattern, homes = _RULES[rule]
+    strays, held = [], set()
+    for module, text in texts.items():
+        matches = list(re.finditer(pattern, text))
+        holder = _holder(text) if matches else None
+        for match in matches:
+            line = text.count("\n", 0, match.start()) + 1
+            function = holder(line)
+            place = f"{module}.{function}" if function else module
+            home = next((h for h in (place, module) if h in homes), None)
+            if home is None:
+                strays.append(f"{place}:{line}")
+            else:
+                held.add(home)
+    return strays, [home for home in homes if home not in held]
 
 
-_LABELLING = re.compile(r"\bconnected_components\s*\(")
+@pytest.mark.parametrize("rule", list(_RULES))
+def test_rule_matches_only_in_its_homes(rule):
+    assert _misplaced(rule, _package_texts()) == ([], [])
 
 
-def _component_labellers(module, text):
-    # module.function for every call that labels graph components
-    holder = _holder(text)
-    return [f"{module}.{holder(text.count(chr(10), 0, m.start()) + 1)}" for m in _LABELLING.finditer(text)]
+def _line(text, needle):
+    return text.count("\n", 0, text.index(needle)) + 1
 
 
-def test_each_decomposition_is_called_only_in_its_home():
-    # one Gram route: every Hermitian top goes through `gram_top` (the
-    # unitarity residual reads a whole spectrum), every SVD norm through
-    # `spectral_norm`; and one norm function: only `spectral_norm` splits a
-    # matrix into components, which elsewhere are labelled only to refuse
-    # a disconnected edge list
-    package = Path(roelab.__file__).parent
-    text = (package / "operators.py").read_text()
-    assert _stray_decompositions("operators.py", text) == []
-    labellers = [
-        labeller
-        for path in sorted(package.glob("*.py"))
-        for labeller in _component_labellers(path.stem, path.read_text())
-    ]
-    assert labellers == ["operators.spectral_norm", "spaces.from_edge_list"]
+_DECOMPOSITIONS = (
+    "def gram_top(s):\n    return np.linalg.eigvalsh(s)\n"
+    "def spectral_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
+    "def corner(m):\n    def inner(g):\n        return np.linalg.eigvalsh(g)\n"
+    "    return np.linalg.svd(m, compute_uv=False)\n"
+    "top = np.linalg.eigvalsh(x)\nn = np.linalg.norm(x)\n"
+)
 
-
-def test_decomposition_lint_finds_calls_outside_their_homes():
-    text = (
-        "def gram_top(s):\n    return np.linalg.eigvalsh(s)\n"
-        "def spectral_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
-        "def corner(m):\n    def inner(g):\n        return np.linalg.eigvalsh(g)\n"
-        "    return np.linalg.svd(m, compute_uv=False)\n"
-        "top = np.linalg.eigvalsh(x)\nn = np.linalg.norm(x)\n"
-    )
-    assert _stray_decompositions("m.py", text) == [
-        "m.py:8 eigvalsh in inner", "m.py:9 svd in corner", "m.py:10 eigvalsh in None"
-    ]
-
-
-def test_labelling_lint_finds_a_call_planted_in_locality():
-    text = (Path(roelab.__file__).parent / "locality.py").read_text()
-    planted = text + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
-    assert _component_labellers("locality", text) == []
-    assert _component_labellers("locality", planted) == ["locality._planted"]
-
-
-_STACK_BUDGET = re.compile(r"\bSTACK_BYTES\b")
-
-
-def _budget_namers(name, text):
-    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _STACK_BUDGET.finditer(text)]
-
-
-def test_stack_budget_is_named_only_in_operators():
-    # every batched stack is built in operators.py, which owns its byte budget
-    package = Path(roelab.__file__).parent
-    namers = [
-        namer
-        for path in sorted(package.glob("*.py"))
-        if path.name != "operators.py"
-        for namer in _budget_namers(path.name, path.read_text())
-    ]
-    assert namers == []
-
-
-def test_budget_lint_finds_each_mention():
-    text = "from .operators import (\n    STACK_BYTES,\n)\nstep = MY_STACK_BYTES\nk = ops.STACK_BYTES // 8\n"
-    assert _budget_namers("m.py", text) == ["m.py:2", "m.py:5"]
-
-
-_GRAM_TOP = re.compile(r"\bgram_top\b")
-
-
-def _gram_top_namers(name, text):
-    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _GRAM_TOP.finditer(text)]
-
-
-def test_gram_top_is_named_only_in_operators():
-    # every Gram top comes from the corner kernel or `spectral_norm`: no
-    # other module builds Gram matrices of corners and reads their tops
-    package = Path(roelab.__file__).parent
-    namers = [
-        namer
-        for path in sorted(package.glob("*.py"))
-        if path.name != "operators.py"
-        for namer in _gram_top_namers(path.name, path.read_text())
-    ]
-    assert namers == []
-
-
-def test_gram_top_lint_finds_each_mention():
-    text = (
+# (rule, texts, strays, idle homes): each rule's planted forms, a lone text
+# standing for a module `m`
+_PLANTED = [
+    ("environment", "import os\nseed = os.environ['SEED']\nhome = os.getenv(\n    'HOME')\nw = environ\n",
+     ["m:2", "m:3"], []),
+    ("norm", "x = 1\ntop = np.linalg.svd(\n    mat, compute_uv=False\n)[0]\ne = np.linalg.eigvalsh(g)\n",
+     ["m:2", "m:5"], ["operators"]),
+    ("eigvalsh", {"operators": _DECOMPOSITIONS}, ["operators.inner:8", "operators:10"], ["operators._residual"]),
+    ("svd", {"operators": _DECOMPOSITIONS}, ["operators.corner:9"], []),
+    ("stack_budget", "from .operators import (\n    STACK_BYTES,\n)\nstep = MY_STACK_BYTES\nk = ops.STACK_BYTES // 8\n",
+     ["m:2", "m:5"], ["operators"]),
+    ("gram_top", (
         "from .operators import (\n    gram_top,\n)\n"
         "t = _gram_top_2x2(a, c, b)\nu = my_gram_top(g)\nv = operators.gram_top(g)\n"
-    )
-    assert _gram_top_namers("m.py", text) == ["m.py:2", "m.py:6"]
+    ), ["m:2", "m:6"], ["operators"]),
+    ("distance_levels", (
+        "radii, counts = np.unique(space.dist, return_counts=True)\n"
+        "order = np.argsort(\n    self.dist, axis=None, kind='stable')\n"
+        "names = np.unique(self.distances)\nkeys = np.unique(labels)\n"
+    ), ["m:1", "m:2"], ["spaces"]),
+    ("integer", (
+        "from numbers import Integral\n"
+        "ok = isinstance(E, (bool,\n    np.bool_))\n"
+        "ok = isinstance(n, int) and not isinstance(n, bool)\n"
+        "raise ValueError(f'value out of range [0, {n})')\n"
+        "ok = isinstance(x, int)  # a plain int test is not the rule\n"
+    ), ["m:1", "m:2", "m:3", "m:4", "m:5"], ["spaces"]),
+    ("real", (
+        "ok = not R >= 0\n"
+        "ok = not self.eps > 0\n"
+        "raise ValueError(f'scale must be a real number >= 0, got {r!r}')\n"
+        "ok = not (is_real(delta) and 0 < delta < 1)  # the predicate and an interval\n"
+        "ok = not values.max() > 0  # a computed value, not an argument\n"
+    ), ["m:1", "m:2", "m:3"], ["spaces"]),
+]
+
+
+def _planted_cases():
+    """`_PLANTED`, a labelling call planted in locality.py, and a copy of
+    operators.py whose `gram_top` is renamed, so that its home is idle."""
+    package = _package_texts()
+    planted = package["locality"] + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
+    renamed = package["operators"].replace("def gram_top(", "def top_of_gram(")
+    cases = [(rule, texts if isinstance(texts, dict) else {"m": texts}, *rest) for rule, texts, *rest in _PLANTED]
+    return [pytest.param(*case, id=case[0]) for case in cases] + [
+        pytest.param("labelling", {**package, "locality": planted},
+                     [f"locality._planted:{_line(planted, 'return connected_components(')}"], [], id="labelling"),
+        pytest.param("eigvalsh", {"operators": renamed},
+                     [f"operators.top_of_gram:{_line(renamed, 'np.linalg.eigvalsh(')}"], ["operators.gram_top"],
+                     id="idle_home"),
+    ]
+
+
+@pytest.mark.parametrize(("rule", "texts", "strays", "idle"), _planted_cases())
+def test_rule_finder_reports_planted_strays_and_idle_homes(rule, texts, strays, idle):
+    assert _misplaced(rule, texts) == (strays, idle)
 
 
 def _json_writers(name, text):
@@ -378,11 +356,9 @@ def test_reports_are_encoded_only_in_serialize():
     # one encoder: `serialize.report_bytes` turns report dataclasses into
     # JSON; the file forms of spaces and maps (`to_json` on plain classes)
     # are dicts that it writes
-    package = Path(roelab.__file__).parent
     writers, serializers = [], []
-    for path in sorted(package.rglob("*.py")):
-        name, text = str(path.relative_to(package)), path.read_text()
-        if name != "serialize.py":
+    for name, text in _package_texts().items():
+        if name != "serialize":
             writers += _json_writers(name, text)
         serializers += _dataclass_serializers(name, text)
     assert writers == []
@@ -438,8 +414,7 @@ def test_report_values_are_converted_by_one_hook():
     # json walks the report and calls `_report_value` for what it does not
     # know, in the C encoder and in the encoder that names a refused number;
     # no second walk converts values before or beside it
-    text = (Path(roelab.__file__).parent / "serialize.py").read_text()
-    assert _report_conversions(text) == (["JSONEncoder", "dumps"], [])
+    assert _report_conversions(_package_texts()["serialize"]) == (["JSONEncoder", "dumps"], [])
 
 
 def test_report_hook_lint_finds_a_second_conversion():
@@ -469,11 +444,10 @@ def _private_imports(name, text):
 
 def test_no_module_imports_a_private_name():
     # one home per kernel: a name another module needs is public there
-    package = Path(roelab.__file__).parent
     importers = [
         importer
-        for path in sorted(package.rglob("*.py"))
-        for importer in _private_imports(str(path.relative_to(package)), path.read_text())
+        for name, text in _package_texts().items()
+        for importer in _private_imports(name, text)
     ]
     assert importers == []
 
@@ -538,9 +512,7 @@ def _foreign_private_attributes(texts):
 def test_no_module_touches_another_modules_private_attributes():
     # what a module keeps on its objects (cached norms, residuals, tables)
     # stays behind that module's own functions and methods
-    package = Path(roelab.__file__).parent
-    texts = {str(path.relative_to(package)): path.read_text() for path in sorted(package.rglob("*.py"))}
-    assert _foreign_private_attributes(texts) == []
+    assert _foreign_private_attributes(_package_texts()) == []
 
 
 def test_private_attribute_lint_finds_a_foreign_access():
@@ -566,9 +538,9 @@ def test_private_attribute_lint_finds_a_foreign_access():
 
 
 def _derived_store_uses(texts):
-    """Modules other than operators.py that name `_derived`, then every
+    """Modules other than operators that name `_derived`, then every
     store to the attribute outside `BlockOperator.__init__`, by line."""
-    uses = [name for name, text in texts.items() if name != "operators.py" and re.search(r"\b_derived\b", text)]
+    uses = [name for name, text in texts.items() if name != "operators" and re.search(r"\b_derived\b", text)]
     for name, text in texts.items():
         tree = ast.parse(text)
         init = {
@@ -587,14 +559,12 @@ def _derived_store_uses(texts):
 def test_derived_store_is_set_only_by_the_constructor():
     # what is derived from an operator stays on that operator: nothing is
     # copied into another one, an adjoint included
-    package = Path(roelab.__file__).parent
-    texts = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert _derived_store_uses(texts) == []
+    assert _derived_store_uses(_package_texts()) == []
 
 
 def test_derived_store_lint_finds_a_second_writer():
     texts = {
-        "operators.py": (
+        "operators": (
             "class BlockOperator:\n"
             "    def __init__(self):\n"
             "        self._derived = {}\n"
@@ -603,105 +573,25 @@ def test_derived_store_lint_finds_a_second_writer():
             "        adj._derived = dict(self._derived)\n"
             "        return adj\n"
         ),
-        "locality.py": "def peek(T):\n    return getattr(T, '_derived')\n",
+        "locality": "def peek(T):\n    return getattr(T, '_derived')\n",
     }
-    assert _derived_store_uses(texts) == ["locality.py", "operators.py:6"]
+    assert _derived_store_uses(texts) == ["locality", "operators:6"]
 
 
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check the package relies
     # on raises an exception instead
-    package = Path(roelab.__file__).parent
     asserts = [
-        f"{path.relative_to(package)}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{name}:{node.lineno}"
+        for name, text in _package_texts().items()
+        for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
 
 
-def test_distance_levels_are_taken_only_in_spaces():
-    # one home of distance levels: a space computes and stores its own, so
-    # no module but spaces.py runs np.unique over a distance matrix
-    package = Path(roelab.__file__).parent
-    pattern = re.compile(r"np\.unique\([^()]*\.dist\b")
-    takers = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if path.name != "spaces.py" and pattern.search(path.read_text())
-    ]
-    assert takers == []
-
-
-# the integer predicate's parts and the range message: one home, in spaces.py
-_INTEGER_RULE = re.compile(r"Integral|np\.bool_|isinstance\([^)]*\bbool\b|out of range \[0,")
-
-
-def _integer_rules(name, text):
-    # matched over the whole text, like the norm lint
-    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _INTEGER_RULE.finditer(text)]
-
-
-def test_integers_are_checked_only_in_spaces():
-    # one integer rule: no module but spaces.py tests for bools or
-    # integers by itself or writes its own range message
-    package = Path(roelab.__file__).parent
-    rules = [
-        rule
-        for path in sorted(package.glob("*.py"))
-        if path.name != "spaces.py"
-        for rule in _integer_rules(path.name, path.read_text())
-    ]
-    assert rules == []
-
-
-def test_integer_lint_finds_each_form():
-    text = (
-        "from numbers import Integral\n"
-        "ok = isinstance(E, (bool,\n    np.bool_))\n"
-        "ok = isinstance(n, int) and not isinstance(n, bool)\n"
-        "raise ValueError(f'value out of range [0, {n})')\n"
-        "ok = isinstance(x, int)  # a plain int test is not the rule\n"
-    )
-    assert _integer_rules("m.py", text) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
-
-
-# the real-number rule's comparisons and message: one home, in spaces.py
-_REAL_RULE = re.compile(r"not [A-Za-z_.]+ >=? 0|must be a real number")
-
-
-def _real_rules(name, text):
-    return [f"{name}:{text.count(chr(10), 0, m.start()) + 1}" for m in _REAL_RULE.finditer(text)]
-
-
-def test_reals_are_checked_only_in_spaces():
-    # one real-number rule: no module but spaces.py compares a scale with 0
-    # by hand or writes the rule's message; the others call `check_radius`
-    # or test `is_real` with their own interval
-    package = Path(roelab.__file__).parent
-    rules = [
-        rule
-        for path in sorted(package.glob("*.py"))
-        if path.name != "spaces.py"
-        for rule in _real_rules(path.name, path.read_text())
-    ]
-    assert rules == []
-
-
-def test_real_lint_finds_each_form():
-    text = (
-        "if not R >= 0:\n"
-        "if not self.eps > 0:\n"
-        "raise ValueError(f'scale must be a real number >= 0, got {r!r}')\n"
-        "if not (is_real(delta) and 0 < delta < 1):  # the predicate and an interval\n"
-        "if not values.max() > 0:  # a computed value, not an argument\n"
-    )
-    assert _real_rules("m.py", text) == ["m.py:1", "m.py:2", "m.py:3"]
-
-
 def test_readme_quick_start_runs_as_printed():
-    readme = (Path(roelab.__file__).parents[2] / "README.md").read_text()
+    readme = (_PACKAGE.parents[1] / "README.md").read_text()
     section = readme.split("## Quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     out = io.StringIO()

@@ -187,6 +187,15 @@ def test_json_roundtrip_both_forms(rng):
     pytest.param({"n": 3, "edges": [[0, 1], [2, 2]]}, "self-loop at node 2", id="edge-self-loop"),
     pytest.param({"n": 3, "edges": None}, "list of point pairs", id="edges-null"),
     pytest.param({"n": 3, "edges": 5}, "list of point pairs", id="edges-number"),
+    # numpy reads True as 1 and "1" as 1.0: both used to load as the 2-point path
+    pytest.param({"n": 2, "dist": [[0, True], [True, 0]]}, "every distance must be a real number, got True$",
+                 id="dist-bool"),
+    pytest.param({"n": 2, "dist": [["0", "1"], ["1", "0"]]}, "every distance must be a real number, got '0'$",
+                 id="dist-string"),
+    pytest.param({"n": 2, "dist": [[0, 1], [None, 0]]}, "every distance must be a real number, got None$",
+                 id="dist-null"),
+    # an int beyond the float range used to raise OverflowError
+    pytest.param({"n": 2, "dist": [[0, 10**400], [10**400, 0]]}, "distances must be finite$", id="dist-huge-int"),
     pytest.param({"n": 3, "dist": [[0, 1], [1, 0]]}, "does not match", id="n-shape"),
     pytest.param({"n": 3}, "either a 'dist' matrix or an 'edges' list", id="no-metric"),
     # both metrics used to load as the 'dist' one, ignoring the edges
@@ -201,6 +210,21 @@ def test_json_roundtrip_both_forms(rng):
 def test_malformed_space_json_rejected(data, message):
     with pytest.raises(ValueError, match=message):
         FiniteMetricSpace.from_json(data)
+
+
+def test_real_distance_matrices_load_as_before():
+    # an int or float array passes as it is; a list goes entry by entry,
+    # numpy scalars included
+    X = FiniteMetricSpace([[0.0, 1.5, 2.5], [1.5, 0.0, 1.0], [2.5, 1.0, 0.0]])
+    for dist in (X.dist, X.dist.astype(np.float32), X.dist.tolist(),
+                 [[np.float64(v) for v in row] for row in X.dist]):
+        assert FiniteMetricSpace(dist) == X
+    P = path_space(4)
+    for dist in (P.dist.astype(np.uint8), P.dist.astype(int).tolist()):
+        Y = FiniteMetricSpace.from_json({"n": 4, "dist": dist})
+        assert Y == P and Y.dist.dtype == float
+    with pytest.raises(ValueError, match="got False$"):
+        FiniteMetricSpace(P.dist > 0)
 
 
 def test_edge_list_names_the_bad_edge():
@@ -284,13 +308,13 @@ def test_distance_levels_computed_once(monkeypatch):
     f = PointMap(X, Y, [min(x // 2, 3) for x in range(9)])
     g = PointMap(X, X, list(range(9))[::-1])
     calls = []
-    unique = np.unique
+    argsort = np.argsort  # the one sort behind a space's levels
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return unique(*args, **kwargs)
+        return argsort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counting)
+    monkeypatch.setattr(np, "argsort", counting)
     first = f.modulus_profile()
     for _ in range(3):
         assert list(X.realized_distances()) == list(range(9))
