@@ -11,13 +11,14 @@ an empty item in `--radius-grid` or `--fibers`) too; only `--help` and
 `--version` print and exit 0.  Each `_cmd_*` writes nothing: it returns
 its results as report objects (a report dataclass, or a dict of them)
 and its side files (`cover --save-unitary`, `sweep --csv`) as writers
-by path.  `main` times it, encodes the whole report through
-`serialize.report_bytes`, with the subcommand as `kind` plus every
-parsed argument except `--out` as its scenario, refuses an output
-that resolves to an input (`--unitary`, `--space`, `--source-space`,
-`--map`) or to another output, and only then writes every file, `--out`
-included, each under a temporary name beside it; all are moved into
-place once every write has succeeded, so a refused run leaves no file.
+by path.  Before it runs, `main` refuses an output (`--out`,
+`--save-unitary`, `--csv`) that resolves to an input (`--unitary`,
+`--space`, `--source-space`, `--map`) or to another output.  Then `main`
+times it, encodes the whole report through `serialize.report_bytes`,
+with the subcommand as `kind` plus every parsed argument except `--out`
+as its scenario, and only then writes every file, `--out` included,
+each under a temporary name beside it; all are moved into place once
+every write has succeeded, so a refused run leaves no file.
 Every setting is a command-line argument; nothing is read from the
 environment.
 """
@@ -260,6 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # every output is an option, so a clash is refused before any work
+        outputs = [getattr(args, key, None) for key in ("save_unitary", "csv", "out")]
+        inputs = [getattr(args, key, None) for key in ("unitary", "space", "source_space", "map")]
+        _check_distinct(list(filter(None, outputs)), filter(None, inputs))
         t0 = time.perf_counter()
         results, files = args.func(args)
         settings = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
@@ -270,8 +275,6 @@ def main(argv=None) -> int:
             "timings": {"elapsed_s": time.perf_counter() - t0},
         }
         payload = report_bytes(report)  # a report JSON cannot hold is refused before any write
-        inputs = [getattr(args, key, None) for key in ("unitary", "space", "source_space", "map")]
-        _check_distinct([*files, args.out] if args.out else files, filter(None, inputs))
         if args.out:
             files[args.out] = functools.partial(_write_bytes, data=payload)
         _write_all(files)

@@ -14,29 +14,45 @@ otherwise a square matrix (the differences T - T_R, fiber blocks) takes
 a full SVD and a rectangular one (corners, often stacked) the Gram
 route.  A norm whose components all stay below the sizes OpenBLAS
 threads does not depend on the BLAS thread count.  The unitarity
-residual takes no norm: it reads the spectrum of one Hermitian matrix
-G - I, with G the Gram matrix on the smaller side.  The unitarity check
-decides on the Frobenius norm of the same G - I first, an upper bound
-of the residual, and decomposes only when that bound cannot decide.
+residual takes no norm: it reads the spectrum of one dense Hermitian
+matrix G - I, with G the Gram matrix on the smaller side.  The unitarity
+check decides on the Frobenius norm of the same G - I first, an upper
+bound of the residual, and decomposes only when that bound cannot
+decide.
+
+Sparse form: an operator with at least `SPLIT_MIN` rows and columns and
+at most `SPARSE_SHARE` (one in 8) of its entries nonzero keeps its
+matrix in CSR, built from one nonzero scan (`_sparse`).  Banded
+operators, the finite-propagation unitaries the tool extracts maps
+from, qualify; a dense operator (the ghost 1 - 2P) and every smaller
+one keep the dense route and its bytes, and a smaller one is not even
+scanned.  On the sparse form the check's G - I is a sparse product with
+I subtracted from it before the squares are summed, so it costs about
+the nonzeros times the entries per row, not N^3.
 
 Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
 of a boolean mask (`extraction.corner_norm_table` at ball masks) from
-d^2 real column parts per point of fiber dimension d.  Every Gram top,
-there and in `spectral_norm`, comes from `gram_top`, which no other
-module names.  `masked_corner_norms` norms the exact enumeration's
-corners and the components of a whole-operator norm.  One byte budget,
-`STACK_BYTES` (2 MiB), caps each batched stack of both, and no other
-module names it.  The column parts do not
-depend on the mask: those of a group that fits one chunk are kept on
-the operator, so a radius scan gathers them once.
+d^2 real column parts per point of fiber dimension d.  On the dense
+route, one real product of the mask with the parts sums them (BLAS
+order); on the sparse route, the parts are kept in CSR and each
+corner's sum runs over its nonzero parts in ascending coordinate order,
+at a cost of about the nonzeros times the mask rows, and only corners
+with a nonzero part take a top.  The two routes agree within a few ulps.
+Every Gram top, there and in `spectral_norm`, comes from `gram_top`,
+which no other module names.  `masked_corner_norms` norms the exact
+enumeration's corners and the components of a whole-operator norm.  One
+byte budget, `STACK_BYTES` (2 MiB), caps each batched stack of both, and
+no other module names it.  The column parts do not depend on the mask:
+those of a group that fits one chunk (on the sparse route, every group)
+are kept on the operator, so a radius scan gathers them once.
 
 What is derived from an operator alone is computed once and kept on it
 by one accessor, `BlockOperator.derived`: the norm, its column-norm
-lower bound, the unitarity residual, the corner parts, and the exact
-quasi-locality enumeration's tables (built in `locality`); an adjoint
-starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
-checks U once, and U* is unitary exactly when U is.
+lower bound, the unitarity residual, the sparse form, the corner parts,
+and the exact quasi-locality enumeration's tables (built in `locality`);
+an adjoint starts with nothing.  `check_unitary` keeps no outcome:
+`extract_pair` checks U once, and U* is unitary exactly when U is.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -45,7 +61,7 @@ product cannot overflow.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 
 from .maps import PointMap
@@ -80,6 +96,13 @@ certificates) would split at many times the cost of their route.  The
 timings are in CHANGES.md, in the entries "Whole-operator norms by
 components of the nonzero pattern" and "One norm function".
 """
+
+SPARSE_SHARE = 1 / 8
+"""The largest share of nonzero entries at which an operator with at
+least `SPLIT_MIN` rows and columns keeps a sparse form (`_sparse`), on
+which the unitarity check and the corner kernel run; a denser operator
+keeps the dense route.  Measured where the two routes cross (CHANGES.md,
+"Banded operators pay for their nonzeros")."""
 
 
 class FiberedSpace:
@@ -217,13 +240,16 @@ class BlockOperator:
     blocks carry the band-sparsity structure.
     """
 
-    def __init__(self, source: FiberedSpace, target: FiberedSpace, matrix):
-        matrix = np.array(matrix, dtype=complex, order="C")
+    def __init__(self, source: FiberedSpace, target: FiberedSpace, matrix, *, _checked: bool = False):
+        """`_checked` is for `adjoint` alone: its matrix is a fresh
+        C-ordered complex array of entries already checked, kept as it is."""
+        if not _checked:
+            matrix = np.array(matrix, dtype=complex, order="C")
         expected = (target.total_dim, source.total_dim)
         if matrix.shape != expected:
             raise ValueError(f"matrix shape {matrix.shape} does not match fibers {expected}")
         # NaN fails this test too; below 1e150, squares in Gram products cannot overflow
-        if not np.abs(matrix.view(float)).max(initial=0.0) < 1e150:
+        if not (_checked or np.abs(matrix.view(float)).max(initial=0.0) < 1e150):
             raise ValueError("operator entries must be finite and below 1e150 in modulus")
         self.source = source
         self.target = target
@@ -235,7 +261,11 @@ class BlockOperator:
         return self.matrix[self.target.slice_of(y), self.source.slice_of(x)]
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.target, self.source, self.matrix.conj().T)
+        """T*, from one conjugating pass into a C-ordered matrix; its
+        entries are T's, so they are not scanned again."""
+        matrix = np.empty(self.matrix.shape[::-1], dtype=complex)
+        np.conjugate(self.matrix.T, out=matrix)
+        return BlockOperator(self.target, self.source, matrix, _checked=True)
 
     def derived(self, build, *args):
         """build(self, *args), computed on first use for each (build, args)
@@ -393,20 +423,60 @@ def _residual(T: BlockOperator) -> float:
     return residual if rows == cols else max(residual, 1.0)
 
 
+def _sparse_form(T: BlockOperator):
+    """T.matrix as a CSR matrix from one nonzero scan, or None when more
+    than `SPARSE_SHARE` of its entries are nonzero; kept through
+    `derived` and read by `_sparse`.  An entry counts when it is not
+    exactly 0."""
+    n_rows, n_cols = T.matrix.shape
+    # an entry is nonzero when its real or its imaginary part is: the two
+    # bytes of their tests, read as one uint16
+    nonzero = (T.matrix.view(float) != 0).view(np.uint16) != 0
+    if np.count_nonzero(nonzero) > SPARSE_SHARE * nonzero.size:
+        return None
+    at = np.flatnonzero(nonzero)  # row-major, as CSR lists the entries
+    rows, cols = np.divmod(at, n_cols)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return csr_matrix((T.matrix.ravel()[at], cols, indptr), shape=(n_rows, n_cols))
+
+
+def _sparse(T: BlockOperator):
+    """T's sparse form (`_sparse_form`) when T has at least `SPLIT_MIN`
+    rows and columns, else None with nothing kept: smaller operators take
+    the dense route without a scan.  `derived` freezes arrays, not CSR
+    matrices; no caller writes into this one or the parts built from it."""
+    return T.derived(_sparse_form) if min(T.matrix.shape) >= SPLIT_MIN else None
+
+
+def _gram_gap_frobenius(U: BlockOperator) -> float:
+    """||U*U - I||_F of a square U: on U's sparse form when it has one,
+    with I subtracted from the sparse product before the squares are
+    summed (summing first and subtracting after cancels), else on the
+    dense `_gram_minus_identity`."""
+    sparse = _sparse(U)
+    if sparse is None:
+        gap = U._gram_minus_identity().ravel()
+    else:
+        gram = sparse.conj().T @ sparse
+        gap = (gram - identity(gram.shape[0], dtype=complex, format="csr")).data
+    return float(np.sqrt(np.vdot(gap, gap).real))
+
+
 def check_unitary(U: BlockOperator) -> None:
     """ValueError when U's unitarity residual exceeds UNITARITY_TOL.
 
     A stored residual decides first.  Otherwise, for square U,
     ||G - I|| <= ||G - I||_F (G the Gram matrix of U), so a Frobenius
-    norm at most the tolerance passes without a decomposition.  Every
+    norm at most the tolerance passes without a decomposition; it is
+    taken on U's sparse form when U has one (`_gram_gap_frobenius`),
+    where a zero column contributes |0 - 1| = 1.  Every
     other case (a bound above the tolerance, an inf or NaN bound, a
     rectangular U, whose residual is at least 1) takes the exact
     `unitarity_residual`, which the error reports.  The outcome is not
     kept: a call chain checks its unitary once.
     """
     if U.matrix.shape[0] == U.matrix.shape[1] and (_residual,) not in U._derived:
-        gram = U._gram_minus_identity()
-        if np.sqrt(np.vdot(gram, gram).real) <= UNITARITY_TOL:
+        if _gram_gap_frobenius(U) <= UNITARITY_TOL:
             return
     residual = U.unitarity_residual()
     if not residual <= UNITARITY_TOL:
@@ -445,6 +515,26 @@ def _group_parts(U: BlockOperator, d: int) -> np.ndarray:
     return _corner_parts(U, np.flatnonzero(U.source.fiber_dims == d), d)
 
 
+def _sparse_group_parts(U: BlockOperator, d: int):
+    """`_group_parts` from U's sparse form: a CSR matrix with a row for
+    each point x of fiber dimension d and part q (x-major, q in the
+    order of `_corner_parts`) over the target coordinates.  Part q of x
+    reads two of x's columns, c_i and c_j (|c_i|^2 reads c_i alone); its
+    row keeps the coordinates where c_i is nonzero, which hold every
+    nonzero value, and each value is computed as `_corner_parts`
+    computes it."""
+    i, j = np.tril_indices(d, -1)
+    first, second = np.concatenate([np.arange(d), i, i]), np.concatenate([np.arange(d), j, j])
+    offsets = U.source.offsets[:-1][U.source.fiber_dims == d]
+    parts = _sparse(U).tocsc()[:, (offsets[:, None] + first).ravel()].T  # c_i of each row, a new CSR
+    row = np.repeat(np.arange(parts.shape[0]), np.diff(parts.indptr))
+    q = row % (d * d)
+    c_i = parts.data
+    cross = c_i.conj() * U.matrix[parts.indices, offsets[row // (d * d)] + second[q]]
+    parts.data = np.select([q < d, q < d + i.size], [c_i.real**2 + c_i.imag**2, cross.real], cross.imag)
+    return parts
+
+
 def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     """(k, n_source) array of ||chi_B U chi_x|| over the k target point sets B
     given by the rows of a boolean (k, n_target) mask.
@@ -458,18 +548,38 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     the table.  Entries equal the per-point computation up to summation
     order (a few ulps).  A group that fits one chunk keeps its parts on U
     (`BlockOperator.derived`), so a radius scan builds them once.
+
+    When U has a sparse form (`_sparse`), the parts are a CSR matrix kept
+    whole on U (`_sparse_group_parts`) and the product is CSR times the
+    transposed mask, which adds each corner's parts in ascending
+    coordinate order, one by one from 0 (scipy's `csr_matvecs`); the
+    chunks are row ranges of it.  Corners whose parts are all 0 are 0
+    with no top.
     """
     source = U.source
-    mask = rows[:, U.target.coord_point].astype(float)  # (k, target coords)
+    sparse = _sparse(U) is not None
+    # (k, target coords), or its transpose for the sparse route
+    mask = (rows.T[U.target.coord_point] if sparse else rows[:, U.target.coord_point]).astype(float)
     out = np.zeros((len(rows), source.base.n))
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
         step = max(1, STACK_BYTES // (max(mask.shape) * d * d * 16))
         chunks = [points] if d == 1 else np.array_split(points, -(-points.size // step))
+        start = 0  # the chunk's first row of the group's sparse parts, over d^2
         for chunk in chunks:
-            parts = U.derived(_group_parts, d) if len(chunks) == 1 else _corner_parts(U, chunk, d)
-            sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, d * d)
-            out[:, chunk] = np.sqrt(_parts_top(sums, d))
+            if sparse:
+                parts = U.derived(_sparse_group_parts, d)
+                if len(chunks) > 1:
+                    parts = parts[start * d * d : (start + chunk.size) * d * d]
+                    start += chunk.size
+                sums = (parts @ mask).reshape(chunk.size, d * d, len(rows))
+                # only corners with a nonzero part take a top; the rest are exactly 0
+                x, b = np.divmod(np.flatnonzero(sums.any(axis=1)), len(rows))
+                out[b, chunk[x]] = np.sqrt(_parts_top(sums[x, :, b], d))
+            else:
+                parts = U.derived(_group_parts, d) if len(chunks) == 1 else _corner_parts(U, chunk, d)
+                sums = (mask @ parts.reshape(len(parts), -1)).reshape(len(rows), chunk.size, d * d)
+                out[:, chunk] = np.sqrt(_parts_top(sums, d))
     return out
 
 

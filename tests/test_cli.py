@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import roelab
+from roelab import cli
 from roelab.cli import _build_parser, main
 from roelab.concentration import concentration_witness
 from roelab.covering import covering_unitary
@@ -654,6 +655,17 @@ def test_side_files_keep_their_bytes(tmp_path):
         "U.bin", "cover.json", "expected.bin", "map.json", "s.csv", "sweep.json"]
 
 
+@pytest.fixture
+def entered(monkeypatch):
+    """The work functions of `roelab.cli` called so far, each replaced by a
+    stand-in that records its name: a refused output enters none of them."""
+    names = []
+    for name in ("read_operator", "load_map", "extract_pair", "quasi_locality_violation",
+                 "covering_unitary", "noisy_covering_unitary"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: names.append(name))
+    return names
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["sweep", "--h", "identity", "--n", "4", "--seeds", "1", "--csv", "same.out",
                   "--out", "same.out"], id="sweep-csv"),
@@ -664,7 +676,7 @@ def test_side_files_keep_their_bytes(tmp_path):
     pytest.param(["cover", "--map", "map.json", "--save-unitary", "same.out",
                   "--out", "sub/../same.out"], id="cover-unitary-dotdot"),
 ])
-def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, capsys):
+def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, capsys, entered):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     save_map(tmp_path / "map.json", standard_pair("identity", 4)[0])
@@ -674,6 +686,7 @@ def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, ca
     assert err == {"type": "ValueError",
                    "message": f"two outputs name the same file: {side!r} and {argv[-1]!r}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "sub"]
+    assert entered == []  # refused before the command reads or computes anything
 
 
 @pytest.mark.parametrize("argv, read", [
@@ -687,8 +700,9 @@ def test_two_outputs_naming_one_file_are_refused(argv, tmp_path, monkeypatch, ca
                  id="cover-unitary-map"),
     pytest.param(["cover", "--map", "map.json", "--out", "map.json"], "map.json", id="cover-out-map"),
 ])
-def test_output_naming_an_input_is_refused(argv, read, hadamard_files, tmp_path, monkeypatch, capsys):
-    # `extract --out U.bin` used to replace the operator file with the report
+def test_output_naming_an_input_is_refused(argv, read, hadamard_files, tmp_path, monkeypatch, capsys, entered):
+    # `extract --out U.bin` used to replace the operator file with the report,
+    # and later was refused only after the whole extraction had run
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     (tmp_path / "source.json").write_bytes((tmp_path / "space.json").read_bytes())
@@ -698,3 +712,4 @@ def test_output_naming_an_input_is_refused(argv, read, hadamard_files, tmp_path,
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"type": "ValueError", "message": f"output {argv[-1]!r} would replace the input {read!r}"}
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert entered == []  # refused before the command reads or computes anything

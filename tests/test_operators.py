@@ -21,7 +21,9 @@ from roelab.operators import (
 )
 from roelab.spaces import path_space, validate_points
 
-from conftest import indicator, random_fibered, random_graph_space, random_operator
+from conftest import (
+    cycle_space, grid_space, indicator, random_fibered, random_graph_space, random_operator, tree_space
+)
 
 
 def shift_operator(n):
@@ -144,6 +146,22 @@ def test_adjoint_and_products_check_spaces(rng):
         _ = T + S
 
 
+def test_adjoint_is_one_conjugating_pass_with_no_rescan(rng, monkeypatch):
+    T = random_operator(rng, random_fibered(rng, random_graph_space(rng, 5, 1)),
+                        random_fibered(rng, random_graph_space(rng, 4, 1)))
+    T.norm()
+    scans = []
+    real_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda *args, **kwargs: scans.append(args) or real_abs(*args, **kwargs))
+    adj = T.adjoint()
+    assert scans == []  # T's entries were checked when T was built
+    expected = np.ascontiguousarray(T.matrix.conj().T)
+    assert adj.matrix.tobytes() == expected.tobytes()
+    assert adj.matrix.flags.c_contiguous and not adj.matrix.flags.writeable
+    assert (adj.source, adj.target) == (T.target, T.source)
+    assert _kept_builders(adj) == set()
+
+
 def test_propagation_basic_cases():
     n = 8
     fib = FiberedSpace.uniform(path_space(n), 1)
@@ -219,6 +237,131 @@ def test_corner_norm_of_an_empty_side_is_zero(rng):
     for B, A in [([], [0, 3]), ([1, 2], []), ([], [])]:
         value = T.corner_norm(B, A)
         assert type(value) is float and value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
+def _reference_corner_norms(U, rows):
+    """`corner_norms` with each corner's nonzero column parts (those of
+    `operators._corner_parts`) summed in a Python loop in ascending
+    coordinate order, and the tops read by `operators._parts_top`."""
+    inside = rows[:, U.target.coord_point]
+    out = np.zeros((len(rows), U.source.base.n))
+    for d in np.unique(U.source.fiber_dims):
+        points = np.flatnonzero(U.source.fiber_dims == d)
+        parts = operators._corner_parts(U, points, d)  # (target coords, points, d^2)
+        sums = np.zeros((len(rows), points.size, d * d))
+        for k in range(points.size):
+            for q in range(d * d):
+                at = np.flatnonzero(parts[:, k, q])
+                values = parts[at, k, q].tolist()
+                for b, kept in enumerate(inside[:, at].tolist()):
+                    total = 0.0
+                    for value, keep in zip(values, kept):
+                        if keep:
+                            total += value
+                    sums[b, k, q] = total
+        out[:, points] = np.sqrt(operators._parts_top(sums, d))
+    return out
+
+
+def _banded_operator(rng, kind, max_dim, width, keep):
+    """Random complex blocks within `width` of the diagonal over a 100-point
+    conftest space, each entry kept with probability `keep`."""
+    X = {"cycle": lambda: cycle_space(rng, 100), "grid": lambda: grid_space(rng, 10, 10),
+         "tree": lambda: tree_space(rng, 100), "graph": lambda: random_graph_space(rng, 100, 2)}[kind]()
+    source, target = random_fibered(rng, X, max_dim), random_fibered(rng, X, max_dim)
+    band = (X.dist <= width)[np.ix_(target.coord_point, source.coord_point)]
+    band &= rng.random(band.shape) < keep
+    mat = (rng.standard_normal(band.shape) + 1j * rng.standard_normal(band.shape)) * band
+    return BlockOperator(source, target, mat)
+
+
+def _dense_route(T):
+    """A fresh copy of T that takes the dense route, its sparse form refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "SPARSE_SHARE", 0.0)
+        fresh = BlockOperator(T.source, T.target, T.matrix)
+        assert operators._sparse(fresh) is None
+    return fresh
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cycle", "grid", "tree", "graph"]),
+       max_dim=st.integers(1, 3), width=st.integers(0, 1), keep=st.sampled_from([0.5, 1.0]))
+def test_sparse_corner_tables_sum_each_corners_parts_in_coordinate_order(seed, kind, max_dim, width, keep):
+    rng = np.random.default_rng(seed)
+    U = _banded_operator(rng, kind, max_dim, width, keep)
+    assume(operators._sparse(U) is not None)
+    dense = _dense_route(U)
+    masks = [U.target.base.dist <= R for R in (0.0, 1.0, 2.0)] + [rng.random((7, U.target.base.n)) < 0.3]
+    for rows in masks:
+        table = operators.corner_norms(U, rows)
+        assert table.tobytes() == _reference_corner_norms(U, rows).tobytes()
+        np.testing.assert_array_max_ulp(table, operators.corner_norms(dense, rows), maxulp=4)
+    assert operators._sparse_group_parts in _kept_builders(U)
+    assert operators._sparse_group_parts not in _kept_builders(dense)
+
+
+def test_sparse_corner_tables_keep_their_bytes_in_chunks(monkeypatch):
+    # a mask tall enough to split the 2- and 3-dim groups sums each corner as a whole group does
+    rng = np.random.default_rng(11)
+    U = _banded_operator(rng, "cycle", 3, 1, 0.7)
+    assert operators._sparse(U) is not None
+    tall = rng.random((3000, U.target.base.n)) < 0.02
+    chunked = operators.corner_norms(U, tall)
+    monkeypatch.setattr(operators, "STACK_BYTES", 1 << 40)
+    assert chunked.tobytes() == operators.corner_norms(U, tall).tobytes()
+
+
+def _at_share(n, nonzeros):
+    """An n x n operator on 1-dim fibers over path_space(n) with exactly
+    `nonzeros` nonzero entries: the diagonal, then entries beyond it."""
+    mat = np.eye(n, dtype=complex)
+    extra = np.flatnonzero(~np.eye(n, dtype=bool))[: nonzeros - n]
+    mat.ravel()[extra] = 1e-3j
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    return BlockOperator(fib, fib, mat)
+
+
+def test_density_gate_sends_dense_operators_down_the_dense_route():
+    n = 128
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    ghost = BlockOperator(fib, fib, np.eye(n) - 2 * np.full((n, n), 1 / n))  # 1 - 2P, P onto the constants
+    check_unitary(ghost)
+    above = _at_share(n, n * n // 8 + 1)
+    for T in (ghost, above):
+        table = corner_norm_table(T, 10.0)
+        assert operators._sparse(T) is None
+        assert _kept_builders(T) == {operators._sparse_form, operators._group_parts}
+        assert table.tobytes() == corner_norm_table(_dense_route(T), 10.0).tobytes()
+    at_gate = _at_share(n, n * n // 8)
+    assert operators._sparse(at_gate) is not None
+    # below SPLIT_MIN, nothing is scanned
+    small = _at_share(operators.SPLIT_MIN - 1, operators.SPLIT_MIN - 1)
+    corner_norm_table(small, 1.0)
+    assert _kept_builders(small) == {operators._group_parts}
+
+
+def _zero_column(U):
+    mat = U.matrix.copy()
+    mat[:, 5] = 0
+    return BlockOperator(U.source, U.target, mat)
+
+
+@pytest.mark.parametrize("case, passes", [
+    pytest.param(lambda U: U, True, id="unitary"),
+    pytest.param(_zero_column, False, id="zero-column"),
+    pytest.param(lambda U: U * (1 + 0.75e-9), False, id="just-above"),  # residual 1.5e-9
+    pytest.param(lambda U: U * (1 + 0.45e-9), True, id="just-below"),  # residual 0.9e-9, bound above 1e-9
+])
+def test_check_unitary_decides_alike_on_both_routes(case, passes):
+    U = case(random_band_unitary(FiberedSpace.uniform(path_space(60), 2), 1.0, 2, seed=3))
+    for T in (U, _dense_route(U)):
+        if passes:
+            check_unitary(T)
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                check_unitary(T)
+    assert operators._sparse(U) is not None
 
 
 def test_band_truncate_error_nonincreasing(rng):

@@ -3,9 +3,9 @@ name it never uses, no private definition or module-level name is left
 without a reader and no public one without a caller or a stated reason,
 no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
-path, one Gram route, one labeller, one stack budget, one home of
-distance levels, one integer rule and one real-number rule) matches only
-in its homes and every home holds it, every JSON text goes through
+path, one Gram route, one labeller, one sparse form, one stack budget,
+one home of distance levels, one integer rule and one real-number rule)
+matches only in its homes and every home holds it, every JSON text goes through
 `serialize` and every report value through its one hook, and the
 README's quick start runs as printed."""
 
@@ -190,6 +190,9 @@ _RULES = {
     # one labeller: `spectral_norm` splits a matrix into components, and
     # `from_edge_list` labels them only to refuse a disconnected edge list
     "labelling": (r"\bconnected_components\s*\(", ("operators.spectral_norm", "spaces.from_edge_list")),
+    # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
+    # `spectral_norm` builds its component graph and `spaces` its edge graphs
+    "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators.spectral_norm", "spaces")),
     # one stack budget: every batched stack is built in operators.py
     "stack_budget": (r"\bSTACK_BYTES\b", ("operators",)),
     # every Gram top comes from the corner kernel or `spectral_norm`
@@ -297,15 +300,19 @@ _PLANTED = [
 
 
 def _planted_cases():
-    """`_PLANTED`, a labelling call planted in locality.py, and a copy of
-    operators.py whose `gram_top` is renamed, so that its home is idle."""
+    """`_PLANTED`, a labelling call and a CSR matrix planted in locality.py,
+    and a copy of operators.py whose `gram_top` is renamed, so that its
+    home is idle."""
     package = _package_texts()
     planted = package["locality"] + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
+    stray_csr = package["locality"] + "\n\ndef _planted(T):\n    return csr_matrix (T.matrix)\n"
     renamed = package["operators"].replace("def gram_top(", "def top_of_gram(")
     cases = [(rule, texts if isinstance(texts, dict) else {"m": texts}, *rest) for rule, texts, *rest in _PLANTED]
     return [pytest.param(*case, id=case[0]) for case in cases] + [
         pytest.param("labelling", {**package, "locality": planted},
                      [f"locality._planted:{_line(planted, 'return connected_components(')}"], [], id="labelling"),
+        pytest.param("csr", {**package, "locality": stray_csr},
+                     [f"locality._planted:{_line(stray_csr, 'return csr_matrix (')}"], [], id="csr"),
         pytest.param("eigvalsh", {"operators": renamed},
                      [f"operators.top_of_gram:{_line(renamed, 'np.linalg.eigvalsh(')}"], ["operators.gram_top"],
                      id="idle_home"),
