@@ -77,13 +77,16 @@ class PointMap:
     def modulus_profile(self) -> list[tuple[float, float]]:
         """(r, modulus(r)) at each realized source distance r.
 
-        One pass over the source's stored distance levels: the largest
-        spread among pairs at exactly each distance, then a running
-        maximum over the sorted distances.
+        One pass over the source's level labels: the largest spread among
+        pairs at exactly each distance, then a running maximum over the
+        sorted distances.  Each value is an exact max, whatever the order
+        the pairs are visited in.
         """
-        radii, order, starts = self.source.distance_levels()
-        spread = self.target.dist[np.ix_(self.values, self.values)].ravel()
-        top = np.maximum.accumulate(np.maximum.reduceat(spread[order], starts))
+        radii, labels = self.source.distance_levels()
+        spread = self.target.dist.take(self.values, axis=0).take(self.values, axis=1)
+        top = np.zeros(len(radii))
+        np.maximum.at(top, labels.ravel(), spread.ravel())
+        top = np.maximum.accumulate(top)
         return [(float(r), float(m)) for r, m in zip(radii, top)]
 
     def to_json(self) -> dict:

@@ -248,8 +248,10 @@ class BlockOperator:
         expected = (target.total_dim, source.total_dim)
         if matrix.shape != expected:
             raise ValueError(f"matrix shape {matrix.shape} does not match fibers {expected}")
-        # NaN fails this test too; below 1e150, squares in Gram products cannot overflow
-        if not (_checked or np.abs(matrix.view(float)).max(initial=0.0) < 1e150):
+        # NaN fails this test too (both reductions return it); below 1e150,
+        # squares in Gram products cannot overflow.  Two reductions, no |.| copy
+        view = matrix.view(float)
+        if not (_checked or max(view.max(initial=0.0), -view.min(initial=0.0)) < 1e150):
             raise ValueError("operator entries must be finite and below 1e150 in modulus")
         self.source = source
         self.target = target

@@ -9,10 +9,13 @@ space is a hop metric by construction, so its one shortest-path pass
 both builds and certifies it, and a path space's |i - j| matrix is
 frozen with no pass at all.
 Spaces are immutable after construction and safe to share between
-threads.  A space's distance levels (its sorted realized distances,
-and the matrix entries grouped by level) are computed once, on first
-use, and stored read-only; two threads that race on the first use
-compute the same arrays, so sharing stays safe.
+threads.  A space's distance levels (its sorted realized distances, and
+each entry's level index) are computed once, on first use, and stored
+read-only; two threads that race on the first use compute the same
+arrays, so sharing stays safe.  A graph metric's entries are the hop
+counts 0..diameter, all of which occur, so its levels are the entries
+themselves, cast to integers; any other space takes one ``unique`` that
+also returns each entry's level index.
 
 Integers: an integer is an ``int`` or ``np.integer`` but not a bool, and
 a point of an n-point space is such an integer in ``0..n-1``.  Every
@@ -163,6 +166,21 @@ def _triangle_violation(dist: np.ndarray):
     return None
 
 
+def _build_levels(space: "FiniteMetricSpace") -> tuple[np.ndarray, np.ndarray]:
+    """A space's (radii, labels), read-only: a graph metric's entries cast
+    to level indices, any other space's unique distances with the index of
+    each entry among them, from one sort."""
+    if space._graph_metric:
+        radii = np.arange(space.diameter + 1.0)
+        labels = space.dist.astype(np.intp)
+    else:
+        radii, labels = np.unique(space.dist, return_inverse=True)
+        labels = labels.reshape(space.dist.shape)
+    for arr in (radii, labels):
+        arr.setflags(write=False)
+    return radii, labels
+
+
 class FiniteMetricSpace:
     """A finite metric space given by a symmetric distance matrix.
 
@@ -228,19 +246,14 @@ class FiniteMetricSpace:
         as a read-only array."""
         return self.distance_levels()[0]
 
-    def distance_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(radii, order, starts): the sorted unique distances, the flat
-        indices of ``dist`` grouped by level (stable, row-major within a
-        level), and where each level's group starts in ``order``.
-        Computed once per space, on first use, and read-only."""
+    def distance_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(radii, labels): the sorted unique distances, and for each entry
+        of ``dist`` the index of its level, so ``radii[labels]`` equals
+        ``dist``.  A graph metric realizes every hop count 0..diameter, so
+        its labels are its entries; any other space takes them from one
+        ``unique``.  Computed once per space, on first use, and read-only."""
         if self._levels is None:
-            order = np.argsort(self.dist, axis=None, kind="stable")
-            entries = self.dist.ravel()[order]  # one sort: a level starts where the entry grows
-            starts = np.flatnonzero(np.concatenate(([True], entries[1:] != entries[:-1])))
-            radii = entries[starts]
-            for arr in (radii, order, starts):
-                arr.setflags(write=False)
-            self._levels = radii, order, starts
+            self._levels = _build_levels(self)
         return self._levels
 
     def to_json(self) -> dict:

@@ -60,6 +60,19 @@ def _line_space(rng, n):
     return FiniteMetricSpace(np.abs(x[:, None] - x[None, :]))
 
 
+def _ulp_space(rng, n):
+    """A non-graph metric whose n(n-1)/2 distances are the consecutive
+    floats from 1.0 up, shuffled over the pairs: any entries in [1, 2]
+    make a metric, and neighbouring levels differ in the last ulp."""
+    levels = [1.0]
+    for _ in range(n * (n - 1) // 2 - 1):
+        levels.append(np.nextafter(levels[-1], 2.0))
+    dist = np.zeros((n, n))
+    i, j = np.triu_indices(n, 1)
+    dist[i, j] = rng.permutation(levels)
+    return FiniteMetricSpace(dist + dist.T)
+
+
 def test_modulus_profile_equals_direct_modulus(rng):
     pairs = []
     for _ in range(20):
@@ -72,6 +85,12 @@ def test_modulus_profile_equals_direct_modulus(rng):
     lines = [_line_space(rng, n) for n in (1, 2, 8, 11)]
     assert lines[-1].realized_distances().size == 11 * 10 // 2 + 1  # distinct float levels
     pairs += [(line, _line_space(rng, 6)) for line in lines]
+    hops = FiniteMetricSpace(random_graph_space(rng, 10, extra_edges=3).dist.tolist())  # certified
+    point = FiniteMetricSpace([[0.0]])
+    ulps = _ulp_space(rng, 6)
+    assert ulps.realized_distances().size == 6 * 5 // 2 + 1  # levels one ulp apart
+    assert "edges" in hops.to_json() and "dist" in ulps.to_json()  # one space per label route
+    pairs += [(hops, ulps), (point, hops), (path_space(1), ulps), (ulps, _ulp_space(rng, 5)), (ulps, hops)]
     for X, Y in pairs:
         f = PointMap(X, Y, rng.integers(0, Y.n, size=X.n))
         expected = [(float(r), f.modulus(float(r))) for r in X.realized_distances()]

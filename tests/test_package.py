@@ -197,8 +197,8 @@ _RULES = {
     "stack_budget": (r"\bSTACK_BYTES\b", ("operators",)),
     # every Gram top comes from the corner kernel or `spectral_norm`
     "gram_top": (r"\bgram_top\b", ("operators",)),
-    # a space computes and stores its own distance levels
-    "distance_levels": (r"np\.(unique|argsort)\([^()]*\.dist\b", ("spaces",)),
+    # a space computes and stores its own distance levels, and labels its own matrix
+    "distance_levels": (r"np\.(unique|argsort|searchsorted)\([^()]*\.dist\b", ("spaces",)),
     # one integer rule: bool and integer tests and the range message
     "integer": (r"Integral|np\.bool_|isinstance\([^)]*\bbool\b|out of range \[0,", ("spaces",)),
     # one real-number rule: a scale compared with 0 by hand, or the rule's
@@ -281,7 +281,8 @@ _PLANTED = [
         "radii, counts = np.unique(space.dist, return_counts=True)\n"
         "order = np.argsort(\n    self.dist, axis=None, kind='stable')\n"
         "names = np.unique(self.distances)\nkeys = np.unique(labels)\n"
-    ), ["m:1", "m:2"], ["spaces"]),
+        "labels = np.searchsorted(\n    radii, X.dist)\nat = np.searchsorted(radii, r)\n"
+    ), ["m:1", "m:2", "m:6"], ["spaces"]),
     ("integer", (
         "from numbers import Integral\n"
         "ok = isinstance(E, (bool,\n    np.bool_))\n"

@@ -308,30 +308,54 @@ def test_distance_levels_computed_once(monkeypatch):
     f = PointMap(X, Y, [min(x // 2, 3) for x in range(9)])
     g = PointMap(X, X, list(range(9))[::-1])
     calls = []
-    argsort = np.argsort  # the one sort behind a space's levels
+    build = spaces._build_levels  # the one builder behind a space's levels
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return argsort(*args, **kwargs)
+    def counting(space):
+        calls.append(space)
+        return build(space)
 
-    monkeypatch.setattr(np, "argsort", counting)
+    monkeypatch.setattr(spaces, "_build_levels", counting)
     first = f.modulus_profile()
     for _ in range(3):
         assert list(X.realized_distances()) == list(range(9))
         assert f.modulus_profile() == first
         assert [r for r, _ in g.modulus_profile()] == list(range(9))
-    assert len(calls) == 1  # X's levels, once; Y's are never asked for
+    assert len(calls) == 1 and calls[0] is X  # X's levels, once; Y's are never asked for
 
 
 def test_distance_levels_are_read_only():
-    X = FiniteMetricSpace(path_space(5).dist * 0.3)
-    radii, order, starts = X.distance_levels()
-    assert X.realized_distances() is radii
-    for arr in (radii, order, starts):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 7
-    assert np.array_equal(X.dist.ravel()[order], np.repeat(radii, np.diff(np.append(starts, 25))))
-    assert np.array_equal(radii, np.unique(X.dist))
+    for X in (
+        FiniteMetricSpace(path_space(5).dist * 0.3),
+        FiniteMetricSpace([[0.0, 1.5, 2.0], [1.5, 0.0, 0.5], [2.0, 0.5, 0.0]]),
+        path_space(5),
+        FiniteMetricSpace(path_space(6).dist.tolist()),  # a hop matrix the constructor certifies
+    ):
+        radii, labels = X.distance_levels()
+        assert X.realized_distances() is radii
+        for arr in (radii, labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        assert radii.dtype == float and labels.dtype == np.intp and labels.shape == X.dist.shape
+        assert radii[labels].tobytes() == X.dist.tobytes()
+        assert radii.tobytes() == np.unique(X.dist).tobytes()
+
+
+def test_graph_metric_levels_call_no_sort(monkeypatch):
+    spaces_made = [
+        path_space(1), path_space(12),
+        from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
+        FiniteMetricSpace(from_edge_list(5, [(0, 1), (0, 2), (0, 3), (3, 4)]).dist.tolist()),
+    ]
+    assert all("edges" in X.to_json() for X in spaces_made)  # each a graph metric
+    calls = []
+    for name in ("argsort", "unique", "searchsorted", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    for X in spaces_made:
+        radii, labels = X.distance_levels()
+        assert radii.tobytes() == np.arange(X.diameter + 1.0).tobytes()
+        assert radii[labels].tobytes() == X.dist.tobytes()
+    assert calls == []
 
 
 def test_negative_zero_diagonal_is_stored_as_zero():
