@@ -16,16 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import corner_norm_table
-from .operators import BlockOperator, check_unitary, spectral_norm
+from .operators import ROUNDING_MARGIN, UNITARITY_TOL, BlockOperator, check_unitary, spectral_norm
 from .signs import greedy_signs
 from .spaces import check_radius, validate_point
 
 __all__ = ["ConcentrationWitness", "concentration_witness"]
-
-_SLACK = 1e-9
-# corner norms of a unitary this close to 1 are 1 up to rounding; the
-# sqrt in the bound would otherwise amplify the last ulp into 1e-8 noise
-_UNIT_SNAP = 1e-12
 
 
 @dataclass
@@ -51,7 +46,10 @@ def concentration_witness(
     keep the witness with the largest certificate (ties to the smallest
     index).  Computed once per call, whatever h_index: delta from one
     `corner_norm_table`, the coordinates off B = ball(y, R) from
-    ``dist[y] > R``, and U's rows over y.
+    ``dist[y] > R``, and U's rows over y.  Delta is row y of the whole
+    table, not a one-row mask product: on the dense route BLAS sums a
+    single row in another order, which can move the last ulp of
+    `delta_actual`.
     """
     check_unitary(U)
     target = U.target
@@ -61,8 +59,8 @@ def concentration_witness(
     R = check_radius(R, "radius")
 
     delta = float(corner_norm_table(U, R)[y].max())
-    if delta > 1.0 - _UNIT_SNAP:
-        delta = 1.0
+    if delta > 1.0 - ROUNDING_MARGIN:  # 1 up to rounding; the sqrt in the bound
+        delta = 1.0  # would amplify the last ulp into 1e-8 noise
     off_ball = (target.base.dist[y] > R)[target.coord_point]
     y_rows = U.matrix[target.slice_of(y)]
     fiber = range(y_rows.shape[0]) if h_index is None else [h_index]
@@ -76,7 +74,7 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float,
     caller's delta, mask of the coordinates off B and rows of U over y."""
     v = y_rows[h_index].conj()  # = U* applied to the probe basis vector
     mass = np.add.reduceat(np.abs(v) ** 2, U.source.offsets[:-1])
-    if not abs(float(mass.sum()) - 1.0) <= _SLACK:
+    if not abs(float(mass.sum()) - 1.0) <= UNITARITY_TOL:
         raise RuntimeError("probe vector lost normalization")
 
     family = np.zeros((U.source.base.n, U.target.total_dim), dtype=complex)
@@ -88,11 +86,11 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float,
     # the hypothesis' inequality, instance-checked for every x:
     # ||(1-chi_B) U chi_x v||^2 >= (1 - delta^2) ||chi_x v||^2
     gap = np.sum(np.abs(family) ** 2, axis=1) - (1 - delta**2) * mass
-    if not gap.min() >= -_SLACK:
+    if not gap.min() >= -UNITARITY_TOL:
         raise RuntimeError("per-point corner inequality failed")
 
     selection = greedy_signs(family)
-    if not selection.achieved >= (1 - delta**2) - _SLACK:
+    if not selection.achieved >= (1 - delta**2) - UNITARITY_TOL:
         raise RuntimeError("sign selection fell short")
 
     # ||chi_{Y \ B} U chi_A U* chi_y|| for A the plus and the minus set; an
@@ -106,7 +104,7 @@ def _witness(U: BlockOperator, y: int, R: float, h_index: int, delta: float,
 
     bound = 0.5 * float(np.sqrt(max(1.0 - delta**2, 0.0)))
     degenerate = not off_ball.any()
-    if not degenerate and not certificate >= bound - _SLACK:
+    if not degenerate and not certificate >= bound - UNITARITY_TOL:
         raise RuntimeError("certificate fell below the guaranteed bound")
     return ConcentrationWitness(
         y=y, R=R, delta_actual=delta, A=tuple(int(a) for a in A), certificate=float(certificate),

@@ -31,7 +31,8 @@ import numpy as np
 
 from .maps import PointMap, greedy_net, voronoi_partition
 from .operators import (
-    UNITARITY_TOL, BlockOperator, FiberedSpace, check_unitary, corner_norms, spectral_norm,
+    ROUNDING_MARGIN, UNITARITY_TOL, BlockOperator, FiberedSpace, check_unitary, corner_norms,
+    spectral_norm,
 )
 from .extraction import ExtractionReport, extract_pair
 from .locality import approximability_window
@@ -45,8 +46,6 @@ __all__ = [
     "upgrade_trick",
     "outer_roundtrip",
 ]
-
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > _RANK_TOL * max(s[0], 1.0)))
+    rank = int(np.sum(s > ROUNDING_MARGIN * max(s[0], 1.0)))
     return u[:, :rank]
 
 

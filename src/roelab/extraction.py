@@ -11,10 +11,10 @@ Spakula-Willett, "On rigidity of Roe algebras", Adv. Math. 249, 2013).
 `corner_norm_table` is the corner kernel of operators.py
 (`corner_norms`, batched over the source points of each fiber dimension)
 at the ball masks; concentration witnesses read it as well.  Corners
-within 1e-12 of a row's maximum count as tied and go to the smallest
-index, so the extracted maps do not depend on the order in which the
-kernel sums.  The radius search returns the table it stopped at, and
-`extract_pair` reuses it.
+within `operators.ROUNDING_MARGIN` of a row's maximum count as tied and
+go to the smallest index, so the extracted maps do not depend on the
+order in which the kernel sums.  The radius search returns the table it
+stopped at, and `extract_pair` reuses it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import EquivalenceReport, PointMap, certify_equivalence
-from .operators import BlockOperator, check_unitary, corner_norms
+from .operators import ROUNDING_MARGIN, BlockOperator, check_unitary, corner_norms
 from .spaces import check_radius, is_real
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "extract_map",
     "extract_pair",
 ]
-
-# corners this close to their row maximum are tied up to rounding
-_TIE_TOL = 1e-12
 
 
 class MinimalRadiusError(RuntimeError):
@@ -77,11 +74,11 @@ def _check_delta(U: BlockOperator, delta) -> None:
 
 
 def _threshold(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row y, the smallest x whose corner is within `_TIE_TOL` of the
-    row maximum, and that corner.  Corners equal up to rounding thus tie
-    to the smallest index, whatever order the kernel summed in."""
+    """Per row y, the smallest x whose corner is within `ROUNDING_MARGIN`
+    of the row maximum, and that corner.  Corners equal up to rounding
+    thus tie to the smallest index, whatever order the kernel summed in."""
     top = table.max(axis=1, keepdims=True)
-    values = np.argmax(table >= top - _TIE_TOL, axis=1)
+    values = np.argmax(table >= top - ROUNDING_MARGIN, axis=1)
     return values, table[np.arange(table.shape[0]), values]
 
 
@@ -115,7 +112,7 @@ def _radius_scan(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
 def extract_map(U: BlockOperator, delta: float, R: float) -> tuple[PointMap, np.ndarray]:
     """The thresholded argmax map g(y) = argmax_x ||chi_{ball(y,R)} U chi_x||.
 
-    Corners within `_TIE_TOL` (1e-12) of the row maximum count as tied,
+    Corners within `ROUNDING_MARGIN` of the row maximum count as tied,
     and ties resolve to the smallest source index.  Returns the map
     Y -> X together with the witnessed corner norms, which must all
     exceed delta.

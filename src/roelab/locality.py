@@ -42,10 +42,10 @@ search: `spectral_norm` resolves any nonzero entry, which lies in a
 component whose norm is nonzero (a Gram top below 2^-900 takes the
 SVD), so every separated corner is 0.  Otherwise the
 search stops as soon as the best corner v it has found satisfies
-v >= (1 - _ROUNDING_MARGIN) * upper, with the relative margin
-1e-12 that also guards the upper member's own min: every corner is at
-most the violation, which is at most the upper member, so a skipped
-start could raise the lower member by at most the margin plus rounding.
+v >= (1 - ROUNDING_MARGIN) * upper, the relative margin that also
+guards the upper member's own min: every corner is at most the
+violation, which is at most the upper member, so a skipped start could
+raise the lower member by at most the margin plus rounding.
 The lower member is still a corner that was found.  It is a seeded
 local search that grows separated pairs one point at a time.  Its
 starts share one state built per call (the far relation d > R, the
@@ -60,7 +60,7 @@ the candidates of nonzero mass in rank order, corner coordinates read
 from the masks in the order
 `BlockOperator.corner_norm` uses.  A candidate of mass 0 adds only zero
 blocks (or entries whose squares underflow), so it cannot raise the
-corner by the accept margin, _WITNESS_TOL * max(1, corner), which scales
+corner by the accept margin, ROUNDING_MARGIN * max(1, corner), which scales
 with the corner so that rounding noise of a large operator is never a
 move; the rank order puts these candidates last.
 Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PointMap
-from .operators import BlockOperator, masked_corner_norms, spectral_norm
+from .operators import ROUNDING_MARGIN, BlockOperator, masked_corner_norms, spectral_norm
 from .spaces import check_radius
 
 __all__ = [
@@ -101,10 +101,6 @@ __all__ = [
 
 EXACT_LIMIT = 16
 SEARCH_RESTARTS = 50
-_WITNESS_TOL = 1e-12
-# relative rounding margin of a comparison between two separately rounded
-# norms: an SVD value is accurate to a few ulps, far inside it
-_ROUNDING_MARGIN = 1e-12
 
 
 @dataclass
@@ -127,9 +123,9 @@ class LocalityReport:
 def _prune_witness(T: BlockOperator, B: list, A: list, value: float) -> Witness:
     """Shrink an attaining pair to a minimal one, dropping points in
     ascending index order while the corner norm stays at the value, up to
-    the margin _WITNESS_TOL * max(1, value)."""
+    the margin ROUNDING_MARGIN * max(1, value)."""
     B, A = sorted(B), sorted(A)
-    floor = value - _WITNESS_TOL * max(1.0, value)
+    floor = value - ROUNDING_MARGIN * max(1.0, value)
     for p in list(B):
         if len(B) > 1 and T.corner_norm([q for q in B if q != p], A) >= floor:
             B.remove(p)
@@ -242,13 +238,13 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
     distance from T to the operators with propagation <= R.
 
     ||T|| is taken only when ||T - T_R|| is not clearly below T's largest
-    column norm; _ROUNDING_MARGIN keeps rounding from flipping the min.
+    column norm; ROUNDING_MARGIN keeps rounding from flipping the min.
     A band unitary's tail lies below its unit column norms, so it skips
     ||T|| (timings in CHANGES.md, "One norm function").  The value does
     not depend on the BLAS thread count where the components stay below
     the sizes OpenBLAS threads."""
     tail = _tail_norm(T, T.source.base.dist <= R)
-    if tail < (1 - _ROUNDING_MARGIN) * T.norm_lower_bound():
+    if tail < (1 - ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail
     return min(tail, T.norm())
 
@@ -296,7 +292,7 @@ def _grow_pair(s: _SearchState, B: list, A: list):
 
     Candidate additions are tried in descending order of the Frobenius
     mass they would add, and the first one whose corner norm exceeds the
-    current one by the margin _WITNESS_TOL * max(1, value) is taken.
+    current one by the margin ROUNDING_MARGIN * max(1, value) is taken.
     Candidates of mass 0 come last and are not normed: they add only
     zero blocks, or entries whose squares underflow, which cannot raise
     the corner by the margin.
@@ -324,7 +320,7 @@ def _grow_pair(s: _SearchState, B: list, A: list):
         side = np.concatenate((np.ones(to_b.size, dtype=np.int8), np.zeros(to_a.size, dtype=np.int8)))
         point = np.concatenate((to_b, to_a))
         order = np.lexsort((point, side, -mass))  # (-mass, "A" < "B", point)
-        bar = value + _WITNESS_TOL * max(1.0, value)
+        bar = value + ROUNDING_MARGIN * max(1.0, value)
         for k in order[: np.count_nonzero(mass)]:
             p = int(point[k])
             if side[k]:
@@ -372,19 +368,17 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
     singleton and `restarts` seeded pairs, with its unpruned pair (B, A);
     (0.0, None) when no start leaves 0.
 
-    `upper` is a bound on the violation, the window's upper member.  Once
-    a start reaches (1 - _ROUNDING_MARGIN) * upper the window is closed up
-    to rounding, and the remaining starts are skipped: every corner is at
-    most the violation, so they could raise the value by at most the
-    margin plus rounding.  The restarts are drawn only once a start has
-    left the window open."""
+    `upper` bounds the violation (the window's upper member): once a start
+    reaches (1 - ROUNDING_MARGIN) * upper, the remaining starts, which could
+    raise the value by at most the margin plus rounding, are skipped, and
+    the restarts are drawn only once a start has left the window open."""
     state = _SearchState(T, R)
     best_value, best_sets = 0.0, None
     for y, x in _starts(state, restarts, seed):
         value, B, A = _grow_pair(state, [y], [x])
         if value > best_value:
             best_value, best_sets = value, (B, A)
-            if best_value >= (1 - _ROUNDING_MARGIN) * upper:
+            if best_value >= (1 - ROUNDING_MARGIN) * upper:
                 break
     return best_value, best_sets
 
@@ -396,7 +390,7 @@ def _violation(T: BlockOperator, R: float, mode: str):
     violation: the value itself in exact mode, `_truncation_upper(T, R)`
     in bounds mode, taken after the checks and before the search, which
     is skipped when it is 0 and otherwise stops once it reaches it up to
-    _ROUNDING_MARGIN."""
+    ROUNDING_MARGIN."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -430,14 +424,14 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     of T to the band of width R: after the input checks it takes the upper
     member, then runs the search from the best separated singleton and
     SEARCH_RESTARTS seeded restarts, skipping the rest once the best
-    corner reaches the upper member up to the relative rounding margin
-    1e-12 (no search at all when the upper member is 0).  Only here
+    corner reaches the upper member up to the relative ROUNDING_MARGIN
+    (no search at all when the upper member is 0).  Only here
     is the pair pruned to a minimal witness, which attains
     violation_lower.
     """
     value, sets, upper = _violation(T, R, mode)
     witness = None
-    if sets is not None and value > _WITNESS_TOL:
+    if sets is not None and value > ROUNDING_MARGIN:
         witness = _prune_witness(T, *sets, value)
     # value is an achieved corner norm, so it is always a valid lower bound;
     # the max() guards the upper member against float dust only
@@ -453,8 +447,8 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
     since both the band truncation T_R and 0 are banded.  The input checks
     come first; above EXACT_LIMIT the upper bound is taken next and the
-    search stops once it reaches it up to the relative rounding margin
-    1e-12 (or is skipped when it is 0), while the exact side takes it
+    search stops once it reaches it up to the relative ROUNDING_MARGIN
+    (or is skipped when it is 0), while the exact side takes it
     after the enumeration.  Only numbers are computed: no report is built
     and no witness pruned.
     """

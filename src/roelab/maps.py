@@ -9,6 +9,7 @@ build covering isometries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,30 +65,29 @@ class PointMap:
         return f"PointMap({self.source.n} -> {self.target.n} points)"
 
     def modulus(self, r: float) -> float:
-        """Control modulus at scale r.
-
-        max d(f(x), f(x')) over all pairs with d(x, x') <= r.  Zero when r
-        is below the smallest positive source distance (only the diagonal
-        pairs qualify).
-        """
-        close = self.source.dist <= check_radius(r, "modulus scale")
-        spread = self.target.dist[np.ix_(self.values, self.values)]
-        return float(spread[close].max())
+        """Control modulus at scale r: max d(f(x), f(x')) over the pairs
+        with d(x, x') <= r, the profile's value at the largest realized
+        source distance <= r (0 below the smallest positive one)."""
+        at = np.searchsorted(self.source.realized_distances(), check_radius(r, "modulus scale"), "right")
+        return float(self._level_moduli[at - 1])
 
     def modulus_profile(self) -> list[tuple[float, float]]:
-        """(r, modulus(r)) at each realized source distance r.
+        """(r, modulus(r)) at each realized source distance r."""
+        return list(zip(self.source.realized_distances().tolist(), self._level_moduli.tolist()))
 
-        One pass over the source's level labels: the largest spread among
-        pairs at exactly each distance, then a running maximum over the
-        sorted distances.  Each value is an exact max, whatever the order
-        the pairs are visited in.
-        """
+    @functools.cached_property
+    def _level_moduli(self) -> np.ndarray:
+        """The modulus at each realized source distance, read-only, from
+        one pass over the level labels computed once per map: the largest
+        spread at each exact distance, then a running maximum, so each
+        value is an exact max whatever the order of the pairs."""
         radii, labels = self.source.distance_levels()
         spread = self.target.dist.take(self.values, axis=0).take(self.values, axis=1)
         top = np.zeros(len(radii))
         np.maximum.at(top, labels.ravel(), spread.ravel())
         top = np.maximum.accumulate(top)
-        return [(float(r), float(m)) for r, m in zip(radii, top)]
+        top.setflags(write=False)
+        return top
 
     def to_json(self) -> dict:
         return {"source": self.source.to_json(), "target": self.target.to_json(),

@@ -81,8 +81,13 @@ __all__ = [
     "spectral_norm",
 ]
 
-PROPAGATION_TOL = 1e-12
-UNITARITY_TOL = 1e-9
+ROUNDING_MARGIN = 1e-12
+"""The one margin of "equal up to rounding", far outside the few ulps of
+every norm here.  Read relative, (1 - m) * v (bounds search stop, upper
+member's min); floored, m * max(1, v) (search moves, witness pruning,
+rank cut); absolute, on values of at most 1 (extraction ties, unit
+snap); as a zero threshold (`propagation`, a violation with a witness)."""
+UNITARITY_TOL = 1e-9  # the residual `check_unitary` admits; concentration's checks allow it as slack
 # byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
 # corners of `masked_corner_norms`); each matrix is normed alone
 STACK_BYTES = 2 << 20
@@ -330,7 +335,7 @@ class BlockOperator:
         return self.source.base
 
     def propagation(self) -> float:
-        """Largest d(x, y) carrying a block of spectral norm > PROPAGATION_TOL;
+        """Largest d(x, y) carrying a block of spectral norm > ROUNDING_MARGIN;
         0 if none.
 
         Frobenius norms bound the decision from both sides, so per-block
@@ -341,10 +346,10 @@ class BlockOperator:
         min_dim = np.minimum(
             self.target.fiber_dims[:, None], self.source.fiber_dims[None, :]
         )
-        definitely = frob > PROPAGATION_TOL * np.sqrt(min_dim)  # spectral >= frob/sqrt(min_dim)
-        ambiguous = (frob > PROPAGATION_TOL) & ~definitely
+        definitely = frob > ROUNDING_MARGIN * np.sqrt(min_dim)  # spectral >= frob/sqrt(min_dim)
+        ambiguous = (frob > ROUNDING_MARGIN) & ~definitely
         for y, x in np.argwhere(ambiguous):
-            if spectral_norm(self.block(y, x)) > PROPAGATION_TOL:
+            if spectral_norm(self.block(y, x)) > ROUNDING_MARGIN:
                 definitely[y, x] = True
         if not definitely.any():
             return 0.0
@@ -485,15 +490,20 @@ def check_unitary(U: BlockOperator) -> None:
         raise ValueError(f"operator is not unitary: residual {residual:.3g} > {UNITARITY_TOL:g}")
 
 
+def _part_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column pairs (i, j), i > j, of the cross parts: the one part order."""
+    return np.tril_indices(d, -1)
+
+
 def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
     """What `corner_norms` multiplies its mask into for source points of
     fiber dimension d, gathered with `np.take`: (rows, k, d * d), the
     |c_i|^2 of the point's columns c_i, then Re and then Im of
-    conj(c_i) c_j for i > j in `np.tril_indices` order."""
+    conj(c_i) c_j for the pairs of `_part_pairs`."""
     cols = np.take(U.matrix, U.source.offsets[points][:, None] + np.arange(d), axis=1)  # (rows, k, d)
-    cross = [cols[..., i, None].conj() * cols[..., :i] for i in range(1, d)]  # conj(c_i) c_j, j < i
-    parts = [cols.real**2 + cols.imag**2] + [c.real for c in cross] + [c.imag for c in cross]
-    return np.concatenate(parts, axis=-1)
+    i, j = _part_pairs(d)
+    cross = cols[..., i].conj() * cols[..., j]
+    return np.concatenate([cols.real**2 + cols.imag**2, cross.real, cross.imag], axis=-1)
 
 
 def _parts_top(sums: np.ndarray, d: int) -> np.ndarray:
@@ -505,7 +515,7 @@ def _parts_top(sums: np.ndarray, d: int) -> np.ndarray:
         return sums[..., 0]
     if d == 2:
         return _gram_top_2x2(sums[..., 0], sums[..., 1], np.hypot(sums[..., 2], sums[..., 3]))
-    i, j = np.tril_indices(d, -1)
+    i, j = _part_pairs(d)
     gram = np.zeros(sums.shape[:-1] + (d, d), dtype=complex)
     gram[..., np.arange(d), np.arange(d)] = sums[..., :d]
     gram[..., i, j] = sums[..., d : d + i.size] + 1j * sums[..., d + i.size :]
@@ -525,7 +535,7 @@ def _sparse_group_parts(U: BlockOperator, d: int):
     row keeps the coordinates where c_i is nonzero, which hold every
     nonzero value, and each value is computed as `_corner_parts`
     computes it."""
-    i, j = np.tril_indices(d, -1)
+    i, j = _part_pairs(d)
     first, second = np.concatenate([np.arange(d), i, i]), np.concatenate([np.arange(d), j, j])
     offsets = U.source.offsets[:-1][U.source.fiber_dims == d]
     parts = _sparse(U).tocsc()[:, (offsets[:, None] + first).ravel()].T  # c_i of each row, a new CSR

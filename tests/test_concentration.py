@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from roelab import concentration
+from roelab import concentration, operators
 from roelab.concentration import concentration_witness
 from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary
@@ -158,7 +158,7 @@ def reference_witness(U, y, R, h_index=0):
     columns, and certified the two sign sets through a dict and a closure;
     the instance checks, which do not change the values, are left out."""
     delta = float(corner_norm_table(U, R)[y].max())
-    if delta > 1.0 - concentration._UNIT_SNAP:
+    if delta > 1.0 - operators.ROUNDING_MARGIN:
         delta = 1.0
     fiber = range(int(U.target.fiber_dims[y])) if h_index is None else [h_index]
     witnesses = [_reference_probe(U, y, R, h, delta) for h in fiber]

@@ -118,7 +118,7 @@ def reference_exact(T, R):
         if value > best_value:
             best_value, best_pair = value, (A, B)
     witness = None
-    if best_pair is not None and best_value > locality._WITNESS_TOL:
+    if best_pair is not None and best_value > operators.ROUNDING_MARGIN:
         A, B = best_pair
         witness = locality._prune_witness(T, B, A, best_value)
     return locality.LocalityReport(float(R), best_value, best_value, True, witness)
@@ -195,7 +195,7 @@ def test_component_split_matches_reference_on_block_sparse_operators():
         assert abs(value - ref.violation_lower) <= 4 * np.spacing(ref.violation_lower), seed
         assert report.violation_upper == value
         if report.witness is None:
-            assert value <= locality._WITNESS_TOL
+            assert value <= operators.ROUNDING_MARGIN
             continue
         A, B = report.witness.A, report.witness.B
         X = T.source.base
@@ -405,7 +405,7 @@ def reference_grow(T, R, B, A, frob):
     """The local-search greedy without skipping: every candidate move, in
     order of (-Frobenius mass, side, point), gets a sequential corner_norm
     call, and the first improvement by the margin
-    _WITNESS_TOL * max(1, value) wins."""
+    ROUNDING_MARGIN * max(1, value) wins."""
     base = T.source.base
     value = T.corner_norm(B, A)
     while True:
@@ -419,7 +419,7 @@ def reference_grow(T, R, B, A, frob):
         moves.sort(key=lambda m: (-m[0], m[1], m[2]))
         for _, side, p in moves:
             cand = T.corner_norm(B + [p], A) if side == "B" else T.corner_norm(B, A + [p])
-            if cand > value + locality._WITNESS_TOL * max(1.0, value):
+            if cand > value + operators.ROUNDING_MARGIN * max(1.0, value):
                 (B if side == "B" else A).append(p)
                 value = cand
                 break
@@ -607,7 +607,7 @@ def test_search_keeps_no_index_of_the_separated_pairs(monkeypatch):
 def _assert_no_point_drops(T, witness, value):
     # the prune's own test: without any one point of a side of two or
     # more, the corner falls below the margin
-    floor = value - locality._WITNESS_TOL * max(1.0, value)
+    floor = value - operators.ROUNDING_MARGIN * max(1.0, value)
     B, A = list(witness.B), list(witness.A)
     for p in B if len(B) > 1 else []:
         assert T.corner_norm([q for q in B if q != p], A) < floor
@@ -678,10 +678,10 @@ def test_window_prunes_no_witness(monkeypatch):
     monkeypatch.setattr(BlockOperator, "corner_norm", lambda T, B, A: calls.append(1) or real(T, B, A))
     U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
-    assert any(lower > locality._WITNESS_TOL for _, lower, _ in rep.windows)
+    assert any(lower > operators.ROUNDING_MARGIN for _, lower, _ in rep.windows)
     band = random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 1.0, 3, seed=4)
     window = approximability_window(band, 1.0)  # 20 points: the bounds side
-    assert window[0] > locality._WITNESS_TOL
+    assert window[0] > operators.ROUNDING_MARGIN
     assert calls == []
     report = quasi_locality_violation(band, 1.0, mode="bounds")
     assert window == (report.violation_lower, report.violation_upper)
@@ -728,7 +728,7 @@ def _assert_stop_rule_sound(T, R, restarts, seed):
     upper = locality._truncation_upper(T, R)
     early = locality._search_violation(T, R, restarts, seed, upper)
     full = locality._search_violation(T, R, restarts, seed, np.inf)
-    margin = locality._ROUNDING_MARGIN
+    margin = operators.ROUNDING_MARGIN
     assert early == full or (1 - margin) * upper <= early[0] <= full[0]
     if early[1] is not None:
         assert T.corner_norm(*early[1]) == early[0]
@@ -790,7 +790,7 @@ def test_closed_window_skips_the_remaining_restarts(monkeypatch):
     U, _, _ = noisy_covering_unitary("reflection", 120, 0, 2.0, 1)
     grows = _count_grows(monkeypatch)
     report = quasi_locality_violation(U, 3.0, mode="bounds")
-    assert report.violation_lower >= (1 - locality._ROUNDING_MARGIN) * report.violation_upper
+    assert report.violation_lower >= (1 - operators.ROUNDING_MARGIN) * report.violation_upper
     assert len(grows) == 1
 
 
@@ -821,7 +821,7 @@ def test_window_closed_up_to_rounding_stops_after_the_first_start(monkeypatch):
     report = quasi_locality_violation(U, 3.0, mode="bounds")
     assert len(grows) == 1
     assert report.violation_upper == min(tail, spectral_norm(U.matrix))
-    assert (1 - locality._ROUNDING_MARGIN) * report.violation_upper <= report.violation_lower
+    assert (1 - operators.ROUNDING_MARGIN) * report.violation_upper <= report.violation_lower
     assert report.violation_lower < report.violation_upper
 
 
@@ -923,7 +923,7 @@ def test_tails_equal_the_operator_differences_bit_for_bit(shape):
         f = PointMap(X, X, rng.integers(0, X.n, size=X.n))
         for R in (0.0, 1.0, 2.0, 5.0, X.diameter):
             tail = (T - T.supported_mask(np.arange(X.n), R)).norm()
-            expected = tail if tail < (1 - locality._ROUNDING_MARGIN) * T.norm_lower_bound() else min(tail, T.norm())
+            expected = tail if tail < (1 - operators.ROUNDING_MARGIN) * T.norm_lower_bound() else min(tail, T.norm())
             assert locality._truncation_upper(T, R) == expected
             assert supported_distance_upper(T, f, R) == (T - T.supported_mask(f.values, R)).norm()
 

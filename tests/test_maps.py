@@ -93,8 +93,17 @@ def test_modulus_profile_equals_direct_modulus(rng):
     pairs += [(hops, ulps), (point, hops), (path_space(1), ulps), (ulps, _ulp_space(rng, 5)), (ulps, hops)]
     for X, Y in pairs:
         f = PointMap(X, Y, rng.integers(0, Y.n, size=X.n))
-        expected = [(float(r), f.modulus(float(r))) for r in X.realized_distances()]
+        spread = Y.dist[np.ix_(f.values, f.values)]
+
+        def direct(r):  # the max over the pairs, independent of the profile
+            return float(spread[X.dist <= r].max())
+
+        radii = X.realized_distances()
+        expected = [(float(r), direct(r)) for r in radii]
         assert json.dumps(f.modulus_profile()) == json.dumps(expected)
+        # modulus(r) reads the profile at every level, between levels, at 0 and at inf
+        for r in [0.0, np.inf, *radii, *(radii[:-1] + radii[1:]) / 2]:
+            assert f.modulus(float(r)) == direct(r)
 
 
 def test_closeness_basics():

@@ -873,7 +873,7 @@ def test_truncation_upper_below_the_split_is_the_whole_matrix_arithmetic(n):
         U = noisy_covering_unitary("reflection", n, seed, 2.0, 1, 2)[0]
         for R in range(4):
             tail = spectral_norm(_tail_matrix(U, U.source.base.dist <= R))
-            if tail < (1 - locality._ROUNDING_MARGIN) * U.norm_lower_bound():
+            if tail < (1 - operators.ROUNDING_MARGIN) * U.norm_lower_bound():
                 want = tail
             else:
                 want = min(tail, spectral_norm(U.matrix))

@@ -4,7 +4,8 @@ without a reader and no public one without a caller or a stated reason,
 no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
 path, one Gram route, one labeller, one sparse form, one stack budget,
-one home of distance levels, one integer rule and one real-number rule)
+one home of distance levels, one integer rule, one real-number rule and
+one home of the tolerances)
 matches only in its homes and every home holds it, every JSON text goes through
 `serialize` and every report value through its one hook, and the
 README's quick start runs as printed."""
@@ -13,6 +14,7 @@ import ast
 import contextlib
 import io
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -132,21 +134,29 @@ def _public_definitions(module, tree):
     return found
 
 
-def _references(tree, kinds):
-    for node in ast.walk(tree):
-        if isinstance(node, kinds) and not isinstance(node.ctx, ast.Store):
-            yield node.id if isinstance(node, ast.Name) else node.attr
+def _reference_counts(trees):
+    """{kind: Counter of the names read}, a Name counted by its id and an
+    Attribute by its attr, over every node of the given trees."""
+    counts = {ast.Name: Counter(), ast.Attribute: Counter()}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+                counts[type(node)][node.id if isinstance(node, ast.Name) else node.attr] += 1
+    return counts
 
 
 def _unreached_public_names(package_texts, caller_texts):
     """Public definitions of the package's modules that no module of either
-    set names outside the definition itself, by module:line and name."""
+    set names outside the definition itself, by module:line and name.  The
+    references of all trees are counted once; a definition is unreached
+    when its own subtree holds all of them."""
     trees = {name: ast.parse(text) for name, text in {**caller_texts, **package_texts}.items()}
+    everywhere = _reference_counts(trees.values())
     unreached = []
     for module in package_texts:
         for label, name, node, kinds in _public_definitions(module, trees[module]):
-            named = sum(ref == name for tree in trees.values() for ref in _references(tree, kinds))
-            if named == sum(ref == name for ref in _references(node, kinds)):
+            inside = _reference_counts([node])
+            if sum(everywhere[kind][name] for kind in kinds) == sum(inside[kind][name] for kind in kinds):
                 unreached.append(f"{module}:{node.lineno} {label}")
     return unreached
 
@@ -204,6 +214,9 @@ _RULES = {
     # one real-number rule: a scale compared with 0 by hand, or the rule's
     # message; other modules call `check_radius` or test `is_real` in their interval
     "real": (r"not [A-Za-z_.]+ >=? 0|must be a real number", ("spaces",)),
+    # one rounding margin and one unitarity tolerance, read where they are
+    # defined; spaces keeps the triangle tolerance of input metrics
+    "tolerance": (r"\b1e-(?:12|9)\b", ("operators", "spaces")),
 }
 
 
@@ -297,6 +310,13 @@ _PLANTED = [
         "ok = not (is_real(delta) and 0 < delta < 1)  # the predicate and an interval\n"
         "ok = not values.max() > 0  # a computed value, not an argument\n"
     ), ["m:1", "m:2", "m:3"], ["spaces"]),
+    ("tolerance", (
+        "_TIE_TOL = 1e-12\n"
+        "ok = gap >= -1e-9\n"
+        "\"\"\"Corners within\n1e-12 of the maximum.\"\"\"\n"
+        "tiny = 1e-120 + 2e-12 + 1e-90 + 21e-12\n"
+        "margin = ROUNDING_MARGIN\n"
+    ), ["m:1", "m:2", "m:4"], ["operators", "spaces"]),
 ]
 
 
@@ -464,11 +484,11 @@ def test_private_import_lint_finds_imports_wrapped_over_lines():
     text = (
         "from __future__ import annotations\n"
         "from .operators import (\n    BlockOperator,\n    _gram_top_2x2,\n)\n"
-        "from .extraction import corner_norm_table, _TIE_TOL\n"
+        "from .extraction import corner_norm_table, _threshold\n"
         "from numpy import _globals\n"
         "from . import __version__\n"
     )
-    assert _private_imports("m.py", text) == ["m.py:2 _gram_top_2x2", "m.py:6 _TIE_TOL"]
+    assert _private_imports("m.py", text) == ["m.py:2 _gram_top_2x2", "m.py:6 _threshold"]
 
 
 def _is_private(name):
