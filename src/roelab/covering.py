@@ -320,8 +320,9 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
         )
     windows = []
     for R in radius_grid:
-        lower, upper = approximability_window(UWs, R)  # R as given: the window checks it
-        windows.append((float(R), float(lower), float(upper)))
+        R = check_radius(R, "separation radius")  # the window's own check, so -0 reads as 0
+        lower, upper = approximability_window(UWs, R)
+        windows.append((R, float(lower), float(upper)))
     return OuterReport(
         extraction=extraction,
         plan=plan,

@@ -141,8 +141,7 @@ def extract_pair(U: BlockOperator, delta: float = 0.5) -> ExtractionReport:
     reuses the table its radius search ended on; only a direction whose
     own radius is below R builds one more table, at R.
     """
-    _check_delta(U, delta)  # U* is unitary exactly when U is
-    R_g, table_g = _radius_scan(U, delta)
+    R_g, table_g = minimal_radius(U, delta)  # checks U once; U* is unitary exactly when U is
     Ustar = U.adjoint()
     R_f, table_f = _radius_scan(Ustar, delta)
     R = max(R_g, R_f)

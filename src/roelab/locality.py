@@ -196,11 +196,9 @@ def _exact_violation(T: BlockOperator, R: float):
 
     allowed = full & ~nbhd[1:]  # largest A for each nonempty B
     closed = np.zeros(1 << n, dtype=bool)  # the closed B with the same A, in ascending order
-    closed[full & ~nbhd[allowed[allowed != 0]]] = True
+    closed[full & ~nbhd[allowed]] = True
     b_masks = np.flatnonzero(closed).astype(np.uint32)
-    a_masks = full & ~nbhd[b_masks]
-    live = (b_masks != 0) & (a_masks != 0)
-    b_masks, a_masks = b_masks[live], a_masks[live]
+    a_masks = full & ~nbhd[b_masks]  # an empty B or A holds no component
 
     owner, comp_rows, comp_cols = _components(b_masks, a_masks, *T.derived(_reach_tables))
     # candidates share components: each distinct one is normed once
@@ -435,7 +433,8 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
         witness = _prune_witness(T, *sets, value)
     # value is an achieved corner norm, so it is always a valid lower bound;
     # the max() guards the upper member against float dust only
-    return LocalityReport(float(R), value, max(upper, value), mode == "exact", witness)
+    R = check_radius(R, "separation radius")  # checked by `_violation`; -0 reads as 0
+    return LocalityReport(R, value, max(upper, value), mode == "exact", witness)
 
 
 def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:

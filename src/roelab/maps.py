@@ -4,17 +4,17 @@ A map is stored as an integer assignment array: ``values[x]`` is the image
 of point ``x``.  Nothing here assumes continuity or injectivity; the
 quantities of interest are the control modulus (how far pairs can spread),
 closeness between parallel maps, and the net/partition machinery used to
-build covering isometries.
+build covering isometries.  A map's modulus profile is computed once, on
+first use, and kept read-only in its `derived` store (`spaces.Derived`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, check_radius, check_range, integer_array, validate_point
+from .spaces import Derived, FiniteMetricSpace, check_radius, check_range, integer_array, validate_point
 
 __all__ = [
     "PointMap",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class PointMap:
+class PointMap(Derived):
     """A set map between two finite metric spaces.
 
     Parameters
@@ -48,6 +48,7 @@ class PointMap:
         self.target = target
         self.values = table.astype(np.int64)  # a private copy, frozen below
         self.values.setflags(write=False)
+        self._derived = {}  # (build, *args) -> build(self, *args)
 
     def __call__(self, x: int) -> int:
         return int(self.values[validate_point(x, self.source.n)])
@@ -69,29 +70,27 @@ class PointMap:
         with d(x, x') <= r, the profile's value at the largest realized
         source distance <= r (0 below the smallest positive one)."""
         at = np.searchsorted(self.source.realized_distances(), check_radius(r, "modulus scale"), "right")
-        return float(self._level_moduli[at - 1])
+        return float(self.derived(_level_moduli)[at - 1])
 
     def modulus_profile(self) -> list[tuple[float, float]]:
         """(r, modulus(r)) at each realized source distance r."""
-        return list(zip(self.source.realized_distances().tolist(), self._level_moduli.tolist()))
-
-    @functools.cached_property
-    def _level_moduli(self) -> np.ndarray:
-        """The modulus at each realized source distance, read-only, from
-        one pass over the level labels computed once per map: the largest
-        spread at each exact distance, then a running maximum, so each
-        value is an exact max whatever the order of the pairs."""
-        radii, labels = self.source.distance_levels()
-        spread = self.target.dist.take(self.values, axis=0).take(self.values, axis=1)
-        top = np.zeros(len(radii))
-        np.maximum.at(top, labels.ravel(), spread.ravel())
-        top = np.maximum.accumulate(top)
-        top.setflags(write=False)
-        return top
+        return list(zip(self.source.realized_distances().tolist(), self.derived(_level_moduli).tolist()))
 
     def to_json(self) -> dict:
         return {"source": self.source.to_json(), "target": self.target.to_json(),
                 "table": [int(v) for v in self.values]}
+
+
+def _level_moduli(f: PointMap) -> np.ndarray:
+    """f's modulus at each realized source distance, kept through
+    `derived`: one pass over the level labels takes the largest spread at
+    each exact distance, then a running maximum, so each value is an
+    exact max whatever the order of the pairs."""
+    radii, labels = f.source.distance_levels()
+    spread = f.target.dist.take(f.values, axis=0).take(f.values, axis=1)
+    top = np.zeros(len(radii))
+    np.maximum.at(top, labels.ravel(), spread.ravel())
+    return np.maximum.accumulate(top)
 
 
 def identity_map(space: FiniteMetricSpace) -> PointMap:

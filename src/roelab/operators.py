@@ -48,10 +48,10 @@ those of a group that fits one chunk (on the sparse route, every group)
 are kept on the operator, so a radius scan gathers them once.
 
 What is derived from an operator alone is computed once and kept on it
-by one accessor, `BlockOperator.derived`: the norm, its column-norm
-lower bound, the unitarity residual, the sparse form, the corner parts,
-and the exact quasi-locality enumeration's tables (built in `locality`);
-an adjoint starts with nothing.  `check_unitary` keeps no outcome:
+by `derived`, the store it shares with spaces and maps (`spaces.Derived`):
+the norm, its column-norm lower bound, the unitarity residual, the sparse
+form, the corner parts, and the exact quasi-locality enumeration's tables
+(built in `locality`); an adjoint starts with nothing.  `check_unitary` keeps no outcome:
 `extract_pair` checks U once, and U* is unitary exactly when U is.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
@@ -66,7 +66,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .maps import PointMap
 from .spaces import (
-    FiniteMetricSpace, check_radius, integer_array, is_integer, validate_point, validate_points
+    Derived, FiniteMetricSpace, check_radius, integer_array, is_integer, validate_point, validate_points
 )
 
 __all__ = [
@@ -237,7 +237,7 @@ def spectral_norm(mat):
     return float(tops) if mat.ndim == 2 else tops
 
 
-class BlockOperator:
+class BlockOperator(Derived):
     """A complex linear map between two fibered spaces, stored dense.
 
     The matrix has shape (target.total_dim, source.total_dim); the block
@@ -273,20 +273,6 @@ class BlockOperator:
         matrix = np.empty(self.matrix.shape[::-1], dtype=complex)
         np.conjugate(self.matrix.T, out=matrix)
         return BlockOperator(self.target, self.source, matrix, _checked=True)
-
-    def derived(self, build, *args):
-        """build(self, *args), computed on first use for each (build, args)
-        and kept on the operator; an array in it, or in a tuple it returns,
-        is made read-only.  `build` is a module-level function and the
-        value depends on the operator alone, never on a radius or a mask."""
-        key = (build, *args)
-        if key not in self._derived:
-            value = build(self, *args)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.setflags(write=False)
-            self._derived[key] = value
-        return self._derived[key]
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):

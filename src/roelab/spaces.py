@@ -10,9 +10,10 @@ both builds and certifies it, and a path space's |i - j| matrix is
 frozen with no pass at all.
 Spaces are immutable after construction and safe to share between
 threads.  A space's distance levels (its sorted realized distances, and
-each entry's level index) are computed once, on first use, and stored
-read-only; two threads that race on the first use compute the same
-arrays, so sharing stays safe.  A graph metric's entries are the hop
+each entry's level index) are computed once, on first use, and kept
+read-only in `derived`, the one store (`Derived`) that spaces, maps and
+operators inherit; two threads that race on the first use compute the
+same arrays, so sharing stays safe.  A graph metric's entries are the hop
 counts 0..diameter, all of which occur, so its levels are the entries
 themselves, cast to integers; any other space takes one ``unique`` that
 also returns each entry's level index.
@@ -48,6 +49,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = [
+    "Derived",
     "FiniteMetricSpace",
     "path_space",
     "from_edge_list",
@@ -82,11 +84,11 @@ def is_real(value) -> bool:
 
 
 def check_radius(value, what: str) -> float:
-    """A real number >= 0 as a float (inf for an int beyond the float range),
-    named `what` in the error."""
+    """A real number >= 0 as a float (inf for an int beyond the float range,
+    +0.0 for -0.0), named `what` in the error."""
     if not (is_real(value) and value >= 0):
         raise ValueError(f"{what} must be a real number >= 0, got {value!r}")
-    return np.inf if isinstance(value, int) and value > sys.float_info.max else float(value)
+    return np.inf if isinstance(value, int) and value > sys.float_info.max else float(value) + 0.0
 
 
 def validate_points(points, n: int) -> np.ndarray:
@@ -167,21 +169,35 @@ def _triangle_violation(dist: np.ndarray):
 
 
 def _build_levels(space: "FiniteMetricSpace") -> tuple[np.ndarray, np.ndarray]:
-    """A space's (radii, labels), read-only: a graph metric's entries cast
-    to level indices, any other space's unique distances with the index of
-    each entry among them, from one sort."""
+    """A space's (radii, labels), kept through `derived`: a graph metric's
+    entries cast to level indices, any other space's unique distances with
+    the index of each entry among them, from one sort."""
     if space._graph_metric:
-        radii = np.arange(space.diameter + 1.0)
-        labels = space.dist.astype(np.intp)
-    else:
-        radii, labels = np.unique(space.dist, return_inverse=True)
-        labels = labels.reshape(space.dist.shape)
-    for arr in (radii, labels):
-        arr.setflags(write=False)
-    return radii, labels
+        return np.arange(space.diameter + 1.0), space.dist.astype(np.intp)
+    radii, labels = np.unique(space.dist, return_inverse=True)
+    return radii, labels.reshape(space.dist.shape)
 
 
-class FiniteMetricSpace:
+class Derived:
+    """The one store of what is derived from an object alone.  A subclass
+    constructor sets ``self._derived = {}``; nothing else writes it."""
+
+    def derived(self, build, *args):
+        """build(self, *args), computed on first use for each (build, args)
+        and kept on the object; an array in it, or in a tuple it returns,
+        is made read-only.  `build` is a module-level function and the
+        value depends on the object alone, never on a radius or a mask."""
+        key = (build, *args)
+        if key not in self._derived:
+            value = build(self, *args)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            self._derived[key] = value
+        return self._derived[key]
+
+
+class FiniteMetricSpace(Derived):
     """A finite metric space given by a symmetric distance matrix.
 
     Parameters
@@ -227,7 +243,7 @@ class FiniteMetricSpace:
         self.dist = dist
         self.n = dist.shape[0]
         self._graph_metric = graph_metric
-        self._levels = None
+        self._derived = {}  # (build, *args) -> build(self, *args)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
@@ -252,9 +268,7 @@ class FiniteMetricSpace:
         ``dist``.  A graph metric realizes every hop count 0..diameter, so
         its labels are its entries; any other space takes them from one
         ``unique``.  Computed once per space, on first use, and read-only."""
-        if self._levels is None:
-            self._levels = _build_levels(self)
-        return self._levels
+        return self.derived(_build_levels)
 
     def to_json(self) -> dict:
         """``{"n", "edges"}`` for a graph metric, ``{"n", "dist"}`` otherwise."""

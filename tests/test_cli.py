@@ -412,6 +412,22 @@ def test_negative_scale_exits_2_naming_it(command, extra, message, command_argv,
     assert err == {"type": "ValueError", "message": f"{message} must be a real number >= 0, got -1.0"}
 
 
+@pytest.mark.parametrize("command, negative, zero", [
+    pytest.param("ql", ["--radius", "-0"], ["--radius", "0"], id="ql"),
+    pytest.param("ql", ["--radius", "-0", "--mode", "bounds"], ["--radius", "0", "--mode", "bounds"],
+                 id="ql-bounds"),
+    pytest.param("witness", ["--radius", "-0"], ["--radius", "0"], id="witness"),
+    pytest.param("outer", ["--radius-grid=-0,1"], ["--radius-grid=0,1"], id="outer"),
+])
+def test_negative_zero_radius_reads_as_zero(command, negative, zero, command_argv, capsys):
+    # -0 passes the check R >= 0, and the report prints the checked radius, +0
+    results = []
+    for extra in (negative, zero):
+        assert run(command_argv[command] + extra) == 0
+        results.append(report_bytes(json.loads(capsys.readouterr().out)["results"]))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["ql", "--radius", "abc"], "invalid float value: 'abc'", id="mistyped"),
     pytest.param(["ql"], "required: --unitary, --space, --radius", id="missing"),

@@ -47,6 +47,17 @@ def reference_table(U, R):
     return out
 
 
+def test_extract_pair_checks_u_once_through_minimal_radius(monkeypatch):
+    # U is checked once, by the public radius scan; U* is unitary exactly when U is
+    U, _, _ = noisy_covering_unitary("reflection", 8, 0)
+    calls = []
+    for name in ("minimal_radius", "check_unitary"):
+        real = getattr(extraction, name)
+        monkeypatch.setattr(extraction, name, lambda *a, real=real, name=name: calls.append((name, a[0])) or real(*a))
+    extract_pair(U, 0.5)
+    assert [(name, op is U) for name, op in calls] == [("minimal_radius", True), ("check_unitary", True)]
+
+
 def test_hadamard_minimal_radius():
     _, U = hadamard_fixture()
     R, table = minimal_radius(U, 0.5)

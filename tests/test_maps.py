@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from roelab import maps
 from roelab.maps import (
     PointMap,
     certify_equivalence,
@@ -104,6 +105,26 @@ def test_modulus_profile_equals_direct_modulus(rng):
         # modulus(r) reads the profile at every level, between levels, at 0 and at inf
         for r in [0.0, np.inf, *radii, *(radii[:-1] + radii[1:]) / 2]:
             assert f.modulus(float(r)) == direct(r)
+
+
+def test_map_state_goes_through_derived():
+    # a map's next cache is a `derived` builder, not a new slot
+    f = halving(4)
+    f.modulus(1.0)
+    assert sorted(set(vars(f)) - {"source", "target", "values", "_derived"}) == []
+    assert [key[0] for key in vars(f)["_derived"]] == [maps._level_moduli]
+    assert not f.derived(maps._level_moduli).flags.writeable
+
+
+def test_level_moduli_built_once_per_map(monkeypatch):
+    calls = []
+    build = maps._level_moduli  # the one builder behind a map's modulus
+    monkeypatch.setattr(maps, "_level_moduli", lambda f: calls.append(f) or build(f))
+    f, g = halving(4), halving(4)
+    for _ in range(3):
+        assert f.modulus(1.0) == 1.0 and g.modulus(2) == 1.0
+        assert f.modulus_profile()[:3] == [(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
+    assert len(calls) == 2 and calls[0] is f and calls[1] is g  # equal maps, one build each
 
 
 def test_closeness_basics():

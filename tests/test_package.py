@@ -4,8 +4,8 @@ without a reader and no public one without a caller or a stated reason,
 no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
 path, one Gram route, one labeller, one sparse form, one stack budget,
-one home of distance levels, one integer rule, one real-number rule and
-one home of the tolerances)
+one home of distance levels, one integer rule, one real-number rule,
+one home of the tolerances and one store of derived values)
 matches only in its homes and every home holds it, every JSON text goes through
 `serialize` and every report value through its one hook, and the
 README's quick start runs as printed."""
@@ -115,7 +115,6 @@ _UNREACHED_BUT_KEPT = {
     "upgrade_trick": "acceptance criterion 6, the paper's upgrade step",
     "BlockOperator.supported_mask": "acceptance criteria 7-8; the tests' reference for `_tail_norm`",
     "save_map": "writes the map file that `cover --map` reads",
-    "minimal_radius": "roebench traces it by name, and README documents it",
 }
 
 
@@ -217,13 +216,17 @@ _RULES = {
     # one rounding margin and one unitarity tolerance, read where they are
     # defined; spaces keeps the triangle tolerance of input metrics
     "tolerance": (r"\b1e-(?:12|9)\b", ("operators", "spaces")),
+    # one store: what a space, a map or an operator derives is kept by
+    # `derived`; only the shared cover family and the parser are cached
+    "store": (r"cached_property|lru_cache|functools\.cache\b", ("fixtures._cover", "cli._build_parser")),
 }
 
 
 def _holder(text):
-    """The innermost function holding a line of text, or None."""
+    """The innermost function holding a line of text, or None; a
+    function's decorators are held by it."""
     functions = [
-        (node.lineno, node.end_lineno, node.name)
+        (min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno, node.name)
         for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
@@ -317,6 +320,20 @@ _PLANTED = [
         "tiny = 1e-120 + 2e-12 + 1e-90 + 21e-12\n"
         "margin = ROUNDING_MARGIN\n"
     ), ["m:1", "m:2", "m:4"], ["operators", "spaces"]),
+    ("store", (
+        "import functools\n"
+        "class Space:\n"
+        "    @functools.cached_property\n"
+        "    def levels(self):\n"
+        "        return 1\n"
+        "from functools import lru_cache\n"
+        "nets = functools.cache(greedy_net)\n"
+        "table = functools.cached(f)  # not one of the three\n"
+    ), ["m.levels:3", "m:6", "m:7"], ["fixtures._cover", "cli._build_parser"]),
+    ("store", {
+        "fixtures": "@functools.lru_cache(\n    maxsize=32)\ndef _cover(kind):\n    return kind\n",
+        "cli": "@functools.cache\ndef _parser():\n    return 1\n",
+    }, ["cli._parser:1"], ["cli._build_parser"]),
 ]
 
 
@@ -565,33 +582,69 @@ def test_private_attribute_lint_finds_a_foreign_access():
     assert _foreign_private_attributes(texts) == [("b.py", 2, "a._cache"), ("b.py", 4, "a._build")]
 
 
+# the store's owners, as (module, class, method): the one method of each
+# that sets `_derived`, the constructor or, for a space, the step both of
+# its constructors take
+_STORE_WRITERS = {
+    ("spaces", "FiniteMetricSpace", "_freeze"),
+    ("maps", "PointMap", "__init__"),
+    ("operators", "BlockOperator", "__init__"),
+}
+
+
 def _derived_store_uses(texts):
-    """Modules other than operators that name `_derived`, then every
-    store to the attribute outside `BlockOperator.__init__`, by line."""
-    uses = [name for name, text in texts.items() if name != "operators" and re.search(r"\b_derived\b", text)]
+    """Modules other than the owners' that name `_derived`, then every
+    store to the attribute outside the writers of `_STORE_WRITERS`, by
+    line, then each writer of a given module that stores none, as
+    module.Class.method."""
+    owners = {module for module, _, _ in _STORE_WRITERS}
+    uses = [name for name, text in texts.items() if name not in owners and re.search(r"\b_derived\b", text)]
+    idle = []
     for name, text in texts.items():
         tree = ast.parse(text)
-        init = {
-            node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "BlockOperator"
-            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
-            for node in ast.walk(fn)
+        writers = {
+            (cls.name, fn.name): set(ast.walk(fn))
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and (name, cls.name, fn.name) in _STORE_WRITERS
         }
-        uses += [
-            f"{name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "_derived"
-            and isinstance(node.ctx, ast.Store) and node not in init
+        stores = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_derived" and isinstance(node.ctx, ast.Store)
         ]
-    return uses
+        held = set().union(*writers.values())
+        uses += [f"{name}:{node.lineno}" for node in stores if node not in held]
+        idle += [
+            f"{module}.{cls}.{fn}" for module, cls, fn in sorted(_STORE_WRITERS)
+            if module == name and not any(node in writers.get((cls, fn), ()) for node in stores)
+        ]
+    return uses + idle
 
 
 def test_derived_store_is_set_only_by_the_constructor():
-    # what is derived from an operator stays on that operator: nothing is
-    # copied into another one, an adjoint included
+    # what is derived from a space, a map or an operator stays on it:
+    # nothing is copied into another one, an adjoint included
     assert _derived_store_uses(_package_texts()) == []
 
 
 def test_derived_store_lint_finds_a_second_writer():
     texts = {
+        "spaces": (
+            "class FiniteMetricSpace(Derived):\n"
+            "    def _freeze(self, dist):\n"
+            "        self._derived = {}\n"
+            "    def __init__(self, dist):\n"
+            "        self._freeze(dist)\n"
+            "        self._derived = {}\n"
+        ),
+        "maps": (
+            "class PointMap(Derived):\n"
+            "    def __init__(self):\n"
+            "        self._derived = {}\n"
+            "def compose(g, f):\n"
+            "    h = PointMap()\n"
+            "    h._derived = f._derived\n"
+            "    return h\n"
+        ),
         "operators": (
             "class BlockOperator:\n"
             "    def __init__(self):\n"
@@ -603,7 +656,12 @@ def test_derived_store_lint_finds_a_second_writer():
         ),
         "locality": "def peek(T):\n    return getattr(T, '_derived')\n",
     }
-    assert _derived_store_uses(texts) == ["locality", "operators:6"]
+    assert _derived_store_uses(texts) == ["locality", "spaces:6", "maps:6", "operators:6"]
+    # a space whose store is set outside `_freeze` has no writer there
+    texts["spaces"] = texts["spaces"].replace("    def _freeze(self, dist):\n        self._derived = {}\n", "")
+    assert _derived_store_uses(texts) == [
+        "locality", "spaces:4", "maps:6", "operators:6", "spaces.FiniteMetricSpace._freeze",
+    ]
 
 
 def test_no_assert_statements():

@@ -323,6 +323,14 @@ def test_distance_levels_computed_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is X  # X's levels, once; Y's are never asked for
 
 
+def test_space_state_goes_through_derived():
+    # a space's next cache is a `derived` builder, not a new slot
+    for X in (path_space(5), FiniteMetricSpace(path_space(5).dist * 0.3)):
+        X.distance_levels()
+        assert sorted(set(vars(X)) - {"dist", "n", "_graph_metric", "_derived"}) == []
+        assert [key[0] for key in vars(X)["_derived"]] == [spaces._build_levels]
+
+
 def test_distance_levels_are_read_only():
     for X in (
         FiniteMetricSpace(path_space(5).dist * 0.3),
@@ -490,6 +498,8 @@ def test_real_rule_and_radius_check():
     # and a caller reads it so: every ball of radius 10**400 is the whole space
     U = identity_operator(FiberedSpace.uniform(path_space(3), 1))
     assert corner_norm_table(U, 10**400).tolist() == [[1.0] * 3] * 3
+    # -0 passes the check and reads as 0, as a report prints it
+    assert not np.signbit([check_radius(v, "r") for v in (-0.0, np.float64(-0.0), np.float32(-0.0))]).any()
     for bad, shown in [(-1, "-1"), (float("nan"), "nan"), (True, "True"), (None, "None"),
                        ("1", "'1'"), (-float("inf"), "-inf"), (-10**400, repr(-10**400))]:
         with pytest.raises(ValueError) as err:
