@@ -63,20 +63,16 @@ class CoveringPlan:
 
 
 def _injective_net(f: PointMap, separation: float):
-    """Smallest separation >= the given one whose greedy net makes f injective."""
+    """Smallest separation >= the given one whose greedy net makes f
+    injective, tried at the given one and the realized distances above it.
+    One always does: the last separation tried is at least the diameter,
+    where the net is a single point."""
     X = f.source
-    candidates = [s for s in X.realized_distances() if s >= separation]
-    if not candidates or candidates[0] > separation:
-        candidates = [separation] + candidates
-    for s in candidates:
+    realized = X.realized_distances()
+    for s in [separation, *realized[realized > separation]]:
         net = greedy_net(X, s)
-        images = f.values[net]
-        if np.unique(images).size == net.size:
+        if np.unique(f.values[net]).size == net.size:
             return float(s), net
-    raise ValueError(
-        "no net separation up to the diameter makes the map injective; "
-        "the input is not a coarse equivalence representative"
-    )
 
 
 def covering_unitary(
@@ -166,9 +162,8 @@ class UpgradeResult:
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, empty for (numerically) zero input."""
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
+    """Orthonormal basis of the column span of a matrix with at least one
+    row and one column, empty for (numerically) zero input."""
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > ROUNDING_MARGIN * max(s[0], 1.0)))
     return u[:, :rank]
@@ -184,13 +179,13 @@ def _complement(basis: np.ndarray, dim: int) -> np.ndarray:
 
 def _support_radius_for(U: BlockOperator, f: PointMap, epsilon: float) -> float:
     """Smallest realized radius with ||chi_{complement ball(f(x), R)} U chi_x|| <= epsilon
-    for every source point x."""
+    for every source point x, given epsilon > 0.  One always qualifies: at
+    the diameter, the last realized distance, every complement is empty."""
     tbase = U.target.base
     for R in tbase.realized_distances():
         # row x masks the complement of ball(f(x), R), so the diagonal holds x's corner
         if np.diagonal(corner_norms(U, tbase.dist[f.values] > R)).max() <= epsilon:
             return float(R)
-    return float(tbase.diameter)
 
 
 def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> UpgradeResult:
@@ -199,10 +194,11 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
 
     p_spec is a list of (x_i, E_i) pairs with distinct points x_i; E_i is
     either an integer k (the first k fiber basis vectors at x_i) or a
-    matrix of orthonormal fiber columns.  Feasibility needs the fiber at
-    x_i to hold dim E_i plus the trace of the previously discarded
-    corners; the error message reports the minimal sufficient dimension
-    when it does not.
+    matrix of k orthonormal fiber columns, with 1 <= k <= d_{x_i} in
+    both forms, so every slab below has a column.  Feasibility needs the
+    fiber at x_i to hold dim E_i plus the trace of the previously
+    discarded corners; the error message reports the minimal sufficient
+    dimension when it does not.
 
     UVp is zero outside the columns over the x_i, so every intermediate
     value is a slab of N rows (N the total fiber dimension) by the
@@ -222,15 +218,17 @@ def upgrade_trick(U: BlockOperator, f: PointMap, p_spec, epsilon: float) -> Upgr
         if np.ndim(E) == 0:  # a rank, not a basis
             if not is_integer(E):
                 raise ValueError(f"rank at point {x_i} must be an integer, got {E!r}")
-            if not 1 <= E <= d:
-                raise ValueError(f"rank {E} out of range for fiber dimension {d} at point {x_i}")
-            E = np.eye(d, dtype=complex)[:, : int(E)]
+            rank = int(E)
+            E = np.eye(d, dtype=complex)[:, :rank]
         else:
             E = np.asarray(E, dtype=complex)
             if E.ndim != 2 or E.shape[0] != d:
                 raise ValueError(f"basis at point {x_i} must have {d} rows")
             if spectral_norm(E.conj().T @ E - np.eye(E.shape[1])) > UNITARITY_TOL:
                 raise ValueError(f"basis columns at point {x_i} are not orthonormal")
+            rank = E.shape[1]
+        if not 1 <= rank <= d:
+            raise ValueError(f"rank {rank} out of range for fiber dimension {d} at point {x_i}")
         spec.append((x_i, E))
     spec.sort(key=lambda item: item[0])
     if len({x for x, _ in spec}) != len(spec):

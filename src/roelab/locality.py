@@ -382,9 +382,10 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
 
 
 def _violation(T: BlockOperator, R: float, mode: str):
-    """(value, (B, A) or None, upper) of the named mode, after the checks
-    both public entry points share: one base space, R >= 0, a known mode,
-    and at most EXACT_LIMIT points in exact mode.  `upper` bounds the
+    """(R, value, (B, A) or None, upper) of the named mode, after the
+    checks both public entry points share: one base space, R >= 0, a known
+    mode, and at most EXACT_LIMIT points in exact mode.  R comes back as
+    checked, a float with -0 read as 0.  `upper` bounds the
     violation: the value itself in exact mode, `_truncation_upper(T, R)`
     in bounds mode, taken after the checks and before the search, which
     is skipped when it is 0 and otherwise stops once it reaches it up to
@@ -400,12 +401,12 @@ def _violation(T: BlockOperator, R: float, mode: str):
                 "use mode='bounds'"
             )
         value, sets = _exact_violation(T, R)
-        return value, sets, value
+        return R, value, sets, value
     if mode == "bounds":
         upper = _truncation_upper(T, R)
         if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
-            return 0.0, None, 0.0
-        return (*_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
+            return R, 0.0, None, 0.0
+        return (R, *_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
     raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
 
 
@@ -427,13 +428,12 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     is the pair pruned to a minimal witness, which attains
     violation_lower.
     """
-    value, sets, upper = _violation(T, R, mode)
+    R, value, sets, upper = _violation(T, R, mode)
     witness = None
     if sets is not None and value > ROUNDING_MARGIN:
         witness = _prune_witness(T, *sets, value)
     # value is an achieved corner norm, so it is always a valid lower bound;
     # the max() guards the upper member against float dust only
-    R = check_radius(R, "separation radius")  # checked by `_violation`; -0 reads as 0
     return LocalityReport(R, value, max(upper, value), mode == "exact", witness)
 
 
@@ -452,7 +452,7 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     and no witness pruned.
     """
     exact = T.source.base.n <= EXACT_LIMIT
-    lower, _, upper = _violation(T, R, "exact" if exact else "bounds")
+    R, lower, _, upper = _violation(T, R, "exact" if exact else "bounds")
     if exact:  # the exact violation bounds the violation only, not the distance
         upper = _truncation_upper(T, R)
     return lower, max(upper, lower)

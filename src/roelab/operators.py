@@ -39,11 +39,11 @@ order); on the sparse route, the parts are kept in CSR and each
 corner's sum runs over its nonzero parts in ascending coordinate order,
 at a cost of about the nonzeros times the mask rows, and only corners
 with a nonzero part take a top.  The two routes agree within a few ulps.
-Every Gram top, there and in `spectral_norm`, comes from `gram_top`,
-which no other module names.  `masked_corner_norms` norms the exact
-enumeration's corners and the components of a whole-operator norm.  One
-byte budget, `STACK_BYTES` (2 MiB), caps each batched stack of both, and
-no other module names it.  The column parts do not depend on the mask:
+Every Gram top, there and in `spectral_norm`, comes from `_gram_top`.
+`masked_corner_norms` norms the exact enumeration's corners and the
+components of a whole-operator norm.  One byte budget, `_STACK_BYTES`
+(2 MiB), caps each batched stack of both.  Both names are private, so
+no other module reads them.  The column parts do not depend on the mask:
 those of a group that fits one chunk (on the sparse route, every group)
 are kept on the operator, so a radius scan gathers them once.
 
@@ -74,7 +74,6 @@ __all__ = [
     "BlockOperator",
     "check_unitary",
     "corner_norms",
-    "gram_top",
     "identity_operator",
     "masked_corner_norms",
     "random_band_unitary",
@@ -90,7 +89,7 @@ snap); as a zero threshold (`propagation`, a violation with a witness)."""
 UNITARITY_TOL = 1e-9  # the residual `check_unitary` admits; concentration's checks allow it as slack
 # byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
 # corners of `masked_corner_norms`); each matrix is normed alone
-STACK_BYTES = 2 << 20
+_STACK_BYTES = 2 << 20
 SPLIT_MIN = 96
 """The size of a matrix's smaller side from which `spectral_norm` labels
 the components of the nonzero pattern instead of norming it whole: below
@@ -169,7 +168,7 @@ def _gram_top_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
 
 
-def gram_top(stack: np.ndarray) -> np.ndarray:
+def _gram_top(stack: np.ndarray) -> np.ndarray:
     """Top eigenvalue of each Gram matrix of a (..., d, d) stack: the
     entry for d = 1, `_gram_top_2x2` of the diagonal and lower entry for
     d = 2, one batched `eigvalsh` for d >= 3."""
@@ -194,7 +193,7 @@ def spectral_norm(mat):
     would pay on top of its SVD; such a matrix, one component and every
     smaller matrix take the route whole: a full SVD for a square matrix;
     for a rectangular one, a 1 x n or n x 1 matrix included, the square
-    root of `gram_top` of its smaller side's Gram matrix, or the SVD
+    root of `_gram_top` of its smaller side's Gram matrix, or the SVD
     when that top is below 2^-900, where the squares may have
     underflowed (a block of 1e-170 has a Gram of 0).
 
@@ -229,7 +228,7 @@ def spectral_norm(mat):
         tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
     else:
         adj = mat.conj().swapaxes(-1, -2)
-        grams = gram_top(mat @ adj if rows < cols else adj @ mat)
+        grams = _gram_top(mat @ adj if rows < cols else adj @ mat)
         tops = np.array(np.sqrt(np.maximum(grams, 0.0)))  # 0-d for one matrix
         tiny = grams < 2.0**-900
         if tiny.any():
@@ -495,7 +494,7 @@ def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
 def _parts_top(sums: np.ndarray, d: int) -> np.ndarray:
     """Top eigenvalue of each Gram matrix from its d^2 real parts in the
     order of `_corner_parts`: the entry for d = 1, `_gram_top_2x2` for
-    d = 2, `gram_top` of the lower triangle (what `eigvalsh` reads),
+    d = 2, `_gram_top` of the lower triangle (what `eigvalsh` reads),
     clipped at 0, for d >= 3."""
     if d == 1:
         return sums[..., 0]
@@ -505,7 +504,7 @@ def _parts_top(sums: np.ndarray, d: int) -> np.ndarray:
     gram = np.zeros(sums.shape[:-1] + (d, d), dtype=complex)
     gram[..., np.arange(d), np.arange(d)] = sums[..., :d]
     gram[..., i, j] = sums[..., d : d + i.size] + 1j * sums[..., d + i.size :]
-    return np.maximum(gram_top(gram), 0.0)  # eigvalsh may dip below 0
+    return np.maximum(_gram_top(gram), 0.0)  # eigvalsh may dip below 0
 
 
 def _group_parts(U: BlockOperator, d: int) -> np.ndarray:
@@ -541,7 +540,7 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     fiber dimension d takes one real product of the mask with its column
     parts (`_corner_parts`), the real parts of every corner's Gram
     matrix, whose tops `_parts_top` reads.  Groups with d >= 2 go in
-    chunks of at most `STACK_BYTES`, at 16 d^2 bytes per mask row and
+    chunks of at most `_STACK_BYTES`, at 16 d^2 bytes per mask row and
     point; a d = 1 group stays whole, its product being no larger than
     the table.  Entries equal the per-point computation up to summation
     order (a few ulps).  A group that fits one chunk keeps its parts on U
@@ -561,7 +560,7 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
     out = np.zeros((len(rows), source.base.n))
     for d in np.unique(source.fiber_dims):
         points = np.flatnonzero(source.fiber_dims == d)
-        step = max(1, STACK_BYTES // (max(mask.shape) * d * d * 16))
+        step = max(1, _STACK_BYTES // (max(mask.shape) * d * d * 16))
         chunks = [points] if d == 1 else np.array_split(points, -(-points.size // step))
         start = 0  # the chunk's first row of the group's sparse parts, over d^2
         for chunk in chunks:
@@ -584,14 +583,14 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
 def masked_corner_norms(matrix: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
     """`spectral_norm` of matrix[rows][:, cols] for each pair of boolean
     coordinate masks, the rows of row_masks and col_masks, none of them
-    empty, from one call per equal-shape stack of at most `STACK_BYTES`."""
+    empty, from one call per equal-shape stack of at most `_STACK_BYTES`."""
     n_rows, n_cols = row_masks.sum(axis=1), col_masks.sum(axis=1)
     key = n_rows * (matrix.shape[1] + 1) + n_cols
     norms = np.zeros(key.size)
     for shape in np.unique(key):
         group = np.flatnonzero(key == shape)
         rows, cols = int(n_rows[group[0]]), int(n_cols[group[0]])
-        step = max(1, STACK_BYTES // (rows * cols * matrix.itemsize))
+        step = max(1, _STACK_BYTES // (rows * cols * matrix.itemsize))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             r = np.nonzero(row_masks[chunk])[1].reshape(-1, rows, 1)

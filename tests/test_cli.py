@@ -503,6 +503,17 @@ def test_map_with_float_table_exits_2(tmp_path, capsys):
                              "message": "map values must be integers, got 0.7"}}
 
 
+def test_cover_without_enough_fiber_room_exits_2(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    save_map(path, PointMap(path_space(2), path_space(3), [0, 2]))
+    assert run(["cover", "--map", str(path), "--fibers", "1"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": {"type": "ValueError", "message": (
+        "cannot reconcile fibers: block around net point with source total 1 must cover "
+        "2 target points; increase source fiber dims"
+    )}}
+
+
 EXTRACT = ["extract", "--delta", "0.7"]
 QL_BOUNDS = ["ql", "--mode", "bounds", "--radius", "3"]
 

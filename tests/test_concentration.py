@@ -152,6 +152,34 @@ def test_sign_selection_shortfall_raises(monkeypatch):
         concentration_witness(U, 0, 2.0)
 
 
+def _noisy_reflection():
+    return noisy_covering_unitary("reflection", 12, 3)[0]
+
+
+def test_lost_normalization_raises(monkeypatch):
+    # past the unitarity check, U * 1.01 gives a probe vector of mass 1.0201
+    monkeypatch.setattr(concentration, "check_unitary", lambda U: None)
+    with pytest.raises(RuntimeError, match="probe vector lost normalization"):
+        concentration_witness(_noisy_reflection() * 1.01, 5, 0.0)
+
+
+def test_per_point_inequality_failure_raises(monkeypatch):
+    # a table of zeros claims delta = 0: every probe would have to leave the ball whole
+    monkeypatch.setattr(
+        concentration, "corner_norm_table", lambda U, R: np.zeros((U.target.base.n, U.source.base.n))
+    )
+    with pytest.raises(RuntimeError, match="per-point corner inequality failed"):
+        concentration_witness(_noisy_reflection(), 5, 0.0)
+
+
+def test_certificate_below_bound_raises(monkeypatch):
+    U = _noisy_reflection()
+    assert concentration_witness(U, 5, 0.0).bound > 0.3
+    monkeypatch.setattr(concentration, "spectral_norm", lambda block: 0.0)
+    with pytest.raises(RuntimeError, match="certificate fell below the guaranteed bound"):
+        concentration_witness(U, 5, 0.0)
+
+
 def reference_witness(U, y, R, h_index=0):
     """The witness as computed when every probe vector rebuilt the ball,
     the off-ball coordinates (as a mask and as an index array) and y's

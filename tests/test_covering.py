@@ -186,6 +186,18 @@ def test_cover_rejects_mismatched_target_total():
         covering_unitary(f, src, target=too_small)
 
 
+def test_cover_refuses_a_block_with_too_few_source_dimensions():
+    # the net {0, 1} maps to {0, 2}; target point 1 ties into 0's cell, which
+    # source point 0 must cover alone with one dimension
+    f = PointMap(path_space(2), path_space(3), [0, 2])
+    with pytest.raises(ValueError) as err:
+        covering_unitary(f, FiberedSpace.uniform(path_space(2), 1))
+    assert str(err.value) == (
+        "cannot reconcile fibers: block around net point with source total 1 must cover "
+        "2 target points; increase source fiber dims"
+    )
+
+
 def test_curve_hits_zero_at_support_radius():
     f = halving_map_10()
     U, plan = covering_unitary(f, FiberedSpace.uniform(f.source, 1))
@@ -389,6 +401,7 @@ def test_upgrade_accepts_orthonormal_columns(rng):
         (np.eye(3)[:, :1], "basis at point 3 must have 2 rows"),
         (np.ones((2, 1)), "basis columns at point 3 are not orthonormal"),
         (True, "rank at point 3 must be an integer, got True"),
+        (np.zeros((2, 0)), "rank 0 out of range for fiber dimension 2 at point 3"),
     ],
 )
 def test_upgrade_rejects_malformed_fiber_spec(E, message):

@@ -65,6 +65,18 @@ def test_hadamard_minimal_radius():
     assert table == pytest.approx(np.full((2, 2), 1 / np.sqrt(2)), abs=1e-15)
 
 
+def test_corner_equal_to_delta_is_not_admissible():
+    # every R = 0 corner of the block DFT is exactly 1/2, so delta = 1/2 must
+    # push both scans to R = 1, where the smallest corner is sqrt(1/2)
+    F4 = np.array([[1j ** (m * k) for k in range(4)] for m in range(4)]) / 2
+    fib = FiberedSpace.uniform(path_space(8), 1)
+    U = BlockOperator(fib, fib, np.kron(np.eye(2), F4))
+    assert (corner_norm_table(U, 0.0).max(axis=1) == 0.5).all()
+    rep = extract_pair(U, 0.5)
+    assert rep.R == 1.0
+    assert min(rep.witness_g.min(), rep.witness_f.min()) == np.sqrt(0.5)
+
+
 def test_hadamard_tie_breaks_to_smallest_index():
     _, U = hadamard_fixture()
     g, witness = extract_map(U, 0.5, 0.0)

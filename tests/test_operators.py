@@ -189,6 +189,21 @@ def test_propagation_basic_cases():
     assert shift.propagation() == n - 1
 
 
+def test_propagation_decides_the_frobenius_band_by_spectral_norm():
+    # on 2-dim fibers a Frobenius norm in (m, m sqrt 2], m = ROUNDING_MARGIN,
+    # decides nothing: the block at distance 1 has spectral norm 1.1e-12 > m,
+    # the one at distance 2 has 0.9e-12 <= m
+    fib = FiberedSpace.uniform(path_space(3), 2)
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[0:2, 0:2] = np.eye(2)
+    mat[2:4, 0:2] = np.diag([1.1e-12, 0.0])
+    mat[4:6, 0:2] = np.diag([0.9e-12, 0.9e-12])
+    T = BlockOperator(fib, fib, mat)
+    band = T.block_frobenius()[1:, 0]
+    assert ((band > operators.ROUNDING_MARGIN) & (band <= operators.ROUNDING_MARGIN * np.sqrt(2))).all()
+    assert T.propagation() == 1.0
+
+
 def test_propagation_matches_naive_block_scan(rng):
     for _ in range(15):
         X = random_graph_space(rng, 6, extra_edges=2)
@@ -324,7 +339,7 @@ def test_sparse_corner_tables_keep_their_bytes_in_chunks(monkeypatch):
     assert operators._sparse(U) is not None
     tall = rng.random((3000, U.target.base.n)) < 0.02
     chunked = operators.corner_norms(U, tall)
-    monkeypatch.setattr(operators, "STACK_BYTES", 1 << 40)
+    monkeypatch.setattr(operators, "_STACK_BYTES", 1 << 40)
     assert chunked.tobytes() == operators.corner_norms(U, tall).tobytes()
 
 
