@@ -28,6 +28,7 @@ from .operators import (
     identity_operator,
     random_band_unitary,
     spectral_norm,
+    supported_distance_upper,
 )
 from .signs import greedy_signs
 from .locality import (
@@ -35,7 +36,6 @@ from .locality import (
     Witness,
     approximability_window,
     quasi_locality_violation,
-    supported_distance_upper,
 )
 from .concentration import ConcentrationWitness, concentration_witness
 from .extraction import (
@@ -72,10 +72,9 @@ __all__ = [
     "PointMap", "EquivalenceReport", "identity_map", "closeness", "compose",
     "certify_equivalence", "greedy_net", "voronoi_partition",
     "FiberedSpace", "BlockOperator", "identity_operator", "spectral_norm",
-    "random_band_unitary",
+    "random_band_unitary", "supported_distance_upper",
     "greedy_signs",
     "LocalityReport", "Witness", "quasi_locality_violation", "approximability_window",
-    "supported_distance_upper",
     "ConcentrationWitness", "concentration_witness",
     "ExtractionReport", "MinimalRadiusError", "corner_norm_table",
     "minimal_radius", "extract_map", "extract_pair",

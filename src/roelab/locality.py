@@ -67,13 +67,16 @@ Its upper member is min(||T - T_R||, ||T||), where T_R is T truncated to
 the band of width R: the first norm bounds the violation because
 chi_B T_R chi_A = 0 whenever d(A, B) > R, the second because corners
 never exceed T.  Both also bound the distance from T to the operators
-with propagation <= R, since T_R and 0 are such operators.  The matrix
-of T - T_R is formed from T's, with no operator built, and so is
-`supported_distance_upper`'s tail.  ||T|| is taken only when
+with propagation <= R, since T_R and 0 are such operators.
+||T - T_R|| is `operators.supported_distance_upper` at the identity
+map, taken with no operator built.  ||T|| is taken only when
 ||T - T_R|| is not clearly below T's largest column norm, a lower bound
-of ||T||.  `spectral_norm` splits both into the components of their
+of ||T||.  Both norms are the largest among the components of their
 nonzero pattern (CHANGES.md, "Whole-operator norms by components of the
-nonzero pattern" and "One norm function").
+nonzero pattern" and "One norm function").  On an operator with a
+sparse form (operators.py, "Sparse form") the tail, ||T||, the column
+bound and the search's block Frobenius norms are read from that form,
+with the dense route's bytes; without one, from the matrix.
 
 Both algorithms return a value and the unpruned pair (B, A) attaining
 it.  `quasi_locality_violation` is the one place that prunes the pair to
@@ -87,8 +90,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import PointMap
-from .operators import ROUNDING_MARGIN, BlockOperator, masked_corner_norms, spectral_norm
+from .maps import identity_map
+from .operators import (
+    ROUNDING_MARGIN, BlockOperator, masked_corner_norms, spectral_norm, supported_distance_upper
+)
 from .spaces import check_radius
 
 __all__ = [
@@ -96,7 +101,6 @@ __all__ = [
     "Witness",
     "quasi_locality_violation",
     "approximability_window",
-    "supported_distance_upper",
 ]
 
 EXACT_LIMIT = 16
@@ -220,20 +224,10 @@ def _exact_violation(T: BlockOperator, R: float):
     return float(top), (B, A)
 
 
-def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
-    """||T - T_keep||, with T_keep the blocks (y, x) of T where keep[y, x]
-    holds and zero blocks elsewhere: `spectral_norm` of M - M * mask, the
-    arithmetic of `supported_mask` and the operator difference, so every
-    entry, signed zeros included, is that of T - T_keep.  (A copy
-    `np.where(~mask, M, 0)` differs in the sign of a zero real part,
-    which moves the SVD by an ulp now and then.)"""
-    mask = keep[np.ix_(T.target.coord_point, T.source.coord_point)]
-    return spectral_norm(T.matrix - T.matrix * mask)
-
-
 def _truncation_upper(T: BlockOperator, R: float) -> float:
     """min(||T - T_R||, ||T||): bounds both the violation at R and the
-    distance from T to the operators with propagation <= R.
+    distance from T to the operators with propagation <= R.  ||T - T_R||
+    is `supported_distance_upper` at the identity map.
 
     ||T|| is taken only when ||T - T_R|| is not clearly below T's largest
     column norm; ROUNDING_MARGIN keeps rounding from flipping the min.
@@ -241,7 +235,7 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
     ||T|| (timings in CHANGES.md, "One norm function").  The value does
     not depend on the BLAS thread count where the components stay below
     the sizes OpenBLAS threads."""
-    tail = _tail_norm(T, T.source.base.dist <= R)
+    tail = supported_distance_upper(T, identity_map(T.source.base), R)
     if tail < (1 - ROUNDING_MARGIN) * T.norm_lower_bound():
         return tail
     return min(tail, T.norm())
@@ -456,14 +450,3 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     if exact:  # the exact violation bounds the violation only, not the distance
         upper = _truncation_upper(T, R)
     return lower, max(upper, lower)
-
-
-def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
-    """||T - M_R(T)|| where M_R keeps blocks (y, x) with d(f(x), y) <= R.
-
-    M_R(T) is R-supported on f, so the value bounds the distance from T
-    to the R-supported operators; it is nonincreasing in R.
-    """
-    if f.source != T.source.base or f.target != T.target.base:
-        raise ValueError("map must go from the operator's source base to its target base")
-    return _tail_norm(T, T.target.base.dist[:, f.values] <= check_radius(R, "support radius"))

@@ -9,11 +9,15 @@ play the role of absent blocks.
 
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
 and every reported norm is exact.  From `SPLIT_MIN` rows and columns
-on, it is the largest norm among the components of the nonzero pattern;
-otherwise a square matrix (the differences T - T_R, fiber blocks) takes
-a full SVD and a rectangular one (corners, often stacked) the Gram
-route.  A norm whose components all stay below the sizes OpenBLAS
-threads does not depend on the BLAS thread count.  The unitarity
+on, it is the largest norm among the components of the nonzero pattern,
+which one labeller, `_split_norm`, finds for a matrix, an operator and
+its tails; otherwise (`_whole_norm`) a square matrix (the tails
+T - T_R, fiber blocks) takes a full SVD and a rectangular one (corners,
+often stacked) the Gram route.  The tails ||T - T_keep|| are taken here
+(`_tail_norm`), with no operator built; `supported_distance_upper` is
+their public entry, and ||T - T_R|| is its value at the identity map.
+A norm whose components all stay below the sizes OpenBLAS threads does
+not depend on the BLAS thread count.  The unitarity
 residual takes no norm: it reads the spectrum of one dense Hermitian
 matrix G - I, with G the Gram matrix on the smaller side.  The unitarity
 check decides on the Frobenius norm of the same G - I first, an upper
@@ -28,7 +32,12 @@ from, qualify; a dense operator (the ghost 1 - 2P) and every smaller
 one keep the dense route and its bytes, and a smaller one is not even
 scanned.  On the sparse form the check's G - I is a sparse product with
 I subtracted from it before the squares are summed, so it costs about
-the nonzeros times the entries per row, not N^3.
+the nonzeros times the entries per row, not N^3.  The window's four
+quantities read it too, each bit for bit what the dense route gives:
+the norm and the tails label the form's entries (a tail's, those
+outside keep) and norm each component on its gathered submatrix, and
+the block Frobenius table and the column bound sum the entries'
+squares in the order of the dense reductions.
 
 Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
@@ -40,19 +49,21 @@ corner's sum runs over its nonzero parts in ascending coordinate order,
 at a cost of about the nonzeros times the mask rows, and only corners
 with a nonzero part take a top.  The two routes agree within a few ulps.
 Every Gram top, there and in `spectral_norm`, comes from `_gram_top`.
-`masked_corner_norms` norms the exact enumeration's corners and the
-components of a whole-operator norm.  One byte budget, `_STACK_BYTES`
-(2 MiB), caps each batched stack of both.  Both names are private, so
-no other module reads them.  The column parts do not depend on the mask:
+`masked_corner_norms` norms the exact enumeration's components, and
+its core, `_gathered_norms`, the components of every split norm.  One
+byte budget, `_STACK_BYTES` (2 MiB), caps each batched stack of both;
+it and `_gram_top` are private, so no other module reads them.  The
+column parts do not depend on the mask:
 those of a group that fits one chunk (on the sparse route, every group)
 are kept on the operator, so a radius scan gathers them once.
 
 What is derived from an operator alone is computed once and kept on it
 by `derived`, the store it shares with spaces and maps (`spaces.Derived`):
-the norm, its column-norm lower bound, the unitarity residual, the sparse
-form, the corner parts, and the exact quasi-locality enumeration's tables
-(built in `locality`); an adjoint starts with nothing.  `check_unitary` keeps no outcome:
-`extract_pair` checks U once, and U* is unitary exactly when U is.
+the norm, its column-norm lower bound, the block Frobenius table, the
+unitarity residual, the sparse form, the corner parts, and the exact
+quasi-locality enumeration's tables (built in `locality`); an adjoint
+starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
+checks U once, and U* is unitary exactly when U is.
 
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
@@ -78,6 +89,7 @@ __all__ = [
     "masked_corner_norms",
     "random_band_unitary",
     "spectral_norm",
+    "supported_distance_upper",
 ]
 
 ROUNDING_MARGIN = 1e-12
@@ -183,19 +195,13 @@ def _gram_top(stack: np.ndarray) -> np.ndarray:
 def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
-    From `SPLIT_MIN` rows and columns on, an all-zero matrix is 0.0 with
-    no decomposition, and otherwise the components of the bipartite
-    row/column graph of the nonzero entries (an entry counts when it is
-    not exactly 0), whose singular values together are the matrix's, are
-    labelled by `connected_components` and normed by
-    `masked_corner_norms`; the largest is the norm.  A full row or column
-    makes one component and skips the labelling, which a dense matrix
-    would pay on top of its SVD; such a matrix, one component and every
-    smaller matrix take the route whole: a full SVD for a square matrix;
-    for a rectangular one, a 1 x n or n x 1 matrix included, the square
-    root of `_gram_top` of its smaller side's Gram matrix, or the SVD
-    when that top is below 2^-900, where the squares may have
-    underflowed (a block of 1e-170 has a Gram of 0).
+    From `SPLIT_MIN` rows and columns on, the norm is `_split_norm` of
+    the nonzero entries (an entry counts when it is not exactly 0), which
+    is 0.0 with no entries and otherwise the largest norm among the
+    components of their pattern; a full row or column is found on the
+    dense pattern, so a dense matrix is never listed.  A full row or
+    column, one component and every smaller matrix take the route whole
+    (`_whole_norm`).
 
     A (k, rows, cols) stack takes the route in one batched call, never
     split: each of its k values is bit for bit what the route gives its
@@ -212,18 +218,20 @@ def spectral_norm(mat):
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
     if min(rows, cols) >= SPLIT_MIN and mat.ndim == 2:
         nonzero = mat != 0
-        if not nonzero.any():
-            return 0.0
         if not (nonzero.all(axis=0).any() or nonzero.all(axis=1).any()):
-            r, c = np.nonzero(nonzero)
-            # rows are nodes 0..rows-1 and columns rows..rows+cols-1; np.nonzero lists the edges by row
-            indptr = np.searchsorted(r, np.arange(rows + cols + 1))
-            graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
-            labels = connected_components(graph, directed=False)[1]
-            comps = np.unique(labels[r])  # zero rows and columns are components of their own
-            if comps.size > 1:
-                row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
-                return float(masked_corner_norms(mat, row_masks, col_masks).max())
+            split = _split_norm(mat.shape, *np.nonzero(nonzero), lambda r, c: mat[r, c])
+            if split is not None:
+                return split
+    return _whole_norm(mat)
+
+
+def _whole_norm(mat):
+    """The norm of a matrix, or of each matrix of a stack, taken whole: a
+    full SVD for a square matrix; for a rectangular one, a 1 x n or n x 1
+    matrix included, the square root of `_gram_top` of its smaller side's
+    Gram matrix, or the SVD when that top is below 2^-900, where the
+    squares may have underflowed (a block of 1e-170 has a Gram of 0)."""
+    rows, cols = mat.shape[-2:]
     if rows == cols:
         tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
     else:
@@ -234,6 +242,34 @@ def spectral_norm(mat):
         if tiny.any():
             tops[tiny] = np.linalg.svd(mat[tiny], compute_uv=False)[..., 0]
     return float(tops) if mat.ndim == 2 else tops
+
+
+def _split_norm(shape, r, c, gather):
+    """The norm of a matrix of the given shape from the coordinates (r, c)
+    of its nonzero entries, listed by row, or None when the matrix takes
+    the route whole (`_whole_norm`): when a row or a column is full, which
+    makes one component and would pay the labelling on top of its SVD, or
+    when the entries form one component.  With no entries it is 0.0.
+    Otherwise the components of the bipartite row/column graph of the
+    entries, whose singular values together are the matrix's, are
+    labelled by `connected_components`, each is normed on the submatrix
+    that `gather(rows, cols)` stacks for its coordinates
+    (`_gathered_norms`), and the largest norm is the norm.  The one
+    labeller of `spectral_norm`, of an operator's norm and of its tails."""
+    rows, cols = shape
+    if r.size == 0:
+        return 0.0
+    if np.bincount(r, minlength=rows).max() == cols or np.bincount(c, minlength=cols).max() == rows:
+        return None
+    # rows are nodes 0..rows-1 and columns rows..rows+cols-1, the edges listed by row
+    indptr = np.searchsorted(r, np.arange(rows + cols + 1))
+    graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
+    labels = connected_components(graph, directed=False)[1]
+    comps = np.unique(labels[r])  # zero rows and columns are components of their own
+    if comps.size == 1:
+        return None
+    row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
+    return float(_gathered_norms(gather, row_masks, col_masks).max())
 
 
 class BlockOperator(Derived):
@@ -389,24 +425,123 @@ class BlockOperator(Derived):
 
 
 def _norm(T: BlockOperator) -> float:
-    """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`."""
-    return spectral_norm(T.matrix)
+    """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`;
+    on T's sparse form, `_split_norm` labels the form's entries, with no
+    second scan of the matrix."""
+    sparse = _sparse(T)
+    if sparse is None:
+        return spectral_norm(T.matrix)
+    split = _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c])
+    return _whole_norm(T.matrix) if split is None else split
+
+
+def _tail_matrix(T: BlockOperator, keep: np.ndarray) -> np.ndarray:
+    """The matrix of T - T_keep (`_tail_norm`), M - M * mask with the
+    coordinate mask gathered by `take`."""
+    mask = keep.take(T.target.coord_point, axis=0).take(T.source.coord_point, axis=1)
+    return T.matrix - T.matrix * mask
+
+
+def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
+    """||T - T_keep||, with T_keep the blocks (y, x) of T where keep[y, x]
+    holds and zero blocks elsewhere, with no operator built.  Its entries
+    are those of M - M * mask, the arithmetic of `supported_mask` and the
+    operator difference, signed zeros included.  (A copy
+    `np.where(~mask, M, 0)` differs in the sign of a zero real part,
+    which moves the SVD by an ulp now and then.)
+
+    Without a sparse form, `spectral_norm` takes that matrix
+    (`_tail_matrix`).  On T's sparse form, the form's entries outside
+    keep are the tail's nonzero entries, in the order `spectral_norm`
+    lists them; `_split_norm` labels them and norms each component on
+    sub - sub * keep_sub, gathered from M and keep, which is the tail's
+    submatrix bit for bit.  A tail that `_split_norm` leaves whole is
+    formed and normed whole."""
+    sparse = _sparse(T)
+    if sparse is None:
+        return spectral_norm(_tail_matrix(T, keep))
+    row_point, col_point = T.target.coord_point, T.source.coord_point
+
+    def gather(r, c):
+        sub = T.matrix[r, c]
+        return sub - sub * keep[row_point[r], col_point[c]]
+
+    r, c = _entries(sparse)
+    far = ~keep[row_point[r], col_point[c]]
+    split = _split_norm(T.matrix.shape, r[far], c[far], gather)
+    return _whole_norm(_tail_matrix(T, keep)) if split is None else split
+
+
+def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
+    """||T - M_R(T)|| where M_R keeps blocks (y, x) with d(f(x), y) <= R
+    (`_tail_norm`), bit for bit the norm of the operator
+    T - T.supported_mask(f.values, R).
+
+    M_R(T) is R-supported on f, so the value bounds the distance from T
+    to the R-supported operators; it is nonincreasing in R.  At the
+    identity map it is ||T - T_R||, T_R the band truncation of width R.
+    """
+    if f.source != T.source.base or f.target != T.target.base:
+        raise ValueError("map must go from the operator's source base to its target base")
+    return _tail_norm(T, T.target.base.dist[:, f.values] <= check_radius(R, "support radius"))
 
 
 def _block_frobenius(T: BlockOperator) -> np.ndarray:
     """T's per-block Frobenius norms, kept by `T.block_frobenius()` through
-    `derived`.  The squared moduli are the one full-size float copy."""
-    sq = np.abs(T.matrix)
+    `derived`: the squared moduli summed over the rows of each target
+    fiber, then over the columns of each source fiber, by
+    `np.add.reduceat`.  On the dense matrix the squared moduli are the one
+    full-size float copy; on T's sparse form only the entries' are taken,
+    and `_fiber_sums` adds them in the same order, so every block is the
+    dense one bit for bit."""
+    sparse = _sparse(T)
+    if sparse is None:
+        sq = np.abs(T.matrix)
+        np.square(sq, out=sq)
+        by_rows = np.add.reduceat(sq, T.target.offsets[:-1], axis=0)
+        del sq
+        by_both = np.add.reduceat(by_rows, T.source.offsets[:-1], axis=1)
+        return np.sqrt(by_both, out=by_both)
+    r, c = _entries(sparse)
+    sq = np.abs(sparse.data)
     np.square(sq, out=sq)
-    by_rows = np.add.reduceat(sq, T.target.offsets[:-1], axis=0)
-    del sq
-    by_both = np.add.reduceat(by_rows, T.source.offsets[:-1], axis=1)
-    return np.sqrt(by_both, out=by_both)
+    cols, y, by_rows = _fiber_sums(c, r, sq, T.target)
+    y, x, by_both = _fiber_sums(y, cols, by_rows, T.source)
+    out = np.zeros((T.target.base.n, T.source.base.n))
+    out[y, x] = np.sqrt(by_both)
+    return out
+
+
+def _fiber_sums(other: np.ndarray, coords: np.ndarray, values: np.ndarray, space: FiberedSpace):
+    """(other, point, sums) for values at distinct (other, coordinate)
+    pairs: the sum over each fiber of `space` per (other, point), taken by
+    `np.add.reduceat` over the whole fiber with its missing coordinates as
+    zeros, so each sum is that of the dense reduction along the fiber."""
+    if space.total_dim == space.base.n:  # each point's fiber is one coordinate, its own sum
+        return other, coords, values
+    point = space.coord_point[coords]
+    order = np.lexsort((coords, point, other))
+    other, point, coords, values = other[order], point[order], coords[order], values[order]
+    new = (np.diff(other, prepend=-1) != 0) | (np.diff(point, prepend=-1) != 0)
+    first = np.flatnonzero(new)
+    width = space.fiber_dims[point[first]]
+    starts = np.cumsum(width) - width
+    padded = np.zeros(int(width.sum()))
+    padded[starts[np.cumsum(new) - 1] + coords - space.offsets[point]] = values
+    return other[first], point[first], np.add.reduceat(padded, starts)
 
 
 def _column_norm_max(T: BlockOperator) -> float:
-    """T's largest column norm, kept by `T.norm_lower_bound()` through `derived`."""
-    return float(np.linalg.norm(T.matrix, axis=0).max(initial=0.0))
+    """T's largest column norm, kept by `T.norm_lower_bound()` through
+    `derived`.  On T's sparse form, the entries' squares, taken as
+    `np.linalg.norm` takes them, are summed per column in row order, the
+    order of its reduction down the dense columns."""
+    sparse = _sparse(T)
+    if sparse is None:
+        return float(np.linalg.norm(T.matrix, axis=0).max(initial=0.0))
+    squares = (sparse.data.conj() * sparse.data).real
+    sums = np.bincount(sparse.indices, weights=squares, minlength=T.matrix.shape[1])
+    return float(np.sqrt(sums).max(initial=0.0))
 
 
 def _residual(T: BlockOperator) -> float:
@@ -430,6 +565,12 @@ def _sparse_form(T: BlockOperator):
     rows, cols = np.divmod(at, n_cols)
     indptr = np.searchsorted(rows, np.arange(n_rows + 1))
     return csr_matrix((T.matrix.ravel()[at], cols, indptr), shape=(n_rows, n_cols))
+
+
+def _entries(sparse) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries of a CSR matrix, in its order: by row,
+    as `np.nonzero` lists a matrix's entries."""
+    return np.repeat(np.arange(sparse.shape[0]), np.diff(sparse.indptr)), sparse.indices
 
 
 def _sparse(T: BlockOperator):
@@ -524,7 +665,7 @@ def _sparse_group_parts(U: BlockOperator, d: int):
     first, second = np.concatenate([np.arange(d), i, i]), np.concatenate([np.arange(d), j, j])
     offsets = U.source.offsets[:-1][U.source.fiber_dims == d]
     parts = _sparse(U).tocsc()[:, (offsets[:, None] + first).ravel()].T  # c_i of each row, a new CSR
-    row = np.repeat(np.arange(parts.shape[0]), np.diff(parts.indptr))
+    row = _entries(parts)[0]
     q = row % (d * d)
     c_i = parts.data
     cross = c_i.conj() * U.matrix[parts.indices, offsets[row // (d * d)] + second[q]]
@@ -583,19 +724,28 @@ def corner_norms(U: BlockOperator, rows: np.ndarray) -> np.ndarray:
 def masked_corner_norms(matrix: np.ndarray, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
     """`spectral_norm` of matrix[rows][:, cols] for each pair of boolean
     coordinate masks, the rows of row_masks and col_masks, none of them
-    empty, from one call per equal-shape stack of at most `_STACK_BYTES`."""
+    empty (`_gathered_norms` of the matrix's entries)."""
+    return _gathered_norms(lambda r, c: matrix[r, c], row_masks, col_masks)
+
+
+def _gathered_norms(gather, row_masks: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
+    """`spectral_norm` of the matrix that `gather(r, c)` stacks for the
+    coordinates of each pair of masks, from one call per equal-shape
+    stack of at most `_STACK_BYTES` at 16 bytes, a complex entry, per
+    entry; gather takes (k, rows, 1) row and (k, 1, cols) column
+    coordinates."""
     n_rows, n_cols = row_masks.sum(axis=1), col_masks.sum(axis=1)
-    key = n_rows * (matrix.shape[1] + 1) + n_cols
+    key = n_rows * (col_masks.shape[1] + 1) + n_cols
     norms = np.zeros(key.size)
     for shape in np.unique(key):
         group = np.flatnonzero(key == shape)
         rows, cols = int(n_rows[group[0]]), int(n_cols[group[0]])
-        step = max(1, _STACK_BYTES // (rows * cols * matrix.itemsize))
+        step = max(1, _STACK_BYTES // (rows * cols * 16))
         for start in range(0, group.size, step):
             chunk = group[start : start + step]
             r = np.nonzero(row_masks[chunk])[1].reshape(-1, rows, 1)
             c = np.nonzero(col_masks[chunk])[1].reshape(-1, 1, cols)
-            norms[chunk] = spectral_norm(matrix[r, c])
+            norms[chunk] = spectral_norm(gather(r, c))
     return norms
 
 

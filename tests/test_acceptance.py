@@ -24,13 +24,13 @@ from roelab.fixtures import noisy_covering_unitary, standard_pair
 from roelab.locality import (
     approximability_window,
     quasi_locality_violation,
-    supported_distance_upper,
 )
 from roelab.maps import closeness, compose, identity_map
 from roelab.operators import (
     BlockOperator,
     FiberedSpace,
     random_band_unitary,
+    supported_distance_upper,
 )
 from roelab.serialize import report_bytes
 from roelab.signs import greedy_signs

@@ -16,9 +16,8 @@ from roelab.covering import (
     upgrade_trick,
 )
 from roelab.fixtures import noisy_covering_unitary, standard_pair
-from roelab.locality import supported_distance_upper
 from roelab.maps import PointMap, identity_map
-from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
+from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, supported_distance_upper
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
@@ -186,6 +185,18 @@ def test_cover_rejects_mismatched_target_total():
         covering_unitary(f, src, target=too_small)
 
 
+@pytest.mark.parametrize("source, target, message", [
+    pytest.param(FiberedSpace.uniform(path_space(5), 2), None,
+                 "the fibered source must sit over the map's source space", id="source"),
+    pytest.param(FiberedSpace.uniform(path_space(6), 2), FiberedSpace.uniform(path_space(7), 2),
+                 "prescribed target space must sit over the map's target space", id="target"),
+])
+def test_cover_refuses_spaces_off_the_map(source, target, message):
+    with pytest.raises(ValueError) as err:
+        covering_unitary(identity_map(path_space(6)), source, target=target)
+    assert str(err.value) == message
+
+
 def test_cover_refuses_a_block_with_too_few_source_dimensions():
     # the net {0, 1} maps to {0, 2}; target point 1 ties into 0's cell, which
     # source point 0 must cover alone with one dimension
@@ -308,6 +319,12 @@ def test_standard_pairs_share_their_spaces():
     assert list(h.values) == [4, 3, 2, 1, 0]
 
 
+def test_standard_pair_refuses_an_unknown_kind():
+    with pytest.raises(ValueError) as err:
+        standard_pair("rotation", 4)
+    assert str(err.value) == "unknown map kind 'rotation'; expected identity, reflection, or halving"
+
+
 def test_upgrade_rejects_duplicate_points():
     U = dft_operator(6, fiber_dim=2)
     with pytest.raises(ValueError, match="distinct"):
@@ -408,6 +425,17 @@ def test_upgrade_rejects_malformed_fiber_spec(E, message):
     U = dft_operator(6, fiber_dim=2)
     with pytest.raises(ValueError, match=message):
         upgrade_trick(U, identity_map(path_space(6)), [(3, E)], 0.9)
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(identity_map(path_space(5)), id="source"),
+    pytest.param(PointMap(path_space(6), path_space(7), range(6)), id="target"),
+])
+def test_upgrade_refuses_a_map_off_the_operator(f):
+    U = dft_operator(6, fiber_dim=2)
+    with pytest.raises(ValueError) as err:
+        upgrade_trick(U, f, [(3, 1)], 0.9)
+    assert str(err.value) == "map must go from the operator's source base to its target base"
 
 
 @pytest.mark.parametrize("E", [1.5, np.float64(1.0), "1"])

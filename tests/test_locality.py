@@ -12,9 +12,11 @@ from roelab import fixtures, locality, operators
 from roelab.covering import covering_unitary, outer_roundtrip
 from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary
-from roelab.locality import approximability_window, quasi_locality_violation, supported_distance_upper
+from roelab.locality import approximability_window, quasi_locality_violation
 from roelab.maps import PointMap, identity_map
-from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, spectral_norm
+from roelab.operators import (
+    BlockOperator, FiberedSpace, random_band_unitary, spectral_norm, supported_distance_upper
+)
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 

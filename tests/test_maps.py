@@ -152,6 +152,25 @@ def test_closeness_rejects_mismatched_spaces():
         closeness(f, g)
 
 
+def test_closeness_refuses_maps_into_different_targets():
+    X = path_space(4)
+    f, g = PointMap(X, path_space(3), [0, 1, 2, 2]), PointMap(X, path_space(4), [0, 1, 2, 3])
+    with pytest.raises(ValueError) as err:
+        closeness(f, g)
+    assert str(err.value) == "closeness needs maps with the same target space"
+
+
+def test_compose_refuses_an_inner_map_into_another_space():
+    f = identity_map(path_space(4))
+    with pytest.raises(ValueError) as err:
+        compose(identity_map(path_space(5)), f)
+    assert str(err.value) == "compose: target of the inner map must equal source of the outer map"
+
+
+def test_point_map_repr_gives_both_sizes():
+    assert repr(PointMap(path_space(4), path_space(2), [0, 0, 1, 1])) == "PointMap(4 -> 2 points)"
+
+
 def test_compose_applies_right_then_left():
     f = halving(5)
     g = PointMap(path_space(5), path_space(10), [2 * j for j in range(5)])

@@ -1,5 +1,6 @@
 """Block operators: propagation, corners, norms, band structure."""
 
+import operator
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from roelab import locality, operators
 from roelab.covering import covering_unitary
 from roelab.extraction import corner_norm_table
 from roelab.fixtures import noisy_covering_unitary, standard_pair
+from roelab.maps import PointMap, identity_map
 from roelab.operators import (
     UNITARITY_TOL,
     BlockOperator,
@@ -19,6 +21,7 @@ from roelab.operators import (
     identity_operator,
     random_band_unitary,
     spectral_norm,
+    supported_distance_upper,
 )
 from roelab.spaces import path_space, validate_points
 
@@ -159,6 +162,58 @@ def test_adjoint_and_products_check_spaces(rng):
     assert (T @ S).matrix.shape == (tgt.total_dim, tgt.total_dim)
     with pytest.raises(ValueError):
         _ = T + S
+
+
+def _mismatched_pair():
+    """T from FiberedSpace(path(3), [2, 1, 3]) to 1-dim fibers over
+    path(2), and S the other way."""
+    src, tgt = FiberedSpace(path_space(3), [2, 1, 3]), FiberedSpace.uniform(path_space(2), 1)
+    return BlockOperator(src, tgt, np.ones((2, 6))), BlockOperator(tgt, src, np.ones((6, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda T, S: BlockOperator(T.source, T.target, S.matrix),
+                 "matrix shape (6, 2) does not match fibers (2, 6)", id="shape"),
+    pytest.param(lambda T, S: T + S, "operator sum needs matching fibered spaces", id="sum"),
+    pytest.param(lambda T, S: T - S, "operator difference needs matching fibered spaces", id="difference"),
+    pytest.param(lambda T, S: T @ T, "compose: inner operator's target must match outer's source", id="compose"),
+])
+def test_operator_arithmetic_refuses_mismatched_spaces(call, message):
+    with pytest.raises(ValueError) as err:
+        call(*_mismatched_pair())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, symbol", [(operator.add, "+"), (operator.sub, "-"), (operator.matmul, "@")])
+def test_operator_arithmetic_with_a_foreign_type_is_a_type_error(call, symbol):
+    T, _ = _mismatched_pair()
+    with pytest.raises(TypeError) as err:
+        call(T, 1)
+    assert str(err.value) == f"unsupported operand type(s) for {symbol}: 'BlockOperator' and 'int'"
+
+
+def test_propagation_refuses_two_base_spaces():
+    T, _ = _mismatched_pair()
+    with pytest.raises(ValueError) as err:
+        T.propagation()
+    assert str(err.value) == "this operation needs source and target over the same base space"
+
+
+def test_operator_reprs_give_points_fibers_and_coordinates():
+    T, _ = _mismatched_pair()
+    assert repr(T.source) == "FiberedSpace(n=3, total_dim=6)"
+    assert repr(T) == "BlockOperator(3x3 -> 2x1, total 6 -> 2)"
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(identity_map(path_space(4)), id="source"),
+    pytest.param(PointMap(path_space(5), path_space(6), range(5)), id="target"),
+])
+def test_supported_distance_upper_refuses_a_map_off_the_operator(f):
+    U, _, _ = noisy_covering_unitary("identity", 5, 0)
+    with pytest.raises(ValueError) as err:
+        supported_distance_upper(U, f, 1.0)
+    assert str(err.value) == "map must go from the operator's source base to its target base"
 
 
 def test_adjoint_is_one_conjugating_pass_with_no_rescan(rng):
@@ -711,7 +766,8 @@ def _svd_top(mat):
 
 
 def _tail_matrix(T, keep):
-    """The matrix of T - T_keep, as `locality._tail_norm` builds it."""
+    """The matrix of T - T_keep, the dense route of `operators._tail_norm`,
+    its mask gathered here by `np.ix_`."""
     mask = keep[np.ix_(T.target.coord_point, T.source.coord_point)]
     return T.matrix - T.matrix * mask
 
@@ -772,19 +828,141 @@ def _check_split(T, mat, value):
 
 
 def test_split_norms_agree_with_the_componentwise_svd(monkeypatch):
-    split = _counting(monkeypatch, operators, "masked_corner_norms")
+    # the shared labeller norms the components of a split norm in one call
+    split = _counting(monkeypatch, operators, "_gathered_norms")
     counts = []
     for T, keeps in _split_operators():
         assert min(T.matrix.shape) >= operators.SPLIT_MIN
         counts.append(_check_split(T, T.matrix, T.norm()))
         for keep in keeps:
-            counts.append(_check_split(T, _tail_matrix(T, keep), locality._tail_norm(T, keep)))
+            counts.append(_check_split(T, _tail_matrix(T, keep), operators._tail_norm(T, keep)))
     assert len(split) == sum(count > 1 for count in counts) >= 30
 
 
 def test_operator_norm_is_the_spectral_norm_of_its_matrix():
     for T, _ in _split_operators():
         assert np.float64(T.norm()).tobytes() == np.float64(spectral_norm(T.matrix)).tobytes()
+
+
+def _sparse_form_operators():
+    """`_split_operators()` and noisy covers with 1-, 2- and 3-dim source
+    fibers (a halving cover's target fibers have twice as many rows, so
+    up to 6), each with the keep masks of its tails at R = 0-3 and 5, and
+    all of at least SPLIT_MIN coordinates and sparse enough for the
+    sparse form."""
+    cases = _split_operators()
+    for kind in ("identity", "reflection", "halving"):
+        for n, dim in ((120, 1), (60, 2), (40, 3)):
+            U, h, _ = noisy_covering_unitary(kind, n, 7, 2.0, 2, dim)
+            dist = U.target.base.dist[:, h.values]
+            cases.append((U, [dist <= R for R in (0, 1, 2, 3, 5)]))
+    return cases
+
+
+def _bytes(value):
+    return np.float64(value).tobytes()
+
+
+def test_sparse_form_routes_equal_the_dense_routes_byte_for_byte():
+    # the tail, ||T||, the block Frobenius table and the column bound read
+    # T's sparse form; a copy whose sparse form is refused takes the dense route
+    for T, keeps in _sparse_form_operators():
+        dense = _dense_route(T)
+        assert operators._sparse(T) is not None
+        for keep in keeps:
+            assert _bytes(operators._tail_norm(T, keep)) == _bytes(operators._tail_norm(dense, keep))
+        assert _bytes(T.norm()) == _bytes(dense.norm())
+        assert T.block_frobenius().tobytes() == dense.block_frobenius().tobytes()
+        assert _bytes(T.norm_lower_bound()) == _bytes(dense.norm_lower_bound())
+        assert operators._sparse(dense) is None
+
+
+def _signed_zero_band(seed):
+    """A banded operator over path(60) with mixed fibers of up to 3, a
+    quarter of its band nonzero, and signed zeros in and around the band: -0 real or imaginary parts,
+    -0 - 0j entries, and -0 - 0j beyond the band, which counts as zero."""
+    rng = np.random.default_rng(seed)
+    X = path_space(60)
+    source, target = FiberedSpace(X, rng.integers(1, 4, 60)), FiberedSpace(X, rng.integers(1, 4, 60))
+    band = (X.dist <= 2)[np.ix_(target.coord_point, source.coord_point)]
+    band &= rng.random(band.shape) < 0.25
+    mat = (rng.standard_normal(band.shape) + 1j * rng.standard_normal(band.shape)) * band
+    pick = rng.random(mat.shape)
+    mat.real[(pick < 0.5) & band] = -0.0
+    mat.imag[(pick > 0.4) & (pick < 0.6) & band] = -0.0
+    mat[(pick > 0.6) & (pick < 0.7) & band] = complex(-0.0, -0.0)
+    mat[pick > 0.95] = complex(-0.0, -0.0)
+    return BlockOperator(source, target, mat)
+
+
+def test_sparse_tails_gather_the_dense_tail_entries_signed_zeros_included(monkeypatch):
+    # each component is normed on sub - sub * keep_sub, which is the dense
+    # tail's submatrix byte for byte; np.where(keep_sub, 0, sub) is not
+    gathered = []
+    real = operators._gathered_norms
+    monkeypatch.setattr(operators, "_gathered_norms", lambda *args: gathered.append(args) or real(*args))
+    for seed in range(4):
+        T = _signed_zero_band(seed)
+        assert operators._sparse(T) is not None and min(T.matrix.shape) >= operators.SPLIT_MIN
+        for R in (0, 1):
+            keep = T.source.base.dist <= R
+            gathered.clear()
+            value = operators._tail_norm(T, keep)
+            (gather, row_masks, col_masks), = gathered  # the tail splits
+            assert _bytes(value) == _bytes(operators._tail_norm(_dense_route(T), keep))
+            tail = _tail_matrix(T, keep)
+            for rows, cols in zip(row_masks, col_masks):
+                r, c = np.flatnonzero(rows), np.flatnonzero(cols)
+                assert gather(r[None, :, None], c[None, None, :])[0].tobytes() == tail[np.ix_(r, c)].tobytes()
+
+
+def test_sparse_form_with_a_full_row_is_normed_whole_without_labelling(monkeypatch):
+    # a full row makes one component, so neither route labels; a tail that
+    # keeps nothing is T itself
+    n = 128
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    mat = np.eye(n, dtype=complex)
+    mat[5] += 1e-3j
+    T = BlockOperator(fib, fib, mat)
+    assert operators._sparse(T) is not None
+    labelled = _counting(monkeypatch, operators, "connected_components")
+    nothing = np.zeros((n, n), dtype=bool)
+    values = [T.norm(), operators._tail_norm(T, nothing)]
+    assert labelled == []
+    monkeypatch.undo()
+    dense = _dense_route(T)
+    assert [_bytes(v) for v in values] == [_bytes(dense.norm()), _bytes(operators._tail_norm(dense, nothing))]
+
+
+def test_sparse_block_frobenius_sums_each_fiber_in_the_dense_order():
+    # mixed fibers of up to 9 coordinates on both sides: a fiber of more than
+    # 8 is summed pairwise by np.add.reduceat, which the sparse sums follow
+    rng = np.random.default_rng(3)
+    X = path_space(30)
+    source, target = FiberedSpace(X, rng.integers(1, 10, 30)), FiberedSpace(X, rng.integers(1, 10, 30))
+    band = (X.dist <= 1)[np.ix_(target.coord_point, source.coord_point)]
+    band &= rng.random(band.shape) < 0.6
+    entries = rng.standard_normal(band.shape) + 1j * rng.standard_normal(band.shape)
+    T = BlockOperator(source, target, entries * np.exp(rng.uniform(-30, 30, band.shape)) * band)
+    assert operators._sparse(T) is not None and max(source.fiber_dims.max(), target.fiber_dims.max()) == 9
+    assert T.block_frobenius().tobytes() == _dense_route(T).block_frobenius().tobytes()
+    assert _bytes(T.norm_lower_bound()) == _bytes(_dense_route(T).norm_lower_bound())
+
+
+def test_dense_operator_pays_one_kept_scan_and_keeps_the_dense_route(monkeypatch):
+    n = 128
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    ghost = BlockOperator(fib, fib, np.eye(n) - 2 * np.full((n, n), 1 / n))  # 1 - 2P, P onto the constants
+    scans = _counting(monkeypatch, operators, "_sparse_form")
+    keep = fib.base.dist <= 3
+    tail, norm = operators._tail_norm(ghost, keep), ghost.norm()
+    table, bound = ghost.block_frobenius(), ghost.norm_lower_bound()
+    assert len(scans) == 1 and operators._sparse(ghost) is None
+    monkeypatch.undo()
+    assert _bytes(tail) == _bytes(spectral_norm(_tail_matrix(ghost, keep)))
+    assert _bytes(norm) == _bytes(spectral_norm(ghost.matrix))
+    assert table.tobytes() == np.sqrt(np.square(np.abs(ghost.matrix))).tobytes()  # 1-dim fibers
+    assert _bytes(bound) == _bytes(np.linalg.norm(ghost.matrix, axis=0).max())
 
 
 def _rectangular_blocks(rng, n):
@@ -856,7 +1034,7 @@ def test_spectral_norm_refuses_fewer_than_two_axes(mat):
 def test_all_zero_tail_takes_no_decomposition(monkeypatch):
     V = random_band_unitary(FiberedSpace.uniform(path_space(150), 1), 1.0, 4, 0)
     svd, eigvalsh = _counting(monkeypatch, np.linalg, "svd"), _counting(monkeypatch, np.linalg, "eigvalsh")
-    assert locality._tail_norm(V, V.source.base.dist <= 4) == 0.0  # propagation <= 4
+    assert operators._tail_norm(V, V.source.base.dist <= 4) == 0.0  # propagation <= 4
     assert svd == [] and eigvalsh == []
 
 

@@ -112,7 +112,6 @@ def test_private_definitions_are_referenced():
 # the reason it stays
 _UNREACHED_BUT_KEPT = {
     "BlockOperator.propagation": "acceptance criteria 4-5; ROADMAP item 11 gives it callers",
-    "supported_distance_upper": "acceptance criterion 5",
     "upgrade_trick": "acceptance criterion 6, the paper's upgrade step",
     "BlockOperator.supported_mask": "acceptance criteria 7-8; the tests' reference for `_tail_norm`",
     "save_map": "writes the map file that `cover --map` reads",
@@ -194,15 +193,17 @@ _RULES = {
     # one norm path: only operators.py takes a vector norm
     "norm": (r"linalg\.norm\b", ("operators",)),
     # one Gram route: every Hermitian top through `_gram_top` (the unitarity
-    # residual reads a whole spectrum), every SVD norm through `spectral_norm`
+    # residual reads a whole spectrum), every SVD norm through the whole
+    # route of `spectral_norm`, `_whole_norm`
     "eigvalsh": (r"linalg\.eigvalsh\b", ("operators._gram_top", "operators._residual")),
-    "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators.spectral_norm",)),
-    # one labeller: `spectral_norm` splits a matrix into components, and
-    # `from_edge_list` labels them only to refuse a disconnected edge list
-    "labelling": (r"\bconnected_components\s*\(", ("operators.spectral_norm", "spaces.from_edge_list")),
+    "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators._whole_norm",)),
+    # one labeller: `_split_norm` splits a matrix, an operator or a tail into
+    # components, and `from_edge_list` labels them only to refuse a
+    # disconnected edge list
+    "labelling": (r"\bconnected_components\s*\(", ("operators._split_norm", "spaces.from_edge_list")),
     # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
-    # `spectral_norm` builds its component graph and `spaces` its edge graphs
-    "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators.spectral_norm", "spaces")),
+    # `_split_norm` builds its component graph and `spaces` its edge graphs
+    "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators._split_norm", "spaces")),
     # a space computes and stores its own distance levels, and labels its own matrix
     "distance_levels": (r"np\.(unique|argsort|searchsorted)\([^()]*\.dist\b", ("spaces",)),
     # one integer rule: bool and integer tests and the range message
@@ -269,7 +270,7 @@ def _line(text, needle):
 
 _DECOMPOSITIONS = (
     "def _gram_top(s):\n    return np.linalg.eigvalsh(s)\n"
-    "def spectral_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
+    "def _whole_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
     "def corner(m):\n    def inner(g):\n        return np.linalg.eigvalsh(g)\n"
     "    return np.linalg.svd(m, compute_uv=False)\n"
     "top = np.linalg.eigvalsh(x)\nn = np.linalg.norm(x)\n"
@@ -583,12 +584,13 @@ def test_private_names_keep_the_gram_top_and_the_stack_budget_home():
     # its own budget or top under a new name escapes, as it always did
     package = _package_texts()
     anchor = "from .spaces import check_radius\n"
-    locality = package["locality"].replace(anchor, anchor + "from .operators import (\n    _gram_top,\n)\n") + (
+    stray = "from .operators import (\n    _gram_top,\n)\n"
+    locality = package["locality"].replace(anchor, anchor + stray) + (
         "\n\ndef _planted_top(gram):\n    return np.linalg.eigvalsh(\n        gram)[..., -1]\n"
     )
     extraction = package["extraction"] + "\n\ndef _planted_step(U):\n    return operators._STACK_BYTES // U.n\n"
     planted = {**package, "locality": locality, "extraction": extraction}
-    assert _private_imports("locality", locality) == [f"locality:{_line(locality, 'from .operators import (')} _gram_top"]
+    assert _private_imports("locality", locality) == [f"locality:{_line(locality, stray)} _gram_top"]
     assert _foreign_private_attributes(planted) == [
         ("extraction", _line(extraction, "operators._STACK_BYTES"), "operators._STACK_BYTES"),
     ]

@@ -38,6 +38,11 @@ def test_path_space_distances():
     assert X.dist[3, 1] == 2
 
 
+def test_space_repr_gives_size_and_diameter():
+    assert repr(path_space(4)) == "FiniteMetricSpace(n=4, diameter=3)"
+    assert repr(FiniteMetricSpace([[0, 0.5], [0.5, 0]])) == "FiniteMetricSpace(n=2, diameter=0.5)"
+
+
 def test_path_space_rejects_zero():
     with pytest.raises(ValueError):
         path_space(0)
@@ -137,6 +142,31 @@ def test_validation_rejects_bad_matrices():
     with pytest.raises(ValueError) as info:
         FiniteMetricSpace([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle fails
     assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
+
+
+@pytest.mark.parametrize("dist, message", [
+    pytest.param(np.zeros((2, 3)), "distance matrix must be square, got shape (2, 3)", id="rectangle"),
+    pytest.param(np.zeros(3), "distance matrix must be square, got shape (3,)", id="vector"),
+    pytest.param(np.zeros((0, 0)), "a metric space needs at least one point", id="empty"),
+])
+def test_space_refuses_a_matrix_that_is_not_square_or_is_empty(dist, message):
+    with pytest.raises(ValueError) as err:
+        FiniteMetricSpace(dist)
+    assert str(err.value) == message
+
+
+def test_edge_list_refuses_an_endpoint_numpy_cannot_hold_whole():
+    # each edge is a pair of Python integers, so the message names the list
+    with pytest.raises(ValueError) as err:
+        from_edge_list(3, [(0, 1), (1, 2**70)])
+    assert str(err.value) == f"every edge must be a pair of integer points, got [(0, 1), (1, {2**70})]"
+
+
+def test_equality_with_a_foreign_type_is_false():
+    X = path_space(2)
+    fib = FiberedSpace.uniform(X, 1)
+    assert X != 1 and identity_map(X) != 1 and fib != 1
+    assert X != "path" and identity_map(X) != X and fib != X
 
 
 def _unit_pairs(dist):
