@@ -8,13 +8,14 @@ the two, and a map object embeds its source and target spaces the same way.
 Binary operator layout (all integers little-endian uint32, floats
 little-endian float64):
 
-    bytes 0..6   magic "ROELAB1"
+    bytes 0..6   magic "ROELAB2"
     byte  7      flags; bit 0 set means source and target differ, and
                  no other bit may be set
     uint32       n_target, then n_target fiber dimensions
     [uint32      n_source, then n_source fiber dimensions]   (flag bit 0)
-    payload      blocks in row-major point order (y outer, x inner), each
-                 block row-major, each entry as a (re, im) float64 pair
+    payload      the operator's matrix, target.total_dim rows of
+                 source.total_dim entries, row-major in coordinate order,
+                 each entry as a (re, im) float64 pair
 
 The metric itself is not stored; readers supply the base space(s), and
 the fiber dimensions recorded in the file must match their point counts.
@@ -58,25 +59,8 @@ __all__ = [
     "write_report",
 ]
 
-MAGIC = b"ROELAB1"
+MAGIC = b"ROELAB2"
 _FLAG_RECTANGULAR = 1
-
-
-def _payload_index(target: FiberedSpace, source: FiberedSpace) -> np.ndarray:
-    """Payload position of every matrix entry, as a (target, source) array.
-
-    Blocks are laid out y outer, x inner, each row-major: block (y, x)
-    starts at offset_y * total_source + d_y * offset_x.
-    """
-    y, x = target.coord_point, source.coord_point
-    row_in_block = np.arange(target.total_dim) - target.offsets[y]
-    col_in_block = np.arange(source.total_dim) - source.offsets[x]
-    return (
-        (target.offsets[y] * source.total_dim)[:, None]
-        + target.fiber_dims[y][:, None] * source.offsets[x][None, :]
-        + row_in_block[:, None] * source.fiber_dims[x][None, :]
-        + col_in_block[None, :]
-    )
 
 
 def write_operator(path, op: BlockOperator) -> None:
@@ -89,9 +73,7 @@ def write_operator(path, op: BlockOperator) -> None:
         if rectangular:
             fh.write(struct.pack("<I", op.source.base.n))
             fh.write(np.asarray(op.source.fiber_dims, dtype="<u4").tobytes())
-        payload = np.empty(op.matrix.size, dtype="<c16")
-        payload[_payload_index(op.target, op.source)] = op.matrix
-        fh.write(payload.tobytes())
+        fh.write(op.matrix.astype("<c16", copy=False).data)
 
 
 def read_operator(
@@ -147,8 +129,8 @@ def read_operator(
         )
     target = FiberedSpace(target_base, dims_t)
     source = FiberedSpace(source_base, dims_s) if rectangular else target
-    flat = np.frombuffer(raw, dtype="<c16", offset=pos)  # re + 1j * im would turn -0.0 into +0.0
-    return BlockOperator(source, target, flat[_payload_index(target, source)])
+    matrix = np.frombuffer(raw, dtype="<c16", offset=pos)  # re + 1j * im would turn -0.0 into +0.0
+    return BlockOperator(source, target, matrix.reshape(target.total_dim, source.total_dim))
 
 
 def load_space(path) -> FiniteMetricSpace:

@@ -180,6 +180,24 @@ def test_ql_bounds_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert results[0] == results[1]
 
 
+def test_module_runs_as_a_script():
+    # `python -m roelab.cli` reaches `main` through the module's own entry
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-m", "roelab.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    version = script("--version")
+    assert (version.returncode, version.stdout) == (0, f"roelab {roelab.__version__}\n")
+    refused = script("ql")
+    assert refused.returncode == 2
+    assert json.loads(refused.stdout) == {"error": {
+        "type": "ArgumentError",
+        "message": "the following arguments are required: --unitary, --space, --radius"}}
+
+
 def test_one_parser_serves_every_call_of_a_process(command_argv, capsys):
     # the parser is built once; no call, a rejected one included, may
     # change what a later call reports
@@ -458,7 +476,7 @@ def test_malformed_space_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "dist": [[0, 1], [2, 0]]}))
     unitary = tmp_path / "whatever.bin"
-    unitary.write_bytes(b"ROELAB1\x00")
+    unitary.write_bytes(b"ROELAB2\x00")
     code = run(["extract", "--unitary", str(unitary), "--space", str(bad)])
     assert code == 2
     err = json.loads(capsys.readouterr().out)
@@ -623,12 +641,24 @@ def test_oversized_header_exits_2(tmp_path, capsys):
     space = tmp_path / "space.json"
     save_space(space, path_space(1))
     unitary = tmp_path / "huge.bin"
-    unitary.write_bytes(b"ROELAB1\x00" + struct.pack("<II", 1, 1 << 22))
+    unitary.write_bytes(b"ROELAB2\x00" + struct.pack("<II", 1, 1 << 22))
     code = run(["extract", "--unitary", str(unitary), "--space", str(space)])
     assert code == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ValueError"
     assert "payload" in err["error"]["message"]
+
+
+def test_block_order_file_exits_2(tmp_path, capsys):
+    # the magic of the block-order format that came before row-major payloads
+    X = path_space(3)
+    space, unitary = tmp_path / "space.json", tmp_path / "V.bin"
+    save_space(space, X)
+    write_operator(unitary, random_band_unitary(FiberedSpace.uniform(X, 1), 1.0, 1, seed=0))
+    unitary.write_bytes(b"ROELAB1" + unitary.read_bytes()[7:])
+    assert run(["extract", "--unitary", str(unitary), "--space", str(space)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError", "message": "not a ROELAB2 file: bad magic b'ROELAB1'"}
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -5,11 +5,11 @@ no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
 path, one Gram route, one labeller, one sparse form, one home of
 distance levels, one integer rule, one real-number rule, one home of
-the tolerances and one store of derived values) matches only in its
-homes and every home holds it, a private name of operators.py (its Gram
-top, its stack budget) stays there, every JSON text goes through
-`serialize` and every report value through its one hook, and the
-README's quick start runs as printed."""
+the tolerances, one store of derived values and one file layout)
+matches only in its homes and every home holds it, a private name of
+operators.py (its Gram top, its stack budget) stays there, every JSON
+text goes through `serialize` and every report value through its one
+hook, and the README's quick start runs as printed."""
 
 import ast
 import contextlib
@@ -217,6 +217,8 @@ _RULES = {
     # one store: what a space, a map or an operator derives is kept by
     # `derived`; only the shared cover family and the parser are cached
     "store": (r"cached_property|lru_cache|functools\.cache\b", ("fixtures._cover", "cli._build_parser")),
+    # one file layout: only serialize packs or unpacks bytes
+    "binary": (r"\bfrombuffer\b|\.tobytes\(|\bstruct\.", ("serialize",)),
 }
 
 
@@ -329,6 +331,13 @@ _PLANTED = [
         "fixtures": "@functools.lru_cache(\n    maxsize=32)\ndef _cover(kind):\n    return kind\n",
         "cli": "@functools.cache\ndef _parser():\n    return 1\n",
     }, ["cli._parser:1"], ["cli._build_parser"]),
+    ("binary", (
+        "import struct\n"
+        "head = struct.pack('<I', n)\n"
+        "def load(raw):\n    return np.frombuffer(\n        raw, '<c16')\n"
+        "data = m.tobytes()\n"
+        "size = m.nbytes  # neither a copy nor a layout\n"
+    ), ["m:2", "m.load:4", "m:6"], ["serialize"]),
 ]
 
 
