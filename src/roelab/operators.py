@@ -397,7 +397,7 @@ class BlockOperator(Derived):
         mat = self.matrix
         rows, cols = mat.shape
         gram = mat.conj().T @ mat if cols <= rows else mat @ mat.conj().T
-        gram[np.diag_indices_from(gram)] -= 1.0
+        gram.reshape(-1)[:: len(gram) + 1] -= 1.0  # the diagonal of the fresh product, in place
         return gram
 
     def unitarity_residual(self) -> float:
@@ -618,7 +618,7 @@ def check_unitary(U: BlockOperator) -> None:
 
 def _part_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The column pairs (i, j), i > j, of the cross parts: the one part order."""
-    return np.tril_indices(d, -1)
+    return np.nonzero(np.tri(d, k=-1, dtype=bool))
 
 
 def _corner_parts(U: BlockOperator, points: np.ndarray, d: int) -> np.ndarray:
@@ -762,18 +762,21 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     Deterministic for a fixed seed.
 
     Draw order, which keeps every seeded matrix (and so every `sweep`
-    row) byte-stable: per layer, one ``rng.permutation`` of the
+    row) byte-stable: per layer, one ``rng.permutation(n_coords)`` of the
     coordinates; then, for each coordinate p of it not yet used, either
     ``rng.integers(k)`` picking its partner among the k unused
-    coordinates within R of p's point, in ascending index order,
-    followed by three ``rng.random()`` (theta, alpha, beta), or, when
-    k = 0, one ``rng.random()`` for p's phase.
+    coordinates within R of p's point, in ascending index order (k = 1
+    included), followed by one ``rng.random(out=row)`` filling the
+    pair's three angles (theta, alpha, beta), or, when k = 0, one
+    ``rng.random()`` for p's phase.  A three-entry ``random(out=...)``
+    yields the same values, and leaves the same generator state, as
+    three scalar ``rng.random()`` calls.
 
-    The pairing loop runs on Python lists and only draws; each layer's
-    rotations and phases are built from the draws in one vectorised pass
-    and applied in one batched (k, 2, 2) @ (k, 2, n) product and one
-    row-scaled multiply, which is exact because the pairs and lone
-    vectors of a layer are disjoint.
+    The pairing loop runs on Python lists and only draws.  The rotations
+    and phases of every layer are then built in one vectorised pass, and
+    each layer is applied, in order, as one batched (k, 2, 2) @ (k, 2, n)
+    product and one row-scaled multiply, which is exact because the
+    pairs and lone vectors of a layer are disjoint.
     """
     R = check_radius(R, "band radius")
     for what, value in (("layer count", layers), ("seed", seed)):
@@ -783,14 +786,15 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
     n_coords = space.total_dim
     pt = space.coord_point
     # near[p]: the coordinates within R of p's point, ascending (p included)
-    rows, cols = np.nonzero(space.base.dist[np.ix_(pt, pt)] <= R)
+    rows, cols = np.nonzero((space.base.dist <= R).take(pt, axis=0).take(pt, axis=1))
     ends = np.cumsum(np.bincount(rows, minlength=n_coords)).tolist()
     cols = cols.tolist()
     near = [cols[start:end] for start, end in zip([0] + ends, ends)]
-    mat = np.eye(n_coords, dtype=complex)
+    angles = np.empty((layers * (n_coords // 2), 3))  # a row per pair, in draw order
+    pairs, lone, turns = [], [], []  # pairs: p, q of each pair, flat
+    layer_ends = [(0, 0)]  # after each layer: (pairs, lone vectors) drawn so far
     for _ in range(layers):
         used = [False] * n_coords
-        pairs, angles, lone, turns = [], [], [], []
         for p in rng.permutation(n_coords).tolist():
             if used[p]:
                 continue
@@ -802,15 +806,19 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
                 continue
             q = candidates[rng.integers(len(candidates))]
             used[q] = True
-            pairs.append((p, q))
-            angles.append((rng.random(), rng.random(), rng.random()))
-        if pairs:
-            theta, alpha, beta = np.array(angles).T * 2 * np.pi
-            a = np.cos(theta) * np.exp(1j * alpha)
-            b = np.sin(theta) * np.exp(1j * beta)
-            rotations = np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(-1, 2, 2)
-            pq = np.array(pairs)
-            mat[pq] = rotations @ mat[pq]
-        if lone:
-            mat[lone] *= np.exp(2j * np.pi * np.array(turns))[:, None]
+            rng.random(out=angles[len(pairs) // 2])
+            pairs += p, q
+        layer_ends.append((len(pairs) // 2, len(lone)))
+    theta, alpha, beta = angles[: len(pairs) // 2].T * 2 * np.pi
+    a = np.cos(theta) * np.exp(1j * alpha)
+    b = np.sin(theta) * np.exp(1j * beta)
+    rotations = np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(-1, 2, 2)
+    phases = np.exp(2j * np.pi * np.array(turns))[:, None]
+    pq = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    mat = np.eye(n_coords, dtype=complex)
+    for (p0, l0), (p1, l1) in zip(layer_ends, layer_ends[1:]):
+        if p1 > p0:
+            mat[pq[p0:p1]] = rotations[p0:p1] @ mat[pq[p0:p1]]
+        if l1 > l0:
+            mat[lone[l0:l1]] *= phases[l0:l1]
     return BlockOperator(space, space, mat)

@@ -288,6 +288,36 @@ def test_sweep_rows_match_a_cover_built_per_seed(kind, n, layers, seeds, tmp_pat
             assert row[key] == expected[key], key
 
 
+# (seed, R, closeness_f_h, closeness_fg, closeness_gf, budget) of two
+# four-layer sweeps at delta 0.7, where R differs across seeds.  The rows
+# follow from the seeded draws of `random_band_unitary`, so a changed
+# draw order moves them; they are path distances, not BLAS bits.
+_PINNED_SWEEPS = [
+    pytest.param("reflection", 16, [
+        (0, 1.0, 3.0, 3.0, 3.0, 9.0),
+        (1, 1.0, 7.0, 7.0, 9.0, 9.0),
+        (2, 2.0, 3.0, 3.0, 4.0, 10.0),
+        (3, 1.0, 3.0, 3.0, 3.0, 9.0),
+    ], id="reflection"),
+    pytest.param("halving", 8, [
+        (0, 0.0, 1.0, 0.0, 4.0, 4.0),
+        (1, 1.0, 3.0, 3.0, 6.0, 5.0),
+        (2, 1.0, 1.0, 1.0, 3.0, 5.0),
+        (3, 1.0, 1.0, 1.0, 4.0, 5.0),
+    ], id="halving"),
+]
+
+
+@pytest.mark.parametrize("kind, n, rows", _PINNED_SWEEPS)
+def test_sweep_rows_are_pinned(kind, n, rows, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--h", kind, "--n", str(n), "--layers", "4", "--noise-radius", "2",
+                "--delta", "0.7", "--seeds", "4", "--out", str(out)]) == 0
+    keys = ("seed", "R", "closeness_f_h", "closeness_fg", "closeness_gf", "budget")
+    got = json.loads(out.read_text())["results"]["rows"]
+    assert [tuple(row[k] for k in keys) for row in got] == rows
+
+
 @pytest.fixture
 def command_argv(hadamard_files, tmp_path):
     """Valid argv, without --out, for each of the six subcommands."""

@@ -713,8 +713,36 @@ def test_random_band_unitary_matches_per_pair_oracle(rng):
     for fib, R, layers, seed in cases:
         got = random_band_unitary(fib, R, layers, seed).matrix
         want = _band_unitary_oracle(fib, R, layers, seed)
-        assert np.array_equal(got.real, want.real), (R, layers, seed)
-        assert np.array_equal(got.imag, want.imag), (R, layers, seed)
+        # raw bytes: a -0.0 where the oracle has 0.0 is a difference too
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (R, layers, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_angle_draw_equals_three_scalar_draws(seed):
+    """`random_band_unitary` draws a pair's three angles with one
+    `random(out=row)`; interleaved with `integers(k)` as in its pairing
+    loop, that yields the values of three scalar `random()` calls and
+    leaves the generator in the same state."""
+    one, three = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = np.empty((40, 3))
+    picks, want = [], []
+    for i, k in enumerate([1, 2, 5, 1, 3, 7, 1, 1, 4, 2] * 4):
+        picks.append((one.integers(k), three.integers(k)))
+        one.random(out=rows[i])
+        want.append([three.random(), three.random(), three.random()])
+    assert all(a == b for a, b in picks)
+    assert rows.tobytes() == np.array(want).tobytes()
+    assert one.bit_generator.state == three.bit_generator.state
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_part_pairs_are_the_strict_lower_triangle(d):
+    """`_corner_parts`, `_parts_top` and `_sparse_group_parts` share this
+    one part order: `np.tril_indices(d, -1)` in values and dtype."""
+    got, want = operators._part_pairs(d), np.tril_indices(d, -1)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_rectangular_norm_with_underflowing_squares_takes_the_svd():
