@@ -39,7 +39,7 @@ from . import __version__
 from .concentration import concentration_witness
 from .covering import covering_unitary, outer_roundtrip
 from .extraction import extract_pair
-from .fixtures import noisy_covering_unitary
+from .fixtures import MAP_KINDS, noisy_covering_unitary
 from .locality import quasi_locality_violation
 from .maps import closeness
 from .operators import FiberedSpace
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_outer)
 
     p = sub.add_parser("sweep", help="seeded roundtrip sweep over noisy covering unitaries")
-    p.add_argument("--h", choices=["identity", "reflection", "halving"], default="identity")
+    p.add_argument("--h", choices=MAP_KINDS, default="identity")
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--noise-radius", type=float, default=2.0)
     p.add_argument("--layers", type=int, default=1)

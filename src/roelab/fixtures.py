@@ -13,10 +13,15 @@ from .spaces import path_space
 from .covering import covering_unitary
 
 __all__ = [
+    "MAP_KINDS",
     "halving_map",
     "standard_pair",
     "noisy_covering_unitary",
 ]
+
+MAP_KINDS = ("identity", "reflection", "halving")
+"""The kinds of `standard_pair`, in the order its refusal and `sweep --h`
+list them."""
 
 
 def halving_map(n: int) -> PointMap:
@@ -41,7 +46,7 @@ def standard_pair(kind: str, n: int) -> tuple[PointMap, PointMap]:
     if kind == "halving":
         coarse, fine = path_space(n), path_space(2 * n)  # a malformed n is named as given
         return PointMap(fine, coarse, np.arange(2 * n) // 2), PointMap(coarse, fine, 2 * np.arange(n))
-    raise ValueError(f"unknown map kind {kind!r}; expected identity, reflection, or halving")
+    raise ValueError(f"unknown map kind {kind!r}; expected {', '.join(MAP_KINDS[:-1])}, or {MAP_KINDS[-1]}")
 
 
 def noisy_covering_unitary(

@@ -9,11 +9,13 @@ play the role of absent blocks.
 
 Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
 and every reported norm is exact.  From `SPLIT_MIN` rows and columns
-on, it is the largest norm among the components of the nonzero pattern,
-which one labeller, `_split_norm`, finds for a matrix, an operator and
-its tails; otherwise (`_whole_norm`) a square matrix (the tails
-T - T_R, fiber blocks) takes a full SVD and a rectangular one (corners,
-often stacked) the Gram route.  The tails ||T - T_keep|| are taken here
+on, one labeller, `_split_norm`, decides the norm of a matrix, an
+operator and its tails: the largest norm among the components of the
+nonzero pattern, or the route whole for a full row or column or a
+single component.  The route whole (`_whole_norm`), which every smaller
+matrix takes too, is a full SVD for a square matrix (the tails T - T_R,
+fiber blocks) and the Gram route for a rectangular one (corners, often
+stacked).  The tails ||T - T_keep|| are taken here
 (`_tail_norm`), with no operator built; `supported_distance_upper` is
 their public entry, and ||T - T_R|| is its value at the identity map.
 A norm whose components all stay below the sizes OpenBLAS threads does
@@ -195,13 +197,11 @@ def _gram_top(stack: np.ndarray) -> np.ndarray:
 def spectral_norm(mat):
     """Largest singular value, computed exactly with dense linear algebra.
 
-    From `SPLIT_MIN` rows and columns on, the norm is `_split_norm` of
-    the nonzero entries (an entry counts when it is not exactly 0), which
-    is 0.0 with no entries and otherwise the largest norm among the
-    components of their pattern; a full row or column is found on the
-    dense pattern, so a dense matrix is never listed.  A full row or
-    column, one component and every smaller matrix take the route whole
-    (`_whole_norm`).
+    From `SPLIT_MIN` rows and columns on, a matrix with no full row or
+    column (found on the dense pattern, so a dense matrix is never listed)
+    is normed by `_split_norm` of its nonzero entries (an entry counts
+    when it is not exactly 0).  A full row or column and every smaller
+    matrix take the route whole (`_whole_norm`).
 
     A (k, rows, cols) stack takes the route in one batched call, never
     split: each of its k values is bit for bit what the route gives its
@@ -219,9 +219,7 @@ def spectral_norm(mat):
     if min(rows, cols) >= SPLIT_MIN and mat.ndim == 2:
         nonzero = mat != 0
         if not (nonzero.all(axis=0).any() or nonzero.all(axis=1).any()):
-            split = _split_norm(mat.shape, *np.nonzero(nonzero), lambda r, c: mat[r, c])
-            if split is not None:
-                return split
+            return _split_norm(mat.shape, *np.nonzero(nonzero), lambda r, c: mat[r, c], lambda: mat)
     return _whole_norm(mat)
 
 
@@ -244,30 +242,30 @@ def _whole_norm(mat):
     return float(tops) if mat.ndim == 2 else tops
 
 
-def _split_norm(shape, r, c, gather):
+def _split_norm(shape, r, c, gather, whole):
     """The norm of a matrix of the given shape from the coordinates (r, c)
-    of its nonzero entries, listed by row, or None when the matrix takes
-    the route whole (`_whole_norm`): when a row or a column is full, which
-    makes one component and would pay the labelling on top of its SVD, or
-    when the entries form one component.  With no entries it is 0.0.
-    Otherwise the components of the bipartite row/column graph of the
-    entries, whose singular values together are the matrix's, are
-    labelled by `connected_components`, each is normed on the submatrix
-    that `gather(rows, cols)` stacks for its coordinates
-    (`_gathered_norms`), and the largest norm is the norm.  The one
+    of its nonzero entries, listed by row: 0.0 with no entries, and
+    otherwise the largest norm among the components of the bipartite
+    row/column graph of the entries, whose singular values together are
+    the matrix's.  The components are labelled by `connected_components`
+    and each is normed on the submatrix that `gather(rows, cols)` stacks
+    for its coordinates (`_gathered_norms`).  A full row or column, which
+    makes one component and would pay the labelling on top of its SVD,
+    and a single component take the route whole: `_whole_norm` of the
+    matrix that `whole()` forms, so a tail is formed only then.  The one
     labeller of `spectral_norm`, of an operator's norm and of its tails."""
     rows, cols = shape
     if r.size == 0:
         return 0.0
     if np.bincount(r, minlength=rows).max() == cols or np.bincount(c, minlength=cols).max() == rows:
-        return None
+        return _whole_norm(whole())
     # rows are nodes 0..rows-1 and columns rows..rows+cols-1, the edges listed by row
     indptr = np.searchsorted(r, np.arange(rows + cols + 1))
     graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
     labels = connected_components(graph, directed=False)[1]
     comps = np.unique(labels[r])  # zero rows and columns are components of their own
     if comps.size == 1:
-        return None
+        return _whole_norm(whole())
     row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
     return float(_gathered_norms(gather, row_masks, col_masks).max())
 
@@ -431,36 +429,32 @@ def _norm(T: BlockOperator) -> float:
     sparse = _sparse(T)
     if sparse is None:
         return spectral_norm(T.matrix)
-    split = _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c])
-    return _whole_norm(T.matrix) if split is None else split
-
-
-def _tail_matrix(T: BlockOperator, keep: np.ndarray) -> np.ndarray:
-    """The matrix of T - T_keep (`_tail_norm`), M - M * mask with the
-    coordinate mask gathered by `take`."""
-    mask = keep.take(T.target.coord_point, axis=0).take(T.source.coord_point, axis=1)
-    return T.matrix - T.matrix * mask
+    return _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c], lambda: T.matrix)
 
 
 def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
     """||T - T_keep||, with T_keep the blocks (y, x) of T where keep[y, x]
     holds and zero blocks elsewhere, with no operator built.  Its entries
     are those of M - M * mask, the arithmetic of `supported_mask` and the
-    operator difference, signed zeros included.  (A copy
-    `np.where(~mask, M, 0)` differs in the sign of a zero real part,
-    which moves the SVD by an ulp now and then.)
+    operator difference, signed zeros included, the coordinate mask
+    gathered by `take`.  (A copy `np.where(~mask, M, 0)` differs in the
+    sign of a zero real part, which moves the SVD by an ulp now and then.)
 
-    Without a sparse form, `spectral_norm` takes that matrix
-    (`_tail_matrix`).  On T's sparse form, the form's entries outside
-    keep are the tail's nonzero entries, in the order `spectral_norm`
-    lists them; `_split_norm` labels them and norms each component on
-    sub - sub * keep_sub, gathered from M and keep, which is the tail's
-    submatrix bit for bit.  A tail that `_split_norm` leaves whole is
-    formed and normed whole."""
+    Without a sparse form, `spectral_norm` takes that matrix.  On T's
+    sparse form, the form's entries outside keep are the tail's nonzero
+    entries, in the order `spectral_norm` lists them; `_split_norm`
+    labels them and norms each component on sub - sub * keep_sub,
+    gathered from M and keep, which is the tail's submatrix bit for bit,
+    and forms the tail matrix only when it takes the route whole."""
+    row_point, col_point = T.target.coord_point, T.source.coord_point
+
+    def tail():
+        mask = keep.take(row_point, axis=0).take(col_point, axis=1)
+        return T.matrix - T.matrix * mask
+
     sparse = _sparse(T)
     if sparse is None:
-        return spectral_norm(_tail_matrix(T, keep))
-    row_point, col_point = T.target.coord_point, T.source.coord_point
+        return spectral_norm(tail())
 
     def gather(r, c):
         sub = T.matrix[r, c]
@@ -468,8 +462,7 @@ def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
 
     r, c = _entries(sparse)
     far = ~keep[row_point[r], col_point[c]]
-    split = _split_norm(T.matrix.shape, r[far], c[far], gather)
-    return _whole_norm(_tail_matrix(T, keep)) if split is None else split
+    return _split_norm(T.matrix.shape, r[far], c[far], gather, tail)
 
 
 def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:

@@ -46,7 +46,7 @@ from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 __all__ = [
     "Derived",
@@ -348,7 +348,8 @@ def _first_bad_edge(edges) -> str:
 def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     """Unweighted shortest-path metric of a connected graph on n nodes.
 
-    A component pass refuses a disconnected graph in O(n + m).  The one
+    One breadth-first pass from 0 refuses a disconnected graph in
+    O(n + m), naming the smallest point it cannot reach.  The one
     shortest-path pass that builds the metric also certifies it: a hop
     metric is a metric, so the constructor's checks are skipped."""
     if not (is_integer(n) and n >= 1):
@@ -368,8 +369,8 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
     adj = csr_matrix((np.ones(len(ends)), ends[:, 1], indptr), shape=(n, n))
-    count, labels = connected_components(adj, directed=False)
-    if count > 1:  # name 0 and the smallest point outside its component
-        j = (labels != labels[0]).argmax()
+    reached = breadth_first_order(adj, 0, return_predecessors=False)
+    if reached.size < n:  # name 0 and the smallest point it cannot reach
+        j = np.isin(np.arange(n), reached, invert=True).argmax()
         raise ValueError(f"graph is disconnected: no path between 0 and {j}")
     return _trusted(shortest_path(adj, method="D", unweighted=True))

@@ -962,6 +962,23 @@ def test_sparse_form_with_a_full_row_is_normed_whole_without_labelling(monkeypat
     assert [_bytes(v) for v in values] == [_bytes(dense.norm()), _bytes(operators._tail_norm(dense, nothing))]
 
 
+def test_sparse_route_tail_forms_no_full_matrix():
+    # the tails of a band operator split, so `_split_norm` never calls
+    # `whole()`: the peak stays under a quarter of one N x N complex matrix
+    T, _, _ = noisy_covering_unitary("reflection", 400, 0, 2.0, 2, fiber_dim=2)
+    n_coords = T.matrix.shape[0]
+    assert n_coords == 800 and operators._sparse(T) is not None  # the form is built before tracing
+    f = identity_map(T.source.base)
+    tracemalloc.start()
+    try:
+        for R in (1, 3):
+            supported_distance_upper(T, f, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_coords**2 * 16 / 4
+
+
 def test_sparse_block_frobenius_sums_each_fiber_in_the_dense_order():
     # mixed fibers of up to 9 coordinates on both sides: a fiber of more than
     # 8 is summed pairwise by np.add.reduceat, which the sparse sums follow

@@ -198,9 +198,12 @@ _RULES = {
     "eigvalsh": (r"linalg\.eigvalsh\b", ("operators._gram_top", "operators._residual")),
     "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators._whole_norm",)),
     # one labeller: `_split_norm` splits a matrix, an operator or a tail into
-    # components, and `from_edge_list` labels them only to refuse a
-    # disconnected edge list
-    "labelling": (r"\bconnected_components\s*\(", ("operators._split_norm", "spaces.from_edge_list")),
+    # components; `from_edge_list` refuses a disconnected edge list by reachability
+    "labelling": (r"\bconnected_components\s*\(", ("operators._split_norm",)),
+    # one split decision: `_split_norm` returns every norm it decides, so the
+    # route whole is called only there and in `spectral_norm`'s small or
+    # full-pattern branch (the definition is not a call)
+    "whole": (r"(?<!def )\b_whole_norm\(", ("operators.spectral_norm", "operators._split_norm")),
     # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
     # `_split_norm` builds its component graph and `spaces` its edge graphs
     "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators._split_norm", "spaces")),
@@ -343,18 +346,21 @@ _PLANTED = [
 
 def _planted_cases():
     """`_PLANTED`, a labelling call and a CSR matrix planted in locality.py,
-    and a copy of operators.py whose `_gram_top` is renamed, so that its
-    home is idle."""
+    a route-whole call planted in `operators._norm`, and a copy of
+    operators.py whose `_gram_top` is renamed, so that its home is idle."""
     package = _package_texts()
     planted = package["locality"] + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
     stray_csr = package["locality"] + "\n\ndef _planted(T):\n    return csr_matrix (T.matrix)\n"
     renamed = package["operators"].replace("def _gram_top(", "def top_of_gram(")
+    whole = package["operators"].replace("return spectral_norm(T.matrix)", "return _whole_norm(T.matrix)")
     cases = [(rule, texts if isinstance(texts, dict) else {"m": texts}, *rest) for rule, texts, *rest in _PLANTED]
     return [pytest.param(*case, id=case[0]) for case in cases] + [
         pytest.param("labelling", {**package, "locality": planted},
                      [f"locality._planted:{_line(planted, 'return connected_components(')}"], [], id="labelling"),
         pytest.param("csr", {**package, "locality": stray_csr},
                      [f"locality._planted:{_line(stray_csr, 'return csr_matrix (')}"], [], id="csr"),
+        pytest.param("whole", {"operators": whole},
+                     [f"operators._norm:{_line(whole, 'return _whole_norm(T.matrix)')}"], [], id="whole"),
         pytest.param("eigvalsh", {"operators": renamed},
                      [f"operators.top_of_gram:{_line(renamed, 'np.linalg.eigvalsh(')}"], ["operators._gram_top"],
                      id="idle_home"),

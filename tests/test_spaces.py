@@ -81,6 +81,14 @@ def test_edge_list_disconnected_names_pair():
     assert (named[0] < 2) != (named[1] < 2)
 
 
+@pytest.mark.parametrize("edges", [[(0, 3), (3, 4), (1, 2)], [(4, 3), (3, 0), (2, 1)]])
+def test_edge_list_disconnected_names_the_smallest_unreachable_point(edges):
+    # 0 reaches 3 and 4; 1 is the smallest point it cannot reach, whatever the edge order
+    with pytest.raises(ValueError) as info:
+        from_edge_list(5, edges)
+    assert str(info.value) == "graph is disconnected: no path between 0 and 1"
+
+
 def test_large_edgeless_file_is_refused_before_the_distance_matrix(tmp_path):
     # 200,000 points: the n x n distance matrix alone would take 298 GiB
     path = tmp_path / "edgeless.json"
