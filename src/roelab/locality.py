@@ -71,12 +71,13 @@ with propagation <= R, since T_R and 0 are such operators.
 ||T - T_R|| is `operators.supported_distance_upper` at the identity
 map, taken with no operator built.  ||T|| is taken only when
 ||T - T_R|| is not clearly below T's largest column norm, a lower bound
-of ||T||.  Both norms are the largest among the components of their
-nonzero pattern (CHANGES.md, "Whole-operator norms by components of the
-nonzero pattern" and "One norm function").  On an operator with a
-sparse form (operators.py, "Sparse form") the tail, ||T||, the column
-bound and the search's block Frobenius norms are read from that form,
-with the dense route's bytes; without one, from the matrix.
+of ||T||.  On an operator with a sparse form (operators.py, "Sparse
+form") both norms are the largest among the components of the form's
+entries (CHANGES.md, "Whole-operator norms by components of the nonzero
+pattern" and "One norm function"), and the column bound and the
+search's block Frobenius norms are read from that form with the dense
+route's bytes; without one, all four come from the matrix, the norms
+taken whole.
 
 Both algorithms return a value and the unpruned pair (B, A) attaining
 it.  `quasi_locality_violation` is the one place that prunes the pair to

@@ -7,18 +7,18 @@ T[y][x] of shape d_y x d_x.  Band structure (propagation, truncation,
 corners) is always expressed at the block level, so exact zero blocks
 play the role of absent blocks.
 
-Norms: `spectral_norm` (on an operator, `T.norm()`) is the one norm,
-and every reported norm is exact.  From `SPLIT_MIN` rows and columns
-on, one labeller, `_split_norm`, decides the norm of a matrix, an
-operator and its tails: the largest norm among the components of the
-nonzero pattern, or the route whole for a full row or column or a
-single component.  The route whole (`_whole_norm`), which every smaller
-matrix takes too, is a full SVD for a square matrix (the tails T - T_R,
-fiber blocks) and the Gram route for a rectangular one (corners, often
-stacked).  The tails ||T - T_keep|| are taken here
-(`_tail_norm`), with no operator built; `supported_distance_upper` is
-their public entry, and ||T - T_R|| is its value at the identity map.
-A norm whose components all stay below the sizes OpenBLAS threads does
+Norms: `spectral_norm` is the one norm, and every reported norm is
+exact.  It takes a matrix or a stack whole: a full SVD for a square
+matrix (fiber blocks, a dense operator's tails) and the Gram route for
+a rectangular one (corners, often stacked).  Only an operator's sparse
+form splits: `T.norm()` (`_norm`) and the tails ||T - T_keep||
+(`_tail_norm`) go to the one labeller, `_split_norm`, which takes the
+largest norm among the components of the form's entries, or
+`spectral_norm` whole for a full row or column or a single component.
+The two routes agree within a few ulps, not bit for bit.  The tails
+are taken with no operator built; `supported_distance_upper` is their
+public entry, and ||T - T_R|| is its value at the identity map.  A
+norm whose components all stay below the sizes OpenBLAS threads does
 not depend on the BLAS thread count.  The unitarity
 residual takes no norm: it reads the spectrum of one dense Hermitian
 matrix G - I, with G the Gram matrix on the smaller side.  The unitarity
@@ -35,11 +35,11 @@ one keep the dense route and its bytes, and a smaller one is not even
 scanned.  On the sparse form the check's G - I is a sparse product with
 I subtracted from it before the squares are summed, so it costs about
 the nonzeros times the entries per row, not N^3.  The window's four
-quantities read it too, each bit for bit what the dense route gives:
-the norm and the tails label the form's entries (a tail's, those
-outside keep) and norm each component on its gathered submatrix, and
-the block Frobenius table and the column bound sum the entries'
-squares in the order of the dense reductions.
+quantities read it too: the norm and the tails label the form's
+entries (a tail's, those outside keep) and norm each component on its
+gathered submatrix, and the block Frobenius table and the column bound
+sum the entries' squares in the order of the dense reductions, bit for
+bit what the dense route gives.
 
 Corners: `corner_norms` is the one masked corner kernel, giving
 ||chi_B U chi_x|| for every source point x and every target point set B
@@ -50,7 +50,9 @@ order); on the sparse route, the parts are kept in CSR and each
 corner's sum runs over its nonzero parts in ascending coordinate order,
 at a cost of about the nonzeros times the mask rows, and only corners
 with a nonzero part take a top.  The two routes agree within a few ulps.
-Every Gram top, there and in `spectral_norm`, comes from `_gram_top`.
+Every Gram top of `spectral_norm`, and of the corners of fiber
+dimension d >= 3, comes from `_gram_top`; `_parts_top` reads the
+d <= 2 closed forms directly.
 `masked_corner_norms` norms the exact enumeration's components, and
 its core, `_gathered_norms`, the components of every split norm.  One
 byte budget, `_STACK_BYTES` (2 MiB), caps each batched stack of both;
@@ -105,14 +107,11 @@ UNITARITY_TOL = 1e-9  # the residual `check_unitary` admits; concentration's che
 # corners of `masked_corner_norms`); each matrix is normed alone
 _STACK_BYTES = 2 << 20
 SPLIT_MIN = 96
-"""The size of a matrix's smaller side from which `spectral_norm` labels
-the components of the nonzero pattern instead of norming it whole: below
-it, the labelling costs more than the whole route saves.  The route
-decomposes a matrix the size of its smaller side, so that side decides;
-by the larger side, slabs (`upgrade_trick`'s error, concentration
-certificates) would split at many times the cost of their route.  The
-timings are in CHANGES.md, in the entries "Whole-operator norms by
-components of the nonzero pattern" and "One norm function".
+"""The fewest rows and columns of an operator that keeps a sparse form
+(`_sparse`), the one gate into the split of its norm and tails: below
+it, the labelling costs more than the whole route saves.  The timings
+are in CHANGES.md, in the entries "Whole-operator norms by components
+of the nonzero pattern" and "One norm function".
 """
 
 SPARSE_SHARE = 1 / 8
@@ -195,20 +194,19 @@ def _gram_top(stack: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(mat):
-    """Largest singular value, computed exactly with dense linear algebra.
+    """Largest singular value of a matrix, or of each matrix of a
+    (k, rows, cols) stack, computed exactly and taken whole: a full SVD
+    for a square matrix; for a rectangular one, a 1 x n or n x 1 matrix
+    included, the square root of `_gram_top` of its smaller side's Gram
+    matrix, or the SVD when that top is below 2^-900, where the squares
+    may have underflowed (a block of 1e-170 has a Gram of 0).
 
-    From `SPLIT_MIN` rows and columns on, a matrix with no full row or
-    column (found on the dense pattern, so a dense matrix is never listed)
-    is normed by `_split_norm` of its nonzero entries (an entry counts
-    when it is not exactly 0).  A full row or column and every smaller
-    matrix take the route whole (`_whole_norm`).
-
-    A (k, rows, cols) stack takes the route in one batched call, never
-    split: each of its k values is bit for bit what the route gives its
-    own matrix, since the route depends on the shape and the matrix's own
-    Gram top only, and the batched matmul and LAPACK calls run the
-    per-matrix routine on every matrix.  Fewer than two axes is a
-    ValueError.
+    No matrix is split here: only an operator's sparse form splits its
+    norm and tails (`_split_norm`).  Each of a stack's k values is bit
+    for bit what its own matrix gives, since the route depends on the
+    shape and the matrix's own Gram top only, and the batched matmul and
+    LAPACK calls run the per-matrix routine on every matrix.  Fewer than
+    two axes is a ValueError.
     """
     mat = np.asarray(mat)
     if mat.ndim < 2:
@@ -216,20 +214,6 @@ def spectral_norm(mat):
     rows, cols = mat.shape[-2:]
     if mat.size == 0:
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
-    if min(rows, cols) >= SPLIT_MIN and mat.ndim == 2:
-        nonzero = mat != 0
-        if not (nonzero.all(axis=0).any() or nonzero.all(axis=1).any()):
-            return _split_norm(mat.shape, *np.nonzero(nonzero), lambda r, c: mat[r, c], lambda: mat)
-    return _whole_norm(mat)
-
-
-def _whole_norm(mat):
-    """The norm of a matrix, or of each matrix of a stack, taken whole: a
-    full SVD for a square matrix; for a rectangular one, a 1 x n or n x 1
-    matrix included, the square root of `_gram_top` of its smaller side's
-    Gram matrix, or the SVD when that top is below 2^-900, where the
-    squares may have underflowed (a block of 1e-170 has a Gram of 0)."""
-    rows, cols = mat.shape[-2:]
     if rows == cols:
         tops = np.linalg.svd(mat, compute_uv=False)[..., 0]
     else:
@@ -243,29 +227,30 @@ def _whole_norm(mat):
 
 
 def _split_norm(shape, r, c, gather, whole):
-    """The norm of a matrix of the given shape from the coordinates (r, c)
-    of its nonzero entries, listed by row: 0.0 with no entries, and
-    otherwise the largest norm among the components of the bipartite
-    row/column graph of the entries, whose singular values together are
-    the matrix's.  The components are labelled by `connected_components`
-    and each is normed on the submatrix that `gather(rows, cols)` stacks
-    for its coordinates (`_gathered_norms`).  A full row or column, which
-    makes one component and would pay the labelling on top of its SVD,
-    and a single component take the route whole: `_whole_norm` of the
-    matrix that `whole()` forms, so a tail is formed only then.  The one
-    labeller of `spectral_norm`, of an operator's norm and of its tails."""
+    """The norm of an operator's matrix, or of one of its tails, from the
+    coordinates (r, c) of its nonzero entries on the sparse form, listed
+    by row: 0.0 with no entries, and otherwise the largest norm among the
+    components of the bipartite row/column graph of the entries, whose
+    singular values together are the matrix's.  The components are
+    labelled by `connected_components` and each is normed on the
+    submatrix that `gather(rows, cols)` stacks for its coordinates
+    (`_gathered_norms`).  A full row or column, which makes one component
+    and would pay the labelling on top of its SVD, and a single component
+    take the route whole: `spectral_norm` of the matrix that `whole()`
+    forms, so a tail is formed only then.  The one labeller, serving
+    `_norm` and `_tail_norm` alone."""
     rows, cols = shape
     if r.size == 0:
         return 0.0
     if np.bincount(r, minlength=rows).max() == cols or np.bincount(c, minlength=cols).max() == rows:
-        return _whole_norm(whole())
+        return spectral_norm(whole())
     # rows are nodes 0..rows-1 and columns rows..rows+cols-1, the edges listed by row
     indptr = np.searchsorted(r, np.arange(rows + cols + 1))
     graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
     labels = connected_components(graph, directed=False)[1]
     comps = np.unique(labels[r])  # zero rows and columns are components of their own
     if comps.size == 1:
-        return _whole_norm(whole())
+        return spectral_norm(whole())
     row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
     return float(_gathered_norms(gather, row_masks, col_masks).max())
 
@@ -423,9 +408,10 @@ class BlockOperator(Derived):
 
 
 def _norm(T: BlockOperator) -> float:
-    """`spectral_norm` of T.matrix, kept by `T.norm()` through `derived`;
-    on T's sparse form, `_split_norm` labels the form's entries, with no
-    second scan of the matrix."""
+    """||T||, kept by `T.norm()` through `derived`: `spectral_norm` of
+    T.matrix without a sparse form; on T's sparse form, `_split_norm` of
+    the form's entries, with no second scan of the matrix, within a few
+    ulps of `spectral_norm` of the matrix."""
     sparse = _sparse(T)
     if sparse is None:
         return spectral_norm(T.matrix)
@@ -440,12 +426,12 @@ def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
     gathered by `take`.  (A copy `np.where(~mask, M, 0)` differs in the
     sign of a zero real part, which moves the SVD by an ulp now and then.)
 
-    Without a sparse form, `spectral_norm` takes that matrix.  On T's
-    sparse form, the form's entries outside keep are the tail's nonzero
-    entries, in the order `spectral_norm` lists them; `_split_norm`
-    labels them and norms each component on sub - sub * keep_sub,
-    gathered from M and keep, which is the tail's submatrix bit for bit,
-    and forms the tail matrix only when it takes the route whole."""
+    Without a sparse form, `spectral_norm` takes that matrix whole.  On
+    T's sparse form, the form's entries outside keep are the tail's
+    nonzero entries, listed by row; `_split_norm` labels them and norms
+    each component on sub - sub * keep_sub, gathered from M and keep,
+    which is the tail's submatrix bit for bit, and forms the tail matrix
+    only when it takes the route whole."""
     row_point, col_point = T.target.coord_point, T.source.coord_point
 
     def tail():
@@ -467,11 +453,15 @@ def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
 
 def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:
     """||T - M_R(T)|| where M_R keeps blocks (y, x) with d(f(x), y) <= R
-    (`_tail_norm`), bit for bit the norm of the operator
-    T - T.supported_mask(f.values, R).
+    (`_tail_norm`), the norm of the operator
+    T - T.supported_mask(f.values, R): bit for bit, except when T has no
+    sparse form and that difference has one, where the whole route and
+    the split agree within a few ulps.
 
     M_R(T) is R-supported on f, so the value bounds the distance from T
-    to the R-supported operators; it is nonincreasing in R.  At the
+    to the R-supported operators.  That distance is nonincreasing in R,
+    but this bound is not (it can rise as R grows), so the running
+    minimum of the values over R' <= R is the monotone bound.  At the
     identity map it is ||T - T_R||, T_R the band truncation of width R.
     """
     if f.source != T.source.base or f.target != T.target.base:

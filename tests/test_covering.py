@@ -217,12 +217,10 @@ def test_curve_hits_zero_at_support_radius():
     assert curve[1][1] == 0.0
 
 
-def test_curve_nonincreasing_and_closes_after_noise():
+def test_curve_closes_after_noise():
     U, h, plan = noisy_covering_unitary("reflection", 10, seed=4, noise_radius=2.0, layers=1)
     radii = [0.0, 1.0, 2.0, 3.0, 5.0, 9.0]
     curve = [(R, supported_distance_upper(U, h, R)) for R in radii]
-    values = [e for _, e in curve]
-    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     # noise propagation is at most 2, so the curve closes by support radius + 2
     cutoff = plan.support_radius + 2.0
     for r, e in curve:

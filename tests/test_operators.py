@@ -216,6 +216,18 @@ def test_supported_distance_upper_refuses_a_map_off_the_operator(f):
     assert str(err.value) == "map must go from the operator's source base to its target base"
 
 
+def test_supported_distance_upper_can_rise_with_the_radius():
+    # zeroing more blocks can raise a norm: the tail at R = 3 is above the
+    # tail at R = 1 by far more than rounding, in both routes
+    T, _, _ = noisy_covering_unitary("reflection", 400, 0, 2.0, 2, fiber_dim=2)
+    f = identity_map(T.source.base)
+    curve = [supported_distance_upper(T, f, R) for R in range(6)]
+    assert curve == pytest.approx([1.0933, 1.1034, 1.1034, 1.1203, 1.1451, 1.1453], abs=1e-4)
+    assert curve[3] > curve[1] + 0.01
+    for R in (1, 3):
+        assert curve[R] == pytest.approx(_svd_top(_tail_matrix(T, T.source.base.dist <= R)), rel=1e-14)
+
+
 def test_adjoint_is_one_conjugating_pass_with_no_rescan(rng):
     T = random_operator(rng, random_fibered(rng, random_graph_space(rng, 5, 1)),
                         random_fibered(rng, random_graph_space(rng, 4, 1)))
@@ -450,13 +462,17 @@ def test_check_unitary_decides_alike_on_both_routes(case, passes):
     assert operators._sparse(U) is not None
 
 
-def test_band_truncate_error_nonincreasing(rng):
+def test_band_truncate_errors_bound_every_later_violation(rng):
+    # the errors need not fall as R grows; each bounds the violation at
+    # every R' >= R, whose separated corners miss the truncation, so the
+    # window's lower member stays below their running minimum
     X = random_graph_space(rng, 8, extra_edges=2)
     fib = random_fibered(rng, X)
     T = random_operator(rng, fib, fib)
     radii = [float(r) for r in X.realized_distances()]
     errors = [(T - T.supported_mask(np.arange(X.n), R)).norm() for R in radii]
-    assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
+    for R, floor in zip(radii, np.minimum.accumulate(errors)):
+        assert locality.approximability_window(T, R)[0] <= floor + operators.ROUNDING_MARGIN
     assert errors[-1] == 0.0  # truncation at the diameter keeps everything
     for R in radii:
         assert T.supported_mask(np.arange(X.n), R).propagation() <= R
@@ -867,9 +883,37 @@ def test_split_norms_agree_with_the_componentwise_svd(monkeypatch):
     assert len(split) == sum(count > 1 for count in counts) >= 30
 
 
+def _pattern_split(mat):
+    """`_split_norm` of a dense matrix's nonzero pattern, its entries
+    listed by `np.nonzero`: the split an operator's sparse form takes."""
+    return operators._split_norm(mat.shape, *np.nonzero(mat), lambda r, c: mat[r, c], lambda: mat)
+
+
 def test_operator_norm_is_the_spectral_norm_of_its_matrix():
+    # bit for bit the split of the matrix's nonzero pattern
     for T, _ in _split_operators():
-        assert np.float64(T.norm()).tobytes() == np.float64(spectral_norm(T.matrix)).tobytes()
+        assert np.float64(T.norm()).tobytes() == np.float64(_pattern_split(T.matrix)).tobytes()
+
+
+def test_operator_norm_and_the_whole_matrix_norm_agree_within_four_ulps():
+    # the split and the whole SVD of the same matrix round differently
+    for T, _ in _split_operators():
+        whole = spectral_norm(T.matrix)
+        assert abs(T.norm() - whole) <= 4 * ULP * whole, T
+
+
+def test_spectral_norm_takes_a_block_diagonal_matrix_whole(monkeypatch, rng):
+    # several components, no full row or column, above SPLIT_MIN: a raw
+    # matrix has no sparse form, so it is not labelled but takes one SVD
+    blocks = rng.standard_normal((4, 32, 32)) + 1j * rng.standard_normal((4, 32, 32))
+    M = np.zeros((128, 128), dtype=complex)
+    for k, block in enumerate(blocks):
+        M[32 * k : 32 * (k + 1), 32 * k : 32 * (k + 1)] = block
+    assert len(_components(M)) == 4 and min(M.shape) >= operators.SPLIT_MIN
+    labelled = _counting(monkeypatch, operators, "connected_components")
+    value = spectral_norm(M)
+    assert labelled == []
+    assert _bytes(value) == _bytes(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def _sparse_form_operators():
@@ -893,13 +937,15 @@ def _bytes(value):
 
 def test_sparse_form_routes_equal_the_dense_routes_byte_for_byte():
     # the tail, ||T||, the block Frobenius table and the column bound read
-    # T's sparse form; a copy whose sparse form is refused takes the dense route
+    # T's sparse form: the norms are the split of the dense matrix's (or
+    # dense tail's) nonzero pattern, the two sums those of a copy whose
+    # sparse form is refused, which takes the dense route
     for T, keeps in _sparse_form_operators():
         dense = _dense_route(T)
         assert operators._sparse(T) is not None
         for keep in keeps:
-            assert _bytes(operators._tail_norm(T, keep)) == _bytes(operators._tail_norm(dense, keep))
-        assert _bytes(T.norm()) == _bytes(dense.norm())
+            assert _bytes(operators._tail_norm(T, keep)) == _bytes(_pattern_split(_tail_matrix(T, keep)))
+        assert _bytes(T.norm()) == _bytes(_pattern_split(T.matrix))
         assert T.block_frobenius().tobytes() == dense.block_frobenius().tobytes()
         assert _bytes(T.norm_lower_bound()) == _bytes(dense.norm_lower_bound())
         assert operators._sparse(dense) is None
@@ -937,8 +983,8 @@ def test_sparse_tails_gather_the_dense_tail_entries_signed_zeros_included(monkey
             gathered.clear()
             value = operators._tail_norm(T, keep)
             (gather, row_masks, col_masks), = gathered  # the tail splits
-            assert _bytes(value) == _bytes(operators._tail_norm(_dense_route(T), keep))
             tail = _tail_matrix(T, keep)
+            assert _bytes(value) == _bytes(_pattern_split(tail))
             for rows, cols in zip(row_masks, col_masks):
                 r, c = np.flatnonzero(rows), np.flatnonzero(cols)
                 assert gather(r[None, :, None], c[None, None, :])[0].tobytes() == tail[np.ix_(r, c)].tobytes()

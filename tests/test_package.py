@@ -3,13 +3,13 @@ name it never uses, no private definition or module-level name is left
 without a reader and no public one without a caller or a stated reason,
 no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
-path, one Gram route, one labeller, one sparse form, one home of
-distance levels, one integer rule, one real-number rule, one home of
-the tolerances, one store of derived values and one file layout)
-matches only in its homes and every home holds it, a private name of
-operators.py (its Gram top, its stack budget) stays there, every JSON
-text goes through `serialize` and every report value through its one
-hook, and the README's quick start runs as printed."""
+path, one Gram route, one labeller behind one split gate, one sparse
+form, one home of distance levels, one integer rule, one real-number
+rule, one home of the tolerances, one store of derived values and one
+file layout) matches only in its homes and every home holds it, a
+private name of operators.py (its Gram top, its stack budget) stays
+there, every JSON text goes through `serialize` and every report value
+through its one hook, and the README's quick start runs as printed."""
 
 import ast
 import contextlib
@@ -193,17 +193,16 @@ _RULES = {
     # one norm path: only operators.py takes a vector norm
     "norm": (r"linalg\.norm\b", ("operators",)),
     # one Gram route: every Hermitian top through `_gram_top` (the unitarity
-    # residual reads a whole spectrum), every SVD norm through the whole
-    # route of `spectral_norm`, `_whole_norm`
+    # residual reads a whole spectrum), every SVD norm through `spectral_norm`,
+    # which takes every matrix whole
     "eigvalsh": (r"linalg\.eigvalsh\b", ("operators._gram_top", "operators._residual")),
-    "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators._whole_norm",)),
-    # one labeller: `_split_norm` splits a matrix, an operator or a tail into
-    # components; `from_edge_list` refuses a disconnected edge list by reachability
+    "svd": (r"svd\([^()]*compute_uv\s*=\s*False", ("operators.spectral_norm",)),
+    # one labeller: `_split_norm` splits an operator or a tail into components;
+    # `from_edge_list` refuses a disconnected edge list by reachability
     "labelling": (r"\bconnected_components\s*\(", ("operators._split_norm",)),
-    # one split decision: `_split_norm` returns every norm it decides, so the
-    # route whole is called only there and in `spectral_norm`'s small or
-    # full-pattern branch (the definition is not a call)
-    "whole": (r"(?<!def )\b_whole_norm\(", ("operators.spectral_norm", "operators._split_norm")),
+    # one split gate: only an operator's sparse form splits, so `_split_norm`
+    # is called by `T.norm()` and the tails alone (the definition is not a call)
+    "split": (r"(?<!def )\b_split_norm\(", ("operators._norm", "operators._tail_norm")),
     # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
     # `_split_norm` builds its component graph and `spaces` its edge graphs
     "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators._split_norm", "spaces")),
@@ -275,7 +274,7 @@ def _line(text, needle):
 
 _DECOMPOSITIONS = (
     "def _gram_top(s):\n    return np.linalg.eigvalsh(s)\n"
-    "def _whole_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
+    "def spectral_norm(m):\n    return np.linalg.svd(\n        m, compute_uv=False)[0]\n"
     "def corner(m):\n    def inner(g):\n        return np.linalg.eigvalsh(g)\n"
     "    return np.linalg.svd(m, compute_uv=False)\n"
     "top = np.linalg.eigvalsh(x)\nn = np.linalg.norm(x)\n"
@@ -346,21 +345,23 @@ _PLANTED = [
 
 def _planted_cases():
     """`_PLANTED`, a labelling call and a CSR matrix planted in locality.py,
-    a route-whole call planted in `operators._norm`, and a copy of
+    a split call planted in `operators.spectral_norm`, and a copy of
     operators.py whose `_gram_top` is renamed, so that its home is idle."""
     package = _package_texts()
     planted = package["locality"] + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
     stray_csr = package["locality"] + "\n\ndef _planted(T):\n    return csr_matrix (T.matrix)\n"
     renamed = package["operators"].replace("def _gram_top(", "def top_of_gram(")
-    whole = package["operators"].replace("return spectral_norm(T.matrix)", "return _whole_norm(T.matrix)")
+    split = package["operators"].replace(
+        "    rows, cols = mat.shape[-2:]\n",
+        "    rows, cols = mat.shape[-2:]\n    _split_norm(mat.shape, *np.nonzero(mat), None, None)\n", 1)
     cases = [(rule, texts if isinstance(texts, dict) else {"m": texts}, *rest) for rule, texts, *rest in _PLANTED]
     return [pytest.param(*case, id=case[0]) for case in cases] + [
         pytest.param("labelling", {**package, "locality": planted},
                      [f"locality._planted:{_line(planted, 'return connected_components(')}"], [], id="labelling"),
         pytest.param("csr", {**package, "locality": stray_csr},
                      [f"locality._planted:{_line(stray_csr, 'return csr_matrix (')}"], [], id="csr"),
-        pytest.param("whole", {"operators": whole},
-                     [f"operators._norm:{_line(whole, 'return _whole_norm(T.matrix)')}"], [], id="whole"),
+        pytest.param("split", {"operators": split},
+                     [f"operators.spectral_norm:{_line(split, '_split_norm(mat.shape')}"], [], id="split"),
         pytest.param("eigvalsh", {"operators": renamed},
                      [f"operators.top_of_gram:{_line(renamed, 'np.linalg.eigvalsh(')}"], ["operators._gram_top"],
                      id="idle_home"),
