@@ -14,11 +14,11 @@ a rectangular one (corners, often stacked).  Only an operator's sparse
 form splits: `T.norm()` (`_norm`) and the tails ||T - T_keep||
 (`_tail_norm`) go to the one labeller, `_split_norm`, which takes the
 largest norm among the components of the form's entries, or
-`spectral_norm` whole for a full row or column or a single component.
-The two routes agree within a few ulps, not bit for bit.  The tails
-are taken with no operator built; `supported_distance_upper` is their
-public entry, and ||T - T_R|| is its value at the identity map.  A
-norm whose components all stay below the sizes OpenBLAS threads does
+`spectral_norm` whole for a single component, as a full row or column
+makes.  The two routes agree within a few ulps, not bit for bit.  The
+tails are taken with no operator built; `supported_distance_upper` is
+their public entry, and ||T - T_R|| is its value at the identity map.
+A norm whose components all stay below the sizes OpenBLAS threads does
 not depend on the BLAS thread count.  The unitarity
 residual takes no norm: it reads the spectrum of one dense Hermitian
 matrix G - I, with G the Gram matrix on the smaller side.  The unitarity
@@ -234,16 +234,13 @@ def _split_norm(shape, r, c, gather, whole):
     singular values together are the matrix's.  The components are
     labelled by `connected_components` and each is normed on the
     submatrix that `gather(rows, cols)` stacks for its coordinates
-    (`_gathered_norms`).  A full row or column, which makes one component
-    and would pay the labelling on top of its SVD, and a single component
-    take the route whole: `spectral_norm` of the matrix that `whole()`
-    forms, so a tail is formed only then.  The one labeller, serving
-    `_norm` and `_tail_norm` alone."""
+    (`_gathered_norms`).  A single component, a full row or column
+    included, takes the route whole: `spectral_norm` of the matrix that
+    `whole()` forms, so a tail is formed only then.  The one labeller,
+    serving `_norm` and `_tail_norm` alone."""
     rows, cols = shape
     if r.size == 0:
         return 0.0
-    if np.bincount(r, minlength=rows).max() == cols or np.bincount(c, minlength=cols).max() == rows:
-        return spectral_norm(whole())
     # rows are nodes 0..rows-1 and columns rows..rows+cols-1, the edges listed by row
     indptr = np.searchsorted(r, np.arange(rows + cols + 1))
     graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
@@ -299,24 +296,12 @@ class BlockOperator(Derived):
             raise ValueError("compose: inner operator's target must match outer's source")
         return BlockOperator(other.source, self.target, self.matrix @ other.matrix)
 
-    def __add__(self, other):
-        if not isinstance(other, BlockOperator):
-            return NotImplemented
-        if other.source != self.source or other.target != self.target:
-            raise ValueError("operator sum needs matching fibered spaces")
-        return BlockOperator(self.source, self.target, self.matrix + other.matrix)
-
     def __sub__(self, other):
         if not isinstance(other, BlockOperator):
             return NotImplemented
         if other.source != self.source or other.target != self.target:
             raise ValueError("operator difference needs matching fibered spaces")
         return BlockOperator(self.source, self.target, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return BlockOperator(self.source, self.target, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
 
     def norm(self) -> float:
         """`spectral_norm` of the matrix; computed once per operator and stored."""

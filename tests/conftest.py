@@ -66,6 +66,11 @@ def indicator(space: FiberedSpace, A) -> BlockOperator:
     return BlockOperator(space, space, np.diag(mask.astype(complex)))
 
 
+def scaled(T: BlockOperator, c: float) -> BlockOperator:
+    """c T over T's spaces."""
+    return BlockOperator(T.source, T.target, c * T.matrix)
+
+
 def random_operator(rng, source: FiberedSpace, target: FiberedSpace) -> BlockOperator:
     shape = (target.total_dim, source.total_dim)
     mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

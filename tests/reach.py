@@ -1,0 +1,145 @@
+"""Which statements of the program its scenarios run.
+
+    PYTHONPATH=src python tests/reach.py
+
+The scenarios are the four roebench workloads at seeds 1-3 (set-up, the
+check of every report and one round of ops) and acceptance criteria
+1-10 (the runners of tests/test_acceptance.py).  A statement is one in
+a function body of src/roelab, a docstring and a nested `def` or
+`class` left out; it is reached when a line of its head (a simple
+statement's every line, a compound one's up to its body) runs under
+`sys.settrace`.  The script prints the totals, the sha256 over the
+`results` of the roebench ops (their canonical JSON, concatenated in
+run order), and every statement that no scenario reaches, by module,
+with `raise` lines marked.  A branch that only a unit test runs shows
+up here.
+
+Nothing under roebench/ is written: the workloads' inputs go to a
+temporary directory.  With one BLAS thread it takes about 15 s on one
+core of an Intel Xeon, too long for Tier-1, so pytest does not collect
+it (the name has no `test_` prefix).
+"""
+
+import ast
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _docstring(node):
+    """The docstring statement of a module, class or function, or None."""
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        if ast.get_docstring(node, clean=False) is not None:
+            return node.body[0]
+    return None
+
+
+def statements(tree):
+    """(first line, last head line, node) for every statement in a function
+    body, a docstring and a nested def or class left out."""
+    found = []
+
+    def visit(node, in_function):
+        doc = _docstring(node)
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if in_function and isinstance(child, ast.stmt) and child is not doc and not is_def:
+                body = getattr(child, "body", None)
+                last = max(child.lineno, body[0].lineno - 1) if body else child.end_lineno
+                found.append((child.lineno, last, child))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
+def trace(run, files):
+    """Run `run()` under a line trace of the given files; return the set
+    of (file, line) that ran."""
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def start(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    sys.settrace(start)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return ran
+
+
+def scenarios(digest, failed):
+    """The roebench workloads at seeds 1-3, then acceptance criteria 1-10."""
+    import checks
+    import test_acceptance
+    import workloads
+
+    for name, workload_class in workloads.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            with tempfile.TemporaryDirectory() as work:
+                workload = workload_class(seed, Path(work))
+                ops = workload.set_up()
+                workload.prepare_checks(ops)
+                for op in ops:
+                    status, text = workloads.run_op(op)
+                    if status != 0:
+                        failed.append(f"{name} seed {seed} {op.input_id}: exit {status}")
+                        continue
+                    results = json.loads(text)["results"]
+                    digest.update(checks.canonical(results).encode())
+                    try:
+                        op.check(results)
+                    except checks.CheckFailed as exc:
+                        failed.append(f"{name} seed {seed} {op.input_id}: {exc.name}")
+    with contextlib.redirect_stdout(io.StringIO()):  # criterion 9's CLI sweeps print
+        for num in test_acceptance.RUNNERS:
+            test_acceptance.run_cached(num)
+
+
+def main():
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # as roebench/run.py, before numpy loads
+    sys.path.append(str(ROOT / "roebench"))  # after tests/, whose conftest the criteria import
+    import roelab
+
+    package = Path(roelab.__file__).resolve().parent
+    sources = {str(path): path.read_text() for path in sorted(package.glob("*.py"))}
+    digest, failed = hashlib.sha256(), []
+    ran = trace(lambda: scenarios(digest, failed), set(sources))
+    unreached, total = {}, 0
+    for path, text in sources.items():
+        found = statements(ast.parse(text))
+        total += len(found)
+        unreached[path] = [
+            (first, isinstance(node, ast.Raise)) for first, last, node in found
+            if not any((path, line) in ran for line in range(first, last + 1))
+        ]
+    missed = [is_raise for rows in unreached.values() for _, is_raise in rows]
+    print(f"src/roelab: {total - len(missed)} of {total} statements reached; "
+          f"{len(missed)} unreached, {sum(missed)} of them `raise`")
+    print(f"results sha256 of the roebench ops: {digest.hexdigest()}")
+    print(f"failed checks: {'; '.join(failed) or 'none'}")
+    for path, rows in unreached.items():
+        if rows:
+            print(f"\n{Path(path).name}: {len(rows)} unreached, {sum(r for _, r in rows)} `raise`")
+            lines = sources[path].splitlines()
+            for first, is_raise in rows:
+                print(f"  {first:5d} {'raise' if is_raise else '':5s} {lines[first - 1].strip()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

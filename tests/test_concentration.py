@@ -13,7 +13,7 @@ from roelab.operators import FiberedSpace, identity_operator, random_band_unitar
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
-from conftest import indicator
+from conftest import indicator, scaled
 from hadamard import hadamard_fixture
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -119,7 +119,7 @@ def test_h_index_sweep_builds_one_corner_table(monkeypatch):
 
 def test_rejects_non_unitary(rng):
     fib = FiberedSpace.uniform(path_space(4), 1)
-    T = identity_operator(fib) * 1.5
+    T = scaled(identity_operator(fib), 1.5)
     with pytest.raises(ValueError, match="unitar"):
         concentration_witness(T, 0, 1.0)
 
@@ -160,7 +160,7 @@ def test_lost_normalization_raises(monkeypatch):
     # past the unitarity check, U * 1.01 gives a probe vector of mass 1.0201
     monkeypatch.setattr(concentration, "check_unitary", lambda U: None)
     with pytest.raises(RuntimeError, match="probe vector lost normalization"):
-        concentration_witness(_noisy_reflection() * 1.01, 5, 0.0)
+        concentration_witness(scaled(_noisy_reflection(), 1.01), 5, 0.0)
 
 
 def test_per_point_inequality_failure_raises(monkeypatch):

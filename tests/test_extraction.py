@@ -25,7 +25,7 @@ from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
-from conftest import random_fibered, random_graph_space, random_operator
+from conftest import random_fibered, random_graph_space, random_operator, scaled
 from hadamard import hadamard_fixture
 
 
@@ -117,7 +117,7 @@ def test_corner_norm_table_matches_reference_loop(rng):
         fib = random_fibered(rng, X, max_dim=3)
         U = random_band_unitary(fib, 2.0, 2, seed=int(rng.integers(0, 1000)))
         T = random_operator(rng, fib, random_fibered(rng, X, max_dim=3))
-        cases += [U, T * (1 / T.norm())]  # corners at most 1, like a unitary's
+        cases += [U, scaled(T, 1 / T.norm())]  # corners at most 1, like a unitary's
     h, _ = standard_pair("halving", 6)
     W, _ = covering_unitary(h, FiberedSpace(h.source, rng.integers(1, 3, size=h.source.n)))
     cases += [W, W.adjoint()]  # 1-2 dim fibers onto 2-4 dim ones, and back
@@ -337,7 +337,7 @@ def test_minimal_radius_error_reports_worst_point():
 
 def test_minimal_radius_error_tells_near_one_numbers_apart():
     # a cover scaled just below unitarity: every corner stays below 1 - 2.5e-10
-    U = noisy_covering_unitary("reflection", 20, 0)[0] * (1 - 2.5e-10)
+    U = scaled(noisy_covering_unitary("reflection", 20, 0)[0], 1 - 2.5e-10)
     assert extract_pair(U, 1 - 1e-9).R == 2.0
     with pytest.raises(MinimalRadiusError) as info:
         extract_pair(U, 1 - 1e-10)
@@ -359,7 +359,7 @@ ENTRIES = {
 def test_public_entries_reject_non_unitary(entry):
     U, _, _ = noisy_covering_unitary("reflection", 8, seed=0)
     with pytest.raises(ValueError, match="unitar"):
-        ENTRIES[entry](2 * U)
+        ENTRIES[entry](scaled(U, 2))
 
 
 def _spy_decompositions(monkeypatch):
@@ -427,7 +427,7 @@ def test_outer_refuses_two_fibered_spaces_before_any_decomposition(monkeypatch):
 def test_unitarity_check_decomposes_when_the_bound_cannot_decide(monkeypatch):
     h, _ = standard_pair("reflection", 12)
     W, _ = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
-    U = W * (1 + 4e-10)  # U*U - I = (8e-10) I: residual below 1e-9, Frobenius bound above
+    U = scaled(W, 1 + 4e-10)  # U*U - I = (8e-10) I: residual below 1e-9, Frobenius bound above
     gram = U.matrix.conj().T @ U.matrix - np.eye(12)
     assert np.linalg.norm(gram) > 1e-9
     decompositions = _spy_decompositions(monkeypatch)
@@ -439,7 +439,7 @@ def test_unitarity_check_decomposes_when_the_bound_cannot_decide(monkeypatch):
 def test_unitarity_check_still_refuses_with_the_exact_residual(monkeypatch):
     h, _ = standard_pair("reflection", 12)
     W, _ = covering_unitary(h, FiberedSpace.uniform(h.source, 1))
-    U = W * (1 + 1e-9)  # residual about 2e-9
+    U = scaled(W, 1 + 1e-9)  # residual about 2e-9
     decompositions = _spy_decompositions(monkeypatch)
     with pytest.raises(ValueError, match=r"not unitary: residual 2e-09 > 1e-09"):
         extract_pair(U, 0.5)

@@ -26,6 +26,7 @@ from conftest import (
     random_fibered,
     random_graph_space,
     random_operator,
+    scaled,
     tree_space,
 )
 
@@ -141,7 +142,7 @@ def test_batched_enumeration_matches_per_candidate_loop(monkeypatch):
             cases.append((T, X.diameter + 1.0))  # no separated pair
     X = random_graph_space(rng, 10, extra_edges=2)
     fib = random_fibered(rng, X, max_dim=3)
-    zero = 0 * random_operator(rng, fib, fib)
+    zero = scaled(random_operator(rng, fib, fib), 0)
     # a coordinate permutation ties many corners at exactly 1, so the
     # first maximum decides the witness
     perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
@@ -450,9 +451,9 @@ def _search_input(seed: int, kind: str):
         perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
         if kind in ("unitary", "scaled"):
             T = perm @ random_band_unitary(fib, 1.0, int(rng.integers(0, 3)), seed)
-            T = T * 1e6 if kind == "scaled" else T
+            T = scaled(T, 1e6) if kind == "scaled" else T
         else:
-            T = perm + 3e-6 * random_operator(rng, fib, fib)
+            T = BlockOperator(fib, fib, perm.matrix + 3e-6 * random_operator(rng, fib, fib).matrix)
     return T, R
 
 
@@ -624,17 +625,19 @@ def test_witness_margin_scales_with_the_operator(scale):
     # blocks, and the exact witness at 1e6 would read
     # A = (0, 1, 2, 3, 4, 5, 6, 7, 11), B = (9,)
     U = random_band_unitary(FiberedSpace.uniform(path_space(12), 2), 1.0, 3, 0)
-    report = quasi_locality_violation(U * scale, 1.0, "exact")
+    U = scaled(U, scale)
+    report = quasi_locality_violation(U, 1.0, "exact")
     assert report.witness == locality.Witness(A=(7,), B=(9,))
-    _assert_no_point_drops(U * scale, report.witness, report.violation_lower)
+    _assert_no_point_drops(U, report.witness, report.violation_lower)
     # in bounds mode the search would accept such moves, growing the
     # witness from 5 + 4 points to 11 + 10 and the lower member by 3 ulps
     V = random_band_unitary(FiberedSpace.uniform(path_space(60), 2), 1.0, 3, 2)
     unit = quasi_locality_violation(V, 0.0, "bounds")
-    report = quasi_locality_violation(V * scale, 0.0, "bounds")
+    V = scaled(V, scale)
+    report = quasi_locality_violation(V, 0.0, "bounds")
     assert report.witness == unit.witness
     assert len(report.witness.A) + len(report.witness.B) == 9
-    _assert_no_point_drops(V * scale, report.witness, report.violation_lower)
+    _assert_no_point_drops(V, report.witness, report.violation_lower)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -642,7 +645,7 @@ def test_grow_norms_no_candidate_of_zero_mass(monkeypatch, scale):
     # from the best singleton at R = 3 of a propagation-4 band unitary,
     # every candidate adds only zero blocks: the grow takes the start's
     # norm and no other (norming them would take 64 more at scale 1e6)
-    U = random_band_unitary(FiberedSpace.uniform(path_space(40), 1), 1.0, 4, 3) * scale
+    U = scaled(random_band_unitary(FiberedSpace.uniform(path_space(40), 1), 1.0, 4, 3), scale)
     state = locality._SearchState(U, 3.0)
     y, x = locality._best_singleton(state)[1]
     far = U.source.base.dist > 3.0

@@ -108,28 +108,52 @@ def test_private_definitions_are_referenced():
     assert unreferenced == []
 
 
-# public names that nothing in the package or the benchmark names, each with
-# the reason it stays
+# public names that nothing in the package or the benchmark's modules
+# names, each with the reason it stays; a dunder is named only by its
+# operator or call syntax, which the lint does not read, so each one kept
+# is listed here
 _UNREACHED_BUT_KEPT = {
     "BlockOperator.propagation": "acceptance criteria 4-5; ROADMAP item 11 gives it callers",
     "upgrade_trick": "acceptance criterion 6, the paper's upgrade step",
     "BlockOperator.supported_mask": "acceptance criteria 7-8; the tests' reference for `_tail_norm`",
     "save_map": "writes the map file that `cover --map` reads",
+    "extract_map": "only roebench/test_roebench.py calls it, and only a benchmark change edits roebench",
+    "identity_operator": "only roebench/test_roebench.py calls it, and only a benchmark change edits roebench",
+    "BlockOperator.__matmul__": "`fixtures.noisy_covering_unitary`, `covering.outer_roundtrip` and "
+                                "the README quick start compose with `@`",
+    "BlockOperator.__sub__": "the tests' reference for `_tail_norm`",
+    "PointMap.__call__": "the tests' pointwise reference for `closeness` and the tie rule",
 }
+
+# the object protocol every class answers to: construction, `==` (in
+# comparisons and containers) and `repr` (in messages and failed asserts)
+_PROTOCOL_DUNDERS = {"__init__", "__eq__", "__repr__"}
 
 
 def _public_definitions(module, tree):
     """(label, name, node, reference kinds) for every public module-level
-    function or class and every public non-dunder method of a public
-    class.  A method is reached as an attribute; a function or class as
-    a name or as an attribute of its module."""
+    function or class, and every public method or dunder outside the
+    object protocol of a public class, a class-body alias such as
+    `__rmul__ = __mul__` included.  A class member is reached as an
+    attribute; a function or class as a name or as an attribute of its
+    module."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             found.append((node.name, node.name, node, (ast.Name, ast.Attribute)))
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    found.append((f"{node.name}.{item.name}", item.name, item, (ast.Attribute,)))
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [target.id for target in item.targets if isinstance(target, ast.Name)]
+                else:
+                    names = []
+                found += [
+                    (f"{node.name}.{name}", name, item, (ast.Attribute,))
+                    for name in names
+                    if not name.startswith("_")
+                    or name.startswith("__") and name.endswith("__") and name not in _PROTOCOL_DUNDERS
+                ]
     return found
 
 
@@ -160,15 +184,22 @@ def _unreached_public_names(package_texts, caller_texts):
     return unreached
 
 
-def _benchmark_texts():
-    benchmark = _PACKAGE.parents[1] / "roebench"
-    return {f"roebench/{path.name}": path.read_text() for path in sorted(benchmark.glob("*.py"))}
+def _benchmark_texts(benchmark=_PACKAGE.parents[1] / "roebench"):
+    """{roebench/file: text} for the benchmark's modules that run the
+    program (`checks`, `run`, `spans`, `workloads`); its tests and
+    conftest test the benchmark, so what only they call is unreached."""
+    return {
+        f"roebench/{path.name}": path.read_text()
+        for path in sorted(benchmark.glob("*.py"))
+        if path.stem != "conftest" and not path.stem.startswith("test_")
+    }
 
 
 def test_public_names_are_reached():
-    # the public API is what the program calls: a public function, class
-    # or method that no module of the package or the benchmark names is
-    # dead code or a test helper, unless the allowlist says why it stays
+    # the public API is what the program calls: a public function, class,
+    # method or dunder that no module of the package and no non-test module
+    # of the benchmark names is dead code or a test helper, unless the
+    # allowlist says why it stays
     unreached = _unreached_public_names(_package_texts(), _benchmark_texts())
     assert sorted(label.split()[1] for label in unreached) == sorted(_UNREACHED_BUT_KEPT)
 
@@ -181,6 +212,37 @@ def test_public_name_lint_finds_a_planted_method():
     assert _unreached_public_names({"spaces": text}, callers) == []
     after = _unreached_public_names({"spaces": planted}, callers)
     assert [label.split()[1] for label in after] == ["FiniteMetricSpace.planted_size"]
+
+
+@pytest.mark.parametrize("plant, found", [
+    pytest.param("    def __add__(self, other):\n        return self\n\n",
+                 ["BlockOperator.__add__"], id="method"),
+    pytest.param("    def __mul__(self, c):\n        return self\n\n    __rmul__ = __mul__\n\n",
+                 ["BlockOperator.__mul__", "BlockOperator.__rmul__"], id="alias"),
+])
+def test_public_name_lint_finds_a_planted_dunder(plant, found):
+    callers = {**_package_texts(), **_benchmark_texts()}
+    text = callers["operators"]
+    anchor = "    def __sub__(self, other)"
+    before, after = (
+        [label.split()[1] for label in _unreached_public_names({"operators": t}, callers)]
+        for t in (text, text.replace(anchor, plant + anchor))
+    )
+    assert [name for name in after if name not in before] == found
+
+
+def test_public_name_lint_counts_no_benchmark_test(tmp_path):
+    # a public name that only a benchmark test calls is unreached; the same
+    # call from a benchmark module reaches it
+    package = _package_texts()
+    planted = {"spaces": package["spaces"] + "\n\ndef planted_helper():\n    return 0\n"}
+    call = "from roelab.spaces import planted_helper\n\nplanted_helper()\n"
+    (tmp_path / "test_x.py").write_text(call)
+    (tmp_path / "conftest.py").write_text(call)
+    after = _unreached_public_names(planted, {**package, **_benchmark_texts(tmp_path)})
+    assert [label.split()[1] for label in after] == ["planted_helper"]
+    (tmp_path / "x.py").write_text(call)
+    assert _unreached_public_names(planted, {**package, **_benchmark_texts(tmp_path)}) == []
 
 
 # The design contract, one rule a row: {rule: (pattern, homes)}.  A home
