@@ -14,7 +14,8 @@ at the ball masks; concentration witnesses read it as well.  Corners
 within `operators.ROUNDING_MARGIN` of a row's maximum count as tied and
 go to the smallest index, so the extracted maps do not depend on the
 order in which the kernel sums.  The radius search returns the table it
-stopped at, and `extract_pair` reuses it.
+stopped at, and `extract_pair` reuses it: U*'s search starts at U's
+radius, so it stops at the pair's radius.
 """
 
 from __future__ import annotations
@@ -94,13 +95,15 @@ def minimal_radius(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
     against numerically degenerate inputs anyway.
     """
     _check_delta(U, delta)
-    return _radius_scan(U, delta)
+    return _radius_scan(U, delta, 0.0)
 
 
-def _radius_scan(U: BlockOperator, delta: float) -> tuple[float, np.ndarray]:
-    """`minimal_radius` on inputs already checked."""
+def _radius_scan(U: BlockOperator, delta: float, start: float) -> tuple[float, np.ndarray]:
+    """`minimal_radius` on inputs already checked, among the radii from
+    `start` on: `start`, then the realized distances above it."""
+    realized = U.target.base.realized_distances()
     witness = None
-    for R in U.target.base.realized_distances():
+    for R in [start, *realized[realized > start]]:
         table = corner_norm_table(U, R)
         _, witness = _threshold(table)
         if (witness > delta).all():
@@ -137,18 +140,15 @@ def extract_pair(U: BlockOperator, delta: float = 0.5) -> ExtractionReport:
 
     R is the larger of the minimal admissible radii for U and U*, so the
     same radius serves both directions; g comes from U, f from U*, and
-    the equivalence is certified by direct measurement.  Each direction
-    reuses the table its radius search ended on; only a direction whose
-    own radius is below R builds one more table, at R.
+    the equivalence is certified by direct measurement.  U*'s radius
+    search starts at U's radius R_g, so it stops at R on the table f
+    reads; only g builds one more table, at R, when R exceeds R_g.
     """
     R_g, table_g = minimal_radius(U, delta)  # checks U once; U* is unitary exactly when U is
     Ustar = U.adjoint()
-    R_f, table_f = _radius_scan(Ustar, delta)
-    R = max(R_g, R_f)
+    R, table_f = _radius_scan(Ustar, delta, R_g)
     if R_g < R:
         table_g = corner_norm_table(U, R)
-    if R_f < R:
-        table_f = corner_norm_table(Ustar, R)
     g, witness_g = _map_from_table(U, table_g, delta, R)
     f, witness_f = _map_from_table(Ustar, table_f, delta, R)
     return ExtractionReport(

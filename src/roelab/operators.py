@@ -13,11 +13,11 @@ matrix (fiber blocks, a dense operator's tails) and the Gram route for
 a rectangular one (corners, often stacked).  Only an operator's sparse
 form splits: `T.norm()` (`_norm`) and the tails ||T - T_keep||
 (`_tail_norm`) go to the one labeller, `_split_norm`, which takes the
-largest norm among the components of the form's entries, or
-`spectral_norm` whole for a single component, as a full row or column
-makes.  The two routes agree within a few ulps, not bit for bit.  The
-tails are taken with no operator built; `supported_distance_upper` is
-their public entry, and ||T - T_R|| is its value at the identity map.
+largest norm among the components of the form's entries, each normed
+on its gathered submatrix.  The two routes agree within a few ulps, not
+bit for bit.  The tails are taken with no operator built;
+`supported_distance_upper` is their public entry, and ||T - T_R|| is
+its value at the identity map.
 A norm whose components all stay below the sizes OpenBLAS threads does
 not depend on the BLAS thread count.  The unitarity
 residual takes no norm: it reads the spectrum of one dense Hermitian
@@ -226,18 +226,16 @@ def spectral_norm(mat):
     return float(tops) if mat.ndim == 2 else tops
 
 
-def _split_norm(shape, r, c, gather, whole):
+def _split_norm(shape, r, c, gather):
     """The norm of an operator's matrix, or of one of its tails, from the
     coordinates (r, c) of its nonzero entries on the sparse form, listed
     by row: 0.0 with no entries, and otherwise the largest norm among the
     components of the bipartite row/column graph of the entries, whose
     singular values together are the matrix's.  The components are
-    labelled by `connected_components` and each is normed on the
-    submatrix that `gather(rows, cols)` stacks for its coordinates
-    (`_gathered_norms`).  A single component, a full row or column
-    included, takes the route whole: `spectral_norm` of the matrix that
-    `whole()` forms, so a tail is formed only then.  The one labeller,
-    serving `_norm` and `_tail_norm` alone."""
+    labelled by `connected_components` and each, a lone one included, is
+    normed on the submatrix that `gather(rows, cols)` stacks for its
+    coordinates (`_gathered_norms`), so a tail matrix is never formed.
+    The one labeller, serving `_norm` and `_tail_norm` alone."""
     rows, cols = shape
     if r.size == 0:
         return 0.0
@@ -246,8 +244,6 @@ def _split_norm(shape, r, c, gather, whole):
     graph = csr_matrix((np.ones(r.size), c + rows, indptr), shape=(rows + cols, rows + cols))
     labels = connected_components(graph, directed=False)[1]
     comps = np.unique(labels[r])  # zero rows and columns are components of their own
-    if comps.size == 1:
-        return spectral_norm(whole())
     row_masks, col_masks = labels[:rows] == comps[:, None], labels[rows:] == comps[:, None]
     return float(_gathered_norms(gather, row_masks, col_masks).max())
 
@@ -400,7 +396,7 @@ def _norm(T: BlockOperator) -> float:
     sparse = _sparse(T)
     if sparse is None:
         return spectral_norm(T.matrix)
-    return _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c], lambda: T.matrix)
+    return _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c])
 
 
 def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
@@ -415,17 +411,13 @@ def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
     T's sparse form, the form's entries outside keep are the tail's
     nonzero entries, listed by row; `_split_norm` labels them and norms
     each component on sub - sub * keep_sub, gathered from M and keep,
-    which is the tail's submatrix bit for bit, and forms the tail matrix
-    only when it takes the route whole."""
+    which is the tail's submatrix bit for bit, so the tail matrix is
+    never formed."""
     row_point, col_point = T.target.coord_point, T.source.coord_point
-
-    def tail():
-        mask = keep.take(row_point, axis=0).take(col_point, axis=1)
-        return T.matrix - T.matrix * mask
-
     sparse = _sparse(T)
     if sparse is None:
-        return spectral_norm(tail())
+        mask = keep.take(row_point, axis=0).take(col_point, axis=1)
+        return spectral_norm(T.matrix - T.matrix * mask)
 
     def gather(r, c):
         sub = T.matrix[r, c]
@@ -433,7 +425,7 @@ def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:
 
     r, c = _entries(sparse)
     far = ~keep[row_point[r], col_point[c]]
-    return _split_norm(T.matrix.shape, r[far], c[far], gather, tail)
+    return _split_norm(T.matrix.shape, r[far], c[far], gather)
 
 
 def supported_distance_upper(T: BlockOperator, f: PointMap, R: float) -> float:

@@ -10,9 +10,11 @@ a function body of src/roelab, a docstring and a nested `def` or
 statement's every line, a compound one's up to its body) runs under
 `sys.settrace`.  The script prints the totals, the sha256 over the
 `results` of the roebench ops (their canonical JSON, concatenated in
-run order), and every statement that no scenario reaches, by module,
-with `raise` lines marked.  A branch that only a unit test runs shows
-up here.
+run order), the sha256 of each acceptance criterion's `results` as
+criterion 9 hashes them (`report_bytes`), and every statement that no
+scenario reaches, by module, with `raise` lines marked.  The failed
+checks are those of the roebench ops and criterion 9's reruns that
+differ.  A branch that only a unit test runs shows up here.
 
 Nothing under roebench/ is written: the workloads' inputs go to a
 temporary directory.  With one BLAS thread it takes about 15 s on one
@@ -119,6 +121,11 @@ def main():
     sources = {str(path): path.read_text() for path in sorted(package.glob("*.py"))}
     digest, failed = hashlib.sha256(), []
     ran = trace(lambda: scenarios(digest, failed), set(sources))
+    import test_acceptance
+
+    criteria = test_acceptance.run_cached(9)[0]["criteria"]
+    failed += [f"criterion {num} differs on a rerun"
+               for num, entry in criteria.items() if not entry["rerun_match"]]
     unreached, total = {}, 0
     for path, text in sources.items():
         found = statements(ast.parse(text))
@@ -131,6 +138,8 @@ def main():
     print(f"src/roelab: {total - len(missed)} of {total} statements reached; "
           f"{len(missed)} unreached, {sum(missed)} of them `raise`")
     print(f"results sha256 of the roebench ops: {digest.hexdigest()}")
+    for num, entry in criteria.items():
+        print(f"results sha256 of criterion {num:>2}: {entry['sha256']}")
     print(f"failed checks: {'; '.join(failed) or 'none'}")
     for path, rows in unreached.items():
         if rows:

@@ -268,25 +268,64 @@ def _radius_and_scan_length(T, delta):
     return R, [float(r) for r in T.target.base.realized_distances()].index(R) + 1
 
 
+def _pair_cases():
+    return [(noisy_covering_unitary(kind, n, seed, 2.0, 4)[0], 0.7)
+            for kind, n in (("reflection", 40), ("halving", 24)) for seed in range(3)] + [
+        (random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 4.0, 5, seed=2), 0.7)]
+
+
+def _spied_extraction(U, delta):
+    """`extract_pair(U, delta)` and, for each corner table it builds in
+    order, whether the table is U's (else U*'s) and its radius."""
+    built = []
+    original = extraction.corner_norm_table
+
+    def spy(T, R):
+        built.append((T is U, float(R)))
+        return original(T, R)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "corner_norm_table", spy)
+        report = extract_pair(U, delta)
+    return report, built
+
+
 def test_extract_pair_reuses_the_admissible_tables():
-    cases = [(noisy_covering_unitary(kind, n, seed, 2.0, 4)[0], 0.7)
-             for kind, n in (("reflection", 40), ("halving", 24)) for seed in range(3)]
-    cases.append((random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 4.0, 5, seed=2), 0.7))
-    for U, delta in cases:
+    # U's scan, then U*'s radii from R_g up to R, then g's one table when R > R_g
+    for U, delta in _pair_cases():
         R_g, scanned_g = _radius_and_scan_length(U, delta)
-        R_f, scanned_f = _radius_and_scan_length(U.adjoint(), delta)
-        built = []
-        original = extraction.corner_norm_table
+        report, built = _spied_extraction(U, delta)
+        realized = U.source.base.realized_distances()
+        scanned_f = 1 + int(((realized > R_g) & (realized <= report.R)).sum())
+        assert len(built) == scanned_g + scanned_f + (report.R > R_g)
 
-        def counted(T, R):
-            built.append(R)
-            return original(T, R)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extraction, "corner_norm_table", counted)
-            report = extract_pair(U, delta)
+def _haar_onto_a_longer_path(seed):
+    """A Haar unitary (QR of a complex Gaussian, the phases of R's
+    diagonal moved into Q) from path(2) with 4-dim fibers onto path(8)
+    with 1-dim fibers."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return BlockOperator(FiberedSpace.uniform(path_space(2), 4), FiberedSpace.uniform(path_space(8), 1), q)
+
+
+def test_extract_pair_scans_u_star_from_the_radius_of_u():
+    # every radius below R_g fails for U, so R is never below it: U*'s
+    # scan starts there and stops at the pair's radius
+    halving = noisy_covering_unitary("halving", 24, 0, 2.0, 4)[0]
+    haar = _haar_onto_a_longer_path(0)
+    for U, delta in [*_pair_cases(), (halving, 0.8), (haar, 0.9)]:
+        R_g, R_f = minimal_radius(U, delta)[0], minimal_radius(U.adjoint(), delta)[0]
+        report, built = _spied_extraction(U, delta)
+        star_radii = [R for is_u, R in built if not is_u]
+        assert min(star_radii) >= R_g, (U, delta)
         assert report.R == max(R_g, R_f)
-        assert len(built) == scanned_g + scanned_f + (R_g != R_f)
+        if U is halving:
+            assert R_f > R_g and built[-1] == (True, report.R)  # g builds one more table
+        if U is haar:
+            # R_g exceeds X's diameter 1, where the ball is all of X
+            assert R_g >= 2 and star_radii == [R_g]
 
 
 def test_extract_pair_identity_noise_only():

@@ -884,7 +884,7 @@ def test_split_norms_agree_with_the_componentwise_svd(monkeypatch):
 def _pattern_split(mat):
     """`_split_norm` of a dense matrix's nonzero pattern, its entries
     listed by `np.nonzero`: the split an operator's sparse form takes."""
-    return operators._split_norm(mat.shape, *np.nonzero(mat), lambda r, c: mat[r, c], lambda: mat)
+    return operators._split_norm(mat.shape, *np.nonzero(mat), lambda r, c: mat[r, c])
 
 
 def test_operator_norm_is_the_spectral_norm_of_its_matrix():
@@ -988,9 +988,10 @@ def test_sparse_tails_gather_the_dense_tail_entries_signed_zeros_included(monkey
                 assert gather(r[None, :, None], c[None, None, :])[0].tobytes() == tail[np.ix_(r, c)].tobytes()
 
 
-def test_sparse_form_with_a_full_row_labels_once_and_is_normed_whole(monkeypatch):
-    # a full row makes one component: each route labels it once, then norms
-    # the matrix whole; a tail that keeps nothing is T itself
+def test_sparse_form_with_a_full_row_gathers_its_one_component(monkeypatch):
+    # a full row makes one component: each route labels it once and norms it
+    # gathered, like any other, with the dense route's bytes; a tail that
+    # keeps nothing is T itself
     n = 128
     fib = FiberedSpace.uniform(path_space(n), 1)
     mat = np.eye(n, dtype=complex)
@@ -1003,17 +1004,17 @@ def test_sparse_form_with_a_full_row_labels_once_and_is_normed_whole(monkeypatch
     values = []
     for norm in (T.norm, lambda: operators._tail_norm(T, nothing)):
         labelled.clear()
+        gathered.clear()
         values.append(norm())
-        assert len(labelled) == 1
-    assert gathered == []
+        assert len(labelled) == len(gathered) == 1
     monkeypatch.undo()
     dense = _dense_route(T)
     assert [_bytes(v) for v in values] == [_bytes(dense.norm()), _bytes(operators._tail_norm(dense, nothing))]
 
 
 def test_sparse_route_tail_forms_no_full_matrix():
-    # the tails of a band operator split, so `_split_norm` never calls
-    # `whole()`: the peak stays under a quarter of one N x N complex matrix
+    # the tails of a band operator split into small gathered components:
+    # the peak stays under a quarter of one N x N complex matrix
     T, _, _ = noisy_covering_unitary("reflection", 400, 0, 2.0, 2, fiber_dim=2)
     n_coords = T.matrix.shape[0]
     assert n_coords == 800 and operators._sparse(T) is not None  # the form is built before tracing

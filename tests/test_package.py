@@ -415,7 +415,7 @@ def _planted_cases():
     renamed = package["operators"].replace("def _gram_top(", "def top_of_gram(")
     split = package["operators"].replace(
         "    rows, cols = mat.shape[-2:]\n",
-        "    rows, cols = mat.shape[-2:]\n    _split_norm(mat.shape, *np.nonzero(mat), None, None)\n", 1)
+        "    rows, cols = mat.shape[-2:]\n    _split_norm(mat.shape, *np.nonzero(mat), None)\n", 1)
     cases = [(rule, texts if isinstance(texts, dict) else {"m": texts}, *rest) for rule, texts, *rest in _PLANTED]
     return [pytest.param(*case, id=case[0]) for case in cases] + [
         pytest.param("labelling", {**package, "locality": planted},
