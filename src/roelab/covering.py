@@ -8,7 +8,10 @@ fiber dimensions are synthesized so each block balances exactly, or a
 prescribed target space is honored by letting the block-major matching
 spill across neighboring blocks (needed when source and target must be
 the same space, as in roundtrips).  Either way the result is an exact
-0/1 permutation matrix, hence exactly unitary.
+0/1 permutation matrix, hence exactly unitary, matched by index
+arithmetic with no per-block scan.  A product with the cover is a
+gather, not a BLAS product (`BlockOperator.__matmul__`), and its
+unitarity residual is 0.0 with no decomposition.
 
 `upgrade_trick` turns a finite-rank propagation-zero projection p into a
 propagation-zero unitary V and an operator t supported within R of f
@@ -75,6 +78,20 @@ def _injective_net(f: PointMap, separation: float):
             return float(s), net
 
 
+def _starts(blocks) -> np.ndarray:
+    """Where each block begins in the blocks' concatenation."""
+    sizes = np.array([blk.size for blk in blocks])
+    return np.cumsum(sizes) - sizes
+
+
+def _coordinate_stream(space: FiberedSpace, points: np.ndarray) -> np.ndarray:
+    """The coordinates of the fibers over the points, point by point in
+    the given order, each fiber's ascending: the stream's positions,
+    shifted per point by its offset minus where its fiber starts."""
+    dims = space.fiber_dims[points]
+    return np.arange(int(dims.sum())) + np.repeat(space.offsets[points] - (np.cumsum(dims) - dims), dims)
+
+
 def covering_unitary(
     f: PointMap,
     source: FiberedSpace,
@@ -89,6 +106,13 @@ def covering_unitary(
     a prescribed target the totals must match globally and the block-major
     matching may spill across block boundaries; the support radius is
     measured either way.
+
+    The blocks, concatenated, give each side's block-major point order.
+    The spill test and the synthesized dimensions read per-block fiber
+    totals, summed over that order by `np.add.reduceat`.  Each side's
+    coordinate stream comes from one `np.repeat` over that order
+    (`_coordinate_stream`), and the k-th source coordinate goes to the
+    k-th target coordinate.
     """
     if f.source != source.base:
         raise ValueError("the fibered source must sit over the map's source space")
@@ -98,18 +122,25 @@ def covering_unitary(
     image = f.values[net]
     target_blocks = tuple(voronoi_partition(Y, image))
 
+    # block-major point orders; every block is a Voronoi cell holding its
+    # center, so none is empty and reduceat sums each block on its own
+    src_points, tgt_points = np.concatenate(source_blocks), np.concatenate(target_blocks)
+    src_starts, tgt_starts = _starts(source_blocks), _starts(target_blocks)
+    src_totals = np.add.reduceat(source.fiber_dims[src_points], src_starts)
     if target is None:
+        sizes = np.diff(tgt_starts, append=tgt_points.size)
+        short = np.flatnonzero(src_totals < sizes)
+        if short.size:
+            raise ValueError(
+                f"cannot reconcile fibers: block around net point with source total "
+                f"{src_totals[short[0]]} must cover {sizes[short[0]]} target points; "
+                f"increase source fiber dims"
+            )
+        # spread each total over its block, the remainder to its first points
+        base_dim, rem = np.divmod(src_totals, sizes)
+        rank = np.arange(tgt_points.size) - np.repeat(tgt_starts, sizes)
         dims_t = np.zeros(Y.n, dtype=np.int64)
-        for blk_x, blk_y in zip(source_blocks, target_blocks):
-            total = int(source.fiber_dims[blk_x].sum())
-            if total < blk_y.size:
-                raise ValueError(
-                    f"cannot reconcile fibers: block around net point with source total "
-                    f"{total} must cover {blk_y.size} target points; increase source fiber dims"
-                )
-            base_dim, rem = divmod(total, blk_y.size)
-            dims_t[blk_y] = base_dim
-            dims_t[blk_y[:rem]] += 1
+        dims_t[tgt_points] = np.repeat(base_dim, sizes) + (rank < np.repeat(rem, sizes))
         target = FiberedSpace(Y, dims_t)
     else:
         if target.base != Y:
@@ -120,18 +151,15 @@ def covering_unitary(
                 f"{source.total_dim} != {target.total_dim}"
             )
 
-    src_coords = [source.coords_of(blk) for blk in source_blocks]
-    tgt_coords = [target.coords_of(blk) for blk in target_blocks]
     # a synthesized target balances every block, so only a prescribed one spills
-    spill = any(a.size != b.size for a, b in zip(src_coords, tgt_coords))
-    src_stream = np.concatenate(src_coords)
-    tgt_stream = np.concatenate(tgt_coords)
+    tgt_totals = np.add.reduceat(target.fiber_dims[tgt_points], tgt_starts)
+    spill = bool((src_totals != tgt_totals).any())
     assignment = np.zeros(source.total_dim, dtype=np.int64)
-    assignment[src_stream] = tgt_stream
+    assignment[_coordinate_stream(source, src_points)] = _coordinate_stream(target, tgt_points)
 
     mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
     mat[assignment, np.arange(source.total_dim)] = 1.0
-    U = BlockOperator(source, target, mat)
+    U = BlockOperator(source, target, mat, _checked=True)
 
     src_pts = source.coord_point
     tgt_pts = target.coord_point[assignment]

@@ -63,7 +63,9 @@ def noisy_covering_unitary(
     Returns (U, h, plan).  The halving kind uses one-dimensional source
     fibers so the reconciled target carries two-dimensional fibers.  The
     cover is built once per (kind, n, fiber_dim): calls that differ only
-    in the noise share h, plan and W, which are all read-only.
+    in the noise share h, plan and W, which are all read-only.  W is a
+    permutation matrix, so W @ V is a gather of V's rows, not a BLAS
+    product (`BlockOperator.__matmul__`).
     """
     h, W, plan = _cover(kind, n, fiber_dim)
     V = random_band_unitary(W.source, noise_radius, layers, seed)

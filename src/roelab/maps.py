@@ -181,4 +181,6 @@ def voronoi_partition(space: FiniteMetricSpace, centers) -> list[np.ndarray]:
     order = np.argsort(centers)
     owner_sorted = np.argmin(space.dist[centers[order]], axis=0)
     owner = order[owner_sorted]
-    return [np.flatnonzero(owner == k).astype(np.int64) for k in range(centers.size)]
+    # one stable sort lists each cell's points in ascending order, cell by cell
+    cells = np.argsort(owner, kind="stable").astype(np.int64)
+    return np.split(cells, np.cumsum(np.bincount(owner, minlength=centers.size))[:-1])

@@ -69,6 +69,15 @@ quasi-locality enumeration's tables (built in `locality`); an adjoint
 starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
 checks U once, and U* is unitary exactly when U is.
 
+Products: `T @ S` is one BLAS product, except when a factor is a
+permutation matrix (`_permutation`: square, one nonzero entry per row
+and column, each exactly 1+0j, found by one nonzero scan and kept
+through `derived`), as every covering unitary is.  Then the product is
+a gather of the other factor's rows or columns, plus 0.0 so that each
+zero is +0.0; a BLAS product can give -0.0 there, so the two may differ
+in the signs of zeros.  A permutation's own unitarity residual is 0.0
+with no decomposition.
+
 Operator entries stay below 1e150 in modulus, so the squares in a Gram
 product cannot overflow.
 """
@@ -257,8 +266,12 @@ class BlockOperator(Derived):
     """
 
     def __init__(self, source: FiberedSpace, target: FiberedSpace, matrix, *, _checked: bool = False):
-        """`_checked` is for `adjoint` alone: its matrix is a fresh
-        C-ordered complex array of entries already checked, kept as it is."""
+        """`_checked` takes a fresh C-ordered complex matrix as it is, with
+        no copy and no scan of its entries, for callers whose entries are
+        safe by construction: `adjoint` and the gathers of `__matmul__`
+        (entries of an operator, checked already), `random_band_unitary`
+        (products of unit-modulus rotations and phases of finite angles)
+        and `covering.covering_unitary` (0 and 1)."""
         if not _checked:
             matrix = np.array(matrix, dtype=complex, order="C")
         expected = (target.total_dim, source.total_dim)
@@ -286,11 +299,29 @@ class BlockOperator(Derived):
         return BlockOperator(self.target, self.source, matrix, _checked=True)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
+        """The composite self after other.  When a factor is a permutation
+        matrix P (`_permutation`), the product is a gather, not a BLAS
+        product: row i of P @ V is row perm[i] of V, and U @ P takes U's
+        columns through the inverse index.  The gathered matrix gets
+        + 0.0, so each of its zeros is +0.0 (a BLAS product may give -0.0
+        there, so zero signs can differ from it); its entries are the
+        other factor's, so it is neither copied nor scanned again.  Every
+        other product is one BLAS product."""
         if not isinstance(other, BlockOperator):
             return NotImplemented
         if other.target != self.source:
             raise ValueError("compose: inner operator's target must match outer's source")
-        return BlockOperator(other.source, self.target, self.matrix @ other.matrix)
+        perm = self.derived(_permutation)
+        if perm is not None:
+            matrix = np.take(other.matrix, perm, axis=0)
+        else:
+            perm = other.derived(_permutation)
+            if perm is None:
+                return BlockOperator(other.source, self.target, self.matrix @ other.matrix)
+            # `take`, not M[:, inv]: fancy indexing may return a matrix that is not C-ordered
+            matrix = np.take(self.matrix, np.argsort(perm), axis=1)
+        matrix += 0.0
+        return BlockOperator(other.source, self.target, matrix, _checked=True)
 
     def __sub__(self, other):
         if not isinstance(other, BlockOperator):
@@ -365,18 +396,22 @@ class BlockOperator(Derived):
         return gram
 
     def unitarity_residual(self) -> float:
-        """max(||T*T - I||, ||TT* - I||); 0 exactly for permutation matrices.
+        """max(||T*T - I||, ||TT* - I||).
 
-        One Hermitian eigenvalue call gives it: the residual is the
-        largest |eigenvalue| of G - I, with G the Gram matrix on the
-        smaller side.  For square T, T*T and TT* have the same spectrum,
-        so the two norms agree.  Otherwise the larger Gram matrix has G's
-        eigenvalues plus zeros, and each zero contributes |0 - 1| = 1, so
-        the residual is max(||G - I||, 1).  This is the exact value every
-        report prints; `check_unitary` computes it only when a Frobenius
-        bound cannot decide.  Computed once per operator and stored.  It
-        stays `eigvalsh`, since an SVD of G - I would move reported
-        residuals near 2e-16 (CHANGES.md, "One norm function").
+        For a permutation matrix (`_permutation`), whose P*P - I is
+        exactly zero, it is 0.0 with no decomposition: a covering
+        unitary's residual costs one nonzero scan, not an N x N
+        `eigvalsh`.  Otherwise one Hermitian eigenvalue call gives it:
+        the residual is the largest |eigenvalue| of G - I, with G the
+        Gram matrix on the smaller side.  For square T, T*T and TT* have
+        the same spectrum, so the two norms agree.  Otherwise the larger
+        Gram matrix has G's eigenvalues plus zeros, and each zero
+        contributes |0 - 1| = 1, so the residual is max(||G - I||, 1).
+        This is the exact value every report prints; `check_unitary`
+        computes it only when a Frobenius bound cannot decide.  Computed
+        once per operator and stored.  It stays `eigvalsh`, since an SVD
+        of G - I would move reported residuals near 2e-16 (CHANGES.md,
+        "One norm function").
         """
         return self.derived(_residual)
 
@@ -505,6 +540,8 @@ def _column_norm_max(T: BlockOperator) -> float:
 
 
 def _residual(T: BlockOperator) -> float:
+    if T.derived(_permutation) is not None:
+        return 0.0  # P*P - I is exactly zero
     rows, cols = T.matrix.shape
     residual = float(np.abs(np.linalg.eigvalsh(T._gram_minus_identity())).max())
     return residual if rows == cols else max(residual, 1.0)
@@ -516,15 +553,37 @@ def _sparse_form(T: BlockOperator):
     `derived` and read by `_sparse`.  An entry counts when it is not
     exactly 0."""
     n_rows, n_cols = T.matrix.shape
-    # an entry is nonzero when its real or its imaginary part is: the two
-    # bytes of their tests, read as one uint16
-    nonzero = (T.matrix.view(float) != 0).view(np.uint16) != 0
+    nonzero = _nonzero(T.matrix)
     if np.count_nonzero(nonzero) > SPARSE_SHARE * nonzero.size:
         return None
     at = np.flatnonzero(nonzero)  # row-major, as CSR lists the entries
     rows, cols = np.divmod(at, n_cols)
     indptr = np.searchsorted(rows, np.arange(n_rows + 1))
     return csr_matrix((T.matrix.ravel()[at], cols, indptr), shape=(n_rows, n_cols))
+
+
+def _nonzero(matrix: np.ndarray) -> np.ndarray:
+    """Where a complex matrix is not exactly 0: an entry is nonzero when
+    its real or its imaginary part is, the two bytes of their tests read
+    as one uint16."""
+    return (matrix.view(float) != 0).view(np.uint16) != 0
+
+
+def _permutation(T: BlockOperator):
+    """perm with T.matrix[i, perm[i]] == 1 for every row i, when T.matrix
+    is a permutation matrix: square, with exactly one nonzero entry in
+    each row and each column, each exactly 1+0j; else None.  Kept through
+    `derived`; one nonzero scan (`_nonzero`), at any size."""
+    n, cols = T.matrix.shape
+    if n != cols:
+        return None
+    nonzero = _nonzero(T.matrix)
+    if np.count_nonzero(nonzero) != n:
+        return None
+    rows, perm = np.divmod(np.flatnonzero(nonzero), n)
+    if not (np.array_equal(rows, np.arange(n)) and (np.bincount(perm, minlength=n) == 1).all()):
+        return None
+    return perm if (T.matrix[rows, perm] == 1).all() else None
 
 
 def _entries(sparse) -> tuple[np.ndarray, np.ndarray]:
@@ -781,4 +840,4 @@ def random_band_unitary(space: FiberedSpace, R: float, layers: int, seed: int) -
             mat[pq[p0:p1]] = rotations[p0:p1] @ mat[pq[p0:p1]]
         if l1 > l0:
             mat[lone[l0:l1]] *= phases[l0:l1]
-    return BlockOperator(space, space, mat)
+    return BlockOperator(space, space, mat, _checked=True)

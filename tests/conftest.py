@@ -77,6 +77,16 @@ def random_operator(rng, source: FiberedSpace, target: FiberedSpace) -> BlockOpe
     return BlockOperator(source, target, mat)
 
 
+def reference_cells(space: FiniteMetricSpace, centers) -> list:
+    """Voronoi cells by one scan per center: each point's owner is its
+    nearest center, ties to the smallest center point, and cell k is
+    `np.flatnonzero(owner == k)` as int64."""
+    centers = np.asarray(centers, dtype=np.int64)
+    order = np.argsort(centers)
+    owner = order[np.argmin(space.dist[centers[order]], axis=0)]
+    return [np.flatnonzero(owner == k).astype(np.int64) for k in range(centers.size)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)

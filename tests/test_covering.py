@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roelab import operators
+from roelab import covering, operators
 from roelab.covering import (
     _complement,
     _orthonormal_columns,
@@ -21,7 +21,7 @@ from roelab.operators import BlockOperator, FiberedSpace, random_band_unitary, s
 from roelab.serialize import report_bytes
 from roelab.spaces import path_space
 
-from conftest import random_fibered, random_graph_space
+from conftest import random_fibered, random_graph_space, reference_cells
 
 
 def halving_map_10():
@@ -207,6 +207,124 @@ def test_cover_refuses_a_block_with_too_few_source_dimensions():
         "cannot reconcile fibers: block around net point with source total 1 must cover "
         "2 target points; increase source fiber dims"
     )
+
+
+def reference_cover(f, source, separation=0.0, target=None):
+    """covering_unitary by a per-block loop: per-center cells, each block's
+    total and synthesized dimensions in turn, and the coordinate streams
+    concatenated from one `coords_of` scan per block.  Returns (matrix,
+    assignment, source blocks, target blocks, spill, support radius,
+    target fiber dims)."""
+    Y = f.target
+    _, net = covering._injective_net(f, separation)
+    source_blocks = reference_cells(f.source, net)
+    target_blocks = reference_cells(Y, f.values[net])
+    if target is None:
+        dims_t = np.zeros(Y.n, dtype=np.int64)
+        for blk_x, blk_y in zip(source_blocks, target_blocks):
+            total = int(source.fiber_dims[blk_x].sum())
+            if total < blk_y.size:
+                raise ValueError(
+                    f"cannot reconcile fibers: block around net point with source total "
+                    f"{total} must cover {blk_y.size} target points; increase source fiber dims"
+                )
+            base_dim, rem = divmod(total, blk_y.size)
+            dims_t[blk_y] = base_dim
+            dims_t[blk_y[:rem]] += 1
+        target = FiberedSpace(Y, dims_t)
+    src_coords = [source.coords_of(blk) for blk in source_blocks]
+    tgt_coords = [target.coords_of(blk) for blk in target_blocks]
+    spill = any(a.size != b.size for a, b in zip(src_coords, tgt_coords))
+    assignment = np.zeros(source.total_dim, dtype=np.int64)
+    assignment[np.concatenate(src_coords)] = np.concatenate(tgt_coords)
+    mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
+    mat[assignment, np.arange(source.total_dim)] = 1.0
+    radius = float(Y.dist[f.values[source.coord_point], target.coord_point[assignment]].max())
+    return mat, assignment, source_blocks, target_blocks, spill, radius, target.fiber_dims
+
+
+def _cover_cases():
+    """(f, source, separation, target) over seeded maps: the standard kinds
+    and random maps between random graphs, mixed fibers, separation 0 and
+    a realized distance, synthesized targets and prescribed ones, which
+    spill."""
+    rng = np.random.default_rng(53)
+    cases = []
+    for kind in ("identity", "reflection", "halving"):
+        for n in (5, 24, 60):
+            f, _ = standard_pair(kind, n)
+            for separation in (0.0, 2.0):
+                cases.append((f, random_fibered(rng, f.source), separation, None))
+    for _ in range(30):
+        X = random_graph_space(rng, int(rng.integers(2, 40)), extra_edges=int(rng.integers(0, 5)))
+        Y = random_graph_space(rng, int(rng.integers(1, 30)), extra_edges=int(rng.integers(0, 5)))
+        f = PointMap(X, Y, rng.integers(0, Y.n, size=X.n))
+        source = random_fibered(rng, X)
+        separation = float(rng.choice([0.0, *X.realized_distances()]))
+        cases.append((f, source, separation, None))
+        if source.total_dim >= Y.n:  # a prescribed target: the same total, spread at random
+            dims = 1 + rng.multinomial(source.total_dim - Y.n, np.full(Y.n, 1 / Y.n))
+            cases.append((f, source, separation, FiberedSpace(Y, dims)))
+    return cases
+
+
+def test_cover_matches_the_per_block_loop():
+    spills, refusals = 0, 0
+    for f, source, separation, target in _cover_cases():
+        try:
+            expected = reference_cover(f, source, separation, target)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                covering_unitary(f, source, separation, target)
+            assert str(got.value) == str(err)
+            refusals += 1
+            continue
+        W, plan = covering_unitary(f, source, separation, target)
+        mat, assignment, source_blocks, target_blocks, spill, radius, dims = expected
+        assert W.matrix.tobytes() == mat.tobytes()
+        for got, want in ((plan.assignment, assignment), (plan.target_fiber_dims, dims),
+                          *zip(plan.source_blocks, source_blocks), *zip(plan.target_blocks, target_blocks)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(plan.source_blocks) == len(source_blocks) and len(plan.target_blocks) == len(target_blocks)
+        assert plan.spill is spill and plan.support_radius == radius
+        spills += spill
+    assert spills > 0 and refusals > 0
+
+
+def test_every_cover_is_recognised_as_a_permutation(monkeypatch):
+    covers = []
+    for f, source, separation, target in _cover_cases():
+        try:
+            covers.append(covering_unitary(f, source, separation, target))
+        except ValueError:
+            continue
+    assert any(plan.spill for _, plan in covers) and any(plan.separation > 0 for _, plan in covers)
+    calls, eigvalsh = [], operators.np.linalg.eigvalsh
+    monkeypatch.setattr(operators.np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for W, plan in covers:
+        perm = operators._permutation(W)
+        assert perm is not None and perm[plan.assignment].tolist() == list(range(W.matrix.shape[1]))
+        residual = W.unitarity_residual()
+        assert residual == 0.0 and not np.signbit(residual)
+    assert calls == []
+    # the spy sees a residual that is not a permutation's
+    V = random_band_unitary(covers[0][0].source, 1.0, 1, seed=0)
+    V.unitarity_residual()
+    assert calls == [V.matrix.shape]
+
+
+def test_cover_keeps_its_matrix_with_no_copy():
+    f, _ = standard_pair("halving", 400)
+    source = FiberedSpace.uniform(f.source, 1)
+    f.source.realized_distances()  # the space's levels, kept on it, are not the cover's
+    tracemalloc.start()
+    try:
+        W, _ = covering_unitary(f, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 0/1 matrix takes 16 N^2 bytes at N = 800; a copy took as much again
+    assert peak < 1.25 * W.matrix.nbytes
 
 
 def test_curve_hits_zero_at_support_radius():

@@ -435,11 +435,13 @@ def test_each_call_chain_forms_one_gram_per_checked_operator(monkeypatch):
     monkeypatch.setattr(BlockOperator, "_gram_minus_identity", lambda T: formed.append(T) or gram_minus_identity(T))
     extract_pair(U, 0.5)
     assert formed == [U]
-    # outer: the residuals of U, W and UW*; extract_pair's check reads U's
+    # outer: the residuals of U and UW*; extract_pair's check reads U's, and
+    # W, a permutation, has a residual of 0.0 with no Gram
     fresh = BlockOperator(U.source, U.target, U.matrix)
     formed.clear()
     outer_roundtrip(fresh, 0.5)
-    assert len(formed) == 3 and sum(T is fresh for T in formed) == 1
+    assert len(formed) == 2 and formed[0] is fresh
+    assert operators._permutation(formed[1]) is None
 
 
 def test_outer_roundtrip_checks_unitarity_once(monkeypatch):

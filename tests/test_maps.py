@@ -19,7 +19,7 @@ from roelab.maps import (
 from roelab.operators import FiberedSpace
 from roelab.spaces import FiniteMetricSpace, path_space
 
-from conftest import random_graph_space
+from conftest import random_graph_space, reference_cells
 
 
 def halving(n):
@@ -260,13 +260,23 @@ def test_greedy_net_equals_pairwise_scan(rng):
         greedy_net(path_space(6), float("nan"))  # the net [0] would not dominate
 
 
+def assert_reference_cells(space, centers):
+    """voronoi_partition's cells are the per-center scans', in dtype and order."""
+    cells, expected = voronoi_partition(space, centers), reference_cells(space, centers)
+    assert len(cells) == len(expected)
+    for cell, ref in zip(cells, expected):
+        assert cell.dtype == ref.dtype == np.int64 and cell.tolist() == ref.tolist()
+    return cells
+
+
 def test_voronoi_examples():
     X = path_space(7)
-    singletons = voronoi_partition(X, list(range(7)))
+    singletons = assert_reference_cells(X, list(range(7)))
     assert [list(b) for b in singletons] == [[i] for i in range(7)]
-    blocks = voronoi_partition(X, [0, 3, 6])
+    blocks = assert_reference_cells(X, [0, 3, 6])
     assert [list(b) for b in blocks] == [[0, 1], [2, 3, 4], [5, 6]]
-    assert [list(b) for b in voronoi_partition(X, [0])] == [list(range(7))]
+    assert [list(b) for b in assert_reference_cells(X, [0])] == [list(range(7))]
+    assert [list(b) for b in assert_reference_cells(X, [6, 0, 3])] == [[5, 6], [0, 1], [2, 3, 4]]
 
 
 def test_voronoi_partition_properties(rng):
@@ -274,7 +284,7 @@ def test_voronoi_partition_properties(rng):
         X = random_graph_space(rng, 10, extra_edges=3)
         k = int(rng.integers(1, 6))
         centers = rng.choice(X.n, size=k, replace=False)
-        blocks = voronoi_partition(X, centers)
+        blocks = assert_reference_cells(X, centers)
         seen = np.concatenate(blocks)
         assert sorted(seen) == list(range(X.n))
         for c, block in zip(centers, blocks):

@@ -243,6 +243,77 @@ def test_adjoint_is_one_conjugating_pass_with_no_rescan(rng):
     assert _kept_builders(adj) == set()
 
 
+def _permutation_matrix(perm):
+    """The 0/1 matrix with a 1 at (i, perm[i]) for every row i."""
+    mat = np.zeros((perm.size, perm.size), dtype=complex)
+    mat[np.arange(perm.size), perm] = 1.0
+    return mat
+
+
+def _with_signed_zeros(rng, T):
+    """T with a quarter of its real and imaginary parts set to 0.0 or -0.0."""
+    parts = T.matrix.view(float).copy()
+    zero = rng.random(parts.shape) < 0.25
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return BlockOperator(T.source, T.target, parts.view(complex))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, dims", [(20, (1, 3)), (50, (2, 3))])  # N below and above SPLIT_MIN
+def test_a_product_with_a_permutation_is_a_gather_equal_to_blas(seed, n, dims):
+    rng = np.random.default_rng(seed)
+    fib = FiberedSpace(random_graph_space(rng, n, extra_edges=3), rng.integers(dims[0], dims[1] + 1, size=n))
+    assert (fib.total_dim < operators.SPLIT_MIN) == (n == 20)
+    P = BlockOperator(fib, fib, _permutation_matrix(rng.permutation(fib.total_dim)))
+    Q = BlockOperator(fib, fib, _permutation_matrix(rng.permutation(fib.total_dim)))
+    V = _with_signed_zeros(rng, random_operator(rng, fib, fib))
+    assert operators._permutation(V) is None
+    for left, right in ((P, V), (V, P), (P, Q)):
+        product = left @ right
+        assert (product.matrix == left.matrix @ right.matrix).all()
+        assert product.matrix.flags.c_contiguous and not product.matrix.flags.writeable
+        parts = product.matrix.view(float)
+        assert not np.signbit(parts[parts == 0]).any()  # the gather's zeros are +0.0
+    assert np.array_equal((P @ V).matrix, V.matrix[operators._permutation(P)])
+
+
+def _near_permutations(rng, n):
+    """(name, matrix) of 0/1-like n x n matrices one step from a permutation."""
+    perm = rng.permutation(n)
+    out = []
+    for name, value in (("minus one", -1), ("two", 2), ("tiny imaginary part", 1 + 1e-300j)):
+        mat = _permutation_matrix(perm)
+        mat[3, perm[3]] = value
+        out.append((name, mat))
+    mat = _permutation_matrix(perm)
+    mat[3] = mat[5]
+    out.append(("duplicate column", mat))
+    mat = _permutation_matrix(perm)
+    mat[3] = 0
+    out.append(("zero row", mat))
+    mat = _permutation_matrix(perm)
+    mat[3, perm[4]], mat[4] = 1, 0
+    out.append(("a row with two entries", mat))
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 120])
+def test_a_product_with_a_near_permutation_keeps_blas_bytes(rng, n):
+    fib = FiberedSpace.uniform(path_space(n), 1)
+    V = random_operator(rng, fib, fib)
+    cases = [(name, BlockOperator(fib, fib, mat)) for name, mat in _near_permutations(rng, n)]
+    # an isometry into one more coordinate: one 1 in each column, not square
+    wider = FiberedSpace.uniform(path_space(n + 1), 1)
+    isometry = np.zeros((n + 1, n), dtype=complex)
+    isometry[rng.permutation(n + 1)[:n], np.arange(n)] = 1.0
+    cases.append(("not square", BlockOperator(fib, wider, isometry)))
+    for name, A in cases:
+        assert operators._permutation(A) is None, name
+        after = random_operator(rng, A.target, A.target)
+        for left, right in ((A, V), (after, A)):
+            assert (left @ right).matrix.tobytes() == (left.matrix @ right.matrix).tobytes(), name
+
+
 def test_propagation_basic_cases():
     n = 8
     fib = FiberedSpace.uniform(path_space(n), 1)
@@ -613,8 +684,8 @@ def test_operator_state_goes_through_derived(rng):
         locality._exact_violation(U, R)
     assert _slots(U) == []
     assert _kept_builders(U) == {
-        operators._norm, operators._column_norm_max, operators._residual, operators._group_parts,
-        locality._reach_tables,
+        operators._norm, operators._column_norm_max, operators._residual, operators._permutation,
+        operators._group_parts, locality._reach_tables,
     }
     values = vars(U)["_derived"].values()
     arrays = [part for value in values for part in (value if isinstance(value, tuple) else (value,))
