@@ -11,7 +11,8 @@ the same space, as in roundtrips).  Either way the result is an exact
 0/1 permutation matrix, hence exactly unitary, matched by index
 arithmetic with no per-block scan.  A product with the cover is a
 gather, not a BLAS product (`BlockOperator.__matmul__`), and its
-unitarity residual is 0.0 with no decomposition.
+unitarity residual is 0.0 with no decomposition.  `outer_roundtrip`
+gathers U W* through the plan's assignment, forming no W*.
 
 `upgrade_trick` turns a finite-rank propagation-zero projection p into a
 propagation-zero unitary V and an operator t supported within R of f
@@ -338,7 +339,12 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     residual_U = U.unitarity_residual()
     extraction = extract_pair(U, delta)  # checks U on the residual just stored
     W, plan = covering_unitary(extraction.f, U.source, target=U.source)
-    UWs = U @ W.adjoint()
+    # W sends coordinate j to plan.assignment[j], so U W* takes U's columns
+    # through the inverse index: the gather of `U @ W.adjoint()`, zeros
+    # made +0.0 alike, with no W* formed and no factor scanned
+    matrix = np.take(U.matrix, np.argsort(plan.assignment), axis=1)
+    matrix += 0.0
+    UWs = BlockOperator(U.source, U.target, matrix, _checked=True)
     if radius_grid is None:
         dists = U.source.base.realized_distances()
         radius_grid = dists if dists.size <= 6 else np.unique(

@@ -22,15 +22,17 @@ at once by bitmask propagation over the operator's two 2^n reach tables
 (`_reach_tables`, from the nonzero blocks by `_mask_table`), which depend
 on the operator only: they are kept on it (`BlockOperator.derived`), so a
 radius grid builds them once.  Candidates share components, so
-only the distinct ones are normed, deduplicated by one `np.unique` of
-their (rows, cols) keys without an inverse map, and handed as
+only the distinct ones are normed, deduplicated by one sort of their
+(rows, cols) keys without an inverse map, and handed as
 coordinate masks to `operators.masked_corner_norms`, which norms them
 in equal-shape stacks under the byte budget of batched stacks that
 operators.py keeps.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (counts in CHANGES.md, in the entry "Exact quasi-locality splits each
-corner").  The attaining pair is the first candidate in ascending bitmask
-order that reaches the maximum, the lowest one holding a component that
+corner").  The violation is the largest distinct-component norm.  Only
+`quasi_locality_violation` locates the pair attaining it
+(`_exact_violation`): the first candidate in ascending bitmask order
+that reaches the maximum, the lowest one holding a component that
 attains it, read as the smallest owner of a key among the top
 components; candidates whose largest component is the same tie
 exactly, so the choice does not depend on rounding.
@@ -79,10 +81,14 @@ search's block Frobenius norms are read from that form with the dense
 route's bytes; without one, all four come from the matrix, the norms
 taken whole.
 
-Both algorithms return a value and the unpruned pair (B, A) attaining
-it.  `quasi_locality_violation` is the one place that prunes the pair to
-a minimal witness and builds a report; `approximability_window` keeps
-the numbers only.
+`quasi_locality_violation` takes a value and the unpruned pair (B, A)
+attaining it from either algorithm, and is the one place that prunes
+the pair to a minimal witness and builds a report.
+`approximability_window` keeps the numbers only, and on both sides
+takes them in the bounds order: the checks, then the upper member,
+then the lower one, which is 0 with nothing enumerated or searched
+when the upper member is 0 (T banded at R).  Its exact side enumerates
+the value alone and locates no pair.
 """
 
 from __future__ import annotations
@@ -170,29 +176,37 @@ def _components(b_masks, a_masks, cols_of, rows_of):
     All candidates are labelled at once: each round seeds one component
     per candidate at its lowest row not yet covered that has a nonzero
     block into A, and grows it, cols = A & cols_of[rows] and
-    rows = B & rows_of[cols], until nothing changes."""
+    rows = B & rows_of[cols], until nothing changes; a step grows only
+    the components whose rows changed in the step before, and a round
+    carries only the candidates with rows left to cover."""
     empty = np.zeros(0, dtype=np.uint32)
     pieces = [(empty.astype(np.int32), empty, empty)]  # (owner, rows, cols) per round
-    left = b_masks & rows_of[a_masks]
-    idx = np.flatnonzero(left)
+    seed = b_masks & rows_of[a_masks]  # rows not yet covered with a nonzero block into A
+    idx = np.flatnonzero(seed)
+    rb, ca, seed = b_masks[idx], a_masks[idx], seed[idx]
     while idx.size:
-        rb, ca, seed = b_masks[idx], a_masks[idx], left[idx]
         rows = seed & (~seed + np.uint32(1))  # the lowest set bit
-        while True:
-            cols = ca & cols_of[rows]
-            grown = rb & rows_of[cols]
-            if np.array_equal(grown, rows):
-                break
-            rows = grown
+        cols = ca & cols_of[rows]
+        grown = rb & rows_of[cols]
+        growing = np.flatnonzero(grown != rows)
+        grown = grown[growing]
+        while growing.size:
+            rows[growing] = grown
+            cols[growing] = grown_cols = ca[growing] & cols_of[grown]
+            regrown = rb[growing] & rows_of[grown_cols]
+            moved = regrown != grown
+            growing, grown = growing[moved], regrown[moved]
         pieces.append((idx.astype(np.int32), rows, cols))
-        left[idx] = seed & ~rows
-        idx = idx[left[idx] != 0]
+        seed &= ~rows
+        left = seed != 0
+        idx, rb, ca, seed = idx[left], rb[left], ca[left], seed[left]
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
-def _exact_violation(T: BlockOperator, R: float):
-    """The exact violation and the first candidate (B, A) attaining it,
-    unpruned; (0.0, None) when no corner is nonzero."""
+def _enumeration(T: BlockOperator, R: float):
+    """The exact enumeration up to its norms: (b_masks, a_masks) of the
+    closed candidates in ascending bitmask order, (owner, keys) of every
+    component of their corners, and the distinct keys with their norms."""
     base = T.source.base
     n = base.n
     full = np.uint32((1 << n) - 1)
@@ -208,18 +222,35 @@ def _exact_violation(T: BlockOperator, R: float):
     owner, comp_rows, comp_cols = _components(b_masks, a_masks, *T.derived(_reach_tables))
     # candidates share components: each distinct one is normed once
     keys = comp_rows << np.uint32(n) | comp_cols
-    comps = np.unique(keys)
+    # np.unique's values: one sort and a mask of changes (np.unique hashes
+    # integers first, several times slower on these keys)
+    comps = np.sort(keys)
+    distinct = np.ones(comps.size, dtype=bool)
+    distinct[1:] = comps[1:] != comps[:-1]
+    comps = comps[distinct]
     b_rows = ((comps[:, None] >> np.uint32(n)) & weights[T.target.coord_point]) != 0
     a_cols = (comps[:, None] & weights[T.source.coord_point]) != 0
+    return (b_masks, a_masks), (owner, keys), comps, masked_corner_norms(T.matrix, b_rows, a_cols)
 
-    norms = masked_corner_norms(T.matrix, b_rows, a_cols)
-    # a corner is block-diagonal over its components, so its norm is their
-    # max; the first maximum in ascending mask order, as a strict-> scan
-    # finds it, is the lowest candidate holding a component that attains it
+
+def _exact_value(T: BlockOperator, R: float) -> float:
+    """The exact violation alone, the largest distinct-component norm (a
+    corner is block-diagonal over its components, so its norm is their
+    max); no candidate attaining it is located."""
+    return float(_enumeration(T, R)[-1].max(initial=0.0))  # entries are finite: norms are >= 0
+
+
+def _exact_violation(T: BlockOperator, R: float):
+    """The exact violation and the first candidate (B, A) attaining it,
+    unpruned; (0.0, None) when no corner is nonzero."""
+    (b_masks, a_masks), (owner, keys), comps, norms = _enumeration(T, R)
+    # the first maximum in ascending mask order, as a strict-> scan finds
+    # it, is the lowest candidate holding a component that attains it
     top = norms.max(initial=0.0)  # entries are finite, so norms are finite and >= 0
     if top == 0.0:
         return 0.0, None
     k = int(owner[np.isin(keys, comps[norms == top])].min())
+    weights = np.uint32(1) << np.arange(T.source.base.n, dtype=np.uint32)
     B = list(np.flatnonzero(b_masks[k] & weights))
     A = list(np.flatnonzero(a_masks[k] & weights))
     return float(top), (B, A)
@@ -376,15 +407,20 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
     return best_value, best_sets
 
 
-def _violation(T: BlockOperator, R: float, mode: str):
+def _violation(T: BlockOperator, R: float, mode: str, locate: bool = False):
     """(R, value, (B, A) or None, upper) of the named mode, after the
     checks both public entry points share: one base space, R >= 0, a known
     mode, and at most EXACT_LIMIT points in exact mode.  R comes back as
-    checked, a float with -0 read as 0.  `upper` bounds the
-    violation: the value itself in exact mode, `_truncation_upper(T, R)`
-    in bounds mode, taken after the checks and before the search, which
-    is skipped when it is 0 and otherwise stops once it reaches it up to
-    ROUNDING_MARGIN."""
+    checked, a float with -0 read as 0.
+
+    With `locate` (`quasi_locality_violation`), exact mode enumerates up
+    to the first candidate attaining the value (`_exact_violation`), and
+    `upper` is the value itself.  Otherwise, and in bounds mode, `upper`
+    is `_truncation_upper(T, R)`, taken after the checks and before the
+    value: when it is 0 the value is 0 with nothing enumerated or
+    searched.  Else exact mode enumerates the value alone, locating no
+    candidate (`_exact_value`), and bounds mode searches until it
+    reaches the upper member up to ROUNDING_MARGIN."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -395,14 +431,17 @@ def _violation(T: BlockOperator, R: float, mode: str):
                 f"exact enumeration limited to {EXACT_LIMIT} points (space has {base.n}); "
                 "use mode='bounds'"
             )
-        value, sets = _exact_violation(T, R)
-        return R, value, sets, value
-    if mode == "bounds":
-        upper = _truncation_upper(T, R)
-        if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
-            return R, 0.0, None, 0.0
-        return (R, *_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
+        if locate:
+            value, sets = _exact_violation(T, R)
+            return R, value, sets, value
+    elif mode != "bounds":
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
+    upper = _truncation_upper(T, R)
+    if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
+        return R, 0.0, None, 0.0
+    if mode == "exact":
+        return R, _exact_value(T, R), None, upper
+    return (R, *_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
 
 
 def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") -> LocalityReport:
@@ -413,7 +452,9 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     components, the connected pieces of its nonzero-block graph, norming
     each distinct component once; its pair is the first candidate in
     ascending bitmask order attaining the maximum (candidates sharing the
-    top component tie exactly).  Mode "bounds" returns the window
+    top component tie exactly), located here only.  It takes no upper
+    member: the checks come first, then the enumeration, and the upper
+    member is the value itself.  Mode "bounds" returns the window
     [local-search lower, min(||T - T_R||, ||T||)], with T_R the truncation
     of T to the band of width R: after the input checks it takes the upper
     member, then runs the search from the best separated singleton and
@@ -423,7 +464,7 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     is the pair pruned to a minimal witness, which attains
     violation_lower.
     """
-    R, value, sets, upper = _violation(T, R, mode)
+    R, value, sets, upper = _violation(T, R, mode, locate=True)
     witness = None
     if sets is not None and value > ROUNDING_MARGIN:
         witness = _prune_witness(T, *sets, value)
@@ -439,15 +480,15 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     Any violation value is a lower bound (corners over separated pairs
     vanish on banded operators): the exact one up to EXACT_LIMIT points,
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
-    since both the band truncation T_R and 0 are banded.  The input checks
-    come first; above EXACT_LIMIT the upper bound is taken next and the
-    search stops once it reaches it up to the relative ROUNDING_MARGIN
-    (or is skipped when it is 0), while the exact side takes it
-    after the enumeration.  Only numbers are computed: no report is built
-    and no witness pruned.
+    since both the band truncation T_R and 0 are banded.  Both sides take
+    the input checks first, then the upper bound, then the lower member,
+    which is 0 with nothing enumerated or searched when the upper bound
+    is 0.  Otherwise the exact side enumerates the violation's value
+    alone, with no attaining candidate located, and the search stops once
+    it reaches the upper bound up to the relative ROUNDING_MARGIN.  Only
+    numbers are computed: no report is built and no witness located or
+    pruned.
     """
     exact = T.source.base.n <= EXACT_LIMIT
-    R, lower, _, upper = _violation(T, R, "exact" if exact else "bounds")
-    if exact:  # the exact violation bounds the violation only, not the distance
-        upper = _truncation_upper(T, R)
+    _, lower, _, upper = _violation(T, R, "exact" if exact else "bounds")
     return lower, max(upper, lower)

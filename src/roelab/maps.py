@@ -154,12 +154,13 @@ def greedy_net(space: FiniteMetricSpace, s: float) -> np.ndarray:
     earlier one.
     """
     s = check_radius(s, "net separation")
+    near = space.dist <= s
     kept: list[int] = []
     covered = np.zeros(space.n, dtype=bool)
     for x in range(space.n):
         if not covered[x]:
             kept.append(x)
-            covered |= space.dist[x] <= s
+            covered |= near[x]
     return np.array(kept, dtype=np.int64)
 
 
@@ -181,6 +182,8 @@ def voronoi_partition(space: FiniteMetricSpace, centers) -> list[np.ndarray]:
     order = np.argsort(centers)
     owner_sorted = np.argmin(space.dist[centers[order]], axis=0)
     owner = order[owner_sorted]
-    # one stable sort lists each cell's points in ascending order, cell by cell
-    cells = np.argsort(owner, kind="stable").astype(np.int64)
-    return np.split(cells, np.cumsum(np.bincount(owner, minlength=centers.size))[:-1])
+    # one stable sort lists each cell's points in ascending order, cell by
+    # cell; the cells are slices of it
+    points = np.argsort(owner, kind="stable").astype(np.int64)
+    ends = np.cumsum(np.bincount(owner, minlength=centers.size)).tolist()
+    return [points[start:end] for start, end in zip([0, *ends], ends)]

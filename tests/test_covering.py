@@ -632,6 +632,29 @@ def test_outer_roundtrip_takes_one_column_pass(monkeypatch):
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("kind, n, fiber_dim", [("reflection", 13, 2), ("identity", 10, 1)])
+def test_outer_roundtrip_gathers_uws_through_the_cover_with_no_adjoint(monkeypatch, kind, n, fiber_dim):
+    # U W* takes U's columns through W's own index: W* is never formed, and
+    # a permutation is looked for only in U, W and U W*, each once, for
+    # their residuals; U W* keeps the bytes of the product U @ W.adjoint()
+    U, _, _ = noisy_covering_unitary(kind, n, seed=3, fiber_dim=fiber_dim)
+    adjoints, scanned, windows = [], [], []
+    adjoint, permutation, window = BlockOperator.adjoint, operators._permutation, covering.approximability_window
+    monkeypatch.setattr(BlockOperator, "adjoint", lambda T: adjoints.append(T) or adjoint(T))
+    monkeypatch.setattr(operators, "_permutation", lambda T: scanned.append(T) or permutation(T))
+    monkeypatch.setattr(covering, "approximability_window", lambda T, R: windows.append(T) or window(T, R))
+    rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0])
+    UWs = windows[0]
+    assert adjoints == [U]  # extraction's U*
+    assert [T is U for T in scanned] == [True, False, False] and scanned[2] is UWs
+    assert rep.residual_W == 0.0 and permutation(scanned[1]) is not None
+    monkeypatch.undo()
+    W, _ = covering_unitary(rep.extraction.f, U.source, target=U.source)
+    assert UWs.matrix.tobytes() == (U @ W.adjoint()).matrix.tobytes()
+    assert (UWs.source, UWs.target) == (U.source, U.target)
+    assert UWs.matrix.flags.c_contiguous and not UWs.matrix.flags.writeable
+
+
 def test_noisy_covering_unitary_matches_a_cover_built_per_call():
     for kind, n, fiber_dim in [("identity", 8, 1), ("reflection", 12, 2), ("halving", 10, 1)]:
         h, _ = standard_pair(kind, n)

@@ -210,6 +210,52 @@ def test_component_split_matches_reference_on_block_sparse_operators():
             assert T.corner_norm(B, A[:drop] + A[drop + 1 :]) < value - 1e-12
 
 
+def reference_components(b_masks, a_masks, cols_of, rows_of):
+    """The labeller growing a whole round until its last component stops:
+    every candidate of the round takes every step."""
+    empty = np.zeros(0, dtype=np.uint32)
+    pieces = [(empty.astype(np.int32), empty, empty)]
+    left = b_masks & rows_of[a_masks]
+    idx = np.flatnonzero(left)
+    while idx.size:
+        rb, ca, seed = b_masks[idx], a_masks[idx], left[idx]
+        rows = seed & (~seed + np.uint32(1))
+        while True:
+            cols = ca & cols_of[rows]
+            grown = rb & rows_of[cols]
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        pieces.append((idx.astype(np.int32), rows, cols))
+        left[idx] = seed & ~rows
+        idx = idx[left[idx] != 0]
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
+def test_components_equal_the_whole_round_labeller_byte_for_byte(monkeypatch):
+    # growing only the components still growing, and carrying only the
+    # candidates with rows left, keeps every output array and its order
+    labelled = []
+    label = locality._components
+
+    def spy(*args):
+        labelled.append((args, label(*args)))
+        return labelled[-1][1]
+
+    monkeypatch.setattr(locality, "_components", spy)
+    for seed in range(40):
+        T, R = _block_sparse_input(seed)
+        for radius in (0.0, R):
+            locality._exact_violation(T, radius)
+    for T in _noisy_cover_inputs()[:2]:
+        approximability_window(T, 0.0)
+    assert len(labelled) == 82
+    for args, out in labelled:
+        ref = reference_components(*args)
+        assert [(a.dtype, a.tobytes()) for a in out] == [(a.dtype, a.tobytes()) for a in ref]
+    assert max(out[0].size for _, out in labelled) > 20000
+
+
 def test_tiny_block_still_counts_as_nonzero():
     # the squared Frobenius norm of the 1e-170 block underflows to 0
     fib = FiberedSpace.uniform(path_space(2), 1)
@@ -370,6 +416,51 @@ def test_window_closes_on_banded_operators(rng):
     lower, upper = approximability_window(T, 2.0)
     assert lower == 0.0
     assert upper == 0.0
+
+
+def _noisy_cover_inputs():
+    """Seeded noisy covers on at most 16 points with 1- and 2-dim fibers,
+    one of them spilled (mixed fibers swapped by a reflection)."""
+    covers = [
+        noisy_covering_unitary("identity", 9, 0, 2.0, 1, fiber_dim=1)[0],
+        noisy_covering_unitary("reflection", 13, 1, 2.0, 1, fiber_dim=2)[0],
+        noisy_covering_unitary("reflection", 16, 2, 2.0, 2, fiber_dim=1)[0],
+        noisy_covering_unitary("identity", 12, 3, 1.0, 2, fiber_dim=2)[0],
+    ]
+    fib = FiberedSpace(path_space(12), [1 + (i % 2) for i in range(12)])
+    W, _ = covering_unitary(fixtures.standard_pair("reflection", 12)[0], fib, target=fib)
+    return covers + [W @ random_band_unitary(fib, 2.0, 1, seed=4)]
+
+
+def test_exact_window_is_the_enumerated_value_and_the_upper_member_bit_for_bit():
+    # at every realized radius and at T's propagation, where T is banded:
+    # the window's lower member is the exact violation, enumerated with no
+    # candidate located, and its upper member the truncation bound
+    banded = opened = 0
+    for T in _noisy_cover_inputs():
+        for R in [*T.source.base.realized_distances(), T.propagation()]:
+            value, _ = locality._exact_violation(T, R)
+            expected = (value, max(locality._truncation_upper(T, R), value))
+            window = approximability_window(T, R)
+            assert np.array(window).tobytes() == np.array(expected).tobytes()
+            banded += window == (0.0, 0.0)
+            opened += window[0] > 0.5
+    assert banded >= 10 and opened >= 10
+
+
+def test_exact_window_enumerates_nothing_where_the_operator_is_banded(monkeypatch):
+    # an upper member of exactly 0 means no separated corner has a
+    # component: no neighborhood table is built and no candidate labelled
+    labelled, tables = [], []
+    label, table = locality._components, locality._mask_table
+    monkeypatch.setattr(locality, "_components", lambda *args: labelled.append(1) or label(*args))
+    monkeypatch.setattr(locality, "_mask_table", lambda rel: tables.append(1) or table(rel))
+    T = noisy_covering_unitary("identity", 12, 3, 1.0, 2, fiber_dim=2)[0]  # propagation 2
+    for R in (2.0, 3.0, 11.0):
+        assert approximability_window(T, R) == (0.0, 0.0)
+    assert labelled == [] and tables == []
+    assert approximability_window(T, 1.0)[0] > 0.5
+    assert labelled and tables
 
 
 def test_window_upper_is_truncation_error(rng):
@@ -676,14 +767,20 @@ def test_window_upper_at_most_norm_on_fibered_cover():
 
 
 def test_window_prunes_no_witness(monkeypatch):
-    # the window keeps two numbers; only quasi_locality_violation prunes a
-    # witness, the one caller of corner_norm in this module
-    calls = []
+    # the window keeps two numbers; only quasi_locality_violation locates
+    # an attaining candidate (`_exact_violation`, by `np.isin` over the
+    # component instances) and prunes a witness, the one caller of
+    # corner_norm in this module
+    calls, located = [], []
     real = BlockOperator.corner_norm
     monkeypatch.setattr(BlockOperator, "corner_norm", lambda T, B, A: calls.append(1) or real(T, B, A))
+    locate, isin = locality._exact_violation, np.isin
+    monkeypatch.setattr(locality, "_exact_violation", lambda T, R: located.append(1) or locate(T, R))
+    monkeypatch.setattr(np, "isin", lambda *args, **kwargs: located.append(1) or isin(*args, **kwargs))
     U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
     assert any(lower > operators.ROUNDING_MARGIN for _, lower, _ in rep.windows)
+    assert located == []
     band = random_band_unitary(FiberedSpace.uniform(path_space(20), 1), 1.0, 3, seed=4)
     window = approximability_window(band, 1.0)  # 20 points: the bounds side
     assert window[0] > operators.ROUNDING_MARGIN
@@ -691,6 +788,8 @@ def test_window_prunes_no_witness(monkeypatch):
     report = quasi_locality_violation(band, 1.0, mode="bounds")
     assert window == (report.violation_lower, report.violation_upper)
     assert report.witness is not None and calls
+    assert located == []
+    assert quasi_locality_violation(U, 1.0).witness is not None and len(located) == 2
 
 
 @pytest.mark.parametrize("kind, norms_taken", [("band", 1), ("reflection", 2)])
@@ -1047,8 +1146,10 @@ def test_outer_grid_builds_the_nonzero_block_table_once(monkeypatch):
 
 def test_outer_grid_builds_the_reach_tables_once(monkeypatch):
     # the two reach tables depend on the operator only; the neighborhood
-    # table depends on R and is built at every radius; the reach builder's
-    # own two `_mask_table` calls are not neighborhood tables
+    # table depends on R and is built at every radius where the window's
+    # upper member is not 0 (UW* is banded at R = 2 and 3 here, and there
+    # nothing is enumerated); the reach builder's own two `_mask_table`
+    # calls are not neighborhood tables
     reach, nbhd, inside = [], [], []
     build_reach, build_table = locality._reach_tables, locality._mask_table
 
@@ -1070,4 +1171,6 @@ def test_outer_grid_builds_the_reach_tables_once(monkeypatch):
     report = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
     assert len(report.windows) == 4
     assert len(reach) == 1  # the reach tables of UW*
-    assert len(nbhd) == 4
+    open_windows = [upper != 0.0 for _, _, upper in report.windows]
+    assert open_windows == [True, True, False, False]
+    assert len(nbhd) == sum(open_windows)

@@ -3,8 +3,8 @@ name it never uses, no private definition or module-level name is left
 without a reader and no public one without a caller or a stated reason,
 no module imports another's private name, no check is an `assert`, every
 rule of the design contract (`_RULES`: no environment read, one norm
-path, one Gram route, one labeller behind one split gate, one sparse
-form, one home of distance levels, one integer rule, one real-number
+path, one Gram route, one labeller behind one split gate, one witness
+search, one sparse form, one home of distance levels, one integer rule, one real-number
 rule, one home of the tolerances, one store of derived values and one
 file layout) matches only in its homes and every home holds it, a
 private name of operators.py (its Gram top, its stack budget) stays
@@ -265,6 +265,11 @@ _RULES = {
     # one split gate: only an operator's sparse form splits, so `_split_norm`
     # is called by `T.norm()` and the tails alone (the definition is not a call)
     "split": (r"(?<!def )\b_split_norm\(", ("operators._norm", "operators._tail_norm")),
+    # one witness search: only `quasi_locality_violation` asks `_violation` to
+    # locate, and only `_violation` calls the locating enumeration, so the
+    # window's numbers never pay for a witness
+    "witness": (r"(?<!def )\b_exact_violation\(|\blocate=True\b",
+                ("locality._violation", "locality.quasi_locality_violation")),
     # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
     # `_split_norm` builds its component graph and `spaces` its edge graphs
     "csr": (r"\bcsr_matrix\s*\(", ("operators._sparse_form", "operators._split_norm", "spaces")),
@@ -407,12 +412,18 @@ _PLANTED = [
 
 def _planted_cases():
     """`_PLANTED`, a labelling call and a CSR matrix planted in locality.py,
-    a split call planted in `operators.spectral_norm`, and a copy of
-    operators.py whose `_gram_top` is renamed, so that its home is idle."""
+    a split call planted in `operators.spectral_norm`, a located exact
+    violation asked for and called outside `quasi_locality_violation`'s
+    chain, and a copy of operators.py whose `_gram_top` is renamed, so
+    that its home is idle."""
     package = _package_texts()
     planted = package["locality"] + "\n\ndef _planted(graph):\n    return connected_components(\n        graph)[1]\n"
     stray_csr = package["locality"] + "\n\ndef _planted(T):\n    return csr_matrix (T.matrix)\n"
     renamed = package["operators"].replace("def _gram_top(", "def top_of_gram(")
+    asked = "return _violation(T, R, 'exact', locate=True)"
+    witness = package["locality"] + (
+        f"\n\ndef _window(T, R):\n    {asked}\n\n\ndef _value(T, R):\n    return _exact_violation(\n        T, R)[0]\n"
+    )
     split = package["operators"].replace(
         "    rows, cols = mat.shape[-2:]\n",
         "    rows, cols = mat.shape[-2:]\n    _split_norm(mat.shape, *np.nonzero(mat), None)\n", 1)
@@ -424,6 +435,9 @@ def _planted_cases():
                      [f"locality._planted:{_line(stray_csr, 'return csr_matrix (')}"], [], id="csr"),
         pytest.param("split", {"operators": split},
                      [f"operators.spectral_norm:{_line(split, '_split_norm(mat.shape')}"], [], id="split"),
+        pytest.param("witness", {"locality": witness},
+                     [f"locality._window:{_line(witness, asked)}",
+                      f"locality._value:{_line(witness, 'return _exact_violation(')}"], [], id="witness"),
         pytest.param("eigvalsh", {"operators": renamed},
                      [f"operators.top_of_gram:{_line(renamed, 'np.linalg.eigvalsh(')}"], ["operators._gram_top"],
                      id="idle_home"),
