@@ -51,15 +51,19 @@ raise the lower member by at most the margin plus rounding.
 The lower member is still a corner that was found.  It is a seeded
 local search that grows separated pairs one point at a time.  Its
 starts share one state built per call (the far relation d > R, the
-block Frobenius norms and their squares, each coordinate's point); no
-list of the separated pairs is built.  The best separated singleton
-ranks only the separated blocks of nonzero Frobenius norm, and the
-seeded restarts are drawn only when its grow leaves the window open,
-each located as the k-th separated pair in row-major order.  A round
-keeps the masks of B, of A and of the points far from each up to date,
-ranks the candidate points by the Frobenius mass they add, and norms
-the candidates of nonzero mass in rank order, corner coordinates read
-from the masks in the order
+block Frobenius norms, and per side each coordinate's point and the
+squared block norms seen from that side); no list of the separated
+pairs is built.  The best separated singleton ranks only the separated
+blocks of nonzero Frobenius norm, and the seeded restarts are drawn
+only when its grow leaves the window open, each located as the k-th
+separated pair in row-major order.  Both sides grow by one rule,
+indexed by side (0 is A, 1 is B): a side's candidates are the points
+outside it far from every point of the other side, and an accepted
+point joins its side, leaves that side's candidates and keeps only the
+points far from it among the other side's.  A round ranks the
+candidates of both sides by the Frobenius mass they add (then A before
+B, then by point) and norms those of nonzero mass in rank order, corner
+coordinates read from the point masks in the order
 `BlockOperator.corner_norm` uses.  A candidate of mass 0 adds only zero
 blocks (or entries whose squares underflow), so it cannot raise the
 corner by the accept margin, ROUNDING_MARGIN * max(1, corner), which scales
@@ -275,18 +279,20 @@ def _truncation_upper(T: BlockOperator, R: float) -> float:
 
 class _SearchState:
     """What every restart of the local search shares, built once per call:
-    the separation relation, the block Frobenius norms and their squares,
-    and the point of each coordinate.  No list of separated pairs is
-    kept: the best singleton ranks the nonzero separated blocks only, and
-    a seeded restart is located in the relation when it is drawn."""
+    the separation relation, the block Frobenius norms and, per side (0
+    is A, the source points and columns; 1 is B, the target points and
+    rows), the point of each coordinate and the squared block norms seen
+    from that side.  No list of separated pairs is kept: the best
+    singleton ranks the nonzero separated blocks only, and a seeded
+    restart is located in the relation when it is drawn."""
 
     def __init__(self, T: BlockOperator, R: float):
         self.T = T
         self.far = T.source.base.dist > R  # far[y, x]: d(y, x) > R; symmetric
         self.frob = T.block_frobenius()
-        self.frob2 = self.frob**2
-        self.row_point = T.target.coord_point
-        self.col_point = T.source.coord_point
+        frob2 = self.frob**2
+        self.coord_point = (T.source.coord_point, T.target.coord_point)
+        self.frob2 = (frob2.T, frob2)  # [side][p, q]: p on the side, q on the other
 
 
 def _best_singleton(s: _SearchState):
@@ -315,60 +321,51 @@ def _grow_pair(s: _SearchState, B: list, A: list):
     corner norm increases, preserving d(A, B) > R.
 
     Candidate additions are tried in descending order of the Frobenius
-    mass they would add, and the first one whose corner norm exceeds the
-    current one by the margin ROUNDING_MARGIN * max(1, value) is taken.
-    Candidates of mass 0 come last and are not normed: they add only
-    zero blocks, or entries whose squares underflow, which cannot raise
-    the corner by the margin.
+    mass they would add, then A before B, then by point, and the first
+    one whose corner norm exceeds the current one by the margin
+    ROUNDING_MARGIN * max(1, value) is taken.  Candidates of mass 0 come
+    last and are not normed: they add only zero blocks, or entries whose
+    squares underflow, which cannot raise the corner by the margin.
 
-    The point masks of B and A and the masks of the points far from all
-    of A (candidates for B) and from all of B (candidates for A) are kept
-    up to date as points are accepted; corner coordinates are read off
-    them in ascending order, the order of `BlockOperator.corner_norm`.
+    Both sides grow by one rule, indexed by side (0 is A, 1 is B): a
+    side's candidates are the points outside it that are far from every
+    point of the other side.  An accepted point joins its side and leaves
+    that side's candidates, and the other side's candidates keep only
+    the points far from it.  Corner coordinates are read off the point
+    masks in ascending order, the order of `BlockOperator.corner_norm`.
     """
     M = s.T.matrix
-    in_b = np.zeros(s.far.shape[0], dtype=bool)
-    in_b[B] = True
-    in_a = np.zeros(s.far.shape[1], dtype=bool)
-    in_a[A] = True
-    far_a = s.far[:, A].all(axis=1) & ~in_b
-    far_b = s.far[:, B].all(axis=1) & ~in_a
-    rows = np.flatnonzero(in_b[s.row_point])
-    cols = np.flatnonzero(in_a[s.col_point])
-    value = spectral_norm(M[rows[:, None], cols])
+    sides = (A, B)
+    members = np.zeros((2, s.far.shape[0]), dtype=bool)
+    for t, points in enumerate(sides):
+        members[t, points] = True
+    cands = [s.far[:, sides[1 - side]].all(axis=1) & ~members[side] for side in (0, 1)]
+    coords = [np.flatnonzero(members[side][s.coord_point[side]]) for side in (0, 1)]
+    value = spectral_norm(M[coords[1][:, None], coords[0]])
     for _ in range(2 * s.far.shape[0]):
-        to_b, to_a = np.flatnonzero(far_a), np.flatnonzero(far_b)
+        points = [np.flatnonzero(c) for c in cands]
         mass = np.concatenate(
-            (s.frob2[to_b[:, None], A].sum(axis=1), s.frob2.T[to_a[:, None], B].sum(axis=1))
+            [s.frob2[side][points[side][:, None], sides[1 - side]].sum(axis=1) for side in (0, 1)]
         )
-        side = np.concatenate((np.ones(to_b.size, dtype=np.int8), np.zeros(to_a.size, dtype=np.int8)))
-        point = np.concatenate((to_b, to_a))
+        side = np.repeat([0, 1], [q.size for q in points])
+        point = np.concatenate(points)
         order = np.lexsort((point, side, -mass))  # (-mass, "A" < "B", point)
         bar = value + ROUNDING_MARGIN * max(1.0, value)
         for k in order[: np.count_nonzero(mass)]:
-            p = int(point[k])
-            if side[k]:
-                in_b[p] = True
-                cand_rows, cand_cols = np.flatnonzero(in_b[s.row_point]), cols
-                in_b[p] = False
-            else:
-                in_a[p] = True
-                cand_rows, cand_cols = rows, np.flatnonzero(in_a[s.col_point])
-                in_a[p] = False
-            cand = spectral_norm(M[cand_rows[:, None], cand_cols])
+            t, p = side[k], int(point[k])
+            trial = list(coords)
+            members[t, p] = True
+            trial[t] = np.flatnonzero(members[t][s.coord_point[t]])
+            members[t, p] = False
+            cand = spectral_norm(M[trial[1][:, None], trial[0]])
             if cand > bar:
                 break
         else:
             break
-        if side[k]:
-            B.append(p)
-            in_b[p], far_a[p] = True, False
-            far_b &= s.far[:, p]
-        else:
-            A.append(p)
-            in_a[p], far_b[p] = True, False
-            far_a &= s.far[:, p]
-        rows, cols, value = cand_rows, cand_cols, cand
+        sides[t].append(p)
+        members[t, p], cands[t][p] = True, False
+        cands[1 - t] &= s.far[:, p]
+        coords, value = trial, cand
     return value, B, A
 
 

@@ -3,18 +3,19 @@
     PYTHONPATH=src python tests/reach.py
 
 The scenarios are the four roebench workloads at seeds 1-3 (set-up, the
-check of every report and one round of ops) and acceptance criteria
-1-10 (the runners of tests/test_acceptance.py).  A statement is one in
-a function body of src/roelab, a docstring and a nested `def` or
-`class` left out; it is reached when a line of its head (a simple
-statement's every line, a compound one's up to its body) runs under
-`sys.settrace`.  The script prints the totals, the sha256 over the
-`results` of the roebench ops (their canonical JSON, concatenated in
-run order), the sha256 of each acceptance criterion's `results` as
-criterion 9 hashes them (`report_bytes`), and every statement that no
-scenario reaches, by module, with `raise` lines marked.  The failed
-checks are those of the roebench ops and criterion 9's reruns that
-differ.  A branch that only a unit test runs shows up here.
+check of every report and one round of ops) and every acceptance
+criterion (the entries of `RUNNERS` in tests/test_acceptance.py).  A
+statement is one in a function body of src/roelab, a docstring and a
+nested `def` or `class` left out; it is reached when a line of its head
+(a simple statement's every line, a compound one's up to its body) runs
+under `sys.settrace`.  The script prints the totals, the sha256 over the
+`results` of the roebench ops (their canonical JSON, concatenated in run
+order), the sha256 of each acceptance criterion's `results` as criterion
+9 hashes them (`report_bytes`), and every statement that no scenario
+reaches, by module, with `raise` lines marked.  The failed checks are
+those of the roebench ops and criterion 9's reruns that differ; the exit
+status is 1 when there is one, else 0.  A branch that only a unit test
+runs shows up here.
 
 Nothing under roebench/ is written: the workloads' inputs go to a
 temporary directory.  With one BLAS thread it takes about 15 s on one
@@ -84,7 +85,7 @@ def trace(run, files):
 
 
 def scenarios(digest, failed):
-    """The roebench workloads at seeds 1-3, then acceptance criteria 1-10."""
+    """The roebench workloads at seeds 1-3, then every acceptance criterion."""
     import checks
     import test_acceptance
     import workloads
@@ -147,7 +148,7 @@ def main():
             lines = sources[path].splitlines()
             for first, is_raise in rows:
                 print(f"  {first:5d} {'raise' if is_raise else '':5s} {lines[first - 1].strip()}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

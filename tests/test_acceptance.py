@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one printed line each.
+"""Acceptance gate: eleven numbered criteria, one printed line each.
 
 Every criterion is computed by a pure run_criterion_N() returning a
 JSON-serializable results dict; criterion 9 reruns each of the others
@@ -28,6 +28,7 @@ from roelab.locality import (
 from roelab.maps import closeness, compose, identity_map
 from roelab.operators import (
     BlockOperator,
+    ROUNDING_MARGIN,
     FiberedSpace,
     random_band_unitary,
     supported_distance_upper,
@@ -39,7 +40,7 @@ from roelab.spaces import path_space
 from conftest import random_fibered, random_graph_space, random_operator
 from hadamard import hadamard_fixture
 from sign_oracles import brute_force_signs, rademacher_average
-from test_locality import naive_violation
+from test_locality import ghost, naive_violation
 
 _CACHE = {}
 
@@ -645,6 +646,62 @@ def test_criterion_10(capfd):
             f"{min(r['wrong_closeness'] for r in rows)}-{max(r['wrong_closeness'] for r in rows)}")
 
 
+# -- 11: the bounds search against the exact enumeration on ghosts ---------
+
+def run_criterion_11():
+    """The ghost 1 - 2P on path(16) and on a seeded 16-point graph, at every
+    R from 1 to the diameter - 1: the bounds window, its witness's
+    separation and corner, and the exact violation.  Every off-diagonal
+    block has the same mass, so most windows stay open and the search
+    grows pairs and draws its seeded restarts."""
+    spaces = {"path(16)": path_space(16),
+              "graph(16)": random_graph_space(np.random.default_rng(2611), 16, extra_edges=2)}
+    rows = []
+    for name, space in spaces.items():
+        T = ghost(space)
+        for R in range(1, int(space.diameter)):
+            bounds = quasi_locality_violation(T, R, "bounds")
+            w = bounds.witness
+            rows.append({
+                "space": name,
+                "R": R,
+                "lower": float(bounds.violation_lower),
+                "upper": float(bounds.violation_upper),
+                "exact": float(quasi_locality_violation(T, R, "exact").violation_lower),
+                "witness_sizes": None if w is None else [len(w.B), len(w.A)],
+                "witness_separation": None if w is None else float(space.dist[np.ix_(w.B, w.A)].min()),
+                "witness_corner": None if w is None else float(T.corner_norm(list(w.B), list(w.A))),
+            })
+    return {"rows": rows}
+
+
+def test_criterion_11(capfd):
+    results, elapsed = run_cached(11)
+    rows = results["rows"]
+    failures = []
+    for row in rows:
+        tag = f"{row['space']} @ R={row['R']}"
+        margin = ROUNDING_MARGIN * max(1.0, row["exact"])
+        if not row["lower"] <= row["exact"] + margin or not row["exact"] <= row["upper"] + margin:
+            failures.append(f"{tag}: window [{row['lower']}, {row['upper']}] misses {row['exact']}")
+        if row["witness_separation"] is None:
+            failures.append(f"{tag}: no witness")
+            continue
+        if not row["witness_separation"] > row["R"]:
+            failures.append(f"{tag}: witness at distance {row['witness_separation']}")
+        if not abs(row["witness_corner"] - row["lower"]) <= ROUNDING_MARGIN * max(1.0, row["lower"]):
+            failures.append(f"{tag}: witness corner {row['witness_corner']} != {row['lower']}")
+    grown = [row for row in rows if row["witness_sizes"] and max(row["witness_sizes"]) > 1]
+    if not grown:
+        failures.append("no witness has two points on a side: no grow accepted a move")
+    if elapsed >= 30.0:
+        failures.append(f"runtime {elapsed:.1f}s over the 30s budget")
+    gaps = [row["exact"] - row["lower"] for row in rows]
+    _finish(capfd, 11, failures, elapsed,
+            f"{len(rows)} ghost windows around the exact violation: {len(grown)} grown witnesses, "
+            f"largest gap below it {max(gaps):.4f}")
+
+
 RUNNERS = {
     1: run_criterion_1,
     2: run_criterion_2,
@@ -656,4 +713,5 @@ RUNNERS = {
     8: run_criterion_8,
     9: run_criterion_9,
     10: run_criterion_10,
+    11: run_criterion_11,
 }

@@ -521,6 +521,15 @@ def reference_grow(T, R, B, A, frob):
             return value, B, A
 
 
+def ghost(space, dim: int = 1) -> BlockOperator:
+    """1 - 2P over `dim`-dim fibers, P the averaging projection onto the
+    vectors constant across points: every off-diagonal block has the same
+    Frobenius mass, so the window stays open and the search's ranks tie."""
+    fib = FiberedSpace.uniform(space, dim)
+    P = np.kron(np.full((space.n, space.n), 1 / space.n), np.eye(dim))
+    return BlockOperator(fib, fib, np.eye(fib.total_dim) - 2 * P)
+
+
 def _search_input(seed: int, kind: str):
     """A random graph space with 1-3 dimensional fibers, a radius, and an
     operator of the given kind: "dense" random; "sparse", banded to R + 1
@@ -529,7 +538,9 @@ def _search_input(seed: int, kind: str):
     saturate at 1; "scaled", 1e6 times the "unitary" operator, whose
     rounding noise exceeds an absolute 1e-12; "faint", a coordinate
     permutation plus entries of size 3e-6, whose moves improve saturated
-    corners by about 1e-11, near the acceptance tolerance."""
+    corners by about 1e-11, near the acceptance tolerance; "ghost", the
+    `ghost` of the space over 1- or 2-dim fibers, whose grows accept
+    moves on both sides and break ties of equal mass by side."""
     rng = np.random.default_rng(seed)
     X = random_graph_space(rng, int(rng.integers(10, 25)), extra_edges=int(rng.integers(0, 4)))
     fib = random_fibered(rng, X, max_dim=3)
@@ -538,6 +549,8 @@ def _search_input(seed: int, kind: str):
         T = random_operator(rng, fib, fib)
     elif kind == "sparse":
         T = random_operator(rng, fib, fib).supported_mask(np.arange(X.n), R + 1)
+    elif kind == "ghost":
+        T = ghost(X, int(rng.integers(1, 3)))
     else:
         perm = BlockOperator(fib, fib, np.eye(fib.total_dim)[rng.permutation(fib.total_dim)])
         if kind in ("unitary", "scaled"):
@@ -610,6 +623,15 @@ def _assert_search_matches_reference(T, R, restarts, seed):
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dense", "sparse", "unitary", "scaled", "faint"]))
 def test_screened_search_matches_plain_greedy(seed, kind):
     T, R = _search_input(seed, kind)
+    _assert_search_matches_reference(T, R, 8, seed)
+
+
+@pytest.mark.parametrize("seed", range(28))
+def test_screened_search_matches_plain_greedy_on_ghosts(seed):
+    # every off-diagonal block has the same mass: the grows accept moves
+    # on both sides, and a move to A and one to B of equal mass are
+    # ranked by side
+    T, R = _search_input(seed, "ghost")
     _assert_search_matches_reference(T, R, 8, seed)
 
 
