@@ -11,8 +11,7 @@ the same space, as in roundtrips).  Either way the result is an exact
 0/1 permutation matrix, hence exactly unitary, matched by index
 arithmetic with no per-block scan.  A product with the cover is a
 gather, not a BLAS product (`BlockOperator.__matmul__`), and its
-unitarity residual is 0.0 with no decomposition.  `outer_roundtrip`
-gathers U W* through the plan's assignment, forming no W*.
+unitarity residual is 0.0 with no decomposition.
 
 `upgrade_trick` turns a finite-rank propagation-zero projection p into a
 propagation-zero unitary V and an operator t supported within R of f
@@ -24,7 +23,10 @@ slabs over those points; only its outputs V and t are N x N.
 
 `outer_roundtrip` is the automorphism-level composite: extract f from U,
 cover it by W, and certify that UW* is close to banded by recording its
-approximability window over a radius grid.
+approximability window over a radius grid.  UW* is the product
+`U @ W.adjoint()`, a gather of U's columns.  It has U's unitarity
+residual exactly, since (UP)*(UP) - I = P*(U*U - I)P for a permutation
+P, so the report carries the residuals of U and W alone.
 """
 
 from __future__ import annotations
@@ -322,7 +324,6 @@ class OuterReport:
     windows: list  # (R, lower, upper) for U W*
     residual_U: float
     residual_W: float
-    residual_UWs: float
 
 
 def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> OuterReport:
@@ -339,12 +340,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     residual_U = U.unitarity_residual()
     extraction = extract_pair(U, delta)  # checks U on the residual just stored
     W, plan = covering_unitary(extraction.f, U.source, target=U.source)
-    # W sends coordinate j to plan.assignment[j], so U W* takes U's columns
-    # through the inverse index: the gather of `U @ W.adjoint()`, zeros
-    # made +0.0 alike, with no W* formed and no factor scanned
-    matrix = np.take(U.matrix, np.argsort(plan.assignment), axis=1)
-    matrix += 0.0
-    UWs = BlockOperator(U.source, U.target, matrix, _checked=True)
+    UWs = U @ W.adjoint()  # a gather of U's columns, W* being a permutation
     if radius_grid is None:
         dists = U.source.base.realized_distances()
         radius_grid = dists if dists.size <= 6 else np.unique(
@@ -361,5 +357,4 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
         windows=windows,
         residual_U=float(residual_U),
         residual_W=float(W.unitarity_residual()),
-        residual_UWs=float(UWs.unitarity_residual()),
     )

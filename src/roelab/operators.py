@@ -270,9 +270,8 @@ class BlockOperator(Derived):
         no copy and no scan of its entries, for callers whose entries are
         safe by construction: `adjoint` and the gathers of `__matmul__`
         (entries of an operator, checked already), `random_band_unitary`
-        (products of unit-modulus rotations and phases of finite angles),
-        `covering.covering_unitary` (0 and 1) and `covering.outer_roundtrip`
-        (U W*, a gather of U's columns)."""
+        (products of unit-modulus rotations and phases of finite angles)
+        and `covering.covering_unitary` (0 and 1)."""
         if not _checked:
             matrix = np.array(matrix, dtype=complex, order="C")
         expected = (target.total_dim, source.total_dim)

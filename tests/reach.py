@@ -10,12 +10,22 @@ nested `def` or `class` left out; it is reached when a line of its head
 (a simple statement's every line, a compound one's up to its body) runs
 under `sys.settrace`.  The script prints the totals, the sha256 over the
 `results` of the roebench ops (their canonical JSON, concatenated in run
-order), the sha256 of each acceptance criterion's `results` as criterion
-9 hashes them (`report_bytes`), and every statement that no scenario
-reaches, by module, with `raise` lines marked.  The failed checks are
-those of the roebench ops and criterion 9's reruns that differ; the exit
-status is 1 when there is one, else 0.  A branch that only a unit test
-runs shows up here.
+order) and the sha256 of each acceptance criterion's `results` as
+criterion 9 hashes them (`report_bytes`).  The digests depend on the
+host's BLAS kernels, so they are printed, not checked.
+
+The statements that no scenario reaches are listed in
+tests/reach_unreached.txt, one a line: module, enclosing function, count
+and statement text, tab-separated.  The text is the statement's
+`ast.unparse`, a compound statement's head alone, so neither a moved
+line nor a comment changes it (the list was written on Python 3.11,
+whose `ast.unparse` another version may not match to the quote); the
+count is how many statements of the function read the same.  The script prints the unreached statements that
+the list lacks, as lines of the list, and the listed ones that now run.
+The failed checks are the roebench ops' checks that fail, criterion 9's
+reruns that differ and any unreached statement that the list lacks; the
+exit status is 1 when there is one, else 0.  So a branch that only a
+unit test runs fails here until the list names it.
 
 Nothing under roebench/ is written: the workloads' inputs go to a
 temporary directory.  With one BLAS thread it takes about 15 s on one
@@ -25,15 +35,18 @@ it (the name has no `test_` prefix).
 
 import ast
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LISTED = Path(__file__).resolve().parent / "reach_unreached.txt"
 
 
 def _docstring(node):
@@ -45,22 +58,49 @@ def _docstring(node):
 
 
 def statements(tree):
-    """(first line, last head line, node) for every statement in a function
-    body, a docstring and a nested def or class left out."""
+    """(first line, last head line, enclosing function, node) for every
+    statement in a function body, a docstring and a nested def or class
+    left out; the enclosing function is its dotted name under the module
+    (`Class.method`, `outer.inner`)."""
     found = []
 
-    def visit(node, in_function):
+    def visit(node, scope, in_function):
         doc = _docstring(node)
         for child in ast.iter_child_nodes(node):
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             if in_function and isinstance(child, ast.stmt) and child is not doc and not is_def:
                 body = getattr(child, "body", None)
                 last = max(child.lineno, body[0].lineno - 1) if body else child.end_lineno
-                found.append((child.lineno, last, child))
-            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+                found.append((child.lineno, last, ".".join(scope), child))
+            visit(child, scope + [child.name] if is_def else scope,
+                  in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
-    visit(tree, False)
+    visit(tree, [], False)
     return found
+
+
+def head(node):
+    """A statement's text from `ast.unparse`, a compound statement's head
+    alone: no comment, line break or layout of the source is in it."""
+    if isinstance(getattr(node, "body", None), list):
+        node = copy.copy(node)
+        for field in ("body", "orelse", "handlers", "finalbody"):
+            setattr(node, field, [])
+    return ast.unparse(node).split("\n", 1)[0]
+
+
+def read_listed():
+    """Counter of (module, function, statement) over the committed list."""
+    listed = Counter()
+    for line in LISTED.read_text().splitlines():
+        if line and not line.startswith("#"):
+            module, function, count, text = line.split("\t")
+            listed[module, function, text] += int(count)
+    return listed
+
+
+def _rows(keys):
+    return [f"{module}\t{function}\t{count}\t{text}" for (module, function, text), count in keys.items()]
 
 
 def trace(run, files):
@@ -127,27 +167,28 @@ def main():
     criteria = test_acceptance.run_cached(9)[0]["criteria"]
     failed += [f"criterion {num} differs on a rerun"
                for num, entry in criteria.items() if not entry["rerun_match"]]
-    unreached, total = {}, 0
+    unreached, total, raises = Counter(), 0, 0
     for path, text in sources.items():
         found = statements(ast.parse(text))
         total += len(found)
-        unreached[path] = [
-            (first, isinstance(node, ast.Raise)) for first, last, node in found
-            if not any((path, line) in ran for line in range(first, last + 1))
-        ]
-    missed = [is_raise for rows in unreached.values() for _, is_raise in rows]
-    print(f"src/roelab: {total - len(missed)} of {total} statements reached; "
-          f"{len(missed)} unreached, {sum(missed)} of them `raise`")
+        for first, last, function, node in found:
+            if not any((path, line) in ran for line in range(first, last + 1)):
+                unreached[Path(path).stem, function, head(node)] += 1
+                raises += isinstance(node, ast.Raise)
+    listed = read_listed()
+    unlisted, now_reached = unreached - listed, listed - unreached
+    if unlisted:
+        failed.append(f"{unlisted.total()} unreached statements not in {LISTED.name}")
+    print(f"src/roelab: {total - unreached.total()} of {total} statements reached; "
+          f"{unreached.total()} unreached, {raises} of them `raise`")
     print(f"results sha256 of the roebench ops: {digest.hexdigest()}")
     for num, entry in criteria.items():
         print(f"results sha256 of criterion {num:>2}: {entry['sha256']}")
     print(f"failed checks: {'; '.join(failed) or 'none'}")
-    for path, rows in unreached.items():
-        if rows:
-            print(f"\n{Path(path).name}: {len(rows)} unreached, {sum(r for _, r in rows)} `raise`")
-            lines = sources[path].splitlines()
-            for first, is_raise in rows:
-                print(f"  {first:5d} {'raise' if is_raise else '':5s} {lines[first - 1].strip()}")
+    if unlisted:
+        print(f"\nunreached, not in {LISTED.name}:", *_rows(unlisted), sep="\n")
+    if now_reached:
+        print(f"\nin {LISTED.name}, now reached:", *_rows(now_reached), sep="\n")
     return 1 if failed else 0
 
 

@@ -357,7 +357,7 @@ _REPORT_KEYS = {
     "witness": ({"y", "R", "delta_actual", "A", "certificate", "bound", "signs", "h_index",
                  "degenerate"}, {}),
     "ql": ({"R", "violation_lower", "violation_upper", "exact", "witness"}, {"witness": {"A", "B"}}),
-    "outer": ({"extraction", "plan", "windows", "residual_U", "residual_W", "residual_UWs"},
+    "outer": ({"extraction", "plan", "windows", "residual_U", "residual_W"},
               {"extraction": _EXTRACTION, "equivalence": _EQUIVALENCE, "plan": _PLAN}),
     "sweep": ({"rows"}, {}),
 }

@@ -1,6 +1,7 @@
 """Covering unitaries, supported approximation, the upgrade step, outer roundtrip."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -577,12 +578,22 @@ def test_upgrade_rejects_malformed_points(x, message):
     assert str(err.value) == message
 
 
+def _assert_uws_has_the_residual_of_u(U, rep):
+    # (UP)*(UP) - I = P*(U*U - I)P: UW* has U's residual, up to the
+    # rounding of `eigvalsh` on the permuted Gram matrix
+    W, _ = covering_unitary(rep.extraction.f, U.source, target=U.source)
+    assert abs((U @ W.adjoint()).unitarity_residual() - rep.residual_U) <= 1e-15
+
+
 def test_outer_roundtrip_on_noisy_automorphism():
     U, h, plan = noisy_covering_unitary("identity", 10, seed=5)
     rep = outer_roundtrip(U, 0.5)
     assert rep.residual_U <= 1e-9
     assert rep.residual_W <= 1e-12
-    assert rep.residual_UWs <= 1e-9
+    _assert_uws_has_the_residual_of_u(U, rep)
+    for kind, n, fiber_dim, seed in itertools.product(("identity", "reflection"), (10, 20, 60), (1, 2), range(4)):
+        U, _, _ = noisy_covering_unitary(kind, n, seed, 1.0, 2, fiber_dim)
+        _assert_uws_has_the_residual_of_u(U, outer_roundtrip(U, 0.5, radius_grid=[0.0]))
     # UW* must be near-banded: its window collapses once R clears the
     # cover radius plus the noise propagation
     uws_prop_bound = rep.plan.support_radius + rep.extraction.R + 2.0
@@ -633,24 +644,33 @@ def test_outer_roundtrip_takes_one_column_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, n, fiber_dim", [("reflection", 13, 2), ("identity", 10, 1)])
-def test_outer_roundtrip_gathers_uws_through_the_cover_with_no_adjoint(monkeypatch, kind, n, fiber_dim):
-    # U W* takes U's columns through W's own index: W* is never formed, and
-    # a permutation is looked for only in U, W and U W*, each once, for
-    # their residuals; U W* keeps the bytes of the product U @ W.adjoint()
+def test_outer_roundtrip_takes_uws_from_the_product(monkeypatch, kind, n, fiber_dim):
+    # U W* is `U @ W.adjoint()`: W*'s permutation index is the plan's
+    # assignment, so the product takes U's columns through its inverse.
+    # The adjoints are extraction's U* and W*, and U, W* and W are each
+    # looked at for a permutation once: U and W for their residuals, W*
+    # by the product
     U, _, _ = noisy_covering_unitary(kind, n, seed=3, fiber_dim=fiber_dim)
     adjoints, scanned, windows = [], [], []
     adjoint, permutation, window = BlockOperator.adjoint, operators._permutation, covering.approximability_window
-    monkeypatch.setattr(BlockOperator, "adjoint", lambda T: adjoints.append(T) or adjoint(T))
+
+    def spy_adjoint(T):
+        adjoints.append((T, adjoint(T)))
+        return adjoints[-1][1]
+
+    monkeypatch.setattr(BlockOperator, "adjoint", spy_adjoint)
     monkeypatch.setattr(operators, "_permutation", lambda T: scanned.append(T) or permutation(T))
     monkeypatch.setattr(covering, "approximability_window", lambda T, R: windows.append(T) or window(T, R))
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0])
     UWs = windows[0]
-    assert adjoints == [U]  # extraction's U*
-    assert [T is U for T in scanned] == [True, False, False] and scanned[2] is UWs
-    assert rep.residual_W == 0.0 and permutation(scanned[1]) is not None
+    (U_in, _), (W, Ws) = adjoints
+    assert U_in is U
+    assert len(scanned) == 3 and all(T is S for T, S in zip(scanned, (U, Ws, W)))
+    assert np.array_equal(permutation(Ws), rep.plan.assignment)
+    assert rep.residual_W == 0.0
     monkeypatch.undo()
-    W, _ = covering_unitary(rep.extraction.f, U.source, target=U.source)
-    assert UWs.matrix.tobytes() == (U @ W.adjoint()).matrix.tobytes()
+    gathered = np.take(U.matrix, np.argsort(rep.plan.assignment), axis=1) + 0.0
+    assert UWs.matrix.tobytes() == gathered.tobytes()
     assert (UWs.source, UWs.target) == (U.source, U.target)
     assert UWs.matrix.flags.c_contiguous and not UWs.matrix.flags.writeable
 
@@ -673,11 +693,12 @@ def test_outer_roundtrip_spilled_cover(seed):
     # reflection swaps 1-dim and 2-dim fibers, so no block of f's cover balances
     fib = FiberedSpace(path_space(12), [1 + (i % 2) for i in range(12)])
     W, _ = covering_unitary(standard_pair("reflection", 12)[0], fib, target=fib)
-    rep = outer_roundtrip(W @ random_band_unitary(fib, 2.0, 1, seed), 0.5)
+    U = W @ random_band_unitary(fib, 2.0, 1, seed)
+    rep = outer_roundtrip(U, 0.5)
     plan, f = rep.plan, rep.extraction.f
     assert plan.spill
     src_pts = fib.coord_point
     tgt_pts = fib.coord_point[plan.assignment]
     assert plan.support_radius == fib.base.dist[f.values[src_pts], tgt_pts].max()
     assert rep.residual_W == 0
-    assert rep.residual_UWs <= 1e-9
+    _assert_uws_has_the_residual_of_u(U, rep)

@@ -435,13 +435,12 @@ def test_each_call_chain_forms_one_gram_per_checked_operator(monkeypatch):
     monkeypatch.setattr(BlockOperator, "_gram_minus_identity", lambda T: formed.append(T) or gram_minus_identity(T))
     extract_pair(U, 0.5)
     assert formed == [U]
-    # outer: the residuals of U and UW*; extract_pair's check reads U's, and
-    # W, a permutation, has a residual of 0.0 with no Gram
+    # outer: U's residual alone; extract_pair's check reads it, UW* has it
+    # exactly, and W, a permutation, has a residual of 0.0 with no Gram
     fresh = BlockOperator(U.source, U.target, U.matrix)
     formed.clear()
     outer_roundtrip(fresh, 0.5)
-    assert len(formed) == 2 and formed[0] is fresh
-    assert operators._permutation(formed[1]) is None
+    assert formed == [fresh]
 
 
 def test_outer_roundtrip_checks_unitarity_once(monkeypatch):

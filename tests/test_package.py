@@ -119,8 +119,8 @@ _UNREACHED_BUT_KEPT = {
     "save_map": "writes the map file that `cover --map` reads",
     "extract_map": "only roebench/test_roebench.py calls it, and only a benchmark change edits roebench",
     "identity_operator": "only roebench/test_roebench.py calls it, and only a benchmark change edits roebench",
-    "BlockOperator.__matmul__": "`fixtures.noisy_covering_unitary` and the README quick start compose "
-                                "with `@`; its column gather is ROADMAP item 11's W T W*",
+    "BlockOperator.__matmul__": "`fixtures.noisy_covering_unitary`, `outer_roundtrip` and the README "
+                                "quick start compose with `@`; its column gather forms `outer`'s U W*",
     "BlockOperator.__sub__": "the tests' reference for `_tail_norm`",
     "PointMap.__call__": "the tests' pointwise reference for `closeness` and the tie rule",
 }
