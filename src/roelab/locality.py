@@ -29,25 +29,29 @@ in equal-shape stacks under the byte budget of batched stacks that
 operators.py keeps.  A dense operator has one component per
 corner, the whole corner; a band-sparse one has few distinct components
 (counts in CHANGES.md, in the entry "Exact quasi-locality splits each
-corner").  The violation is the largest distinct-component norm.  Only
-`quasi_locality_violation` locates the pair attaining it
-(`_exact_violation`): the first candidate in ascending bitmask order
-that reaches the maximum, the lowest one holding a component that
-attains it, read as the smallest owner of a key among the top
-components; candidates whose largest component is the same tie
-exactly, so the choice does not depend on rounding.
+corner").  The violation is the largest distinct-component norm.  All
+of this is `_exact_violation`, the one exact function.  Asked to locate
+(by `quasi_locality_violation` only), it also finds the pair attaining
+the violation: the first candidate in ascending bitmask order that
+reaches the maximum, the lowest one holding a component that attains
+it, read as the smallest owner of a key among the top components;
+candidates whose largest component is the same tie exactly, so the
+choice does not depend on rounding.
 
-Larger spaces get a certified window.  The checks come first (one base
-space, R >= 0, a known mode), then the upper member, then the search for
-the lower member.  An upper member of exactly 0 (T banded at R) skips the
-search: `spectral_norm` resolves any nonzero entry, which lies in a
-component whose norm is nonzero (a Gram top below 2^-900 takes the
-SVD), so every separated corner is 0.  Otherwise the
-search stops as soon as the best corner v it has found satisfies
-v >= (1 - ROUNDING_MARGIN) * upper, the relative margin that also
-guards the upper member's own min: every corner is at most the
-violation, which is at most the upper member, so a skipped start could
-raise the lower member by at most the margin plus rounding.
+Both modes take their numbers in one order: the checks first (one base
+space, R >= 0, a known mode, at most EXACT_LIMIT points in exact mode),
+then the upper member below, then the enumeration (exact) or the search
+for a lower member (bounds).  An upper member of exactly 0 (T banded at
+R) skips both: `spectral_norm` resolves any nonzero entry, which lies in
+a component whose norm is nonzero (a Gram top below 2^-900 takes the
+SVD), so every separated corner is 0.
+
+Larger spaces get a certified window.  The search stops as soon as the
+best corner v it has found satisfies v >= (1 - ROUNDING_MARGIN) * upper,
+the relative margin that also guards the upper member's own min: every
+corner is at most the violation, which is at most the upper member, so a
+skipped start could raise the lower member by at most the margin plus
+rounding.
 The lower member is still a corner that was found.  It is a seeded
 local search that grows separated pairs one point at a time.  Its
 starts share one state built per call (the far relation d > R, the
@@ -88,11 +92,8 @@ taken whole.
 `quasi_locality_violation` takes a value and the unpruned pair (B, A)
 attaining it from either algorithm, and is the one place that prunes
 the pair to a minimal witness and builds a report.
-`approximability_window` keeps the numbers only, and on both sides
-takes them in the bounds order: the checks, then the upper member,
-then the lower one, which is 0 with nothing enumerated or searched
-when the upper member is 0 (T banded at R).  Its exact side enumerates
-the value alone and locates no pair.
+`approximability_window` keeps the numbers only: its exact side
+enumerates the value alone and locates no pair.
 """
 
 from __future__ import annotations
@@ -207,10 +208,12 @@ def _components(b_masks, a_masks, cols_of, rows_of):
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
-def _enumeration(T: BlockOperator, R: float):
-    """The exact enumeration up to its norms: (b_masks, a_masks) of the
-    closed candidates in ascending bitmask order, (owner, keys) of every
-    component of their corners, and the distinct keys with their norms."""
+def _exact_violation(T: BlockOperator, R: float, locate: bool):
+    """The exact violation, the largest distinct-component norm of the
+    closed candidates' corners (a corner is block-diagonal over its
+    components, so its norm is their max), and with `locate` the first
+    candidate (B, A) in ascending bitmask order attaining it, unpruned;
+    None in its place without `locate` or when no corner is nonzero."""
     base = T.source.base
     n = base.n
     full = np.uint32((1 << n) - 1)
@@ -234,30 +237,14 @@ def _enumeration(T: BlockOperator, R: float):
     comps = comps[distinct]
     b_rows = ((comps[:, None] >> np.uint32(n)) & weights[T.target.coord_point]) != 0
     a_cols = (comps[:, None] & weights[T.source.coord_point]) != 0
-    return (b_masks, a_masks), (owner, keys), comps, masked_corner_norms(T.matrix, b_rows, a_cols)
-
-
-def _exact_value(T: BlockOperator, R: float) -> float:
-    """The exact violation alone, the largest distinct-component norm (a
-    corner is block-diagonal over its components, so its norm is their
-    max); no candidate attaining it is located."""
-    return float(_enumeration(T, R)[-1].max(initial=0.0))  # entries are finite: norms are >= 0
-
-
-def _exact_violation(T: BlockOperator, R: float):
-    """The exact violation and the first candidate (B, A) attaining it,
-    unpruned; (0.0, None) when no corner is nonzero."""
-    (b_masks, a_masks), (owner, keys), comps, norms = _enumeration(T, R)
+    norms = masked_corner_norms(T.matrix, b_rows, a_cols)
+    top = float(norms.max(initial=0.0))  # entries are finite, so norms are finite and >= 0
+    if not locate or top == 0.0:
+        return top, None
     # the first maximum in ascending mask order, as a strict-> scan finds
     # it, is the lowest candidate holding a component that attains it
-    top = norms.max(initial=0.0)  # entries are finite, so norms are finite and >= 0
-    if top == 0.0:
-        return 0.0, None
     k = int(owner[np.isin(keys, comps[norms == top])].min())
-    weights = np.uint32(1) << np.arange(T.source.base.n, dtype=np.uint32)
-    B = list(np.flatnonzero(b_masks[k] & weights))
-    A = list(np.flatnonzero(a_masks[k] & weights))
-    return float(top), (B, A)
+    return top, (list(np.flatnonzero(b_masks[k] & weights)), list(np.flatnonzero(a_masks[k] & weights)))
 
 
 def _truncation_upper(T: BlockOperator, R: float) -> float:
@@ -405,19 +392,16 @@ def _search_violation(T: BlockOperator, R: float, restarts: int, seed: int, uppe
 
 
 def _violation(T: BlockOperator, R: float, mode: str, locate: bool = False):
-    """(R, value, (B, A) or None, upper) of the named mode, after the
-    checks both public entry points share: one base space, R >= 0, a known
-    mode, and at most EXACT_LIMIT points in exact mode.  R comes back as
-    checked, a float with -0 read as 0.
-
-    With `locate` (`quasi_locality_violation`), exact mode enumerates up
-    to the first candidate attaining the value (`_exact_violation`), and
-    `upper` is the value itself.  Otherwise, and in bounds mode, `upper`
-    is `_truncation_upper(T, R)`, taken after the checks and before the
-    value: when it is 0 the value is 0 with nothing enumerated or
-    searched.  Else exact mode enumerates the value alone, locating no
-    candidate (`_exact_value`), and bounds mode searches until it
-    reaches the upper member up to ROUNDING_MARGIN."""
+    """(R, value, (B, A) or None, upper) of the named mode, in one order
+    for every mode and caller.  First the checks both public entry points
+    share: one base space, R >= 0, a known mode, and at most EXACT_LIMIT
+    points in exact mode; R comes back as checked, a float with -0 read
+    as 0.  Then `upper`, `_truncation_upper(T, R)`: when it is 0 the value
+    is 0 with nothing enumerated or searched.  Else exact mode enumerates
+    (`_exact_violation`), locating the first candidate attaining the
+    value only with `locate` (`quasi_locality_violation`), and bounds
+    mode searches until it reaches the upper member up to
+    ROUNDING_MARGIN."""
     base = T.source.base
     if T.target.base != base:
         raise ValueError("quasi-locality needs an operator over a single base space")
@@ -428,16 +412,13 @@ def _violation(T: BlockOperator, R: float, mode: str, locate: bool = False):
                 f"exact enumeration limited to {EXACT_LIMIT} points (space has {base.n}); "
                 "use mode='bounds'"
             )
-        if locate:
-            value, sets = _exact_violation(T, R)
-            return R, value, sets, value
     elif mode != "bounds":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
     upper = _truncation_upper(T, R)
     if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
         return R, 0.0, None, 0.0
     if mode == "exact":
-        return R, _exact_value(T, R), None, upper
+        return (R, *_exact_violation(T, R, locate), upper)
     return (R, *_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
 
 
@@ -449,17 +430,16 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     components, the connected pieces of its nonzero-block graph, norming
     each distinct component once; its pair is the first candidate in
     ascending bitmask order attaining the maximum (candidates sharing the
-    top component tie exactly), located here only.  It takes no upper
-    member: the checks come first, then the enumeration, and the upper
-    member is the value itself.  Mode "bounds" returns the window
+    top component tie exactly), located here only, and both members of
+    the report are the value.  Mode "bounds" returns the window
     [local-search lower, min(||T - T_R||, ||T||)], with T_R the truncation
-    of T to the band of width R: after the input checks it takes the upper
-    member, then runs the search from the best separated singleton and
-    SEARCH_RESTARTS seeded restarts, skipping the rest once the best
-    corner reaches the upper member up to the relative ROUNDING_MARGIN
-    (no search at all when the upper member is 0).  Only here
-    is the pair pruned to a minimal witness, which attains
-    violation_lower.
+    of T to the band of width R: it runs the search from the best
+    separated singleton and SEARCH_RESTARTS seeded restarts, skipping the
+    rest once the best corner reaches the upper member up to the relative
+    ROUNDING_MARGIN.  Both modes take the input checks first, then the
+    upper member, then the enumeration or the search, neither of which
+    runs when the upper member is 0 (T banded at R).  Only here is the
+    pair pruned to a minimal witness, which attains violation_lower.
     """
     R, value, sets, upper = _violation(T, R, mode, locate=True)
     witness = None
@@ -467,7 +447,8 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
         witness = _prune_witness(T, *sets, value)
     # value is an achieved corner norm, so it is always a valid lower bound;
     # the max() guards the upper member against float dust only
-    return LocalityReport(R, value, max(upper, value), mode == "exact", witness)
+    exact = mode == "exact"
+    return LocalityReport(R, value, value if exact else max(upper, value), exact, witness)
 
 
 def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
@@ -478,13 +459,14 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     vanish on banded operators): the exact one up to EXACT_LIMIT points,
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
     since both the band truncation T_R and 0 are banded.  Both sides take
-    the input checks first, then the upper bound, then the lower member,
-    which is 0 with nothing enumerated or searched when the upper bound
-    is 0.  Otherwise the exact side enumerates the violation's value
-    alone, with no attaining candidate located, and the search stops once
-    it reaches the upper bound up to the relative ROUNDING_MARGIN.  Only
-    numbers are computed: no report is built and no witness located or
-    pruned.
+    their numbers in the order `quasi_locality_violation` takes them: the
+    input checks, then the upper bound, then the lower member, which is 0
+    with nothing enumerated or searched when the upper bound is 0.
+    Otherwise the exact side enumerates the violation's value alone
+    (`_exact_violation`, with no attaining candidate located), and the
+    search stops once it reaches the upper bound up to the relative
+    ROUNDING_MARGIN.  Only numbers are computed: no report is built and
+    no witness located or pruned.
     """
     exact = T.source.base.n <= EXACT_LIMIT
     _, lower, _, upper = _violation(T, R, "exact" if exact else "bounds")

@@ -8,7 +8,9 @@ criterion (the entries of `RUNNERS` in tests/test_acceptance.py).  A
 statement is one in a function body of src/roelab, a docstring and a
 nested `def` or `class` left out; it is reached when a line of its head
 (a simple statement's every line, a compound one's up to its body) runs
-under `sys.settrace`.  The script prints the totals, the sha256 over the
+under `sys.settrace`.  The script prints the totals, the lines of code of
+src/roelab (the lines that hold a `tokenize` token, comments, blank
+lines and docstring statements left out), the sha256 over the
 `results` of the roebench ops (their canonical JSON, concatenated in run
 order) and the sha256 of each acceptance criterion's `results` as
 criterion 9 hashes them (`report_bytes`).  The digests depend on the
@@ -42,6 +44,7 @@ import json
 import os
 import sys
 import tempfile
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +80,23 @@ def statements(tree):
 
     visit(tree, [], False)
     return found
+
+
+def code_lines(text):
+    """The lines of a source text that hold a token other than a comment
+    or layout (line breaks, indents, the end marker), less the lines of
+    its docstring statements; a token spanning lines counts on each."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        doc = _docstring(node)
+        if doc is not None:
+            lines -= set(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
 
 
 def head(node):
@@ -180,7 +200,8 @@ def main():
     if unlisted:
         failed.append(f"{unlisted.total()} unreached statements not in {LISTED.name}")
     print(f"src/roelab: {total - unreached.total()} of {total} statements reached; "
-          f"{unreached.total()} unreached, {raises} of them `raise`")
+          f"{unreached.total()} unreached, {raises} of them `raise`; "
+          f"{sum(map(code_lines, sources.values()))} lines of code")
     print(f"results sha256 of the roebench ops: {digest.hexdigest()}")
     for num, entry in criteria.items():
         print(f"results sha256 of criterion {num:>2}: {entry['sha256']}")

@@ -246,7 +246,7 @@ def test_components_equal_the_whole_round_labeller_byte_for_byte(monkeypatch):
     for seed in range(40):
         T, R = _block_sparse_input(seed)
         for radius in (0.0, R):
-            locality._exact_violation(T, radius)
+            locality._exact_violation(T, radius, locate=True)
     for T in _noisy_cover_inputs()[:2]:
         approximability_window(T, 0.0)
     assert len(labelled) == 82
@@ -435,14 +435,18 @@ def _noisy_cover_inputs():
 def test_exact_window_is_the_enumerated_value_and_the_upper_member_bit_for_bit():
     # at every realized radius and at T's propagation, where T is banded:
     # the window's lower member is the exact violation, enumerated with no
-    # candidate located, and its upper member the truncation bound
+    # candidate located, and its upper member the truncation bound; an
+    # exact `ql` report carries the enumerated value as both members
     banded = opened = 0
     for T in _noisy_cover_inputs():
         for R in [*T.source.base.realized_distances(), T.propagation()]:
-            value, _ = locality._exact_violation(T, R)
+            value, _ = locality._exact_violation(T, R, locate=False)
             expected = (value, max(locality._truncation_upper(T, R), value))
             window = approximability_window(T, R)
             assert np.array(window).tobytes() == np.array(expected).tobytes()
+            report = quasi_locality_violation(T, R, "exact")
+            members = (report.violation_lower, report.violation_upper)
+            assert np.array(members).tobytes() == np.array((value, value)).tobytes()
             banded += window == (0.0, 0.0)
             opened += window[0] > 0.5
     assert banded >= 10 and opened >= 10
@@ -450,7 +454,8 @@ def test_exact_window_is_the_enumerated_value_and_the_upper_member_bit_for_bit()
 
 def test_exact_window_enumerates_nothing_where_the_operator_is_banded(monkeypatch):
     # an upper member of exactly 0 means no separated corner has a
-    # component: no neighborhood table is built and no candidate labelled
+    # component: no neighborhood table is built and no candidate labelled,
+    # by the window or by an exact `ql` report, which takes the same order
     labelled, tables = [], []
     label, table = locality._components, locality._mask_table
     monkeypatch.setattr(locality, "_components", lambda *args: labelled.append(1) or label(*args))
@@ -458,9 +463,28 @@ def test_exact_window_enumerates_nothing_where_the_operator_is_banded(monkeypatc
     T = noisy_covering_unitary("identity", 12, 3, 1.0, 2, fiber_dim=2)[0]  # propagation 2
     for R in (2.0, 3.0, 11.0):
         assert approximability_window(T, R) == (0.0, 0.0)
+        report = quasi_locality_violation(T, R, "exact")
+        assert (report.violation_lower, report.violation_upper, report.witness) == (0.0, 0.0, None)
     assert labelled == [] and tables == []
     assert approximability_window(T, 1.0)[0] > 0.5
     assert labelled and tables
+
+
+def test_exact_violation_of_the_adjoint_is_the_violation():
+    # d is symmetric, so the closed pairs (B, A) of T* are those of T
+    # swapped and their corners the adjoints of T's: the same norms, up
+    # to the rounding of another SVD (85 cases, most of them bit-equal)
+    ghosts = [ghost(path_space(16)), ghost(random_graph_space(np.random.default_rng(2611), 16, extra_edges=2))]
+    cases = nonzero = 0
+    for T in _noisy_cover_inputs() + ghosts:
+        adjoint = T.adjoint()
+        for R in T.source.base.realized_distances():
+            value = quasi_locality_violation(T, R, "exact").violation_lower
+            mirrored = quasi_locality_violation(adjoint, R, "exact").violation_lower
+            assert abs(mirrored - value) <= 2e-15 * value
+            cases += 1
+            nonzero += value > 0.0
+    assert cases == 85 and nonzero >= 60
 
 
 def test_window_upper_is_truncation_error(rng):
@@ -790,14 +814,20 @@ def test_window_upper_at_most_norm_on_fibered_cover():
 
 def test_window_prunes_no_witness(monkeypatch):
     # the window keeps two numbers; only quasi_locality_violation locates
-    # an attaining candidate (`_exact_violation`, by `np.isin` over the
-    # component instances) and prunes a witness, the one caller of
-    # corner_norm in this module
+    # an attaining candidate (`_exact_violation` with `locate` set, by
+    # `np.isin` over the component instances) and prunes a witness, the
+    # one caller of corner_norm in this module
     calls, located = [], []
     real = BlockOperator.corner_norm
     monkeypatch.setattr(BlockOperator, "corner_norm", lambda T, B, A: calls.append(1) or real(T, B, A))
-    locate, isin = locality._exact_violation, np.isin
-    monkeypatch.setattr(locality, "_exact_violation", lambda T, R: located.append(1) or locate(T, R))
+    exact, isin = locality._exact_violation, np.isin
+
+    def spy(T, R, locate):
+        if locate:
+            located.append(1)
+        return exact(T, R, locate)
+
+    monkeypatch.setattr(locality, "_exact_violation", spy)
     monkeypatch.setattr(np, "isin", lambda *args, **kwargs: located.append(1) or isin(*args, **kwargs))
     U, _, _ = noisy_covering_unitary("reflection", 13, 0, 2.0, 1, fiber_dim=2)
     rep = outer_roundtrip(U, 0.5, radius_grid=[0.0, 1.0, 2.0, 3.0])
@@ -1110,7 +1140,7 @@ def test_witness_is_the_lowest_owner_of_a_top_component():
     tied = cases = 0
     for T in _tie_heavy_operators():
         for R in (0.0, 1.0, 2.0, 3.0):
-            value, sets = locality._exact_violation(T, R)
+            value, sets = locality._exact_violation(T, R, locate=True)
             ref_value, ref_sets, attaining = reference_owner_rule(T, R)
             assert value == ref_value
             assert (None if sets is None else tuple(list(map(int, s)) for s in sets)) == ref_sets
@@ -1130,12 +1160,12 @@ def test_adjoint_inherits_no_table():
     T = BlockOperator(T.source, T.target, T.matrix * blocks[np.ix_(T.target.coord_point, T.source.coord_point)])
     radii = [0.0, 1.0, 2.0, 3.0]
     for R in radii:
-        locality._exact_violation(T, R)
+        locality._exact_violation(T, R, locate=True)
         corner_norm_table(T, R)
     adj = T.adjoint()
     fresh = BlockOperator(T.target, T.source, T.matrix.conj().T)
     for R in radii:
-        assert locality._exact_violation(adj, R) == locality._exact_violation(fresh, R)
+        assert locality._exact_violation(adj, R, locate=True) == locality._exact_violation(fresh, R, locate=True)
         assert corner_norm_table(adj, R).tobytes() == corner_norm_table(fresh, R).tobytes()
     for tables in (adj.derived(locality._reach_tables), locality._reach_tables(adj)):
         for table, expected in zip(tables, locality._reach_tables(fresh)):

@@ -681,7 +681,7 @@ def test_operator_state_goes_through_derived(rng):
     check_unitary(U)
     for R in (0.0, 1.0, 2.0):
         corner_norm_table(U, R)
-        locality._exact_violation(U, R)
+        locality._exact_violation(U, R, locate=True)
     assert _slots(U) == []
     assert _kept_builders(U) == {
         operators._norm, operators._column_norm_max, operators._residual, operators._permutation,

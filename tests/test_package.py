@@ -266,8 +266,9 @@ _RULES = {
     # is called by `T.norm()` and the tails alone (the definition is not a call)
     "split": (r"(?<!def )\b_split_norm\(", ("operators._norm", "operators._tail_norm")),
     # one witness search: only `quasi_locality_violation` asks `_violation` to
-    # locate, and only `_violation` calls the locating enumeration, so the
-    # window's numbers never pay for a witness
+    # locate, and only `_violation` calls `_exact_violation`, the one exact
+    # enumeration, handing `locate` on, so the window's numbers never pay for
+    # a witness
     "witness": (r"(?<!def )\b_exact_violation\(|\blocate=True\b",
                 ("locality._violation", "locality.quasi_locality_violation")),
     # one sparse form: an operator's CSR matrix is built once, by `_sparse_form`;
