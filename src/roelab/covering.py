@@ -23,7 +23,8 @@ slabs over those points; only its outputs V and t are N x N.
 
 `outer_roundtrip` is the automorphism-level composite: extract f from U,
 cover it by W, and certify that UW* is close to banded by recording its
-approximability window over a radius grid.  UW* is the product
+approximability window over a radius grid; the default grid stops at
+UW*'s propagation, where the window is [0, 0].  UW* is the product
 `U @ W.adjoint()`, a gather of U's columns.  It has U's unitarity
 residual exactly, since (UP)*(UP) - I = P*(U*U - I)P for a permutation
 P, so the report carries the residuals of U and W alone.
@@ -333,7 +334,11 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     same fibered space, and records how approximable UW* is by banded
     operators across the radius grid: the upper window member collapsing
     as R grows is the desk-scale content of the outer-automorphism
-    statement.
+    statement.  The default grid is the realized distances up to and
+    including p = UW*.propagation(), all of them when there are at most
+    six, else their 0, 0.2, ..., 1 quantiles: every window below p has a
+    positive upper member and the one at p reads [0, 0], so the grid ends
+    at the collapse.
     """
     if U.source != U.target:
         raise ValueError("outer roundtrip needs an operator on a single fibered space")
@@ -343,6 +348,7 @@ def outer_roundtrip(U: BlockOperator, delta: float = 0.5, radius_grid=None) -> O
     UWs = U @ W.adjoint()  # a gather of U's columns, W* being a permutation
     if radius_grid is None:
         dists = U.source.base.realized_distances()
+        dists = dists[dists <= UWs.propagation()]
         radius_grid = dists if dists.size <= 6 else np.unique(
             np.quantile(dists, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
         )

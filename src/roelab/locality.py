@@ -41,10 +41,12 @@ choice does not depend on rounding.
 Both modes take their numbers in one order: the checks first (one base
 space, R >= 0, a known mode, at most EXACT_LIMIT points in exact mode),
 then the upper member below, then the enumeration (exact) or the search
-for a lower member (bounds).  An upper member of exactly 0 (T banded at
-R) skips both: `spectral_norm` resolves any nonzero entry, which lies in
-a component whose norm is nonzero (a Gram top below 2^-900 takes the
-SVD), so every separated corner is 0.
+for a lower member (bounds).  R at or above T's propagation (the largest
+d(x, y) over its entries that are not exactly 0, `T.propagation()`)
+skips the upper member, the enumeration and the search: every separated
+corner is 0, and so is the window.  Below it a far entry is nonzero, so
+the upper member is too (`spectral_norm` resolves any nonzero entry, a
+Gram top below 2^-900 taking the SVD).
 
 Larger spaces get a certified window.  The search stops as soon as the
 best corner v it has found satisfies v >= (1 - ROUNDING_MARGIN) * upper,
@@ -396,8 +398,9 @@ def _violation(T: BlockOperator, R: float, mode: str, locate: bool = False):
     for every mode and caller.  First the checks both public entry points
     share: one base space, R >= 0, a known mode, and at most EXACT_LIMIT
     points in exact mode; R comes back as checked, a float with -0 read
-    as 0.  Then `upper`, `_truncation_upper(T, R)`: when it is 0 the value
-    is 0 with nothing enumerated or searched.  Else exact mode enumerates
+    as 0.  R at or above T's propagation skips the upper member, the
+    enumeration and the search: the value and upper are 0.  Else `upper`
+    is `_truncation_upper(T, R)`, exact mode enumerates
     (`_exact_violation`), locating the first candidate attaining the
     value only with `locate` (`quasi_locality_violation`), and bounds
     mode searches until it reaches the upper member up to
@@ -414,9 +417,9 @@ def _violation(T: BlockOperator, R: float, mode: str, locate: bool = False):
             )
     elif mode != "bounds":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'bounds'")
-    upper = _truncation_upper(T, R)
-    if upper == 0.0:  # the norm resolves any nonzero entry: every separated corner is 0
+    if R >= T.propagation():  # no nonzero entry lies farther than R: every separated corner is 0
         return R, 0.0, None, 0.0
+    upper = _truncation_upper(T, R)
     if mode == "exact":
         return (R, *_exact_violation(T, R, locate), upper)
     return (R, *_search_violation(T, R, SEARCH_RESTARTS, 0, upper), upper)
@@ -437,8 +440,9 @@ def quasi_locality_violation(T: BlockOperator, R: float, mode: str = "exact") ->
     separated singleton and SEARCH_RESTARTS seeded restarts, skipping the
     rest once the best corner reaches the upper member up to the relative
     ROUNDING_MARGIN.  Both modes take the input checks first, then the
-    upper member, then the enumeration or the search, neither of which
-    runs when the upper member is 0 (T banded at R).  Only here is the
+    upper member, then the enumeration or the search; R at or above T's
+    propagation skips the upper member, the enumeration and the search,
+    and reports [0, 0] with no witness.  Only here is the
     pair pruned to a minimal witness, which attains violation_lower.
     """
     R, value, sets, upper = _violation(T, R, mode, locate=True)
@@ -460,13 +464,13 @@ def approximability_window(T: BlockOperator, R: float) -> tuple[float, float]:
     the local search's above.  The upper bound is min(||T - T_R||, ||T||),
     since both the band truncation T_R and 0 are banded.  Both sides take
     their numbers in the order `quasi_locality_violation` takes them: the
-    input checks, then the upper bound, then the lower member, which is 0
-    with nothing enumerated or searched when the upper bound is 0.
-    Otherwise the exact side enumerates the violation's value alone
-    (`_exact_violation`, with no attaining candidate located), and the
-    search stops once it reaches the upper bound up to the relative
-    ROUNDING_MARGIN.  Only numbers are computed: no report is built and
-    no witness located or pruned.
+    input checks, then the upper bound, then the lower member.  R at or
+    above T's propagation skips the upper member, the enumeration and
+    the search: the window is [0, 0].  Otherwise the exact side
+    enumerates the violation's value alone (`_exact_violation`, with no
+    attaining candidate located), and the search stops once it reaches
+    the upper bound up to the relative ROUNDING_MARGIN.  Only numbers are
+    computed: no report is built and no witness located or pruned.
     """
     exact = T.source.base.n <= EXACT_LIMIT
     _, lower, _, upper = _violation(T, R, "exact" if exact else "bounds")

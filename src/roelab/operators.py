@@ -64,6 +64,7 @@ are kept on the operator, so a radius scan gathers them once.
 What is derived from an operator alone is computed once and kept on it
 by `derived`, the store it shares with spaces and maps (`spaces.Derived`):
 the norm, its column-norm lower bound, the block Frobenius table, the
+propagation (read off the sparse form's entries when there is one), the
 unitarity residual, the sparse form, the corner parts, and the exact
 quasi-locality enumeration's tables (built in `locality`); an adjoint
 starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
@@ -110,7 +111,8 @@ ROUNDING_MARGIN = 1e-12
 every norm here.  Read relative, (1 - m) * v (bounds search stop, upper
 member's min); floored, m * max(1, v) (search moves, witness pruning,
 rank cut); absolute, on values of at most 1 (extraction ties, unit
-snap); as a zero threshold (`propagation`, a violation with a witness)."""
+snap); as a zero threshold, for a violation with a witness only
+(`propagation` counts every entry that is not exactly 0)."""
 UNITARITY_TOL = 1e-9  # the residual `check_unitary` admits; concentration's checks allow it as slack
 # byte budget of one batched stack (a Gram chunk of `corner_norms`, equal-shape
 # corners of `masked_corner_norms`); each matrix is normed alone
@@ -345,31 +347,11 @@ class BlockOperator(Derived):
         array; computed once per operator and stored."""
         return self.derived(_block_frobenius)
 
-    def _same_base(self):
-        if self.source.base != self.target.base:
-            raise ValueError("this operation needs source and target over the same base space")
-        return self.source.base
-
     def propagation(self) -> float:
-        """Largest d(x, y) carrying a block of spectral norm > ROUNDING_MARGIN;
-        0 if none.
-
-        Frobenius norms bound the decision from both sides, so per-block
-        SVDs run only in the narrow ambiguous band.
-        """
-        base = self._same_base()
-        frob = self.block_frobenius()
-        min_dim = np.minimum(
-            self.target.fiber_dims[:, None], self.source.fiber_dims[None, :]
-        )
-        definitely = frob > ROUNDING_MARGIN * np.sqrt(min_dim)  # spectral >= frob/sqrt(min_dim)
-        ambiguous = (frob > ROUNDING_MARGIN) & ~definitely
-        for y, x in np.argwhere(ambiguous):
-            if spectral_norm(self.block(y, x)) > ROUNDING_MARGIN:
-                definitely[y, x] = True
-        if not definitely.any():
-            return 0.0
-        return float(base.dist[definitely].max())
+        """prop(T), the largest d(x, y) over T's entries that are not
+        exactly 0, 0 if none (`_propagation`); computed once per operator
+        and stored."""
+        return self.derived(_propagation)
 
     def corner_norm(self, B, A) -> float:
         """||chi_B T chi_A||, via the submatrix (padding zeros do not matter)."""
@@ -432,6 +414,20 @@ def _norm(T: BlockOperator) -> float:
     if sparse is None:
         return spectral_norm(T.matrix)
     return _split_norm(T.matrix.shape, *_entries(sparse), lambda r, c: T.matrix[r, c])
+
+
+def _propagation(T: BlockOperator) -> float:
+    """prop(T), kept by `T.propagation()` through `derived`: the largest
+    d(x, y) over the entries of T that are not exactly 0, so a block of
+    1e-170 counts and a -0.0 entry does not.  The entries are read off
+    T's sparse form when it has one (O(nnz)), else by one nonzero scan
+    of the matrix (`_nonzero`).  Two base spaces are a ValueError."""
+    if T.source.base != T.target.base:
+        raise ValueError("this operation needs source and target over the same base space")
+    sparse = _sparse(T)
+    r, c = np.nonzero(_nonzero(T.matrix)) if sparse is None else _entries(sparse)
+    dist = T.source.base.dist
+    return float(dist[T.target.coord_point[r], T.source.coord_point[c]].max(initial=0.0))
 
 
 def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:

@@ -591,16 +591,22 @@ def test_outer_roundtrip_on_noisy_automorphism():
     assert rep.residual_U <= 1e-9
     assert rep.residual_W <= 1e-12
     _assert_uws_has_the_residual_of_u(U, rep)
+    # UW* is banded, within the cover radius plus the noise propagation:
+    # the default grid ends at p = prop(UW*), where the window collapses
+    # to [0, 0], and every window below p has a positive upper member
+    # (on the reflection of path(60), four windows at R = 0-3)
+    reflection = noisy_covering_unitary("reflection", 60, 1, 1.0, 2, 2)[0]
+    for T, report, opened in ((U, rep, 1), (reflection, outer_roundtrip(reflection, 0.5), 4)):
+        W, _ = covering_unitary(report.extraction.f, T.source, target=T.source)
+        p = (T @ W.adjoint()).propagation()
+        assert p <= report.plan.support_radius + report.extraction.R + 2.0
+        *below, last = report.windows
+        assert last == (p, 0.0, 0.0) and len(below) == opened
+        for r, lower, upper in below:
+            assert r < p and upper > 0.0 and lower <= upper + 1e-12
     for kind, n, fiber_dim, seed in itertools.product(("identity", "reflection"), (10, 20, 60), (1, 2), range(4)):
         U, _, _ = noisy_covering_unitary(kind, n, seed, 1.0, 2, fiber_dim)
         _assert_uws_has_the_residual_of_u(U, outer_roundtrip(U, 0.5, radius_grid=[0.0]))
-    # UW* must be near-banded: its window collapses once R clears the
-    # cover radius plus the noise propagation
-    uws_prop_bound = rep.plan.support_radius + rep.extraction.R + 2.0
-    for r, lower, upper in rep.windows:
-        assert lower <= upper + 1e-12
-        if r >= uws_prop_bound:
-            assert upper <= 1e-9
 
 
 def test_outer_roundtrip_identity_degenerate():

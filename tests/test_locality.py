@@ -474,9 +474,8 @@ def test_exact_violation_of_the_adjoint_is_the_violation():
     # d is symmetric, so the closed pairs (B, A) of T* are those of T
     # swapped and their corners the adjoints of T's: the same norms, up
     # to the rounding of another SVD (85 cases, most of them bit-equal)
-    ghosts = [ghost(path_space(16)), ghost(random_graph_space(np.random.default_rng(2611), 16, extra_edges=2))]
     cases = nonzero = 0
-    for T in _noisy_cover_inputs() + ghosts:
+    for T in _noisy_cover_inputs() + _criterion_11_ghosts():
         adjoint = T.adjoint()
         for R in T.source.base.realized_distances():
             value = quasi_locality_violation(T, R, "exact").violation_lower
@@ -485,6 +484,80 @@ def test_exact_violation_of_the_adjoint_is_the_violation():
             cases += 1
             nonzero += value > 0.0
     assert cases == 85 and nonzero >= 60
+
+
+def _criterion_11_ghosts():
+    """Acceptance criterion 11's ghosts: on path(16) and on its seeded
+    16-point graph."""
+    return [ghost(path_space(16)), ghost(random_graph_space(np.random.default_rng(2611), 16, extra_edges=2))]
+
+
+def _haar_gauge(space: FiberedSpace, rng) -> BlockOperator:
+    """A fiber gauge: on each fiber a Haar unitary (QR of a complex
+    Gaussian, the phases of R's diagonal moved into Q), zero blocks
+    elsewhere, so its propagation is 0."""
+    mat = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for x, d in enumerate(space.fiber_dims):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        mat[space.slice_of(x), space.slice_of(x)] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return BlockOperator(space, space, mat)
+
+
+def _path_150_bands():
+    """Band unitaries of path(150) over 1- and 2-dim fibers."""
+    return [random_band_unitary(FiberedSpace.uniform(path_space(150), d), 1.0, 2, seed=d) for d in (1, 2)]
+
+
+def test_propagation_decides_where_the_upper_member_is_zero():
+    # R >= prop(T) exactly when ||T - T_R|| (and so the upper member) is
+    # 0: a nonzero entry farther than R makes the tail nonzero, which
+    # `spectral_norm` resolves, and without one the tail is all zeros.
+    # `_violation` decides its banded radii by the propagation alone
+    banded = opened = 0
+    for T in _noisy_cover_inputs() + _criterion_11_ghosts() + _path_150_bands():
+        prop = T.propagation()
+        for R in T.source.base.realized_distances():
+            upper = locality._truncation_upper(T, R)
+            assert (R >= prop) == (upper == 0.0), (T, R, prop, upper)
+            banded += R >= prop
+            opened += R < prop
+    assert (banded, opened) == (318, 67)
+
+
+def test_propagation_of_the_adjoint_and_of_a_fiber_gauge_is_the_propagation():
+    # d is symmetric, so T* has T's propagation; a fiber gauge D_Y T D_X
+    # (D_X, D_Y block-diagonal Haar unitaries) keeps every zero block
+    # zero and every nonzero one nonzero, so it keeps it too, exactly
+    rng = np.random.default_rng(3101)
+    cases = _noisy_cover_inputs() + _criterion_11_ghosts() + _path_150_bands()
+    for _ in range(6):
+        X = random_graph_space(rng, 12, extra_edges=3)
+        T = random_operator(rng, random_fibered(rng, X), random_fibered(rng, X))
+        cases.append(T.supported_mask(np.arange(X.n), float(rng.integers(0, int(X.diameter) + 1))))
+    props = set()
+    for T in cases:
+        prop = T.propagation()
+        gauged = _haar_gauge(T.target, rng) @ T @ _haar_gauge(T.source, rng)
+        assert T.adjoint().propagation() == prop
+        assert gauged.propagation() == prop
+        props.add(prop)
+    assert len(props) >= 5
+
+
+def test_bounds_window_encloses_the_ghost_closed_form():
+    # on path(n) the ghost 1 - 2P has the violation 2 sqrt(floor(m/2)
+    # ceil(m/2)) / n at R, m = n - R (ROADMAP item 33): the bounds window
+    # must enclose it, so neither an upper member that understates nor a
+    # search that reports more than the violation passes.  Its one
+    # nonzero block per pair makes the propagation the diameter
+    n = 64
+    T = ghost(path_space(n))
+    assert T.propagation() == n - 1
+    for R in range(1, 7):
+        m = n - R
+        closed = 2 * np.sqrt((m // 2) * (m - m // 2)) / n
+        lower, upper = approximability_window(T, float(R))
+        assert lower <= closed <= upper, (R, lower, closed, upper)
 
 
 def test_window_upper_is_truncation_error(rng):

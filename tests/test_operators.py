@@ -325,19 +325,36 @@ def test_propagation_basic_cases():
     assert shift.propagation() == n - 1
 
 
-def test_propagation_decides_the_frobenius_band_by_spectral_norm():
-    # on 2-dim fibers a Frobenius norm in (m, m sqrt 2], m = ROUNDING_MARGIN,
-    # decides nothing: the block at distance 1 has spectral norm 1.1e-12 > m,
-    # the one at distance 2 has 0.9e-12 <= m
-    fib = FiberedSpace.uniform(path_space(3), 2)
-    mat = np.zeros((6, 6), dtype=complex)
+def test_propagation_counts_every_entry_that_is_not_exactly_zero(monkeypatch):
+    # prop(T) is the largest d(x, y) over the entries that are not exactly
+    # 0: a block of 1e-170 at distance 2 counts, though its Gram and its
+    # squared Frobenius norm underflow, and a block of -0.0 at distance 3
+    # does not
+    fib = FiberedSpace.uniform(path_space(4), 2)
+    mat = np.zeros((8, 8), dtype=complex)
     mat[0:2, 0:2] = np.eye(2)
-    mat[2:4, 0:2] = np.diag([1.1e-12, 0.0])
-    mat[4:6, 0:2] = np.diag([0.9e-12, 0.9e-12])
+    mat[4:6, 0:2] = np.diag([1e-170, 0.0])
+    mat[6:8, 0:2] = complex(-0.0, -0.0)
     T = BlockOperator(fib, fib, mat)
-    band = T.block_frobenius()[1:, 0]
-    assert ((band > operators.ROUNDING_MARGIN) & (band <= operators.ROUNDING_MARGIN * np.sqrt(2))).all()
-    assert T.propagation() == 1.0
+    assert np.signbit(T.matrix[6:8, 0:2].view(float)).all()
+    assert T.block_frobenius()[2, 0] == 0.0
+    assert T.propagation() == 2.0
+    # a banded operator of 120 coordinates keeps a sparse form, and with
+    # one planted far entry its propagation is that entry's distance on
+    # the sparse and on the dense route
+    fib = FiberedSpace.uniform(path_space(60), 2)
+    band = random_band_unitary(fib, 1.0, 2, seed=3).matrix.copy()
+    band[fib.offsets[55] + 1, fib.offsets[3]] = 1e-13
+    T = BlockOperator(fib, fib, band)
+    assert operators._sparse(T) is not None
+    assert T.propagation() == 52.0
+    monkeypatch.setattr(operators, "_sparse", lambda T: None)
+    assert BlockOperator(fib, fib, band).propagation() == 52.0
+    # masked to d <= 2, the band's far entries are zeros, some of them -0.0
+    far = np.kron(fib.base.dist > 2, np.ones((2, 2), dtype=bool))
+    masked = band * ~far
+    assert np.signbit(masked[far].view(float)).any()
+    assert BlockOperator(fib, fib, masked).propagation() == 2.0
 
 
 def test_propagation_matches_naive_block_scan(rng):
@@ -351,7 +368,7 @@ def test_propagation_matches_naive_block_scan(rng):
         naive = 0.0
         for y in range(X.n):
             for x in range(X.n):
-                if spectral_norm(T.block(y, x)) > 1e-12:
+                if (T.block(y, x) != 0).any():
                     naive = max(naive, X.dist[x, y])
         assert T.propagation() == naive
 

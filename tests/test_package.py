@@ -113,7 +113,6 @@ def test_private_definitions_are_referenced():
 # operator or call syntax, which the lint does not read, so each one kept
 # is listed here
 _UNREACHED_BUT_KEPT = {
-    "BlockOperator.propagation": "acceptance criteria 4-5; ROADMAP item 11 gives it callers",
     "upgrade_trick": "acceptance criterion 6, the paper's upgrade step",
     "BlockOperator.supported_mask": "acceptance criteria 7-8; the tests' reference for `_tail_norm`",
     "save_map": "writes the map file that `cover --map` reads",
