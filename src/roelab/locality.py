@@ -168,10 +168,9 @@ def _mask_table(rel: np.ndarray) -> np.ndarray:
 def _reach_tables(T: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     """(cols_of, rows_of): cols_of[rows] is the bitmask of the source points
     that a target point of the bitmask rows reaches by a nonzero block,
-    rows_of[cols] the converse.  A block is nonzero when one of its
-    entries is: a block of 1e-170 counts."""
-    nonzero = np.logical_or.reduceat(T.matrix != 0, T.target.offsets[:-1], axis=0)
-    nonzero = np.logical_or.reduceat(nonzero, T.source.offsets[:-1], axis=1)
+    rows_of[cols] the converse, from T's table of nonzero blocks
+    (`T.block_nonzero()`): a block of 1e-170 counts."""
+    nonzero = T.block_nonzero()
     return _mask_table(nonzero), _mask_table(nonzero.T)
 
 

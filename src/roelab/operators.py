@@ -64,7 +64,8 @@ are kept on the operator, so a radius scan gathers them once.
 What is derived from an operator alone is computed once and kept on it
 by `derived`, the store it shares with spaces and maps (`spaces.Derived`):
 the norm, its column-norm lower bound, the block Frobenius table, the
-propagation (read off the sparse form's entries when there is one), the
+table of nonzero blocks, the propagation (read off the sparse form's
+entries when there is one, else off the table of nonzero blocks), the
 unitarity residual, the sparse form, the corner parts, and the exact
 quasi-locality enumeration's tables (built in `locality`); an adjoint
 starts with nothing.  `check_unitary` keeps no outcome: `extract_pair`
@@ -97,6 +98,7 @@ from .spaces import (
 __all__ = [
     "FiberedSpace",
     "BlockOperator",
+    "check_entries",
     "check_unitary",
     "corner_norms",
     "identity_operator",
@@ -259,6 +261,16 @@ def _split_norm(shape, r, c, gather):
     return float(_gathered_norms(gather, row_masks, col_masks).max())
 
 
+def check_entries(matrix: np.ndarray) -> None:
+    """Refuse a complex matrix unless every entry is finite and below 1e150
+    in modulus, so the squares in Gram products cannot overflow.  Two
+    reductions of the real view, no |.| copy; NaN fails the test too (both
+    reductions return it)."""
+    view = matrix.view(float)
+    if not max(view.max(initial=0.0), -view.min(initial=0.0)) < 1e150:
+        raise ValueError("operator entries must be finite and below 1e150 in modulus")
+
+
 class BlockOperator(Derived):
     """A complex linear map between two fibered spaces, stored dense.
 
@@ -270,20 +282,18 @@ class BlockOperator(Derived):
     def __init__(self, source: FiberedSpace, target: FiberedSpace, matrix, *, _checked: bool = False):
         """`_checked` takes a fresh C-ordered complex matrix as it is, with
         no copy and no scan of its entries, for callers whose entries are
-        safe by construction: `adjoint` and the gathers of `__matmul__`
-        (entries of an operator, checked already), `random_band_unitary`
-        (products of unit-modulus rotations and phases of finite angles)
-        and `covering.covering_unitary` (0 and 1)."""
+        safe by construction or checked already: `adjoint` and the gathers
+        of `__matmul__` (entries of an operator), `random_band_unitary`
+        (products of unit-modulus rotations and phases of finite angles),
+        `covering.covering_unitary` (0 and 1) and `serialize.read_operator`
+        (its own matrix, scanned by `check_entries`)."""
         if not _checked:
             matrix = np.array(matrix, dtype=complex, order="C")
         expected = (target.total_dim, source.total_dim)
         if matrix.shape != expected:
             raise ValueError(f"matrix shape {matrix.shape} does not match fibers {expected}")
-        # NaN fails this test too (both reductions return it); below 1e150,
-        # squares in Gram products cannot overflow.  Two reductions, no |.| copy
-        view = matrix.view(float)
-        if not (_checked or max(view.max(initial=0.0), -view.min(initial=0.0)) < 1e150):
-            raise ValueError("operator entries must be finite and below 1e150 in modulus")
+        if not _checked:
+            check_entries(matrix)
         self.source = source
         self.target = target
         self.matrix = matrix  # a private copy, so what `derived` keeps stays valid
@@ -346,6 +356,12 @@ class BlockOperator(Derived):
         """Per-block Frobenius norms as a read-only (n_target, n_source)
         array; computed once per operator and stored."""
         return self.derived(_block_frobenius)
+
+    def block_nonzero(self) -> np.ndarray:
+        """Which blocks are nonzero, as a read-only (n_target, n_source)
+        bool array (`_block_nonzero`); computed once per operator and
+        stored."""
+        return self.derived(_block_nonzero)
 
     def propagation(self) -> float:
         """prop(T), the largest d(x, y) over T's entries that are not
@@ -420,14 +436,28 @@ def _propagation(T: BlockOperator) -> float:
     """prop(T), kept by `T.propagation()` through `derived`: the largest
     d(x, y) over the entries of T that are not exactly 0, so a block of
     1e-170 counts and a -0.0 entry does not.  The entries are read off
-    T's sparse form when it has one (O(nnz)), else by one nonzero scan
-    of the matrix (`_nonzero`).  Two base spaces are a ValueError."""
+    T's sparse form when it has one (O(nnz)), else from T's table of
+    nonzero blocks (`_block_nonzero`), with no list of entries.  Two base
+    spaces are a ValueError."""
     if T.source.base != T.target.base:
         raise ValueError("this operation needs source and target over the same base space")
-    sparse = _sparse(T)
-    r, c = np.nonzero(_nonzero(T.matrix)) if sparse is None else _entries(sparse)
     dist = T.source.base.dist
+    sparse = _sparse(T)
+    if sparse is None:
+        return float(dist[T.block_nonzero()].max(initial=0.0))
+    r, c = _entries(sparse)
     return float(dist[T.target.coord_point[r], T.source.coord_point[c]].max(initial=0.0))
+
+
+def _block_nonzero(T: BlockOperator) -> np.ndarray:
+    """T's table of nonzero blocks, kept by `T.block_nonzero()` through
+    `derived`: the matrix's nonzero scan (`_nonzero`) reduced by
+    `np.logical_or.reduceat` over the rows of each target fiber, then over
+    the columns of each source fiber.  A block is nonzero when one of its
+    entries is not exactly 0: a block of 1e-170 counts, one of -0.0 does
+    not."""
+    by_rows = np.logical_or.reduceat(_nonzero(T.matrix), T.target.offsets[:-1], axis=0)
+    return np.logical_or.reduceat(by_rows, T.source.offsets[:-1], axis=1)
 
 
 def _tail_norm(T: BlockOperator, keep: np.ndarray) -> float:

@@ -22,7 +22,13 @@ the fiber dimensions recorded in the file must match their point counts.
 Writing is bit-exact: reading back yields the identical matrix, signed
 zeros included.  A file that ends inside the header or the payload is
 refused with a message saying where, and one whose flags byte sets any
-bit but bit 0 with a message naming the byte.
+bit but bit 0 with a message naming the byte.  A reader holds a single
+copy of the payload: the file is sized by `os.fstat`, its header read in
+small pieces and checked against that size before anything is allocated
+for the payload, which is then read straight into the operator's matrix
+and scanned once for the entry rule (`check_entries`).  A pipe cannot be
+sized before it is read, so it is read whole and its payload copied from
+those bytes.
 
 Reports: `report_bytes` encodes a report as one line of JSON with
 sorted keys; space and map files go through it too (`write_report`).
@@ -37,14 +43,17 @@ does not know is a TypeError.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import stat
 import struct
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .maps import PointMap
-from .operators import BlockOperator, FiberedSpace
+from .operators import BlockOperator, FiberedSpace, check_entries
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -84,53 +93,67 @@ def read_operator(
     """Read a binary operator; bases must be supplied by the caller.
 
     For square operators (flag clear) only target_base is needed; a
-    rectangular file requires source_base as well.
+    rectangular file requires source_base as well.  A regular file's
+    payload is read once, into the operator's own matrix; a pipe is read
+    whole first (module docstring).
     """
     with open(path, "rb") as fh:
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode):
+            return _read_operator(fh, status.st_size, target_base, source_base)
         raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"not a {MAGIC.decode()} file: bad magic {raw[:7]!r}")
+    return _read_operator(io.BytesIO(raw), len(raw), target_base, source_base)
 
-    def need(end: int) -> None:
-        if len(raw) < end:  # before each read, so a cut file gets this message, not struct's
-            raise ValueError(f"operator file ends inside its header ({len(raw)} bytes)")
 
-    def read_dims(base: FiniteMetricSpace, start: int):
-        need(start + 4)
-        (n,) = struct.unpack_from("<I", raw, start)
+def _read_operator(fh, size: int, target_base, source_base) -> BlockOperator:
+    """`read_operator` on a binary file object, at its start, of `size` bytes."""
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise ValueError(f"not a {MAGIC.decode()} file: bad magic {magic!r}")
+
+    def take(count: int) -> bytes:
+        # sized before each read, so a cut file gets this message, not struct's
+        if size < fh.tell() + count:
+            raise ValueError(f"operator file ends inside its header ({size} bytes)")
+        return fh.read(count)
+
+    def read_dims(base: FiniteMetricSpace):
+        (n,) = struct.unpack("<I", take(4))
         if n != base.n:
             raise ValueError(f"file records {n} points, supplied space has {base.n}")
-        end = start + 4 + 4 * n
-        need(end)
-        return np.frombuffer(raw, dtype="<u4", count=n, offset=start + 4).astype(np.int64), end
+        return np.frombuffer(take(4 * n), dtype="<u4").astype(np.int64)
 
-    need(len(MAGIC) + 1)
-    flags = raw[len(MAGIC)]
+    (flags,) = take(1)
     if flags & ~_FLAG_RECTANGULAR:
         raise ValueError(f"unknown flag bits in operator file: flags byte {flags:#04x}")
     rectangular = bool(flags & _FLAG_RECTANGULAR)
-    pos = len(MAGIC) + 1
-    dims_t, pos = read_dims(target_base, pos)
+    dims_t = read_dims(target_base)
     if rectangular:
         if source_base is None:
             raise ValueError("rectangular operator file needs an explicit source space")
-        dims_s, pos = read_dims(source_base, pos)
+        dims_s = read_dims(source_base)
     else:
         if source_base is not None and source_base != target_base:
             raise ValueError("square operator file, but a different source space was supplied")
         dims_s = dims_t
 
-    # checked before the fibered spaces allocate for the claimed dimensions
     expected = int(dims_t.sum()) * int(dims_s.sum())
-    if len(raw) - pos != 16 * expected:  # by bytes, so a cut inside a float64 counts too
-        raise ValueError(
-            f"payload holds {len(raw) - pos} bytes, expected {16 * expected} "
-            f"({expected} complex entries)"
-        )
+
+    def need_payload(held: int) -> None:
+        if held != 16 * expected:  # by bytes, so a cut inside a float64 counts too
+            raise ValueError(
+                f"payload holds {held} bytes, expected {16 * expected} ({expected} complex entries)"
+            )
+
+    need_payload(size - fh.tell())  # before the fibered spaces allocate for the claimed dimensions
     target = FiberedSpace(target_base, dims_t)
     source = FiberedSpace(source_base, dims_s) if rectangular else target
-    matrix = np.frombuffer(raw, dtype="<c16", offset=pos)  # re + 1j * im would turn -0.0 into +0.0
-    return BlockOperator(source, target, matrix.reshape(target.total_dim, source.total_dim))
+    # the bytes themselves, so -0.0 stays -0.0; no copy where "<c16" is native
+    matrix = np.empty((target.total_dim, source.total_dim), dtype="<c16")
+    need_payload(fh.readinto(matrix))  # short only if the file shrank after it was sized
+    matrix = matrix.astype(complex, copy=False)
+    check_entries(matrix)
+    return BlockOperator(source, target, matrix, _checked=True)
 
 
 def load_space(path) -> FiniteMetricSpace:

@@ -5,9 +5,12 @@ validated for symmetry and the triangle inequality at construction time.
 A matrix that equals the hop metric of its own unit-distance graph is a
 metric by that equality alone, so one shortest-path pass certifies it;
 any other matrix goes through the O(n^3) triangle loop.  An edge-list
-space is a hop metric by construction, so its one shortest-path pass
-both builds and certifies it, and a path space's |i - j| matrix is
-frozen with no pass at all.
+space is a hop metric by construction.  A path is laid out in closed
+form, d(i, j) = |pos(i) - pos(j)| with pos(i) the place of i along it:
+`path_space` has pos(i) = i, and an edge list of a path (n - 1 edges,
+connected, no point of degree above 2) takes pos from one breadth-first
+pass from an end, so neither takes a shortest-path pass.  Any other
+edge list's one shortest-path pass both builds and certifies it.
 Spaces are immutable after construction and safe to share between
 threads.  A space's distance levels (its sorted realized distances, and
 each entry's level index) are computed once, on first use, and kept
@@ -299,9 +302,17 @@ def path_space(n: int) -> FiniteMetricSpace:
     """The path 0 - 1 - ... - (n-1) with d(i, j) = |i - j|."""
     if not (is_integer(n) and n >= 1):
         raise ValueError(f"path_space needs an integer n >= 1, got {n!r}")
-    idx = np.arange(n)
-    # a hop metric by construction, so no certifying pass
-    return _trusted(np.abs(idx[:, None] - idx[None, :]).astype(float))
+    return _line_metric(np.arange(n))
+
+
+def _line_metric(pos: np.ndarray) -> FiniteMetricSpace:
+    """The hop metric of a path whose point i sits at place pos[i] along
+    it (pos a permutation of 0..n-1): |pos(i) - pos(j)|, built as one
+    float matrix and frozen with no certifying pass."""
+    pos = pos.astype(float)
+    dist = np.subtract.outer(pos, pos)
+    np.abs(dist, out=dist)
+    return _trusted(dist)
 
 
 def _trusted(dist: np.ndarray) -> FiniteMetricSpace:
@@ -349,9 +360,14 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     """Unweighted shortest-path metric of a connected graph on n nodes.
 
     One breadth-first pass from 0 refuses a disconnected graph in
-    O(n + m), naming the smallest point it cannot reach.  The one
-    shortest-path pass that builds the metric also certifies it: a hop
-    metric is a metric, so the constructor's checks are skipped."""
+    O(n + m), naming the smallest point it cannot reach, before any
+    n x n array exists.  A connected graph with n - 1 edge entries is a
+    tree, and one with no point of degree above 2 is a path: a second
+    breadth-first pass, from an end (a point of smallest degree), gives
+    each point's place along it, and the metric is |pos(i) - pos(j)|
+    (`_line_metric`).  Any other graph takes one shortest-path pass,
+    which builds the metric and also certifies it.  Either way the
+    matrix is a hop metric, so the constructor's checks are skipped."""
     if not (is_integer(n) and n >= 1):
         raise ValueError(f"from_edge_list needs an integer n >= 1, got {n!r}")
     arr = _edge_array(edges)
@@ -373,4 +389,8 @@ def from_edge_list(n: int, edges) -> FiniteMetricSpace:
     if reached.size < n:  # name 0 and the smallest point it cannot reach
         j = np.isin(np.arange(n), reached, invert=True).argmax()
         raise ValueError(f"graph is disconnected: no path between 0 and {j}")
+    degree = np.diff(indptr)
+    if len(arr) == n - 1 and degree.max() <= 2:
+        order = breadth_first_order(adj, degree.argmin(), return_predecessors=False)
+        return _line_metric(np.argsort(order))  # each point's place in the walk from the end
     return _trusted(shortest_path(adj, method="D", unweighted=True))

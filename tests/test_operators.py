@@ -373,6 +373,35 @@ def test_propagation_matches_naive_block_scan(rng):
         assert T.propagation() == naive
 
 
+def test_block_nonzero_is_the_naive_block_scan(rng):
+    # a block counts when one of its entries is not exactly 0; square and
+    # rectangular operators alike, source and target fibers of any size
+    for _ in range(15):
+        X, Y = (random_graph_space(rng, int(rng.integers(1, 7)), extra_edges=2) for _ in range(2))
+        T = random_operator(rng, random_fibered(rng, X), random_fibered(rng, Y))
+        T = BlockOperator(T.source, T.target, T.matrix * (rng.random(T.matrix.shape) < 0.2))
+        naive = [[(T.block(y, x) != 0).any() for x in range(X.n)] for y in range(Y.n)]
+        table = T.block_nonzero()
+        assert table.dtype == bool and table.tolist() == naive
+        assert not table.flags.writeable and T.block_nonzero() is table
+
+
+def test_dense_propagation_holds_less_than_its_matrix():
+    # 1 - 2P over path(200) with 2-dim fibers has half its entries nonzero,
+    # so it keeps no sparse form; its propagation reads the nonzero blocks,
+    # not a list of its 80,000 nonzero entries' coordinates
+    fib = FiberedSpace.uniform(path_space(200), 2)
+    T = BlockOperator(fib, fib, np.eye(400) - np.kron(np.full((200, 200), 0.01), np.eye(2)))
+    assert operators._sparse(T) is None
+    tracemalloc.start()
+    try:
+        assert T.propagation() == 199.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * T.matrix.nbytes
+
+
 def test_band_width_two_construction(rng):
     X = path_space(10)
     fib = FiberedSpace.uniform(X, 2)
@@ -702,12 +731,13 @@ def test_operator_state_goes_through_derived(rng):
     assert _slots(U) == []
     assert _kept_builders(U) == {
         operators._norm, operators._column_norm_max, operators._residual, operators._permutation,
-        operators._group_parts, locality._reach_tables,
+        operators._group_parts, operators._block_nonzero, locality._reach_tables,
     }
     values = vars(U)["_derived"].values()
     arrays = [part for value in values for part in (value if isinstance(value, tuple) else (value,))
               if isinstance(part, np.ndarray)]
-    assert len(arrays) == 3 + 2  # corner parts of the groups d = 1, 2, 3; two reach tables
+    # corner parts of the groups d = 1, 2, 3; the nonzero-block table and the two reach tables
+    assert len(arrays) == 3 + 1 + 2
     assert not any(array.flags.writeable for array in arrays)
     # an adjoint starts with nothing, not even the residual it shares with U
     adj = U.adjoint()

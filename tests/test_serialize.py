@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,8 +166,9 @@ def test_bad_magic_rejected(rng, tmp_path):
 
 def test_read_and_write_copy_the_payload_at_most_once(tmp_path):
     # a noisy 200-point reflection cover: a 640,000-byte payload.  A read
-    # holds the file's bytes and the operator's own matrix; a write hands
-    # the file the matrix it is given and copies none of it
+    # holds at most the file's bytes and the operator's own matrix (a
+    # pipe's read; a file's holds the matrix alone); a write hands the file
+    # the matrix it is given and copies none of it
     U = noisy_covering_unitary("reflection", 200, 1)[0]
     payload = 16 * U.matrix.size
     assert payload == 640_000
@@ -182,6 +185,56 @@ def test_read_and_write_copy_the_payload_at_most_once(tmp_path):
     assert back.matrix.tobytes() == U.matrix.tobytes()
     assert write_peak <= 0.1 * payload
     assert read_peak <= 2.1 * payload
+
+
+def test_read_holds_one_copy_of_the_payload(tmp_path):
+    # a noisy 400-point reflection cover, a 2,560,000-byte payload: the
+    # file is sized first and its payload read straight into the matrix
+    U = noisy_covering_unitary("reflection", 400, 1)[0]
+    payload = 16 * U.matrix.size
+    assert payload == 2_560_000
+    path = tmp_path / "cover.bin"
+    write_operator(path, U)
+    tracemalloc.start()
+    try:
+        back = read_operator(path, U.target.base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.matrix.tobytes() == U.matrix.tobytes()
+    assert back.matrix.dtype == complex and back.matrix.flags.c_contiguous
+    assert peak < 1.1 * payload
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_a_pipe_is_read_whole_with_the_same_checks(rng, tmp_path):
+    # a pipe cannot be sized before it is read, so it is read whole; what
+    # it yields, and what it refuses, is what the same bytes in a file give
+    fib = FiberedSpace.uniform(path_space(3), 2)
+    T = random_operator(rng, fib, fib)
+    path = tmp_path / "op.bin"
+    write_operator(path, T)
+    raw = path.read_bytes()
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def read_through_pipe(data):
+        writer = threading.Thread(target=lambda: pipe.write_bytes(data))
+        writer.start()
+        try:
+            return read_operator(pipe, path_space(3))
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    assert read_through_pipe(raw).matrix.tobytes() == T.matrix.tobytes()
+    for damaged in (raw[:-3], raw[:9], b"NOTMINE" + raw[7:]):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError) as from_file:
+            read_operator(path, path_space(3))
+        with pytest.raises(ValueError) as from_pipe:
+            read_through_pipe(damaged)
+        assert str(from_pipe.value) == str(from_file.value)
 
 
 def test_point_count_mismatch_rejected(rng, tmp_path):

@@ -299,7 +299,8 @@ def test_map_json_missing_key_named(data, message, tmp_path):
         load_map(path)
 
 
-def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
+def _counting_shortest_path(monkeypatch):
+    """The list that gets one entry per shortest-path pass spaces.py takes."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -307,19 +308,88 @@ def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
         return shortest_path(*args, **kwargs)
 
     monkeypatch.setattr(spaces, "shortest_path", counting)
+    return calls
+
+
+def test_edge_list_costs_one_shortest_path_pass(monkeypatch, tmp_path):
+    # one pass for any edge list but a path's, which is laid out with none
+    calls = _counting_shortest_path(monkeypatch)
     X = FiniteMetricSpace(np.abs(np.subtract.outer(np.arange(30), np.arange(30))))
     assert len(calls) == 1  # a matrix handed to the constructor is certified
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"n": 30, "edges": [[k, k + 1] for k in range(29)]}))
     calls.clear()
     assert load_space(path) == X
-    assert len(calls) == 1
+    assert calls == []  # a path: |pos(i) - pos(j)|, no pass
+    path.write_text(json.dumps({"n": 30, "edges": [[k, (k + 1) % 30] for k in range(30)]}))
+    assert load_space(path).diameter == 15
+    assert len(calls) == 1  # a cycle is no path: one pass
     calls.clear()
     # a matrix that is not a hop metric still reaches the triangle loop
     with pytest.raises(ValueError) as info:
         FiniteMetricSpace([[0, 2, 5], [2, 0, 2], [5, 2, 0]])
     assert str(info.value) == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
     assert len(calls) == 1
+
+
+def _hop_matrix(n, edges):
+    """The reference: scipy's shortest-path matrix of the edges."""
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1
+    return shortest_path(adj, method="D", unweighted=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 224])
+def test_edge_list_of_a_path_is_the_shortest_path_matrix_with_no_pass(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    calls = _counting_shortest_path(monkeypatch)
+    for _ in range(4):
+        # shuffled labels, each edge in either direction, the edges in any order
+        label = rng.permutation(n)
+        edges = [(int(label[k]), int(label[k + 1])) for k in range(n - 1)]
+        edges = [e[::-1] if flip else e for e, flip in zip(edges, rng.integers(0, 2, n - 1))]
+        edges = [edges[k] for k in rng.permutation(n - 1)]
+        X = from_edge_list(n, edges)
+        assert calls == []
+        reference = _hop_matrix(n, edges)
+        assert X.dist.dtype == reference.dtype and X.dist.tobytes() == reference.tobytes()
+        assert not X.dist.flags.writeable and X.diameter == n - 1
+        assert from_edge_list(n, X.to_json()["edges"]) == X
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (6, [(k, (k + 1) % 6) for k in range(6)]),  # a cycle: n edges, all of degree 2
+        (6, [(0, k) for k in range(1, 6)]),  # a star: a tree with a point of degree 5
+        (7, [(k, k + 1) for k in range(6)] + [(1, 5)]),  # a path plus one chord
+        (7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)]),  # a tree with a degree-3 point
+        (3, [(0, 1), (1, 2), (1, 0)]),  # a path with one edge repeated
+    ],
+)
+def test_edge_lists_that_are_not_paths_take_one_shortest_path_pass(monkeypatch, n, edges):
+    calls = _counting_shortest_path(monkeypatch)
+    X = from_edge_list(n, edges)
+    assert len(calls) == 1
+    assert X.dist.tobytes() == _hop_matrix(n, edges).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, edges, j",
+    [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 0)], 4),  # a 4-cycle through 0, 4 alone
+        (5, [(4, 1), (1, 2), (2, 3), (3, 4)], 1),  # 0 alone, a 4-cycle on the rest
+    ],
+)
+def test_n_minus_one_edges_of_degree_two_that_are_no_path_are_refused(monkeypatch, n, edges, j):
+    # n - 1 edge entries, no point of degree above 2, but a cycle and an
+    # isolated point: the breadth-first check from 0 comes first and refuses them
+    calls = _counting_shortest_path(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        from_edge_list(n, edges)
+    assert str(info.value) == f"graph is disconnected: no path between 0 and {j}"
+    assert calls == []
 
 
 def test_path_space_takes_no_shortest_path_pass(monkeypatch):
